@@ -91,6 +91,27 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Benchmark smoke: perfbench builds against the library's crawl surface
+# (Classifier, Frontier, CrawlEngine::run, Simulator::run) from outside
+# the workspace, so a change that breaks it must fail here rather than
+# in the benchmark run. Every workload runs for one second untraced and
+# once traced, built with the command BENCHMARK.json declares; each run
+# must end on a result line reporting a correct crawl and no failures.
+echo "==> perfbench smoke (every workload, --trace 0 and 1)"
+for workload in soft faults detector pagerank hits context; do
+    for trace in 0 1; do
+        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+        case "$last" in
+        *'"correct": true'*'"failed": 0,'*) echo "    $workload --trace $trace: ok" ;;
+        *)
+            echo "    $workload --trace $trace failed: $last"
+            exit 1
+            ;;
+        esac
+    done
+done
+
 # Steady-state allocation gate: the same microbench compiled with the
 # counting allocator must observe ZERO allocations per fetch once the
 # engine scratch is warm. This run deliberately omits --json — the

@@ -13,9 +13,12 @@
 //!   page's (synthesized) bytes (the paper's method for Japanese).
 //! * [`OracleClassifier`] — ground truth, for ablations isolating
 //!   classifier error from strategy behaviour.
+//!
+//! Content mode ([`crate::content::ContentClassifier`]) is a fourth: it
+//! reads links as well as relevance from rendered page bytes, through
+//! [`Classifier::visit`].
 
-use langcrawl_charset::{detect_with, DetectorConfig, Language};
-use langcrawl_html::extract_meta_charset;
+use langcrawl_charset::{detect, Language};
 use langcrawl_webgraph::{PageId, WebSpace};
 
 /// A relevance judge for fetched pages.
@@ -24,6 +27,23 @@ pub trait Classifier {
     /// classifiers are binary; the trait allows graded scores for
     /// extensions.
     fn relevance(&self, ws: &WebSpace, page: PageId) -> f64;
+
+    /// The visitor step for a delivered OK HTML page: its relevance
+    /// together with the links it carries. The engine calls this once
+    /// per delivered page, handing in a reusable `links` buffer from
+    /// its scratch. The default reads both from the crawl log —
+    /// `(self.relevance(ws, page), ws.outlinks(page))` — and leaves
+    /// `links` untouched; a classifier that learns links from page
+    /// bytes fills `links` and returns a view of it.
+    #[inline]
+    fn visit<'a>(
+        &self,
+        ws: &'a WebSpace,
+        page: PageId,
+        _links: &'a mut Vec<PageId>,
+    ) -> (f64, &'a [PageId]) {
+        (self.relevance(ws, page), ws.outlinks(page))
+    }
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -61,9 +81,8 @@ impl Classifier for MetaClassifier {
     }
 }
 
-/// Classify by running the real detection pipeline over page bytes:
-/// first the META tag in the rendered HTML, then the byte-distribution
-/// detector — the composite §3.2 procedure.
+/// Classify by running the byte-distribution detector over the
+/// rendered page bytes (the paper's Japanese path).
 ///
 /// Orders of magnitude slower than [`MetaClassifier`] (it synthesizes
 /// and scans the body), so the figure-scale runs use META/Oracle and
@@ -71,27 +90,12 @@ impl Classifier for MetaClassifier {
 #[derive(Debug, Clone)]
 pub struct DetectorClassifier {
     target: Language,
-    config: DetectorConfig,
-    /// When true, a META label naming a target-language charset is
-    /// trusted without running the detector (what a real crawler does
-    /// for cheapness); when false the detector always runs.
-    pub trust_meta: bool,
 }
 
 impl DetectorClassifier {
     /// Detector-based classifier for the target language.
     pub fn target(target: Language) -> Self {
-        DetectorClassifier {
-            target,
-            config: DetectorConfig::default(),
-            trust_meta: false,
-        }
-    }
-
-    /// Use a custom detector configuration.
-    pub fn with_config(mut self, config: DetectorConfig) -> Self {
-        self.config = config;
-        self
+        DetectorClassifier { target }
     }
 }
 
@@ -99,16 +103,8 @@ impl Classifier for DetectorClassifier {
     fn relevance(&self, ws: &WebSpace, page: PageId) -> f64 {
         // lint:allow(no-panic-transitive): synthesis is total over generator output; pinned by the webgraph determinism suite
         let bytes = ws.synthesize_page(page);
-        if self.trust_meta {
-            // lint:allow(no-panic-transitive): the META scanner is exercised over arbitrary synthesized bytes in langcrawl-html tests
-            if let Some(cs) = extract_meta_charset(&bytes) {
-                if cs.language() == Some(self.target) {
-                    return 1.0;
-                }
-            }
-        }
         // lint:allow(no-panic-transitive): prober tables are u8-indexed (256-entry); pinned by the charset conformance suite
-        let d = detect_with(&bytes, &self.config);
+        let d = detect(&bytes);
         if d.language() == Some(self.target) {
             1.0
         } else {

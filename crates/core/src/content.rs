@@ -1,32 +1,33 @@
-//! Content-mode simulation — the byte-level twin of [`crate::sim`].
+//! Content mode — the byte-level visitor, as a [`Classifier`].
 //!
-//! The metadata-mode simulator replays recorded page properties, exactly
-//! like the paper's trace-driven system. Content mode goes one layer
-//! deeper: **everything the crawler learns, it learns from page bytes.**
-//! Each fetch renders the page as HTML in its true charset
-//! ([`langcrawl_webgraph::WebSpace::synthesize_page`]), the classifier
-//! runs the real §3.2 pipeline (META tag, then the byte-distribution
-//! detector), links are extracted by the real HTML scanner, resolved
-//! against the page URL, and routed through the URL index — the whole
+//! The metadata-mode classifiers replay recorded page properties,
+//! exactly like the paper's trace-driven system. Content mode goes one
+//! layer deeper: **everything the crawler learns, it learns from page
+//! bytes.** [`ContentClassifier::visit`] renders each delivered page as
+//! HTML in its true charset
+//! ([`langcrawl_webgraph::WebSpace::synthesize_page`]), judges it by the
+//! real §3.2 pipeline (META tag and/or the byte-distribution detector),
+//! extracts its links with the real HTML scanner, resolves them against
+//! the page URL and routes them through the URL index — the whole
 //! crawler stack with no shortcuts.
 //!
-//! It is orders of magnitude slower per page, so the figure harnesses
-//! stay in metadata mode; content mode validates that the two agree
-//! (`tests/integration_pipeline.rs`, Ablation B) and powers realistic
-//! demos.
+//! It plugs into the one crawl engine like any classifier, so content
+//! crawls get the fault model, retries, events, `K` fetch slots and
+//! snapshots for free. It is orders of magnitude slower per page, so the
+//! figure harnesses stay in metadata mode; content mode validates that
+//! the two agree (`tests/integration_pipeline.rs`, Ablation B) and
+//! powers realistic demos.
 
-use crate::metrics::{CrawlReport, Sample};
-use crate::queue::{Entry, UrlQueue};
-use crate::strategy::{PageView, Strategy};
-use langcrawl_charset::{detect_with, DetectorConfig, Language};
+use crate::classifier::Classifier;
+use langcrawl_charset::{detect, Language};
 use langcrawl_html::{extract_links, extract_meta_charset};
 use langcrawl_url::Url;
 use langcrawl_webgraph::index::UrlIndex;
 use langcrawl_webgraph::{PageId, WebSpace};
 
-/// How the content-mode classifier judges a page's bytes.
+/// How content mode judges a page's bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContentClassifier {
+pub enum ContentMode {
     /// META charset label only (the paper's Thai path). Pages without a
     /// recognisable target-language label are irrelevant.
     MetaOnly,
@@ -38,181 +39,97 @@ pub enum ContentClassifier {
     MetaThenDetector,
 }
 
-/// Content-mode simulation parameters.
-#[derive(Debug, Clone)]
-pub struct ContentConfig {
-    /// Classification mode.
-    pub classifier: ContentClassifier,
-    /// Detector tuning (scan cap, confidence floor).
-    pub detector: DetectorConfig,
-    /// Stop after this many fetches.
-    pub max_pages: Option<u64>,
-    /// Sample cadence (`None` = ~512 samples).
-    pub sample_interval: Option<u64>,
-}
-
-impl Default for ContentConfig {
-    fn default() -> Self {
-        ContentConfig {
-            classifier: ContentClassifier::MetaThenDetector,
-            detector: DetectorConfig::default(),
-            max_pages: None,
-            sample_interval: None,
-        }
-    }
-}
-
-/// The byte-level simulator.
+/// The byte-level classifier: relevance and links from rendered pages.
+///
+/// ```
+/// use langcrawl_core::content::{ContentClassifier, ContentMode};
+/// use langcrawl_core::sim::{SimConfig, Simulator};
+/// use langcrawl_core::strategy::BreadthFirst;
+/// use langcrawl_webgraph::GeneratorConfig;
+///
+/// let space = GeneratorConfig::thai_like().scaled(1_000).build(3);
+/// let classifier = ContentClassifier::new(&space, ContentMode::MetaOnly);
+/// let report = Simulator::new(&space, SimConfig::default())
+///     .run(&mut BreadthFirst::new(), &classifier);
+/// assert_eq!(report.crawled, space.num_pages() as u64);
+/// assert_eq!(report.classifier, "content/meta");
+/// ```
 #[derive(Debug)]
-pub struct ContentSimulator<'a> {
-    ws: &'a WebSpace,
+pub struct ContentClassifier {
+    mode: ContentMode,
+    target: Language,
     index: UrlIndex,
-    config: ContentConfig,
 }
 
-impl<'a> ContentSimulator<'a> {
-    /// Build a content-mode simulator (constructs the URL index — one
-    /// pass over the space).
-    pub fn new(ws: &'a WebSpace, config: ContentConfig) -> Self {
-        ContentSimulator {
-            ws,
+impl ContentClassifier {
+    /// A content-mode classifier for `ws`'s target language (builds the
+    /// URL index — one pass over the space).
+    pub fn new(ws: &WebSpace, mode: ContentMode) -> Self {
+        ContentClassifier {
+            mode,
+            target: ws.target_language(),
             index: UrlIndex::build(ws),
-            config,
         }
     }
 
-    /// Classify rendered page bytes per the configured §3.2 pipeline.
-    fn classify(&self, bytes: &[u8], target: Language) -> f64 {
+    /// Judge rendered page bytes by the configured §3.2 pipeline.
+    fn judge(&self, bytes: &[u8]) -> f64 {
+        // lint:allow(no-panic-transitive): the META scanner is exercised over arbitrary synthesized bytes in langcrawl-html tests
         let meta_lang = || extract_meta_charset(bytes).and_then(|cs| cs.language());
-        let detector_lang = || detect_with(bytes, &self.config.detector).language();
-        let judged = match self.config.classifier {
-            ContentClassifier::MetaOnly => meta_lang(),
-            ContentClassifier::DetectorOnly => detector_lang(),
-            ContentClassifier::MetaThenDetector => meta_lang().or_else(detector_lang),
+        // lint:allow(no-panic-transitive): prober tables are u8-indexed (256-entry); pinned by the charset conformance suite
+        let detector_lang = || detect(bytes).language();
+        let judged = match self.mode {
+            ContentMode::MetaOnly => meta_lang(),
+            ContentMode::DetectorOnly => detector_lang(),
+            ContentMode::MetaThenDetector => meta_lang().or_else(detector_lang),
         };
-        if judged == Some(target) {
+        if judged == Some(self.target) {
             1.0
         } else {
             0.0
         }
     }
+}
 
-    /// Run one crawl, learning everything from bytes.
-    pub fn run(&mut self, strategy: &mut dyn Strategy) -> CrawlReport {
-        let ws = self.ws;
-        let target = ws.target_language();
-        let n = ws.num_pages();
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (n as u64 / 512).max(1));
-        let budget = self.config.max_pages.unwrap_or(u64::MAX);
+impl Classifier for ContentClassifier {
+    fn relevance(&self, ws: &WebSpace, page: PageId) -> f64 {
+        // lint:allow(no-panic-transitive): synthesis is total over generator output; pinned by the webgraph determinism suite
+        let bytes = ws.synthesize_page(page);
+        self.judge(&bytes)
+    }
 
-        let mut queue = UrlQueue::new(n, strategy.levels());
-        for &s in ws.seeds() {
-            queue.push(Entry {
-                page: s,
-                priority: 0,
-                distance: 0,
-            });
-        }
-
-        let mut crawled = 0u64;
-        let mut relevant_crawled = 0u64;
-        let mut samples = Vec::new();
-        let mut admissions: Vec<Entry> = Vec::with_capacity(64);
-        let mut resolved: Vec<PageId> = Vec::with_capacity(64);
-
-        while let Some(entry) = queue.pop() {
-            let p = entry.page;
-            crawled += 1;
-
-            // Fetch: the virtual web serves bytes (empty for failures).
-            let bytes = ws.synthesize_page(p);
-            let is_html = ws.meta(p).is_ok_html();
-            let relevance = if is_html && !bytes.is_empty() {
-                self.classify(&bytes, target)
-            } else {
-                0.0
-            };
-            if ws.is_relevant(p) {
-                relevant_crawled += 1;
-            }
-            let consec = if relevance > 0.5 {
-                0
-            } else {
-                entry.distance.saturating_add(1)
-            };
-
-            // Link extraction + resolution, all at the byte/string level.
-            resolved.clear();
-            if is_html {
-                if let Ok(base) = Url::parse(&ws.url(p)) {
-                    for link in extract_links(&bytes, &base) {
-                        if let Some(t) = self.index.resolve(&link) {
-                            resolved.push(t);
-                        }
-                        // Unresolvable links = dangling URLs; a real
-                        // crawler would fetch-and-404 them. The generator
-                        // emits none, so nothing is silently dropped.
-                    }
+    /// Render the page once, judge it, then extract and resolve its
+    /// links into `links`.
+    fn visit<'a>(
+        &self,
+        ws: &'a WebSpace,
+        page: PageId,
+        links: &'a mut Vec<PageId>,
+    ) -> (f64, &'a [PageId]) {
+        // lint:allow(no-panic-transitive): synthesis is total over generator output; pinned by the webgraph determinism suite
+        let bytes = ws.synthesize_page(page);
+        let relevance = self.judge(&bytes);
+        links.clear();
+        // lint:allow(no-panic-transitive): URL rendering and parsing are total over generator output; pinned by the url proptests
+        if let Ok(base) = Url::parse(&ws.url(page)) {
+            // Unresolvable links are dangling URLs a real crawler would
+            // fetch-and-404; the generator emits none, so nothing is
+            // silently dropped.
+            // lint:allow(no-panic-transitive): the link scanner and URL resolver are exercised over arbitrary bytes in the langcrawl-html and url tests
+            for link in extract_links(&bytes, &base) {
+                if let Some(t) = self.index.resolve(&link) {
+                    links.push(t);
                 }
             }
-
-            let view = PageView {
-                page: p,
-                relevance,
-                consec_irrelevant: consec,
-                outlinks: &resolved,
-                crawled,
-            };
-            admissions.clear();
-            strategy.admit(&view, &mut admissions);
-            for &a in &admissions {
-                queue.push(a);
-            }
-
-            if crawled.is_multiple_of(sample_interval) {
-                samples.push(Sample {
-                    crawled,
-                    relevant: relevant_crawled,
-                    queue_size: queue.pending(),
-                });
-            }
-            if crawled >= budget {
-                break;
-            }
         }
+        (relevance, links)
+    }
 
-        if samples.last().map(|s| s.crawled) != Some(crawled) {
-            samples.push(Sample {
-                crawled,
-                relevant: relevant_crawled,
-                queue_size: queue.pending(),
-            });
-        }
-
-        CrawlReport {
-            strategy: strategy.name(),
-            classifier: match self.config.classifier {
-                ContentClassifier::MetaOnly => "content/meta",
-                ContentClassifier::DetectorOnly => "content/detector",
-                ContentClassifier::MetaThenDetector => "content/composite",
-            }
-            .to_string(),
-            samples,
-            crawled,
-            relevant_crawled,
-            total_relevant: ws.total_relevant() as u64,
-            max_queue: queue.max_pending(),
-            total_pushes: queue.total_pushes(),
-            visited: Vec::new(),
-            // The content pipeline has no fault layer: one attempt per
-            // page, nothing retried or abandoned.
-            attempts: crawled,
-            retries: 0,
-            gave_up: 0,
-            ticks: crawled,
+    fn name(&self) -> &'static str {
+        match self.mode {
+            ContentMode::MetaOnly => "content/meta",
+            ContentMode::DetectorOnly => "content/detector",
+            ContentMode::MetaThenDetector => "content/composite",
         }
     }
 }
@@ -221,9 +138,12 @@ impl<'a> ContentSimulator<'a> {
 mod tests {
     use super::*;
     use crate::classifier::MetaClassifier;
+    use crate::engine::{CrawlEngine, EngineConfig};
+    use crate::sched::SchedConfig;
     use crate::sim::{SimConfig, Simulator};
+    use crate::snapshot::{CrawlSnapshot, SnapshotLog};
     use crate::strategy::{BreadthFirst, SimpleStrategy};
-    use langcrawl_webgraph::GeneratorConfig;
+    use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
 
     fn space() -> WebSpace {
         GeneratorConfig::thai_like().scaled(2_500).build(8)
@@ -232,8 +152,10 @@ mod tests {
     #[test]
     fn content_bfs_covers_the_whole_space() {
         let ws = space();
-        let mut sim = ContentSimulator::new(&ws, ContentConfig::default());
-        let r = sim.run(&mut BreadthFirst::new());
+        let r = Simulator::new(&ws, SimConfig::default()).run(
+            &mut BreadthFirst::new(),
+            &ContentClassifier::new(&ws, ContentMode::MetaThenDetector),
+        );
         assert_eq!(r.crawled, ws.num_pages() as u64);
         assert!((r.final_coverage() - 1.0).abs() < 1e-12);
     }
@@ -244,17 +166,12 @@ mod tests {
     #[test]
     fn content_meta_equals_metadata_mode() {
         let ws = space();
-        let mut csim = ContentSimulator::new(
-            &ws,
-            ContentConfig {
-                classifier: ContentClassifier::MetaOnly,
-                ..ContentConfig::default()
-            },
+        let mut sim = Simulator::new(&ws, SimConfig::default());
+        let content = sim.run(
+            &mut SimpleStrategy::hard(),
+            &ContentClassifier::new(&ws, ContentMode::MetaOnly),
         );
-        let content = csim.run(&mut SimpleStrategy::hard());
-
-        let mut msim = Simulator::new(&ws, SimConfig::default());
-        let meta = msim.run(
+        let meta = sim.run(
             &mut SimpleStrategy::hard(),
             &MetaClassifier::target(ws.target_language()),
         );
@@ -271,17 +188,15 @@ mod tests {
     fn composite_rescues_mislabeled_pages() {
         let ws = space();
         let run = |mode| {
-            let mut sim = ContentSimulator::new(
-                &ws,
-                ContentConfig {
-                    classifier: mode,
-                    ..ContentConfig::default()
-                },
-            );
-            sim.run(&mut SimpleStrategy::hard()).final_coverage()
+            Simulator::new(&ws, SimConfig::default())
+                .run(
+                    &mut SimpleStrategy::hard(),
+                    &ContentClassifier::new(&ws, mode),
+                )
+                .final_coverage()
         };
-        let meta_only = run(ContentClassifier::MetaOnly);
-        let composite = run(ContentClassifier::MetaThenDetector);
+        let meta_only = run(ContentMode::MetaOnly);
+        let composite = run(ContentMode::MetaThenDetector);
         assert!(
             composite >= meta_only - 1e-9,
             "composite {composite} vs meta {meta_only}"
@@ -291,29 +206,66 @@ mod tests {
     #[test]
     fn budget_respected() {
         let ws = space();
-        let mut sim = ContentSimulator::new(
-            &ws,
-            ContentConfig {
-                max_pages: Some(100),
-                ..ContentConfig::default()
-            },
+        let r = Simulator::new(&ws, SimConfig::default().with_max_pages(100)).run(
+            &mut BreadthFirst::new(),
+            &ContentClassifier::new(&ws, ContentMode::MetaThenDetector),
         );
-        let r = sim.run(&mut BreadthFirst::new());
         assert_eq!(r.crawled, 100);
     }
 
     #[test]
     fn classifier_names_distinguish_modes() {
         let ws = space();
-        let mut sim = ContentSimulator::new(
+        let r = Simulator::new(&ws, SimConfig::default().with_max_pages(10)).run(
+            &mut BreadthFirst::new(),
+            &ContentClassifier::new(&ws, ContentMode::DetectorOnly),
+        );
+        assert_eq!(r.classifier, "content/detector");
+    }
+
+    /// Content crawls run through the engine, so they inherit faults,
+    /// retries, `K` slots and snapshot/resume with no code of their own.
+    #[test]
+    fn content_crawls_retry_schedule_and_resume() {
+        let ws = space();
+        let classifier = ContentClassifier::new(&ws, ContentMode::MetaThenDetector);
+        let config = SimConfig::default()
+            .with_faults(FaultConfig::with_rate(0.2))
+            .with_workers(4);
+        let run = || Simulator::new(&ws, config.clone()).run(&mut BreadthFirst::new(), &classifier);
+        let report = run();
+        assert!(report.retries > 0, "20% fault rate must cause retries");
+        assert_eq!(report.attempts, report.crawled + report.retries);
+        assert_eq!(report, run(), "faulted content crawls are deterministic");
+
+        // Snapshot mid-crawl, drop, resume: the outcome is the
+        // uninterrupted one.
+        let engine = CrawlEngine::new(
             &ws,
-            ContentConfig {
-                classifier: ContentClassifier::DetectorOnly,
-                max_pages: Some(10),
-                ..ContentConfig::default()
+            EngineConfig {
+                fault: FaultConfig::with_rate(0.2),
+                ..EngineConfig::default()
             },
         );
-        let r = sim.run(&mut BreadthFirst::new());
-        assert_eq!(r.classifier, "content/detector");
+        let sched = SchedConfig::with_slots(4);
+        let mut log = SnapshotLog::new();
+        let (full, full_stats) = engine.run_scheduled_snapshots(
+            &sched,
+            &mut BreadthFirst::new(),
+            &classifier,
+            &mut [],
+            report.ticks / 3,
+            &mut log,
+        );
+        assert_eq!(full.crawled, report.crawled);
+        assert_eq!(full.attempts, report.attempts);
+        assert_eq!(full.ticks, report.ticks);
+        let (_, mid) = &log.snapshots()[log.len() / 2];
+        let snap = CrawlSnapshot::from_bytes(mid).unwrap();
+        assert!(snap.crawled() > 0 && snap.crawled() < full.crawled);
+        let resumed = engine
+            .resume(&snap, &mut BreadthFirst::new(), &classifier, &mut [])
+            .unwrap();
+        assert_eq!(resumed, (full, full_stats));
     }
 }

@@ -20,7 +20,7 @@ use crate::frontier::Frontier;
 use crate::queue::Entry;
 use crate::retry::RetryPolicy;
 use crate::strategy::{PageView, Strategy};
-use langcrawl_webgraph::{FaultConfig, FaultModel, FetchOutcome, PageKind, WebSpace};
+use langcrawl_webgraph::{FaultConfig, FaultModel, FetchOutcome, PageId, PageKind, WebSpace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -128,6 +128,9 @@ pub struct EngineScratch {
     /// Admission buffer the strategy refills once per fetch; grows to
     /// the largest out-degree seen, then stabilizes.
     pub(crate) admissions: Vec<Entry>,
+    /// Link buffer handed to [`Classifier::visit`]; classifiers that
+    /// extract links from page bytes refill it once per delivered page.
+    links: Vec<PageId>,
     /// Per-page attempt counts, materialized lazily at the first retry
     /// of a run (emptiness doubles as the "no retry yet" flag — see the
     /// run loop). Cleared but never shrunk between runs.
@@ -143,6 +146,7 @@ impl EngineScratch {
     pub fn new() -> Self {
         EngineScratch {
             admissions: Vec::with_capacity(64),
+            links: Vec::new(),
             attempt_counts: Vec::new(),
             attempt_table_allocs: 0,
         }
@@ -483,14 +487,14 @@ impl<'a> CrawlEngine<'a> {
         }
 
         // Only OK HTML pages *that were actually delivered* have
-        // content to classify (a page behind a dead host or an
-        // exhausted retry budget never arrived).
+        // content to classify and links to follow (a page behind a dead
+        // host or an exhausted retry budget never arrived).
         let delivered = meta.is_ok_html() && r.outcome.is_ok();
-        let relevance = if delivered {
-            // lint:allow(no-alloc-transitive): pluggable classifier — meta/oracle are alloc-free; the detector's synthesis cost is the documented content-mode tradeoff (Ablation B)
-            classifier.relevance(ws, p)
+        let (relevance, outlinks): (f64, &[PageId]) = if delivered {
+            // lint:allow(no-alloc-transitive): pluggable classifier — meta/oracle read the crawl log alloc-free; byte-level synthesis is the documented content-mode tradeoff (Ablation B)
+            classifier.visit(ws, p, &mut scratch.links)
         } else {
-            0.0
+            (0.0, &[])
         };
         let relevant = ws.is_relevant(p) && r.outcome.is_ok();
         if relevant {
@@ -516,7 +520,6 @@ impl<'a> CrawlEngine<'a> {
             r.entry.distance.saturating_add(1)
         };
 
-        let outlinks = if delivered { ws.outlinks(p) } else { &[] };
         let view = PageView {
             page: p,
             relevance,
@@ -628,8 +631,8 @@ mod tests {
     use super::*;
     use crate::classifier::OracleClassifier;
     use crate::event::{MetricsSampler, PhaseTimingSink, VisitRecorder};
-    use crate::frontier::BestFirstFrontier;
     use crate::queue::UrlQueue;
+    use crate::shard::ShardedFrontier;
     use crate::strategy::{BreadthFirst, SimpleStrategy};
     use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
 
@@ -674,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn best_first_frontier_plugs_in() {
+    fn custom_frontier_plugs_in() {
         let ws = space();
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
         let oracle = OracleClassifier::target(ws.target_language());
@@ -684,16 +687,16 @@ mod tests {
             &oracle,
             &mut [],
         );
-        let best_first = engine.run(
-            BestFirstFrontier::new(ws.num_pages()),
+        let sharded = engine.run(
+            ShardedFrontier::for_space(&ws, 2, 3),
             &mut SimpleStrategy::soft(),
             &oracle,
             &mut [],
         );
         // Soft-focused crawling visits every reachable page under any
-        // work-conserving frontier; only the order differs.
-        assert_eq!(bucketed.crawled, best_first.crawled);
-        assert_eq!(bucketed.relevant_crawled, best_first.relevant_crawled);
+        // work-conserving frontier.
+        assert_eq!(bucketed.crawled, sharded.crawled);
+        assert_eq!(bucketed.relevant_crawled, sharded.relevant_crawled);
     }
 
     #[test]

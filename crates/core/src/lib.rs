@@ -27,19 +27,20 @@
 //! * [`engine::CrawlEngine`] — the crawl loop itself: pop, "download",
 //!   classify, admit. Every policy is injected; the loop owns only the
 //!   order of operations. The **visitor** is the fetch-and-extract step
-//!   inside it: it asks the virtual web space for a page's status,
-//!   charset and outlinks.
+//!   inside it: it asks the virtual web space for a page's status, and
+//!   the classifier's [`classifier::Classifier::visit`] for its
+//!   relevance and outlinks.
 //! * [`frontier`] — *what to crawl next*: the [`frontier::Frontier`]
 //!   trait with two implementations — [`queue::UrlQueue`] (FIFO rings
 //!   bucketed by priority level, the paper's discipline, with the
 //!   distinct-pending counter that Fig. 5/6(a)/7(a) plot) and
-//!   [`frontier::BestFirstFrontier`] (a binary-heap frontier ordering by
-//!   the full admission key).
-//! * [`shard`] / [`sched`] — the scaling seam made concrete: a
-//!   host-sharded frontier ([`shard::ShardedFrontier`]) and a
-//!   deterministic virtual-time scheduler ([`sched::SchedConfig`]: `K`
-//!   fetch slots, per-host politeness gaps, per-host concurrency 1)
-//!   that is bit-identical to the legacy loop at `K = 1`.
+//!   [`shard::ShardedFrontier`] (the same order over host-sharded
+//!   storage with per-host politeness state).
+//! * [`sched`] — the scaling seam made concrete: a deterministic
+//!   virtual-time scheduler ([`sched::SchedConfig`]: `K` fetch slots,
+//!   per-host politeness gaps, per-host concurrency 1) over the sharded
+//!   frontier, bit-identical to the legacy loop at `K = 1`, with
+//!   crash-safe [`snapshot`]s and resume.
 //! * [`event`] — *who watches*: the engine narrates the crawl as typed
 //!   [`event::CrawlEvent`]s to any number of composable
 //!   [`event::EventSink`]s — metrics sampling, visit recording,
@@ -52,6 +53,10 @@
 //!   ([`classifier::DetectorClassifier`], what the paper used for
 //!   Japanese), or by ground truth ([`classifier::OracleClassifier`],
 //!   for ablations).
+//! * [`content`] — content mode: [`content::ContentClassifier`] learns
+//!   relevance *and* links from rendered page bytes (META tag, charset
+//!   detector, HTML link extraction, URL resolution), driven by the
+//!   same engine as every other crawl.
 //! * [`strategy`] — the observers: breadth-first; the simple strategy in
 //!   hard- and soft-focused modes (§3.3.1, Table 2); the limited-distance
 //!   strategy in non-prioritized and prioritized modes (§3.3.2); plus the
@@ -81,12 +86,12 @@ pub mod strategy;
 pub mod timing;
 
 pub use classifier::{Classifier, DetectorClassifier, MetaClassifier, OracleClassifier};
-pub use content::{ContentClassifier, ContentConfig, ContentSimulator};
+pub use content::{ContentClassifier, ContentMode};
 pub use engine::{CrawlEngine, EngineConfig, EngineOutcome};
 pub use event::{
     interest, CrawlEvent, EventSink, MetricsSampler, PhaseTimingSink, SchedStatsSink, VisitRecorder,
 };
-pub use frontier::{BestFirstFrontier, Frontier};
+pub use frontier::Frontier;
 pub use linkgraph::{LinkGraph, Slot};
 pub use metrics::CrawlReport;
 pub use retry::RetryPolicy;

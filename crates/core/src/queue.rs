@@ -13,7 +13,6 @@
 //! — the quantity Fig. 5 / 6(a) / 7(a) plot — so duplicates never inflate
 //! the reported queue size.
 
-use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_webgraph::PageId;
 use std::collections::VecDeque;
 
@@ -221,71 +220,6 @@ impl UrlQueue {
     /// Total push operations accepted (diagnostic; counts duplicates).
     pub fn total_pushes(&self) -> u64 {
         self.pushes
-    }
-
-    /// Serialize the complete queue state into a snapshot payload.
-    /// Canonical: rings are walked front-to-back (stale duplicates
-    /// included — they are part of the state), so encoding a decoded
-    /// queue reproduces the bytes exactly.
-    pub(crate) fn encode_state(&self, enc: &mut Enc) {
-        enc.u64(self.levels.len() as u64);
-        for ring in &self.levels {
-            enc.u64(ring.len() as u64);
-            for e in ring {
-                enc.u32(e.page);
-                enc.u8(e.priority);
-                enc.u8(e.distance);
-            }
-        }
-        enc.u64(self.bar.len() as u64);
-        enc.u32s(&self.bar);
-        enc.u64(self.pending as u64);
-        enc.u64(self.max_pending as u64);
-        enc.u64(self.pushes);
-    }
-
-    /// Rebuild a queue from a snapshot payload over a space of
-    /// `num_pages` URLs with `levels` priority levels. Structural
-    /// violations surface as [`SnapshotError::Malformed`].
-    pub(crate) fn decode_state(
-        dec: &mut Dec<'_>,
-        num_pages: usize,
-        levels: usize,
-    ) -> Result<UrlQueue, SnapshotError> {
-        if dec.len()? != levels.max(1) {
-            return Err(SnapshotError::Malformed("queue level count mismatch"));
-        }
-        let mut q = UrlQueue::new(num_pages, levels);
-        for ring in &mut q.levels {
-            let n = dec.len()?;
-            for _ in 0..n {
-                let page = dec.u32()?;
-                if page as usize >= num_pages {
-                    return Err(SnapshotError::Malformed("queued page out of range"));
-                }
-                let priority = dec.u8()?;
-                let distance = dec.u8()?;
-                ring.push_back(Entry {
-                    page,
-                    priority,
-                    distance,
-                });
-            }
-        }
-        if dec.len()? != num_pages {
-            return Err(SnapshotError::Malformed("admission bar length mismatch"));
-        }
-        for b in &mut q.bar {
-            let v = dec.u32()?;
-            if v > BAR_NEVER {
-                return Err(SnapshotError::Malformed("admission bar out of range"));
-            }
-            *b = v;
-        }
-        q.pending = dec.len()?;
-        q.max_pending = dec.len()?;
-        q.pushes = dec.u64()?;
-        Ok(q)
     }
 }
 

@@ -24,11 +24,13 @@
 //! starting at tick `t` completes at `t + 1` — the same "attempt tick =
 //! pop tick + 1" accounting as the legacy loop — and a single-slot
 //! schedule never reorders anything, so the conformance goldens for the
-//! legacy engine pin this path bit-for-bit (with and without the
-//! degenerate-point frontier elision; see
-//! [`CrawlEngine::run_scheduled_full`]). The scheduler-overhead
-//! microbench gate keeps the default `K = 1` configuration within 5%
-//! of the legacy loop.
+//! legacy engine pin this path bit-for-bit. At that degenerate point a
+//! run with no snapshot plan and no [`SlotIdle`](CrawlEvent::SlotIdle)
+//! listener hands off to the legacy loop verbatim (see
+//! [`CrawlEngine::run_scheduled_full`]); every other run drives the
+//! event loop over a [`ShardedFrontier`] — one shard at `K = 1`. The
+//! scheduler-overhead microbench gate keeps the default `K = 1`
+//! configuration within 5% of the legacy loop.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style: a host that
 //! started a fetch at `t` may not start another before `t + gap(h)`,
@@ -44,12 +46,11 @@ use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
 use crate::shard::{ShardStats, ShardedFrontier};
 use crate::snapshot::{
-    frame_begin, frame_end, CrawlSnapshot, Dec, DirSink, Enc, SnapHead, SnapshotError,
-    SnapshotSink, KIND_RINGS, KIND_SHARDED,
+    frame_begin, frame_end, CrawlSnapshot, Dec, DirSink, Enc, SnapHead, SnapshotError, SnapshotSink,
 };
 use crate::strategy::Strategy;
 use langcrawl_rng::Rng;
-use langcrawl_webgraph::{FetchOutcome, PageId};
+use langcrawl_webgraph::FetchOutcome;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -111,104 +112,6 @@ impl SchedConfig {
     }
 }
 
-/// The scheduler's view of a frontier: the [`Frontier`] admission
-/// contract plus the host-state surface (ready-pop, release, cool-down
-/// wake-ups) and the shard diagnostics. [`ShardedFrontier`] is the real
-/// implementation; [`UrlQueue`] implements it *inertly* — every host
-/// always ready, nothing ever cooling — which is exactly the behavior
-/// of the sharded frontier at the scheduler's degenerate point (one
-/// slot, zero politeness), where per-host concurrency 1 cannot bite:
-/// the single slot drains before the next pop, so no host is ever busy
-/// at pop time. The degenerate elision in
-/// [`CrawlEngine::run_scheduled_full`] exploits this to run over the
-/// legacy rings at ring cost, the same move as the fault layer's
-/// inert-model fast path.
-trait SlotFrontier: Frontier {
-    fn pop_ready(&mut self) -> Option<Entry>;
-    fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool;
-    fn advance_to(&mut self, t: u64);
-    fn next_cooling(&self) -> Option<u64>;
-    fn host_of(&self, p: PageId) -> u32;
-    fn set_origin(&mut self, host: Option<u32>);
-    fn handoffs(&self) -> u64;
-    fn shard_stats(&self) -> Vec<ShardStats>;
-    /// Snapshot kind tag ([`KIND_RINGS`] / [`KIND_SHARDED`]), recorded
-    /// in the header so resume rebuilds the same frontier type.
-    fn kind(&self) -> u8;
-    /// Serialize the complete frontier state into a snapshot payload
-    /// (canonical form — see the implementations).
-    fn encode_state(&self, enc: &mut Enc);
-}
-
-impl SlotFrontier for ShardedFrontier {
-    fn pop_ready(&mut self) -> Option<Entry> {
-        ShardedFrontier::pop_ready(self)
-    }
-    fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool {
-        ShardedFrontier::release(self, host, ready_at, now)
-    }
-    fn advance_to(&mut self, t: u64) {
-        ShardedFrontier::advance_to(self, t);
-    }
-    fn next_cooling(&self) -> Option<u64> {
-        ShardedFrontier::next_cooling(self)
-    }
-    fn host_of(&self, p: PageId) -> u32 {
-        ShardedFrontier::host_of(self, p)
-    }
-    fn set_origin(&mut self, host: Option<u32>) {
-        ShardedFrontier::set_origin(self, host);
-    }
-    fn handoffs(&self) -> u64 {
-        ShardedFrontier::handoffs(self)
-    }
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        ShardedFrontier::shard_stats(self)
-    }
-    fn kind(&self) -> u8 {
-        KIND_SHARDED
-    }
-    fn encode_state(&self, enc: &mut Enc) {
-        ShardedFrontier::encode_state(self, enc);
-    }
-}
-
-impl SlotFrontier for UrlQueue {
-    #[inline]
-    fn pop_ready(&mut self) -> Option<Entry> {
-        UrlQueue::pop(self)
-    }
-    #[inline]
-    fn release(&mut self, _host: u32, _ready_at: u64, _now: u64) -> bool {
-        false
-    }
-    #[inline]
-    fn advance_to(&mut self, _t: u64) {}
-    #[inline]
-    fn next_cooling(&self) -> Option<u64> {
-        None
-    }
-    #[inline]
-    fn host_of(&self, _p: PageId) -> u32 {
-        0
-    }
-    #[inline]
-    fn set_origin(&mut self, _host: Option<u32>) {}
-    #[inline]
-    fn handoffs(&self) -> u64 {
-        0
-    }
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        Vec::new()
-    }
-    fn kind(&self) -> u8 {
-        KIND_RINGS
-    }
-    fn encode_state(&self, enc: &mut Enc) {
-        UrlQueue::encode_state(self, enc);
-    }
-}
-
 /// A fetch occupying a slot: started at `finish - 1`, resolves at
 /// `finish`. Completions process in `(finish, seq)` order — completion
 /// time with start-order tie-breaking — so completion processing is a
@@ -249,8 +152,8 @@ struct SnapCtl<'a> {
 /// Everything [`CrawlEngine::sched_loop`] needs beyond the run
 /// arguments: the frontier to drain, the decoded state to resume from
 /// (`None` = fresh run seeded from the space), and the capture plan.
-struct LoopCtl<'a, F> {
-    frontier: F,
+struct LoopCtl<'a> {
+    frontier: ShardedFrontier,
     init: Option<ResumeState>,
     snap: Option<SnapCtl<'a>>,
 }
@@ -301,17 +204,12 @@ struct RunSnap<'a> {
 /// the fixed-point property the codec proptests pin.
 // lint:root(panic-free, alloc-free) — capture runs mid-crawl into a
 // preallocated encoder, so it must neither unwind nor allocate.
-fn encode_snapshot_into<F: SlotFrontier>(
+fn encode_snapshot_into(
     head: &SnapHead,
     run: &RunSnap<'_>,
-    frontier: &F,
+    frontier: &ShardedFrontier,
     enc: &mut Enc,
 ) {
-    debug_assert_eq!(
-        head.kind,
-        frontier.kind(),
-        "snapshot header kind must match the frontier being encoded"
-    );
     head.encode(enc);
     enc.u64(run.attempts);
     enc.u64(run.retries);
@@ -348,7 +246,7 @@ fn encode_snapshot_into<F: SlotFrontier>(
 
 /// Encode one snapshot payload as a fresh vector (the cold-path
 /// wrapper around [`encode_snapshot_into`]).
-fn encode_snapshot<F: SlotFrontier>(head: &SnapHead, run: &RunSnap<'_>, frontier: &F) -> Vec<u8> {
+fn encode_snapshot(head: &SnapHead, run: &RunSnap<'_>, frontier: &ShardedFrontier) -> Vec<u8> {
     let mut enc = Enc::default();
     encode_snapshot_into(head, run, frontier, &mut enc);
     enc.buf
@@ -551,7 +449,7 @@ impl CrawlEngine<'_> {
 
     /// Is this the scheduler's degenerate point — the configuration at
     /// which the host machinery cannot block, delay or reorder
-    /// anything, so the legacy rings reproduce the schedule exactly?
+    /// anything, so the legacy loop reproduces the schedule exactly?
     fn is_degenerate(sched: &SchedConfig) -> bool {
         sched.effective_slots() == 1
             && sched.shards == 0
@@ -559,8 +457,8 @@ impl CrawlEngine<'_> {
             && sched.politeness_spread == 0
     }
 
-    /// Pick the frontier tier and enter the event loop (or the legacy
-    /// loop at the degenerate point).
+    /// Enter the event loop over a sharded frontier, or hand off to
+    /// the legacy loop at the degenerate point.
     fn dispatch_sched<S, C>(
         &self,
         sched: &SchedConfig,
@@ -575,82 +473,54 @@ impl CrawlEngine<'_> {
         C: Classifier + ?Sized,
     {
         let ws = self.web_space();
-        // Degenerate-point elision, tiered like the fault layer's
-        // inert-model fast path. With one slot, zero politeness and no
-        // explicit shard request, the host machinery cannot block,
-        // delay or reorder anything — the single slot always drains
-        // before the next pop, so no host is ever busy or cooling at
-        // pop time, and one shard's order is [`UrlQueue`] order (the
-        // shard-parity property test pins that equivalence; an explicit
-        // `shards` setting opts back into the sharded frontier, which
-        // the conformance suite uses to pin the sharded `K = 1`
-        // schedule against the legacy goldens). Two degenerate tiers:
-        //
-        // 1. No sink asks for [`SlotIdle`](CrawlEvent::SlotIdle) — the
-        //    only scheduler-only event that can fire here (it marks
-        //    retry-backoff stalls; handoffs and politeness waits are
-        //    structurally impossible). Then the schedule *is* the
-        //    legacy loop, outcome, ticks, events and all (pinned by
-        //    `single_slot_schedule_matches_legacy_engine`), so run it
-        //    verbatim — the scheduler-overhead microbench gate prices
-        //    this default path against the legacy loop directly.
-        //    Snapshot capture needs the virtual-time loop's state
-        //    layout, so a capturing run skips this tier (the loop over
-        //    the rings is bit-identical anyway).
-        // 2. A sink wants `SlotIdle` (or snapshots are on): run the
-        //    virtual-time loop, but over the legacy rings at ring cost
-        //    instead of the sharded frontier's heaps.
-        let degenerate = Self::is_degenerate(sched);
+        // Degenerate-point elision, like the fault layer's inert-model
+        // fast path. With one slot, zero politeness and no explicit
+        // shard request, the host machinery cannot block, delay or
+        // reorder anything — the single slot always drains before the
+        // next pop, so no host is ever busy or cooling at pop time, and
+        // one shard's order is [`UrlQueue`] order (the shard-parity
+        // property test pins that equivalence). Unless a sink asks for
+        // [`SlotIdle`](CrawlEvent::SlotIdle) — the only scheduler-only
+        // event that can fire here (it marks retry-backoff stalls;
+        // handoffs and politeness waits are structurally impossible) —
+        // or snapshots are on (they describe the event loop's state),
+        // the schedule *is* the legacy loop, outcome, ticks, events and
+        // all (pinned by `single_slot_schedule_matches_legacy_engine`),
+        // so run it verbatim. The scheduler-overhead microbench gate
+        // prices this default path against the legacy loop directly.
         let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
-        if plan.is_none() && degenerate && wants & interest::SLOT_IDLE == 0 {
+        if plan.is_none() && Self::is_degenerate(sched) && wants & interest::SLOT_IDLE == 0 {
             let frontier = UrlQueue::new(ws.num_pages(), strategy.levels());
             let outcome = self.run_with_scratch(frontier, strategy, classifier, sinks, scratch);
             return (outcome, Vec::new());
         }
         let levels = strategy.levels().max(1);
-        let kind = if degenerate { KIND_RINGS } else { KIND_SHARDED };
         let snap = plan.map(|p| SnapCtl {
             every: p.every.max(1),
             // Fresh runs capture first at `every` (tick 0 is the
             // initial state [`CrawlEngine::snapshot`] hands out).
             next_at: p.every.max(1),
-            head: self.snap_head(sched, levels as u32, kind),
+            head: self.snap_head(sched, levels as u32),
             sink: p.sink,
             buf: Enc::default(),
         });
-        if degenerate {
-            let frontier = UrlQueue::new(ws.num_pages(), levels);
-            self.sched_loop(
-                sched,
-                strategy,
-                classifier,
-                sinks,
-                scratch,
-                LoopCtl {
-                    frontier,
-                    init: None,
-                    snap,
-                },
-            )
-        } else {
-            let frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
-            self.sched_loop(
-                sched,
-                strategy,
-                classifier,
-                sinks,
-                scratch,
-                LoopCtl {
-                    frontier,
-                    init: None,
-                    snap,
-                },
-            )
-        }
+        let frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
+        self.sched_loop(
+            sched,
+            strategy,
+            classifier,
+            sinks,
+            scratch,
+            LoopCtl {
+                frontier,
+                init: None,
+                snap,
+            },
+        )
     }
 
     /// The identity header for snapshots of this engine's runs.
-    fn snap_head(&self, sched: &SchedConfig, levels: u32, kind: u8) -> SnapHead {
+    fn snap_head(&self, sched: &SchedConfig, levels: u32) -> SnapHead {
         let ws = self.web_space();
         SnapHead {
             space_fp: ws.identity_fingerprint(),
@@ -658,7 +528,6 @@ impl CrawlEngine<'_> {
             config_fp: self.config.snapshot_fingerprint(),
             levels,
             sched: *sched,
-            kind,
             tick: 0,
             crawled: 0,
         }
@@ -675,9 +544,7 @@ impl CrawlEngine<'_> {
     {
         let ws = self.web_space();
         let levels = strategy.levels().max(1);
-        let degenerate = Self::is_degenerate(sched);
-        let kind = if degenerate { KIND_RINGS } else { KIND_SHARDED };
-        let head = self.snap_head(sched, levels as u32, kind);
+        let head = self.snap_head(sched, levels as u32);
         let politeness = sched.politeness_gap != 0 || sched.politeness_spread != 0;
         let next_ok = if politeness {
             vec![0u64; ws.num_hosts()]
@@ -700,24 +567,15 @@ impl CrawlEngine<'_> {
             until_sample: sample_interval,
             attempt_counts: &[],
         };
-        let seed = |frontier: &mut dyn SlotFrontier| {
-            for &s in ws.seeds() {
-                frontier.push(Entry {
-                    page: s,
-                    priority: 0,
-                    distance: 0,
-                });
-            }
-        };
-        let payload = if degenerate {
-            let mut frontier = UrlQueue::new(ws.num_pages(), levels);
-            seed(&mut frontier);
-            encode_snapshot(&head, &run, &frontier)
-        } else {
-            let mut frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
-            seed(&mut frontier);
-            encode_snapshot(&head, &run, &frontier)
-        };
+        let mut frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
+        for &s in ws.seeds() {
+            frontier.push(Entry {
+                page: s,
+                priority: 0,
+                distance: 0,
+            });
+        }
+        let payload = encode_snapshot(&head, &run, &frontier);
         let mut head_enc = Enc::default();
         head.encode(&mut head_enc);
         CrawlSnapshot::from_parts(payload, head, head_enc.buf.len())
@@ -821,20 +679,8 @@ impl CrawlEngine<'_> {
         if snap.head.levels as usize != levels {
             return Err(SnapshotError::ConfigMismatch("strategy level count"));
         }
-        // The schedule rides in the snapshot: the frontier kind it
-        // implies must match the one the payload carries, else the
-        // header was stitched from two different runs.
+        // The schedule rides in the snapshot.
         let sched = snap.head.sched;
-        let expected_kind = if Self::is_degenerate(&sched) {
-            KIND_RINGS
-        } else {
-            KIND_SHARDED
-        };
-        if snap.head.kind != expected_kind {
-            return Err(SnapshotError::Malformed(
-                "frontier kind inconsistent with schedule",
-            ));
-        }
         let politeness = sched.politeness_gap != 0 || sched.politeness_spread != 0;
         let mut dec = snap.state_dec();
         let mut rs = decode_run_state(&mut dec, ws.num_pages(), ws.num_hosts(), politeness)?;
@@ -849,68 +695,46 @@ impl CrawlEngine<'_> {
             sink: p.sink,
             buf: Enc::default(),
         });
-        let mut scratch = EngineScratch::new();
-        if snap.head.kind == KIND_RINGS {
-            let frontier = UrlQueue::decode_state(&mut dec, ws.num_pages(), levels)?;
-            if !dec.is_empty() {
-                return Err(SnapshotError::Malformed("trailing state bytes"));
-            }
-            Ok(self.sched_loop(
-                &sched,
-                strategy,
-                classifier,
-                sinks,
-                &mut scratch,
-                LoopCtl {
-                    frontier,
-                    init: Some(rs),
-                    snap: snapctl,
-                },
-            ))
-        } else {
-            let host_of_page: Vec<u32> = ws.page_ids().map(|p| ws.host_id(p)).collect();
-            let frontier = ShardedFrontier::decode_state(
-                &mut dec,
-                host_of_page,
-                ws.num_hosts(),
-                levels,
-                sched.effective_shards(),
-            )?;
-            if !dec.is_empty() {
-                return Err(SnapshotError::Malformed("trailing state bytes"));
-            }
-            Ok(self.sched_loop(
-                &sched,
-                strategy,
-                classifier,
-                sinks,
-                &mut scratch,
-                LoopCtl {
-                    frontier,
-                    init: Some(rs),
-                    snap: snapctl,
-                },
-            ))
+        let host_of_page: Vec<u32> = ws.page_ids().map(|p| ws.host_id(p)).collect();
+        let frontier = ShardedFrontier::decode_state(
+            &mut dec,
+            host_of_page,
+            ws.num_hosts(),
+            levels,
+            sched.effective_shards(),
+        )?;
+        if !dec.is_empty() {
+            return Err(SnapshotError::Malformed("trailing state bytes"));
         }
+        Ok(self.sched_loop(
+            &sched,
+            strategy,
+            classifier,
+            sinks,
+            &mut EngineScratch::new(),
+            LoopCtl {
+                frontier,
+                init: Some(rs),
+                snap: snapctl,
+            },
+        ))
     }
 
-    /// The virtual-time event loop, monomorphized per frontier (the
-    /// sharded frontier, or the legacy rings at the degenerate point).
-    /// `ctl` carries the frontier, an optional resume state (restored
+    /// The virtual-time event loop over a sharded frontier. `ctl`
+    /// carries the frontier, an optional resume state (restored
     /// verbatim in place of seeding) and an optional capture plan.
     // lint:root(panic-free) — the steady-state event loop; every
     // simulated fetch passes through here.
-    fn sched_loop<F, S, C>(
+    fn sched_loop<S, C>(
         &self,
         sched: &SchedConfig,
         strategy: &mut S,
         classifier: &C,
         sinks: &mut [&mut dyn EventSink],
         scratch: &mut EngineScratch,
-        ctl: LoopCtl<'_, F>,
+        ctl: LoopCtl<'_>,
     ) -> (EngineOutcome, Vec<ShardStats>)
     where
-        F: SlotFrontier,
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
@@ -1272,8 +1096,8 @@ mod tests {
         };
         // Default config (full legacy-loop elision), the same with a
         // `SlotIdle`-interested sink attached (the virtual-time loop
-        // over the legacy rings), and explicit shard counts (the real
-        // sharded frontier) must all reproduce the legacy run exactly.
+        // over the one-shard sharded frontier), and explicit shard
+        // counts must all reproduce the legacy run exactly.
         for (shards, stats) in [(0u32, false), (0, true), (1, false), (3, false)] {
             let scheduled = {
                 let mut visits = VisitRecorder::new();

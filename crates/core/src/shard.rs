@@ -128,8 +128,7 @@ struct Shard {
 
 /// The host-sharded, politeness-aware frontier. See the module docs for
 /// the layout; see [`Frontier`] for the admission contract it shares
-/// with [`UrlQueue`] and
-/// [`crate::frontier::BestFirstFrontier`].
+/// with [`UrlQueue`].
 ///
 /// ```
 /// use langcrawl_core::frontier::Frontier;

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! magic   "LCSNAPSH"      8 bytes
-//! version u32             currently 1
+//! version u32             currently 2
 //! payload_len u64
 //! payload                 payload_len bytes
 //! checksum u64            lane-parallel multiply-xor over payload
@@ -24,8 +24,8 @@
 //!
 //! The payload starts with an identity header (space fingerprint,
 //! generation seed, engine-config fingerprint, strategy level count,
-//! scheduler config, frontier kind, tick, crawled count) followed by
-//! the run state and the frontier state, encoded canonically — heaps
+//! scheduler config, tick, crawled count) followed by the run state and
+//! the sharded-frontier state, encoded canonically — heaps
 //! as sorted lists, slabs in slab order (which decoding reproduces) —
 //! so re-encoding a decoded snapshot reproduces the original bytes.
 //!
@@ -42,8 +42,10 @@ use std::path::PathBuf;
 /// Leading magic bytes of every snapshot file.
 const MAGIC: [u8; 8] = *b"LCSNAPSH";
 
-/// Current snapshot format version.
-const VERSION: u32 = 1;
+/// Current snapshot format version, bumped with every payload layout
+/// change so frames of another layout fail as
+/// [`SnapshotError::UnsupportedVersion`] rather than as garbage.
+const VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded, verified, or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -508,21 +510,12 @@ pub(crate) struct SnapHead {
     pub(crate) levels: u32,
     /// The scheduler configuration the run used.
     pub(crate) sched: SchedConfig,
-    /// Frontier kind tag: [`KIND_RINGS`] or [`KIND_SHARDED`].
-    pub(crate) kind: u8,
     /// Virtual tick the snapshot was taken at (a loop-top boundary:
     /// no fetch in flight).
     pub(crate) tick: u64,
     /// Pages resolved when the snapshot was taken.
     pub(crate) crawled: u64,
 }
-
-/// Frontier kind tag: the legacy priority rings ([`crate::queue::UrlQueue`]),
-/// used at the scheduler's degenerate point.
-pub(crate) const KIND_RINGS: u8 = 0;
-/// Frontier kind tag: the sharded frontier
-/// ([`crate::shard::ShardedFrontier`]).
-pub(crate) const KIND_SHARDED: u8 = 1;
 
 impl SnapHead {
     pub(crate) fn encode(&self, enc: &mut Enc) {
@@ -534,7 +527,6 @@ impl SnapHead {
         enc.u32(self.sched.shards);
         enc.u64(self.sched.politeness_gap);
         enc.u64(self.sched.politeness_spread);
-        enc.u8(self.kind);
         enc.u64(self.tick);
         enc.u64(self.crawled);
     }
@@ -550,10 +542,6 @@ impl SnapHead {
             politeness_gap: dec.u64()?,
             politeness_spread: dec.u64()?,
         };
-        let kind = dec.u8()?;
-        if kind > KIND_SHARDED {
-            return Err(SnapshotError::Malformed("unknown frontier kind"));
-        }
         let tick = dec.u64()?;
         let crawled = dec.u64()?;
         Ok(SnapHead {
@@ -562,7 +550,6 @@ impl SnapHead {
             config_fp,
             levels,
             sched,
-            kind,
             tick,
             crawled,
         })
@@ -787,7 +774,6 @@ mod tests {
                 politeness_gap: 2,
                 politeness_spread: 1,
             },
-            kind: KIND_SHARDED,
             tick: 777,
             crawled: 555,
         }

@@ -3,19 +3,17 @@
 //! The engine's retry path (`Frontier::requeue`) re-opens a page's
 //! pending slot; when the page later exhausts its attempt budget
 //! (`gave_up`) it resolves like any other fetch and the slot closes
-//! again. This suite pins the accounting across all three frontier
+//! again. This suite pins the accounting across both frontier
 //! implementations on a heavily faulted run: `pending()` must return to
 //! exactly zero once the crawl finishes, and — because under a
-//! breadth-first strategy all admission keys are equal and every
-//! discipline degrades to the same FIFO — the crawl itself, its
+//! breadth-first strategy all admission keys are equal and both
+//! disciplines degrade to the same FIFO — the crawl itself, its
 //! `max_pending` high-water mark, and its push totals must be
-//! *identical* across `UrlQueue`, `BestFirstFrontier`, and
-//! `ShardedFrontier`.
+//! *identical* across `UrlQueue` and `ShardedFrontier`.
 
 use langcrawl_core::classifier::OracleClassifier;
 use langcrawl_core::engine::{CrawlEngine, EngineConfig};
 use langcrawl_core::event::{interest, CrawlEvent, EventSink};
-use langcrawl_core::frontier::BestFirstFrontier;
 use langcrawl_core::queue::UrlQueue;
 use langcrawl_core::shard::ShardedFrontier;
 use langcrawl_core::strategy::BreadthFirst;
@@ -72,17 +70,11 @@ fn faulted_runs() -> Vec<(
     );
     let classifier = OracleClassifier::target(ws.target_language());
     let mut out = Vec::new();
-    for name in ["url_queue", "best_first", "sharded"] {
+    for name in ["url_queue", "sharded"] {
         let mut capture = FinishedCapture::default();
         let outcome = match name {
             "url_queue" => engine.run(
                 UrlQueue::new(ws.num_pages(), 1),
-                &mut BreadthFirst::new(),
-                &classifier,
-                &mut [&mut capture],
-            ),
-            "best_first" => engine.run(
-                BestFirstFrontier::new(ws.num_pages()),
                 &mut BreadthFirst::new(),
                 &classifier,
                 &mut [&mut capture],

@@ -1,10 +1,10 @@
-//! Property tests for the simulator core: both [`Frontier`]
-//! implementations against a reference model parameterized by their pop
-//! discipline, and crawl-level invariants over random spaces, strategies
-//! and budgets.
+//! Property tests for the simulator core: the [`Frontier`]
+//! implementations against a reference model of the bucketed pop
+//! discipline, and crawl-level invariants over random spaces,
+//! strategies and budgets.
 
 use langcrawl_core::classifier::{MetaClassifier, OracleClassifier};
-use langcrawl_core::frontier::{BestFirstFrontier, Frontier};
+use langcrawl_core::frontier::Frontier;
 use langcrawl_core::queue::{Entry, UrlQueue};
 use langcrawl_core::shard::ShardedFrontier;
 use langcrawl_core::sim::{SimConfig, Simulator};
@@ -16,40 +16,23 @@ use langcrawl_webgraph::GeneratorConfig;
 
 // ------------------------------------------------------------- frontier
 
-/// How a frontier orders its pending set: the sort key computed from a
-/// page's best admission `(key, seq)` pair. Lowest wins; FIFO seq breaks
-/// ties in both disciplines.
-type PopOrder = fn(u16, u64) -> (u16, u64);
-
-/// [`UrlQueue`]: priority *level* only — distance never affects order.
-fn bucketed_order(key: u16, seq: u64) -> (u16, u64) {
-    (key >> 8, seq)
-}
-
-/// [`BestFirstFrontier`]: the full `(priority, distance)` key.
-fn best_first_order(key: u16, seq: u64) -> (u16, u64) {
-    (key, seq)
-}
-
-/// Reference model of a frontier: a sorted scan over explicit state,
-/// generic over the pop discipline. Admission semantics (accept first
-/// discovery or a strictly better key; never after done) are shared by
-/// both implementations and fixed here.
+/// Reference model of a frontier: a sorted scan over explicit state.
+/// Admission accepts a first discovery or a strictly better key, never
+/// a done page; pops take the lowest priority *level* (distance never
+/// affects order), FIFO by the best admission's sequence.
 struct ModelFrontier {
     /// (page, best key, insertion sequence of the best admission)
     pending: Vec<(u32, u16, u64)>,
     done: std::collections::HashSet<u32>,
     seq: u64,
-    order: PopOrder,
 }
 
 impl ModelFrontier {
-    fn new(order: PopOrder) -> Self {
+    fn new() -> Self {
         ModelFrontier {
             pending: Vec::new(),
             done: std::collections::HashSet::new(),
             seq: 0,
-            order,
         }
     }
 
@@ -77,12 +60,11 @@ impl ModelFrontier {
     }
 
     fn pop(&mut self) -> Option<u32> {
-        let order = self.order;
         let idx = self
             .pending
             .iter()
             .enumerate()
-            .min_by_key(|(_, (_, key, seq))| order(*key, *seq))
+            .min_by_key(|(_, (_, key, seq))| (*key >> 8, *seq))
             .map(|(i, _)| i)?;
         let (page, _, _) = self.pending.remove(idx);
         self.done.insert(page);
@@ -99,8 +81,8 @@ fn arb_ops(g: &mut Gen) -> Vec<(u8, u32, u8, u8)> {
 
 /// Drive a real frontier and the model through the same op sequence,
 /// asserting agreement on every push verdict and every pop.
-fn assert_matches_model<F: Frontier>(mut real: F, order: PopOrder, ops: &[(u8, u32, u8, u8)]) {
-    let mut model = ModelFrontier::new(order);
+fn assert_matches_model<F: Frontier>(mut real: F, ops: &[(u8, u32, u8, u8)]) {
+    let mut model = ModelFrontier::new();
     for &(op, page, priority, distance) in ops {
         if op < 3 {
             let e = Entry {
@@ -132,21 +114,11 @@ fn assert_matches_model<F: Frontier>(mut real: F, order: PopOrder, ops: &[(u8, u
 fn url_queue_matches_reference_model() {
     check_default(|g| {
         let ops = arb_ops(g);
-        assert_matches_model(UrlQueue::new(64, 4), bucketed_order, &ops);
+        assert_matches_model(UrlQueue::new(64, 4), &ops);
     });
 }
 
-/// The best-first heap frontier obeys the same contract under its own
-/// pop discipline — the trait seam carries both policies faithfully.
-#[test]
-fn best_first_matches_reference_model() {
-    check_default(|g| {
-        let ops = arb_ops(g);
-        assert_matches_model(BestFirstFrontier::new(64), best_first_order, &ops);
-    });
-}
-
-/// For BOTH implementations: `pending()` always equals the count of
+/// For both implementations: `pending()` always equals the count of
 /// distinct admitted-not-popped pages regardless of duplicates and
 /// re-prioritizations, and `done` pages never re-enter.
 #[test]
@@ -179,28 +151,15 @@ fn frontier_pending_counts_distinct_and_done_is_final() {
     check_default(|g| {
         let ops = arb_ops(g);
         run(&mut UrlQueue::new(64, 4), &ops);
-        run(&mut BestFirstFrontier::new(64), &ops);
+        let hosts: Vec<u32> = (0..64).map(|p| p % 7).collect();
+        run(&mut ShardedFrontier::new(hosts, 7, 4, 3), &ops);
     });
 }
 
-/// Pop order respects `(ordering key, FIFO)`: for any push-only prefix,
-/// draining either frontier yields keys that never decrease under its
-/// own discipline.
+/// Pop order respects the priority level: for any push-only prefix,
+/// draining the queue yields levels that never decrease.
 #[test]
 fn frontier_pop_order_is_monotone_in_key() {
-    fn drain_keys(real: &mut dyn Frontier, order: PopOrder) {
-        let mut prev: Option<(u16, u64)> = None;
-        let mut seq = 0u64;
-        while let Some(e) = real.pop() {
-            let key = ((e.priority as u16) << 8) | e.distance as u16;
-            let k = (order(key, 0).0, seq);
-            if let Some(p) = prev {
-                assert!(k.0 >= p.0, "pop key went backwards: {p:?} then {k:?}");
-            }
-            prev = Some(k);
-            seq += 1;
-        }
-    }
     check_default(|g| {
         let pushes = g.vec(1..200, |g| Entry {
             page: g.u32(0..64),
@@ -208,13 +167,18 @@ fn frontier_pop_order_is_monotone_in_key() {
             distance: g.u8(0..=3),
         });
         let mut q = UrlQueue::new(64, 4);
-        let mut b = BestFirstFrontier::new(64);
         for &e in &pushes {
             q.push(e);
-            Frontier::push(&mut b, e);
         }
-        drain_keys(&mut q, bucketed_order);
-        drain_keys(&mut b, best_first_order);
+        let mut prev = 0u8;
+        while let Some(e) = q.pop() {
+            assert!(
+                e.priority >= prev,
+                "pop level went backwards: {prev} then {}",
+                e.priority
+            );
+            prev = e.priority;
+        }
     });
 }
 

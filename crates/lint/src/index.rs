@@ -189,7 +189,7 @@ const ITEM_KEYWORDS: &[&str] = &[
 /// Container constructors treated as allocation sites when called
 /// path-qualified (`Vec::with_capacity`, `Box::new`, …). `Vec::new` and
 /// friends are capacity-0 today but declare intent to grow, so the
-/// policy (matching lexical P2) counts them.
+/// policy counts them.
 const ALLOC_CTOR_TYPES: &[&str] = &[
     "Vec",
     "VecDeque",

@@ -10,16 +10,14 @@
 //!
 //! | id                    | pass | rejects                                             |
 //! |-----------------------|------|-----------------------------------------------------|
-//! | `wall-clock`          | D1   | `Instant::now` / `SystemTime::now` outside bench    |
+//! | `wall-clock`          | D1   | `Instant::now` / `SystemTime::now` outside benches  |
 //! | `unordered-iter`      | D2   | `HashMap`/`HashSet` iteration whose order can leak  |
 //! | `rng-stream`          | D3   | duplicated / non-literal `Rng::stream` domains      |
 //! | `event-bits`          | D4   | colliding or shadowed `interest::*` bits            |
 //! | `safety-comment`      | S1   | `unsafe` without a `// SAFETY:` comment             |
 //! | `no-panic`            | P1   | `unwrap`/`expect`/panicking macros in hot paths     |
-//! | `hot-path-alloc`      | P2   | allocating calls in `lint:hot-path` marked functions|
 //! | `no-panic-transitive` | P1T  | panic sites reachable from a `lint:root(panic-free)`|
 //! | `no-alloc-transitive` | P2T  | alloc sites reachable from a `lint:root(alloc-free)`|
-//! | `deprecated-marker`   | —    | remaining lexical `lint:hot-path` markers           |
 //! | `bad-root`            | —    | a `lint:root` marker that resolves to no fn         |
 //!
 //! P1T/P2T are *call-graph-aware*: [`index`] records every fn with its
@@ -55,14 +53,11 @@
 //!   `#[test]` items) is exempt from D1, D2, D3-call-sites and P1 —
 //!   tests may clock and panic freely; S1 and the registries apply
 //!   everywhere;
-//! * `crates/bench`, `crates/lint` and `examples/` may read the wall
-//!   clock (D1) — benchmarks measure real time by design;
+//! * `crates/bench`, `perfbench`, `crates/lint` and `examples/` may
+//!   read the wall clock (D1) — benchmarks time real crawls by design;
 //! * P1 applies to the crawl/generation hot paths listed in
 //!   [`passes::p1_applies`];
-//! * P2 applies only inside functions marked with a `// lint:hot-path`
-//!   comment (the marker claims the next `fn` item through the end of
-//!   its body) — the once-per-fetch loop whose zero-allocation contract
-//!   the steady-state microbench gate enforces dynamically.
+//! * P1T/P2T apply to whatever the `lint:root` closures reach.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -141,8 +136,6 @@ pub fn scan_sources(sources: &[SourceFile]) -> Report {
         passes::event_bits(file, &mut raw);
         passes::safety_comment(file, &mut raw);
         passes::no_panic(file, &mut raw);
-        passes::hot_path_alloc(file, &mut raw);
-        passes::deprecated_hot_path_marker(file, &mut raw);
     }
 
     // Suppression collection + validation (before the transitive
@@ -355,6 +348,7 @@ mod tests {
         let test_file = "fn f() { let t = Instant::now(); }\n";
         let r = scan_snippets(&[
             ("crates/bench/src/x.rs", bench),
+            ("perfbench/src/x.rs", bench),
             ("crates/core/src/y.rs", test_mod),
             ("crates/core/tests/z.rs", test_file),
         ]);

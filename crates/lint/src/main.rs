@@ -50,16 +50,16 @@ fn main() -> ExitCode {
 
     if list {
         println!("langcrawl-lint passes:");
-        println!("  D1  wall-clock           Instant/SystemTime::now outside crates/bench");
+        println!(
+            "  D1  wall-clock           Instant/SystemTime::now outside crates/bench, perfbench"
+        );
         println!("  D2  unordered-iter       HashMap/HashSet iteration whose order can leak");
         println!("  D3  rng-stream           duplicated or non-literal Rng::stream domains");
         println!("  D4  event-bits           colliding/shadowed core::event interest bits");
         println!("  S1  safety-comment       `unsafe` without a `// SAFETY:` comment");
         println!("  P1  no-panic             unwrap/expect/panic!/todo! in hot paths");
-        println!("  P2  hot-path-alloc       allocating calls in lint:hot-path marked functions");
         println!("  P1T no-panic-transitive  panic sites reachable from a lint:root(panic-free)");
         println!("  P2T no-alloc-transitive  alloc sites reachable from a lint:root(alloc-free)");
-        println!("  --  deprecated-marker    remaining lexical lint:hot-path markers");
         println!("  --  bad-root             lint:root marker that resolves to no indexed fn");
         println!("suppression: // lint:allow(<id>): <reason>   (bad-root is not suppressible)");
         println!("roots:       // lint:root(panic-free[, alloc-free]) above a fn");

@@ -92,27 +92,6 @@ fn p1_no_panic_fires_on_unwrap_expect_and_panicking_macros() {
 }
 
 #[test]
-fn p2_hot_path_alloc_fires_only_inside_marked_functions() {
-    // Three findings in the marked `admit`; the scratch-backed twin,
-    // the justified snapshot, the unmarked function and the test module
-    // stay silent. Every lexical marker outside test code additionally
-    // draws a deprecation nudge towards a root marker.
-    assert_eq!(
-        lints_and_lines("hot_path"),
-        vec![
-            ("deprecated-marker".to_string(), 7),
-            ("hot-path-alloc".to_string(), 9),  // Vec::new()
-            ("hot-path-alloc".to_string(), 10), // Box::new()
-            ("hot-path-alloc".to_string(), 11), // .collect()
-            ("deprecated-marker".to_string(), 16),
-            ("deprecated-marker".to_string(), 23),
-        ]
-    );
-    let paths: Vec<String> = scan("hot_path").into_iter().map(|(_, p, _)| p).collect();
-    assert!(paths.iter().all(|p| p == "crates/core/src/queue.rs"));
-}
-
-#[test]
 fn p1t_transitive_panics_fire_with_ambiguity_and_respect_leaf_allows() {
     // One-hop reachable unwrap; an indexing site reached only through
     // generic-dispatch over-approximation; a leaf-suppressed chain

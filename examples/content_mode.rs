@@ -4,14 +4,15 @@
 //! would: pages are rendered to HTML bytes in their true charset, the
 //! classifier reads the META tag and runs the byte-distribution
 //! detector, links are extracted from the markup and resolved as URL
-//! strings. Compare the result with the trace-replay (metadata-mode)
-//! simulator — they must tell the same story.
+//! strings. Content mode is just another classifier the one engine
+//! drives, so the same `Simulator` runs both: compare the byte-level
+//! crawl with the trace-replay (metadata-mode) one — they must tell the
+//! same story.
 //!
 //! ```sh
 //! cargo run --release --example content_mode
 //! ```
 
-use langcrawl::core::content::{ContentClassifier, ContentConfig, ContentSimulator};
 use langcrawl::prelude::*;
 
 fn main() {
@@ -22,27 +23,26 @@ fn main() {
         space.total_relevant()
     );
 
+    let mut sim = Simulator::new(&space, SimConfig::default());
+
     // Metadata mode: replay recorded charsets (the paper's §4 simulator).
-    let mut meta_sim = Simulator::new(&space, SimConfig::default());
-    let replay = meta_sim.run(
+    let replay = sim.run(
         &mut SimpleStrategy::hard(),
         &MetaClassifier::target(Language::Thai),
     );
 
     // Content mode, META-only bytes path: must agree exactly.
-    let mut content_sim = ContentSimulator::new(
-        &space,
-        ContentConfig {
-            classifier: ContentClassifier::MetaOnly,
-            ..ContentConfig::default()
-        },
+    let bytes_meta = sim.run(
+        &mut SimpleStrategy::hard(),
+        &ContentClassifier::new(&space, ContentMode::MetaOnly),
     );
-    let bytes_meta = content_sim.run(&mut SimpleStrategy::hard());
 
     // Content mode, composite classifier: the detector rescues pages the
     // META label lies about.
-    let mut composite_sim = ContentSimulator::new(&space, ContentConfig::default());
-    let bytes_composite = composite_sim.run(&mut SimpleStrategy::hard());
+    let bytes_composite = sim.run(
+        &mut SimpleStrategy::hard(),
+        &ContentClassifier::new(&space, ContentMode::MetaThenDetector),
+    );
 
     println!(
         "{:<40} {:>9} {:>9} {:>9}",

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use langcrawl_charset::{detect, Charset, Language};
     pub use langcrawl_core::{
         classifier::{Classifier, DetectorClassifier, MetaClassifier, OracleClassifier},
-        content::{ContentClassifier, ContentConfig, ContentSimulator},
+        content::{ContentClassifier, ContentMode},
         metrics::CrawlReport,
         sim::{SimConfig, Simulator},
         strategy::{
