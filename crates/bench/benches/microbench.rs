@@ -29,6 +29,7 @@ use langcrawl_charset::encode::{
 };
 use langcrawl_charset::{detect, Charset};
 use langcrawl_core::classifier::OracleClassifier;
+use langcrawl_core::engine::EngineScratch;
 use langcrawl_core::linkgraph::pagerank::RankState;
 use langcrawl_core::queue::{Entry, UrlQueue};
 use langcrawl_core::sched::SchedConfig;
@@ -931,7 +932,14 @@ fn bench_sched_overhead(rec: &mut BenchRecord, scale: u32) {
     let run_sched = || {
         black_box(
             engine
-                .run_scheduled(&sched, &mut SimpleStrategy::soft(), &oracle, &mut [])
+                .run_scheduled(
+                    &sched,
+                    &mut SimpleStrategy::soft(),
+                    &oracle,
+                    &mut [],
+                    &mut EngineScratch::new(),
+                )
+                .0
                 .crawled,
         )
     };
@@ -990,11 +998,22 @@ fn bench_sched_overhead(rec: &mut BenchRecord, scale: u32) {
 /// cadences run real captures; only the timing happens on the
 /// amplified one.
 fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
-    use langcrawl_core::SnapshotSink;
+    use langcrawl_core::{interest, CrawlEvent, EventSink};
     println!("snapshot capture overhead at K=4, every=1000 (n={scale}):");
     let ws = GeneratorConfig::thai_like().scaled(scale).build(7);
     let oracle = OracleClassifier::target(ws.target_language());
     let engine = CrawlEngine::new(&ws, EngineConfig::default());
+    // One capturing engine per cadence, built outside the timed region.
+    let capturing = |every: u64| {
+        CrawlEngine::new(
+            &ws,
+            EngineConfig {
+                snapshot_every: Some(every),
+                ..EngineConfig::default()
+            },
+        )
+    };
+    let (every_1000, every_100) = (capturing(1_000), capturing(100));
     let sched = SchedConfig {
         slots: 4,
         ..SchedConfig::default()
@@ -1007,41 +1026,52 @@ fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
         snaps: u64,
         bytes: u64,
     }
-    impl SnapshotSink for CountSink {
-        fn on_snapshot(&mut self, _tick: u64, bytes: &[u8]) {
-            self.snaps += 1;
-            self.bytes += bytes.len() as u64;
+    impl EventSink for CountSink {
+        fn on_event(&mut self, event: &CrawlEvent) {
+            if let CrawlEvent::Snapshot { bytes, .. } = *event {
+                self.snaps += 1;
+                self.bytes += bytes.len() as u64;
+            }
+        }
+        fn interests(&self) -> u16 {
+            interest::SNAPSHOT
         }
     }
 
     let run_plain = || {
         black_box(
             engine
-                .run_scheduled(&sched, &mut SimpleStrategy::soft(), &oracle, &mut [])
+                .run_scheduled(
+                    &sched,
+                    &mut SimpleStrategy::soft(),
+                    &oracle,
+                    &mut [],
+                    &mut EngineScratch::new(),
+                )
+                .0
                 .crawled,
         )
     };
-    let run_capturing = |every: u64| {
+    let run_capturing = |engine: &CrawlEngine<'_>| {
         let mut sink = CountSink::default();
-        let (outcome, _) = engine.run_scheduled_snapshots(
+        let (outcome, _) = engine.run_scheduled(
             &sched,
             &mut SimpleStrategy::soft(),
             &oracle,
-            &mut [],
-            every,
-            &mut sink,
+            &mut [&mut sink],
+            &mut EngineScratch::new(),
         );
         (black_box(outcome.crawled), sink)
     };
 
     let plain_crawled = run_plain();
-    let (cap_crawled, gated) = run_capturing(1_000);
+    let (cap_crawled, gated) = run_capturing(&every_1000);
     assert_eq!(
         plain_crawled, cap_crawled,
         "snapshot capture must not change what gets crawled"
     );
     assert!(gated.snaps > 0, "cadence too coarse: nothing captured");
-    let (_, amplified) = run_capturing(100);
+    let (_, amplified) = run_capturing(&every_100);
     assert!(
         amplified.bytes > gated.bytes,
         "amplified cadence must capture more state than the gated one"
@@ -1054,7 +1084,7 @@ fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
             run_plain();
             t_plain = t_plain.min(t.elapsed());
             let t = Instant::now();
-            run_capturing(100);
+            run_capturing(&every_100);
             t_amp = t_amp.min(t.elapsed());
         }
         (t_plain, t_amp)
@@ -1116,44 +1146,50 @@ fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
 /// pins at zero. Without the `count-allocs` feature the counter always
 /// reads 0 and the section reports "not gated".
 fn bench_steady_state_allocs(rec: &mut BenchRecord, scale: u32) {
-    use langcrawl_core::engine::EngineScratch;
     println!("steady-state allocations (n={scale}):");
     let ws = GeneratorConfig::thai_like().scaled(scale).build(7);
     let oracle = OracleClassifier::target(ws.target_language());
     const TAIL: u64 = 1_000;
 
+    // The default schedule: `run_scheduled` hands off to the
+    // single-slot loop with the caller's scratch.
+    let sched = SchedConfig::default();
     let mut scratch = EngineScratch::new();
-    let run = |budget: Option<u64>, scratch: &mut EngineScratch| {
-        let engine = CrawlEngine::new(
+    let engine = |budget: Option<u64>| {
+        CrawlEngine::new(
             &ws,
             EngineConfig {
                 max_pages: budget,
                 ..EngineConfig::default()
             },
-        );
-        let mut strategy = SimpleStrategy::soft();
+        )
+    };
+    let run = |engine: &CrawlEngine<'_>, scratch: &mut EngineScratch| {
         black_box(
             engine
-                .run_with_scratch(
-                    UrlQueue::new(ws.num_pages(), strategy.levels()),
-                    &mut strategy,
+                .run_scheduled(
+                    &sched,
+                    &mut SimpleStrategy::soft(),
                     &oracle,
                     &mut [],
                     scratch,
                 )
+                .0
                 .crawled,
         )
     };
 
     // Warm-up run: grows every scratch buffer to its high-water size
     // and reports the full crawl length.
-    let full = run(None, &mut scratch);
+    let full = run(&engine(None), &mut scratch);
     assert!(full > 2 * TAIL, "space too small for the tail measurement");
 
+    // Both measured engines are built before the first count.
+    let (short_engine, full_engine) = (engine(Some(full - TAIL)), engine(Some(full)));
     let a0 = alloc_count();
-    let short = run(Some(full - TAIL), &mut scratch);
+    let short = run(&short_engine, &mut scratch);
     let a1 = alloc_count();
-    let again = run(Some(full), &mut scratch);
+    let again = run(&full_engine, &mut scratch);
     let a2 = alloc_count();
     assert_eq!(short, full - TAIL);
     assert_eq!(again, full);

@@ -115,9 +115,9 @@ impl Experiment {
     }
 
     /// Capture a crash-safe crawl snapshot every `every` ticks on each
-    /// strategy run (see [`SimConfig::snapshot_every`]; forces the
-    /// scheduler on). Files land in `LANGCRAWL_SNAPSHOT_DIR` when that
-    /// variable is set; capture never alters the crawl.
+    /// strategy run (see [`SimConfig::snapshot_every`]). Files land in
+    /// `LANGCRAWL_SNAPSHOT_DIR` when that variable is set; capture never
+    /// alters the crawl.
     pub fn snapshot_every(mut self, every: u64) -> Self {
         self.config = self.config.clone().with_snapshot_every(every);
         self

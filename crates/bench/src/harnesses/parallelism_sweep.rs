@@ -86,7 +86,7 @@ pub fn run() {
         let mut scratch = langcrawl_core::engine::EngineScratch::new();
         let (outcome, shards) = {
             let mut sinks: [&mut dyn EventSink; 2] = [&mut metrics, &mut stats];
-            engine.run_scheduled_full(
+            engine.run_scheduled(
                 &sched,
                 &mut SimpleStrategy::soft(),
                 &oracle,

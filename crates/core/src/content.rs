@@ -138,7 +138,7 @@ impl Classifier for ContentClassifier {
 mod tests {
     use super::*;
     use crate::classifier::MetaClassifier;
-    use crate::engine::{CrawlEngine, EngineConfig};
+    use crate::engine::{CrawlEngine, EngineConfig, EngineScratch};
     use crate::sched::SchedConfig;
     use crate::sim::{SimConfig, Simulator};
     use crate::snapshot::{CrawlSnapshot, SnapshotLog};
@@ -244,18 +244,18 @@ mod tests {
             &ws,
             EngineConfig {
                 fault: FaultConfig::with_rate(0.2),
+                snapshot_every: Some(report.ticks / 3),
                 ..EngineConfig::default()
             },
         );
         let sched = SchedConfig::with_slots(4);
         let mut log = SnapshotLog::new();
-        let (full, full_stats) = engine.run_scheduled_snapshots(
+        let (full, full_stats) = engine.run_scheduled(
             &sched,
             &mut BreadthFirst::new(),
             &classifier,
-            &mut [],
-            report.ticks / 3,
-            &mut log,
+            &mut [&mut log],
+            &mut EngineScratch::new(),
         );
         assert_eq!(full.crawled, report.crawled);
         assert_eq!(full.attempts, report.attempts);

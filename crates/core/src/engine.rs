@@ -9,10 +9,18 @@
 //! * **who watches** — any number of [`EventSink`]s receiving the typed
 //!   event stream ([`CrawlEvent`]).
 //!
+//! A crawl starts or resumes through one of four calls:
+//! [`CrawlEngine::run`] drives the single-slot loop over a
+//! caller-supplied frontier; [`CrawlEngine::run_scheduled`] runs the
+//! virtual-time scheduler ([`crate::sched`]); [`CrawlEngine::snapshot`]
+//! hands out the tick-0 state of a scheduled crawl; and
+//! [`CrawlEngine::resume`] continues one from a snapshot. Checkpoints
+//! are events like any other ([`CrawlEvent::Snapshot`]), emitted when
+//! [`EngineConfig::snapshot_every`] is set.
+//!
 //! [`crate::sim::Simulator`] is the convenience wrapper that wires the
-//! default frontier and sinks back together and returns a
-//! [`crate::metrics::CrawlReport`]; scaling work (sharded frontiers,
-//! async fetch, checkpointing) plugs in here without touching it.
+//! default schedule and sinks back together and returns a
+//! [`crate::metrics::CrawlReport`].
 
 use crate::classifier::Classifier;
 use crate::event::{interest, CrawlEvent, EventSink};
@@ -45,13 +53,13 @@ pub struct EngineConfig {
     /// Irrelevant while `fault` is all-zero (nothing ever fails
     /// transiently then).
     pub retry: RetryPolicy,
-    /// Capture a [`crate::snapshot::CrawlSnapshot`] every this many
-    /// virtual ticks on the scheduled run path (`None` = never).
-    /// Scheduled runs honor it when `LANGCRAWL_SNAPSHOT_DIR` names a
-    /// directory to write to; the explicit
-    /// [`CrawlEngine::run_scheduled_snapshots`] entry point takes any
-    /// sink. The knob does not alter the crawl itself — capture is
-    /// observation-only, pinned by the resume-parity suite.
+    /// Emit a [`CrawlEvent::Snapshot`] every this many virtual ticks
+    /// (`None` = never) from [`CrawlEngine::run_scheduled`] and
+    /// [`CrawlEngine::resume`], provided some attached sink wants
+    /// [`interest::SNAPSHOT`]. [`CrawlEngine::run`] over a
+    /// caller-supplied frontier never captures. The knob does not
+    /// alter the crawl itself — capture is observation-only, pinned by
+    /// the resume-parity suite.
     pub snapshot_every: Option<u64>,
 }
 
@@ -233,12 +241,14 @@ impl<'a> CrawlEngine<'a> {
 
     /// [`CrawlEngine::run`] with caller-provided [`EngineScratch`]: the
     /// admission buffer the strategy refills once per fetch and the
-    /// lazily materialized attempt table. Callers that run many crawls
-    /// back-to-back (experiment sweeps, benchmarks) pass the same
-    /// scratch each time so the hot loop stops reallocating once the
-    /// buffers have grown to their high-water sizes. Prior contents are
-    /// ignored; only capacity carries over.
-    pub fn run_with_scratch<F, S, C>(
+    /// lazily materialized attempt table. The scheduler's degenerate
+    /// point hands off here with its caller's scratch, so repeated
+    /// default runs stop reallocating once the buffers have grown to
+    /// their high-water sizes. Prior contents are ignored; only
+    /// capacity carries over.
+    // lint:root(panic-free) — the single-slot loop every default crawl
+    // runs; every simulated fetch passes through here.
+    pub(crate) fn run_with_scratch<F, S, C>(
         &self,
         mut frontier: F,
         strategy: &mut S,
@@ -345,6 +355,7 @@ impl<'a> CrawlEngine<'a> {
                     let a = if scratch.attempt_counts.is_empty() {
                         1
                     } else {
+                        // lint:allow(no-panic-transitive): the attempt table is materialized at num_pages entries and every popped page id is below num_pages
                         scratch.attempt_counts[p as usize] + 1
                     };
                     if a > 1 {
@@ -620,7 +631,7 @@ pub(crate) struct RunState<'s, 'k> {
 }
 
 #[inline]
-fn emit(sinks: &mut [&mut dyn EventSink], event: CrawlEvent) {
+pub(crate) fn emit(sinks: &mut [&mut dyn EventSink], event: CrawlEvent) {
     for sink in sinks.iter_mut() {
         sink.on_event(&event);
     }

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 /// emits `FetchAttempt` only — the page resolves (and `Fetched` fires)
 /// on a later attempt or when retries are exhausted.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CrawlEvent {
+pub enum CrawlEvent<'a> {
     /// One fetch attempt of a page completed — the per-attempt view of
     /// the crawl that the fault/retry machinery narrates. Zero-fault
     /// runs emit exactly one per page (attempt 1, `retry: false`).
@@ -139,6 +139,18 @@ pub enum CrawlEvent {
         /// Virtual tick at which the host may fetch again.
         until: u64,
     },
+    /// The scheduler captured the complete crawl state at a loop-top
+    /// tick boundary (no fetch in flight). Emitted every
+    /// [`crate::engine::EngineConfig::snapshot_every`] ticks by
+    /// scheduled and resumed runs, and only when some sink wants it.
+    Snapshot {
+        /// Virtual tick the snapshot was taken at.
+        tick: u64,
+        /// The snapshot in framed on-disk form — parse it with
+        /// [`crate::snapshot::CrawlSnapshot::from_bytes`]. The buffer is
+        /// reused for the next capture; copy what must outlive the call.
+        bytes: &'a [u8],
+    },
 }
 
 /// Bitmask constants naming each [`CrawlEvent`] variant, for
@@ -164,15 +176,17 @@ pub mod interest {
     pub const HANDOFF: u16 = 1 << 8;
     /// [`super::CrawlEvent::PolitenessWait`]
     pub const POLITENESS: u16 = 1 << 9;
+    /// [`super::CrawlEvent::Snapshot`]
+    pub const SNAPSHOT: u16 = 1 << 10;
     /// Every variant.
-    pub const ALL: u16 = 0x3FF;
+    pub const ALL: u16 = 0x7FF;
 }
 
 /// A crawl observer. Sinks receive every emitted event; most match on
 /// the few they care about and ignore the rest.
 pub trait EventSink {
     /// Observe one event.
-    fn on_event(&mut self, event: &CrawlEvent);
+    fn on_event(&mut self, event: &CrawlEvent<'_>);
 
     /// Which [`CrawlEvent`] variants this sink wants, as an [`interest`]
     /// bitmask. Purely an optimization hint: the engine skips emitting
@@ -405,16 +419,18 @@ impl EventSink for PhaseTimingSink {
             // time, which the following Fetched would otherwise absorb —
             // advancing the clock here keeps the attribution the same.
             // Filtered arrives between Classified and Admitted; fold its
-            // interval into admission time. Sampled/Finished and the
+            // interval into admission time. Sampled/Finished, the
             // scheduler's narration (SlotIdle, ShardHandoff,
-            // PolitenessWait) are bookkeeping; just advance the clock.
+            // PolitenessWait) and snapshot captures are bookkeeping;
+            // just advance the clock.
             CrawlEvent::FetchAttempt { .. }
             | CrawlEvent::Filtered { .. }
             | CrawlEvent::Sampled { .. }
             | CrawlEvent::Finished { .. }
             | CrawlEvent::SlotIdle { .. }
             | CrawlEvent::ShardHandoff { .. }
-            | CrawlEvent::PolitenessWait { .. } => {
+            | CrawlEvent::PolitenessWait { .. }
+            | CrawlEvent::Snapshot { .. } => {
                 let d = self.lap();
                 if matches!(event, CrawlEvent::Filtered { .. }) {
                     self.admit.add(d);
@@ -613,6 +629,7 @@ mod tests {
             interest::SLOT_IDLE,
             interest::HANDOFF,
             interest::POLITENESS,
+            interest::SNAPSHOT,
         ];
         let mut union = 0u16;
         for b in bits {

@@ -44,9 +44,10 @@
 //! * [`event`] — *who watches*: the engine narrates the crawl as typed
 //!   [`event::CrawlEvent`]s to any number of composable
 //!   [`event::EventSink`]s — metrics sampling, visit recording,
-//!   per-phase timing.
-//! * [`sim::Simulator`] — the paper-shaped façade: default frontier +
-//!   default sinks, returning a [`metrics::CrawlReport`].
+//!   per-phase timing, and checkpoint capture
+//!   ([`snapshot::SnapshotLog`], [`snapshot::DirSink`]).
+//! * [`sim::Simulator`] — the paper-shaped façade: the configured
+//!   schedule + default sinks, returning a [`metrics::CrawlReport`].
 //! * [`classifier`] — relevance judgment (§3.2): by META charset label
 //!   ([`classifier::MetaClassifier`], what the paper used for Thai), by
 //!   running the byte-distribution detector over synthesized page bytes
@@ -98,5 +99,5 @@ pub use retry::RetryPolicy;
 pub use sched::SchedConfig;
 pub use shard::{ShardStats, ShardedFrontier};
 pub use sim::{SimConfig, Simulator};
-pub use snapshot::{CrawlSnapshot, DirSink, SnapshotError, SnapshotLog, SnapshotSink};
+pub use snapshot::{CrawlSnapshot, DirSink, SnapshotError, SnapshotLog};
 pub use strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy, Strategy};

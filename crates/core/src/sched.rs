@@ -25,12 +25,13 @@
 //! pop tick + 1" accounting as the legacy loop — and a single-slot
 //! schedule never reorders anything, so the conformance goldens for the
 //! legacy engine pin this path bit-for-bit. At that degenerate point a
-//! run with no snapshot plan and no [`SlotIdle`](CrawlEvent::SlotIdle)
-//! listener hands off to the legacy loop verbatim (see
-//! [`CrawlEngine::run_scheduled_full`]); every other run drives the
-//! event loop over a [`ShardedFrontier`] — one shard at `K = 1`. The
-//! scheduler-overhead microbench gate keeps the default `K = 1`
-//! configuration within 5% of the legacy loop.
+//! run that captures no snapshots (no cadence, or no sink wants
+//! [`Snapshot`](CrawlEvent::Snapshot)) and has no
+//! [`SlotIdle`](CrawlEvent::SlotIdle) listener hands off to the legacy
+//! loop verbatim (see [`CrawlEngine::run_scheduled`]); every other run
+//! drives the event loop over a [`ShardedFrontier`] — one shard at
+//! `K = 1`. The scheduler-overhead microbench gate keeps the default
+//! `K = 1` configuration within 5% of the legacy loop.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style: a host that
 //! started a fetch at `t` may not start another before `t + gap(h)`,
@@ -40,14 +41,12 @@
 //! generation seed under the `STREAM_POLITENESS` domain.
 
 use crate::classifier::Classifier;
-use crate::engine::{CrawlEngine, EngineOutcome, EngineScratch, Resolution, RunState};
+use crate::engine::{emit, CrawlEngine, EngineOutcome, EngineScratch, Resolution, RunState};
 use crate::event::{interest, CrawlEvent, EventSink};
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
 use crate::shard::{ShardStats, ShardedFrontier};
-use crate::snapshot::{
-    frame_begin, frame_end, CrawlSnapshot, Dec, DirSink, Enc, SnapHead, SnapshotError, SnapshotSink,
-};
+use crate::snapshot::{frame_begin, frame_end, CrawlSnapshot, Dec, Enc, SnapHead, SnapshotError};
 use crate::strategy::Strategy;
 use langcrawl_rng::Rng;
 use langcrawl_webgraph::FetchOutcome;
@@ -129,33 +128,25 @@ struct InFlight {
     outcome: FetchOutcome,
 }
 
-/// A snapshot request for one run: capture every `every` ticks into
-/// `sink`.
-struct SnapPlan<'a> {
-    every: u64,
-    sink: &'a mut dyn SnapshotSink,
-}
-
 /// Live capture state inside the event loop: the cadence, the next
 /// capture tick, the identity-header template (tick/crawled are filled
-/// per capture), the receiving sink, and one framed-bytes buffer
-/// reused across captures so steady-cadence capture settles into zero
-/// allocations per snapshot.
-struct SnapCtl<'a> {
+/// per capture), and one framed-bytes buffer reused across captures so
+/// steady-cadence capture settles into zero allocations per snapshot.
+struct SnapCtl {
     every: u64,
     next_at: u64,
     head: SnapHead,
-    sink: &'a mut dyn SnapshotSink,
     buf: Enc,
 }
 
 /// Everything [`CrawlEngine::sched_loop`] needs beyond the run
 /// arguments: the frontier to drain, the decoded state to resume from
-/// (`None` = fresh run seeded from the space), and the capture plan.
-struct LoopCtl<'a> {
+/// (`None` = fresh run seeded from the space), and the capture state
+/// (`None` = no capture).
+struct LoopCtl {
     frontier: ShardedFrontier,
     init: Option<ResumeState>,
-    snap: Option<SnapCtl<'a>>,
+    snap: Option<SnapCtl>,
 }
 
 /// The scheduler-loop state a snapshot restores — everything mutable
@@ -242,14 +233,6 @@ fn encode_snapshot_into(
         enc.u32s(run.attempt_counts);
     }
     frontier.encode_state(enc);
-}
-
-/// Encode one snapshot payload as a fresh vector (the cold-path
-/// wrapper around [`encode_snapshot_into`]).
-fn encode_snapshot(head: &SnapHead, run: &RunSnap<'_>, frontier: &ShardedFrontier) -> Vec<u8> {
-    let mut enc = Enc::default();
-    encode_snapshot_into(head, run, frontier, &mut enc);
-    enc.buf
 }
 
 /// Decode the run-state section (the payload between the header and
@@ -362,117 +345,35 @@ impl CrawlEngine<'_> {
             .collect()
     }
 
-    /// Run one crawl under the virtual-time scheduler. Same contract as
-    /// [`CrawlEngine::run`] — same seeding, same per-page event
-    /// sequence, same outcome — except that up to
+    /// Run one crawl under the virtual-time scheduler and return its
+    /// outcome with the frontier's per-shard load counters (the raw
+    /// material for the parallelism sweep's imbalance and handoff
+    /// figures). Same contract as [`CrawlEngine::run`] — same seeding,
+    /// same per-page event sequence, same outcome — except that up to
     /// [`SchedConfig::slots`] fetches overlap in virtual time and
-    /// per-host politeness gaps stall hosts between starts. The
-    /// frontier is a [`ShardedFrontier`] built from the space's host
-    /// table.
+    /// per-host politeness gaps stall hosts between starts. The frontier
+    /// is a [`ShardedFrontier`] built from the space's host table.
+    ///
+    /// With [`EngineConfig::snapshot_every`](crate::engine::EngineConfig::snapshot_every)
+    /// set, sinks that want [`interest::SNAPSHOT`] receive a
+    /// [`CrawlEvent::Snapshot`] every that many ticks, the first at tick
+    /// `every`. Capture never changes the crawl. Pass the same `scratch`
+    /// to back-to-back runs to reuse its buffers ([`EngineScratch`]).
     pub fn run_scheduled<S, C>(
         &self,
         sched: &SchedConfig,
         strategy: &mut S,
         classifier: &C,
         sinks: &mut [&mut dyn EventSink],
-    ) -> EngineOutcome
-    where
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        let mut scratch = EngineScratch::new();
-        self.run_scheduled_with_scratch(sched, strategy, classifier, sinks, &mut scratch)
-    }
-
-    /// [`CrawlEngine::run_scheduled`] with a caller-provided
-    /// [`EngineScratch`] (see [`CrawlEngine::run_with_scratch`]).
-    pub fn run_scheduled_with_scratch<S, C>(
-        &self,
-        sched: &SchedConfig,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
         scratch: &mut EngineScratch,
-    ) -> EngineOutcome
-    where
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        self.run_scheduled_full(sched, strategy, classifier, sinks, scratch)
-            .0
-    }
-
-    /// [`CrawlEngine::run_scheduled_with_scratch`], additionally
-    /// returning the frontier's per-shard load counters — the raw
-    /// material for the parallelism sweep's imbalance and handoff
-    /// figures (the frontier itself is consumed by the run).
-    pub fn run_scheduled_full<S, C>(
-        &self,
-        sched: &SchedConfig,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-        scratch: &mut EngineScratch,
-    ) -> (EngineOutcome, Vec<ShardStats>)
-    where
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        // Config-driven snapshot auto-wiring: a `snapshot_every` knob
-        // plus a `LANGCRAWL_SNAPSHOT_DIR` environment directory turn
-        // any scheduled run into a capturing one, writing framed
-        // snapshot files the caller can later feed to
-        // [`CrawlEngine::resume`]. Capture never changes the crawl
-        // (pinned by the resume-parity suite), so this wiring is
-        // invisible to everything downstream.
-        if let Some(every) = self.config.snapshot_every {
-            if let Ok(dir) = std::env::var("LANGCRAWL_SNAPSHOT_DIR") {
-                if !dir.is_empty() {
-                    let prefix = format!("crawl-{:016x}", self.web_space().identity_fingerprint());
-                    let mut sink = DirSink::new(dir, prefix);
-                    return self.dispatch_sched(
-                        sched,
-                        strategy,
-                        classifier,
-                        sinks,
-                        scratch,
-                        Some(SnapPlan {
-                            every,
-                            sink: &mut sink,
-                        }),
-                    );
-                }
-            }
-        }
-        self.dispatch_sched(sched, strategy, classifier, sinks, scratch, None)
-    }
-
-    /// Is this the scheduler's degenerate point — the configuration at
-    /// which the host machinery cannot block, delay or reorder
-    /// anything, so the legacy loop reproduces the schedule exactly?
-    fn is_degenerate(sched: &SchedConfig) -> bool {
-        sched.effective_slots() == 1
-            && sched.shards == 0
-            && sched.politeness_gap == 0
-            && sched.politeness_spread == 0
-    }
-
-    /// Enter the event loop over a sharded frontier, or hand off to
-    /// the legacy loop at the degenerate point.
-    fn dispatch_sched<S, C>(
-        &self,
-        sched: &SchedConfig,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-        scratch: &mut EngineScratch,
-        plan: Option<SnapPlan<'_>>,
     ) -> (EngineOutcome, Vec<ShardStats>)
     where
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
         let ws = self.web_space();
+        let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
+        let every = self.capture_every(wants);
         // Degenerate-point elision, like the fault layer's inert-model
         // fast path. With one slot, zero politeness and no explicit
         // shard request, the host machinery cannot block, delay or
@@ -483,25 +384,23 @@ impl CrawlEngine<'_> {
         // [`SlotIdle`](CrawlEvent::SlotIdle) — the only scheduler-only
         // event that can fire here (it marks retry-backoff stalls;
         // handoffs and politeness waits are structurally impossible) —
-        // or snapshots are on (they describe the event loop's state),
+        // or captures are on (they describe the event loop's state),
         // the schedule *is* the legacy loop, outcome, ticks, events and
         // all (pinned by `single_slot_schedule_matches_legacy_engine`),
         // so run it verbatim. The scheduler-overhead microbench gate
         // prices this default path against the legacy loop directly.
-        let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
-        if plan.is_none() && Self::is_degenerate(sched) && wants & interest::SLOT_IDLE == 0 {
+        if every.is_none() && Self::is_degenerate(sched) && wants & interest::SLOT_IDLE == 0 {
             let frontier = UrlQueue::new(ws.num_pages(), strategy.levels());
             let outcome = self.run_with_scratch(frontier, strategy, classifier, sinks, scratch);
             return (outcome, Vec::new());
         }
         let levels = strategy.levels().max(1);
-        let snap = plan.map(|p| SnapCtl {
-            every: p.every.max(1),
+        let snap = every.map(|every| SnapCtl {
+            every,
             // Fresh runs capture first at `every` (tick 0 is the
             // initial state [`CrawlEngine::snapshot`] hands out).
-            next_at: p.every.max(1),
+            next_at: every,
             head: self.snap_head(sched, levels as u32),
-            sink: p.sink,
             buf: Enc::default(),
         });
         let frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
@@ -517,6 +416,25 @@ impl CrawlEngine<'_> {
                 snap,
             },
         )
+    }
+
+    /// The capture cadence for a run whose sinks want `wants`: none
+    /// unless some sink wants [`CrawlEvent::Snapshot`].
+    fn capture_every(&self, wants: u16) -> Option<u64> {
+        self.config
+            .snapshot_every
+            .filter(|_| wants & interest::SNAPSHOT != 0)
+            .map(|every| every.max(1))
+    }
+
+    /// Is this the scheduler's degenerate point — the configuration at
+    /// which the host machinery cannot block, delay or reorder
+    /// anything, so the legacy loop reproduces the schedule exactly?
+    fn is_degenerate(sched: &SchedConfig) -> bool {
+        sched.effective_slots() == 1
+            && sched.shards == 0
+            && sched.politeness_gap == 0
+            && sched.politeness_spread == 0
     }
 
     /// The identity header for snapshots of this engine's runs.
@@ -535,9 +453,9 @@ impl CrawlEngine<'_> {
 
     /// The tick-0 snapshot of a scheduled crawl that has not started:
     /// seeds parked in the frontier, all counters zero. Resuming it is
-    /// exactly [`CrawlEngine::run_scheduled_full`] (the resume-parity
-    /// suite pins that), which makes it the base case for snapshot
-    /// chains and a convenient fixture for codec tests.
+    /// exactly [`CrawlEngine::run_scheduled`] (the resume-parity suite
+    /// pins that), which makes it the base case for snapshot chains and
+    /// a convenient fixture for codec tests.
     pub fn snapshot<S>(&self, sched: &SchedConfig, strategy: &S) -> CrawlSnapshot
     where
         S: Strategy + ?Sized,
@@ -575,39 +493,11 @@ impl CrawlEngine<'_> {
                 distance: 0,
             });
         }
-        let payload = encode_snapshot(&head, &run, &frontier);
+        let mut payload = Enc::default();
+        encode_snapshot_into(&head, &run, &frontier, &mut payload);
         let mut head_enc = Enc::default();
         head.encode(&mut head_enc);
-        CrawlSnapshot::from_parts(payload, head, head_enc.buf.len())
-    }
-
-    /// [`CrawlEngine::run_scheduled_full`] with explicit snapshot
-    /// capture: every `every` ticks (at least 1) the complete crawl
-    /// state is encoded, framed and handed to `sink`. Capture is
-    /// observation-only — the outcome, events and shard stats are
-    /// bit-identical to a non-capturing run.
-    pub fn run_scheduled_snapshots<S, C>(
-        &self,
-        sched: &SchedConfig,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-        every: u64,
-        sink: &mut dyn SnapshotSink,
-    ) -> (EngineOutcome, Vec<ShardStats>)
-    where
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        let mut scratch = EngineScratch::new();
-        self.dispatch_sched(
-            sched,
-            strategy,
-            classifier,
-            sinks,
-            &mut scratch,
-            Some(SnapPlan { every, sink }),
-        )
+        CrawlSnapshot::from_parts(payload.buf, head, head_enc.buf.len())
     }
 
     /// Resume a crawl from a snapshot and run it to completion. The
@@ -618,53 +508,17 @@ impl CrawlEngine<'_> {
     /// schedule knobs travel inside the snapshot. Events fire only for
     /// the remainder of the crawl; counters in the final outcome are
     /// cumulative, so the outcome equals an uninterrupted run's.
+    ///
+    /// Capture works as in [`CrawlEngine::run_scheduled`], except that
+    /// the first [`CrawlEvent::Snapshot`] fires *at* the resume tick —
+    /// reproducing the input snapshot byte-for-byte, the codec's
+    /// round-trip fixed point — and the cadence counts from there.
     pub fn resume<S, C>(
         &self,
         snap: &CrawlSnapshot,
         strategy: &mut S,
         classifier: &C,
         sinks: &mut [&mut dyn EventSink],
-    ) -> Result<(EngineOutcome, Vec<ShardStats>), SnapshotError>
-    where
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        self.resume_full(snap, strategy, classifier, sinks, None)
-    }
-
-    /// [`CrawlEngine::resume`] with capture re-enabled: the resumed run
-    /// captures immediately at the resume tick — reproducing the input
-    /// snapshot byte-for-byte, the codec's round-trip fixed point —
-    /// and every `every` ticks after.
-    pub fn resume_snapshots<S, C>(
-        &self,
-        snap: &CrawlSnapshot,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-        every: u64,
-        sink: &mut dyn SnapshotSink,
-    ) -> Result<(EngineOutcome, Vec<ShardStats>), SnapshotError>
-    where
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        self.resume_full(
-            snap,
-            strategy,
-            classifier,
-            sinks,
-            Some(SnapPlan { every, sink }),
-        )
-    }
-
-    fn resume_full<S, C>(
-        &self,
-        snap: &CrawlSnapshot,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-        plan: Option<SnapPlan<'_>>,
     ) -> Result<(EngineOutcome, Vec<ShardStats>), SnapshotError>
     where
         S: Strategy + ?Sized,
@@ -686,13 +540,11 @@ impl CrawlEngine<'_> {
         let mut rs = decode_run_state(&mut dec, ws.num_pages(), ws.num_hosts(), politeness)?;
         rs.now = snap.head.tick;
         rs.crawled = snap.head.crawled;
-        // Resumed capture starts AT the resume tick, so the first
-        // emitted snapshot is byte-identical to the one resumed from.
-        let snapctl = plan.map(|p| SnapCtl {
-            every: p.every.max(1),
+        let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
+        let snapctl = self.capture_every(wants).map(|every| SnapCtl {
+            every,
             next_at: snap.head.tick,
             head: snap.head,
-            sink: p.sink,
             buf: Enc::default(),
         });
         let host_of_page: Vec<u32> = ws.page_ids().map(|p| ws.host_id(p)).collect();
@@ -732,7 +584,7 @@ impl CrawlEngine<'_> {
         classifier: &C,
         sinks: &mut [&mut dyn EventSink],
         scratch: &mut EngineScratch,
-        ctl: LoopCtl<'_>,
+        ctl: LoopCtl,
     ) -> (EngineOutcome, Vec<ShardStats>)
     where
         S: Strategy + ?Sized,
@@ -848,7 +700,13 @@ impl CrawlEngine<'_> {
                         &mut c.buf,
                     );
                     frame_end(&mut c.buf, payload_at);
-                    c.sink.on_snapshot(now, &c.buf.buf);
+                    emit(
+                        st.sinks,
+                        CrawlEvent::Snapshot {
+                            tick: now,
+                            bytes: &c.buf.buf,
+                        },
+                    );
                     c.next_at = now.saturating_add(c.every);
                 }
             }
@@ -1060,13 +918,6 @@ impl CrawlEngine<'_> {
     }
 }
 
-#[inline]
-fn emit(sinks: &mut [&mut dyn EventSink], event: CrawlEvent) {
-    for sink in sinks.iter_mut() {
-        sink.on_event(&event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1114,8 +965,9 @@ mod tests {
                     &mut BreadthFirst::new(),
                     &OracleClassifier::target(ws.target_language()),
                     &mut sinks,
+                    &mut EngineScratch::new(),
                 );
-                (o, visits.into_visited())
+                (o.0, visits.into_visited())
             };
             assert_eq!(legacy.0, scheduled.0, "{shards} shards, stats={stats}");
             assert_eq!(legacy.1, scheduled.1, "{shards} shards, stats={stats}");
@@ -1127,12 +979,15 @@ mod tests {
         let ws = space();
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
         let run = |k: u32| {
-            engine.run_scheduled(
-                &SchedConfig::with_slots(k),
-                &mut SimpleStrategy::soft(),
-                &OracleClassifier::target(ws.target_language()),
-                &mut [],
-            )
+            engine
+                .run_scheduled(
+                    &SchedConfig::with_slots(k),
+                    &mut SimpleStrategy::soft(),
+                    &OracleClassifier::target(ws.target_language()),
+                    &mut [],
+                    &mut EngineScratch::new(),
+                )
+                .0
         };
         let k1 = run(1);
         let k8 = run(8);
@@ -1156,7 +1011,7 @@ mod tests {
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
         let run = |gap: u64| {
             let mut stats = SchedStatsSink::new();
-            let o = engine.run_scheduled(
+            let (o, _) = engine.run_scheduled(
                 &SchedConfig {
                     slots: 4,
                     politeness_gap: gap,
@@ -1165,6 +1020,7 @@ mod tests {
                 &mut SimpleStrategy::soft(),
                 &OracleClassifier::target(ws.target_language()),
                 &mut [&mut stats],
+                &mut EngineScratch::new(),
             );
             (o, stats)
         };
@@ -1202,11 +1058,12 @@ mod tests {
         );
         let run = || {
             let mut visits = VisitRecorder::new();
-            let o = engine.run_scheduled(
+            let (o, _) = engine.run_scheduled(
                 &sched,
                 &mut SimpleStrategy::soft(),
                 &OracleClassifier::target(ws.target_language()),
                 &mut [&mut visits],
+                &mut EngineScratch::new(),
             );
             (o, visits.into_visited())
         };
@@ -1223,11 +1080,12 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let outcome = engine.run_scheduled(
+        let (outcome, _) = engine.run_scheduled(
             &SchedConfig::with_slots(16),
             &mut BreadthFirst::new(),
             &OracleClassifier::target(ws.target_language()),
             &mut [],
+            &mut EngineScratch::new(),
         );
         assert_eq!(outcome.crawled, 100);
     }
@@ -1242,7 +1100,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let outcome = engine.run_scheduled(
+        let (outcome, _) = engine.run_scheduled(
             &SchedConfig {
                 slots: 4,
                 politeness_gap: 1,
@@ -1251,6 +1109,7 @@ mod tests {
             &mut BreadthFirst::new(),
             &OracleClassifier::target(ws.target_language()),
             &mut [],
+            &mut EngineScratch::new(),
         );
         assert!(outcome.crawled > 0);
         assert!(outcome.retries > 0);

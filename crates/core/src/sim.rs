@@ -2,22 +2,26 @@
 //!
 //! [`Simulator::run`] used to *be* the crawl loop; it is now a thin
 //! wrapper that assembles the default configuration of the layered
-//! engine — a [`UrlQueue`] frontier, a
-//! [`crate::event::MetricsSampler`], and (when requested) a
-//! [`crate::event::VisitRecorder`] — hands them to
-//! [`crate::engine::CrawlEngine`], and packages the result as a
+//! engine — the configured [`SchedConfig`] (one slot, no politeness by
+//! default, which runs the single-slot loop over a
+//! [`crate::queue::UrlQueue`]), a [`crate::event::MetricsSampler`], and
+//! (when requested) a [`crate::event::VisitRecorder`] — hands them to
+//! [`CrawlEngine::run_scheduled`], and packages the result as a
 //! [`CrawlReport`]. Its observable behavior is bit-identical to the old
 //! monolithic loop (the `engine_parity` integration test pins this).
-//! Experiments that want a different frontier or extra observers use
-//! the engine directly.
+//! With a capture cadence ([`SimConfig::snapshot_every`]) and
+//! `LANGCRAWL_SNAPSHOT_DIR` naming a directory, it also attaches a
+//! [`DirSink`] that writes `crawl-<space fingerprint>-t<tick>.snap`
+//! files. Experiments that want a different frontier or extra
+//! observers use the engine directly.
 
 use crate::classifier::Classifier;
 use crate::engine::{CrawlEngine, EngineConfig, EngineScratch};
 use crate::event::{EventSink, MetricsSampler, VisitRecorder};
 use crate::metrics::CrawlReport;
-use crate::queue::UrlQueue;
 use crate::retry::RetryPolicy;
 use crate::sched::SchedConfig;
+use crate::snapshot::DirSink;
 use crate::strategy::Strategy;
 use langcrawl_webgraph::{FaultConfig, WebSpace};
 
@@ -49,19 +53,16 @@ pub struct SimConfig {
     pub fault_override: Option<FaultConfig>,
     /// Retry/backoff policy for transient fetch failures.
     pub retry: RetryPolicy,
-    /// Virtual-time scheduler configuration. `None` — the default —
-    /// runs the legacy single-slot loop over a [`UrlQueue`]; `Some`
-    /// runs the event-driven scheduler over a
-    /// [`crate::shard::ShardedFrontier`] with that many fetch slots and
-    /// per-host politeness. `Some(SchedConfig::default())` (one slot,
-    /// zero politeness) produces bit-identical reports to `None` — the
-    /// scheduler conformance suite pins this.
-    pub sched: Option<SchedConfig>,
+    /// Virtual-time scheduler configuration: fetch slots, frontier
+    /// shards and per-host politeness. The default — one slot, zero
+    /// politeness — is the paper's single-slot crawl, bit-identical to
+    /// the legacy loop (the conformance goldens pin this).
+    pub sched: SchedConfig,
     /// Capture a crash-safe snapshot of the crawl every this many ticks
-    /// (requires the scheduler; honored when the
-    /// `LANGCRAWL_SNAPSHOT_DIR` environment variable names a directory
-    /// to write framed snapshot files into). Capture is
-    /// observation-only: the crawl is bit-identical with or without it.
+    /// (honored when the `LANGCRAWL_SNAPSHOT_DIR` environment variable
+    /// names a directory to write framed snapshot files into). Capture
+    /// is observation-only: the crawl is bit-identical with or without
+    /// it.
     pub snapshot_every: Option<u64>,
 }
 
@@ -100,40 +101,32 @@ impl SimConfig {
     /// Run under the virtual-time scheduler with `k` fetch slots (see
     /// [`SimConfig::sched`]).
     pub fn with_workers(mut self, k: u32) -> Self {
-        self.sched.get_or_insert_with(SchedConfig::default).slots = k;
+        self.sched.slots = k;
         self
     }
 
     /// Set the per-host politeness gap in ticks (minimum interval
-    /// between fetch starts on one host), enabling the scheduler.
+    /// between fetch starts on one host).
     pub fn with_politeness(mut self, gap: u64) -> Self {
-        self.sched
-            .get_or_insert_with(SchedConfig::default)
-            .politeness_gap = gap;
+        self.sched.politeness_gap = gap;
         self
     }
 
-    /// Set the deterministic per-host politeness jitter bound, enabling
-    /// the scheduler.
+    /// Set the deterministic per-host politeness jitter bound.
     pub fn with_politeness_spread(mut self, spread: u64) -> Self {
-        self.sched
-            .get_or_insert_with(SchedConfig::default)
-            .politeness_spread = spread;
+        self.sched.politeness_spread = spread;
         self
     }
 
-    /// Set the frontier shard count (`0` = one shard per slot),
-    /// enabling the scheduler.
+    /// Set the frontier shard count (`0` = one shard per slot).
     pub fn with_shards(mut self, shards: u32) -> Self {
-        self.sched.get_or_insert_with(SchedConfig::default).shards = shards;
+        self.sched.shards = shards;
         self
     }
 
     /// Capture a crawl snapshot every `every` ticks (see
-    /// [`SimConfig::snapshot_every`]). Forces the scheduler on —
-    /// snapshots describe virtual-time loop state.
+    /// [`SimConfig::snapshot_every`]).
     pub fn with_snapshot_every(mut self, every: u64) -> Self {
-        self.sched.get_or_insert_with(SchedConfig::default);
         self.snapshot_every = Some(every);
         self
     }
@@ -161,9 +154,9 @@ pub struct Simulator<'a> {
     ws: &'a WebSpace,
     config: SimConfig,
     /// Engine scratch (admission buffer + attempt table), reused across
-    /// runs (see [`CrawlEngine::run_with_scratch`]): repeated `run`
-    /// calls — the shape of every experiment sweep — stop paying a
-    /// per-run grow-from-empty cycle in the hot loop entirely.
+    /// runs (see [`CrawlEngine::run_scheduled`]): repeated `run` calls
+    /// — the shape of every experiment sweep — stop paying a per-run
+    /// grow-from-empty cycle in the hot loop entirely.
     scratch: EngineScratch,
 }
 
@@ -211,13 +204,22 @@ impl<'a> Simulator<'a> {
         );
         let mut metrics = MetricsSampler::new();
         let mut visits = VisitRecorder::new();
-        let outcome = if self.config.record_visits {
-            let mut sinks: [&mut dyn EventSink; 2] = [&mut metrics, &mut visits];
-            self.dispatch(&engine, strategy, classifier, &mut sinks)
-        } else {
-            let mut sinks: [&mut dyn EventSink; 1] = [&mut metrics];
-            self.dispatch(&engine, strategy, classifier, &mut sinks)
-        };
+        let mut dir = self.snapshot_dir();
+        let mut sinks: Vec<&mut dyn EventSink> = Vec::with_capacity(3);
+        sinks.push(&mut metrics);
+        if self.config.record_visits {
+            sinks.push(&mut visits);
+        }
+        if let Some(dir) = dir.as_mut() {
+            sinks.push(dir);
+        }
+        let (outcome, _) = engine.run_scheduled(
+            &self.config.sched,
+            strategy,
+            classifier,
+            &mut sinks,
+            &mut self.scratch,
+        );
 
         CrawlReport {
             strategy: strategy.name(),
@@ -236,36 +238,17 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Run through the configured engine path: the legacy single-slot
-    /// loop over a [`UrlQueue`] by default, or the virtual-time
-    /// scheduler when [`SimConfig::sched`] is set.
-    fn dispatch<S, C>(
-        &mut self,
-        engine: &CrawlEngine<'_>,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-    ) -> crate::engine::EngineOutcome
-    where
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        match self.config.sched {
-            Some(sched) => engine.run_scheduled_with_scratch(
-                &sched,
-                strategy,
-                classifier,
-                sinks,
-                &mut self.scratch,
-            ),
-            None => engine.run_with_scratch(
-                UrlQueue::new(engine.web_space().num_pages(), strategy.levels()),
-                strategy,
-                classifier,
-                sinks,
-                &mut self.scratch,
-            ),
-        }
+    /// The sink a capturing run writes its snapshots through: a
+    /// [`DirSink`] over `LANGCRAWL_SNAPSHOT_DIR` with the file prefix
+    /// `crawl-<space identity fingerprint>`, when a cadence is
+    /// configured and the variable names a directory.
+    fn snapshot_dir(&self) -> Option<DirSink> {
+        self.config.snapshot_every?;
+        let dir = std::env::var("LANGCRAWL_SNAPSHOT_DIR")
+            .ok()
+            .filter(|dir| !dir.is_empty())?;
+        let prefix = format!("crawl-{:016x}", self.ws.identity_fingerprint());
+        Some(DirSink::new(dir, prefix))
     }
 }
 

@@ -25,7 +25,7 @@
 //! parity failure leaves the offending fixture behind as an artifact.
 
 use langcrawl_core::classifier::{Classifier, MetaClassifier, OracleClassifier};
-use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome};
+use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome, EngineScratch};
 use langcrawl_core::event::{EventSink, MetricsSampler, VisitRecorder};
 use langcrawl_core::metrics::Sample;
 use langcrawl_core::sched::SchedConfig;
@@ -69,6 +69,17 @@ fn engine_config(ws: &WebSpace, fault_rate: f64) -> EngineConfig {
     }
 }
 
+/// An engine like `engine_config`'s that captures every `every` ticks.
+fn capturing_engine(ws: &WebSpace, fault_rate: f64, every: u64) -> CrawlEngine<'_> {
+    CrawlEngine::new(
+        ws,
+        EngineConfig {
+            snapshot_every: Some(every),
+            ..engine_config(ws, fault_rate)
+        },
+    )
+}
+
 /// Everything observable about one run: final outcome, metrics series,
 /// visit sequence.
 #[derive(Debug, PartialEq)]
@@ -83,9 +94,15 @@ fn run_baseline(engine: &CrawlEngine<'_>, sched: &SchedConfig, strat: &str) -> R
     let classifier = make_classifier(strat, engine.web_space());
     let mut metrics = MetricsSampler::new();
     let mut visits = VisitRecorder::new();
-    let outcome = {
+    let (outcome, _) = {
         let mut sinks: [&mut dyn EventSink; 2] = [&mut metrics, &mut visits];
-        engine.run_scheduled(sched, strategy.as_mut(), classifier.as_ref(), &mut sinks)
+        engine.run_scheduled(
+            sched,
+            strategy.as_mut(),
+            classifier.as_ref(),
+            &mut sinks,
+            &mut EngineScratch::new(),
+        )
     };
     RunOut {
         outcome,
@@ -94,11 +111,12 @@ fn run_baseline(engine: &CrawlEngine<'_>, sched: &SchedConfig, strat: &str) -> R
     }
 }
 
+/// A run on a `capturing_engine`, with `log` attached next to the
+/// metrics and visit sinks.
 fn run_capturing(
     engine: &CrawlEngine<'_>,
     sched: &SchedConfig,
     strat: &str,
-    every: u64,
     log: &mut SnapshotLog,
 ) -> RunOut {
     let mut strategy = make_strategy(strat);
@@ -106,14 +124,13 @@ fn run_capturing(
     let mut metrics = MetricsSampler::new();
     let mut visits = VisitRecorder::new();
     let (outcome, _) = {
-        let mut sinks: [&mut dyn EventSink; 2] = [&mut metrics, &mut visits];
-        engine.run_scheduled_snapshots(
+        let mut sinks: [&mut dyn EventSink; 3] = [&mut metrics, &mut visits, log];
+        engine.run_scheduled(
             sched,
             strategy.as_mut(),
             classifier.as_ref(),
             &mut sinks,
-            every,
-            log,
+            &mut EngineScratch::new(),
         )
     };
     RunOut {
@@ -217,7 +234,8 @@ fn resume_is_bit_identical_to_uninterrupted_runs() {
                 // ~6 snapshots spread across the run.
                 let every = (full.outcome.ticks / 6).max(1);
                 let mut log = SnapshotLog::new();
-                let cap = run_capturing(&engine, &sched, strat, every, &mut log);
+                let capturing = capturing_engine(&ws, fault_rate, every);
+                let cap = run_capturing(&capturing, &sched, strat, &mut log);
                 assert_eq!(cap, full, "{ctx}: capture perturbed the crawl");
                 assert!(!log.is_empty(), "{ctx}: no snapshot captured");
                 for i in pick_indices(&log, full.outcome.crawled) {
@@ -273,22 +291,16 @@ fn resumed_capture_reemits_the_input_snapshot_byte_for_byte() {
     let full = run_baseline(&engine, &sched, "soft");
     let every = (full.outcome.ticks / 4).max(1);
     let mut log = SnapshotLog::new();
-    run_capturing(&engine, &sched, "soft", every, &mut log);
+    let capturing = capturing_engine(&ws, 0.2, every);
+    run_capturing(&capturing, &sched, "soft", &mut log);
     for (tick, bytes) in log.snapshots() {
         let snap = CrawlSnapshot::from_bytes(bytes).expect("captured snapshot must parse");
         let mut strategy = make_strategy("soft");
         let classifier = make_classifier("soft", &ws);
         let mut relog = SnapshotLog::new();
-        let mut sinks: [&mut dyn EventSink; 0] = [];
-        engine
-            .resume_snapshots(
-                &snap,
-                strategy.as_mut(),
-                classifier.as_ref(),
-                &mut sinks,
-                every,
-                &mut relog,
-            )
+        let mut sinks: [&mut dyn EventSink; 1] = [&mut relog];
+        capturing
+            .resume(&snap, strategy.as_mut(), classifier.as_ref(), &mut sinks)
             .expect("capture-run snapshot must resume");
         let (first_tick, first_bytes) = &relog.snapshots()[0];
         assert_eq!(first_tick, tick);
@@ -314,7 +326,7 @@ fn resume_preserves_politeness_state() {
     let full = run_baseline(&engine, &sched, "soft");
     let every = (full.outcome.ticks / 5).max(1);
     let mut log = SnapshotLog::new();
-    let cap = run_capturing(&engine, &sched, "soft", every, &mut log);
+    let cap = run_capturing(&capturing_engine(&ws, 0.2, every), &sched, "soft", &mut log);
     assert_eq!(cap, full, "capture perturbed the polite crawl");
     for i in pick_indices(&log, full.outcome.crawled) {
         let (tick, bytes) = &log.snapshots()[i];
@@ -334,13 +346,13 @@ fn snapshot_bytes_are_invariant_across_thread_settings() {
     for threads in ["1", "4"] {
         std::env::set_var("LANGCRAWL_THREADS", threads);
         let ws = space();
-        let engine = CrawlEngine::new(&ws, engine_config(&ws, 0.2));
+        let engine = capturing_engine(&ws, 0.2, 200);
         let sched = SchedConfig {
             slots: 8,
             ..SchedConfig::default()
         };
         let mut log = SnapshotLog::new();
-        run_capturing(&engine, &sched, "soft", 200, &mut log);
+        run_capturing(&engine, &sched, "soft", &mut log);
         assert!(!log.is_empty());
         let snaps = log.snapshots().to_vec();
         match &baseline {
@@ -409,13 +421,13 @@ fn capturing_runs_still_match_the_conformance_goldens() {
     let mut bad = Vec::new();
     for (k, goldens) in [(1u32, GOLDEN_K1), (8, GOLDEN_K8)] {
         for (strat, golden) in STRATEGIES.iter().zip(goldens) {
-            let engine = CrawlEngine::new(&ws, engine_config(&ws, 0.0));
+            let engine = capturing_engine(&ws, 0.0, 1_500);
             let sched = SchedConfig {
                 slots: k,
                 ..SchedConfig::default()
             };
             let mut log = SnapshotLog::new();
-            let cap = run_capturing(&engine, &sched, strat, 1_500, &mut log);
+            let cap = run_capturing(&engine, &sched, strat, &mut log);
             assert!(!log.is_empty(), "{strat} K={k}: no snapshot captured");
             let got = report_hash(&ws, strat, &cap);
             if got != golden {

@@ -10,7 +10,7 @@
 //! shape is refused before any state is touched.
 
 use langcrawl_core::classifier::{Classifier, OracleClassifier};
-use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome};
+use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome, EngineScratch};
 use langcrawl_core::event::{EventSink, VisitRecorder};
 use langcrawl_core::retry::RetryPolicy;
 use langcrawl_core::sched::SchedConfig;
@@ -56,9 +56,15 @@ fn run_to_end(
     classifier: &dyn Classifier,
 ) -> (EngineOutcome, Vec<PageId>) {
     let mut visits = VisitRecorder::new();
-    let outcome = {
+    let (outcome, _) = {
         let mut sinks: [&mut dyn EventSink; 1] = [&mut visits];
-        engine.run_scheduled(sched, strategy, classifier, &mut sinks)
+        engine.run_scheduled(
+            sched,
+            strategy,
+            classifier,
+            &mut sinks,
+            &mut EngineScratch::new(),
+        )
     };
     (outcome, visits.into_visited())
 }
@@ -71,7 +77,7 @@ fn arbitrary_snapshots_roundtrip_and_resume_to_the_same_end_state() {
         let ws = arb_space(g);
         let sched = arb_sched(g);
         let config = arb_config(g, &ws);
-        let engine = CrawlEngine::new(&ws, config);
+        let engine = CrawlEngine::new(&ws, config.clone());
         let classifier = OracleClassifier::target(ws.target_language());
         let kind = g.u8(0..=2);
         let strategy_of = |k: u8| -> Box<dyn Strategy> {
@@ -84,17 +90,23 @@ fn arbitrary_snapshots_roundtrip_and_resume_to_the_same_end_state() {
         let (full_outcome, full_visits) =
             run_to_end(&engine, &sched, strategy_of(kind).as_mut(), &classifier);
         let every = g.u64(1..(full_outcome.ticks / 2).max(2));
+        let capturing = CrawlEngine::new(
+            &ws,
+            EngineConfig {
+                snapshot_every: Some(every),
+                ..config
+            },
+        );
         let mut log = SnapshotLog::new();
         let (cap_outcome, _) = {
             let mut visits = VisitRecorder::new();
-            let mut sinks: [&mut dyn EventSink; 1] = [&mut visits];
-            engine.run_scheduled_snapshots(
+            let mut sinks: [&mut dyn EventSink; 2] = [&mut visits, &mut log];
+            capturing.run_scheduled(
                 &sched,
                 strategy_of(kind).as_mut(),
                 &classifier,
                 &mut sinks,
-                every,
-                &mut log,
+                &mut EngineScratch::new(),
             )
         };
         assert_eq!(cap_outcome, full_outcome, "capture perturbed the crawl");
@@ -131,7 +143,13 @@ fn fixture() -> (WebSpace, EngineConfig, Vec<u8>) {
         fault: FaultConfig::with_rate(0.2),
         ..EngineConfig::default()
     };
-    let engine = CrawlEngine::new(&ws, config.clone());
+    let engine = CrawlEngine::new(
+        &ws,
+        EngineConfig {
+            snapshot_every: Some(150),
+            ..config.clone()
+        },
+    );
     let sched = SchedConfig {
         slots: 4,
         ..SchedConfig::default()
@@ -139,14 +157,13 @@ fn fixture() -> (WebSpace, EngineConfig, Vec<u8>) {
     let mut log = SnapshotLog::new();
     let mut strategy = SimpleStrategy::soft();
     let classifier = OracleClassifier::target(ws.target_language());
-    let mut sinks: [&mut dyn EventSink; 0] = [];
-    engine.run_scheduled_snapshots(
+    let mut sinks: [&mut dyn EventSink; 1] = [&mut log];
+    engine.run_scheduled(
         &sched,
         &mut strategy,
         &classifier,
         &mut sinks,
-        150,
-        &mut log,
+        &mut EngineScratch::new(),
     );
     let (_, bytes) = &log.snapshots()[log.len() / 2];
     (ws, config, bytes.clone())
@@ -310,60 +327,134 @@ fn random_bytes_never_panic_the_decoder() {
     });
 }
 
-/// The config-driven wiring end to end: a `Simulator` with
-/// `with_snapshot_every` and `LANGCRAWL_SNAPSHOT_DIR` set writes framed
-/// `crawl-*.snap` files that parse and resume into the reported end
-/// state. (The only test in this binary that touches the variable.)
+/// The [`CrawlEvent::Snapshot`] contract over a faulted 4-slot run:
+/// captures arrive in strictly increasing tick order, every event's
+/// `tick` is the tick recorded in its bytes, and without a cadence a
+/// sink that wants `SNAPSHOT` receives no snapshot at all.
+///
+/// [`CrawlEvent::Snapshot`]: langcrawl_core::CrawlEvent::Snapshot
+#[test]
+fn snapshot_events_carry_their_own_tick_and_need_a_cadence() -> Result<(), SnapshotError> {
+    let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
+    let sched = SchedConfig {
+        slots: 4,
+        ..SchedConfig::default()
+    };
+    let classifier = OracleClassifier::target(ws.target_language());
+    let run = |snapshot_every: Option<u64>| {
+        let engine = CrawlEngine::new(
+            &ws,
+            EngineConfig {
+                fault: FaultConfig::with_rate(0.2),
+                snapshot_every,
+                ..EngineConfig::default()
+            },
+        );
+        let mut log = SnapshotLog::new();
+        let mut sinks: [&mut dyn EventSink; 1] = [&mut log];
+        let (outcome, _) = engine.run_scheduled(
+            &sched,
+            &mut SimpleStrategy::soft(),
+            &classifier,
+            &mut sinks,
+            &mut EngineScratch::new(),
+        );
+        assert!(outcome.retries > 0, "the run must exercise the retry path");
+        log
+    };
+    let log = run(Some(150));
+    assert!(log.len() > 2, "only {} snapshots captured", log.len());
+    for pair in log.snapshots().windows(2) {
+        assert!(
+            pair[0].0 < pair[1].0,
+            "snapshot ticks must strictly increase: {} then {}",
+            pair[0].0,
+            pair[1].0
+        );
+    }
+    for (tick, bytes) in log.snapshots() {
+        assert_eq!(CrawlSnapshot::from_bytes(bytes)?.tick(), *tick);
+    }
+    assert!(
+        run(None).is_empty(),
+        "an engine without a cadence must emit no Snapshot event"
+    );
+    Ok(())
+}
+
+/// The config-driven wiring end to end: a `Simulator` with a capture
+/// cadence and `LANGCRAWL_SNAPSHOT_DIR` set writes framed
+/// `crawl-<space fingerprint>-t<tick>.snap` files that parse and resume
+/// into the reported end state — under the builder-configured 4-slot
+/// scheduler, and under a field-configured default (single-slot)
+/// schedule. (The only test in this binary that touches the variable.)
 #[test]
 fn simulator_env_wiring_writes_resumable_files() {
-    let dir = std::env::temp_dir().join(format!("langcrawl-snap-wiring-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let prior = std::env::var("LANGCRAWL_SNAPSHOT_DIR").ok();
-    std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", &dir);
+    let base = std::env::temp_dir().join(format!("langcrawl-snap-wiring-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
     let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
-    let mut sim = Simulator::new(
-        &ws,
-        SimConfig::default()
-            .with_workers(4)
-            .with_snapshot_every(300),
-    );
-    let report = sim.run(
-        &mut SimpleStrategy::soft(),
-        &OracleClassifier::target(ws.target_language()),
-    );
-    match prior {
-        Some(v) => std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", v),
-        None => std::env::remove_var("LANGCRAWL_SNAPSHOT_DIR"),
+    let runs = [
+        (
+            "k4",
+            SimConfig::default()
+                .with_workers(4)
+                .with_snapshot_every(300),
+        ),
+        (
+            "k1",
+            SimConfig {
+                snapshot_every: Some(300),
+                ..SimConfig::default()
+            },
+        ),
+    ];
+    for (label, config) in runs {
+        let dir = base.join(label);
+        let prior = std::env::var("LANGCRAWL_SNAPSHOT_DIR").ok();
+        std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", &dir);
+        let mut sim = Simulator::new(&ws, config);
+        let report = sim.run(
+            &mut SimpleStrategy::soft(),
+            &OracleClassifier::target(ws.target_language()),
+        );
+        match prior {
+            Some(v) => std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", v),
+            None => std::env::remove_var("LANGCRAWL_SNAPSHOT_DIR"),
+        }
+        let prefix = format!("crawl-{:016x}-t", ws.identity_fingerprint());
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{label}: snapshot dir {dir:?} must exist: {e}"))
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".snap"))
+            })
+            .collect();
+        files.sort();
+        assert!(
+            !files.is_empty(),
+            "{label}: no snapshot files written to {dir:?}"
+        );
+        let bytes = std::fs::read(&files[files.len() / 2]).expect("snapshot file must read");
+        let snap = CrawlSnapshot::from_bytes(&bytes).expect("written snapshot must parse");
+        snap.verify_space(&ws).expect("fingerprint must match");
+        let engine = CrawlEngine::new(
+            &ws,
+            EngineConfig {
+                snapshot_every: Some(300),
+                fault: ws.fault().clone(),
+                ..EngineConfig::default()
+            },
+        );
+        let mut strategy = SimpleStrategy::soft();
+        let classifier = OracleClassifier::target(ws.target_language());
+        let mut sinks: [&mut dyn EventSink; 0] = [];
+        let (outcome, _) = engine
+            .resume(&snap, &mut strategy, &classifier, &mut sinks)
+            .expect("written snapshot must resume");
+        assert_eq!(outcome.crawled, report.crawled, "{label}");
+        assert_eq!(outcome.relevant_crawled, report.relevant_crawled, "{label}");
     }
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("snapshot dir must exist")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("crawl-") && n.ends_with(".snap"))
-        })
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "no snapshot files written to {dir:?}");
-    let bytes = std::fs::read(&files[files.len() / 2]).expect("snapshot file must read");
-    let snap = CrawlSnapshot::from_bytes(&bytes).expect("written snapshot must parse");
-    snap.verify_space(&ws).expect("fingerprint must match");
-    let engine = CrawlEngine::new(
-        &ws,
-        EngineConfig {
-            snapshot_every: Some(300),
-            fault: ws.fault().clone(),
-            ..EngineConfig::default()
-        },
-    );
-    let mut strategy = SimpleStrategy::soft();
-    let classifier = OracleClassifier::target(ws.target_language());
-    let mut sinks: [&mut dyn EventSink; 0] = [];
-    let (outcome, _) = engine
-        .resume(&snap, &mut strategy, &classifier, &mut sinks)
-        .expect("written snapshot must resume");
-    assert_eq!(outcome.crawled, report.crawled);
-    assert_eq!(outcome.relevant_crawled, report.relevant_crawled);
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&base);
 }

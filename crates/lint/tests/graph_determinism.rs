@@ -47,6 +47,7 @@ fn graph_output_is_byte_identical_across_runs_and_thread_counts() {
     let dot = String::from_utf8(dot.clone()).expect("dot is UTF-8");
     for root_fn in [
         "CrawlEngine::sched_loop",
+        "CrawlEngine::run_with_scratch",
         "CrawlEngine::resolve",
         "UrlQueue::push_all",
         "UrlQueue::pop",

@@ -67,3 +67,9 @@ pub mod prelude {
     };
     pub use langcrawl_webgraph::{DatasetStats, GeneratorConfig, WebSpace};
 }
+
+/// The README's code blocks, compiled and run as doctests so the
+/// documented API cannot drift from the real one.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
