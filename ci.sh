@@ -47,10 +47,10 @@ for threads in 1 4; do
 done
 
 # Link-analysis parity, re-run under both generation thread counts: the
-# incremental PageRank/HITS engines must produce CrawlReports identical
-# to their frozen full-recompute references on the pinned cells, and the
-# crawl-graph store must match its naive model, regardless of how many
-# threads generated the web space.
+# delta-seeded PageRank refresh and the flat HITS firing must produce
+# CrawlReports identical to their full-recompute references on the
+# pinned cells, and the crawl-graph store must match its naive model,
+# regardless of how many threads generated the web space.
 echo "==> link-analysis parity + crawl-graph store properties (LANGCRAWL_THREADS=1,4)"
 for threads in 1 4; do
     LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl-core \
@@ -111,6 +111,13 @@ for workload in soft faults detector pagerank hits context; do
         esac
     done
 done
+
+# The paired-run script parses perfbench's result line. One pair with the
+# perfbench just built on both sides makes a change to that line's format
+# fail here rather than in the next performance comparison.
+echo "==> perf_pairs.sh smoke (hits, 1 pair, --seconds 1)"
+perfbench=perfbench/target/release/langcrawl-perfbench
+sh scripts/perf_pairs.sh "$perfbench" "$perfbench" hits 1 1 1
 
 # Steady-state allocation gate: the same microbench compiled with the
 # counting allocator must observe ZERO allocations per fetch once the

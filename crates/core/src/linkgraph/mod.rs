@@ -33,15 +33,16 @@
 //!   the crawled subgraph.
 //! * **Epoch/delta log** — every slot structurally touched since the
 //!   last [`LinkGraph::advance_epoch`] is recorded once, so an
-//!   incremental algorithm can seed its worklist with exactly the
-//!   perturbed region instead of rescanning the graph.
+//!   incremental algorithm (the PageRank refresh) can seed its worklist
+//!   with exactly the perturbed region instead of rescanning the graph.
 //!
 //! The store itself never iterates a hash container and allocates only
-//! when an array grows past its high-water mark; the incremental
-//! algorithms layered on top ([`pagerank`], [`hits`], [`layers`]) keep
-//! their scratch buffers across refreshes so the steady-state update
-//! path performs zero heap allocations (proven transitively by the
-//! `lint:root` markers they carry).
+//! when an array grows past its high-water mark. The algorithms layered
+//! on top — [`pagerank`]'s delta-seeded refresh, [`hits`]'s flat
+//! relevance-filtered recompute and [`layers`]' decrease-only
+//! relaxation — keep their scratch buffers across refreshes, so the
+//! steady-state update path performs zero heap allocations (proven
+//! transitively by the `lint:root` markers they carry).
 
 pub mod hits;
 pub mod layers;

@@ -16,12 +16,11 @@ use langcrawl_webgraph::PageId;
 
 /// Soft-focused crawling plus a periodic HITS distiller.
 ///
-/// The distillation is incremental ([`crate::linkgraph`]): between
-/// firings the shared [`LinkGraph`] logs which pages arrived, and the
-/// [`HitsState`] re-evaluates only the delta-touched neighbourhood of
-/// the truncated iteration — with *bit-identical* scores to a full
-/// recompute (see the [`crate::linkgraph::hits`] module docs for why
-/// dropping the per-round normalization makes that exact).
+/// The crawled subgraph lives in the shared [`LinkGraph`] store. Each
+/// firing, the [`HitsState`] recomputes the truncated iteration over
+/// relevance-filtered gather lists and selects the top hubs, with
+/// *bit-identical* scores to the textbook recompute (see the
+/// [`crate::linkgraph::hits`] module docs for why that is exact).
 #[derive(Debug)]
 pub struct HitsStrategy {
     /// Run the distiller every this many crawled pages.
@@ -31,7 +30,7 @@ pub struct HitsStrategy {
     /// Crawled subgraph (only links among pages the crawler has seen;
     /// the distiller can't use the uncrawled web).
     graph: LinkGraph,
-    /// Incremental truncated-HITS iterates.
+    /// Truncated-HITS scores and the firing's scratch.
     state: HitsState,
     /// Reusable top-hub output buffer.
     hubs: Vec<Slot>,
@@ -56,9 +55,10 @@ impl HitsStrategy {
         }
     }
 
-    /// Full-recompute reference for the parity suite: identical math
-    /// and name, but every firing re-evaluates the whole crawled
-    /// subgraph instead of the delta-touched neighbourhood.
+    /// Textbook reference for the parity suite: identical math and
+    /// name, but every firing evaluates every crawled page over
+    /// unfiltered link lists and sorts them all, sharing only the store
+    /// with the fast path.
     pub fn full_reference(interval: u64, top_hubs: usize, iterations: u32) -> Self {
         HitsStrategy {
             interval: interval.max(1),

@@ -1,14 +1,14 @@
-//! Link-analysis parity: the incremental engines behind the three
-//! link-based strategies must agree with their full-recompute
-//! references on whole pinned crawls, not just on unit-sized graphs.
+//! Link-analysis parity: the engines behind the three link-based
+//! strategies must agree with their full-recompute references on whole
+//! pinned crawls, not just on unit-sized graphs.
 //!
 //! * PageRank: the delta-propagating solver and the full-reseed
 //!   reference produce **identical `CrawlReport`s** (same fetch order,
 //!   same bucket assignments) on the pinned experiment cell, and raw
 //!   ranks agree within a pinned L∞ bound.
-//! * HITS: incremental distillation is *bitwise* identical to the full
-//!   recompute (see `linkgraph::hits` for why), so reports must match
-//!   exactly too.
+//! * HITS: the flat relevance-filtered firing is *bitwise* identical to
+//!   the textbook recompute (see `linkgraph::hits` for why), so reports
+//!   must match exactly too.
 //! * Everything is swept across `LANGCRAWL_THREADS` ∈ {1, 4}: link
 //!   analysis runs on the single-threaded resolve path and must not
 //!   observe thread count.
