@@ -9,12 +9,13 @@
 //! started from all-ones hub scores, that does only the work the answer
 //! needs:
 //!
-//! 1. One pass over the slots builds two relevance-filtered gather
-//!    lists: for each relevant crawled page, its in-sources in the
-//!    store's page-sorted chain order; for each crawled hub, its
-//!    relevant crawled targets in recorded outlink order. A hub with
-//!    none scores 0 and needs no list.
-//! 2. Each round sums authority scores, then hub scores, over them.
+//! 1. One pass over the crawled pages in ascending page id builds the
+//!    relevance-filtered hub rows: for each crawled hub, its relevant
+//!    crawled targets in recorded outlink order. A hub with none scores
+//!    0 and needs no row.
+//! 2. Each round pushes every hub's score along its row into the
+//!    authority scores, rows in page order, then sums each hub's row
+//!    back into its hub score.
 //! 3. The top-K hubs come from a selection followed by a sort of the K,
 //!    not a sort of every crawled page.
 //!
@@ -32,15 +33,16 @@
 //! **Bit-identical to the textbook recompute.** [`HitsState::full_reference`]
 //! evaluates every crawled slot over unfiltered outlink lists and sorts
 //! every crawled page. The fast path agrees with it bit for bit by
-//! construction. Every sum keeps its canonical order: auth gathers walk
-//! in-sources in ascending page id (the store keeps reverse chains
-//! page-sorted) and hub gathers walk the recorded outlink list, so
-//! scores are also independent of crawl interleaving. The only terms the
-//! fast path drops are exactly +0.0 (uncrawled or irrelevant targets),
-//! and adding +0.0 to a non-negative accumulator leaves its bits
-//! unchanged. And (score desc, page asc) is a total order over distinct
-//! pages, so selection returns the same K hubs in the same order. The
-//! parity suite therefore pins reports, not tolerance bands.
+//! construction. Every sum keeps its canonical order: an authority
+//! score receives its terms in ascending source page id, because hub
+//! rows are pushed in page order, and a hub score walks the recorded
+//! outlink list, so scores are also independent of crawl interleaving.
+//! The only terms the fast path drops are exactly +0.0 (uncrawled or
+//! irrelevant targets), and adding +0.0 to a non-negative accumulator
+//! leaves its bits unchanged. And (score desc, page asc) is a total
+//! order over distinct pages, so selection returns the same K hubs in
+//! the same order. The parity suite therefore pins reports, not
+//! tolerance bands.
 //!
 //! The firing does not restrict itself to the store's epoch delta: with
 //! unnormalized scores, the frontier a score change reaches covers
@@ -74,14 +76,12 @@ pub struct HitsState {
     /// Per slot: hub score of the current round; after a firing, of
     /// its last round.
     hub: Vec<f64>,
-    /// Auth gather rows: `(slot, end)` per relevant crawled slot, whose
-    /// in-sources run from the previous row's end to `end` in `auth_src`.
-    auth_rows: Vec<(Slot, u32)>,
-    /// In-sources of every auth row, back to back.
-    auth_src: Vec<Slot>,
-    /// Hub gather rows: `(slot, end)` per crawled slot with a relevant
-    /// crawled target; those targets run from the previous row's end to
-    /// `end` in `hub_dst`.
+    /// Relevant crawled slots: the authorities, zeroed before each
+    /// round's push.
+    authorities: Vec<Slot>,
+    /// Hub rows: `(slot, end)` per crawled slot with a relevant crawled
+    /// target, in ascending page id; those targets run from the
+    /// previous row's end to `end` in `hub_dst`.
     hub_rows: Vec<(Slot, u32)>,
     /// Targets of every hub row, back to back, in a buffer at least as
     /// long as the store's edge list (the filter writes before it
@@ -111,8 +111,7 @@ impl HitsState {
             relevant: Vec::new(),
             auth: Vec::new(),
             hub: Vec::new(),
-            auth_rows: Vec::new(),
-            auth_src: Vec::new(),
+            authorities: Vec::new(),
             hub_rows: Vec::new(),
             hub_dst: Vec::new(),
             board: Vec::new(),
@@ -145,10 +144,9 @@ impl HitsState {
         if self.full {
             self.fire_reference(g, top_k, out_hubs);
         } else {
-            pregrow(&mut self.auth_rows, slots);
+            pregrow(&mut self.authorities, slots);
             pregrow(&mut self.hub_rows, slots);
             pregrow(&mut self.board, slots);
-            pregrow(&mut self.auth_src, edges);
             if self.hub_dst.len() < edges {
                 self.hub_dst = vec![0; 2 * edges];
             }
@@ -157,24 +155,23 @@ impl HitsState {
         g.advance_epoch();
     }
 
-    /// The steady-state firing: build the gather lists, run the rounds
+    /// The steady-state firing: build the hub rows, run the rounds
     /// over them, select the top K. Every list is emptied and pre-grown
     /// by [`HitsState::distill`] to the store's slot or edge count.
     // lint:root(panic-free, alloc-free) — the per-firing distiller
     // update the HITS-extended crawl runs on.
     fn fire(&mut self, g: &LinkGraph, top_k: usize, out_hubs: &mut Vec<Slot>) {
-        let slots = self.relevant.len().min(g.num_slots());
         let mut end = 0;
-        for s in 0..slots as Slot {
+        for page in 0..g.page_bound() {
+            let Some(s) = g.slot_of(page as u32) else {
+                continue;
+            };
             if !g.is_crawled(s) {
                 continue;
             }
             // lint:allow(no-panic-transitive): per-slot tables are ensure_slots-grown to num_slots and every slot the store hands out is < num_slots; `end` never exceeds the outlinks scanned so far, fewer than num_edges ≤ hub_dst.len(); each row's end is its list's length when pushed
             if self.relevant[s as usize] {
-                for p in g.in_slots(s) {
-                    self.auth_src.push(p);
-                }
-                self.auth_rows.push((s, self.auth_src.len() as u32));
+                self.authorities.push(s);
             }
             // Branch-free filter: write every target, keep the relevant
             // ones (relevant implies crawled).
@@ -184,24 +181,26 @@ impl HitsState {
                 end += usize::from(self.relevant[t as usize]);
             }
             // A hub with no relevant crawled target scores 0 in every
-            // round, and no auth row reads it (its targets would be in
-            // its list): it gets no row and goes straight to the board.
+            // round and pushes nothing: it gets no row and goes straight
+            // to the board.
             if end > start {
                 self.hub[s as usize] = 1.0;
                 self.hub_rows.push((s, end as u32));
             } else {
                 self.hub[s as usize] = 0.0;
-                self.board.push((0.0, g.page_at(s), s));
+                self.board.push((0.0, page as u32, s));
             }
         }
         for _ in 0..self.rounds {
+            for &a in &self.authorities {
+                self.auth[a as usize] = 0.0;
+            }
             let mut lo = 0;
-            for &(j, end) in &self.auth_rows {
-                let mut acc = 0.0;
-                for &p in &self.auth_src[lo..end as usize] {
-                    acc += self.hub[p as usize];
+            for &(h, end) in &self.hub_rows {
+                let score = self.hub[h as usize];
+                for &t in &self.hub_dst[lo..end as usize] {
+                    self.auth[t as usize] += score;
                 }
-                self.auth[j as usize] = acc;
                 lo = end as usize;
             }
             let (mut lo, mut max) = (0, 0.0f64);
@@ -235,22 +234,27 @@ impl HitsState {
         }
     }
 
-    /// The textbook firing behind [`HitsState::full_reference`]: every
-    /// slot re-evaluated each round over unfiltered in- and outlink
-    /// lists, then every crawled page sorted.
+    /// The textbook firing behind [`HitsState::full_reference`]: each
+    /// round pushes every crawled page's hub score along its unfiltered
+    /// outlink list in page order, keeps the relevant pages' authority
+    /// scores, sums every slot's outlink list back into its hub score,
+    /// and then every crawled page is sorted.
     fn fire_reference(&mut self, g: &LinkGraph, top_k: usize, out_hubs: &mut Vec<Slot>) {
         let n = g.num_slots() as Slot;
         for s in 0..n {
             self.hub[s as usize] = if g.is_crawled(s) { 1.0 } else { 0.0 };
         }
         for _ in 0..self.rounds {
+            self.auth.fill(0.0);
+            for p in (0..g.page_bound() as u32).filter_map(|page| g.slot_of(page)) {
+                for &t in g.out_slots(p) {
+                    self.auth[t as usize] += self.hub[p as usize];
+                }
+            }
             for j in 0..n {
-                let hub = &self.hub;
-                self.auth[j as usize] = if g.is_crawled(j) && self.relevant[j as usize] {
-                    g.in_slots(j).fold(0.0, |acc, p| acc + hub[p as usize])
-                } else {
-                    0.0
-                };
+                if !(g.is_crawled(j) && self.relevant[j as usize]) {
+                    self.auth[j as usize] = 0.0;
+                }
             }
             let mut max = 0.0f64;
             for h in 0..n {

@@ -13,18 +13,31 @@
 //! pure decrease-only relaxation: when a page is crawled, its own layer
 //! is proposed (0 if relevant, else 1 + the best layer among its
 //! outlink targets), and every improvement is pushed backwards along
-//! the reverse edges already in the store. The fixpoint of this
-//! monotone relaxation is exactly the capped BFS distance on the
-//! crawled subgraph — the parity suite checks it against a from-scratch
-//! BFS reference — and each edge is relaxed only when an endpoint's
-//! layer actually improves, so total maintenance work is O(E · L) over
-//! the whole crawl instead of per refresh.
+//! the reverse edges seen so far. The fixpoint of this monotone
+//! relaxation is exactly the capped BFS distance on the crawled
+//! subgraph — the parity suite checks it against a from-scratch BFS
+//! reference — and each edge is relaxed only when an endpoint's layer
+//! actually improves, so total maintenance work is O(E · L) over the
+//! whole crawl instead of per refresh.
+//!
+//! The reverse edges live here, not in the store: this is the only
+//! code that walks in-edges on every fetch, and the fixpoint does not
+//! depend on the order it walks them in. So they are append-only
+//! chunk lists, grown by [`LayerIndex::on_record`] outside the
+//! relaxation, with no order to keep.
 
-use super::{LinkGraph, Slot};
+use super::{LinkGraph, Slot, NONE};
 
 /// Layer value for "no known chain to a relevant page (within the
 /// cap)".
 pub const UNREACHED: u8 = u8::MAX;
+
+/// Sources per reverse-edge chunk. Eight `u32` sources plus the two
+/// header words make a 40-byte chunk, under one cache line.
+const CHUNK_SOURCES: usize = 8;
+
+/// Words per chunk: next-chunk link, length, then the sources.
+const CHUNK_WORDS: usize = CHUNK_SOURCES + 2;
 
 /// Incrementally maintained context-graph layers (see module docs).
 #[derive(Debug)]
@@ -33,6 +46,13 @@ pub struct LayerIndex {
     max_layer: u8,
     /// Per slot: current layer, [`UNREACHED`] while unknown.
     layer: Vec<u8>,
+    /// Per slot: the chunk of `in_arena` that takes its next in-edge,
+    /// or [`NONE`]; older chunks hang off it.
+    in_head: Vec<u32>,
+    /// Reverse-edge chunks, [`CHUNK_WORDS`] words each:
+    /// `[older_chunk | NONE, len, source0..source7]`, sources in no
+    /// particular order.
+    in_arena: Vec<u32>,
     /// Relaxation worklist (order does not affect the fixpoint — the
     /// relaxation is monotone — and is deterministic anyway).
     work: Vec<Slot>,
@@ -44,6 +64,8 @@ impl LayerIndex {
         LayerIndex {
             max_layer: max_layer.min(UNREACHED - 1),
             layer: Vec::new(),
+            in_head: Vec::new(),
+            in_arena: Vec::new(),
             work: Vec::new(),
         }
     }
@@ -55,15 +77,31 @@ impl LayerIndex {
     }
 
     /// Absorb a freshly recorded page (slot as returned by
-    /// [`LinkGraph::record_page`]): propose its own layer from its
-    /// outlinks (or 0 if relevant) and relax every improvement
-    /// backwards along reverse edges. Growth happens up front; the
+    /// [`LinkGraph::record_page`], once per page): file its outlinks as
+    /// in-edges of their targets, propose its own layer from those
+    /// targets (or 0 if relevant), and relax every improvement
+    /// backwards along in-edges. Growth happens up front; the
     /// relaxation loop is the steady-state update path.
     pub fn on_record(&mut self, g: &LinkGraph, slot: Slot, relevant: bool) {
         let n = g.num_slots();
         if self.layer.len() < n {
             self.layer.resize(n, UNREACHED);
+            self.in_head.resize(n, NONE);
             self.work.reserve(n.saturating_sub(self.work.capacity()));
+        }
+        for &t in g.out_slots(slot) {
+            let mut head = self.in_head[t as usize];
+            if head == NONE || self.in_arena[head as usize + 1] as usize == CHUNK_SOURCES {
+                let at = self.in_arena.len();
+                self.in_arena.resize(at + CHUNK_WORDS, 0);
+                self.in_arena[at] = head;
+                head = at as u32;
+                self.in_head[t as usize] = head;
+            }
+            let base = head as usize;
+            let len = self.in_arena[base + 1] as usize;
+            self.in_arena[base + 2 + len] = slot;
+            self.in_arena[base + 1] += 1;
         }
         self.absorb(g, slot, relevant);
     }
@@ -77,7 +115,7 @@ impl LayerIndex {
         let mut best = if relevant { 0 } else { UNREACHED };
         if !relevant {
             for &t in g.out_slots(slot) {
-                // lint:allow(no-panic-transitive): layer is grown to num_slots in on_record and every slot/target is < num_slots by construction
+                // lint:allow(no-panic-transitive): layer and in_head are grown to num_slots in on_record, every slot/target is < num_slots by construction, and chunk offsets and lengths come from the arena itself
                 let lt = self.layer[t as usize];
                 if lt < UNREACHED && lt < self.max_layer && lt + 1 < best {
                     best = lt + 1;
@@ -96,12 +134,18 @@ impl LayerIndex {
                 continue;
             }
             let cand = ly + 1;
-            for p in g.in_slots(y) {
-                let pu = p as usize;
-                if cand < self.layer[pu] {
-                    self.layer[pu] = cand;
-                    self.work.push(p);
+            let mut chunk = self.in_head[y as usize];
+            while chunk != NONE {
+                let base = chunk as usize;
+                let len = self.in_arena[base + 1] as usize;
+                for &p in &self.in_arena[base + 2..base + 2 + len] {
+                    let pu = p as usize;
+                    if cand < self.layer[pu] {
+                        self.layer[pu] = cand;
+                        self.work.push(p);
+                    }
                 }
+                chunk = self.in_arena[base];
             }
         }
     }
@@ -112,9 +156,16 @@ mod tests {
     use super::*;
 
     /// From-scratch capped multi-source BFS on the crawled subgraph —
-    /// the reference the relaxation must agree with.
+    /// the reference the relaxation must agree with. It builds its own
+    /// reverse map from the store's forward lists.
     fn bfs_reference(g: &LinkGraph, relevant: &[bool], max_layer: u8) -> Vec<u8> {
         let n = g.num_slots();
+        let mut rev = vec![Vec::new(); n];
+        for s in 0..n as u32 {
+            for &t in g.out_slots(s) {
+                rev[t as usize].push(s);
+            }
+        }
         let mut layer = vec![UNREACHED; n];
         let mut frontier: Vec<Slot> = (0..n as u32)
             .filter(|&s| g.is_crawled(s) && relevant[s as usize])
@@ -127,7 +178,7 @@ mod tests {
             depth += 1;
             let mut next = Vec::new();
             for &y in &frontier {
-                for p in g.in_slots(y) {
+                for &p in &rev[y as usize] {
                     let pu = p as usize;
                     if g.is_crawled(p) && layer[pu] == UNREACHED {
                         layer[pu] = depth;
@@ -138,6 +189,58 @@ mod tests {
             frontier = next;
         }
         layer
+    }
+
+    /// The in-edges `idx` has filed for `slot`, sorted (they are kept in
+    /// no particular order).
+    fn in_edges(idx: &LayerIndex, slot: Slot) -> Vec<Slot> {
+        let mut out = Vec::new();
+        let mut chunk = idx.in_head.get(slot as usize).copied().unwrap_or(NONE);
+        while chunk != NONE {
+            let base = chunk as usize;
+            let len = idx.in_arena[base + 1] as usize;
+            out.extend_from_slice(&idx.in_arena[base + 2..base + 2 + len]);
+            chunk = idx.in_arena[base];
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// The reverse lists hold exactly the store's edges, reversed, with
+    /// multiplicity: compared against a naive model as multisets after
+    /// random growth with duplicate links, self-loops and hubs far
+    /// larger than one chunk.
+    #[test]
+    fn in_lists_mirror_the_forward_edges() {
+        let mut g = LinkGraph::new();
+        let mut idx = LayerIndex::new(3);
+        let mut model: Vec<Vec<Slot>> = Vec::new();
+        let mut x = 5u64;
+        let mut step = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as u32
+        };
+        for p in (0..300u32).rev() {
+            let mut outs = vec![999, step() % 320, step() % 320];
+            outs.push(outs[1]);
+            if p % 7 == 0 {
+                outs.push(p);
+            }
+            let s = g.record_page(p, &outs);
+            idx.on_record(&g, s, step() % 5 == 0);
+            model.resize(g.num_slots(), Vec::new());
+            for &t in g.out_slots(s) {
+                model[t as usize].push(s);
+            }
+        }
+        for (t, want) in model.iter_mut().enumerate() {
+            want.sort_unstable();
+            assert_eq!(&in_edges(&idx, t as Slot), want, "in-edges of slot {t}");
+        }
+        let hub = g.slot_of(999).unwrap();
+        assert_eq!(in_edges(&idx, hub).len(), 300, "one in-edge per page");
     }
 
     #[test]

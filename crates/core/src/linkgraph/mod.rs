@@ -17,24 +17,20 @@
 //!   once (when the page is fetched), so the forward view is a plain
 //!   append-only CSR: one contiguous span of the edge array per crawled
 //!   page, in crawl order.
-//! * **Reverse adjacency** — in-edges of a page accrete throughout the
-//!   crawl, so the reverse view is a *chunked* CSR: fixed-size chunks
-//!   in one flat arena, chained per node, kept sorted by source *page
-//!   id* (split-insert, like an unrolled list). Iteration walks at most
-//!   `in_degree / CHUNK_TARGETS + 1` cache lines of arena and yields a
-//!   canonical order independent of crawl interleaving — which is what
-//!   lets the rank solvers sum f64 in-link contributions directly off
-//!   the chain, with no per-gather sort on the hot path, while staying
-//!   bit-identical across insertion histories.
-//! * **Degrees & lost-edge counts** — out-degree, in-degree and
-//!   `lost_out` (how many of a page's outlinks point at pages not yet
-//!   crawled) are maintained on insert; the PageRank mass fix needs
-//!   `lost_out` to price the rank mass that would otherwise leak out of
-//!   the crawled subgraph.
 //! * **Epoch/delta log** — every slot structurally touched since the
 //!   last [`LinkGraph::advance_epoch`] is recorded once, so an
 //!   incremental algorithm (the PageRank refresh) can seed its worklist
 //!   with exactly the perturbed region instead of rescanning the graph.
+//!
+//! The store keeps no reverse adjacency. Slot order is first-seen order
+//! and depends on crawl interleaving, so f64 sums must run in *page id*
+//! order instead; the two solvers that sum floats get that order at
+//! gather time by visiting sources in ascending page id
+//! ([`LinkGraph::page_bound`]). [`pagerank`] fills page-sorted in-lists
+//! from the forward spans once per refresh, and [`hits`] pushes hub
+//! scores along the forward spans. [`layers`] reads in-edges on every
+//! fetch but does not care about their order, so it keeps its own
+//! append-only reverse lists.
 //!
 //! The store itself never iterates a hash container and allocates only
 //! when an array grows past its high-water mark. The algorithms layered
@@ -57,18 +53,8 @@ pub type Slot = u32;
 /// Shared sentinel: no slot assigned / page not crawled / no chunk.
 const NONE: u32 = u32::MAX;
 
-/// Targets per reverse-adjacency chunk. Eight `u32` targets plus the
-/// two header words make a 40-byte chunk — under one cache line, and
-/// large enough that the average page (in-degree ≈ out-degree ≈ 10)
-/// spans one or two chunks.
-const CHUNK_TARGETS: usize = 8;
-
-/// Words per chunk: next-chunk link, length, then the targets.
-const CHUNK_WORDS: usize = CHUNK_TARGETS + 2;
-
-/// Append-only crawl-graph store with dense slot interning, forward
-/// flat CSR, reverse chunked-CSR arena, degree/lost-edge counters and
-/// an epoch/delta log.
+/// Append-only crawl-graph store with dense slot interning, a forward
+/// flat CSR and an epoch/delta log.
 ///
 /// ```
 /// use langcrawl_core::linkgraph::LinkGraph;
@@ -78,7 +64,7 @@ const CHUNK_WORDS: usize = CHUNK_TARGETS + 2;
 /// let b = g.record_page(9, &[7]);
 /// assert_eq!(g.num_crawled(), 2);
 /// assert_eq!(g.out_pages(a).collect::<Vec<_>>(), vec![9, 11]);
-/// assert_eq!(g.in_degree(g.slot_of(7).unwrap()), 1);
+/// assert_eq!(g.out_slots(b), &[a]);
 /// assert!(g.is_crawled(b));
 /// assert!(!g.is_crawled(g.slot_of(11).unwrap()));
 /// ```
@@ -98,19 +84,6 @@ pub struct LinkGraph {
     /// Forward edge array: one contiguous span per crawled page, in
     /// crawl order (append-only CSR).
     fwd_edges: Vec<Slot>,
-    /// Per slot: first reverse chunk offset in `rev_arena`, or [`NONE`].
-    rev_head: Vec<u32>,
-    /// Chunked reverse-edge arena; each chunk is [`CHUNK_WORDS`] words:
-    /// `[next_chunk | NONE, len, source0..source7]`, sources sorted by
-    /// page id across the whole chain.
-    rev_arena: Vec<u32>,
-    /// Per slot: in-degree (multiplicity counted).
-    in_deg: Vec<u32>,
-    /// Largest in-degree of any slot (a store statistic; pinned against
-    /// the naive model by the property suite).
-    max_in_deg: u32,
-    /// Per slot: outlinks currently pointing at not-yet-crawled pages.
-    lost_out: Vec<u32>,
     /// Slots with a forward span.
     crawled: u32,
     /// Current epoch (starts at 1 so `touched_mark == 0` means never).
@@ -199,27 +172,6 @@ impl LinkGraph {
         self.fwd_len[slot as usize]
     }
 
-    /// In-degree of the page at `slot` (multiplicity counted).
-    #[inline]
-    pub fn in_degree(&self, slot: Slot) -> u32 {
-        // lint:allow(no-panic-transitive): slots are assigned by intern() and every per-slot table is grown with it
-        self.in_deg[slot as usize]
-    }
-
-    /// Largest in-degree across all slots.
-    #[inline]
-    pub fn max_in_degree(&self) -> u32 {
-        self.max_in_deg
-    }
-
-    /// How many of the page's outlinks point at pages not yet crawled
-    /// (the PageRank mass that must be redistributed, not dropped).
-    #[inline]
-    pub fn lost_out(&self, slot: Slot) -> u32 {
-        // lint:allow(no-panic-transitive): slots are assigned by intern() and every per-slot table is grown with it
-        self.lost_out[slot as usize]
-    }
-
     /// Forward adjacency of a crawled page as slots (empty span while
     /// not crawled).
     #[inline]
@@ -234,26 +186,19 @@ impl LinkGraph {
         &self.fwd_edges[lo..hi]
     }
 
+    /// The target slot of every recorded edge, in record order. Edges
+    /// are only ever appended, so `edge_targets()[k..]` holds exactly
+    /// the edges recorded after the first `k`.
+    #[inline]
+    pub fn edge_targets(&self) -> &[Slot] {
+        &self.fwd_edges
+    }
+
     /// Forward adjacency of a crawled page as page ids.
     pub fn out_pages(&self, slot: Slot) -> impl Iterator<Item = PageId> + '_ {
         self.out_slots(slot)
             .iter()
             .map(|&t| self.page_of[t as usize])
-    }
-
-    /// Reverse adjacency of the page at `slot` (the slots of pages
-    /// linking to it), in ascending source *page id* order (duplicates
-    /// adjacent), walking the chunk chain. The order is canonical —
-    /// independent of crawl interleaving — so f64 sums taken along it
-    /// are bit-identical across insertion histories.
-    #[inline]
-    pub fn in_slots(&self, slot: Slot) -> InSlots<'_> {
-        InSlots {
-            graph: self,
-            // lint:allow(no-panic-transitive): slots are assigned by intern() and every per-slot table is grown with it
-            chunk: self.rev_head[slot as usize],
-            pos: 0,
-        }
     }
 
     /// Intern a page id, assigning a fresh slot on first sight.
@@ -272,143 +217,34 @@ impl LinkGraph {
         self.page_of.push(page);
         self.fwd_head.push(NONE);
         self.fwd_len.push(0);
-        self.rev_head.push(NONE);
-        self.in_deg.push(0);
-        self.lost_out.push(0);
         self.touched_mark.push(0);
         slot
     }
 
     /// Record a fetched page and its outlinks: assigns slots, appends
-    /// the forward span, inserts one reverse edge per outlink, updates
-    /// degrees and lost-edge counters, and logs every structurally
-    /// touched slot into the current epoch's delta. Idempotent: a page
-    /// already recorded is returned unchanged (the engine resolves each
-    /// page exactly once, so this only guards against misuse).
+    /// the forward span, and logs the page and every link target into
+    /// the current epoch's delta. Idempotent: a page already recorded
+    /// is returned unchanged (the engine resolves each page exactly
+    /// once, so this only guards against misuse).
     // lint:root(panic-free) — the once-per-fetch ingest path of every
     // link strategy; arrays only grow to their high-water sizes.
     pub fn record_page(&mut self, page: PageId, outlinks: &[PageId]) -> Slot {
         let s = self.intern(page);
-        // lint:allow(no-panic-transitive): every index below is a slot previously returned by intern() or read from the arena, both bounded by the tables they index
+        // lint:allow(no-panic-transitive): s was just returned by intern(), which grows every per-slot table with it
         if self.fwd_head[s as usize] != NONE {
             return s; // already recorded
         }
-        // Mark crawled *before* inserting edges so a self-loop is not
-        // counted as a lost (uncrawled-target) edge.
         self.fwd_head[s as usize] = self.fwd_edges.len() as u32;
+        self.fwd_len[s as usize] = outlinks.len() as u32;
         self.crawled += 1;
         self.touch(s);
-
-        // The pages already linking to `s` stop losing this edge's
-        // share of their rank mass now that `s` is crawled.
-        let mut chunk = self.rev_head[s as usize];
-        while chunk != NONE {
-            let base = chunk as usize;
-            let len = self.rev_arena[base + 1] as usize;
-            for i in 0..len {
-                let p = self.rev_arena[base + 2 + i];
-                self.lost_out[p as usize] -= 1;
-            }
-            chunk = self.rev_arena[base];
-        }
-
-        let mut lost = 0u32;
         for &t in outlinks {
             let ts = self.intern(t);
             self.fwd_edges.push(ts);
-            self.rev_insert(ts, s);
-            self.in_deg[ts as usize] += 1;
-            if self.in_deg[ts as usize] > self.max_in_deg {
-                self.max_in_deg = self.in_deg[ts as usize];
-            }
-            if self.fwd_head[ts as usize] == NONE {
-                lost += 1;
-            }
             self.touch(ts);
         }
-        self.fwd_len[s as usize] = outlinks.len() as u32;
-        self.lost_out[s as usize] = lost;
         self.epoch_edges += outlinks.len() as u64;
         s
-    }
-
-    /// Insert `source` into the reverse chunk chain of `target`,
-    /// keeping the chain sorted by source page id: walk to the chunk
-    /// that covers the key, shift within it, and split a full chunk in
-    /// half (unrolled-list style). Amortized O(in_degree / chunk) per
-    /// insert — the price of never sorting a gather on the solver hot
-    /// paths.
-    fn rev_insert(&mut self, target: Slot, source: Slot) {
-        // lint:allow(no-panic-transitive): chunk offsets and lengths come from the arena the chunks themselves live in; slot indices are intern()-bounded
-        let key = self.page_of[source as usize];
-        let head = self.rev_head[target as usize];
-        if head == NONE {
-            let at = self.rev_arena.len() as u32;
-            self.rev_arena.resize(self.rev_arena.len() + CHUNK_WORDS, 0);
-            self.rev_arena[at as usize] = NONE;
-            self.rev_arena[at as usize + 1] = 1;
-            self.rev_arena[at as usize + 2] = source;
-            self.rev_head[target as usize] = at;
-            return;
-        }
-        // Find the chunk whose range covers `key`: the first one whose
-        // last element is ≥ key, or the tail chunk.
-        let mut c = head as usize;
-        loop {
-            let next = self.rev_arena[c];
-            let len = self.rev_arena[c + 1] as usize;
-            let last = self.rev_arena[c + 2 + len - 1];
-            if next == NONE || self.page_of[last as usize] >= key {
-                break;
-            }
-            c = next as usize;
-        }
-        let len = self.rev_arena[c + 1] as usize;
-        // In-chunk insertion point: after any equal keys (equal keys
-        // mean the same source slot, so relative order is immaterial).
-        let mut pos = 0;
-        while pos < len {
-            let e = self.rev_arena[c + 2 + pos];
-            if self.page_of[e as usize] > key {
-                break;
-            }
-            pos += 1;
-        }
-        if len < CHUNK_TARGETS {
-            let mut i = len;
-            while i > pos {
-                self.rev_arena[c + 2 + i] = self.rev_arena[c + 2 + i - 1];
-                i -= 1;
-            }
-            self.rev_arena[c + 2 + pos] = source;
-            self.rev_arena[c + 1] = len as u32 + 1;
-            return;
-        }
-        // Split the full chunk: upper half moves into a fresh chunk
-        // linked right after it, then insert into the proper half.
-        const HALF: usize = CHUNK_TARGETS / 2;
-        let at = self.rev_arena.len() as u32;
-        self.rev_arena.resize(self.rev_arena.len() + CHUNK_WORDS, 0);
-        let nb = at as usize;
-        self.rev_arena[nb] = self.rev_arena[c];
-        self.rev_arena[nb + 1] = (CHUNK_TARGETS - HALF) as u32;
-        for i in 0..CHUNK_TARGETS - HALF {
-            self.rev_arena[nb + 2 + i] = self.rev_arena[c + 2 + HALF + i];
-        }
-        self.rev_arena[c] = at;
-        self.rev_arena[c + 1] = HALF as u32;
-        let (cb, clen, p) = if pos <= HALF {
-            (c, HALF, pos)
-        } else {
-            (nb, CHUNK_TARGETS - HALF, pos - HALF)
-        };
-        let mut i = clen;
-        while i > p {
-            self.rev_arena[cb + 2 + i] = self.rev_arena[cb + 2 + i - 1];
-            i -= 1;
-        }
-        self.rev_arena[cb + 2 + p] = source;
-        self.rev_arena[cb + 1] = clen as u32 + 1;
     }
 
     /// Log `slot` into the current epoch's delta (once per epoch).
@@ -452,36 +288,6 @@ impl LinkGraph {
     }
 }
 
-/// Iterator over the reverse adjacency of one slot (see
-/// [`LinkGraph::in_slots`]).
-#[derive(Debug)]
-pub struct InSlots<'a> {
-    graph: &'a LinkGraph,
-    chunk: u32,
-    pos: usize,
-}
-
-impl Iterator for InSlots<'_> {
-    type Item = Slot;
-
-    #[inline]
-    fn next(&mut self) -> Option<Slot> {
-        while self.chunk != NONE {
-            let base = self.chunk as usize;
-            // lint:allow(no-panic-transitive): chunk offsets and lengths come from the arena itself, written only by rev_insert
-            let len = self.graph.rev_arena[base + 1] as usize;
-            if self.pos < len {
-                let t = self.graph.rev_arena[base + 2 + self.pos];
-                self.pos += 1;
-                return Some(t);
-            }
-            self.chunk = self.graph.rev_arena[base];
-            self.pos = 0;
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,75 +305,27 @@ mod tests {
     }
 
     #[test]
-    fn record_page_builds_both_adjacencies() {
+    fn record_page_builds_forward_adjacency() {
         let mut g = LinkGraph::new();
         let a = g.record_page(1, &[2, 3, 2]);
         let b = g.record_page(2, &[1]);
         assert_eq!(g.num_crawled(), 2);
         assert_eq!(g.num_slots(), 3);
         assert_eq!(g.num_edges(), 4);
+        // Duplicate links keep their multiplicity and record order.
         assert_eq!(g.out_pages(a).collect::<Vec<_>>(), vec![2, 3, 2]);
+        assert_eq!(g.out_slots(a), &[b, 2, b]);
         assert_eq!(g.out_degree(a), 3);
-        // Duplicate links keep their multiplicity in both views.
-        assert_eq!(g.in_degree(b), 2);
-        let ins: Vec<PageId> = g.in_slots(b).map(|s| g.page_at(s)).collect();
-        assert_eq!(ins, vec![1, 1]);
-        assert_eq!(
-            g.in_slots(a).map(|s| g.page_at(s)).collect::<Vec<_>>(),
-            vec![2]
-        );
+        assert_eq!(g.out_slots(b), &[a]);
     }
 
     #[test]
-    fn chunk_chain_survives_many_inserts() {
-        let mut g = LinkGraph::new();
-        // 50 pages all link to page 999: far more in-edges than one
-        // chunk holds.
-        for p in 0..50u32 {
-            g.record_page(p, &[999]);
-        }
-        let t = g.slot_of(999).expect("target interned");
-        assert_eq!(g.in_degree(t), 50);
-        let ins: Vec<PageId> = g.in_slots(t).map(|s| g.page_at(s)).collect();
-        assert_eq!(ins, (0..50).collect::<Vec<_>>(), "page order kept");
-    }
-
-    #[test]
-    fn reverse_lists_are_page_sorted_regardless_of_insertion_order() {
-        // Sources arrive in descending and interleaved order; the chain
-        // must come out ascending by page id (split-insert at work).
-        let mut g = LinkGraph::new();
-        for p in (0..30u32).rev() {
-            g.record_page(2 * p + 1, &[500]);
-        }
-        for p in 0..30u32 {
-            g.record_page(2 * p, &[500]);
-        }
-        let t = g.slot_of(500).unwrap();
-        let ins: Vec<PageId> = g.in_slots(t).map(|s| g.page_at(s)).collect();
-        assert_eq!(ins, (0..60).collect::<Vec<_>>());
-        assert_eq!(g.max_in_degree(), 60);
-    }
-
-    #[test]
-    fn lost_out_tracks_uncrawled_targets() {
-        let mut g = LinkGraph::new();
-        let a = g.record_page(1, &[2, 3]);
-        assert_eq!(g.lost_out(a), 2, "both targets uncrawled");
-        g.record_page(2, &[]);
-        assert_eq!(g.lost_out(a), 1, "2 crawled, 3 still lost");
-        g.record_page(3, &[1]);
-        assert_eq!(g.lost_out(a), 0);
-        let c = g.slot_of(3).unwrap();
-        assert_eq!(g.lost_out(c), 0, "3 links to already-crawled 1");
-    }
-
-    #[test]
-    fn self_loop_is_not_lost() {
+    fn self_loop_is_an_ordinary_edge() {
         let mut g = LinkGraph::new();
         let a = g.record_page(5, &[5, 6]);
-        assert_eq!(g.lost_out(a), 1, "only the link to 6 is lost");
-        assert_eq!(g.in_degree(a), 1);
+        assert_eq!(g.out_pages(a).collect::<Vec<_>>(), vec![5, 6]);
+        assert_eq!(g.out_slots(a)[0], a);
+        assert_eq!(g.num_slots(), 2);
     }
 
     #[test]

@@ -504,10 +504,11 @@ impl CrawlEngine<'_> {
     /// engine must be built over the *same* web space the snapshot was
     /// taken from (verified via the space fingerprint — the space is
     /// regenerated from config, never stored in the snapshot) with the
-    /// same engine configuration and a strategy of the same shape; the
-    /// schedule knobs travel inside the snapshot. Events fire only for
-    /// the remainder of the crawl; counters in the final outcome are
-    /// cumulative, so the outcome equals an uninterrupted run's.
+    /// same engine configuration and a strategy of the same shape that
+    /// keeps no state outside the frontier ([`Strategy::keeps_state`]);
+    /// the schedule knobs travel inside the snapshot. Events fire only
+    /// for the remainder of the crawl; counters in the final outcome
+    /// are cumulative, so the outcome equals an uninterrupted run's.
     ///
     /// Capture works as in [`CrawlEngine::run_scheduled`], except that
     /// the first [`CrawlEvent::Snapshot`] fires *at* the resume tick —
@@ -524,6 +525,9 @@ impl CrawlEngine<'_> {
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
+        if strategy.keeps_state() {
+            return Err(SnapshotError::StatefulStrategy(strategy.name()));
+        }
         let ws = self.web_space();
         snap.verify_space(ws)?;
         if snap.head.config_fp != self.config.snapshot_fingerprint() {

@@ -187,6 +187,10 @@ impl Strategy for OnlineContextGraphStrategy {
             });
         }
     }
+
+    fn keeps_state(&self) -> bool {
+        true
+    }
 }
 
 impl Strategy for ContextGraphStrategy {
@@ -228,6 +232,12 @@ impl Strategy for ContextGraphStrategy {
                 distance: 0,
             });
         }
+    }
+
+    /// The noise draw advances a per-admit counter, so only a
+    /// noiseless instance is a pure function of the space.
+    fn keeps_state(&self) -> bool {
+        self.noise_pm > 0
     }
 }
 

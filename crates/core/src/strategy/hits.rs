@@ -126,6 +126,10 @@ impl Strategy for HitsStrategy {
             }
         }
     }
+
+    fn keeps_state(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -69,6 +69,16 @@ pub trait Strategy {
     /// from `view.outlinks`, but a strategy may also re-prioritize other
     /// known URLs, as the HITS distiller does) into `out`.
     fn admit(&mut self, view: &PageView<'_>, out: &mut Vec<Entry>);
+
+    /// Whether the strategy keeps state outside the frontier, such as a
+    /// crawl-graph store, solver state or a counter. Snapshots capture
+    /// only the frontier and the engine's own state, so
+    /// [`crate::engine::CrawlEngine::resume`] refuses a strategy that
+    /// keeps state rather than continue the crawl from fresh state. A
+    /// strategy that wraps another must forward this.
+    fn keeps_state(&self) -> bool {
+        false
+    }
 }
 
 /// Admission helper shared by strategies: emit every outlink with one

@@ -9,6 +9,11 @@
 //! * HITS: the flat relevance-filtered firing is *bitwise* identical to
 //!   the textbook recompute (see `linkgraph::hits` for why), so reports
 //!   must match exactly too.
+//! * Absolute pins: digests of every rank's bits after the pinned
+//!   PageRank crawl and after the interval-97 ingest, and of each link
+//!   strategy's pinned-cell report. The parity checks above compare two
+//!   modes of the same code; these constants catch a change that moves
+//!   both modes at once.
 //! * Everything is swept across `LANGCRAWL_THREADS` ∈ {1, 4}: link
 //!   analysis runs on the single-threaded resolve path and must not
 //!   observe thread count.
@@ -19,12 +24,67 @@ use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::{
     HitsStrategy, OnlineContextGraphStrategy, OnlinePageRank, PageView, Strategy,
 };
-use langcrawl_webgraph::{GeneratorConfig, WebSpace};
+use langcrawl_webgraph::{GeneratorConfig, PageId, WebSpace};
 
 /// The pinned cell: same preset/scale/seed family as `engine_parity`.
 fn space() -> WebSpace {
     GeneratorConfig::thai_like().scaled(12_000).build(41)
 }
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of every rank's bits, in page order.
+fn rank_digest(pages: impl Iterator<Item = PageId>, rank: impl Fn(PageId) -> f64) -> u64 {
+    fnv1a(pages.map(|p| rank(p).to_bits()))
+}
+
+/// Digest of every `CrawlReport` field: names, the sample series, all
+/// counters and the visit order.
+fn report_digest(r: &CrawlReport) -> u64 {
+    let names = r
+        .strategy
+        .bytes()
+        .chain(r.classifier.bytes())
+        .map(u64::from);
+    let samples = r
+        .samples
+        .iter()
+        .flat_map(|s| [s.crawled, s.relevant, s.queue_size as u64]);
+    let counters = [
+        r.crawled,
+        r.relevant_crawled,
+        r.total_relevant,
+        r.max_queue as u64,
+        r.total_pushes,
+        r.attempts,
+        r.retries,
+        r.gave_up,
+        r.ticks,
+    ];
+    let visits = r.visited.iter().map(|&v| u64::from(v));
+    fnv1a(names.chain(samples).chain(counters).chain(visits))
+}
+
+/// Rank digest after the pinned `OnlinePageRank::new()` crawl.
+const PINNED_CRAWL_RANKS: u64 = 0x05d3_60cd_163c_6e29;
+/// Rank digest of the incremental solver after the interval-97 ingest.
+const PINNED_INGEST_RANKS: u64 = 0x6dae_e950_1de8_2bd7;
+/// Report digests of the pinned cell: PageRank, HITS, online context
+/// graph (L = 2).
+const PINNED_REPORTS: [u64; 3] = [
+    0xe682_fb71_3814_71f3,
+    0x431a_adea_bb08_6dcb,
+    0x9824_548d_5dc4_a569,
+];
 
 /// One full pinned crawl with visit recording (so a report mismatch
 /// pins the exact fetch order, not just the totals).
@@ -36,9 +96,15 @@ fn run(ws: &WebSpace, strategy: &mut dyn Strategy) -> CrawlReport {
 #[test]
 fn pagerank_incremental_report_matches_full_reference() {
     let ws = space();
-    let inc = run(&ws, &mut OnlinePageRank::new());
+    let mut strategy = OnlinePageRank::new();
+    let inc = run(&ws, &mut strategy);
     let full = run(&ws, &mut OnlinePageRank::full_reference(2_000, 10, 0.85));
     assert_eq!(inc, full, "pagerank-ordered crawl diverged from reference");
+    let got = rank_digest(ws.page_ids(), |p| strategy.rank(p));
+    assert_eq!(
+        got, PINNED_CRAWL_RANKS,
+        "rank bits after the pinned crawl moved: {got:#018x}"
+    );
 }
 
 #[test]
@@ -80,11 +146,17 @@ fn pagerank_ranks_within_pinned_linf_bound() {
     assert!(linf < 1e-5, "L∞ rank gap {linf}");
     assert!((inc.rank_sum() - 1.0).abs() < 1e-10, "{}", inc.rank_sum());
     assert!((full.rank_sum() - 1.0).abs() < 1e-10, "{}", full.rank_sum());
+    let got = rank_digest(ws.page_ids().take(4_000), |p| inc.rank(p));
+    assert_eq!(
+        got, PINNED_INGEST_RANKS,
+        "rank bits after the interval-97 ingest moved: {got:#018x}"
+    );
 }
 
-/// The report hashes of every link strategy must be invariant under
+/// The reports of every link strategy must be invariant under
 /// `LANGCRAWL_THREADS` — the strategies run on the single-threaded
-/// resolve path, and the store/solvers never observe thread count.
+/// resolve path, and the store/solvers never observe thread count —
+/// and match their pinned digests.
 #[test]
 fn link_strategy_reports_invariant_under_thread_sweep() {
     let mut baseline: Option<Vec<CrawlReport>> = None;
@@ -96,6 +168,11 @@ fn link_strategy_reports_invariant_under_thread_sweep() {
             run(&ws, &mut HitsStrategy::new()),
             run(&ws, &mut OnlineContextGraphStrategy::new(2)),
         ];
+        let got: Vec<u64> = reports.iter().map(report_digest).collect();
+        assert_eq!(
+            got, PINNED_REPORTS,
+            "link-strategy report digests moved under LANGCRAWL_THREADS={threads}: {got:#018x?}"
+        );
         match &baseline {
             None => baseline = Some(reports),
             Some(b) => assert_eq!(

@@ -1,33 +1,31 @@
 //! Property tests for the shared crawl-graph store
-//! ([`langcrawl_core::linkgraph`]): the chunked-CSR arena against a
-//! naive `Vec<Vec<_>>` model under random interleaved inserts.
+//! ([`langcrawl_core::linkgraph`]): the store against a naive
+//! `Vec<Vec<_>>` model under random interleaved inserts.
 //!
-//! Checked invariants (the ISSUE-10 satellite list):
+//! Checked invariants:
 //! * interning is a bijection between distinct page ids and dense slots;
-//! * forward and reverse adjacency stay exact mirror images (same edge
-//!   multiset; forward in chronological order, reverse sorted by source
-//!   page id);
-//! * chunked-CSR reverse iteration matches the naive model element for
-//!   element;
+//! * forward adjacency matches the model element for element (record
+//!   order and multiplicity), and out-degrees, crawled flags and the
+//!   record-order edge list with it;
 //! * epoch deltas partition the edge set: per-epoch edge counts sum to
-//!   the arena total, and every touched slot appears in exactly the
-//!   epoch that touched it.
+//!   the store total, and every touched slot appears once per epoch.
+//!
+//! The store keeps no reverse adjacency; the layer index's own in-lists
+//! are checked against a model in `linkgraph::layers`' unit tests.
 
 use langcrawl_core::linkgraph::LinkGraph;
 use langcrawl_minicheck::{check, Gen};
 
-/// Naive mirror of the store: slot-indexed `Vec`s, no chunking, no
-/// interning tricks.
+/// Naive mirror of the store: slot-indexed `Vec`s, no interning
+/// tricks.
 #[derive(Default)]
 struct Model {
     /// slot → page id, in first-seen order.
     pages: Vec<u32>,
     /// slot → outlink target slots, in record order.
     fwd: Vec<Vec<u32>>,
-    /// slot → source slots, sorted by source page id (insertion order
-    /// among equal sources — duplicate edges from one page — is
-    /// immaterial because equal keys mean equal slots).
-    rev: Vec<Vec<u32>>,
+    /// Every edge's target slot, in record order.
+    edges: Vec<u32>,
     crawled: Vec<bool>,
 }
 
@@ -38,7 +36,6 @@ impl Model {
         }
         self.pages.push(page);
         self.fwd.push(Vec::new());
-        self.rev.push(Vec::new());
         self.crawled.push(false);
         self.pages.len() as u32 - 1
     }
@@ -52,20 +49,8 @@ impl Model {
         for &t in outlinks {
             let ts = self.intern(t);
             self.fwd[s as usize].push(ts);
-            let key = self.pages[s as usize];
-            let pos = {
-                let pages = &self.pages;
-                self.rev[ts as usize].partition_point(|&x| pages[x as usize] <= key)
-            };
-            self.rev[ts as usize].insert(pos, s);
+            self.edges.push(ts);
         }
-    }
-
-    fn lost_out(&self, s: u32) -> u32 {
-        self.fwd[s as usize]
-            .iter()
-            .filter(|&&t| !self.crawled[t as usize])
-            .count() as u32
     }
 }
 
@@ -106,16 +91,9 @@ fn assert_equiv(store: &LinkGraph, model: &Model) {
         // Forward adjacency: exact order and multiplicity.
         assert_eq!(store.out_slots(s), &model.fwd[s as usize][..], "fwd({s})");
         assert_eq!(store.out_degree(s) as usize, model.fwd[s as usize].len());
-        // Reverse adjacency through the chunk chain: exact page-sorted
-        // order and multiplicity — the mirror-image and CSR-vs-model
-        // properties at once.
-        let rev: Vec<u32> = store.in_slots(s).collect();
-        assert_eq!(rev, model.rev[s as usize], "rev({s})");
-        assert_eq!(store.in_degree(s) as usize, model.rev[s as usize].len());
-        assert_eq!(store.lost_out(s), model.lost_out(s), "lost_out({s})");
     }
-    let max_in = model.rev.iter().map(Vec::len).max().unwrap_or(0);
-    assert_eq!(store.max_in_degree() as usize, max_in, "max_in_degree");
+    // The edge list is every forward span, in record order.
+    assert_eq!(store.edge_targets(), &model.edges[..], "edge_targets");
     // Unknown pages resolve to nothing.
     assert_eq!(store.slot_of(u32::MAX), None);
 }

@@ -12,9 +12,9 @@
 //!    `sched_conformance` suite pins — interrupting and resuming a
 //!    crawl cannot drift the pinned schedule.
 //! 2. Early, middle and late snapshots all resume to the identical
-//!    end state, for both frontier kinds (the degenerate `K = 1` rings
-//!    and the sharded frontier) and with the retry/backoff machinery
-//!    live (fault rate 0.2).
+//!    end state, for one slot over one frontier shard (`K = 1`) and
+//!    eight slots over eight shards (`K = 8`), and with the
+//!    retry/backoff machinery live (fault rate 0.2).
 //! 3. Snapshot *bytes* are thread-invariant: regenerating the space
 //!    under different `LANGCRAWL_THREADS` settings yields identical
 //!    framed snapshots, so a checkpoint taken on one machine

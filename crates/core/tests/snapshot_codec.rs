@@ -7,7 +7,8 @@
 //! single flipped byte, wrong version tags, foreign magic and appended
 //! garbage all come back as typed [`SnapshotError`]s — never a panic —
 //! and resuming against the wrong space, engine config or strategy
-//! shape is refused before any state is touched.
+//! shape, or with a strategy that keeps state outside the frontier, is
+//! refused before any state is touched.
 
 use langcrawl_core::classifier::{Classifier, OracleClassifier};
 use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome, EngineScratch};
@@ -15,7 +16,10 @@ use langcrawl_core::event::{EventSink, VisitRecorder};
 use langcrawl_core::retry::RetryPolicy;
 use langcrawl_core::sched::SchedConfig;
 use langcrawl_core::sim::{SimConfig, Simulator};
-use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy, Strategy};
+use langcrawl_core::strategy::{
+    BacklinkCount, BreadthFirst, ContextGraphStrategy, HitsStrategy, LimitedDistanceStrategy,
+    OnlineContextGraphStrategy, OnlinePageRank, SimpleStrategy, Strategy,
+};
 use langcrawl_core::{CrawlSnapshot, SnapshotError, SnapshotLog};
 use langcrawl_minicheck::{check, Gen};
 use langcrawl_webgraph::{FaultConfig, GeneratorConfig, PageId, WebSpace};
@@ -316,6 +320,70 @@ fn mismatched_strategy_shape_is_rejected() {
             .unwrap_err(),
         SnapshotError::ConfigMismatch("strategy level count")
     );
+}
+
+/// A mid-crawl snapshot of a crawl by `make`'s strategy, resumed with a
+/// fresh instance of it, is refused before anything is decoded: the
+/// snapshot holds none of the state the strategy keeps outside the
+/// frontier, so the fresh instance would not continue the crawl it
+/// interrupted.
+fn assert_resume_refused(make: impl Fn(&WebSpace) -> Box<dyn Strategy>) {
+    let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
+    let engine = CrawlEngine::new(
+        &ws,
+        EngineConfig {
+            snapshot_every: Some(150),
+            ..EngineConfig::default()
+        },
+    );
+    let sched = SchedConfig::default();
+    let classifier = OracleClassifier::target(ws.target_language());
+    let mut log = SnapshotLog::new();
+    let mut sinks: [&mut dyn EventSink; 1] = [&mut log];
+    engine.run_scheduled(
+        &sched,
+        make(&ws).as_mut(),
+        &classifier,
+        &mut sinks,
+        &mut EngineScratch::new(),
+    );
+    let (_, bytes) = &log.snapshots()[log.len() / 2];
+    let snap = CrawlSnapshot::from_bytes(bytes).expect("capture must parse");
+    let mut fresh = make(&ws);
+    let mut sinks: [&mut dyn EventSink; 0] = [];
+    let err = engine
+        .resume(&snap, fresh.as_mut(), &classifier, &mut sinks)
+        .expect_err("a strategy that keeps state must not resume");
+    assert_eq!(err, SnapshotError::StatefulStrategy(fresh.name()));
+}
+
+#[test]
+fn backlink_count_refuses_to_resume() {
+    assert_resume_refused(|_| Box::new(BacklinkCount::new()));
+}
+
+#[test]
+fn online_pagerank_refuses_to_resume() {
+    assert_resume_refused(|_| Box::new(OnlinePageRank::new()));
+}
+
+#[test]
+fn hits_strategy_refuses_to_resume() {
+    assert_resume_refused(|_| Box::new(HitsStrategy::new()));
+}
+
+#[test]
+fn online_context_graph_refuses_to_resume() {
+    assert_resume_refused(|_| Box::new(OnlineContextGraphStrategy::new(2)));
+}
+
+/// The noise draw's counter is state; without noise the idealized
+/// context graph is a function of the space and may resume.
+#[test]
+fn noisy_context_graph_refuses_to_resume() {
+    assert_resume_refused(|ws| Box::new(ContextGraphStrategy::new(ws, 3).with_noise(100)));
+    let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
+    assert!(!ContextGraphStrategy::new(&ws, 3).keeps_state());
 }
 
 /// Arbitrary byte soup never panics the decoder.
