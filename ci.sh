@@ -59,6 +59,17 @@ for threads in 1 4; do
         --test link_analysis_parity --test linkgraph_props
 done
 
+# Content-byte parity, re-run under both generation thread counts: the
+# composite detector, which skips the Latin-1 floor once a structured
+# prober reaches its ceiling, must give every page of the pinned spaces
+# the verdict of a reference that runs every prober, and the streaming
+# page synthesis must render the pinned spaces to their absolute digests.
+echo "==> detector parity + synthesis golden (LANGCRAWL_THREADS=1,4)"
+for threads in 1 4; do
+    LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl \
+        --test detector_parity --test synthesis_golden
+done
+
 # Determinism & safety lint: the in-tree static analyzer must find
 # nothing unsuppressed in the workspace's own sources. The same run
 # writes the JSON report and the resolved hot-path call graph

@@ -4,7 +4,9 @@
 //! used (Li & Momoi, *"A composite approach to language/encoding
 //! detection"*, 19th International Unicode Conference, 2001): run every
 //! prober over the document, drop the ones whose coding scheme is
-//! violated, and rank the survivors by distribution confidence.
+//! violated, and rank the survivors by distribution confidence. The one
+//! shortcut, the Latin-1 floor's ceiling skip, leaves every verdict as
+//! that procedure gives it (see [`detect_with`]).
 
 use crate::prober::{
     ascii_run_no_esc, EucCnKrScan, EucJpProber, Iso2022JpProber, Latin1Prober, Prober,
@@ -76,12 +78,18 @@ pub fn detect(bytes: &[u8]) -> Detection {
 ///    (found by a word-wise prescan, eight bytes per test);
 /// 2. an alive ISO-2022-JP prober with at least one designation escape is
 ///    conclusive and short-circuits the rest (see below);
-/// 3. otherwise every prober scans the (truncated) document; the EUC-KR
+/// 3. otherwise the six structured probers (UTF-8, EUC-JP, Shift_JIS,
+///    EUC-KR, GB2312, Thai) scan the (truncated) document; the EUC-KR
 ///    and GB2312 probers share one fused scan since their validity
 ///    machines are identical;
-/// 4. highest confidence wins; ties break toward the more *specific*
+/// 4. the Latin-1 floor scans the document only while the best
+///    structured confidence is below [`Latin1Prober::CEILING`]: it never
+///    scores above that ceiling and ranks last, so from there on it
+///    cannot win, and skipping it leaves every verdict unchanged;
+/// 5. highest confidence wins; ties break toward the more *specific*
 ///    prober (escape/multibyte before single-byte, single-byte before the
-///    Latin-1 floor) via the registration order below.
+///    Latin-1 floor) via the registration order below; a winner below
+///    `min_confidence` gives [`Charset::Unknown`].
 pub fn detect_with(bytes: &[u8], config: &DetectorConfig) -> Detection {
     let slice = &bytes[..bytes.len().min(config.max_bytes)];
 
@@ -120,11 +128,9 @@ pub fn detect_with(bytes: &[u8], config: &DetectorConfig) -> Detection {
     euc_cnkr.feed(slice);
     let mut th = ThaiProber::new();
     th.feed(slice);
-    let mut latin = Latin1Prober::new();
-    latin.feed(slice);
 
     // Registration order encodes tie-break specificity.
-    let candidates: [(f64, Charset, Option<Language>); 7] = [
+    let candidates: [(f64, Charset, Option<Language>); 6] = [
         (utf8.confidence(), utf8.charset(), utf8.language_hint()),
         (eucjp.confidence(), eucjp.charset(), eucjp.language_hint()),
         (sjis.confidence(), sjis.charset(), sjis.language_hint()),
@@ -139,18 +145,23 @@ pub fn detect_with(bytes: &[u8], config: &DetectorConfig) -> Detection {
             Charset::Gb2312.language(),
         ),
         (th.confidence(), th.charset(), th.language_hint()),
-        (latin.confidence(), latin.charset(), latin.language_hint()),
     ];
 
     let mut best: Option<(f64, Charset, Option<Language>)> = None;
-    for &(conf, cs, hint) in &candidates {
-        if conf <= 0.0 {
-            continue;
-        }
-        // Strictly-greater keeps the earlier (more specific) prober on tie.
-        if best.is_none_or(|(c, _, _)| conf > c) {
-            best = Some((conf, cs, hint));
-        }
+    for candidate in candidates {
+        rank(&mut best, candidate);
+    }
+    // The Latin-1 floor ranks last and scores at most its ceiling, so a
+    // structured confidence at the ceiling already beats it. On text in
+    // a CJK or Thai charset nearly every byte is high, which keeps its
+    // scan in the per-byte loop; skipping it there is most of its cost.
+    if best.is_none_or(|(c, _, _)| c < Latin1Prober::CEILING) {
+        let mut latin = Latin1Prober::new();
+        latin.feed(slice);
+        rank(
+            &mut best,
+            (latin.confidence(), latin.charset(), latin.language_hint()),
+        );
     }
 
     match best {
@@ -164,6 +175,18 @@ pub fn detect_with(bytes: &[u8], config: &DetectorConfig) -> Detection {
             confidence: 0.0,
             language_hint: None,
         },
+    }
+}
+
+/// Offer a candidate to the ranking: a positive confidence replaces the
+/// best so far only when strictly greater, which keeps the earlier (more
+/// specific) prober on a tie.
+fn rank(
+    best: &mut Option<(f64, Charset, Option<Language>)>,
+    candidate: (f64, Charset, Option<Language>),
+) {
+    if candidate.0 > 0.0 && best.is_none_or(|(c, _, _)| candidate.0 > c) {
+        *best = Some(candidate);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Each prober owns a verifier ([`crate::sm`]) and, where the encoding
 //! needs it, a distribution accumulator ([`crate::dist`]). The composite
-//! detector feeds the document to every prober in one pass and takes the
+//! detector feeds the document to the probers and takes the
 //! highest-confidence survivor — the architecture of the Mozilla composite
 //! detector the paper used, rebuilt small.
 //!
@@ -68,8 +68,10 @@ pub(crate) fn ascii_run_no_esc(bytes: &[u8], start: usize) -> usize {
 
 /// A charset prober: consumes bytes, reports a confidence.
 pub trait Prober {
-    /// Feed the whole document (probers are single-shot; create a new one
-    /// per document).
+    /// Feed the next piece of the document. Successive calls take
+    /// consecutive pieces of one document, split anywhere (even inside a
+    /// character): feeding it whole or in pieces gives the same verdict.
+    /// Probers are single-document; create a new one per document.
     fn feed(&mut self, bytes: &[u8]);
     /// The charset this prober argues for, given what it has seen.
     fn charset(&self) -> Charset;
@@ -298,7 +300,11 @@ pub struct Utf8Prober {
     v: Utf8Verifier,
     blocks: UnicodeBlocks,
     multibyte: u32,
+    /// Bytes of the current character seen so far (0 at a boundary).
     pending: u32,
+    /// Payload bits of the current character decoded so far; kept across
+    /// `feed` calls so a character split between pieces decodes whole.
+    cp: u32,
     dead: bool,
 }
 
@@ -321,7 +327,6 @@ impl Prober for Utf8Prober {
         // decoder (the verifier guarantees validity). ASCII runs between
         // characters are skipped whole: they cannot affect the verdict
         // (confidence counts multibyte chars, the census ignores ASCII).
-        let mut cp: u32 = 0;
         let mut i = 0;
         while i < bytes.len() {
             if self.dead {
@@ -343,21 +348,21 @@ impl Prober for Utf8Prober {
                 SmState::Continue => {
                     if self.pending == 0 {
                         // Lead byte: extract payload bits.
-                        cp = match b {
+                        self.cp = match b {
                             0xC2..=0xDF => (b & 0x1F) as u32,
                             0xE0..=0xEF => (b & 0x0F) as u32,
                             _ => (b & 0x07) as u32,
                         };
                         self.pending = 1;
                     } else {
-                        cp = (cp << 6) | (b & 0x3F) as u32;
+                        self.cp = (self.cp << 6) | (b & 0x3F) as u32;
                         self.pending += 1;
                     }
                 }
                 SmState::CharBoundary => {
                     if self.pending > 0 {
-                        cp = (cp << 6) | (b & 0x3F) as u32;
-                        self.blocks.add(cp);
+                        self.cp = (self.cp << 6) | (b & 0x3F) as u32;
+                        self.blocks.add(self.cp);
                         self.flush_char(self.pending + 1);
                         self.pending = 0;
                     } else {
@@ -657,6 +662,15 @@ pub struct Latin1Prober {
 }
 
 impl Latin1Prober {
+    /// Confidence of a text with high bytes and few C1 controls.
+    const BASE: f64 = 0.10;
+    /// Bonus at full embedding: every high byte follows a letter.
+    const EMBED_WEIGHT: f64 = 0.15;
+    /// The highest confidence the prober can report, reached when every
+    /// high byte follows a letter. The composite detector skips this
+    /// prober once a structured prober scores at least this much.
+    pub const CEILING: f64 = Self::BASE + Self::EMBED_WEIGHT;
+
     /// Fresh prober.
     pub fn new() -> Self {
         Self::default()
@@ -708,15 +722,17 @@ impl Prober for Latin1Prober {
         if c1_ratio > 0.05 {
             return 0.01;
         }
+        // `letter_adjacent <= high`, so `embed <= 1` and the result is
+        // at most `CEILING` (rounding is monotone).
         let embed = self.letter_adjacent as f64 / self.high as f64;
-        0.10 + 0.15 * embed
+        Self::BASE + Self::EMBED_WEIGHT * embed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode;
+    use crate::{dbcs, encode};
 
     fn probe<P: Prober>(mut p: P, bytes: &[u8]) -> f64 {
         p.feed(bytes);
@@ -807,6 +823,125 @@ mod tests {
         assert_eq!(p2.language_hint(), Some(Language::Japanese));
     }
 
+    /// `Prober::feed` takes consecutive pieces of one document: for every
+    /// prober, any chunking (splitting characters too) gives the
+    /// whole-feed charset, confidence and hint.
+    #[test]
+    fn every_prober_is_chunking_invariant() {
+        let ja = encode::japanese_demo_tokens();
+        let th = encode::thai_demo_tokens();
+        let in_markup = |text: Vec<u8>| {
+            let mut page = b"<p class=\"a\">".to_vec();
+            for _ in 0..3 {
+                page.extend_from_slice(&text);
+                page.extend_from_slice(b"</p> <p>");
+            }
+            page
+        };
+        let mut windows_874 = encode::encode_thai_demo();
+        windows_874.push(0x91);
+        let utf8 = |text: &str, lang| (text.as_bytes().to_vec(), Some(lang));
+        type Case = (fn() -> Box<dyn Prober>, Vec<(Vec<u8>, Option<Language>)>);
+        let cases: [Case; 8] = [
+            (
+                || Box::new(Utf8Prober::new()),
+                vec![
+                    utf8(
+                        "<p>こんにちは世界、日本語のページです</p>",
+                        Language::Japanese,
+                    ),
+                    utf8("สวัสดีชาวโลก <b>ภาษาไทย</b>", Language::Thai),
+                    utf8("안녕하세요 세계, 한국어 페이지입니다", Language::Korean),
+                    utf8("你好世界，这是中文网页 ok", Language::Chinese),
+                ],
+            ),
+            (
+                || Box::new(EucJpProber::new()),
+                vec![(
+                    in_markup(encode::encode_japanese(&ja, Charset::EucJp)),
+                    Some(Language::Japanese),
+                )],
+            ),
+            (
+                || Box::new(ShiftJisProber::new()),
+                vec![(
+                    in_markup(encode::encode_japanese(&ja, Charset::ShiftJis)),
+                    Some(Language::Japanese),
+                )],
+            ),
+            (
+                || Box::new(Iso2022JpProber::new()),
+                vec![(
+                    in_markup(encode::encode_japanese(&ja, Charset::Iso2022Jp)),
+                    Some(Language::Japanese),
+                )],
+            ),
+            (
+                || Box::new(EucKrProber::new()),
+                vec![(
+                    in_markup(dbcs::encode_korean(
+                        &dbcs::korean_demo_tokens(),
+                        Charset::EucKr,
+                    )),
+                    Some(Language::Korean),
+                )],
+            ),
+            (
+                || Box::new(Gb2312Prober::new()),
+                vec![(
+                    in_markup(dbcs::encode_chinese(
+                        &dbcs::chinese_demo_tokens(),
+                        Charset::Gb2312,
+                    )),
+                    Some(Language::Chinese),
+                )],
+            ),
+            (
+                || Box::new(ThaiProber::new()),
+                vec![
+                    (
+                        in_markup(encode::encode_thai(&th, Charset::Tis620)),
+                        Some(Language::Thai),
+                    ),
+                    (in_markup(windows_874), Some(Language::Thai)),
+                ],
+            ),
+            (
+                || Box::new(Latin1Prober::new()),
+                vec![(
+                    in_markup(
+                        "d\u{e9}j\u{e0} vu, caf\u{e9} \u{ab}na\u{ef}ve\u{bb}"
+                            .chars()
+                            .map(|c| c as u8)
+                            .collect(),
+                    ),
+                    None,
+                )],
+            ),
+        ];
+        let verdict = |p: &dyn Prober| (p.charset(), p.confidence().to_bits(), p.language_hint());
+        for (new_prober, texts) in cases {
+            for (text, lang) in texts {
+                let mut whole = new_prober();
+                whole.feed(&text);
+                let expected = verdict(&*whole);
+                assert!(
+                    whole.confidence() > 0.0,
+                    "{:?} rejects its own text",
+                    expected.0
+                );
+                assert_eq!(expected.2, lang, "{:?}", expected.0);
+                for size in 1..=8 {
+                    let mut split = new_prober();
+                    for chunk in text.chunks(size) {
+                        split.feed(chunk);
+                    }
+                    assert_eq!(verdict(&*split), expected, "{size}-byte chunks");
+                }
+            }
+        }
+    }
+
     #[test]
     fn thai_prober_on_thai_text() {
         // สวัสดี in TIS-620: consonant/vowel/tone patterns.
@@ -849,6 +984,19 @@ mod tests {
         assert!(conf > 0.0 && conf < 0.5, "conf {conf}");
         // But C1 garbage is rejected.
         assert!(probe(Latin1Prober::new(), &[0x81, 0x82, 0x83, 0x84]) < 0.05);
+    }
+
+    /// Text whose every accented letter follows a letter scores exactly
+    /// the ceiling the composite detector's Latin-1 skip relies on.
+    #[test]
+    fn latin1_prober_peaks_at_its_ceiling() {
+        let text: Vec<u8> = "d\u{e9}j\u{e0} caf\u{e9} na\u{ef}ve"
+            .chars()
+            .map(|c| c as u8)
+            .collect();
+        let conf = probe(Latin1Prober::new(), &text);
+        assert_eq!(conf.to_bits(), Latin1Prober::CEILING.to_bits());
+        assert_eq!(Latin1Prober::CEILING, 0.25);
     }
 
     /// The fast-path feed (with ASCII run skipping) must agree with a

@@ -132,20 +132,30 @@ impl WebSpace {
     /// Page 0 of a host is its front page `/`; others get stable
     /// directory-style paths.
     pub fn url(&self, p: PageId) -> String {
+        let mut url = Vec::new();
+        self.write_url(p, &mut url);
+        String::from_utf8(url).expect("a URL is a host name and ASCII")
+    }
+
+    /// Append the URL of `p` to `out`: [`Self::url`] without its
+    /// allocation, for page synthesis.
+    pub(crate) fn write_url(&self, p: PageId, out: &mut Vec<u8>) {
+        use std::io::Write;
         let m = &self.pages[p as usize];
         let host = &self.hosts[m.host as usize];
         let idx = p - host.first_page;
+        out.extend_from_slice(b"http://");
+        out.extend_from_slice(host.name.as_bytes());
+        out.push(b'/');
         if idx == 0 {
-            format!("http://{}/", host.name)
-        } else {
-            match m.kind {
-                PageKind::Html => {
-                    format!("http://{}/d{}/p{}.html", host.name, idx % 17, idx)
-                }
-                PageKind::Other => format!("http://{}/img/i{}.gif", host.name, idx),
-                PageKind::Failed => format!("http://{}/gone/g{}.html", host.name, idx),
-            }
+            return;
         }
+        // Writing into a `Vec` cannot fail.
+        let _ = match m.kind {
+            PageKind::Html => write!(out, "d{}/p{idx}.html", idx % 17),
+            PageKind::Other => write!(out, "img/i{idx}.gif"),
+            PageKind::Failed => write!(out, "gone/g{idx}.html"),
+        };
     }
 
     /// Iterate over all page ids.

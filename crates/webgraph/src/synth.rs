@@ -14,8 +14,8 @@
 use crate::graph::WebSpace;
 use crate::page::{PageId, PageKind};
 use crate::text;
-use langcrawl_charset::dbcs::{encode_chinese, encode_korean};
-use langcrawl_charset::encode::{encode_ascii, encode_japanese, encode_thai};
+use langcrawl_charset::dbcs::DbcsEncoder;
+use langcrawl_charset::encode::{JapaneseEncoder, ThaiEncoder};
 use langcrawl_charset::{Charset, Language};
 
 use langcrawl_rng::{mix, Rng};
@@ -33,6 +33,8 @@ impl WebSpace {
         }
     }
 
+    /// Every piece of the page, text and URLs alike, is written straight
+    /// into the one output buffer.
     fn synthesize_html(&self, p: PageId) -> Vec<u8> {
         let meta = self.meta(p);
         // Per-page deterministic stream: splitmix the ids together.
@@ -42,15 +44,13 @@ impl WebSpace {
         out.extend_from_slice(b"<html><head>");
         if let Some(label) = meta.labeled_charset {
             out.extend_from_slice(
-                format!(
-                    r#"<meta http-equiv="content-type" content="text/html; charset={}">"#,
-                    label.label()
-                )
-                .as_bytes(),
+                br#"<meta http-equiv="content-type" content="text/html; charset="#,
             );
+            out.extend_from_slice(label.label().as_bytes());
+            out.extend_from_slice(br#"">"#);
         }
         out.extend_from_slice(b"<title>");
-        out.extend(self.body_text(meta.lang, meta.true_charset, 8, &mut rng));
+        body_text(meta.lang, meta.true_charset, 8, &mut rng, &mut out);
         out.extend_from_slice(b"</title></head><body>");
 
         // Interleave text paragraphs with the page's real outlinks.
@@ -59,60 +59,69 @@ impl WebSpace {
         let mut li = 0usize;
         for _ in 0..n_par {
             out.extend_from_slice(b"<p>");
-            out.extend(self.body_text(meta.lang, meta.true_charset, 40, &mut rng));
+            body_text(meta.lang, meta.true_charset, 40, &mut rng, &mut out);
             out.extend_from_slice(b"</p>\n");
             // A run of anchors after each paragraph.
             let take = (links.len() - li).min(1 + (links.len() / n_par));
             for &t in &links[li..li + take] {
                 out.extend_from_slice(b"<a href=\"");
-                out.extend_from_slice(self.url(t).as_bytes());
+                self.write_url(t, &mut out);
                 out.extend_from_slice(b"\">");
-                out.extend(self.body_text(meta.lang, meta.true_charset, 3, &mut rng));
+                body_text(meta.lang, meta.true_charset, 3, &mut rng, &mut out);
                 out.extend_from_slice(b"</a> ");
             }
             li += take;
         }
         for &t in &links[li..] {
             out.extend_from_slice(b"<a href=\"");
-            out.extend_from_slice(self.url(t).as_bytes());
+            self.write_url(t, &mut out);
             out.extend_from_slice(b"\">x</a> ");
         }
         out.extend_from_slice(b"</body></html>");
         out
     }
+}
 
-    /// Body text units in the page's language and charset. `units` is
-    /// roughly "words": tokens are scaled so languages look comparable.
-    fn body_text(
-        &self,
-        lang: Option<Language>,
-        charset: Charset,
-        units: usize,
-        rng: &mut Rng,
-    ) -> Vec<u8> {
-        match (lang, charset) {
-            (Some(Language::Japanese), cs) => {
-                encode_japanese(&text::japanese_tokens(units * 4, rng), cs)
-            }
-            (Some(Language::Thai), cs) => encode_thai(&text::thai_tokens(units * 4, rng), cs),
-            (Some(Language::Korean), cs) => encode_korean(&text::korean_tokens(units * 3, rng), cs),
-            (Some(Language::Chinese), cs) => {
-                encode_chinese(&text::chinese_tokens(units * 4, rng), cs)
-            }
-            (Some(Language::Other), Charset::Utf8) => {
-                // "Other" UTF-8 pages get accented Latin so they are not
-                // bare ASCII.
-                let mut s = text::english_words(units, rng);
-                s.push_str(" caf\u{e9} d\u{e9}j\u{e0}");
-                s.into_bytes()
-            }
-            (Some(Language::Other), Charset::Latin1) => {
-                let mut s = text::english_words(units, rng);
-                s.push_str(" caf\u{e9}");
-                s.chars().map(|c| c as u32 as u8).collect()
-            }
-            _ => encode_ascii(&text::english_words(units, rng)),
+/// Append body text in the page's language and charset to `out`. `units`
+/// is roughly "words": tokens are scaled so languages look comparable.
+/// Tokens go through the encoder as they are drawn.
+fn body_text(
+    lang: Option<Language>,
+    charset: Charset,
+    units: usize,
+    rng: &mut Rng,
+    out: &mut Vec<u8>,
+) {
+    match (lang, charset) {
+        (Some(Language::Japanese), cs) => {
+            let mut enc = JapaneseEncoder::new(cs);
+            text::emit_japanese_tokens(units * 4, rng, |t| enc.push_token(t, out));
+            enc.finish(out);
         }
+        (Some(Language::Thai), cs) => {
+            let enc = ThaiEncoder::new(cs);
+            text::emit_thai_tokens(units * 4, rng, |t| enc.push_token(t, out));
+        }
+        (Some(Language::Korean), cs) => {
+            let enc = DbcsEncoder::korean(cs);
+            text::emit_korean_tokens(units * 3, rng, |t| enc.push_token(t, out));
+        }
+        (Some(Language::Chinese), cs) => {
+            let enc = DbcsEncoder::chinese(cs);
+            text::emit_chinese_tokens(units * 4, rng, |t| enc.push_token(t, out));
+        }
+        // The filler words are ASCII, so their bytes are the same in
+        // every remaining charset. "Other" UTF-8 and Latin-1 pages end in
+        // accented Latin so they are not bare ASCII.
+        (Some(Language::Other), Charset::Utf8) => {
+            text::emit_english_words(units, rng, |w| out.extend_from_slice(w.as_bytes()));
+            out.extend_from_slice(" caf\u{e9} d\u{e9}j\u{e0}".as_bytes());
+        }
+        (Some(Language::Other), Charset::Latin1) => {
+            text::emit_english_words(units, rng, |w| out.extend_from_slice(w.as_bytes()));
+            out.extend_from_slice(b" caf\xE9");
+        }
+        _ => text::emit_english_words(units, rng, |w| out.extend_from_slice(w.as_bytes())),
     }
 }
 

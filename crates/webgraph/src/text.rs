@@ -19,10 +19,48 @@ use langcrawl_charset::kuten::{rows, Kuten};
 
 use langcrawl_rng::Rng;
 
+/// The first `n` tokens a generator draws go to `emit`; the rest are
+/// dropped. Generators draw whole bursts, so the last burst can overrun
+/// `n`. Its surplus is still drawn, which leaves the RNG where the
+/// collect-then-truncate form of each generator left it, but is never
+/// emitted.
+struct Budget<F> {
+    left: usize,
+    emit: F,
+}
+
+impl<F> Budget<F> {
+    fn new(n: usize, emit: F) -> Self {
+        Budget { left: n, emit }
+    }
+
+    fn wants_more(&self) -> bool {
+        self.left > 0
+    }
+
+    #[inline]
+    fn push<T>(&mut self, token: T)
+    where
+        F: FnMut(T),
+    {
+        if self.left > 0 {
+            self.left -= 1;
+            (self.emit)(token);
+        }
+    }
+}
+
 /// Generate `n` tokens of model Japanese text.
 pub fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
     let mut out = Vec::with_capacity(n);
-    while out.len() < n {
+    emit_japanese_tokens(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`japanese_tokens`] without the `Vec`: hands each token to `emit`.
+pub(crate) fn emit_japanese_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(JaToken)) {
+    let mut out = Budget::new(n, emit);
+    while out.wants_more() {
         match rng.random_range(0..100u32) {
             // Hiragana runs (particles, okurigana) come in bursts.
             0..=45 => {
@@ -65,8 +103,6 @@ pub fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
             }
         }
     }
-    out.truncate(n);
-    out
 }
 
 /// Thai consonants that open syllables, as TIS-620 bytes.
@@ -86,8 +122,15 @@ const THAI_TONES: &[u8] = &[0xE8, 0xE9, 0xEA, 0xEB];
 /// Generate `n` tokens of model Thai text (canonical syllable structure).
 pub fn thai_tokens(n: usize, rng: &mut Rng) -> Vec<ThToken> {
     let mut out = Vec::with_capacity(n);
+    emit_thai_tokens(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`thai_tokens`] without the `Vec`: hands each token to `emit`.
+pub(crate) fn emit_thai_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(ThToken)) {
+    let mut out = Budget::new(n, emit);
     let pick = |set: &[u8], rng: &mut Rng| set[rng.random_range(0..set.len())];
-    while out.len() < n {
+    while out.wants_more() {
         // Optional leading vowel, consonant, optional vowel, optional tone,
         // optional final consonant — a defensible approximation of Thai
         // orthotactics.
@@ -117,15 +160,20 @@ pub fn thai_tokens(n: usize, rng: &mut Rng) -> Vec<ThToken> {
             }
         }
     }
-    out.truncate(n);
-    out
 }
 
 /// Generate `n` tokens of model Korean text: precomposed hangul (KS X
 /// 1001 rows 16..=40), spaces between words, rare ASCII digits.
 pub fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
     let mut out = Vec::with_capacity(n);
-    while out.len() < n {
+    emit_korean_tokens(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`korean_tokens`] without the `Vec`: hands each token to `emit`.
+pub(crate) fn emit_korean_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
+    let mut out = Budget::new(n, emit);
+    while out.wants_more() {
         // A word of 1..=4 syllables.
         for _ in 0..rng.random_range(1..=4) {
             let ku = 16 + rng.random_range(0..25) as u8;
@@ -139,8 +187,6 @@ pub fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
             }
         }
     }
-    out.truncate(n);
-    out
 }
 
 /// Generate `n` tokens of model Simplified-Chinese text: level-1 hanzi
@@ -148,7 +194,14 @@ pub fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
 /// spaces.
 pub fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
     let mut out = Vec::with_capacity(n);
-    while out.len() < n {
+    emit_chinese_tokens(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`chinese_tokens`] without the `Vec`: hands each token to `emit`.
+pub(crate) fn emit_chinese_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
+    let mut out = Budget::new(n, emit);
+    while out.wants_more() {
         let (ku, ten) = match rng.random_range(0..100u32) {
             0..=64 => (
                 16 + rng.random_range(0..40) as u8,
@@ -165,26 +218,30 @@ pub fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
             out.push(DbToken::Ascii(b' '));
         }
     }
-    out.truncate(n);
-    out
 }
 
 /// English-like filler words for irrelevant pages.
 pub fn english_words(n_words: usize, rng: &mut Rng) -> String {
+    let mut s = String::with_capacity(n_words * 6);
+    emit_english_words(n_words, rng, |piece| s.push_str(piece));
+    s
+}
+
+/// [`english_words`] without the `String`: hands `emit` each word and
+/// each single-space separator, in order.
+pub(crate) fn emit_english_words(n_words: usize, rng: &mut Rng, mut emit: impl FnMut(&str)) {
     const WORDS: &[&str] = &[
         "the", "of", "and", "to", "in", "for", "is", "on", "that", "by", "this", "with", "you",
         "it", "not", "or", "be", "are", "from", "at", "as", "your", "all", "have", "new", "more",
         "page", "home", "search", "news", "about", "contact", "site", "web", "info", "service",
         "product", "company", "online", "free",
     ];
-    let mut s = String::with_capacity(n_words * 6);
     for i in 0..n_words {
         if i > 0 {
-            s.push(' ');
+            emit(" ");
         }
-        s.push_str(WORDS[rng.random_range(0..WORDS.len())]);
+        emit(WORDS[rng.random_range(0..WORDS.len())]);
     }
-    s
 }
 
 #[cfg(test)]
