@@ -148,9 +148,9 @@ LANGCRAWL_SCALE=20000 cargo bench -p langcrawl-bench --offline \
     --features count-allocs --bench microbench
 
 # Smoke-scale bench trajectory: exercises the parallel-generation
-# parity, sink-overhead, fault-path-overhead and single-slot
-# scheduler-overhead gates (the bench exits nonzero on a regression)
-# and leaves BENCH_<sha>.json at the repo root for archival.
+# parity, sink-overhead, fault-path-overhead and snapshot-overhead
+# gates (the bench exits nonzero on a regression) and leaves
+# BENCH_<sha>.json at the repo root for archival.
 echo "==> cargo bench microbench --json (smoke scale)"
 LANGCRAWL_SCALE=20000 cargo bench -p langcrawl-bench --offline --bench microbench -- --json
 

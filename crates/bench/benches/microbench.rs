@@ -17,11 +17,9 @@
 //! end-to-end throughput plus the gate verdicts) so CI can archive one
 //! bench record per commit. The gates — sink overhead ≤ 5%, parallel
 //! generation bit-parity, ≥2× generation speedup on 4+ cores,
-//! retry-machinery overhead ≤ 10% at zero fault rate, single-slot
-//! scheduler overhead ≤ 5% over the legacy loop, and a ≥5× end-to-end
-//! speedup of the incremental link-analysis engine over the legacy
-//! full-recompute PageRank ordering — fail the process with a nonzero
-//! exit either way.
+//! retry-machinery overhead ≤ 10% at zero fault rate, snapshot capture
+//! overhead ≤ 5%, and zero steady-state allocations per fetch under
+//! `count-allocs` — fail the process with a nonzero exit either way.
 
 use langcrawl_bench::runner::env_scale;
 use langcrawl_charset::encode::{
@@ -34,16 +32,13 @@ use langcrawl_core::linkgraph::pagerank::RankState;
 use langcrawl_core::queue::{Entry, UrlQueue};
 use langcrawl_core::sched::SchedConfig;
 use langcrawl_core::sim::{SimConfig, Simulator};
-use langcrawl_core::strategy::{
-    LimitedDistanceStrategy, OnlinePageRank, PageView, SimpleStrategy, Strategy,
-};
+use langcrawl_core::strategy::{LimitedDistanceStrategy, OnlinePageRank, SimpleStrategy, Strategy};
 use langcrawl_core::{CrawlEngine, EngineConfig, LinkGraph};
 use langcrawl_html::{extract_links, extract_meta_charset};
 use langcrawl_url::{normalize, resolve, Url};
 use langcrawl_webgraph::generate::generate_with_threads;
 use langcrawl_webgraph::parallel::effective_threads;
-use langcrawl_webgraph::{FaultConfig, GeneratorConfig, PageId};
-use std::collections::HashMap;
+use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -184,8 +179,6 @@ struct BenchRecord {
     sink_overhead_ok: bool,
     fault_overhead: f64,
     fault_overhead_ok: bool,
-    sched_overhead: f64,
-    sched_overhead_ok: bool,
     snapshot_overhead: f64,
     snapshot_overhead_ok: bool,
     /// Allocations per fetch over the final stretch of a warm crawl —
@@ -196,13 +189,8 @@ struct BenchRecord {
     /// Worklist relaxations per second of the incremental rank solver
     /// driven over a full space ingest.
     link_rank_updates_per_s: f64,
-    /// End-to-end pagerank-ordered crawl throughput, incremental engine.
+    /// End-to-end pagerank-ordered crawl throughput.
     link_pagerank_pages_per_s: f64,
-    /// Same crawl under the legacy hash-map full recompute.
-    link_pagerank_legacy_pages_per_s: f64,
-    /// `link_pagerank_pages_per_s / link_pagerank_legacy_pages_per_s`.
-    link_speedup: f64,
-    link_speedup_ok: bool,
 }
 
 impl BenchRecord {
@@ -220,17 +208,11 @@ impl BenchRecord {
         if !self.fault_overhead_ok {
             out.push("retry machinery overhead above the 10% budget at zero fault rate");
         }
-        if !self.sched_overhead_ok {
-            out.push("single-slot scheduler overhead above the 5% budget over the legacy loop");
-        }
         if !self.snapshot_overhead_ok {
             out.push("snapshot capture overhead above the 5% budget at every-1000-ticks cadence");
         }
         if self.steady_state_gated && !self.steady_state_ok {
             out.push("steady-state crawl fetches allocate (must be zero after warm-up)");
-        }
-        if !self.link_speedup_ok {
-            out.push("incremental link-analysis speedup below 5x over the legacy recompute");
         }
         out
     }
@@ -255,14 +237,11 @@ impl BenchRecord {
                 "  \"simulator_pages_per_s\": {sim:.0},\n",
                 "  \"sink_overhead\": {ov:.4},\n",
                 "  \"fault_overhead\": {fov:.4},\n",
-                "  \"sched_overhead\": {sov:.4},\n",
                 "  \"snapshot_overhead\": {snov:.4},\n",
                 "  \"steady_state_allocs_per_fetch\": {ssa:.4},\n",
                 "  \"link_analysis\": {{\n",
                 "    \"rank_updates_per_s\": {lru:.0},\n",
-                "    \"pagerank_pages_per_s\": {lpp:.0},\n",
-                "    \"legacy_pages_per_s\": {llp:.0},\n",
-                "    \"speedup\": {lsp:.3}\n",
+                "    \"pagerank_pages_per_s\": {lpp:.0}\n",
                 "  }},\n",
                 "  \"gates\": {{\n",
                 "    \"thread_parity_ok\": {par},\n",
@@ -270,11 +249,9 @@ impl BenchRecord {
                 "    \"speedup_ok\": {spok},\n",
                 "    \"sink_overhead_ok\": {ovok},\n",
                 "    \"fault_overhead_ok\": {fovok},\n",
-                "    \"sched_overhead_ok\": {sovok},\n",
                 "    \"snapshot_overhead_ok\": {snovok},\n",
                 "    \"steady_state_gated\": {ssg},\n",
-                "    \"steady_state_ok\": {ssok},\n",
-                "    \"link_speedup_ok\": {lspok}\n",
+                "    \"steady_state_ok\": {ssok}\n",
                 "  }}\n",
                 "}}\n"
             ),
@@ -292,23 +269,18 @@ impl BenchRecord {
             sim = self.simulator_pages_per_s,
             ov = self.sink_overhead,
             fov = self.fault_overhead,
-            sov = self.sched_overhead,
             snov = self.snapshot_overhead,
             ssa = self.steady_state_allocs_per_fetch,
             lru = self.link_rank_updates_per_s,
             lpp = self.link_pagerank_pages_per_s,
-            llp = self.link_pagerank_legacy_pages_per_s,
-            lsp = self.link_speedup,
             par = self.thread_parity_ok,
             spg = self.speedup_gated,
             spok = self.speedup_ok,
             ovok = self.sink_overhead_ok,
             fovok = self.fault_overhead_ok,
-            sovok = self.sched_overhead_ok,
             snovok = self.snapshot_overhead_ok,
             ssg = self.steady_state_gated,
             ssok = self.steady_state_ok,
-            lspok = self.link_speedup_ok,
         )
     }
 }
@@ -586,105 +558,9 @@ fn bench_simulate(rec: &mut BenchRecord, scale: u32) {
     );
 }
 
-/// Number of priority buckets importance is quantized onto (mirrors the
-/// strategy module's constant for the frozen legacy baseline below).
-const LEGACY_BUCKETS: u8 = 8;
-
-/// The historical PageRank-ordered strategy, frozen verbatim as the
-/// bench baseline: per-strategy `HashMap` adjacency, full power
-/// iteration over fresh hash maps at every interval. The incremental
-/// engine's ≥5× end-to-end gate is measured against this.
-struct LegacyOnlinePageRank {
-    interval: u64,
-    iterations: u32,
-    damping: f64,
-    adjacency: HashMap<PageId, Vec<PageId>>,
-    rank: HashMap<PageId, f64>,
-}
-
-impl LegacyOnlinePageRank {
-    fn new() -> Self {
-        LegacyOnlinePageRank {
-            interval: 2_000,
-            iterations: 10,
-            damping: 0.85,
-            adjacency: HashMap::new(),
-            rank: HashMap::new(),
-        }
-    }
-
-    fn recompute(&mut self) {
-        let n = self.adjacency.len();
-        if n == 0 {
-            return;
-        }
-        let mut ids: Vec<PageId> = self.adjacency.keys().copied().collect();
-        ids.sort_unstable();
-        let base = (1.0 - self.damping) / n as f64;
-        let mut rank: HashMap<PageId, f64> = ids.iter().map(|&p| (p, 1.0 / n as f64)).collect();
-        for _ in 0..self.iterations {
-            let mut next: HashMap<PageId, f64> = ids.iter().map(|&p| (p, base)).collect();
-            for &p in &ids {
-                let outs = &self.adjacency[&p];
-                if outs.is_empty() {
-                    continue;
-                }
-                let share = self.damping * rank[&p] / outs.len() as f64;
-                for t in outs {
-                    if let Some(r) = next.get_mut(t) {
-                        *r += share;
-                    }
-                }
-            }
-            rank = next;
-        }
-        self.rank = rank;
-    }
-
-    fn bucket(&self, mass: f64, n: usize) -> u8 {
-        let rel = mass * n as f64;
-        let level = rel
-            .max(1e-9)
-            .log2()
-            .clamp(-1.0, LEGACY_BUCKETS as f64 - 2.0);
-        ((LEGACY_BUCKETS as f64 - 2.0 - level).round() as i64).clamp(0, LEGACY_BUCKETS as i64 - 1)
-            as u8
-    }
-}
-
-impl Strategy for LegacyOnlinePageRank {
-    fn name(&self) -> String {
-        format!("legacy-pagerank-ordered(every {})", self.interval)
-    }
-
-    fn levels(&self) -> usize {
-        LEGACY_BUCKETS as usize
-    }
-
-    fn admit(&mut self, view: &PageView<'_>, out: &mut Vec<Entry>) {
-        self.adjacency.insert(view.page, view.outlinks.to_vec());
-        if view.crawled.is_multiple_of(self.interval) {
-            self.recompute();
-        }
-        let n = self.adjacency.len().max(1);
-        let own_rank = self.rank.get(&view.page).copied().unwrap_or(1.0 / n as f64);
-        let share = own_rank / view.outlinks.len().max(1) as f64;
-        for &t in view.outlinks {
-            out.push(Entry {
-                page: t,
-                priority: self.bucket(share, n),
-                distance: 0,
-            });
-        }
-    }
-}
-
 /// The link-analysis engine section: raw incremental-solver relaxation
-/// rate over a full space ingest, plus the end-to-end acceptance gate —
-/// a whole pagerank-ordered crawl under the incremental engine must run
-/// ≥5× faster than under the legacy full-recompute baseline above.
-/// Capped at 40k pages so the legacy side (quadratic in crawl length)
-/// stays benchable.
+/// rate over a full space ingest, plus a whole pagerank-ordered crawl.
+/// Capped at 40k pages, the size of perfbench's `pagerank` space.
 fn bench_link_analysis(rec: &mut BenchRecord, scale: u32) {
     let n = scale.min(40_000);
     println!("link analysis (n={n}):");
@@ -717,55 +593,13 @@ fn bench_link_analysis(rec: &mut BenchRecord, scale: u32) {
         run_solver,
     );
 
-    // The end-to-end race: a full pagerank-ordered crawl on the
-    // incremental engine vs the frozen legacy full recompute. Timed
-    // interleaved and compared on per-config minima, like the overhead
-    // gates — each minimum comes from an uncontended round, which is
-    // what makes the ratio reproducible on a shared machine.
-    let run_inc = || {
-        let mut sim = Simulator::new(&ws, SimConfig::default());
-        black_box(sim.run(&mut OnlinePageRank::new(), &oracle).crawled)
-    };
-    let run_legacy = || {
-        let mut sim = Simulator::new(&ws, SimConfig::default());
-        black_box(sim.run(&mut LegacyOnlinePageRank::new(), &oracle).crawled)
-    };
-    run_inc();
-    run_legacy();
-    let mut t_inc = Duration::MAX;
-    let mut t_legacy = Duration::MAX;
-    for _ in 0..5 {
-        let t = Instant::now();
-        run_inc();
-        t_inc = t_inc.min(t.elapsed());
-        let t = Instant::now();
-        run_legacy();
-        t_legacy = t_legacy.min(t.elapsed());
-    }
-    rec.link_pagerank_pages_per_s = pages / t_inc.as_secs_f64();
-    rec.link_pagerank_legacy_pages_per_s = pages / t_legacy.as_secs_f64();
-    println!(
-        "  {:<40} min {:>10}  ({:.1} Mpages/s)",
+    rec.link_pagerank_pages_per_s = bench(
         "pagerank_ordered_full_crawl",
-        fmt(t_inc),
-        rec.link_pagerank_pages_per_s / 1.0e6
-    );
-    println!(
-        "  {:<40} min {:>10}  ({:.1} Mpages/s)",
-        "legacy_pagerank_full_crawl",
-        fmt(t_legacy),
-        rec.link_pagerank_legacy_pages_per_s / 1.0e6
-    );
-    rec.link_speedup = t_legacy.as_secs_f64() / t_inc.as_secs_f64();
-    rec.link_speedup_ok = rec.link_speedup >= 5.0;
-    println!(
-        "  incremental vs legacy end-to-end: {:.1}x  [{}]",
-        rec.link_speedup,
-        if rec.link_speedup_ok {
-            "OK"
-        } else {
-            "BELOW 5x GATE"
-        }
+        Some((pages, "pages")),
+        || {
+            let mut sim = Simulator::new(&ws, SimConfig::default());
+            sim.run(&mut OnlinePageRank::new(), &oracle).crawled
+        },
     );
 }
 
@@ -891,84 +725,6 @@ fn bench_fault_overhead(rec: &mut BenchRecord, scale: u32) {
         fmt(t_armed),
         100.0 * overhead,
         if rec.fault_overhead_ok {
-            "OK"
-        } else {
-            "OVER BUDGET"
-        }
-    );
-}
-
-/// The acceptance gate for the virtual-time scheduler: a default
-/// (single-slot, politeness-free) scheduled run — bit-identical to the
-/// legacy loop by the conformance suite — must cost no more than 5%
-/// over that loop. The scheduler earns this with the tiered
-/// degenerate-point elision (the host machinery provably cannot bite
-/// at `K = 1` with zero politeness, and with no `SlotIdle`-interested
-/// sink the schedule *is* the legacy loop, so `run_scheduled` runs it
-/// verbatim — the same move as the fault layer's inert-model fast
-/// path); the gate exists to catch that elision regressing. Timed
-/// interleaved and compared on per-config minima, like the other
-/// overhead gates.
-fn bench_sched_overhead(rec: &mut BenchRecord, scale: u32) {
-    println!("scheduler overhead at K=1 (n={scale}):");
-    let ws = GeneratorConfig::thai_like().scaled(scale).build(7);
-    let oracle = OracleClassifier::target(ws.target_language());
-    let engine = CrawlEngine::new(&ws, EngineConfig::default());
-    let sched = SchedConfig::default();
-
-    let run_legacy = || {
-        let mut strategy = SimpleStrategy::soft();
-        black_box(
-            engine
-                .run(
-                    UrlQueue::new(ws.num_pages(), strategy.levels()),
-                    &mut strategy,
-                    &oracle,
-                    &mut [],
-                )
-                .crawled,
-        )
-    };
-    let run_sched = || {
-        black_box(
-            engine
-                .run_scheduled(
-                    &sched,
-                    &mut SimpleStrategy::soft(),
-                    &oracle,
-                    &mut [],
-                    &mut EngineScratch::new(),
-                )
-                .0
-                .crawled,
-        )
-    };
-
-    let legacy_crawled = run_legacy();
-    let sched_crawled = run_sched();
-    assert_eq!(
-        legacy_crawled, sched_crawled,
-        "a K=1 politeness-free schedule must crawl exactly the legacy set"
-    );
-    let mut t_legacy = Duration::MAX;
-    let mut t_sched = Duration::MAX;
-    for _ in 0..40 {
-        let t = Instant::now();
-        run_legacy();
-        t_legacy = t_legacy.min(t.elapsed());
-        let t = Instant::now();
-        run_sched();
-        t_sched = t_sched.min(t.elapsed());
-    }
-    let overhead = t_sched.as_secs_f64() / t_legacy.as_secs_f64() - 1.0;
-    rec.sched_overhead = overhead;
-    rec.sched_overhead_ok = overhead <= 0.05;
-    println!(
-        "  legacy loop {:>10}   K=1 scheduler {:>10}   overhead {:+.1}%  [{}]",
-        fmt(t_legacy),
-        fmt(t_sched),
-        100.0 * overhead,
-        if rec.sched_overhead_ok {
             "OK"
         } else {
             "OVER BUDGET"
@@ -1255,7 +1011,6 @@ fn main() {
     mark("link_analysis", &mut marks);
     bench_sink_overhead(&mut rec, scale);
     bench_fault_overhead(&mut rec, scale);
-    bench_sched_overhead(&mut rec, scale);
     bench_snapshot_overhead(&mut rec, scale);
     mark("overhead_gates", &mut marks);
     bench_steady_state_allocs(&mut rec, scale);

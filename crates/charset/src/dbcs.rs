@@ -118,7 +118,17 @@ pub fn chinese_from_unicode(c: char) -> Option<Kuten> {
 /// # Panics
 /// Panics on a charset that cannot carry Korean text.
 pub fn encode_korean(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
-    encode_dbcs(tokens, DbcsEncoder::korean(charset))
+    let mut out = Vec::with_capacity(tokens.len() * 2);
+    encode_korean_into(tokens, charset, &mut out);
+    out
+}
+
+/// [`encode_korean`], appended to `out`.
+///
+/// # Panics
+/// Panics on a charset that cannot carry Korean text.
+pub fn encode_korean_into(tokens: &[DbToken], charset: Charset, out: &mut Vec<u8>) {
+    encode_dbcs_into(tokens, charset, Charset::EucKr, korean_to_unicode, out);
 }
 
 /// Encode a Chinese token stream as GB2312 or UTF-8.
@@ -126,64 +136,42 @@ pub fn encode_korean(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
 /// # Panics
 /// Panics on a charset that cannot carry Chinese text.
 pub fn encode_chinese(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
-    encode_dbcs(tokens, DbcsEncoder::chinese(charset))
-}
-
-fn encode_dbcs(tokens: &[DbToken], enc: DbcsEncoder) -> Vec<u8> {
     let mut out = Vec::with_capacity(tokens.len() * 2);
-    for &t in tokens {
-        enc.push_token(t, &mut out);
-    }
+    encode_chinese_into(tokens, charset, &mut out);
     out
 }
 
-/// [`encode_korean`] or [`encode_chinese`] one token at a time, appending
-/// to a caller's buffer. The EUC packing and UTF-8 keep no state between
-/// characters, so there is nothing to finish.
-#[derive(Debug, Clone, Copy)]
-pub struct DbcsEncoder {
-    /// The language's model Unicode mapping when encoding UTF-8; `None`
-    /// for the legacy EUC packing.
-    utf8: Option<fn(Kuten) -> char>,
+/// [`encode_chinese`], appended to `out`.
+///
+/// # Panics
+/// Panics on a charset that cannot carry Chinese text.
+pub fn encode_chinese_into(tokens: &[DbToken], charset: Charset, out: &mut Vec<u8>) {
+    encode_dbcs_into(tokens, charset, Charset::Gb2312, chinese_to_unicode, out);
 }
 
-impl DbcsEncoder {
-    /// A Korean encoder into EUC-KR or UTF-8.
-    ///
-    /// # Panics
-    /// Panics on a charset that cannot carry Korean text.
-    pub fn korean(charset: Charset) -> Self {
-        Self::new(charset, Charset::EucKr, korean_to_unicode)
-    }
-
-    /// A Chinese encoder into GB2312 or UTF-8.
-    ///
-    /// # Panics
-    /// Panics on a charset that cannot carry Chinese text.
-    pub fn chinese(charset: Charset) -> Self {
-        Self::new(charset, Charset::Gb2312, chinese_to_unicode)
-    }
-
-    fn new(charset: Charset, legacy: Charset, to_unicode: fn(Kuten) -> char) -> Self {
-        if charset == legacy {
-            DbcsEncoder { utf8: None }
-        } else if charset == Charset::Utf8 {
-            DbcsEncoder {
-                utf8: Some(to_unicode),
+fn encode_dbcs_into(
+    tokens: &[DbToken],
+    charset: Charset,
+    legacy: Charset,
+    to_unicode: fn(Kuten) -> char,
+    out: &mut Vec<u8>,
+) {
+    if charset == legacy {
+        for &t in tokens {
+            match t {
+                DbToken::Cell(k) => out.extend_from_slice(&to_euc(k)),
+                DbToken::Ascii(b) => out.push(b & 0x7F),
             }
-        } else {
-            panic!("charset {charset} cannot encode this DBCS text")
         }
-    }
-
-    /// Append the bytes of one token to `out`.
-    #[inline]
-    pub fn push_token(&self, token: DbToken, out: &mut Vec<u8>) {
-        match (token, self.utf8) {
-            (DbToken::Cell(k), None) => out.extend_from_slice(&to_euc(k)),
-            (DbToken::Cell(k), Some(to_unicode)) => push_utf8(to_unicode(k), out),
-            (DbToken::Ascii(b), _) => out.push(b & 0x7F),
+    } else if charset == Charset::Utf8 {
+        for &t in tokens {
+            match t {
+                DbToken::Cell(k) => push_utf8(to_unicode(k), out),
+                DbToken::Ascii(b) => out.push(b & 0x7F),
+            }
         }
+    } else {
+        panic!("charset {charset} cannot encode this DBCS text")
     }
 }
 

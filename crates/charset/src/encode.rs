@@ -7,11 +7,10 @@
 //! EUC-JP, Shift_JIS, ISO-2022-JP or UTF-8 bytes, and the detector must
 //! recover which.
 //!
-//! Each token-stream encoder ([`encode_japanese`], [`encode_thai`] and
-//! [`crate::dbcs`]'s Korean and Chinese ones) wraps a streaming encoder
-//! ([`JapaneseEncoder`], [`ThaiEncoder`], [`crate::dbcs::DbcsEncoder`])
-//! that appends one token at a time to a caller's buffer; page synthesis
-//! uses those directly.
+//! Each encoder ([`encode_japanese`], [`encode_thai`] and
+//! [`crate::dbcs`]'s Korean and Chinese ones) has an `_into` form that
+//! appends a whole token slice to a caller's buffer, so page synthesis can
+//! encode text straight into a larger document.
 
 use crate::kuten::Kuten;
 use crate::thai;
@@ -42,87 +41,68 @@ pub enum ThToken {
 /// Panics if `charset` cannot represent Japanese text (programmer error —
 /// the generator only pairs Japanese text with Japanese-capable charsets).
 pub fn encode_japanese(tokens: &[JaToken], charset: Charset) -> Vec<u8> {
-    let mut enc = JapaneseEncoder::new(charset);
     let mut out = Vec::with_capacity(tokens.len() * 2);
-    for &t in tokens {
-        enc.push_token(t, &mut out);
-    }
-    enc.finish(&mut out);
+    encode_japanese_into(tokens, charset, &mut out);
     out
 }
 
-/// [`encode_japanese`] one token at a time: each
-/// [`push_token`](Self::push_token) appends a token's bytes to a caller's
-/// buffer, so text can be encoded straight into a larger document.
-/// [`finish`](Self::finish) ends the text; ISO-2022-JP needs it to return
-/// to ASCII.
-#[derive(Debug)]
-pub struct JapaneseEncoder {
-    scheme: JaScheme,
-}
-
-#[derive(Debug)]
-enum JaScheme {
-    EucJp,
-    ShiftJis,
-    /// `in_208`: the JIS X 0208 set is designated, so ASCII needs an
-    /// escape back first.
-    Iso2022Jp {
-        in_208: bool,
-    },
-    Utf8,
-}
-
-impl JapaneseEncoder {
-    /// An encoder into `charset`.
-    ///
-    /// # Panics
-    /// Panics if `charset` cannot represent Japanese text.
-    pub fn new(charset: Charset) -> Self {
-        let scheme = match charset {
-            Charset::EucJp => JaScheme::EucJp,
-            Charset::ShiftJis => JaScheme::ShiftJis,
-            Charset::Iso2022Jp => JaScheme::Iso2022Jp { in_208: false },
-            Charset::Utf8 => JaScheme::Utf8,
-            other => panic!("charset {other} cannot encode Japanese text"),
-        };
-        JapaneseEncoder { scheme }
-    }
-
-    /// Append the bytes of one token to `out`.
-    #[inline]
-    pub fn push_token(&mut self, token: JaToken, out: &mut Vec<u8>) {
-        match token {
-            JaToken::K(k) => match &mut self.scheme {
-                JaScheme::EucJp => out.extend_from_slice(&k.to_eucjp()),
-                JaScheme::ShiftJis => out.extend_from_slice(&k.to_sjis()),
-                JaScheme::Iso2022Jp { in_208 } => {
-                    if !*in_208 {
-                        out.extend_from_slice(&[0x1B, b'$', b'B']);
-                        *in_208 = true;
-                    }
-                    out.extend_from_slice(&k.to_jis());
+/// [`encode_japanese`], appended to `out`. ISO-2022-JP text starts and
+/// ends in ASCII, so each call stands alone.
+///
+/// # Panics
+/// Panics if `charset` cannot represent Japanese text.
+pub fn encode_japanese_into(tokens: &[JaToken], charset: Charset, out: &mut Vec<u8>) {
+    match charset {
+        Charset::EucJp => {
+            for &t in tokens {
+                match t {
+                    JaToken::K(k) => out.extend_from_slice(&k.to_eucjp()),
+                    JaToken::Ascii(b) => out.push(b & 0x7F),
                 }
-                JaScheme::Utf8 => push_utf8(k.to_unicode(), out),
-            },
-            JaToken::Ascii(b) => {
-                if let JaScheme::Iso2022Jp { in_208 } = &mut self.scheme {
-                    if *in_208 {
-                        out.extend_from_slice(&[0x1B, b'(', b'B']);
-                        *in_208 = false;
-                    }
-                }
-                out.push(b & 0x7F);
             }
         }
-    }
-
-    /// End the text: conforming ISO-2022-JP returns to ASCII before the
-    /// text ends (RFC 1468). The other charsets need nothing.
-    pub fn finish(self, out: &mut Vec<u8>) {
-        if matches!(self.scheme, JaScheme::Iso2022Jp { in_208: true }) {
-            out.extend_from_slice(&[0x1B, b'(', b'B']);
+        Charset::ShiftJis => {
+            for &t in tokens {
+                match t {
+                    JaToken::K(k) => out.extend_from_slice(&k.to_sjis()),
+                    JaToken::Ascii(b) => out.push(b & 0x7F),
+                }
+            }
         }
+        Charset::Iso2022Jp => {
+            let mut in_208 = false;
+            for &t in tokens {
+                match t {
+                    JaToken::K(k) => {
+                        if !in_208 {
+                            out.extend_from_slice(&[0x1B, b'$', b'B']);
+                            in_208 = true;
+                        }
+                        out.extend_from_slice(&k.to_jis());
+                    }
+                    JaToken::Ascii(b) => {
+                        if in_208 {
+                            out.extend_from_slice(&[0x1B, b'(', b'B']);
+                            in_208 = false;
+                        }
+                        out.push(b & 0x7F);
+                    }
+                }
+            }
+            if in_208 {
+                // Conforming streams return to ASCII before EOF (RFC 1468).
+                out.extend_from_slice(&[0x1B, b'(', b'B']);
+            }
+        }
+        Charset::Utf8 => {
+            for &t in tokens {
+                match t {
+                    JaToken::K(k) => push_utf8(k.to_unicode(), out),
+                    JaToken::Ascii(b) => out.push(b & 0x7F),
+                }
+            }
+        }
+        other => panic!("charset {other} cannot encode Japanese text"),
     }
 }
 
@@ -133,59 +113,41 @@ impl JapaneseEncoder {
 /// # Panics
 /// Panics if `charset` cannot represent Thai text.
 pub fn encode_thai(tokens: &[ThToken], charset: Charset) -> Vec<u8> {
-    let enc = ThaiEncoder::new(charset);
     let mut out = Vec::with_capacity(tokens.len());
-    for &t in tokens {
-        enc.push_token(t, &mut out);
-    }
+    encode_thai_into(tokens, charset, &mut out);
     out
 }
 
-/// [`encode_thai`] one token at a time, appending to a caller's buffer.
-/// Thai encodings keep no state between characters, so there is nothing
-/// to finish.
-#[derive(Debug, Clone, Copy)]
-pub struct ThaiEncoder {
-    utf8: bool,
-}
-
-impl ThaiEncoder {
-    /// An encoder into `charset`.
-    ///
-    /// # Panics
-    /// Panics if `charset` cannot represent Thai text.
-    pub fn new(charset: Charset) -> Self {
-        let utf8 = match charset {
-            Charset::Tis620 | Charset::Windows874 | Charset::Iso885911 => false,
-            Charset::Utf8 => true,
-            other => panic!("charset {other} cannot encode Thai text"),
-        };
-        ThaiEncoder { utf8 }
-    }
-
-    /// Append the bytes of one token to `out`.
-    #[inline]
-    pub fn push_token(&self, token: ThToken, out: &mut Vec<u8>) {
-        match token {
-            ThToken::Thai(b) if self.utf8 => {
-                push_utf8(
-                    thai::to_unicode(b).expect("generator uses assigned bytes"),
-                    out,
-                );
+/// [`encode_thai`], appended to `out`.
+///
+/// # Panics
+/// Panics if `charset` cannot represent Thai text.
+pub fn encode_thai_into(tokens: &[ThToken], charset: Charset, out: &mut Vec<u8>) {
+    match charset {
+        Charset::Tis620 | Charset::Windows874 | Charset::Iso885911 => {
+            for &t in tokens {
+                match t {
+                    ThToken::Thai(b) => {
+                        debug_assert!(thai::is_thai_byte(b), "invalid Thai byte {b:02X}");
+                        out.push(b);
+                    }
+                    ThToken::Ascii(b) => out.push(b & 0x7F),
+                }
             }
-            ThToken::Thai(b) => {
-                debug_assert!(thai::is_thai_byte(b), "invalid Thai byte {b:02X}");
-                out.push(b);
-            }
-            ThToken::Ascii(b) => out.push(b & 0x7F),
         }
+        Charset::Utf8 => {
+            for &t in tokens {
+                match t {
+                    ThToken::Thai(b) => push_utf8(
+                        thai::to_unicode(b).expect("generator uses assigned bytes"),
+                        out,
+                    ),
+                    ThToken::Ascii(b) => out.push(b & 0x7F),
+                }
+            }
+        }
+        other => panic!("charset {other} cannot encode Thai text"),
     }
-}
-
-/// Encode plain ASCII text (the "irrelevant page" filler for English-like
-/// pages; also valid Latin-1 and UTF-8 by construction).
-pub fn encode_ascii(text: &str) -> Vec<u8> {
-    text.bytes().map(|b| b & 0x7F).collect()
 }
 
 /// Append the UTF-8 bytes of `c` to `out`.
@@ -320,11 +282,6 @@ mod tests {
         let toks = vec![JaToken::K(Kuten::new(4, 2).unwrap())];
         let bytes = encode_japanese(&toks, Charset::Iso2022Jp);
         assert!(bytes.ends_with(&[0x1B, b'(', b'B']));
-    }
-
-    #[test]
-    fn ascii_passthrough() {
-        assert_eq!(encode_ascii("abc"), b"abc");
     }
 
     #[test]

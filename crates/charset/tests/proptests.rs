@@ -2,11 +2,13 @@
 //! randomly generated token streams, plus totality on arbitrary bytes.
 
 use langcrawl_charset::dbcs::{
-    chinese_from_unicode, chinese_to_unicode, encode_chinese, encode_korean, korean_from_unicode,
-    korean_to_unicode, DbToken,
+    chinese_from_unicode, chinese_to_unicode, encode_chinese, encode_chinese_into, encode_korean,
+    encode_korean_into, korean_from_unicode, korean_to_unicode, DbToken,
 };
 use langcrawl_charset::decode::decode;
-use langcrawl_charset::encode::{encode_japanese, encode_thai, JaToken, ThToken};
+use langcrawl_charset::encode::{
+    encode_japanese, encode_japanese_into, encode_thai, encode_thai_into, JaToken, ThToken,
+};
 use langcrawl_charset::kuten::Kuten;
 use langcrawl_charset::{detect, thai, Charset, Language};
 use langcrawl_minicheck::{check_default, Gen};
@@ -44,6 +46,26 @@ fn arb_thai_tokens(g: &mut Gen) -> Vec<ThToken> {
         out.extend(s);
     }
     out
+}
+
+/// Random hangul-row Korean token streams.
+fn arb_korean_tokens(g: &mut Gen) -> Vec<DbToken> {
+    g.vec(30..150, |g| {
+        DbToken::Cell(Kuten::new(g.u8(16..=40), g.u8(1..=94)).unwrap())
+    })
+}
+
+/// Random Chinese token streams alternating level-1 and level-2 hanzi,
+/// the tail the Chinese prober keys on.
+fn arb_chinese_tokens(g: &mut Gen) -> Vec<DbToken> {
+    let l1 = g.vec(40..120, |g| (g.u8(16..=55), g.u8(1..=94)));
+    let l2 = g.vec(20..60, |g| (g.u8(56..=87), g.u8(1..=94)));
+    let mut toks = Vec::new();
+    for (a, b) in l1.iter().zip(l2.iter().cycle()) {
+        toks.push(DbToken::Cell(Kuten::new(a.0, a.1).unwrap()));
+        toks.push(DbToken::Cell(Kuten::new(b.0, b.1).unwrap()));
+    }
+    toks
 }
 
 /// Whatever Japanese legacy charset we encode into, the detector recovers
@@ -172,9 +194,7 @@ fn tis620_byte_round_trip() {
 #[test]
 fn korean_encode_detect_round_trip() {
     check_default(|g| {
-        let toks: Vec<DbToken> = g.vec(30..150, |g| {
-            DbToken::Cell(Kuten::new(g.u8(16..=40), g.u8(1..=94)).unwrap())
-        });
+        let toks = arb_korean_tokens(g);
         let d = detect(&encode_korean(&toks, Charset::EucKr));
         assert_eq!(d.language(), Some(Language::Korean), "{d:?}");
         let d8 = detect(&encode_korean(&toks, Charset::Utf8));
@@ -187,17 +207,77 @@ fn korean_encode_detect_round_trip() {
 #[test]
 fn chinese_encode_detect_round_trip() {
     check_default(|g| {
-        let l1 = g.vec(40..120, |g| (g.u8(16..=55), g.u8(1..=94)));
-        let l2 = g.vec(20..60, |g| (g.u8(56..=87), g.u8(1..=94)));
-        let mut toks: Vec<DbToken> = Vec::new();
-        for (a, b) in l1.iter().zip(l2.iter().cycle()) {
-            toks.push(DbToken::Cell(Kuten::new(a.0, a.1).unwrap()));
-            toks.push(DbToken::Cell(Kuten::new(b.0, b.1).unwrap()));
-        }
+        let toks = arb_chinese_tokens(g);
         let d = detect(&encode_chinese(&toks, Charset::Gb2312));
         assert_eq!(d.language(), Some(Language::Chinese), "{d:?}");
         let d8 = detect(&encode_chinese(&toks, Charset::Utf8));
         assert_eq!(d8.language(), Some(Language::Chinese));
+    });
+}
+
+/// The `_into` encoders append: two calls on a non-empty buffer leave the
+/// old bytes, then each slice's own encoding. So they never clear or read
+/// `out`, and each ISO-2022-JP call starts and ends in ASCII.
+#[test]
+fn encode_into_appends() {
+    fn check<T>(
+        into: fn(&[T], Charset, &mut Vec<u8>),
+        whole: fn(&[T], Charset) -> Vec<u8>,
+        charsets: &[Charset],
+        (a, b): (Vec<T>, Vec<T>),
+        prefix: &[u8],
+    ) {
+        for &cs in charsets {
+            let mut out = prefix.to_vec();
+            into(&a, cs, &mut out);
+            into(&b, cs, &mut out);
+            assert_eq!(
+                out,
+                [prefix, &whole(&a, cs), &whole(&b, cs)].concat(),
+                "{cs}"
+            );
+        }
+    }
+    check_default(|g| {
+        let prefix = g.bytes(1..64);
+        check(
+            encode_japanese_into,
+            encode_japanese,
+            &[
+                Charset::EucJp,
+                Charset::ShiftJis,
+                Charset::Iso2022Jp,
+                Charset::Utf8,
+            ],
+            (arb_japanese_tokens(g), arb_japanese_tokens(g)),
+            &prefix,
+        );
+        check(
+            encode_thai_into,
+            encode_thai,
+            &[
+                Charset::Tis620,
+                Charset::Windows874,
+                Charset::Iso885911,
+                Charset::Utf8,
+            ],
+            (arb_thai_tokens(g), arb_thai_tokens(g)),
+            &prefix,
+        );
+        check(
+            encode_korean_into,
+            encode_korean,
+            &[Charset::EucKr, Charset::Utf8],
+            (arb_korean_tokens(g), arb_korean_tokens(g)),
+            &prefix,
+        );
+        check(
+            encode_chinese_into,
+            encode_chinese,
+            &[Charset::Gb2312, Charset::Utf8],
+            (arb_chinese_tokens(g), arb_chinese_tokens(g)),
+            &prefix,
+        );
     });
 }
 

@@ -30,8 +30,8 @@
 //! [`SlotIdle`](CrawlEvent::SlotIdle) listener hands off to the legacy
 //! loop verbatim (see [`CrawlEngine::run_scheduled`]); every other run
 //! drives the event loop over a [`ShardedFrontier`] — one shard at
-//! `K = 1`. The scheduler-overhead microbench gate keeps the default
-//! `K = 1` configuration within 5% of the legacy loop.
+//! `K = 1`. A unit test pins that a default
+//! [`Simulator`](crate::sim::Simulator) run takes the hand-off.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style: a host that
 //! started a fetch at `t` may not start another before `t + gap(h)`,
@@ -387,8 +387,8 @@ impl CrawlEngine<'_> {
         // or captures are on (they describe the event loop's state),
         // the schedule *is* the legacy loop, outcome, ticks, events and
         // all (pinned by `single_slot_schedule_matches_legacy_engine`),
-        // so run it verbatim. The scheduler-overhead microbench gate
-        // prices this default path against the legacy loop directly.
+        // so run it verbatim. Only this path returns no shard counters,
+        // which `default_simulator_run_hands_off_to_the_legacy_loop` pins.
         if every.is_none() && Self::is_degenerate(sched) && wants & interest::SLOT_IDLE == 0 {
             let frontier = UrlQueue::new(ws.num_pages(), strategy.levels());
             let outcome = self.run_with_scratch(frontier, strategy, classifier, sinks, scratch);
@@ -927,7 +927,8 @@ mod tests {
     use super::*;
     use crate::classifier::OracleClassifier;
     use crate::engine::EngineConfig;
-    use crate::event::{SchedStatsSink, VisitRecorder};
+    use crate::event::{MetricsSampler, SchedStatsSink, VisitRecorder};
+    use crate::sim::SimConfig;
     use crate::strategy::{BreadthFirst, SimpleStrategy};
     use langcrawl_webgraph::{GeneratorConfig, WebSpace};
 
@@ -976,6 +977,30 @@ mod tests {
             assert_eq!(legacy.0, scheduled.0, "{shards} shards, stats={stats}");
             assert_eq!(legacy.1, scheduled.1, "{shards} shards, stats={stats}");
         }
+    }
+
+    /// A default `Simulator` run takes the hand-off: the default
+    /// schedule with the sinks `Simulator::run` attaches returns no
+    /// shard counters, and the event loop returns one per shard.
+    #[test]
+    fn default_simulator_run_hands_off_to_the_legacy_loop() {
+        let ws = space();
+        let engine = CrawlEngine::new(&ws, EngineConfig::default());
+        let mut metrics = MetricsSampler::new();
+        let mut visits = VisitRecorder::new();
+        let (outcome, shards) = engine.run_scheduled(
+            &SimConfig::default().sched,
+            &mut SimpleStrategy::soft(),
+            &OracleClassifier::target(ws.target_language()),
+            &mut [&mut metrics, &mut visits],
+            &mut EngineScratch::new(),
+        );
+        assert!(outcome.crawled > 0);
+        assert!(
+            shards.is_empty(),
+            "the default schedule ran the event loop over {} shards",
+            shards.len()
+        );
     }
 
     #[test]

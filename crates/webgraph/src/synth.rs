@@ -12,10 +12,10 @@
 //! content mode needs no stored bodies.
 
 use crate::graph::WebSpace;
-use crate::page::{PageId, PageKind};
+use crate::page::{PageId, PageKind, PageMeta};
 use crate::text;
-use langcrawl_charset::dbcs::DbcsEncoder;
-use langcrawl_charset::encode::{JapaneseEncoder, ThaiEncoder};
+use langcrawl_charset::dbcs::{encode_chinese_into, encode_korean_into, DbToken};
+use langcrawl_charset::encode::{encode_japanese_into, encode_thai_into, JaToken, ThToken};
 use langcrawl_charset::{Charset, Language};
 
 use langcrawl_rng::{mix, Rng};
@@ -34,11 +34,13 @@ impl WebSpace {
     }
 
     /// Every piece of the page, text and URLs alike, is written straight
-    /// into the one output buffer.
+    /// into the one output buffer, and every body text is drawn into the
+    /// one token buffer.
     fn synthesize_html(&self, p: PageId) -> Vec<u8> {
         let meta = self.meta(p);
         // Per-page deterministic stream: splitmix the ids together.
         let mut rng = Rng::seed_from_u64(mix(self.generation_seed(), p as u64));
+        let mut toks = Tokens::default();
 
         let mut out: Vec<u8> = Vec::with_capacity(meta.size as usize / 4);
         out.extend_from_slice(b"<html><head>");
@@ -50,7 +52,7 @@ impl WebSpace {
             out.extend_from_slice(br#"">"#);
         }
         out.extend_from_slice(b"<title>");
-        body_text(meta.lang, meta.true_charset, 8, &mut rng, &mut out);
+        body_text(meta, 8, &mut rng, &mut toks, &mut out);
         out.extend_from_slice(b"</title></head><body>");
 
         // Interleave text paragraphs with the page's real outlinks.
@@ -59,7 +61,7 @@ impl WebSpace {
         let mut li = 0usize;
         for _ in 0..n_par {
             out.extend_from_slice(b"<p>");
-            body_text(meta.lang, meta.true_charset, 40, &mut rng, &mut out);
+            body_text(meta, 40, &mut rng, &mut toks, &mut out);
             out.extend_from_slice(b"</p>\n");
             // A run of anchors after each paragraph.
             let take = (links.len() - li).min(1 + (links.len() / n_par));
@@ -67,7 +69,7 @@ impl WebSpace {
                 out.extend_from_slice(b"<a href=\"");
                 self.write_url(t, &mut out);
                 out.extend_from_slice(b"\">");
-                body_text(meta.lang, meta.true_charset, 3, &mut rng, &mut out);
+                body_text(meta, 3, &mut rng, &mut toks, &mut out);
                 out.extend_from_slice(b"</a> ");
             }
             li += take;
@@ -82,46 +84,47 @@ impl WebSpace {
     }
 }
 
+/// Token buffers for one page's body texts. A page has one language, so
+/// only that language's buffer is ever filled.
+#[derive(Default)]
+struct Tokens {
+    ja: Vec<JaToken>,
+    th: Vec<ThToken>,
+    db: Vec<DbToken>,
+}
+
 /// Append body text in the page's language and charset to `out`. `units`
 /// is roughly "words": tokens are scaled so languages look comparable.
-/// Tokens go through the encoder as they are drawn.
-fn body_text(
-    lang: Option<Language>,
-    charset: Charset,
-    units: usize,
-    rng: &mut Rng,
-    out: &mut Vec<u8>,
-) {
-    match (lang, charset) {
+fn body_text(meta: &PageMeta, units: usize, rng: &mut Rng, toks: &mut Tokens, out: &mut Vec<u8>) {
+    match (meta.lang, meta.true_charset) {
         (Some(Language::Japanese), cs) => {
-            let mut enc = JapaneseEncoder::new(cs);
-            text::emit_japanese_tokens(units * 4, rng, |t| enc.push_token(t, out));
-            enc.finish(out);
+            text::japanese_tokens_into(units * 4, rng, &mut toks.ja);
+            encode_japanese_into(&toks.ja, cs, out);
         }
         (Some(Language::Thai), cs) => {
-            let enc = ThaiEncoder::new(cs);
-            text::emit_thai_tokens(units * 4, rng, |t| enc.push_token(t, out));
+            text::thai_tokens_into(units * 4, rng, &mut toks.th);
+            encode_thai_into(&toks.th, cs, out);
         }
         (Some(Language::Korean), cs) => {
-            let enc = DbcsEncoder::korean(cs);
-            text::emit_korean_tokens(units * 3, rng, |t| enc.push_token(t, out));
+            text::korean_tokens_into(units * 3, rng, &mut toks.db);
+            encode_korean_into(&toks.db, cs, out);
         }
         (Some(Language::Chinese), cs) => {
-            let enc = DbcsEncoder::chinese(cs);
-            text::emit_chinese_tokens(units * 4, rng, |t| enc.push_token(t, out));
+            text::chinese_tokens_into(units * 4, rng, &mut toks.db);
+            encode_chinese_into(&toks.db, cs, out);
         }
         // The filler words are ASCII, so their bytes are the same in
         // every remaining charset. "Other" UTF-8 and Latin-1 pages end in
         // accented Latin so they are not bare ASCII.
         (Some(Language::Other), Charset::Utf8) => {
-            text::emit_english_words(units, rng, |w| out.extend_from_slice(w.as_bytes()));
+            text::write_english_words(units, rng, out);
             out.extend_from_slice(" caf\u{e9} d\u{e9}j\u{e0}".as_bytes());
         }
         (Some(Language::Other), Charset::Latin1) => {
-            text::emit_english_words(units, rng, |w| out.extend_from_slice(w.as_bytes()));
+            text::write_english_words(units, rng, out);
             out.extend_from_slice(b" caf\xE9");
         }
-        _ => text::emit_english_words(units, rng, |w| out.extend_from_slice(w.as_bytes())),
+        _ => text::write_english_words(units, rng, out),
     }
 }
 

@@ -12,6 +12,10 @@
 //!   leading-vowel syllables mixed in — the transition structure the
 //!   Thai prober scores;
 //! * English-ish ASCII filler for irrelevant pages.
+//!
+//! Generators draw whole bursts, then truncate to the token count.
+//! Stopping mid-burst instead would shift the RNG stream, and with it every
+//! later text on the page (`tests/synthesis_golden.rs` pins those bytes).
 
 use langcrawl_charset::dbcs::DbToken;
 use langcrawl_charset::encode::{JaToken, ThToken};
@@ -19,48 +23,17 @@ use langcrawl_charset::kuten::{rows, Kuten};
 
 use langcrawl_rng::Rng;
 
-/// The first `n` tokens a generator draws go to `emit`; the rest are
-/// dropped. Generators draw whole bursts, so the last burst can overrun
-/// `n`. Its surplus is still drawn, which leaves the RNG where the
-/// collect-then-truncate form of each generator left it, but is never
-/// emitted.
-struct Budget<F> {
-    left: usize,
-    emit: F,
-}
-
-impl<F> Budget<F> {
-    fn new(n: usize, emit: F) -> Self {
-        Budget { left: n, emit }
-    }
-
-    fn wants_more(&self) -> bool {
-        self.left > 0
-    }
-
-    #[inline]
-    fn push<T>(&mut self, token: T)
-    where
-        F: FnMut(T),
-    {
-        if self.left > 0 {
-            self.left -= 1;
-            (self.emit)(token);
-        }
-    }
-}
-
 /// Generate `n` tokens of model Japanese text.
 pub fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
     let mut out = Vec::with_capacity(n);
-    emit_japanese_tokens(n, rng, |t| out.push(t));
+    japanese_tokens_into(n, rng, &mut out);
     out
 }
 
-/// [`japanese_tokens`] without the `Vec`: hands each token to `emit`.
-pub(crate) fn emit_japanese_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(JaToken)) {
-    let mut out = Budget::new(n, emit);
-    while out.wants_more() {
+/// [`japanese_tokens`] into `out`, which is cleared first.
+pub(crate) fn japanese_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<JaToken>) {
+    out.clear();
+    while out.len() < n {
         match rng.random_range(0..100u32) {
             // Hiragana runs (particles, okurigana) come in bursts.
             0..=45 => {
@@ -103,6 +76,7 @@ pub(crate) fn emit_japanese_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(JaT
             }
         }
     }
+    out.truncate(n);
 }
 
 /// Thai consonants that open syllables, as TIS-620 bytes.
@@ -122,15 +96,15 @@ const THAI_TONES: &[u8] = &[0xE8, 0xE9, 0xEA, 0xEB];
 /// Generate `n` tokens of model Thai text (canonical syllable structure).
 pub fn thai_tokens(n: usize, rng: &mut Rng) -> Vec<ThToken> {
     let mut out = Vec::with_capacity(n);
-    emit_thai_tokens(n, rng, |t| out.push(t));
+    thai_tokens_into(n, rng, &mut out);
     out
 }
 
-/// [`thai_tokens`] without the `Vec`: hands each token to `emit`.
-pub(crate) fn emit_thai_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(ThToken)) {
-    let mut out = Budget::new(n, emit);
+/// [`thai_tokens`] into `out`, which is cleared first.
+pub(crate) fn thai_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<ThToken>) {
+    out.clear();
     let pick = |set: &[u8], rng: &mut Rng| set[rng.random_range(0..set.len())];
-    while out.wants_more() {
+    while out.len() < n {
         // Optional leading vowel, consonant, optional vowel, optional tone,
         // optional final consonant — a defensible approximation of Thai
         // orthotactics.
@@ -160,20 +134,21 @@ pub(crate) fn emit_thai_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(ThToken
             }
         }
     }
+    out.truncate(n);
 }
 
 /// Generate `n` tokens of model Korean text: precomposed hangul (KS X
 /// 1001 rows 16..=40), spaces between words, rare ASCII digits.
 pub fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
     let mut out = Vec::with_capacity(n);
-    emit_korean_tokens(n, rng, |t| out.push(t));
+    korean_tokens_into(n, rng, &mut out);
     out
 }
 
-/// [`korean_tokens`] without the `Vec`: hands each token to `emit`.
-pub(crate) fn emit_korean_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
-    let mut out = Budget::new(n, emit);
-    while out.wants_more() {
+/// [`korean_tokens`] into `out`, which is cleared first.
+pub(crate) fn korean_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<DbToken>) {
+    out.clear();
+    while out.len() < n {
         // A word of 1..=4 syllables.
         for _ in 0..rng.random_range(1..=4) {
             let ku = 16 + rng.random_range(0..25) as u8;
@@ -187,6 +162,7 @@ pub(crate) fn emit_korean_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(DbTok
             }
         }
     }
+    out.truncate(n);
 }
 
 /// Generate `n` tokens of model Simplified-Chinese text: level-1 hanzi
@@ -194,14 +170,14 @@ pub(crate) fn emit_korean_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(DbTok
 /// spaces.
 pub fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
     let mut out = Vec::with_capacity(n);
-    emit_chinese_tokens(n, rng, |t| out.push(t));
+    chinese_tokens_into(n, rng, &mut out);
     out
 }
 
-/// [`chinese_tokens`] without the `Vec`: hands each token to `emit`.
-pub(crate) fn emit_chinese_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
-    let mut out = Budget::new(n, emit);
-    while out.wants_more() {
+/// [`chinese_tokens`] into `out`, which is cleared first.
+pub(crate) fn chinese_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<DbToken>) {
+    out.clear();
+    while out.len() < n {
         let (ku, ten) = match rng.random_range(0..100u32) {
             0..=64 => (
                 16 + rng.random_range(0..40) as u8,
@@ -218,18 +194,19 @@ pub(crate) fn emit_chinese_tokens(n: usize, rng: &mut Rng, emit: impl FnMut(DbTo
             out.push(DbToken::Ascii(b' '));
         }
     }
+    out.truncate(n);
 }
 
 /// English-like filler words for irrelevant pages.
 pub fn english_words(n_words: usize, rng: &mut Rng) -> String {
-    let mut s = String::with_capacity(n_words * 6);
-    emit_english_words(n_words, rng, |piece| s.push_str(piece));
-    s
+    let mut s = Vec::with_capacity(n_words * 6);
+    write_english_words(n_words, rng, &mut s);
+    String::from_utf8(s).expect("the filler words are ASCII")
 }
 
-/// [`english_words`] without the `String`: hands `emit` each word and
-/// each single-space separator, in order.
-pub(crate) fn emit_english_words(n_words: usize, rng: &mut Rng, mut emit: impl FnMut(&str)) {
+/// [`english_words`], appended to `out`. The words are ASCII, so these are
+/// their bytes in every charset the filler is served in.
+pub(crate) fn write_english_words(n_words: usize, rng: &mut Rng, out: &mut Vec<u8>) {
     const WORDS: &[&str] = &[
         "the", "of", "and", "to", "in", "for", "is", "on", "that", "by", "this", "with", "you",
         "it", "not", "or", "be", "are", "from", "at", "as", "your", "all", "have", "new", "more",
@@ -238,9 +215,9 @@ pub(crate) fn emit_english_words(n_words: usize, rng: &mut Rng, mut emit: impl F
     ];
     for i in 0..n_words {
         if i > 0 {
-            emit(" ");
+            out.push(b' ');
         }
-        emit(WORDS[rng.random_range(0..WORDS.len())]);
+        out.extend_from_slice(WORDS[rng.random_range(0..WORDS.len())].as_bytes());
     }
 }
 
