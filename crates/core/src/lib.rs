@@ -93,7 +93,7 @@ pub use event::{
     interest, CrawlEvent, EventSink, MetricsSampler, PhaseTimingSink, SchedStatsSink, VisitRecorder,
 };
 pub use frontier::Frontier;
-pub use linkgraph::{LinkGraph, Slot};
+pub use linkgraph::LinkGraph;
 pub use metrics::CrawlReport;
 pub use retry::RetryPolicy;
 pub use sched::SchedConfig;

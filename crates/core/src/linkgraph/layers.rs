@@ -26,7 +26,8 @@
 //! chunk lists, grown by [`LayerIndex::on_record`] outside the
 //! relaxation, with no order to keep.
 
-use super::{LinkGraph, Slot, NONE};
+use super::{LinkGraph, NONE};
+use langcrawl_webgraph::PageId;
 
 /// Layer value for "no known chain to a relevant page (within the
 /// cap)".
@@ -44,9 +45,9 @@ const CHUNK_WORDS: usize = CHUNK_SOURCES + 2;
 pub struct LayerIndex {
     /// Deepest maintained layer; pages further out stay [`UNREACHED`].
     max_layer: u8,
-    /// Per slot: current layer, [`UNREACHED`] while unknown.
+    /// Per page: current layer, [`UNREACHED`] while unknown.
     layer: Vec<u8>,
-    /// Per slot: the chunk of `in_arena` that takes its next in-edge,
+    /// Per page: the chunk of `in_arena` that takes its next in-edge,
     /// or [`NONE`]; older chunks hang off it.
     in_head: Vec<u32>,
     /// Reverse-edge chunks, [`CHUNK_WORDS`] words each:
@@ -55,7 +56,7 @@ pub struct LayerIndex {
     in_arena: Vec<u32>,
     /// Relaxation worklist (order does not affect the fixpoint — the
     /// relaxation is monotone — and is deterministic anyway).
-    work: Vec<Slot>,
+    work: Vec<PageId>,
 }
 
 impl LayerIndex {
@@ -70,26 +71,29 @@ impl LayerIndex {
         }
     }
 
-    /// Current layer of `slot`, or [`UNREACHED`].
+    /// Current layer of `page`, or [`UNREACHED`].
     #[inline]
-    pub fn layer_of(&self, slot: Slot) -> u8 {
-        self.layer.get(slot as usize).copied().unwrap_or(UNREACHED)
+    pub fn layer_of(&self, page: PageId) -> u8 {
+        self.layer.get(page as usize).copied().unwrap_or(UNREACHED)
     }
 
-    /// Absorb a freshly recorded page (slot as returned by
-    /// [`LinkGraph::record_page`], once per page): file its outlinks as
-    /// in-edges of their targets, propose its own layer from those
-    /// targets (or 0 if relevant), and relax every improvement
-    /// backwards along in-edges. Growth happens up front; the
+    /// Absorb a page freshly recorded by [`LinkGraph::record_page`],
+    /// once per page: file its outlinks as in-edges of their targets,
+    /// propose its own layer from those targets (or 0 if relevant), and
+    /// relax every improvement backwards along in-edges. A page the
+    /// store has not recorded is ignored. Growth happens up front; the
     /// relaxation loop is the steady-state update path.
-    pub fn on_record(&mut self, g: &LinkGraph, slot: Slot, relevant: bool) {
-        let n = g.num_slots();
+    pub fn on_record(&mut self, g: &LinkGraph, page: PageId, relevant: bool) {
+        if !g.is_crawled(page) {
+            return;
+        }
+        let n = g.page_bound();
         if self.layer.len() < n {
             self.layer.resize(n, UNREACHED);
             self.in_head.resize(n, NONE);
             self.work.reserve(n.saturating_sub(self.work.capacity()));
         }
-        for &t in g.out_slots(slot) {
+        for &t in g.out_pages(page) {
             let mut head = self.in_head[t as usize];
             if head == NONE || self.in_arena[head as usize + 1] as usize == CHUNK_SOURCES {
                 let at = self.in_arena.len();
@@ -100,31 +104,31 @@ impl LayerIndex {
             }
             let base = head as usize;
             let len = self.in_arena[base + 1] as usize;
-            self.in_arena[base + 2 + len] = slot;
+            self.in_arena[base + 2 + len] = page;
             self.in_arena[base + 1] += 1;
         }
-        self.absorb(g, slot, relevant);
+        self.absorb(g, page, relevant);
     }
 
     /// The relaxation itself — decrease-only, worklist-driven.
     // lint:root(panic-free, alloc-free) — the per-fetch layer update
     // the online context-graph crawl runs on.
-    fn absorb(&mut self, g: &LinkGraph, slot: Slot, relevant: bool) {
+    fn absorb(&mut self, g: &LinkGraph, page: PageId, relevant: bool) {
         // The newly crawled page's own layer: 0 if relevant, else one
         // past the best already-known layer among its outlink targets.
         let mut best = if relevant { 0 } else { UNREACHED };
         if !relevant {
-            for &t in g.out_slots(slot) {
-                // lint:allow(no-panic-transitive): layer and in_head are grown to num_slots in on_record, every slot/target is < num_slots by construction, and chunk offsets and lengths come from the arena itself
+            for &t in g.out_pages(page) {
+                // lint:allow(no-panic-transitive): layer and in_head are grown to page_bound in on_record, the page is crawled and it and its targets are < page_bound, and chunk offsets and lengths come from the arena itself
                 let lt = self.layer[t as usize];
                 if lt < UNREACHED && lt < self.max_layer && lt + 1 < best {
                     best = lt + 1;
                 }
             }
         }
-        if best < self.layer[slot as usize] {
-            self.layer[slot as usize] = best;
-            self.work.push(slot);
+        if best < self.layer[page as usize] {
+            self.layer[page as usize] = best;
+            self.work.push(page);
         }
         // Drain: every improved node may improve its crawled
         // in-neighbours (one forward step closer to a relevant page).
@@ -159,19 +163,21 @@ mod tests {
     /// the reference the relaxation must agree with. It builds its own
     /// reverse map from the store's forward lists.
     fn bfs_reference(g: &LinkGraph, relevant: &[bool], max_layer: u8) -> Vec<u8> {
-        let n = g.num_slots();
+        let n = g.page_bound();
         let mut rev = vec![Vec::new(); n];
-        for s in 0..n as u32 {
-            for &t in g.out_slots(s) {
-                rev[t as usize].push(s);
+        for (p, outs) in g.crawled_pages() {
+            for &t in outs {
+                rev[t as usize].push(p);
             }
         }
         let mut layer = vec![UNREACHED; n];
-        let mut frontier: Vec<Slot> = (0..n as u32)
-            .filter(|&s| g.is_crawled(s) && relevant[s as usize])
+        let mut frontier: Vec<PageId> = g
+            .crawled_pages()
+            .map(|(p, _)| p)
+            .filter(|&p| relevant[p as usize])
             .collect();
-        for &s in &frontier {
-            layer[s as usize] = 0;
+        for &p in &frontier {
+            layer[p as usize] = 0;
         }
         let mut depth = 0u8;
         while !frontier.is_empty() && depth < max_layer {
@@ -191,11 +197,11 @@ mod tests {
         layer
     }
 
-    /// The in-edges `idx` has filed for `slot`, sorted (they are kept in
+    /// The in-edges `idx` has filed for `page`, sorted (they are kept in
     /// no particular order).
-    fn in_edges(idx: &LayerIndex, slot: Slot) -> Vec<Slot> {
+    fn in_edges(idx: &LayerIndex, page: PageId) -> Vec<PageId> {
         let mut out = Vec::new();
-        let mut chunk = idx.in_head.get(slot as usize).copied().unwrap_or(NONE);
+        let mut chunk = idx.in_head.get(page as usize).copied().unwrap_or(NONE);
         while chunk != NONE {
             let base = chunk as usize;
             let len = idx.in_arena[base + 1] as usize;
@@ -214,7 +220,7 @@ mod tests {
     fn in_lists_mirror_the_forward_edges() {
         let mut g = LinkGraph::new();
         let mut idx = LayerIndex::new(3);
-        let mut model: Vec<Vec<Slot>> = Vec::new();
+        let mut model: Vec<Vec<PageId>> = Vec::new();
         let mut x = 5u64;
         let mut step = || {
             x = x
@@ -228,19 +234,18 @@ mod tests {
             if p % 7 == 0 {
                 outs.push(p);
             }
-            let s = g.record_page(p, &outs);
-            idx.on_record(&g, s, step() % 5 == 0);
-            model.resize(g.num_slots(), Vec::new());
-            for &t in g.out_slots(s) {
-                model[t as usize].push(s);
+            g.record_page(p, &outs);
+            idx.on_record(&g, p, step() % 5 == 0);
+            model.resize(g.page_bound(), Vec::new());
+            for &t in g.out_pages(p) {
+                model[t as usize].push(p);
             }
         }
         for (t, want) in model.iter_mut().enumerate() {
             want.sort_unstable();
-            assert_eq!(&in_edges(&idx, t as Slot), want, "in-edges of slot {t}");
+            assert_eq!(&in_edges(&idx, t as PageId), want, "in-edges of page {t}");
         }
-        let hub = g.slot_of(999).unwrap();
-        assert_eq!(in_edges(&idx, hub).len(), 300, "one in-edge per page");
+        assert_eq!(in_edges(&idx, 999).len(), 300, "one in-edge per page");
     }
 
     #[test]
@@ -258,34 +263,26 @@ mod tests {
         for p in 0..200u32 {
             let outs = [step() % 220, step() % 220];
             let rel = step() % 5 == 0;
-            let s = g.record_page(p, &outs);
-            while relevant.len() < g.num_slots() {
-                relevant.push(false);
-            }
-            relevant[s as usize] = rel;
-            idx.on_record(&g, s, rel);
+            g.record_page(p, &outs);
+            relevant.resize(g.page_bound(), false);
+            relevant[p as usize] = rel;
+            idx.on_record(&g, p, rel);
             // Invariant checked at every step, not just the end: the
             // online layers are exactly the capped BFS distances.
             if p % 37 == 0 {
                 let want = bfs_reference(&g, &relevant, 3);
-                for s in 0..g.num_slots() as u32 {
-                    let got = idx.layer_of(s);
-                    let exp = if g.is_crawled(s) {
-                        want[s as usize]
-                    } else {
-                        idx.layer_of(s)
-                    };
-                    if g.is_crawled(s) {
-                        assert_eq!(got, exp, "slot {s} layer diverges at p={p}");
-                    }
+                for (q, _) in g.crawled_pages() {
+                    assert_eq!(
+                        idx.layer_of(q),
+                        want[q as usize],
+                        "page {q} layer diverges at p={p}"
+                    );
                 }
             }
         }
         let want = bfs_reference(&g, &relevant, 3);
-        for s in 0..g.num_slots() as u32 {
-            if g.is_crawled(s) {
-                assert_eq!(idx.layer_of(s), want[s as usize]);
-            }
+        for (q, _) in g.crawled_pages() {
+            assert_eq!(idx.layer_of(q), want[q as usize]);
         }
     }
 
@@ -294,20 +291,17 @@ mod tests {
         let mut g = LinkGraph::new();
         let mut idx = LayerIndex::new(4);
         // 3 → 2 → 1 → 0 (relevant), crawled in chain order.
-        let s = g.record_page(3, &[2]);
-        idx.on_record(&g, s, false);
-        let s = g.record_page(2, &[1]);
-        idx.on_record(&g, s, false);
-        let s = g.record_page(1, &[0]);
-        idx.on_record(&g, s, false);
-        assert_eq!(idx.layer_of(g.slot_of(3).unwrap()), UNREACHED);
+        for p in [3u32, 2, 1] {
+            g.record_page(p, &[p - 1]);
+            idx.on_record(&g, p, false);
+        }
+        assert_eq!(idx.layer_of(3), UNREACHED);
         // Crawling the relevant sink back-propagates the whole chain.
-        let s = g.record_page(0, &[]);
-        idx.on_record(&g, s, true);
-        assert_eq!(idx.layer_of(g.slot_of(0).unwrap()), 0);
-        assert_eq!(idx.layer_of(g.slot_of(1).unwrap()), 1);
-        assert_eq!(idx.layer_of(g.slot_of(2).unwrap()), 2);
-        assert_eq!(idx.layer_of(g.slot_of(3).unwrap()), 3);
+        g.record_page(0, &[]);
+        idx.on_record(&g, 0, true);
+        for p in 0..4u32 {
+            assert_eq!(idx.layer_of(p), p as u8);
+        }
     }
 
     #[test]
@@ -315,18 +309,25 @@ mod tests {
         let mut g = LinkGraph::new();
         let mut idx = LayerIndex::new(2);
         for p in (1..6u32).rev() {
-            let s = g.record_page(p, &[p - 1]);
-            idx.on_record(&g, s, false);
+            g.record_page(p, &[p - 1]);
+            idx.on_record(&g, p, false);
         }
-        let s = g.record_page(0, &[]);
-        idx.on_record(&g, s, true);
-        assert_eq!(idx.layer_of(g.slot_of(1).unwrap()), 1);
-        assert_eq!(idx.layer_of(g.slot_of(2).unwrap()), 2);
-        assert_eq!(
-            idx.layer_of(g.slot_of(3).unwrap()),
-            UNREACHED,
-            "beyond the cap"
-        );
-        assert_eq!(idx.layer_of(g.slot_of(4).unwrap()), UNREACHED);
+        g.record_page(0, &[]);
+        idx.on_record(&g, 0, true);
+        assert_eq!(idx.layer_of(1), 1);
+        assert_eq!(idx.layer_of(2), 2);
+        assert_eq!(idx.layer_of(3), UNREACHED, "beyond the cap");
+        assert_eq!(idx.layer_of(4), UNREACHED);
+    }
+
+    #[test]
+    fn unrecorded_pages_are_ignored() {
+        let mut g = LinkGraph::new();
+        let mut idx = LayerIndex::new(2);
+        g.record_page(1, &[2]);
+        idx.on_record(&g, 5_000, true);
+        assert_eq!(idx.layer_of(5_000), UNREACHED);
+        idx.on_record(&g, 1, true);
+        assert_eq!(idx.layer_of(1), 0);
     }
 }

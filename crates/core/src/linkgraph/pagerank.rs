@@ -40,7 +40,7 @@
 //!
 //! # Incrementality
 //!
-//! Between refreshes the [`LinkGraph`] epoch log records every slot
+//! Between refreshes the [`LinkGraph`] epoch log records every page
 //! whose equation changed (new page, new in-edge). A refresh seeds the
 //! worklist with exactly that delta, preconditions existing entries by
 //! `α = N_old/N_new` (after which the old fixpoint satisfies the new
@@ -50,7 +50,7 @@
 //! re-queued only when its pulled value moved by more than the
 //! threshold, so convergent regions quiesce and the relaxations per
 //! interval track the delta, not the graph. If the per-refresh sweep
-//! valve trips, the still-pending slots carry into the next refresh —
+//! valve trips, the still-pending pages carry into the next refresh —
 //! truncation defers work, it never loses it. Every `resync_every`-th
 //! refresh seeds the *entire* crawled set instead, bounding
 //! floating-point drift. The reference mode
@@ -63,12 +63,12 @@
 //! The store keeps only forward lists, so a refresh builds its own
 //! view of the crawled subgraph, linear in its size:
 //!
-//! 1. One scan in ascending page id numbers the crawled slots densely,
+//! 1. One scan in ascending page id numbers the crawled pages densely,
 //!    so dense order *is* page order, lays out the dense `z` and
 //!    `z·inv_out` arrays, and places each page's in-list by its
 //!    in-degree, which is counted incrementally from the edges
 //!    recorded since the last refresh.
-//! 2. One pass over the forward spans in dense order fills every
+//! 2. One pass over the forward spans in page order fills every
 //!    in-list, so each comes out sorted by source page id, and builds
 //!    dense out-lists of crawled targets.
 //! 3. Each sweep visits the set bits of a dense bitset in ascending
@@ -83,7 +83,8 @@
 //! (page resolution, where strategies run, is single-threaded by
 //! design; nothing here observes thread count).
 
-use super::{LinkGraph, Slot, NONE};
+use super::{LinkGraph, NONE};
+use langcrawl_webgraph::PageId;
 
 /// Incremental PageRank state (see the module docs for the algorithm).
 #[derive(Debug, Clone)]
@@ -97,10 +98,10 @@ pub struct RankState {
     resync_every: u32,
     /// Reference mode: reseed the whole crawled set every refresh.
     full: bool,
-    /// Per slot: unnormalized solution of the local system; `0.0` marks
-    /// a slot never seen by a refresh (real entries are ≥ `1/N` > 0).
+    /// Per page: unnormalized solution of the local system; `0.0` marks
+    /// a page no refresh has seen crawled (real entries are ≥ `1/N` > 0).
     z: Vec<f64>,
-    /// `Σz` over crawled slots as of the last refresh.
+    /// `Σz` over crawled pages as of the last refresh.
     zsum: f64,
     /// Rescale factor `λ = (1−d)/(1−σ)` as of the last refresh.
     lambda: f64,
@@ -108,14 +109,14 @@ pub struct RankState {
     seen_n: u32,
     /// Refreshes since the last full reseed.
     since_resync: u32,
-    /// Slots the last refresh left pending when its sweep valve
+    /// Pages the last refresh left pending when its sweep valve
     /// tripped; the next refresh seeds them.
-    carry: Vec<Slot>,
-    /// Per slot: dense index as of the current refresh, [`NONE`] for
-    /// slots never crawled.
+    carry: Vec<PageId>,
+    /// Per page: dense index as of the current refresh, [`NONE`] for
+    /// pages never crawled.
     dense_of: Vec<u32>,
-    /// Dense index → slot.
-    order: Vec<Slot>,
+    /// Dense index → page.
+    order: Vec<PageId>,
     /// Dense `z`.
     zd: Vec<f64>,
     /// Dense `1/out_degree` (0 for dangling pages).
@@ -128,7 +129,7 @@ pub struct RankState {
     /// Out-list targets (dense), crawled targets only, each list in
     /// recorded outlink order.
     out_dst: Vec<u32>,
-    /// Per slot: in-degree over the store's first `counted_edges`
+    /// Per page: in-degree over the store's first `counted_edges`
     /// edges (every edge comes from a crawled page).
     in_deg: Vec<u32>,
     /// Edges already counted into `in_deg`.
@@ -208,14 +209,14 @@ impl RankState {
         g.advance_epoch();
     }
 
-    /// Grow the per-slot tables to the store's slots, and empty the
-    /// dense scratch with room for its crawled pages and edges.
+    /// Grow the per-page tables to the store's page bound, and empty
+    /// the dense scratch with room for its crawled pages and edges.
     fn ensure_capacity(&mut self, g: &LinkGraph) {
-        let (slots, n, edges) = (g.num_slots(), g.num_crawled(), g.num_edges());
-        if self.z.len() < slots {
-            self.z.resize(slots, 0.0);
-            self.dense_of.resize(slots, NONE);
-            self.in_deg.resize(slots, 0);
+        let (pages, n, edges) = (g.page_bound(), g.num_crawled(), g.num_edges());
+        if self.z.len() < pages {
+            self.z.resize(pages, 0.0);
+            self.dense_of.resize(pages, NONE);
+            self.in_deg.resize(pages, 0);
         }
         for v in [&mut self.zd, &mut self.inv, &mut self.share] {
             v.clear();
@@ -258,35 +259,33 @@ impl RankState {
         };
         // Pass 1: count the edges recorded since the last refresh into
         // the in-degrees. Then, in ascending page id, number the crawled
-        // slots densely, precondition survivors by α, seed new nodes at
+        // pages densely, precondition survivors by α, seed new pages at
         // 1/N, rebuild Σz from scratch so it carries no drift across
         // refreshes, and lay out the in-lists: dense page `i`'s starts
         // at `in_off[i + 1]`, which serves as its fill cursor below.
-        // lint:allow(no-panic-transitive): ensure_capacity grows z, dense_of and in_deg to num_slots, in_src to num_edges and both bitsets to num_crawled bits; counted_edges never exceeds num_edges, dense indices are < num_crawled and slots from the store are < num_slots
+        // lint:allow(no-panic-transitive): ensure_capacity grows z, dense_of and in_deg to page_bound, in_src to num_edges and both bitsets to num_crawled bits; counted_edges never exceeds num_edges, dense indices are < num_crawled and pages from the store are < page_bound
         for &t in &g.edge_targets()[self.counted_edges..] {
             self.in_deg[t as usize] += 1;
         }
         self.counted_edges = g.num_edges();
         let (mut zsum, mut start) = (0.0, 0);
         self.in_off.push(0);
-        for page in 0..g.page_bound() {
-            let Some(slot) = g.slot_of(page as u32) else {
-                continue;
+        for (page, outs) in g.crawled_pages() {
+            let p = page as usize;
+            let inv = if outs.is_empty() {
+                0.0
+            } else {
+                1.0 / outs.len() as f64
             };
-            if !g.is_crawled(slot) {
-                continue;
-            }
-            let od = g.out_degree(slot);
-            let inv = if od > 0 { 1.0 / f64::from(od) } else { 0.0 };
-            let zi = self.z[slot as usize];
+            let zi = self.z[p];
             let v = if zi == 0.0 { uniform } else { zi * alpha };
-            self.dense_of[slot as usize] = self.order.len() as u32;
-            self.order.push(slot);
+            self.dense_of[p] = self.order.len() as u32;
+            self.order.push(page);
             self.zd.push(v);
             self.inv.push(inv);
             self.share.push(v * inv);
             self.in_off.push(start);
-            start += self.in_deg[slot as usize];
+            start += self.in_deg[p];
             zsum += v;
         }
         let n = self.order.len();
@@ -294,8 +293,8 @@ impl RankState {
         // filled from them. Sources arrive in dense order, so each
         // in-list comes out sorted by source page id.
         self.out_off.push(0);
-        for (i, &s) in self.order.iter().enumerate() {
-            for &t in g.out_slots(s) {
+        for (i, (_, outs)) in g.crawled_pages().enumerate() {
+            for &t in outs {
                 let d = self.dense_of[t as usize];
                 if d != NONE {
                     self.out_dst.push(d);
@@ -307,8 +306,8 @@ impl RankState {
             self.out_off.push(self.out_dst.len() as u32);
         }
         // Pass 3: seed the first sweep — everything on a full reseed,
-        // else the slots the last refresh carried plus the epoch delta
-        // (every slot whose equation changed).
+        // else the pages the last refresh carried plus the epoch delta
+        // (every page whose equation changed).
         let words = n.div_ceil(64);
         let mut pending = false;
         if full_seed {
@@ -320,8 +319,8 @@ impl RankState {
         } else {
             self.cur[..words].fill(0);
             for list in [&self.carry[..], g.delta()] {
-                for &s in list {
-                    let d = self.dense_of[s as usize];
+                for &p in list {
+                    let d = self.dense_of[p as usize];
                     if d != NONE {
                         self.cur[d as usize / 64] |= 1u64 << (d % 64);
                         pending = true;
@@ -377,7 +376,7 @@ impl RankState {
         }
         self.relaxations += relaxed;
         // A tripped valve leaves the next sweep's bitset non-empty:
-        // carry those slots into the next refresh.
+        // carry those pages into the next refresh.
         if pending {
             for w in 0..words {
                 let mut bits = self.cur[w];
@@ -388,8 +387,8 @@ impl RankState {
                 }
             }
         }
-        for (i, &s) in self.order.iter().enumerate() {
-            self.z[s as usize] = self.zd[i];
+        for (i, &p) in self.order.iter().enumerate() {
+            self.z[p as usize] = self.zd[i];
         }
         self.zsum = zsum;
         self.lambda = if zsum > 0.0 { 1.0 / zsum } else { 1.0 };
@@ -397,16 +396,16 @@ impl RankState {
         self.since_resync = if full_seed { 0 } else { self.since_resync + 1 };
     }
 
-    /// Mass-corrected rank of `slot`: `λ·z`. Returns 0 for slots no
-    /// refresh has seen yet (callers fall back to the uniform rank, as
-    /// the historical implementation did for pages crawled after the
+    /// Mass-corrected rank of `page`: `λ·z`. Returns 0 for pages no
+    /// refresh has seen crawled (callers fall back to the uniform rank,
+    /// as the historical implementation did for pages crawled after the
     /// last recompute).
     #[inline]
-    pub fn rank_of(&self, slot: Slot) -> f64 {
-        self.z.get(slot as usize).map_or(0.0, |&z| self.lambda * z)
+    pub fn rank_of(&self, page: PageId) -> f64 {
+        self.z.get(page as usize).map_or(0.0, |&z| self.lambda * z)
     }
 
-    /// `Σrank` over crawled slots as of the last refresh — exactly 1 at
+    /// `Σrank` over crawled pages as of the last refresh — exactly 1 at
     /// the fixpoint (the regression target for the mass-leak fix).
     #[inline]
     pub fn rank_sum(&self) -> f64 {
@@ -434,8 +433,8 @@ mod tests {
     /// lost/dangling mass — the textbook formulation the z-vector
     /// solver must agree with.
     fn oracle(g: &LinkGraph, damping: f64, iters: usize) -> Vec<f64> {
-        let n = g.num_slots();
-        let crawled: Vec<Slot> = (0..n as u32).filter(|&s| g.is_crawled(s)).collect();
+        let n = g.page_bound();
+        let crawled: Vec<PageId> = (0..n as u32).filter(|&p| g.is_crawled(p)).collect();
         let nc = crawled.len();
         let mut rank = vec![0.0f64; n];
         for &s in &crawled {
@@ -445,7 +444,7 @@ mod tests {
             let mut next = vec![0.0f64; n];
             let mut redistributed = 0.0;
             for &s in &crawled {
-                let outs = g.out_slots(s);
+                let outs = g.out_pages(s);
                 if outs.is_empty() {
                     redistributed += rank[s as usize];
                     continue;
@@ -468,9 +467,9 @@ mod tests {
     }
 
     fn max_err(state: &RankState, g: &LinkGraph, oracle: &[f64]) -> f64 {
-        (0..g.num_slots() as u32)
-            .filter(|&s| g.is_crawled(s))
-            .map(|s| (state.rank_of(s) - oracle[s as usize]).abs())
+        (0..g.page_bound() as u32)
+            .filter(|&p| g.is_crawled(p))
+            .map(|p| (state.rank_of(p) - oracle[p as usize]).abs())
             .fold(0.0, f64::max)
     }
 
@@ -537,9 +536,9 @@ mod tests {
             inc.update(&mut gi);
             full.update(&mut gf);
         }
-        let worst = (0..gi.num_slots() as u32)
-            .filter(|&s| gi.is_crawled(s))
-            .map(|s| (inc.rank_of(s) - full.rank_of(s)).abs())
+        let worst = (0..gi.page_bound() as u32)
+            .filter(|&p| gi.is_crawled(p))
+            .map(|p| (inc.rank_of(p) - full.rank_of(p)).abs())
             .fold(0.0, f64::max);
         assert!(worst < 1e-10, "incremental vs reference L∞ = {worst}");
         let want = oracle(&gi, 0.85, 400);
@@ -571,8 +570,8 @@ mod tests {
                 }
             }
             st.update(&mut g); // resync_every=1 ⇒ this is a full reseed
-            (0..g.num_slots() as u32)
-                .map(|s| st.rank_of(s))
+            (0..g.page_bound() as u32)
+                .map(|p| st.rank_of(p))
                 .collect::<Vec<f64>>()
         };
         // Identical histories are bit-identical (full determinism).
@@ -593,7 +592,7 @@ mod tests {
         }
     }
 
-    /// A drain cut short by the sweep valve carries its pending slots
+    /// A drain cut short by the sweep valve carries its pending pages
     /// into the next refresh: truncation defers work, it never loses
     /// it. One sweep per refresh and no new pages after the first
     /// refresh leave the carry as the only seed, so the ranks reach the
@@ -621,9 +620,9 @@ mod tests {
         full.update(&mut gf);
         let mut st = RankState::with_params(0.85, 1e-9, 1, 1_000, false);
         let gap = |st: &RankState, g: &LinkGraph| {
-            (0..g.num_slots() as u32)
-                .filter(|&s| g.is_crawled(s))
-                .map(|s| (st.rank_of(s) - full.rank_of(s)).abs())
+            (0..g.page_bound() as u32)
+                .filter(|&p| g.is_crawled(p))
+                .map(|p| (st.rank_of(p) - full.rank_of(p)).abs())
                 .fold(0.0, f64::max)
         };
         st.update(&mut g);

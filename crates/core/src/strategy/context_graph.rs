@@ -17,10 +17,7 @@
 //! produce — so comparisons against limited-distance are conservative.
 
 use super::{PageView, Strategy};
-use crate::linkgraph::{
-    layers::{LayerIndex, UNREACHED},
-    LinkGraph,
-};
+use crate::linkgraph::{layers::LayerIndex, LinkGraph};
 use crate::queue::Entry;
 use langcrawl_webgraph::{PageId, WebSpace};
 
@@ -148,11 +145,10 @@ impl OnlineContextGraphStrategy {
         }
     }
 
-    /// Current learned layer of `page` ([`UNREACHED`] while unknown).
+    /// Current learned layer of `page`
+    /// ([`UNREACHED`](crate::linkgraph::layers::UNREACHED) while unknown).
     pub fn layer_of(&self, page: PageId) -> u8 {
-        self.graph
-            .slot_of(page)
-            .map_or(UNREACHED, |s| self.layers.layer_of(s))
+        self.layers.layer_of(page)
     }
 }
 
@@ -168,10 +164,10 @@ impl Strategy for OnlineContextGraphStrategy {
     }
 
     fn admit(&mut self, view: &PageView<'_>, out: &mut Vec<Entry>) {
-        let slot = self.graph.record_page(view.page, view.outlinks);
+        self.graph.record_page(view.page, view.outlinks);
         self.layers
-            .on_record(&self.graph, slot, view.relevance > 0.5);
-        let l = self.layers.layer_of(slot);
+            .on_record(&self.graph, view.page, view.relevance > 0.5);
+        let l = self.layers.layer_of(view.page);
         // Links of a layer-ℓ page lead (in expectation) to layer ℓ−1;
         // unknown layers go to the dedicated back-of-queue level.
         let priority = if l <= self.max_layer {

@@ -9,9 +9,8 @@
 //! distiller buys on a language-locality web.
 
 use super::{PageView, Strategy};
-use crate::linkgraph::{hits::HitsState, LinkGraph, Slot};
+use crate::linkgraph::{hits::HitsState, LinkGraph};
 use crate::queue::Entry;
-#[cfg(test)]
 use langcrawl_webgraph::PageId;
 
 /// Soft-focused crawling plus a periodic HITS distiller.
@@ -33,7 +32,7 @@ pub struct HitsStrategy {
     /// Truncated-HITS scores and the firing's scratch.
     state: HitsState,
     /// Reusable top-hub output buffer.
-    hubs: Vec<Slot>,
+    hubs: Vec<PageId>,
 }
 
 impl HitsStrategy {
@@ -75,7 +74,7 @@ impl HitsStrategy {
     fn run_hits(&mut self) -> Vec<PageId> {
         self.state
             .distill(&mut self.graph, self.top_hubs, &mut self.hubs);
-        self.hubs.iter().map(|&s| self.graph.page_at(s)).collect()
+        self.hubs.clone()
     }
 }
 
@@ -96,9 +95,9 @@ impl Strategy for HitsStrategy {
 
     fn admit(&mut self, view: &PageView<'_>, out: &mut Vec<Entry>) {
         // Record the crawled subgraph.
-        let slot = self.graph.record_page(view.page, view.outlinks);
+        self.graph.record_page(view.page, view.outlinks);
         self.state
-            .note_page(&self.graph, slot, view.relevance > 0.5);
+            .note_page(&self.graph, view.page, view.relevance > 0.5);
 
         // Base behaviour: soft-focused.
         let priority = if view.relevance > 0.5 { 0 } else { 1 };
@@ -116,9 +115,9 @@ impl Strategy for HitsStrategy {
             self.state
                 .distill(&mut self.graph, self.top_hubs, &mut self.hubs);
             for &hub in &self.hubs {
-                for &t in self.graph.out_slots(hub) {
+                for &page in self.graph.out_pages(hub) {
                     out.push(Entry {
-                        page: self.graph.page_at(t),
+                        page,
                         priority: 0,
                         distance: 0,
                     });

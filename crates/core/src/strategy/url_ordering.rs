@@ -29,7 +29,6 @@ use super::{PageView, Strategy};
 use crate::linkgraph::{pagerank::RankState, LinkGraph};
 use crate::queue::Entry;
 use langcrawl_webgraph::PageId;
-use std::collections::HashMap;
 
 /// Number of priority buckets importance is quantized onto.
 const BUCKETS: u8 = 8;
@@ -37,7 +36,9 @@ const BUCKETS: u8 = 8;
 /// Backlink-count-ordered crawling.
 #[derive(Debug, Default)]
 pub struct BacklinkCount {
-    inbound: HashMap<PageId, u32>,
+    /// Per page id: in-links seen so far, grown on demand to the
+    /// largest target seen.
+    inbound: Vec<u32>,
 }
 
 impl BacklinkCount {
@@ -64,7 +65,11 @@ impl Strategy for BacklinkCount {
 
     fn admit(&mut self, view: &PageView<'_>, out: &mut Vec<Entry>) {
         for &t in view.outlinks {
-            let count = self.inbound.entry(t).or_insert(0);
+            let i = t as usize;
+            if i >= self.inbound.len() {
+                self.inbound.resize(i + 1, 0);
+            }
+            let count = &mut self.inbound[i];
             *count += 1;
             out.push(Entry {
                 page: t,
@@ -147,9 +152,7 @@ impl OnlinePageRank {
 
     /// Current rank of `page`, or 0 if no refresh has seen it crawled.
     pub fn rank(&self, page: PageId) -> f64 {
-        self.graph
-            .slot_of(page)
-            .map_or(0.0, |s| self.ranks.rank_of(s))
+        self.ranks.rank_of(page)
     }
 
     /// `Σrank` over crawled pages as of the last refresh — pinned ≈ 1
@@ -184,7 +187,7 @@ impl Strategy for OnlinePageRank {
     }
 
     fn admit(&mut self, view: &PageView<'_>, out: &mut Vec<Entry>) {
-        let slot = self.graph.record_page(view.page, view.outlinks);
+        self.graph.record_page(view.page, view.outlinks);
         if view.crawled.is_multiple_of(self.interval) {
             self.recompute();
         }
@@ -192,7 +195,7 @@ impl Strategy for OnlinePageRank {
         // Rank share each of this page's links inherits right now;
         // pages crawled after the last refresh fall back to the uniform
         // rank, exactly as the historical implementation did.
-        let r = self.ranks.rank_of(slot);
+        let r = self.ranks.rank_of(view.page);
         let own_rank = if r > 0.0 { r } else { 1.0 / n as f64 };
         let share = own_rank / view.outlinks.len().max(1) as f64;
         for &t in view.outlinks {
@@ -285,9 +288,8 @@ mod tests {
     fn recompute_bitwise_stable_across_insertion_orders() {
         // Two strategies fed the same subgraph in opposite admit orders
         // must produce bit-identical ranks: the solver drains worklists
-        // and gathers in-link sums in page-id order, so the store's own
-        // (history-dependent) slot numbering must never reach the
-        // floats.
+        // and gathers in-link sums in page-id order, so the order pages
+        // were recorded in must never reach the floats.
         let n = 40u32;
         let links: Vec<(u32, Vec<u32>)> = (0..n)
             .map(|p| (p, vec![(p * 7 + 1) % n, (p * 13 + 5) % n]))

@@ -11,9 +11,9 @@
 //!   must match exactly too.
 //! * Absolute pins: digests of every rank's bits after the pinned
 //!   PageRank crawl and after the interval-97 ingest, and of each link
-//!   strategy's pinned-cell report. The parity checks above compare two
-//!   modes of the same code; these constants catch a change that moves
-//!   both modes at once.
+//!   strategy's pinned-cell report, backlink counting included. The
+//!   parity checks above compare two modes of the same code; these
+//!   constants catch a change that moves both modes at once.
 //! * Everything is swept across `LANGCRAWL_THREADS` ∈ {1, 4}: link
 //!   analysis runs on the single-threaded resolve path and must not
 //!   observe thread count.
@@ -22,7 +22,7 @@ use langcrawl_core::classifier::OracleClassifier;
 use langcrawl_core::metrics::CrawlReport;
 use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::{
-    HitsStrategy, OnlineContextGraphStrategy, OnlinePageRank, PageView, Strategy,
+    BacklinkCount, HitsStrategy, OnlineContextGraphStrategy, OnlinePageRank, PageView, Strategy,
 };
 use langcrawl_webgraph::{GeneratorConfig, PageId, WebSpace};
 
@@ -79,11 +79,12 @@ const PINNED_CRAWL_RANKS: u64 = 0x05d3_60cd_163c_6e29;
 /// Rank digest of the incremental solver after the interval-97 ingest.
 const PINNED_INGEST_RANKS: u64 = 0x6dae_e950_1de8_2bd7;
 /// Report digests of the pinned cell: PageRank, HITS, online context
-/// graph (L = 2).
-const PINNED_REPORTS: [u64; 3] = [
+/// graph (L = 2), backlink count.
+const PINNED_REPORTS: [u64; 4] = [
     0xe682_fb71_3814_71f3,
     0x431a_adea_bb08_6dcb,
     0x9824_548d_5dc4_a569,
+    0xd756_94b4_590c_81ef,
 ];
 
 /// One full pinned crawl with visit recording (so a report mismatch
@@ -167,6 +168,7 @@ fn link_strategy_reports_invariant_under_thread_sweep() {
             run(&ws, &mut OnlinePageRank::new()),
             run(&ws, &mut HitsStrategy::new()),
             run(&ws, &mut OnlineContextGraphStrategy::new(2)),
+            run(&ws, &mut BacklinkCount::new()),
         ];
         let got: Vec<u64> = reports.iter().map(report_digest).collect();
         assert_eq!(
