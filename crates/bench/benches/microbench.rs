@@ -12,14 +12,12 @@
 //! space size for the simulator benches (default 50k here; the
 //! DESIGN.md overhead figure uses 200k).
 //!
-//! With `--json`, additionally writes a machine-readable trajectory
-//! point `BENCH_<git-short-sha>.json` (generation / queue / detector /
-//! end-to-end throughput plus the gate verdicts) so CI can archive one
-//! bench record per commit. The gates — sink overhead ≤ 5%, parallel
-//! generation bit-parity, ≥2× generation speedup on 4+ cores,
-//! retry-machinery overhead ≤ 10% at zero fault rate, snapshot capture
-//! overhead ≤ 5%, and zero steady-state allocations per fetch under
-//! `count-allocs` — fail the process with a nonzero exit either way.
+//! The gates — sink overhead ≤ 5%, parallel generation bit-parity, ≥2×
+//! generation speedup on 4+ cores, snapshot capture overhead ≤ 5%, and
+//! zero steady-state allocations per fetch under `count-allocs` — fail
+//! the process with a nonzero exit. The throughput lines are for
+//! reading on one machine; speed is judged parent against change with
+//! perfbench (`scripts/perf_pairs.sh`).
 
 use langcrawl_bench::runner::env_scale;
 use langcrawl_charset::encode::{
@@ -38,7 +36,7 @@ use langcrawl_html::{extract_links, extract_meta_charset};
 use langcrawl_url::{normalize, resolve, Url};
 use langcrawl_webgraph::generate::generate_with_threads;
 use langcrawl_webgraph::parallel::effective_threads;
-use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
+use langcrawl_webgraph::GeneratorConfig;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -134,15 +132,10 @@ fn fmt(d: Duration) -> String {
 }
 
 /// One bench line: name, timings, optional throughput from `units/iter`.
-/// Returns units-per-second from the median (0.0 when `units` is None).
-fn bench<R>(name: &str, units: Option<(f64, &str)>, f: impl FnMut() -> R) -> f64 {
+fn bench<R>(name: &str, units: Option<(f64, &str)>, f: impl FnMut() -> R) {
     let (min, median) = measure(Duration::from_millis(200), f);
-    let mut per_sec = 0.0;
     let rate = match units {
-        Some((n, unit)) => {
-            per_sec = n / median.as_secs_f64();
-            format!("  ({:.1} M{unit}/s)", per_sec / 1.0e6)
-        }
+        Some((n, unit)) => format!("  ({:.1} M{unit}/s)", n / median.as_secs_f64() / 1.0e6),
         None => String::new(),
     };
     println!(
@@ -150,144 +143,11 @@ fn bench<R>(name: &str, units: Option<(f64, &str)>, f: impl FnMut() -> R) -> f64
         fmt(min),
         fmt(median)
     );
-    per_sec
 }
 
-/// The machine-readable trajectory point `--json` emits, plus the gate
-/// verdicts that decide the exit code.
-#[derive(Default)]
-struct BenchRecord {
-    queue_ops_per_s: f64,
-    batch_admit_ops_per_s: f64,
-    detector_bytes_per_s: f64,
-    dfa_bytes_per_s: f64,
-    generation_pages_per_s_1t: f64,
-    generation_pages_per_s: f64,
-    generation_speedup: f64,
-    /// Worker threads the parallel run actually used.
-    generation_threads: usize,
-    /// The machine's `available_parallelism`, reported alongside the
-    /// thread count actually used so the speedup gate is interpretable
-    /// across CI hosts (a 1.0× speedup on a 1-core runner is fine; the
-    /// same number on a 16-core box is a bug).
-    generation_available_parallelism: usize,
-    thread_parity_ok: bool,
-    speedup_gated: bool,
-    speedup_ok: bool,
-    simulator_pages_per_s: f64,
-    sink_overhead: f64,
-    sink_overhead_ok: bool,
-    fault_overhead: f64,
-    fault_overhead_ok: bool,
-    snapshot_overhead: f64,
-    snapshot_overhead_ok: bool,
-    /// Allocations per fetch over the final stretch of a warm crawl —
-    /// must be exactly zero when the counting allocator is compiled in.
-    steady_state_allocs_per_fetch: f64,
-    steady_state_gated: bool,
-    steady_state_ok: bool,
-    /// Worklist relaxations per second of the incremental rank solver
-    /// driven over a full space ingest.
-    link_rank_updates_per_s: f64,
-    /// End-to-end pagerank-ordered crawl throughput.
-    link_pagerank_pages_per_s: f64,
-}
-
-impl BenchRecord {
-    fn failures(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if !self.thread_parity_ok {
-            out.push("parallel generation is not bit-identical across thread counts");
-        }
-        if self.speedup_gated && !self.speedup_ok {
-            out.push("parallel generation speedup below 2x on 4+ cores");
-        }
-        if !self.sink_overhead_ok {
-            out.push("event-sink seam overhead above the 5% budget");
-        }
-        if !self.fault_overhead_ok {
-            out.push("retry machinery overhead above the 10% budget at zero fault rate");
-        }
-        if !self.snapshot_overhead_ok {
-            out.push("snapshot capture overhead above the 5% budget at every-1000-ticks cadence");
-        }
-        if self.steady_state_gated && !self.steady_state_ok {
-            out.push("steady-state crawl fetches allocate (must be zero after warm-up)");
-        }
-        out
-    }
-
-    fn to_json(&self, git: &str, scale: u32) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"git\": \"{git}\",\n",
-                "  \"scale\": {scale},\n",
-                "  \"queue_ops_per_s\": {queue:.0},\n",
-                "  \"batch_admit_ops_per_s\": {batch:.0},\n",
-                "  \"detector_bytes_per_s\": {det:.0},\n",
-                "  \"dfa_bytes_per_s\": {dfa:.0},\n",
-                "  \"generation\": {{\n",
-                "    \"pages_per_s_1t\": {g1:.0},\n",
-                "    \"pages_per_s\": {gn:.0},\n",
-                "    \"speedup\": {sp:.3},\n",
-                "    \"threads\": {th},\n",
-                "    \"available_parallelism\": {ap}\n",
-                "  }},\n",
-                "  \"simulator_pages_per_s\": {sim:.0},\n",
-                "  \"sink_overhead\": {ov:.4},\n",
-                "  \"fault_overhead\": {fov:.4},\n",
-                "  \"snapshot_overhead\": {snov:.4},\n",
-                "  \"steady_state_allocs_per_fetch\": {ssa:.4},\n",
-                "  \"link_analysis\": {{\n",
-                "    \"rank_updates_per_s\": {lru:.0},\n",
-                "    \"pagerank_pages_per_s\": {lpp:.0}\n",
-                "  }},\n",
-                "  \"gates\": {{\n",
-                "    \"thread_parity_ok\": {par},\n",
-                "    \"speedup_gated\": {spg},\n",
-                "    \"speedup_ok\": {spok},\n",
-                "    \"sink_overhead_ok\": {ovok},\n",
-                "    \"fault_overhead_ok\": {fovok},\n",
-                "    \"snapshot_overhead_ok\": {snovok},\n",
-                "    \"steady_state_gated\": {ssg},\n",
-                "    \"steady_state_ok\": {ssok}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            git = git,
-            scale = scale,
-            queue = self.queue_ops_per_s,
-            batch = self.batch_admit_ops_per_s,
-            det = self.detector_bytes_per_s,
-            dfa = self.dfa_bytes_per_s,
-            g1 = self.generation_pages_per_s_1t,
-            gn = self.generation_pages_per_s,
-            sp = self.generation_speedup,
-            th = self.generation_threads,
-            ap = self.generation_available_parallelism,
-            sim = self.simulator_pages_per_s,
-            ov = self.sink_overhead,
-            fov = self.fault_overhead,
-            snov = self.snapshot_overhead,
-            ssa = self.steady_state_allocs_per_fetch,
-            lru = self.link_rank_updates_per_s,
-            lpp = self.link_pagerank_pages_per_s,
-            par = self.thread_parity_ok,
-            spg = self.speedup_gated,
-            spok = self.speedup_ok,
-            ovok = self.sink_overhead_ok,
-            fovok = self.fault_overhead_ok,
-            snovok = self.snapshot_overhead_ok,
-            ssg = self.steady_state_gated,
-            ssok = self.steady_state_ok,
-        )
-    }
-}
-
-fn bench_queue(rec: &mut BenchRecord) {
+fn bench_queue() {
     println!("queue:");
-    rec.queue_ops_per_s = bench("push_pop_100k_2levels", Some((100_000.0, "ops")), || {
+    bench("push_pop_100k_2levels", Some((100_000.0, "ops")), || {
         let mut q = UrlQueue::new(100_000, 2);
         for i in 0..100_000u32 {
             q.push(Entry {
@@ -335,7 +195,7 @@ fn bench_queue(rec: &mut BenchRecord) {
 /// of the engine's hot admission path after the zero-allocation
 /// rewrite: outlinks arrive as one batch per fetch, and the frontier
 /// defers its per-host exposure refresh to one pass over the batch.
-fn bench_batch_admit(rec: &mut BenchRecord) {
+fn bench_batch_admit() {
     use langcrawl_core::frontier::Frontier;
     use langcrawl_core::shard::ShardedFrontier;
     println!("sharded_frontier:");
@@ -343,7 +203,7 @@ fn bench_batch_admit(rec: &mut BenchRecord) {
     const HOSTS: usize = 1_000;
     const BATCH: u32 = 25;
     let host_of_page: Vec<u32> = (0..PAGES).map(|p| p % HOSTS as u32).collect();
-    rec.batch_admit_ops_per_s = bench(
+    bench(
         "batch_admit_100k_batch25_4shards",
         Some((2.0 * PAGES as f64, "ops")),
         || {
@@ -373,7 +233,7 @@ fn bench_batch_admit(rec: &mut BenchRecord) {
     );
 }
 
-fn bench_detect(rec: &mut BenchRecord) {
+fn bench_detect() {
     println!("charset_detect:");
     let ja = japanese_demo_tokens();
     let ja: Vec<_> = ja.iter().cycle().take(2_000).copied().collect();
@@ -392,19 +252,15 @@ fn bench_detect(rec: &mut BenchRecord) {
                 .to_vec(),
         ),
     ];
-    let mut total = 0.0;
     for (name, bytes) in &cases {
-        total += bench(name, Some((bytes.len() as f64, "B")), || {
+        bench(name, Some((bytes.len() as f64, "B")), || {
             detect(black_box(bytes)).charset
         });
     }
-    rec.detector_bytes_per_s = total / cases.len() as f64;
 
     // The fused-DFA throughput on its own: one long single-encoding
     // buffer, so the run is dominated by the flat `state * 256 + byte`
-    // table walk rather than prober setup or candidate ranking. Kept
-    // out of the `detector_bytes_per_s` mean so that metric stays
-    // comparable with earlier trajectory points.
+    // table walk rather than prober setup or candidate ranking.
     println!("charset_dfa:");
     let long_ja: Vec<_> = japanese_demo_tokens()
         .iter()
@@ -413,7 +269,7 @@ fn bench_detect(rec: &mut BenchRecord) {
         .copied()
         .collect();
     let long = encode_japanese(&long_ja, Charset::EucJp);
-    rec.dfa_bytes_per_s = bench(
+    bench(
         "eucjp_fused_dfa_long",
         Some((long.len() as f64, "B")),
         || detect(black_box(&long)).charset,
@@ -473,7 +329,7 @@ fn bench_generate() {
 /// preset. Checks bit-parity between the two spaces (the
 /// thread-count-independence contract) and, on 4+ cores, gates a ≥2×
 /// speedup.
-fn bench_generate_parallel(rec: &mut BenchRecord) {
+fn bench_generate_parallel(failures: &mut Vec<&'static str>) {
     let threads = effective_threads();
     let scale = 200_000u32;
     let cfg = GeneratorConfig::thai_like().scaled(scale);
@@ -493,57 +349,49 @@ fn bench_generate_parallel(rec: &mut BenchRecord) {
     let (t1, h1) = time_min(1);
     let (tn, hn) = time_min(threads);
 
-    // Record the worker count the parallel run *actually used* (the
-    // resolved `effective_threads()`, honoring `LANGCRAWL_THREADS`)
-    // next to the machine's raw `available_parallelism`; earlier
-    // records conflated the two, which made a 1.0× speedup on a capped
-    // run indistinguishable from a real regression.
-    rec.generation_threads = threads;
-    rec.generation_available_parallelism =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    rec.generation_pages_per_s_1t = scale as f64 / t1.as_secs_f64();
-    rec.generation_pages_per_s = scale as f64 / tn.as_secs_f64();
-    rec.generation_speedup = t1.as_secs_f64() / tn.as_secs_f64();
-    rec.thread_parity_ok = h1 == hn;
+    let speedup = t1.as_secs_f64() / tn.as_secs_f64();
+    let parity_ok = h1 == hn;
     // Gate only when the run both asked for and can get 4+ workers: a
     // capped `LANGCRAWL_THREADS=8` on a 2-core runner cannot hit 2×.
-    rec.speedup_gated = threads >= 4 && rec.generation_available_parallelism >= 4;
-    rec.speedup_ok = rec.generation_speedup >= 2.0;
+    let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let speedup_gated = threads >= 4 && available >= 4;
+    let speedup_ok = speedup >= 2.0;
+    if !parity_ok {
+        failures.push("parallel generation is not bit-identical across thread counts");
+    }
+    if speedup_gated && !speedup_ok {
+        failures.push("parallel generation speedup below 2x on 4+ cores");
+    }
 
     println!(
         "  1 thread  {:>10}   ({:.2} M pages generated/s)",
         fmt(t1),
-        rec.generation_pages_per_s_1t / 1.0e6
+        scale as f64 / t1.as_secs_f64() / 1.0e6
     );
     println!(
         "  {threads} threads {:>10}   ({:.2} M pages generated/s)",
         fmt(tn),
-        rec.generation_pages_per_s / 1.0e6
+        scale as f64 / tn.as_secs_f64() / 1.0e6
     );
     println!(
-        "  speedup {:.2}x  [{}]   thread parity [{}]",
-        rec.generation_speedup,
-        if !rec.speedup_gated {
+        "  speedup {speedup:.2}x  [{}]   thread parity [{}]",
+        if !speedup_gated {
             "not gated below 4 cores"
-        } else if rec.speedup_ok {
+        } else if speedup_ok {
             "OK"
         } else {
             "BELOW 2x"
         },
-        if rec.thread_parity_ok {
-            "OK"
-        } else {
-            "MISMATCH"
-        },
+        if parity_ok { "OK" } else { "MISMATCH" },
     );
 }
 
-fn bench_simulate(rec: &mut BenchRecord, scale: u32) {
+fn bench_simulate(scale: u32) {
     println!("simulate (n={scale}):");
     let ws = GeneratorConfig::thai_like().scaled(scale).build(7);
     let oracle = OracleClassifier::target(ws.target_language());
     let pages = ws.num_pages() as f64;
-    rec.simulator_pages_per_s = bench("soft_focused_full_crawl", Some((pages, "pages")), || {
+    bench("soft_focused_full_crawl", Some((pages, "pages")), || {
         let mut sim = Simulator::new(&ws, SimConfig::default());
         sim.run(&mut SimpleStrategy::soft(), &oracle).crawled
     });
@@ -561,7 +409,7 @@ fn bench_simulate(rec: &mut BenchRecord, scale: u32) {
 /// The link-analysis engine section: raw incremental-solver relaxation
 /// rate over a full space ingest, plus a whole pagerank-ordered crawl.
 /// Capped at 40k pages, the size of perfbench's `pagerank` space.
-fn bench_link_analysis(rec: &mut BenchRecord, scale: u32) {
+fn bench_link_analysis(scale: u32) {
     let n = scale.min(40_000);
     println!("link analysis (n={n}):");
     let ws = GeneratorConfig::thai_like().scaled(n).build(7);
@@ -587,13 +435,13 @@ fn bench_link_analysis(rec: &mut BenchRecord, scale: u32) {
     // The solver is deterministic, so one dry run pins the relaxation
     // count the timed runs will repeat.
     let relaxations = run_solver() as f64;
-    rec.link_rank_updates_per_s = bench(
+    bench(
         "rank_solver_ingest_full_space",
         Some((relaxations, "updates")),
         run_solver,
     );
 
-    rec.link_pagerank_pages_per_s = bench(
+    bench(
         "pagerank_ordered_full_crawl",
         Some((pages, "pages")),
         || {
@@ -616,7 +464,7 @@ fn bench_link_analysis(rec: &mut BenchRecord, scale: u32) {
 /// slowdown of the shared machine lasting longer than one pair hits
 /// both arms of that pair, and a shorter one moves only a minority of
 /// the pairs.
-fn bench_sink_overhead(rec: &mut BenchRecord, scale: u32) {
+fn bench_sink_overhead(scale: u32, failures: &mut Vec<&'static str>) {
     /// Pages one timed sample fetches, over as many whole crawls as
     /// that takes.
     const SAMPLE_PAGES: u64 = 1_000_000;
@@ -665,8 +513,10 @@ fn bench_sink_overhead(rec: &mut BenchRecord, scale: u32) {
     ratios.sort_by(f64::total_cmp);
     let quartile = |q: usize| ratios[q * (PAIRS - 1) / 4];
     let overhead = quartile(2) - 1.0;
-    rec.sink_overhead = overhead;
-    rec.sink_overhead_ok = overhead <= 0.05;
+    let ok = overhead <= 0.05;
+    if !ok {
+        failures.push("event-sink seam overhead above the 5% budget");
+    }
     println!(
         "  {PAIRS} pairs of samples, each {crawls} crawls of {pages} pages; no-sink sample median {}",
         fmt(Duration::from_secs_f64(bare[PAIRS / 2]))
@@ -677,85 +527,7 @@ fn bench_sink_overhead(rec: &mut BenchRecord, scale: u32) {
         quartile(1),
         quartile(3),
         100.0 * overhead,
-        if rec.sink_overhead_ok {
-            "OK"
-        } else {
-            "OVER BUDGET"
-        }
-    );
-}
-
-/// The acceptance gate for the fault/retry layer: a *zero-fault-rate*
-/// fault config (host classes drawn, but every failure rate 0.0 so
-/// nothing can ever fire) must cost no more than 10% over the plain
-/// `FaultConfig::default()` loop. The engine earns this by eliding the
-/// realized model when it is provably inert (`FaultModel::is_inert`) —
-/// the gate exists to catch any regression of that fast path, e.g. an
-/// eagerly allocated attempt table or unconditional retry-heap traffic
-/// sneaking back into the zero-fault loop. Timed interleaved and
-/// compared on per-config minima.
-fn bench_fault_overhead(rec: &mut BenchRecord, scale: u32) {
-    println!("engine fault-path overhead (n={scale}):");
-    let ws = GeneratorConfig::thai_like().scaled(scale).build(7);
-    let oracle = OracleClassifier::target(ws.target_language());
-    let plain = CrawlEngine::new(&ws, EngineConfig::default());
-    // A nonzero host-class fraction defeats `is_zero()` so every
-    // fault-path branch runs, while the all-zero *rates* mean no fetch
-    // ever fails — the retry machinery's pure overhead.
-    let armed = CrawlEngine::new(
-        &ws,
-        EngineConfig {
-            fault: FaultConfig {
-                flaky_host_rate: 0.05,
-                ..FaultConfig::default()
-            },
-            ..EngineConfig::default()
-        },
-    );
-
-    let run = |engine: &CrawlEngine| {
-        let mut strategy = SimpleStrategy::soft();
-        black_box(
-            engine
-                .run(
-                    UrlQueue::new(ws.num_pages(), strategy.levels()),
-                    &mut strategy,
-                    &oracle,
-                    &mut [],
-                )
-                .crawled,
-        )
-    };
-
-    let baseline = run(&plain);
-    let faulted = run(&armed);
-    assert_eq!(
-        baseline, faulted,
-        "a never-firing fault model must not change what gets crawled"
-    );
-    let mut t_plain = Duration::MAX;
-    let mut t_armed = Duration::MAX;
-    for _ in 0..120 {
-        let t = Instant::now();
-        run(&plain);
-        t_plain = t_plain.min(t.elapsed());
-        let t = Instant::now();
-        run(&armed);
-        t_armed = t_armed.min(t.elapsed());
-    }
-    let overhead = t_armed.as_secs_f64() / t_plain.as_secs_f64() - 1.0;
-    rec.fault_overhead = overhead;
-    rec.fault_overhead_ok = overhead <= 0.10;
-    println!(
-        "  zero-fault path {:>10}   retry machinery {:>10}   overhead {:+.1}%  [{}]",
-        fmt(t_plain),
-        fmt(t_armed),
-        100.0 * overhead,
-        if rec.fault_overhead_ok {
-            "OK"
-        } else {
-            "OVER BUDGET"
-        }
+        if ok { "OK" } else { "OVER BUDGET" }
     );
 }
 
@@ -780,7 +552,7 @@ fn bench_fault_overhead(rec: &mut BenchRecord, scale: u32) {
 /// ratio of *measured* snapshot bytes between the two cadences. Both
 /// cadences run real captures; only the timing happens on the
 /// amplified one.
-fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
+fn bench_snapshot_overhead(scale: u32, failures: &mut Vec<&'static str>) {
     use langcrawl_core::{interest, CrawlEvent, EventSink};
     println!("snapshot capture overhead at K=4, every=1000 (n={scale}):");
     let ws = GeneratorConfig::thai_like().scaled(scale).build(7);
@@ -896,8 +668,10 @@ fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
             (extra_amp, extra, overhead) = (ea2, e2, o2);
         }
     }
-    rec.snapshot_overhead = overhead;
-    rec.snapshot_overhead_ok = overhead <= 0.05;
+    let ok = overhead <= 0.05;
+    if !ok {
+        failures.push("snapshot capture overhead above the 5% budget at every-1000-ticks cadence");
+    }
     println!(
         "  no capture {:>10}   every-100 arm {:>10} ({} snapshots, {:.1} µs each)",
         fmt(t_plain),
@@ -911,11 +685,7 @@ fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
         gated.bytes as f64 / 1.0e6,
         extra / 1.0e3,
         100.0 * overhead,
-        if rec.snapshot_overhead_ok {
-            "OK"
-        } else {
-            "OVER BUDGET"
-        }
+        if ok { "OK" } else { "OVER BUDGET" }
     );
 }
 
@@ -928,7 +698,7 @@ fn bench_snapshot_overhead(rec: &mut BenchRecord, scale: u32) {
 /// the final `TAIL` steady-state fetches allocate — which the gate
 /// pins at zero. Without the `count-allocs` feature the counter always
 /// reads 0 and the section reports "not gated".
-fn bench_steady_state_allocs(rec: &mut BenchRecord, scale: u32) {
+fn bench_steady_state_allocs(scale: u32, failures: &mut Vec<&'static str>) {
     println!("steady-state allocations (n={scale}):");
     let ws = GeneratorConfig::thai_like().scaled(scale).build(7);
     let oracle = OracleClassifier::target(ws.target_language());
@@ -981,15 +751,16 @@ fn bench_steady_state_allocs(rec: &mut BenchRecord, scale: u32) {
     // run can only allocate at least as much; the excess is what the
     // tail fetches allocated.
     let tail_allocs = (a2 - a1).saturating_sub(a1 - a0);
-    rec.steady_state_allocs_per_fetch = tail_allocs as f64 / TAIL as f64;
-    rec.steady_state_gated = COUNTING_ALLOCS;
-    rec.steady_state_ok = !COUNTING_ALLOCS || tail_allocs == 0;
+    let ok = !COUNTING_ALLOCS || tail_allocs == 0;
+    if !ok {
+        failures.push("steady-state crawl fetches allocate (must be zero after warm-up)");
+    }
     println!(
         "  tail {TAIL} fetches: {tail_allocs} allocations ({:.4}/fetch)  [{}]",
-        rec.steady_state_allocs_per_fetch,
+        tail_allocs as f64 / TAIL as f64,
         if !COUNTING_ALLOCS {
             "not gated: counting allocator off"
-        } else if rec.steady_state_ok {
+        } else if ok {
             "OK"
         } else {
             "ALLOCATES"
@@ -997,21 +768,10 @@ fn bench_steady_state_allocs(rec: &mut BenchRecord, scale: u32) {
     );
 }
 
-fn git_short_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "nogit".into())
-}
-
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     let scale = env_scale(50_000);
-    let mut rec = BenchRecord::default();
+    // Names of the gates that failed; any entry fails the process.
+    let mut failures = Vec::new();
     // Per-phase allocation counts (meaningful only with the counting
     // allocator compiled in): one cumulative mark after each section,
     // reported as deltas at the end.
@@ -1020,27 +780,26 @@ fn main() {
         marks.push((name, alloc_count()));
     };
     mark("start", &mut marks);
-    bench_queue(&mut rec);
+    bench_queue();
     mark("queue", &mut marks);
-    bench_batch_admit(&mut rec);
+    bench_batch_admit();
     mark("batch_admit", &mut marks);
-    bench_detect(&mut rec);
+    bench_detect();
     mark("detect", &mut marks);
     bench_html();
     bench_url();
     mark("html+url", &mut marks);
     bench_generate();
-    bench_generate_parallel(&mut rec);
+    bench_generate_parallel(&mut failures);
     mark("generate", &mut marks);
-    bench_simulate(&mut rec, scale);
+    bench_simulate(scale);
     mark("simulate", &mut marks);
-    bench_link_analysis(&mut rec, scale);
+    bench_link_analysis(scale);
     mark("link_analysis", &mut marks);
-    bench_sink_overhead(&mut rec, scale);
-    bench_fault_overhead(&mut rec, scale);
-    bench_snapshot_overhead(&mut rec, scale);
+    bench_sink_overhead(scale, &mut failures);
+    bench_snapshot_overhead(scale, &mut failures);
     mark("overhead_gates", &mut marks);
-    bench_steady_state_allocs(&mut rec, scale);
+    bench_steady_state_allocs(scale, &mut failures);
     mark("steady_state", &mut marks);
 
     if COUNTING_ALLOCS {
@@ -1051,22 +810,6 @@ fn main() {
         }
     }
 
-    if json {
-        // Land the trajectory point at the workspace root regardless of
-        // the cwd cargo gives bench binaries (the package dir).
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("bench crate lives two levels below the workspace root")
-            .to_path_buf();
-        let path = root.join(format!("BENCH_{}.json", git_short_sha()));
-        let body = rec.to_json(&git_short_sha(), scale);
-        match std::fs::write(&path, &body) {
-            Ok(()) => println!("\nwrote {}", path.display()),
-            Err(e) => eprintln!("\ncannot write {}: {e}", path.display()),
-        }
-    }
-    let failures = rec.failures();
     for f in &failures {
         eprintln!("GATE FAILED: {f}");
     }

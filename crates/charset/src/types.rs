@@ -8,7 +8,6 @@ use std::fmt;
 /// surrounding encodings a crawler of that era actually met (ASCII, UTF-8,
 /// Latin-1) so the detector has realistic negatives to reject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Charset {
     /// Pure 7-bit US-ASCII.
     Ascii,
@@ -123,7 +122,6 @@ impl fmt::Display for Charset {
 /// Natural language of a web page, as far as the crawler's classifier is
 /// concerned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Language {
     /// Japanese — the paper's highly language-specific dataset.
     Japanese,

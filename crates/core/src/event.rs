@@ -5,8 +5,8 @@
 //! recording, URL filtering) into the loop body. Here observation is a
 //! first-class seam: the engine narrates the crawl as a stream of
 //! [`CrawlEvent`]s and any number of [`EventSink`]s listen. Sinks
-//! compose — a run can record metrics, visits, and per-phase timings at
-//! once — and adding a new observer never touches the engine.
+//! compose — a run can record metrics, visits, and scheduler statistics
+//! at once — and adding a new observer never touches the engine.
 //!
 //! Events are deliberately **per-page aggregates** (one `Admitted` event
 //! per fetch, not one per link), and each sink declares which variants
@@ -17,7 +17,6 @@
 
 use crate::metrics::Sample;
 use langcrawl_webgraph::{HttpStatus, PageId};
-use std::time::{Duration, Instant};
 
 /// One step of the crawl narrative, emitted by the engine in a fixed
 /// per-page order: `FetchAttempt` (one per fetch attempt, when any sink
@@ -299,199 +298,6 @@ impl EventSink for VisitRecorder {
     }
 }
 
-/// Wall-clock totals of one crawl phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseStat {
-    /// Accumulated wall time in the phase.
-    pub total: Duration,
-    /// Number of intervals accumulated.
-    pub count: u64,
-}
-
-impl PhaseStat {
-    fn add(&mut self, d: Duration) {
-        self.total += d;
-        self.count += 1;
-    }
-
-    /// Mean time per interval (zero when nothing was recorded).
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-}
-
-/// Per-phase timing/tracing sink: attributes wall time to the crawl's
-/// three phases by timestamping the event stream.
-///
-/// * **fetch** — frontier pop + virtual download (run start or previous
-///   page's bookkeeping up to `Fetched`);
-/// * **classify** — `Fetched` → `Classified` (the classifier's verdict,
-///   including content synthesis in content mode);
-/// * **admit** — `Classified` → `Admitted` (strategy admission plus
-///   frontier pushes).
-///
-/// This is observational profiling of a live run — attach it only when
-/// wanted; an unattached run pays nothing for it.
-#[derive(Debug)]
-pub struct PhaseTimingSink {
-    start: Instant,
-    last: Instant,
-    /// Pop + download time.
-    pub fetch: PhaseStat,
-    /// Classification time.
-    pub classify: PhaseStat,
-    /// Admission + frontier push time.
-    pub admit: PhaseStat,
-    /// Pages observed.
-    pub pages: u64,
-}
-
-impl PhaseTimingSink {
-    /// A sink whose clock starts now.
-    pub fn new() -> Self {
-        // lint:allow(wall-clock): observational profiling sink; measures host time and never feeds simulation state
-        let now = Instant::now();
-        PhaseTimingSink {
-            start: now,
-            last: now,
-            fetch: PhaseStat::default(),
-            classify: PhaseStat::default(),
-            admit: PhaseStat::default(),
-            pages: 0,
-        }
-    }
-
-    /// Total wall time from construction to the last observed event.
-    pub fn elapsed(&self) -> Duration {
-        self.last - self.start
-    }
-
-    /// A one-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "pages={} fetch={:?} classify={:?} admit={:?} (means {:?}/{:?}/{:?})",
-            self.pages,
-            self.fetch.total,
-            self.classify.total,
-            self.admit.total,
-            self.fetch.mean(),
-            self.classify.mean(),
-            self.admit.mean(),
-        )
-    }
-
-    fn lap(&mut self) -> Duration {
-        // lint:allow(wall-clock): observational profiling sink; measures host time and never feeds simulation state
-        let now = Instant::now();
-        let d = now - self.last;
-        self.last = now;
-        d
-    }
-}
-
-impl Default for PhaseTimingSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventSink for PhaseTimingSink {
-    fn on_event(&mut self, event: &CrawlEvent) {
-        match *event {
-            CrawlEvent::Fetched { .. } => {
-                let d = self.lap();
-                self.fetch.add(d);
-                self.pages += 1;
-            }
-            CrawlEvent::Classified { .. } => {
-                let d = self.lap();
-                self.classify.add(d);
-            }
-            CrawlEvent::Admitted { .. } => {
-                let d = self.lap();
-                self.admit.add(d);
-            }
-            // FetchAttempt precedes Fetched: its interval is download
-            // time, which the following Fetched would otherwise absorb —
-            // advancing the clock here keeps the attribution the same.
-            // Filtered arrives between Classified and Admitted; fold its
-            // interval into admission time. Sampled/Finished, the
-            // scheduler's narration (SlotIdle, ShardHandoff,
-            // PolitenessWait) and snapshot captures are bookkeeping;
-            // just advance the clock.
-            CrawlEvent::FetchAttempt { .. }
-            | CrawlEvent::Filtered { .. }
-            | CrawlEvent::Sampled { .. }
-            | CrawlEvent::Finished { .. }
-            | CrawlEvent::SlotIdle { .. }
-            | CrawlEvent::ShardHandoff { .. }
-            | CrawlEvent::PolitenessWait { .. }
-            | CrawlEvent::Snapshot { .. } => {
-                let d = self.lap();
-                if matches!(event, CrawlEvent::Filtered { .. }) {
-                    self.admit.add(d);
-                }
-            }
-        }
-    }
-}
-
-/// Tallies per-attempt fetch outcomes — retries, wasted fetches, pages
-/// given up — from the [`CrawlEvent::FetchAttempt`] stream. The
-/// fault-sensitivity harness attaches one per run to report harvest net
-/// of failures.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultStatsSink {
-    /// Fetch attempts performed (equals pages crawled when no fault
-    /// fired).
-    pub attempts: u64,
-    /// Attempts beyond the first for some page (attempt number > 1).
-    pub retries: u64,
-    /// Attempts that failed transiently — bandwidth spent without a
-    /// page.
-    pub wasted: u64,
-    /// Pages abandoned after exhausting their retry budget.
-    pub gave_up: u64,
-}
-
-impl FaultStatsSink {
-    /// An empty tally.
-    pub fn new() -> Self {
-        FaultStatsSink::default()
-    }
-}
-
-impl EventSink for FaultStatsSink {
-    fn on_event(&mut self, event: &CrawlEvent) {
-        if let CrawlEvent::FetchAttempt {
-            attempt,
-            transient,
-            retry,
-            ..
-        } = *event
-        {
-            self.attempts += 1;
-            if attempt > 1 {
-                self.retries += 1;
-            }
-            if transient {
-                self.wasted += 1;
-                if !retry {
-                    self.gave_up += 1;
-                }
-            }
-        }
-    }
-
-    fn interests(&self) -> u16 {
-        interest::ATTEMPT
-    }
-}
-
 /// Tallies the virtual-time scheduler's narration — slot idleness,
 /// cross-shard handoff traffic, politeness stalls — from the
 /// [`CrawlEvent::SlotIdle`] / [`CrawlEvent::ShardHandoff`] /
@@ -608,8 +414,6 @@ mod tests {
             interest::SAMPLED | interest::FINISHED
         );
         assert_eq!(VisitRecorder::new().interests(), interest::FETCHED);
-        assert_eq!(PhaseTimingSink::new().interests(), interest::ALL);
-        assert_eq!(FaultStatsSink::new().interests(), interest::ATTEMPT);
         assert_eq!(
             SchedStatsSink::new().interests(),
             interest::SLOT_IDLE | interest::HANDOFF | interest::POLITENESS
@@ -671,37 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_stats_tally_attempts_retries_and_give_ups() {
-        use langcrawl_webgraph::HttpStatus;
-        let mut f = FaultStatsSink::new();
-        let attempt = |page, attempt, status, transient, retry| CrawlEvent::FetchAttempt {
-            page,
-            attempt,
-            status,
-            transient,
-            retry,
-            tick: 0,
-        };
-        // Page 1: clean first-attempt success.
-        f.on_event(&attempt(1, 1, HttpStatus::Ok, false, false));
-        // Page 2: one transient failure, then success on retry.
-        f.on_event(&attempt(2, 1, HttpStatus::ServerError, true, true));
-        f.on_event(&attempt(2, 2, HttpStatus::Ok, false, false));
-        // Page 3: transient failures until the budget runs out.
-        f.on_event(&attempt(3, 1, HttpStatus::Unreachable, true, true));
-        f.on_event(&attempt(3, 2, HttpStatus::Unreachable, true, false));
-        // Other variants are ignored.
-        f.on_event(&CrawlEvent::Fetched {
-            page: 1,
-            crawled: 1,
-        });
-        assert_eq!(f.attempts, 5);
-        assert_eq!(f.retries, 2);
-        assert_eq!(f.wasted, 3);
-        assert_eq!(f.gave_up, 1);
-    }
-
-    #[test]
     fn visit_recorder_keeps_fetch_order() {
         let mut v = VisitRecorder::new();
         for (i, p) in [3u32, 1, 4].iter().enumerate() {
@@ -716,39 +489,5 @@ mod tests {
             });
         }
         assert_eq!(v.into_visited(), vec![3, 1, 4]);
-    }
-
-    #[test]
-    fn timing_sink_attributes_phases() {
-        let mut t = PhaseTimingSink::new();
-        for p in 0..3u32 {
-            t.on_event(&CrawlEvent::Fetched {
-                page: p,
-                crawled: p as u64 + 1,
-            });
-            t.on_event(&CrawlEvent::Classified {
-                page: p,
-                relevance: 0.0,
-                relevant: false,
-            });
-            t.on_event(&CrawlEvent::Admitted {
-                page: p,
-                offered: 2,
-                enqueued: 1,
-            });
-        }
-        t.on_event(&CrawlEvent::Finished {
-            crawled: 3,
-            relevant: 0,
-            pending: 0,
-            max_pending: 1,
-            total_pushes: 3,
-        });
-        assert_eq!(t.pages, 3);
-        assert_eq!(t.fetch.count, 3);
-        assert_eq!(t.classify.count, 3);
-        assert_eq!(t.admit.count, 3);
-        assert!(t.elapsed() >= t.fetch.total);
-        assert!(!t.summary().is_empty());
     }
 }

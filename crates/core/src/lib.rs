@@ -44,7 +44,7 @@
 //! * [`event`] — *who watches*: the engine narrates the crawl as typed
 //!   [`event::CrawlEvent`]s to any number of composable
 //!   [`event::EventSink`]s — metrics sampling, visit recording,
-//!   per-phase timing, and checkpoint capture
+//!   scheduler statistics, and checkpoint capture
 //!   ([`snapshot::SnapshotLog`], [`snapshot::DirSink`]).
 //! * [`sim::Simulator`] — the paper-shaped façade: the configured
 //!   schedule + default sinks, returning a [`metrics::CrawlReport`].
@@ -89,9 +89,7 @@ pub mod timing;
 pub use classifier::{Classifier, DetectorClassifier, MetaClassifier, OracleClassifier};
 pub use content::{ContentClassifier, ContentMode};
 pub use engine::{CrawlEngine, EngineConfig, EngineOutcome};
-pub use event::{
-    interest, CrawlEvent, EventSink, MetricsSampler, PhaseTimingSink, SchedStatsSink, VisitRecorder,
-};
+pub use event::{interest, CrawlEvent, EventSink, MetricsSampler, SchedStatsSink, VisitRecorder};
 pub use frontier::Frontier;
 pub use linkgraph::LinkGraph;
 pub use metrics::CrawlReport;

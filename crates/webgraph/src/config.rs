@@ -10,7 +10,6 @@ use langcrawl_charset::Language;
 /// size, preserving every ratio, so experiments can be run at whatever
 /// scale the machine affords.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeneratorConfig {
     /// Target language of the archiving crawl (what "relevant" means).
     pub target: Language,

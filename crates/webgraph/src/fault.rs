@@ -37,7 +37,6 @@ const STREAM_FAULT_DRAW: u64 = 5 << 40;
 
 /// Knobs of the fault model. All-zero (the default) disables it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Per-attempt probability that a fetch from a *healthy* host fails
     /// transiently (timeout, 503, connection reset).
@@ -189,8 +188,8 @@ pub struct FaultModel {
     /// True when no table entry can alter an outcome (no dead hosts,
     /// every threshold zero): the hot path then answers the baked
     /// status from one register-resident branch, with no per-attempt
-    /// table traffic. A config with host classes but all-zero rates —
-    /// the microbench's zero-fault-rate gate — realizes exactly this.
+    /// table traffic. A config with host classes but all-zero rates
+    /// realizes exactly this.
     inert: bool,
     draw_seed: u64,
     config: FaultConfig,
@@ -274,8 +273,8 @@ impl FaultModel {
     /// [`FaultModel::is_zero`] — a config with nonzero host-class
     /// fractions but all-zero failure rates realizes an inert model —
     /// and the engine elides such models entirely, so a zero-fault-rate
-    /// crawl pays nothing for the retry machinery (the microbench gates
-    /// this at ≤10%).
+    /// crawl runs the zero-fault loop (a `langcrawl-core` engine test
+    /// asserts the elision).
     pub fn is_inert(&self) -> bool {
         self.inert
     }
@@ -301,7 +300,7 @@ impl FaultModel {
     /// [`FaultModel::outcome`] for a caller that already holds the
     /// page's baked status and host — the engine's hot loop, which has
     /// just looked both up and must not pay a second metadata fetch per
-    /// attempt (the microbench gates this path at ≤10% overhead).
+    /// attempt.
     ///
     /// The transient draw is a single [`splitmix64`] word per
     /// `(page, attempt)`, compared against the host's precomputed
@@ -375,6 +374,36 @@ mod tests {
                 assert!(!o.transient);
             }
         }
+    }
+
+    #[test]
+    fn inert_exactly_when_no_class_or_rate_can_fire() {
+        let ws = space();
+        let inert = |config| FaultModel::with_config(&ws, config).is_inert();
+        // Every host class drawn, every failure rate zero.
+        let classes = FaultConfig {
+            flaky_host_rate: 0.2,
+            slow_host_rate: 0.2,
+            ..FaultConfig::default()
+        };
+        assert!(!classes.is_zero());
+        assert!(inert(classes.clone()));
+        assert!(!inert(FaultConfig {
+            dead_host_rate: 0.2,
+            ..classes.clone()
+        }));
+        assert!(!inert(FaultConfig {
+            transient_rate: 0.01,
+            ..classes.clone()
+        }));
+        assert!(!inert(FaultConfig {
+            flaky_transient_rate: 0.01,
+            ..classes.clone()
+        }));
+        assert!(!inert(FaultConfig {
+            slow_timeout_rate: 0.01,
+            ..classes
+        }));
     }
 
     #[test]

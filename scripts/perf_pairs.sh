@@ -14,9 +14,13 @@
 # (linear interpolation between order statistics), and the number of pairs in
 # which the change read lower, which is better for both metrics.
 #
-# Exit status: 0 when every run printed "correct": true, "failed": 0 and
-# both metrics, 1 otherwise, 2 on bad arguments. Needs only a POSIX sh, awk
-# and sort.
+# A metric shows a clear loss when the change read higher in every pair and
+# its median is above the parent's by more than the metric's "bound" in the
+# BENCHMARK.json next to this script's directory (0.25: 25% higher).
+#
+# Exit status: 1 when a run did not print "correct": true, "failed": 0 and
+# both metrics; otherwise 3 on a clear loss on either metric, else 0. 2 on
+# bad arguments. Needs only a POSIX sh, awk, grep and sort.
 set -eu
 
 usage() {
@@ -39,6 +43,7 @@ for bin in "$parent_bin" "$change_bin"; do
         exit 2
     }
 done
+benchmark=$(dirname "$0")/../BENCHMARK.json
 
 # field LINE KEY: the value of KEY in a perfbench result line, either a bare
 # value ("correct", "failed") or a metric object's "value".
@@ -52,6 +57,20 @@ field() {
         print substr(rest, 1, RLENGTH)
     }'
 }
+
+# bound METRIC: the metric's "bound" in BENCHMARK.json.
+bound() {
+    b=$(field "$(grep -F "\"name\": \"$1\"" "$benchmark")" bound)
+    case $b in
+    '' | *[!0-9.]*)
+        echo "$0: no bound for $1 in $benchmark" >&2
+        exit 2
+        ;;
+    esac
+    echo "$b"
+}
+ratio_bound=$(bound crawl_vs_bfs)
+setup_bound=$(bound setup_s)
 
 nl='
 '
@@ -83,6 +102,8 @@ lower() {
 
 won_ratio=0
 won_setup=0
+higher_ratio=0
+higher_setup=0
 i=0
 while [ "$i" -lt "$pairs" ]; do
     seed=$((first + i))
@@ -97,22 +118,42 @@ while [ "$i" -lt "$pairs" ]; do
     done
     if lower "$parent_ratio" "$change_ratio"; then won_ratio=$((won_ratio + 1)); fi
     if lower "$parent_setup" "$change_setup"; then won_setup=$((won_setup + 1)); fi
+    if lower "$change_ratio" "$parent_ratio"; then higher_ratio=$((higher_ratio + 1)); fi
+    if lower "$change_setup" "$parent_setup"; then higher_setup=$((higher_setup + 1)); fi
     i=$((i + 1))
 done
 
-# stats SIDE COLUMN NAME: median and quartiles of one side's metric.
-stats() {
+# quantiles SIDE COLUMN: "median q1 q3 n" of one side's metric.
+quantiles() {
     printf '%s' "$rows" | awk -v side="$1" -v col="$2" '$1 == side { print $col }' |
-        sort -n | awk -v label="$1 $3" '
+        sort -n | awk '
         function q(p,   h, k) {
             h = (NR - 1) * p + 1
             k = int(h)
             return k >= NR ? x[NR] : x[k] + (h - k) * (x[k + 1] - x[k])
         }
         { x[NR] = $1 }
-        END {
-            if (NR) printf "%-21s median %.6g  quartiles %.6g-%.6g  (n %d)\n", label, q(0.5), q(0.25), q(0.75), NR
-        }'
+        END { if (NR) printf "%.17g %.17g %.17g %d\n", q(0.5), q(0.25), q(0.75), NR }'
+}
+
+# stats SIDE COLUMN NAME: one side's median and quartiles of a metric.
+stats() {
+    # The unquoted substitution splits the quantiles into four arguments.
+    set -- "$1 $3" $(quantiles "$1" "$2")
+    if [ $# -eq 5 ]; then printf '%-21s median %.6g  quartiles %.6g-%.6g  (n %d)\n' "$@"; fi
+}
+
+# loss COLUMN NAME HIGHER BOUND: exit 0, after saying so, when the change
+# read higher in every pair and its median exceeds the parent's by more
+# than BOUND.
+loss() {
+    [ "$3" -eq "$pairs" ] || return 1
+    parent_median=$(quantiles parent "$1" | awk '{ print $1 }')
+    change_median=$(quantiles change "$1" | awk '{ print $1 }')
+    awk -v p="$parent_median" -v c="$change_median" -v b="$4" 'BEGIN { exit !(c + 0 > (p + 0) * (1 + b)) }' ||
+        return 1
+    printf '%s: %s: change higher on %s in %d/%d pairs, median %.6g vs %.6g, beyond the %s bound\n' \
+        "$0" "$workload" "$2" "$3" "$pairs" "$change_median" "$parent_median" "$4" >&2
 }
 
 echo "== $workload, seeds $first-$((first + pairs - 1)), ${seconds}s per run"
@@ -123,3 +164,7 @@ if [ "$bad" -ne 0 ]; then
     echo "$0: $bad run(s) not correct, with failed crawls or missing a metric" >&2
     exit 1
 fi
+lost=0
+if loss 2 crawl_vs_bfs "$higher_ratio" "$ratio_bound"; then lost=1; fi
+if loss 3 setup_s "$higher_setup" "$setup_bound"; then lost=1; fi
+[ "$lost" -eq 0 ] || exit 3
