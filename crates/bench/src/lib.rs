@@ -1,8 +1,10 @@
 //! # langcrawl-bench — experiment harness
 //!
 //! Shared machinery for the binaries that regenerate every table and
-//! figure of the paper (see DESIGN.md §4 for the experiment index) and
-//! for the self-contained microbenches.
+//! figure of the paper (see DESIGN.md §4 for the experiment index).
+//! The crate's one bench target, `capture_overhead`, gates the cost of
+//! snapshot capture; its `steady_state` test counts allocations in the
+//! warm crawl loop.
 //!
 //! Each figure binary declares an [`experiment::Experiment`] — preset +
 //! scale + seed + strategy set + classifier + output prefix — and:

@@ -1,14 +1,149 @@
-//! Steady-state memory-discipline regressions: repeated runs over one
-//! process-wide cached space must not re-grow the engine's reusable
-//! scratch. The microbench's counting-allocator gate enforces the
-//! zero-allocation contract wholesale; these tests pin the one piece
-//! with observable bookkeeping — the lazily materialized attempt
-//! table — at the API level, where a regression names the culprit.
+//! Steady-state memory discipline (DESIGN.md §5): once its scratch is
+//! warm, a crawl fetch allocates nothing. This binary installs a
+//! counting `#[global_allocator]`, so `cargo test` checks that contract
+//! in both crawl loops; the lint's `lint:root(alloc-free)` markers prove
+//! it statically. Two more tests pin the one piece with observable
+//! bookkeeping, the lazily materialized attempt table, at the API
+//! level, where a regression names the culprit.
 
 use langcrawl_core::classifier::OracleClassifier;
+use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineScratch};
+use langcrawl_core::sched::SchedConfig;
 use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::SimpleStrategy;
 use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocation events on this thread so far (`alloc` and `realloc`;
+    /// frees are not counted, since the contract is about allocation
+    /// events, not live bytes). Counting per thread keeps the tests
+    /// that run in parallel on other threads out of a measurement.
+    /// `const`-initialised and without a destructor, so touching it
+    /// never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation event on the calling thread. `try_with` fails
+/// only while the thread is being torn down, when nothing is measured.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocation events on the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// The system allocator, counting allocation events per thread.
+struct CountingAlloc;
+
+// SAFETY: every method forwards verbatim to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches only a thread-local
+// `Cell`, no allocator state, and cannot affect the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: caller contract forwarded unchanged to `System`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr` was returned by this allocator, i.e. by
+    // `System`, with the same `layout` — `System`'s own contract.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    // SAFETY: caller contract forwarded unchanged to `System`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// Fetches the tail measurement covers.
+const TAIL: u64 = 1_000;
+
+/// The zero-allocation contract, measured differentially. Over one
+/// warm [`EngineScratch`], two deterministic runs differ only in that
+/// one stops `TAIL` fetches short of the full crawl. Both pay the same
+/// setup (a fresh frontier, buffers that reach their high water well
+/// before the tail), and the short run is a prefix of the full one, so
+/// whatever the full run allocates beyond the short one is what its
+/// last `TAIL` fetches allocated. That must be nothing. The cells cover
+/// the single-slot loop a default schedule hands off to, with and
+/// without retries, and the virtual-time event loop under politeness
+/// stalls and retries.
+#[test]
+fn steady_state_fetches_allocate_nothing() {
+    let ws = GeneratorConfig::thai_like().scaled(20_000).build(7);
+    let oracle = OracleClassifier::target(ws.target_language());
+    let faults = FaultConfig::with_rate(0.1);
+    let polite = SchedConfig {
+        slots: 4,
+        politeness_gap: 2,
+        ..SchedConfig::default()
+    };
+    let cells = [
+        (
+            "single slot",
+            SchedConfig::default(),
+            FaultConfig::default(),
+        ),
+        (
+            "single slot, 10% faults",
+            SchedConfig::default(),
+            faults.clone(),
+        ),
+        ("4 slots, gap 2, 10% faults", polite, faults),
+    ];
+    for (cell, sched, fault) in cells {
+        let engine = |max_pages| {
+            CrawlEngine::new(
+                &ws,
+                EngineConfig {
+                    max_pages,
+                    fault: fault.clone(),
+                    ..EngineConfig::default()
+                },
+            )
+        };
+        let run = |engine: &CrawlEngine<'_>, scratch: &mut EngineScratch| {
+            engine
+                .run_scheduled(
+                    &sched,
+                    &mut SimpleStrategy::soft(),
+                    &oracle,
+                    &mut [],
+                    scratch,
+                )
+                .0
+                .crawled
+        };
+        // Warm-up: grows every scratch buffer to its high water and
+        // gives the full crawl's length.
+        let mut scratch = EngineScratch::new();
+        let full = run(&engine(None), &mut scratch);
+        assert!(full > 2 * TAIL, "{cell}: space too small for the tail");
+        // Both measured engines are built before the first count.
+        let (short_engine, full_engine) = (engine(Some(full - TAIL)), engine(Some(full)));
+        let a0 = allocs();
+        let short = run(&short_engine, &mut scratch);
+        let a1 = allocs();
+        let again = run(&full_engine, &mut scratch);
+        let a2 = allocs();
+        assert_eq!((short, again), (full - TAIL, full), "{cell}");
+        assert!(
+            a2 - a1 <= a1 - a0,
+            "{cell}: the last {TAIL} fetches allocated {} times",
+            (a2 - a1) - (a1 - a0)
+        );
+    }
+}
 
 #[test]
 fn second_run_on_a_cached_space_performs_zero_attempt_table_allocs() {

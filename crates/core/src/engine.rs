@@ -545,7 +545,7 @@ impl<'a> CrawlEngine<'a> {
         let admissions = &mut scratch.admissions;
         admissions.clear();
         // lint:allow(no-panic-transitive): strategies are pluggable batch work; each strategy's own suite pins its bounds invariants
-        strategy.admit(&view, admissions); // lint:allow(no-alloc-transitive): the paper's HITS/PageRank strategies recompute with per-batch buffers by design; BFS steady-state allocation is gated by the microbench
+        strategy.admit(&view, admissions); // lint:allow(no-alloc-transitive): the paper's HITS/PageRank strategies recompute with per-batch buffers by design; the figure strategies' steady state is held at zero allocations by the counting-allocator test in crates/bench/tests/steady_state.rs
 
         let offered = admissions.len() as u32;
         let mut dropped = 0u32;
@@ -642,6 +642,7 @@ mod tests {
     use crate::classifier::OracleClassifier;
     use crate::event::{MetricsSampler, VisitRecorder};
     use crate::queue::UrlQueue;
+    use crate::sched::SchedConfig;
     use crate::shard::ShardedFrontier;
     use crate::strategy::{BreadthFirst, SimpleStrategy};
     use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
@@ -710,30 +711,76 @@ mod tests {
     #[test]
     fn uninteresting_events_are_never_emitted() {
         /// Panics on anything but the variants it declared.
-        struct FinishOnly {
+        struct Declared {
+            mask: u16,
+            sampled: u64,
             finished: bool,
         }
-        impl EventSink for FinishOnly {
+        impl EventSink for Declared {
             fn on_event(&mut self, event: &CrawlEvent) {
                 match event {
+                    CrawlEvent::Sampled { .. } if self.mask & interest::SAMPLED != 0 => {
+                        self.sampled += 1;
+                    }
                     CrawlEvent::Finished { .. } => self.finished = true,
                     other => panic!("undeclared event emitted: {other:?}"),
                 }
             }
             fn interests(&self) -> u16 {
-                interest::FINISHED
+                self.mask
             }
         }
         let ws = space();
+        let oracle = OracleClassifier::target(ws.target_language());
+
+        // The single-slot loop.
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
-        let mut sink = FinishOnly { finished: false };
+        let mut sink = Declared {
+            mask: interest::FINISHED,
+            sampled: 0,
+            finished: false,
+        };
         engine.run(
             UrlQueue::new(ws.num_pages(), 1),
             &mut BreadthFirst::new(),
-            &OracleClassifier::target(ws.target_language()),
+            &oracle,
             &mut [&mut sink],
         );
         assert!(sink.finished);
+
+        // The scheduled loop, with every scheduler event able to fire:
+        // slots, shards and politeness stall and hand off, faults retry,
+        // the filter drops links, and a capture cadence is set that no
+        // sink wants. The sink takes what `MetricsSampler` takes.
+        let engine = CrawlEngine::new(
+            &ws,
+            EngineConfig {
+                fault: FaultConfig::with_rate(0.1),
+                url_filter: true,
+                snapshot_every: Some(50),
+                ..EngineConfig::default()
+            },
+        );
+        let sched = SchedConfig {
+            slots: 4,
+            shards: 3,
+            politeness_gap: 3,
+            politeness_spread: 2,
+        };
+        let mut sink = Declared {
+            mask: interest::SAMPLED | interest::FINISHED,
+            sampled: 0,
+            finished: false,
+        };
+        let (outcome, _) = engine.run_scheduled(
+            &sched,
+            &mut SimpleStrategy::soft(),
+            &oracle,
+            &mut [&mut sink],
+            &mut EngineScratch::new(),
+        );
+        assert!(outcome.retries > 0, "the faults must retry");
+        assert!(sink.sampled > 0 && sink.finished);
     }
 
     #[test]

@@ -46,7 +46,9 @@ use crate::event::{interest, CrawlEvent, EventSink};
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
 use crate::shard::{ShardStats, ShardedFrontier};
-use crate::snapshot::{frame_begin, frame_end, CrawlSnapshot, Dec, Enc, SnapHead, SnapshotError};
+use crate::snapshot::{
+    frame_begin, frame_end, run_fingerprint, CrawlSnapshot, Dec, Enc, SnapHead, SnapshotError,
+};
 use crate::strategy::Strategy;
 use langcrawl_rng::Rng;
 use langcrawl_webgraph::FetchOutcome;
@@ -400,7 +402,7 @@ impl CrawlEngine<'_> {
             // Fresh runs capture first at `every` (tick 0 is the
             // initial state [`CrawlEngine::snapshot`] hands out).
             next_at: every,
-            head: self.snap_head(sched, levels as u32),
+            head: self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier)),
             buf: Enc::default(),
         });
         let frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
@@ -438,12 +440,13 @@ impl CrawlEngine<'_> {
     }
 
     /// The identity header for snapshots of this engine's runs.
-    fn snap_head(&self, sched: &SchedConfig, levels: u32) -> SnapHead {
+    fn snap_head(&self, sched: &SchedConfig, levels: u32, run_fp: u64) -> SnapHead {
         let ws = self.web_space();
         SnapHead {
             space_fp: ws.identity_fingerprint(),
             gen_seed: ws.generation_seed(),
             config_fp: self.config.snapshot_fingerprint(),
+            run_fp,
             levels,
             sched: *sched,
             tick: 0,
@@ -456,13 +459,14 @@ impl CrawlEngine<'_> {
     /// exactly [`CrawlEngine::run_scheduled`] (the resume-parity suite
     /// pins that), which makes it the base case for snapshot chains and
     /// a convenient fixture for codec tests.
-    pub fn snapshot<S>(&self, sched: &SchedConfig, strategy: &S) -> CrawlSnapshot
+    pub fn snapshot<S, C>(&self, sched: &SchedConfig, strategy: &S, classifier: &C) -> CrawlSnapshot
     where
         S: Strategy + ?Sized,
+        C: Classifier + ?Sized,
     {
         let ws = self.web_space();
         let levels = strategy.levels().max(1);
-        let head = self.snap_head(sched, levels as u32);
+        let head = self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier));
         let politeness = sched.politeness_gap != 0 || sched.politeness_spread != 0;
         let next_ok = if politeness {
             vec![0u64; ws.num_hosts()]
@@ -504,11 +508,13 @@ impl CrawlEngine<'_> {
     /// engine must be built over the *same* web space the snapshot was
     /// taken from (verified via the space fingerprint — the space is
     /// regenerated from config, never stored in the snapshot) with the
-    /// same engine configuration and a strategy of the same shape that
-    /// keeps no state outside the frontier ([`Strategy::keeps_state`]);
-    /// the schedule knobs travel inside the snapshot. Events fire only
-    /// for the remainder of the crawl; counters in the final outcome
-    /// are cumulative, so the outcome equals an uninterrupted run's.
+    /// same engine configuration, a strategy of the same shape that
+    /// keeps no state outside the frontier ([`Strategy::keeps_state`]),
+    /// and the strategy and classifier the snapshot names
+    /// ([`CrawlSnapshot::run_fingerprint`]); the schedule knobs travel
+    /// inside the snapshot. Events fire only for the remainder of the
+    /// crawl; counters in the final outcome are cumulative, so the
+    /// outcome equals an uninterrupted run's.
     ///
     /// Capture works as in [`CrawlEngine::run_scheduled`], except that
     /// the first [`CrawlEvent::Snapshot`] fires *at* the resume tick —
@@ -536,6 +542,13 @@ impl CrawlEngine<'_> {
         let levels = strategy.levels().max(1);
         if snap.head.levels as usize != levels {
             return Err(SnapshotError::ConfigMismatch("strategy level count"));
+        }
+        let run_fp = run_fingerprint(strategy, classifier);
+        if snap.head.run_fp != run_fp {
+            return Err(SnapshotError::RunMismatch {
+                expected: snap.head.run_fp,
+                found: run_fp,
+            });
         }
         // The schedule rides in the snapshot.
         let sched = snap.head.sched;

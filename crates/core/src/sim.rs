@@ -11,9 +11,11 @@
 //! monolithic loop (the `engine_parity` integration test pins this).
 //! With a capture cadence ([`SimConfig::snapshot_every`]) and
 //! `LANGCRAWL_SNAPSHOT_DIR` naming a directory, it also attaches a
-//! [`DirSink`] that writes `crawl-<space fingerprint>-t<tick>.snap`
-//! files. Experiments that want a different frontier or extra
-//! observers use the engine directly.
+//! [`DirSink`] that writes `crawl-<space fingerprint>-<run
+//! fingerprint>-t<tick>.snap` files, so crawls of one space by
+//! different strategies or classifiers keep apart. Experiments that
+//! want a different frontier or extra observers use the engine
+//! directly.
 
 use crate::classifier::Classifier;
 use crate::engine::{CrawlEngine, EngineConfig, EngineScratch};
@@ -21,7 +23,7 @@ use crate::event::{EventSink, MetricsSampler, VisitRecorder};
 use crate::metrics::CrawlReport;
 use crate::retry::RetryPolicy;
 use crate::sched::SchedConfig;
-use crate::snapshot::DirSink;
+use crate::snapshot::{run_fingerprint, DirSink};
 use crate::strategy::Strategy;
 use langcrawl_webgraph::{FaultConfig, WebSpace};
 
@@ -204,7 +206,10 @@ impl<'a> Simulator<'a> {
         );
         let mut metrics = MetricsSampler::new();
         let mut visits = VisitRecorder::new();
-        let mut dir = self.snapshot_dir();
+        let mut dir = self
+            .config
+            .snapshot_every
+            .and_then(|_| self.snapshot_dir(run_fingerprint(strategy, classifier)));
         let mut sinks: Vec<&mut dyn EventSink> = Vec::with_capacity(3);
         sinks.push(&mut metrics);
         if self.config.record_visits {
@@ -240,14 +245,16 @@ impl<'a> Simulator<'a> {
 
     /// The sink a capturing run writes its snapshots through: a
     /// [`DirSink`] over `LANGCRAWL_SNAPSHOT_DIR` with the file prefix
-    /// `crawl-<space identity fingerprint>`, when a cadence is
-    /// configured and the variable names a directory.
-    fn snapshot_dir(&self) -> Option<DirSink> {
-        self.config.snapshot_every?;
+    /// `crawl-<space identity fingerprint>-<run_fp>`, when the variable
+    /// names a directory. `run` asks only when a cadence is configured.
+    fn snapshot_dir(&self, run_fp: u64) -> Option<DirSink> {
         let dir = std::env::var("LANGCRAWL_SNAPSHOT_DIR")
             .ok()
             .filter(|dir| !dir.is_empty())?;
-        let prefix = format!("crawl-{:016x}", self.ws.identity_fingerprint());
+        let prefix = format!(
+            "crawl-{:016x}-{run_fp:016x}",
+            self.ws.identity_fingerprint()
+        );
         Some(DirSink::new(dir, prefix))
     }
 }

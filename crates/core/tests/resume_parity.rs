@@ -268,7 +268,11 @@ fn tick_zero_snapshot_resumes_into_the_whole_run() {
                 ..SchedConfig::default()
             };
             let full = run_baseline(&engine, &sched, strat);
-            let snap = engine.snapshot(&sched, make_strategy(strat).as_ref());
+            let snap = engine.snapshot(
+                &sched,
+                make_strategy(strat).as_ref(),
+                make_classifier(strat, &ws).as_ref(),
+            );
             assert_eq!(snap.tick(), 0);
             assert_eq!(snap.crawled(), 0);
             let resumed = run_resumed(&engine, &snap, strat);

@@ -7,10 +7,11 @@
 //! single flipped byte, wrong version tags, foreign magic and appended
 //! garbage all come back as typed [`SnapshotError`]s — never a panic —
 //! and resuming against the wrong space, engine config or strategy
-//! shape, or with a strategy that keeps state outside the frontier, is
-//! refused before any state is touched.
+//! shape, under another strategy or classifier, or with a strategy that
+//! keeps state outside the frontier, is refused before any state is
+//! touched.
 
-use langcrawl_core::classifier::{Classifier, OracleClassifier};
+use langcrawl_core::classifier::{Classifier, MetaClassifier, OracleClassifier};
 use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome, EngineScratch};
 use langcrawl_core::event::{EventSink, VisitRecorder};
 use langcrawl_core::retry::RetryPolicy;
@@ -322,6 +323,47 @@ fn mismatched_strategy_shape_is_rejected() {
     );
 }
 
+/// Resuming the fixture (soft-focused, oracle classifier) under another
+/// strategy or classifier is refused with the run fingerprints.
+fn assert_run_mismatch(strategy: &mut dyn Strategy, classifier: &dyn Classifier) {
+    let (ws, config, bytes) = fixture();
+    let snap = CrawlSnapshot::from_bytes(&bytes).expect("fixture must parse");
+    let engine = CrawlEngine::new(&ws, config);
+    let mut sinks: [&mut dyn EventSink; 0] = [];
+    let err = engine
+        .resume(&snap, strategy, classifier, &mut sinks)
+        .expect_err("a snapshot must not resume under another run's strategy or classifier");
+    match err {
+        SnapshotError::RunMismatch { expected, found } => {
+            assert_eq!(expected, snap.run_fingerprint());
+            assert_ne!(found, expected);
+        }
+        other => panic!("unexpected error {other:?}"),
+    }
+}
+
+/// A strategy of the same shape that keeps no state, but is not the one
+/// the snapshot was taken under, is refused: prioritized limited
+/// distance with N = 1 has soft-focused's two levels.
+#[test]
+fn mismatched_strategy_is_rejected() {
+    let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
+    let mut other = LimitedDistanceStrategy::prioritized(1);
+    assert_eq!(other.levels(), SimpleStrategy::soft().levels());
+    assert_run_mismatch(&mut other, &OracleClassifier::target(ws.target_language()));
+}
+
+/// The same strategy under another classifier is refused too: the
+/// classifier decides what the strategy admits.
+#[test]
+fn mismatched_classifier_is_rejected() {
+    let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
+    assert_run_mismatch(
+        &mut SimpleStrategy::soft(),
+        &MetaClassifier::target(ws.target_language()),
+    );
+}
+
 /// A mid-crawl snapshot of a crawl by `make`'s strategy, resumed with a
 /// fresh instance of it, is refused before anything is decoded: the
 /// snapshot holds none of the state the strategy keeps outside the
@@ -452,15 +494,19 @@ fn snapshot_events_carry_their_own_tick_and_need_a_cadence() -> Result<(), Snaps
 
 /// The config-driven wiring end to end: a `Simulator` with a capture
 /// cadence and `LANGCRAWL_SNAPSHOT_DIR` set writes framed
-/// `crawl-<space fingerprint>-t<tick>.snap` files that parse and resume
-/// into the reported end state — under the builder-configured 4-slot
-/// scheduler, and under a field-configured default (single-slot)
-/// schedule. (The only test in this binary that touches the variable.)
+/// `crawl-<space fingerprint>-<run fingerprint>-t<tick>.snap` files that
+/// parse and resume into the reported end state — under the
+/// builder-configured 4-slot scheduler, and under a field-configured
+/// default (single-slot) schedule. Two strategies crawl the same space
+/// into one directory and leave disjoint file sets: the second run
+/// replaces none of the first one's files. (The only test in this
+/// binary that touches the variable.)
 #[test]
 fn simulator_env_wiring_writes_resumable_files() {
     let base = std::env::temp_dir().join(format!("langcrawl-snap-wiring-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
+    let classifier = OracleClassifier::target(ws.target_language());
     let runs = [
         (
             "k4",
@@ -476,53 +522,95 @@ fn simulator_env_wiring_writes_resumable_files() {
             },
         ),
     ];
-    for (label, config) in runs {
-        let dir = base.join(label);
-        let prior = std::env::var("LANGCRAWL_SNAPSHOT_DIR").ok();
-        std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", &dir);
-        let mut sim = Simulator::new(&ws, config);
-        let report = sim.run(
-            &mut SimpleStrategy::soft(),
-            &OracleClassifier::target(ws.target_language()),
-        );
-        match prior {
-            Some(v) => std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", v),
-            None => std::env::remove_var("LANGCRAWL_SNAPSHOT_DIR"),
+    let make_strategy = |name: &str| -> Box<dyn Strategy> {
+        match name {
+            "soft" => Box::new(SimpleStrategy::soft()),
+            _ => Box::new(BreadthFirst::new()),
         }
-        let prefix = format!("crawl-{:016x}-t", ws.identity_fingerprint());
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap_or_else(|e| panic!("{label}: snapshot dir {dir:?} must exist: {e}"))
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| {
-                p.file_name()
+    };
+    // Every file in `dir` as (name, bytes), by name.
+    let listing = |dir: &std::path::Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap_or_else(|e| panic!("snapshot dir {dir:?} must exist: {e}"))
+            .map(|e| {
+                let path = e.expect("dir entry").path();
+                let name = path
+                    .file_name()
                     .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".snap"))
+                    .expect("file name");
+                let bytes = std::fs::read(&path).expect("snapshot file must read");
+                (name.to_string(), bytes)
             })
             .collect();
         files.sort();
-        assert!(
-            !files.is_empty(),
-            "{label}: no snapshot files written to {dir:?}"
-        );
-        let bytes = std::fs::read(&files[files.len() / 2]).expect("snapshot file must read");
-        let snap = CrawlSnapshot::from_bytes(&bytes).expect("written snapshot must parse");
-        snap.verify_space(&ws).expect("fingerprint must match");
-        let engine = CrawlEngine::new(
-            &ws,
-            EngineConfig {
-                snapshot_every: Some(300),
-                fault: ws.fault().clone(),
-                ..EngineConfig::default()
-            },
-        );
-        let mut strategy = SimpleStrategy::soft();
-        let classifier = OracleClassifier::target(ws.target_language());
-        let mut sinks: [&mut dyn EventSink; 0] = [];
-        let (outcome, _) = engine
-            .resume(&snap, &mut strategy, &classifier, &mut sinks)
-            .expect("written snapshot must resume");
-        assert_eq!(outcome.crawled, report.crawled, "{label}");
-        assert_eq!(outcome.relevant_crawled, report.relevant_crawled, "{label}");
+        files
+    };
+    for (label, config) in runs {
+        let dir = base.join(label);
+        let mut earlier: Vec<(String, Vec<u8>)> = Vec::new();
+        for strat in ["soft", "bf"] {
+            let prior = std::env::var("LANGCRAWL_SNAPSHOT_DIR").ok();
+            std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", &dir);
+            let mut sim = Simulator::new(&ws, config.clone());
+            let report = sim.run(make_strategy(strat).as_mut(), &classifier);
+            match prior {
+                Some(v) => std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", v),
+                None => std::env::remove_var("LANGCRAWL_SNAPSHOT_DIR"),
+            }
+            let files = listing(&dir);
+            let (kept, written): (Vec<_>, Vec<_>) =
+                files.into_iter().partition(|f| earlier.contains(f));
+            assert_eq!(
+                kept.len(),
+                earlier.len(),
+                "{label}: the {strat} run replaced or removed a file of an earlier run"
+            );
+            assert!(
+                !written.is_empty(),
+                "{label}: {strat} wrote no snapshot file"
+            );
+            let mut run_fp = None;
+            for (name, bytes) in &written {
+                let snap = CrawlSnapshot::from_bytes(bytes).expect("written snapshot must parse");
+                let fp = *run_fp.get_or_insert(snap.run_fingerprint());
+                assert_eq!(
+                    snap.run_fingerprint(),
+                    fp,
+                    "{label}: {strat} wrote two runs"
+                );
+                let prefix = format!("crawl-{:016x}-{fp:016x}-t", ws.identity_fingerprint());
+                assert!(
+                    name.starts_with(&prefix) && name.ends_with(".snap"),
+                    "{label}: {name} does not name its run {prefix}"
+                );
+            }
+            let snap = CrawlSnapshot::from_bytes(&written[written.len() / 2].1)
+                .expect("written snapshot must parse");
+            snap.verify_space(&ws).expect("fingerprint must match");
+            let engine = CrawlEngine::new(
+                &ws,
+                EngineConfig {
+                    snapshot_every: Some(300),
+                    fault: ws.fault().clone(),
+                    ..EngineConfig::default()
+                },
+            );
+            let mut sinks: [&mut dyn EventSink; 0] = [];
+            let (outcome, _) = engine
+                .resume(
+                    &snap,
+                    make_strategy(strat).as_mut(),
+                    &classifier,
+                    &mut sinks,
+                )
+                .expect("written snapshot must resume");
+            assert_eq!(outcome.crawled, report.crawled, "{label} {strat}");
+            assert_eq!(
+                outcome.relevant_crawled, report.relevant_crawled,
+                "{label} {strat}"
+            );
+            earlier.extend(written);
+        }
     }
     let _ = std::fs::remove_dir_all(&base);
 }

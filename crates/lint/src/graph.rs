@@ -95,9 +95,9 @@ const STD_TYPES: &[&str] = &[
 ];
 
 /// Std calls that allocate. `push`/`push_back`/`insert` are treated as
-/// amortized-safe by policy (the steady-state microbench gate bounds
-/// real growth dynamically); deep operations that always allocate are
-/// listed here.
+/// amortized-safe by policy (the counting-allocator test in
+/// `crates/bench/tests/steady_state.rs` bounds real growth
+/// dynamically); deep operations that always allocate are listed here.
 const STD_ALLOC: &[&str] = &[
     "to_string",
     "to_owned",
