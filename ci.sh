@@ -44,7 +44,7 @@ mkdir -p target/snapshot-fixtures
 for threads in 1 4; do
     LANGCRAWL_THREADS=$threads LANGCRAWL_SNAPSHOT_DIR="$PWD/target/snapshot-fixtures" \
         cargo test -q --offline -p langcrawl-core \
-        --test resume_parity --test snapshot_codec
+        --test resume_parity --test snapshot_codec --test snapshot_dir_wiring
 done
 
 # Link-analysis parity, re-run under both generation thread counts: the
@@ -141,25 +141,38 @@ echo "==> cargo bench capture_overhead (smoke scale)"
 LANGCRAWL_SCALE=20000 cargo bench -p langcrawl-bench --offline --bench capture_overhead
 
 # Speed, judged on this machine: the parent commit's perfbench against the
-# one the smoke step built, three alternating pairs of 2-s runs on seeds 1-3
-# per workload. perf_pairs.sh fails a workload on a run that is not correct
-# and on a clear loss: the change higher in every pair on crawl_vs_bfs or
-# setup_s, with its median beyond the metric's bound in BENCHMARK.json. The
-# parent is HEAD when tracked files have uncommitted changes, else HEAD~1
-# (in CI, the base of a pull request's merge commit). Untracked files do not
-# count, so nothing an earlier step leaves behind can turn CI's comparison
-# into HEAD against itself.
+# change's, three alternating pairs of 2-s runs on seeds 1-3 per workload.
+# perf_pairs.sh fails a workload on a run that is not correct and on a clear
+# loss: the change higher in every pair on crawl_vs_bfs or setup_s, with its
+# median beyond the metric's bound in BENCHMARK.json. The parent is HEAD when
+# tracked files have uncommitted changes, else HEAD~1 (in CI, the base of a
+# pull request's merge commit). Untracked files do not count, so nothing an
+# earlier step leaves behind can turn CI's comparison into HEAD against
+# itself. Both sides are exported and built at paths of the same length,
+# target/perf-parent and target/perf-change, because one source built at two
+# path lengths differs in code layout and in timings. The change is the
+# working tree's tracked files (`git stash create`, which touches neither the
+# tree nor the stash list), or HEAD when they are clean; `git add` a new file
+# to include it.
 if [ -n "$(git status --porcelain --untracked-files=no)" ]; then parent=HEAD; else parent=HEAD~1; fi
+change=$(git stash create)
+change=${change:-HEAD}
 echo "==> perfbench pairs vs the parent ($parent; every workload, 3 pairs, 2 s)"
 if git rev-parse -q --verify "$parent^{commit}" > /dev/null; then
-    rm -rf target/perf-parent
-    mkdir -p target/perf-parent
+    for side in parent change; do
+        rm -rf "target/perf-$side"
+        mkdir -p "target/perf-$side"
+    done
     git archive "$parent" | tar -x -C target/perf-parent
-    cargo build --release --offline --quiet --manifest-path target/perf-parent/perfbench/Cargo.toml
+    git archive "$change" | tar -x -C target/perf-change
+    for side in parent change; do
+        cargo build --release --offline --quiet --manifest-path "target/perf-$side/perfbench/Cargo.toml"
+    done
     failed=''
     for workload in soft faults detector pagerank hits context; do
         sh scripts/perf_pairs.sh target/perf-parent/perfbench/target/release/langcrawl-perfbench \
-            perfbench/target/release/langcrawl-perfbench "$workload" 1 3 2 || failed="$failed $workload"
+            target/perf-change/perfbench/target/release/langcrawl-perfbench "$workload" 1 3 2 ||
+            failed="$failed $workload"
     done
     if [ -n "$failed" ]; then
         echo "    paired runs failed on:$failed"

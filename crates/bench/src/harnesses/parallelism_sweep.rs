@@ -77,7 +77,6 @@ pub fn run() {
     for &(slots, gap, spread) in CONFIGS {
         let sched = SchedConfig {
             slots,
-            shards: 0, // one shard per slot
             politeness_gap: gap,
             politeness_spread: spread,
         };

@@ -300,31 +300,4 @@ mod tests {
         assert!(col.len() <= 26);
         assert!(!col.is_empty());
     }
-
-    #[test]
-    fn write_csv_reports_path() {
-        let ws = GeneratorConfig::thai_like().scaled(2_000).build(3);
-        let oracle = OracleClassifier::target(ws.target_language());
-        let mut sim = Simulator::new(&ws, SimConfig::default());
-        let report = sim.run(&mut BreadthFirst::new(), &oracle);
-        // `write_csv` resolves `results/` relative to the cwd; clean up
-        // the artifact afterwards.
-        let path = write_csv(&report, "unit_test_report").expect("csv written");
-        assert!(path.ends_with("results/unit_test_report.csv"));
-        let written = std::fs::read_to_string(&path).unwrap();
-        assert!(written.starts_with("crawled,"));
-        std::fs::remove_file(&path).ok();
-
-        // LANGCRAWL_RESULTS_DIR redirects the output. Same test (not a
-        // separate one) so no concurrently-running test observes the
-        // temporarily-set process env var.
-        let dir = std::env::temp_dir().join("langcrawl_results_test");
-        std::env::set_var("LANGCRAWL_RESULTS_DIR", &dir);
-        let redirected = write_csv(&report, "unit_test_report");
-        std::env::remove_var("LANGCRAWL_RESULTS_DIR");
-        let redirected = redirected.expect("csv written to override dir");
-        assert!(redirected.starts_with(&dir), "{}", redirected.display());
-        assert!(redirected.exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

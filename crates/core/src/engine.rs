@@ -749,7 +749,7 @@ mod tests {
         assert!(sink.finished);
 
         // The scheduled loop, with every scheduler event able to fire:
-        // slots, shards and politeness stall and hand off, faults retry,
+        // slots and politeness stall and hand off, faults retry,
         // the filter drops links, and a capture cadence is set that no
         // sink wants. The sink takes what `MetricsSampler` takes.
         let engine = CrawlEngine::new(
@@ -763,7 +763,6 @@ mod tests {
         );
         let sched = SchedConfig {
             slots: 4,
-            shards: 3,
             politeness_gap: 3,
             politeness_spread: 2,
         };

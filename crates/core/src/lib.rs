@@ -34,11 +34,11 @@
 //!   trait with two implementations — [`queue::UrlQueue`] (FIFO rings
 //!   bucketed by priority level, the paper's discipline, with the
 //!   distinct-pending counter that Fig. 5/6(a)/7(a) plot) and
-//!   [`shard::ShardedFrontier`] (the same order over host-sharded
+//!   [`shard::ShardedFrontier`] (the same order over host-partitioned
 //!   storage with per-host politeness state).
 //! * [`sched`] — the scaling seam made concrete: a deterministic
 //!   virtual-time scheduler ([`sched::SchedConfig`]: `K` fetch slots,
-//!   per-host politeness gaps, per-host concurrency 1) over the sharded
+//!   per-host politeness gaps, per-host concurrency 1) over that
 //!   frontier, bit-identical to the legacy loop at `K = 1`, with
 //!   crash-safe [`snapshot`]s and resume.
 //! * [`event`] — *who watches*: the engine narrates the crawl as typed

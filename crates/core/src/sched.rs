@@ -1,4 +1,5 @@
-//! The virtual-time scheduler: `K` fetch slots over a sharded frontier.
+//! The virtual-time scheduler: `K` fetch slots over a host-partitioned
+//! frontier.
 //!
 //! This generalizes the legacy loop's `(ready_tick, seq)` retry heap
 //! into a full event-driven simulation in virtual time. The state is a
@@ -29,8 +30,9 @@
 //! [`Snapshot`](CrawlEvent::Snapshot)) and has no
 //! [`SlotIdle`](CrawlEvent::SlotIdle) listener hands off to the legacy
 //! loop verbatim (see [`CrawlEngine::run_scheduled`]); every other run
-//! drives the event loop over a [`ShardedFrontier`] — one shard at
-//! `K = 1`. A unit test pins that a default
+//! drives the event loop over a [`ShardedFrontier`] whose hosts hash
+//! into `K` shards — stats labels only, so the shard count never
+//! changes a pop. A unit test pins that a default
 //! [`Simulator`](crate::sim::Simulator) run takes the hand-off.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style: a host that
@@ -38,7 +40,14 @@
 //! and per-host concurrency is 1 (a busy host exposes nothing). Gaps
 //! are drawn per host from the space's host table: the configured base
 //! plus a deterministic per-host jitter seeded from the space's
-//! generation seed under the `STREAM_POLITENESS` domain.
+//! generation seed under the `STREAM_POLITENESS` domain. A fetch carries
+//! its host's next allowed start from its start to its completion,
+//! which hands it to the frontier's cool-down heap.
+//!
+//! A snapshot holds only what a loop-top capture cannot derive: no
+//! fetch is in flight there, so no host is busy and every politeness
+//! deadline still pending sits in the frontier's cool-down heap (the
+//! [`shard`](crate::shard) module says what decode recomputes).
 
 use crate::classifier::Classifier;
 use crate::engine::{emit, CrawlEngine, EngineOutcome, EngineScratch, Resolution, RunState};
@@ -63,12 +72,10 @@ const STREAM_POLITENESS: u64 = 6 << 40;
 /// the conformance configuration: bit-identical to the legacy engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
-    /// Number of virtual fetch slots (`K`). `0` is treated as `1`.
+    /// Number of virtual fetch slots (`K`). `0` is treated as `1`. It is
+    /// also the number of frontier shards the load-imbalance stats and
+    /// handoff traffic are counted over.
     pub slots: u32,
-    /// Number of frontier shards; `0` (the default) means one shard
-    /// per slot. Shard count never changes the schedule — only the
-    /// load-imbalance stats and handoff traffic it surfaces.
-    pub shards: u32,
     /// Minimum ticks between successive fetch *starts* on one host.
     /// `0` disables politeness entirely.
     pub politeness_gap: u64,
@@ -82,7 +89,6 @@ impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
             slots: 1,
-            shards: 0,
             politeness_gap: 0,
             politeness_spread: 0,
         }
@@ -102,15 +108,6 @@ impl SchedConfig {
     pub fn effective_slots(&self) -> u32 {
         self.slots.max(1)
     }
-
-    /// Effective shard count (`0` means one shard per slot).
-    pub fn effective_shards(&self) -> usize {
-        if self.shards == 0 {
-            self.effective_slots() as usize
-        } else {
-            self.shards as usize
-        }
-    }
 }
 
 /// A fetch occupying a slot: started at `finish - 1`, resolves at
@@ -121,13 +118,16 @@ impl SchedConfig {
 /// in-flight queue is *born sorted* in that order and a plain FIFO
 /// holds it — no heap needed. The attempt number and fetch outcome are
 /// decided at start time (the fetch "happens" during its tick); only
-/// the bookkeeping waits for the completion.
+/// the bookkeeping waits for the completion. So is `ready_at`, the
+/// host's next allowed start under politeness (`0` without it), which
+/// the completion hands to [`ShardedFrontier::release`].
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     finish: u64,
     entry: Entry,
     attempt: u32,
     outcome: FetchOutcome,
+    ready_at: u64,
 }
 
 /// Live capture state inside the event loop: the cadence, the next
@@ -142,53 +142,43 @@ struct SnapCtl {
 }
 
 /// Everything [`CrawlEngine::sched_loop`] needs beyond the run
-/// arguments: the frontier to drain, the decoded state to resume from
-/// (`None` = fresh run seeded from the space), and the capture state
-/// (`None` = no capture).
+/// arguments: the frontier to drain (seeded for a fresh run), the
+/// decoded state to resume from (`None` = fresh run), and the capture
+/// state (`None` = no capture).
 struct LoopCtl {
     frontier: ShardedFrontier,
     init: Option<ResumeState>,
     snap: Option<SnapCtl>,
 }
 
-/// The scheduler-loop state a snapshot restores — everything mutable
-/// at the loop-top tick boundary except the frontier itself. Slot
-/// occupancy is *provably absent* there: step 4 of the loop drains
-/// every in-flight fetch before the loop re-enters (all fetches
-/// started at tick `t` finish together at `t + 1`), so `in_flight` is
-/// empty and `busy == 0` at every capture point by construction.
-struct ResumeState {
+/// The scheduler-loop state a capture carries besides the frontier,
+/// the run state's resolution counters and the attempt table: the
+/// clock, the fetch counters and the retry heap. Slot occupancy is not
+/// part of it: step 4 of the loop drains every in-flight fetch before
+/// the loop re-enters (all fetches started at tick `t` finish together
+/// at `t + 1`), so no fetch is in flight at any capture point.
+#[derive(Debug, Default)]
+struct LoopState {
     now: u64,
-    crawled: u64,
     attempts: u64,
     retries: u64,
     retry_seq: u64,
-    /// Retry-heap contents, ascending `(ready, seq, entry)`.
-    retry_list: Vec<(u64, u64, Entry)>,
-    /// Per-host next-allowed-start ticks; empty when politeness is off
-    /// (the loop then never reads the table).
-    next_ok: Vec<u64>,
-    relevant_crawled: u64,
-    gave_up: u64,
-    until_sample: u64,
-    /// Materialized per-page attempt counts; `None` when the table had
-    /// not materialized (emptiness doubles as the "no retry yet" flag,
-    /// so the distinction is part of the state).
-    attempt_counts: Option<Vec<u32>>,
+    /// Transient failures backing off, as `(ready tick, retry seq,
+    /// entry)`.
+    retry_heap: BinaryHeap<Reverse<(u64, u64, Entry)>>,
 }
 
-/// Borrowed view of the loop state a capture serializes.
-struct RunSnap<'a> {
-    attempts: u64,
-    retries: u64,
-    retry_seq: u64,
-    retry_heap: &'a BinaryHeap<Reverse<(u64, u64, Entry)>>,
-    next_ok: &'a [u64],
-    politeness: bool,
+/// A decoded snapshot's run state: the loop state, the run state's
+/// resolution counters, and the attempt table — `None` when it had not
+/// materialized (emptiness doubles as the "no retry yet" flag, so the
+/// distinction is part of the state).
+struct ResumeState {
+    lp: LoopState,
+    crawled: u64,
     relevant_crawled: u64,
     gave_up: u64,
     until_sample: u64,
-    attempt_counts: &'a [u32],
+    attempt_counts: Option<Vec<u32>>,
 }
 
 /// Encode one snapshot payload into `enc`: header, run state, frontier
@@ -199,16 +189,18 @@ struct RunSnap<'a> {
 // preallocated encoder, so it must neither unwind nor allocate.
 fn encode_snapshot_into(
     head: &SnapHead,
-    run: &RunSnap<'_>,
+    lp: &LoopState,
+    st: &RunState<'_, '_>,
+    attempt_counts: &[u32],
     frontier: &ShardedFrontier,
     enc: &mut Enc,
 ) {
     head.encode(enc);
-    enc.u64(run.attempts);
-    enc.u64(run.retries);
-    enc.u64(run.retry_seq);
+    enc.u64(lp.attempts);
+    enc.u64(lp.retries);
+    enc.u64(lp.retry_seq);
     // lint:allow(no-alloc-transitive): canonical capture sorts the retry heap into a fresh Vec once per explicit snapshot, off the steady-state path
-    let mut pending: Vec<(u64, u64, Entry)> = run.retry_heap.iter().map(|&Reverse(x)| x).collect();
+    let mut pending: Vec<(u64, u64, Entry)> = lp.retry_heap.iter().map(|&Reverse(x)| x).collect();
     pending.sort_unstable();
     enc.u64(pending.len() as u64);
     for (ready, seq, e) in pending {
@@ -218,21 +210,15 @@ fn encode_snapshot_into(
         enc.u8(e.priority);
         enc.u8(e.distance);
     }
-    if run.politeness {
-        enc.u64(run.next_ok.len() as u64);
-        enc.u64s(run.next_ok);
-    } else {
-        enc.u64(0);
-    }
-    enc.u64(run.relevant_crawled);
-    enc.u64(run.gave_up);
-    enc.u64(run.until_sample);
-    if run.attempt_counts.is_empty() {
+    enc.u64(st.relevant_crawled);
+    enc.u64(st.gave_up);
+    enc.u64(st.until_sample);
+    // A materialized attempt table has one count per page of the space.
+    if attempt_counts.is_empty() {
         enc.u8(0);
     } else {
         enc.u8(1);
-        enc.u64(run.attempt_counts.len() as u64);
-        enc.u32s(run.attempt_counts);
+        enc.u32s(attempt_counts);
     }
     frontier.encode_state(enc);
 }
@@ -240,18 +226,14 @@ fn encode_snapshot_into(
 /// Decode the run-state section (the payload between the header and
 /// the frontier state). `now`/`crawled` live in the header; the caller
 /// copies them in afterwards.
-fn decode_run_state(
-    dec: &mut Dec<'_>,
-    num_pages: usize,
-    num_hosts: usize,
-    politeness: bool,
-) -> Result<ResumeState, SnapshotError> {
-    let attempts = dec.u64()?;
-    let retries = dec.u64()?;
-    let retry_seq = dec.u64()?;
-    let nretry = dec.len()?;
-    let mut retry_list = Vec::with_capacity(nretry.min(1024));
-    for _ in 0..nretry {
+fn decode_run_state(dec: &mut Dec<'_>, num_pages: usize) -> Result<ResumeState, SnapshotError> {
+    let mut lp = LoopState {
+        attempts: dec.u64()?,
+        retries: dec.u64()?,
+        retry_seq: dec.u64()?,
+        ..LoopState::default()
+    };
+    for _ in 0..dec.len()? {
         let ready = dec.u64()?;
         let seq = dec.u64()?;
         let page = dec.u32()?;
@@ -260,7 +242,7 @@ fn decode_run_state(
         }
         let priority = dec.u8()?;
         let distance = dec.u8()?;
-        retry_list.push((
+        lp.retry_heap.push(Reverse((
             ready,
             seq,
             Entry {
@@ -268,21 +250,7 @@ fn decode_run_state(
                 priority,
                 distance,
             },
-        ));
-    }
-    let nok = dec.len()?;
-    if politeness {
-        if nok != num_hosts {
-            return Err(SnapshotError::Malformed("politeness table length mismatch"));
-        }
-    } else if nok != 0 {
-        return Err(SnapshotError::Malformed(
-            "politeness table present but politeness is off",
-        ));
-    }
-    let mut next_ok = vec![0u64; nok];
-    for t in &mut next_ok {
-        *t = dec.u64()?;
+        )));
     }
     let relevant_crawled = dec.u64()?;
     let gave_up = dec.u64()?;
@@ -293,9 +261,6 @@ fn decode_run_state(
     let attempt_counts = match dec.u8()? {
         0 => None,
         1 => {
-            if dec.len()? != num_pages {
-                return Err(SnapshotError::Malformed("attempt table length mismatch"));
-            }
             let mut counts = vec![0u32; num_pages];
             for c in &mut counts {
                 *c = dec.u32()?;
@@ -304,19 +269,14 @@ fn decode_run_state(
         }
         _ => return Err(SnapshotError::Malformed("attempt table flag out of range")),
     };
-    if attempt_counts.is_none() && !retry_list.is_empty() {
+    if attempt_counts.is_none() && !lp.retry_heap.is_empty() {
         // The loop gates retry draining on a materialized attempt
         // table; a retry backlog without one could never drain.
         return Err(SnapshotError::Malformed("retries without attempt table"));
     }
     Ok(ResumeState {
-        now: 0,
+        lp,
         crawled: 0,
-        attempts,
-        retries,
-        retry_seq,
-        retry_list,
-        next_ok,
         relevant_crawled,
         gave_up,
         until_sample,
@@ -326,8 +286,8 @@ fn decode_run_state(
 
 impl CrawlEngine<'_> {
     /// Per-host politeness gaps: base plus deterministic jitter. Empty
-    /// when politeness is disabled — the scheduler then skips the host
-    /// gap lookup entirely.
+    /// when politeness is disabled — every fetch then releases its host
+    /// at once.
     fn politeness_gaps(&self, sched: &SchedConfig) -> Vec<u64> {
         let ws = self.web_space();
         if sched.politeness_gap == 0 && sched.politeness_spread == 0 {
@@ -377,12 +337,12 @@ impl CrawlEngine<'_> {
         let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
         let every = self.capture_every(wants);
         // Degenerate-point elision, like the fault layer's inert-model
-        // fast path. With one slot, zero politeness and no explicit
-        // shard request, the host machinery cannot block, delay or
-        // reorder anything — the single slot always drains before the
-        // next pop, so no host is ever busy or cooling at pop time, and
-        // one shard's order is [`UrlQueue`] order (the shard-parity
-        // property test pins that equivalence). Unless a sink asks for
+        // fast path. With one slot and zero politeness the host
+        // machinery cannot block, delay or reorder anything — the
+        // single slot always drains before the next pop, so no host is
+        // ever busy or cooling at pop time, and the frontier's order is
+        // [`UrlQueue`] order (the shard-parity property test pins that
+        // equivalence). Unless a sink asks for
         // [`SlotIdle`](CrawlEvent::SlotIdle) — the only scheduler-only
         // event that can fire here (it marks retry-backoff stalls;
         // handoffs and politeness waits are structurally impossible) —
@@ -405,7 +365,7 @@ impl CrawlEngine<'_> {
             head: self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier)),
             buf: Enc::default(),
         });
-        let frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
+        let frontier = self.seeded_frontier(sched, levels);
         self.sched_loop(
             sched,
             strategy,
@@ -433,10 +393,22 @@ impl CrawlEngine<'_> {
     /// which the host machinery cannot block, delay or reorder
     /// anything, so the legacy loop reproduces the schedule exactly?
     fn is_degenerate(sched: &SchedConfig) -> bool {
-        sched.effective_slots() == 1
-            && sched.shards == 0
-            && sched.politeness_gap == 0
-            && sched.politeness_spread == 0
+        sched.effective_slots() == 1 && sched.politeness_gap == 0 && sched.politeness_spread == 0
+    }
+
+    /// A fresh run's frontier: the space's seeds parked at priority 0,
+    /// its hosts hashed into one shard per slot.
+    fn seeded_frontier(&self, sched: &SchedConfig, levels: usize) -> ShardedFrontier {
+        let ws = self.web_space();
+        let mut frontier = ShardedFrontier::for_space(ws, levels, sched.effective_slots() as usize);
+        for &s in ws.seeds() {
+            frontier.push(Entry {
+                page: s,
+                priority: 0,
+                distance: 0,
+            });
+        }
+        frontier
     }
 
     /// The identity header for snapshots of this engine's runs.
@@ -467,38 +439,29 @@ impl CrawlEngine<'_> {
         let ws = self.web_space();
         let levels = strategy.levels().max(1);
         let head = self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier));
-        let politeness = sched.politeness_gap != 0 || sched.politeness_spread != 0;
-        let next_ok = if politeness {
-            vec![0u64; ws.num_hosts()]
-        } else {
-            Vec::new()
-        };
         let sample_interval = self
             .config
             .sample_interval
             .unwrap_or_else(|| (ws.num_pages() as u64 / 512).max(1));
-        let run = RunSnap {
-            attempts: 0,
-            retries: 0,
-            retry_seq: 0,
-            retry_heap: &BinaryHeap::new(),
-            next_ok: &next_ok,
-            politeness,
+        let st = RunState {
+            sinks: &mut [],
+            wants: 0,
+            sample_interval,
+            until_sample: sample_interval,
+            crawled: 0,
             relevant_crawled: 0,
             gave_up: 0,
-            until_sample: sample_interval,
-            attempt_counts: &[],
         };
-        let mut frontier = ShardedFrontier::for_space(ws, levels, sched.effective_shards());
-        for &s in ws.seeds() {
-            frontier.push(Entry {
-                page: s,
-                priority: 0,
-                distance: 0,
-            });
-        }
+        let frontier = self.seeded_frontier(sched, levels);
         let mut payload = Enc::default();
-        encode_snapshot_into(&head, &run, &frontier, &mut payload);
+        encode_snapshot_into(
+            &head,
+            &LoopState::default(),
+            &st,
+            &[],
+            &frontier,
+            &mut payload,
+        );
         let mut head_enc = Enc::default();
         head.encode(&mut head_enc);
         CrawlSnapshot::from_parts(payload.buf, head, head_enc.buf.len())
@@ -552,10 +515,9 @@ impl CrawlEngine<'_> {
         }
         // The schedule rides in the snapshot.
         let sched = snap.head.sched;
-        let politeness = sched.politeness_gap != 0 || sched.politeness_spread != 0;
         let mut dec = snap.state_dec();
-        let mut rs = decode_run_state(&mut dec, ws.num_pages(), ws.num_hosts(), politeness)?;
-        rs.now = snap.head.tick;
+        let mut rs = decode_run_state(&mut dec, ws.num_pages())?;
+        rs.lp.now = snap.head.tick;
         rs.crawled = snap.head.crawled;
         let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
         let snapctl = self.capture_every(wants).map(|every| SnapCtl {
@@ -564,14 +526,8 @@ impl CrawlEngine<'_> {
             head: snap.head,
             buf: Enc::default(),
         });
-        let host_of_page: Vec<u32> = ws.page_ids().map(|p| ws.host_id(p)).collect();
-        let frontier = ShardedFrontier::decode_state(
-            &mut dec,
-            host_of_page,
-            ws.num_hosts(),
-            levels,
-            sched.effective_shards(),
-        )?;
+        let frontier = ShardedFrontier::for_space(ws, levels, sched.effective_slots() as usize)
+            .decode_state(&mut dec)?;
         if !dec.is_empty() {
             return Err(SnapshotError::Malformed("trailing state bytes"));
         }
@@ -589,9 +545,9 @@ impl CrawlEngine<'_> {
         ))
     }
 
-    /// The virtual-time event loop over a sharded frontier. `ctl`
-    /// carries the frontier, an optional resume state (restored
-    /// verbatim in place of seeding) and an optional capture plan.
+    /// The virtual-time event loop over a host-partitioned frontier.
+    /// `ctl` carries the frontier (seeded, or decoded with the resume
+    /// state restored alongside it) and an optional capture plan.
     // lint:root(panic-free) — the steady-state event loop; every
     // simulated fetch passes through here.
     fn sched_loop<S, C>(
@@ -626,20 +582,13 @@ impl CrawlEngine<'_> {
         let retry = self.config.retry;
         let max_attempts = retry.effective_max_attempts();
         let fault = self.fault.as_ref();
-        // Next allowed fetch *start* per host (start-to-start gap),
-        // written at each start, read at the completion's release.
-        let mut next_ok: Vec<u64> = vec![0; ws.num_hosts()];
 
         // Same lazy fault bookkeeping as the legacy loop; the attempt
         // table lives in the scratch (see `EngineScratch`).
-        let mut retry_heap: BinaryHeap<Reverse<(u64, u64, Entry)>> = BinaryHeap::new();
-        let mut retry_seq: u64 = 0;
-        // Born sorted by (finish, start seq): see [`InFlight`].
+        let mut lp = LoopState::default();
+        // Born sorted by (finish, start seq): see [`InFlight`]. Its
+        // length is the number of busy slots.
         let mut in_flight: VecDeque<InFlight> = VecDeque::with_capacity(slots as usize);
-        let mut busy: u32 = 0;
-        let mut now: u64 = 0;
-        let mut attempts: u64 = 0;
-        let mut retries: u64 = 0;
 
         let mut st = RunState {
             sinks,
@@ -651,38 +600,17 @@ impl CrawlEngine<'_> {
             gave_up: 0,
         };
 
-        match init {
-            // Resume: the frontier arrived decoded; restore the loop
-            // state verbatim. Slots are empty at every capture point
-            // (see [`ResumeState`]), so nothing in-flight to rebuild.
-            Some(r) => {
-                now = r.now;
-                attempts = r.attempts;
-                retries = r.retries;
-                retry_seq = r.retry_seq;
-                for x in r.retry_list {
-                    retry_heap.push(Reverse(x));
-                }
-                if !gaps.is_empty() {
-                    next_ok = r.next_ok;
-                }
-                st.crawled = r.crawled;
-                st.relevant_crawled = r.relevant_crawled;
-                st.gave_up = r.gave_up;
-                st.until_sample = r.until_sample;
-                if let Some(counts) = r.attempt_counts {
-                    scratch.attempt_counts.extend_from_slice(&counts);
-                }
-            }
-            // Fresh run: seed the frontier from the space.
-            None => {
-                for &s in ws.seeds() {
-                    frontier.push(Entry {
-                        page: s,
-                        priority: 0,
-                        distance: 0,
-                    });
-                }
+        // Resume: restore the loop state verbatim. No fetch is in
+        // flight at a capture point (see [`LoopState`]), so there is
+        // nothing in flight to rebuild.
+        if let Some(r) = init {
+            lp = r.lp;
+            st.crawled = r.crawled;
+            st.relevant_crawled = r.relevant_crawled;
+            st.gave_up = r.gave_up;
+            st.until_sample = r.until_sample;
+            if let Some(counts) = r.attempt_counts {
+                scratch.attempt_counts.extend_from_slice(&counts);
             }
         }
 
@@ -693,26 +621,17 @@ impl CrawlEngine<'_> {
             // byte-for-byte. Capture only observes; the crawl is
             // unchanged with or without it (resume-parity suite).
             if let Some(c) = snap.as_mut() {
-                if now >= c.next_at {
+                if lp.now >= c.next_at {
                     let mut head = c.head;
-                    head.tick = now;
+                    head.tick = lp.now;
                     head.crawled = st.crawled;
                     c.buf.buf.clear();
                     let payload_at = frame_begin(&mut c.buf);
                     encode_snapshot_into(
                         &head,
-                        &RunSnap {
-                            attempts,
-                            retries,
-                            retry_seq,
-                            retry_heap: &retry_heap,
-                            next_ok: &next_ok,
-                            politeness: !gaps.is_empty(),
-                            relevant_crawled: st.relevant_crawled,
-                            gave_up: st.gave_up,
-                            until_sample: st.until_sample,
-                            attempt_counts: &scratch.attempt_counts,
-                        },
+                        &lp,
+                        &st,
+                        &scratch.attempt_counts,
                         &frontier,
                         &mut c.buf,
                     );
@@ -720,22 +639,22 @@ impl CrawlEngine<'_> {
                     emit(
                         st.sinks,
                         CrawlEvent::Snapshot {
-                            tick: now,
+                            tick: lp.now,
                             bytes: &c.buf.buf,
                         },
                     );
-                    c.next_at = now.saturating_add(c.every);
+                    c.next_at = lp.now.saturating_add(c.every);
                 }
             }
             // 1. Due retries re-enter the frontier before slots fill, so
             // the frontier orders them against fresh discoveries —
             // identical to the legacy loop's drain-before-pop.
             if !scratch.attempt_counts.is_empty() {
-                while let Some(&Reverse((ready, _, _))) = retry_heap.peek() {
-                    if ready > now {
+                while let Some(&Reverse((ready, _, _))) = lp.retry_heap.peek() {
+                    if ready > lp.now {
                         break;
                     }
-                    if let Some(Reverse((_, _, e))) = retry_heap.pop() {
+                    if let Some(Reverse((_, _, e))) = lp.retry_heap.pop() {
                         frontier.requeue(e);
                     }
                 }
@@ -743,12 +662,12 @@ impl CrawlEngine<'_> {
 
             // 2. Fill free slots in global priority order. Popping marks
             // the host busy, so one host never occupies two slots.
-            while busy < slots {
+            while (in_flight.len() as u32) < slots {
                 let Some(entry) = frontier.pop_ready() else {
                     break;
                 };
                 let p = entry.page;
-                attempts += 1;
+                lp.attempts += 1;
                 let meta = ws.meta(p);
                 let (attempt, outcome) = match &fault {
                     Some(model) => {
@@ -759,7 +678,7 @@ impl CrawlEngine<'_> {
                             scratch.attempt_counts[p as usize] + 1
                         };
                         if a > 1 {
-                            retries += 1;
+                            lp.retries += 1;
                         }
                         (a, model.outcome_at(meta.status, meta.host, p, a))
                     }
@@ -771,17 +690,18 @@ impl CrawlEngine<'_> {
                         },
                     ),
                 };
-                if !gaps.is_empty() {
-                    let host = frontier.host_of(p);
-                    next_ok[host as usize] = now.saturating_add(gaps[host as usize]);
-                }
+                // Start-to-start politeness: the host's next start is
+                // due `gap` ticks after this one (no gaps, no wait).
+                let ready_at = gaps
+                    .get(frontier.host_of(p) as usize)
+                    .map_or(0, |&gap| lp.now.saturating_add(gap));
                 in_flight.push_back(InFlight {
-                    finish: now + 1,
+                    finish: lp.now + 1,
                     entry,
                     attempt,
                     outcome,
+                    ready_at,
                 });
-                busy += 1;
             }
 
             // 3. Advance the clock to the next event. With busy slots
@@ -794,7 +714,7 @@ impl CrawlEngine<'_> {
             let t_next = if let Some(f) = in_flight.front() {
                 f.finish
             } else {
-                let next_retry = retry_heap.peek().map(|&Reverse((ready, _, _))| ready);
+                let next_retry = lp.retry_heap.peek().map(|&Reverse((ready, _, _))| ready);
                 match [frontier.next_cooling(), next_retry]
                     .into_iter()
                     .flatten()
@@ -807,21 +727,22 @@ impl CrawlEngine<'_> {
             // Idle slots while work is waiting (parked behind busy or
             // cooling hosts, or backing off in the retry heap) are the
             // politeness/parallelism stall signal the sweep measures.
+            let busy = in_flight.len() as u32;
             if wants & interest::SLOT_IDLE != 0 && busy < slots {
-                let waiting = frontier.pending() > 0 || !retry_heap.is_empty();
+                let waiting = frontier.pending() > 0 || !lp.retry_heap.is_empty();
                 if waiting {
                     emit(
                         st.sinks,
                         CrawlEvent::SlotIdle {
-                            tick: now,
+                            tick: lp.now,
                             idle: slots - busy,
-                            span: t_next - now,
+                            span: t_next - lp.now,
                         },
                     );
                 }
             }
-            now = t_next;
-            frontier.advance_to(now);
+            lp.now = t_next;
+            frontier.advance_to(lp.now);
 
             // 4. Process completions due now, in (finish, start seq)
             // order. Each releases its host first — politeness runs
@@ -829,25 +750,19 @@ impl CrawlEngine<'_> {
             // resolves — then retries or resolves exactly like the
             // legacy loop.
             while let Some(&f) = in_flight.front() {
-                if f.finish > now {
+                if f.finish > lp.now {
                     break;
                 }
                 in_flight.pop_front();
-                busy -= 1;
                 let p = f.entry.page;
                 let host = frontier.host_of(p);
-                let ready_at = if gaps.is_empty() {
-                    0
-                } else {
-                    next_ok[host as usize]
-                };
-                let parked = frontier.release(host, ready_at, now);
+                let parked = frontier.release(host, f.ready_at, lp.now);
                 if parked && wants & interest::POLITENESS != 0 {
                     emit(
                         st.sinks,
                         CrawlEvent::PolitenessWait {
                             host,
-                            until: ready_at,
+                            until: f.ready_at,
                         },
                     );
                 }
@@ -866,13 +781,13 @@ impl CrawlEngine<'_> {
                                 status: f.outcome.status,
                                 transient: true,
                                 retry: true,
-                                tick: now,
+                                tick: lp.now,
                             },
                         );
                     }
-                    let ready = now.saturating_add(retry.delay(f.attempt));
-                    retry_heap.push(Reverse((ready, retry_seq, f.entry)));
-                    retry_seq += 1;
+                    let ready = lp.now.saturating_add(retry.delay(f.attempt));
+                    lp.retry_heap.push(Reverse((ready, lp.retry_seq, f.entry)));
+                    lp.retry_seq += 1;
                     continue;
                 }
 
@@ -888,7 +803,7 @@ impl CrawlEngine<'_> {
                         entry: f.entry,
                         attempt: f.attempt,
                         outcome: f.outcome,
-                        tick: now,
+                        tick: lp.now,
                     },
                 );
                 frontier.set_origin(None);
@@ -926,10 +841,10 @@ impl CrawlEngine<'_> {
             relevant_crawled: st.relevant_crawled,
             max_pending: frontier.max_pending(),
             total_pushes: frontier.total_pushes(),
-            attempts,
-            retries,
+            attempts: lp.attempts,
+            retries: lp.retries,
             gave_up: st.gave_up,
-            ticks: now,
+            ticks: lp.now,
         };
         (outcome, frontier.shard_stats())
     }
@@ -963,11 +878,11 @@ mod tests {
             );
             (o, visits.into_visited())
         };
-        // Default config (full legacy-loop elision), the same with a
+        // Default config (full legacy-loop elision) and the same with a
         // `SlotIdle`-interested sink attached (the virtual-time loop
-        // over the one-shard sharded frontier), and explicit shard
-        // counts must all reproduce the legacy run exactly.
-        for (shards, stats) in [(0u32, false), (0, true), (1, false), (3, false)] {
+        // over the one-shard frontier) must both reproduce the legacy
+        // run exactly.
+        for stats in [false, true] {
             let scheduled = {
                 let mut visits = VisitRecorder::new();
                 let mut sched_stats = SchedStatsSink::new();
@@ -976,10 +891,7 @@ mod tests {
                     sinks.push(&mut sched_stats);
                 }
                 let o = engine.run_scheduled(
-                    &SchedConfig {
-                        shards,
-                        ..SchedConfig::default()
-                    },
+                    &SchedConfig::default(),
                     &mut BreadthFirst::new(),
                     &OracleClassifier::target(ws.target_language()),
                     &mut sinks,
@@ -987,8 +899,8 @@ mod tests {
                 );
                 (o.0, visits.into_visited())
             };
-            assert_eq!(legacy.0, scheduled.0, "{shards} shards, stats={stats}");
-            assert_eq!(legacy.1, scheduled.1, "{shards} shards, stats={stats}");
+            assert_eq!(legacy.0, scheduled.0, "stats={stats}");
+            assert_eq!(legacy.1, scheduled.1, "stats={stats}");
         }
     }
 
@@ -1089,7 +1001,6 @@ mod tests {
             slots: 4,
             politeness_gap: 2,
             politeness_spread: 3,
-            ..SchedConfig::default()
         };
         let gaps = engine.politeness_gaps(&sched);
         assert_eq!(gaps, engine.politeness_gaps(&sched));

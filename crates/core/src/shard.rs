@@ -1,13 +1,10 @@
-//! The host-sharded frontier — BUbiNG's frontier layout in miniature.
+//! The host-partitioned frontier — BUbiNG's frontier layout in miniature.
 //!
 //! Production crawlers partition the frontier by host: politeness is a
-//! per-host constraint, so the unit of scheduling is the host queue,
-//! and hosts are hash-partitioned across shards (agents, in BUbiNG's
-//! vocabulary) so discovery traffic can be routed to the shard that
-//! owns the link's host. [`ShardedFrontier`] reproduces that layout
-//! over the virtual web space while implementing the existing
-//! [`Frontier`] trait, so strategies and the admission contract are
-//! untouched:
+//! per-host constraint, so the unit of scheduling is the host queue.
+//! [`ShardedFrontier`] reproduces that layout over the virtual web space
+//! while implementing the existing [`Frontier`] trait, so strategies and
+//! the admission contract are untouched:
 //!
 //! * **admission** is global and identical to [`UrlQueue`]: one `best`
 //!   key table, one `done` table, `pending()` counts distinct waiting
@@ -18,20 +15,23 @@
 //!   through a free list, so steady-state storage churn allocates
 //!   nothing. A host's minimum entry is the head of its lowest
 //!   non-empty level list (heads are seq-sorted by construction, since
-//!   entries append with a globally increasing seq — the exact
-//!   `(level, seq)` minimum the per-host heap used to compute). A ready
-//!   host additionally *exposes* a copy of its minimum entry as a token
-//!   in the owning shard's avail heap; tokens are disposable — when a
-//!   host's minimum changes (better discovery, state transition), a
-//!   fresh token is pushed and the old one goes stale, to be discarded
-//!   when it surfaces;
+//!   entries append with a globally increasing seq). A ready host
+//!   additionally *exposes* a copy of its minimum entry as a token in
+//!   the one avail heap; tokens are disposable — when a host's minimum
+//!   changes (better discovery, state transition), a fresh token is
+//!   pushed and the old one goes stale, to be discarded when it
+//!   surfaces;
 //! * **pop order** is the exact global `(priority level, FIFO seq)`
-//!   discipline of [`UrlQueue`], *regardless of shard count*: each
-//!   ready host exposes exactly its minimum entry, so the minimum over
-//!   shard tops is the global minimum, and stale entries are skipped
-//!   destructively at pop time just as the FIFO rings skip them. The
-//!   shard-parity property test drives this equivalence through random
-//!   push/pop/requeue interleavings.
+//!   discipline of [`UrlQueue`]: each ready host exposes exactly its
+//!   minimum entry, so the avail heap's top is the global minimum, and
+//!   stale entries are skipped destructively at pop time just as the
+//!   FIFO rings skip them. The shard-parity property test drives this
+//!   equivalence through random push/pop/requeue interleavings;
+//! * **shards are labels**: each host hashes to one of `shards`
+//!   [`ShardStats`] slots (agents, in BUbiNG's vocabulary), which count
+//!   the pushes, pops and cross-shard discovery handoffs the
+//!   parallelism sweep reports. A shard holds no entries, so the shard
+//!   count never changes a pop.
 //!
 //! The scheduler-facing surface ([`ShardedFrontier::pop_ready`],
 //! [`ShardedFrontier::release`], [`ShardedFrontier::advance_to`]) adds
@@ -87,8 +87,7 @@ struct Node {
 /// Per-host scheduling state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HostState {
-    /// May fetch: its minimum entry (if any) stands in the shard's
-    /// avail heap.
+    /// May fetch: its minimum entry (if any) stands in the avail heap.
     Ready,
     /// A fetch is in flight: per-host concurrency 1 parks everything.
     Busy,
@@ -110,25 +109,20 @@ pub struct ShardStats {
 }
 
 /// `(level, seq, host, page, priority, distance)` — an exposure token:
-/// a disposable copy of one host's parked minimum, ordered by the same
-/// `(level, seq)` key as the host heaps.
+/// a disposable copy of one host's parked minimum, ordered by the
+/// entries' `(level, seq)` key.
 type AvailToken = (u8, u64, u32, PageId, u8, u8);
 
-/// One shard: the hosts it owns expose their minima here.
-#[derive(Debug, Default)]
-struct Shard {
-    /// Exposure tokens (copies of host minima), live and stale mixed;
-    /// staleness is checked against the host's `exposed` marker when a
-    /// token surfaces.
-    avail: BinaryHeap<Reverse<AvailToken>>,
-    /// `(ready_at, host)` for hosts in politeness cool-down.
-    cooling: BinaryHeap<Reverse<(u64, u32)>>,
-    stats: ShardStats,
-}
+/// The admission key a fetched page keeps once decoded: any value
+/// other than `u16::MAX` reads as admitted, and no other read of a
+/// fetched page's key exists ([`Frontier::push`] and the pop-time
+/// staleness check test `done` first; [`Frontier::requeue`] overwrites
+/// the key).
+const FETCHED_KEY: u16 = 0;
 
-/// The host-sharded, politeness-aware frontier. See the module docs for
-/// the layout; see [`Frontier`] for the admission contract it shares
-/// with [`UrlQueue`].
+/// The host-partitioned, politeness-aware frontier. See the module docs
+/// for the layout; see [`Frontier`] for the admission contract it
+/// shares with [`UrlQueue`].
 ///
 /// ```
 /// use langcrawl_core::frontier::Frontier;
@@ -139,12 +133,19 @@ struct Shard {
 /// let mut f = ShardedFrontier::new(vec![0, 0, 1, 1], 2, 2, 2);
 /// f.push(Entry { page: 2, priority: 1, distance: 0 });
 /// f.push(Entry { page: 1, priority: 0, distance: 0 });
-/// assert_eq!(f.pop().unwrap().page, 1); // global level order, not per-shard
+/// assert_eq!(f.pop().unwrap().page, 1); // global level order
 /// assert_eq!(f.pop().unwrap().page, 2);
 /// ```
 #[derive(Debug)]
 pub struct ShardedFrontier {
-    shards: Vec<Shard>,
+    /// Exposure tokens (copies of ready hosts' minima), live and stale
+    /// mixed; staleness is checked against the host's `exposed` marker
+    /// when a token surfaces.
+    avail: BinaryHeap<Reverse<AvailToken>>,
+    /// `(ready_at, host)` for hosts in politeness cool-down.
+    cooling: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Load counters per shard, indexed by `shard_of_host`.
+    stats: Vec<ShardStats>,
     /// The parked-entry slab: every waiting entry is a [`Node`] here,
     /// linked into its `(host, level)` FIFO list. Detached nodes move
     /// to the free list and are reused before the slab grows, so
@@ -158,11 +159,11 @@ pub struct ShardedFrontier {
     /// FIFO list tails, same indexing; meaningful only when the
     /// matching head is not [`NIL`].
     tails: Vec<u32>,
-    /// `(level, seq)` of the token each host currently exposes in its
-    /// shard's avail heap; `None` when the host exposes nothing (busy,
-    /// cooling, or empty). Always equals the host's parked minimum when
-    /// set. Avail tokens that do not match are stale and simply
-    /// discarded — the entries they carry are safe in the slab.
+    /// `(level, seq)` of the token each host currently exposes in the
+    /// avail heap; `None` when the host exposes nothing (busy, cooling,
+    /// or empty). Always equals the host's parked minimum when set.
+    /// Avail tokens that do not match are stale and simply discarded —
+    /// the entries they carry are safe in the slab.
     exposed: Vec<Option<(u8, u64)>>,
     host_state: Vec<HostState>,
     /// Host owning each page.
@@ -178,8 +179,9 @@ pub struct ShardedFrontier {
     done: Vec<bool>,
     pending: usize,
     max_pending: usize,
-    pushes: u64,
-    /// Global push ordinal: FIFO tie-break within a level.
+    /// Global push ordinal: FIFO tie-break within a level. Every
+    /// accepted push and requeue takes one, so it is also the total
+    /// push count.
     seq: u64,
     /// Host currently resolving a fetch, for handoff attribution.
     origin: Option<u32>,
@@ -190,14 +192,16 @@ pub struct ShardedFrontier {
 
 impl ShardedFrontier {
     /// A frontier over `num_pages = host_of_page.len()` pages living on
-    /// `num_hosts` hosts, with `levels` priority levels, partitioned
-    /// into `shards` shards.
+    /// `num_hosts` hosts, with `levels` priority levels, its hosts
+    /// hashed into `shards` stats slots.
     pub fn new(host_of_page: Vec<u32>, num_hosts: usize, levels: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let num_pages = host_of_page.len();
         let levels = levels.max(1);
         ShardedFrontier {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            avail: BinaryHeap::new(),
+            cooling: BinaryHeap::new(),
+            stats: vec![ShardStats::default(); shards],
             nodes: Vec::new(),
             free: NIL,
             heads: vec![NIL; num_hosts * levels],
@@ -213,7 +217,6 @@ impl ShardedFrontier {
             done: vec![false; num_pages],
             pending: 0,
             max_pending: 0,
-            pushes: 0,
             seq: 0,
             origin: None,
             handoffs: 0,
@@ -226,25 +229,15 @@ impl ShardedFrontier {
         ShardedFrontier::new(host_of_page, ws.num_hosts(), levels, shards)
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Host owning a page.
     pub fn host_of(&self, p: PageId) -> u32 {
         // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
         self.host_of_page[p as usize]
     }
 
-    /// Shard owning a host.
-    pub fn shard_of(&self, host: u32) -> usize {
-        self.shard_of_host[host as usize] as usize
-    }
-
     /// Per-shard load counters, in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(|s| s.stats).collect()
+        self.stats.clone()
     }
 
     /// Total accepted pushes that crossed shards so far. The scheduler
@@ -283,10 +276,10 @@ impl ShardedFrontier {
         let seq = self.seq;
         self.seq += 1;
         let si = self.shard_of_host[host as usize] as usize;
-        self.shards[si].stats.pushes += 1;
+        self.stats[si].pushes += 1;
         if let Some(from) = self.origin {
             if self.shard_of_host[from as usize] as usize != si {
-                self.shards[si].stats.handoffs_in += 1;
+                self.stats[si].handoffs_in += 1;
                 self.handoffs += 1;
             }
         }
@@ -321,9 +314,8 @@ impl ShardedFrontier {
 
     /// The host's parked minimum: `(level, seq, node index)` of the
     /// head of its lowest non-empty level list, or `None` when the host
-    /// parks nothing. Equivalent to the old per-host heap peek — each
-    /// list head is its level's minimum seq, and level dominates seq in
-    /// the `(level, seq)` order.
+    /// parks nothing. Each list head is its level's minimum seq, and
+    /// level dominates seq in the `(level, seq)` order.
     fn host_min(&self, host: u32) -> Option<(u8, u64, u32)> {
         let base = host as usize * self.num_levels;
         for level in 0..self.num_levels {
@@ -368,35 +360,12 @@ impl ShardedFrontier {
             Some((level, seq, idx)) => {
                 if self.exposed[host as usize] != Some((level, seq)) {
                     self.exposed[host as usize] = Some((level, seq));
-                    let si = self.shard_of_host[host as usize] as usize;
                     let n = self.nodes[idx as usize];
-                    self.shards[si]
-                        .avail
+                    self.avail
                         .push(Reverse((level, seq, host, n.page, n.priority, n.distance)));
                 }
             }
             None => self.exposed[host as usize] = None,
-        }
-    }
-
-    /// Settle shard `si`'s avail top to a live token and return its
-    /// `(level, seq)`, discarding stale tokens along the way. `None`
-    /// when the shard exposes nothing.
-    fn clean_top(&mut self, si: usize) -> Option<(u8, u64)> {
-        loop {
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            let &Reverse((level, seq, host, ..)) = self.shards[si].avail.peek()?;
-            if self.exposed[host as usize] == Some((level, seq)) {
-                // A live token implies its host is Ready (only
-                // `refresh` sets `exposed`, and every transition away
-                // from Ready clears it) and that the token mirrors the
-                // host's parked minimum.
-                return Some((level, seq));
-            }
-            // Stale token: the host's minimum moved on, or the host
-            // left Ready. The entry it carries still lives in the
-            // slab, so the copy is just dropped.
-            self.shards[si].avail.pop();
         }
     }
 
@@ -407,20 +376,16 @@ impl ShardedFrontier {
     // stale-token skips recycle slab nodes, never allocate.
     fn pop_inner(&mut self, mark_busy: bool) -> Option<Entry> {
         loop {
-            // The minimum over shard tops is the global minimum over
-            // ready hosts: each ready host exposes exactly its minimum.
-            let mut min: Option<(usize, (u8, u64))> = None;
-            for si in 0..self.shards.len() {
-                if let Some(k) = self.clean_top(si) {
-                    if min.is_none_or(|(_, mk)| k < mk) {
-                        min = Some((si, k));
-                    }
-                }
+            let Reverse((level, seq, host, page, priority, distance)) = self.avail.pop()?;
+            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+            if self.exposed[host as usize] != Some((level, seq)) {
+                // Stale token: the host's minimum moved on, or the host
+                // left Ready (only `refresh` sets `exposed`, and every
+                // transition away from Ready clears it). The entry it
+                // carries still lives in the slab, so the copy is just
+                // dropped.
+                continue;
             }
-            let (si, _) = min?;
-            let Reverse((level, _, host, page, priority, distance)) =
-                // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-                self.shards[si].avail.pop()?;
             // The live token is a copy of the host's parked minimum;
             // consume the original too.
             self.exposed[host as usize] = None;
@@ -440,7 +405,7 @@ impl ShardedFrontier {
             }
             self.done[idx] = true;
             self.pending -= 1;
-            self.shards[si].stats.pops += 1;
+            self.stats[self.shard_of_host[host as usize] as usize].pops += 1;
             if mark_busy {
                 self.host_state[host as usize] = HostState::Busy;
             } else {
@@ -461,15 +426,14 @@ impl ShardedFrontier {
 
     /// Finish a fetch on `host`. `ready_at` is the host's next allowed
     /// fetch start (politeness); at or before `now` the host returns to
-    /// `Ready` immediately, otherwise it parks in its shard's cool-down
-    /// heap. Returns `true` when the host was parked *with work still
+    /// `Ready` immediately, otherwise it parks in the cool-down heap.
+    /// Returns `true` when the host was parked *with work still
     /// queued* — the politeness-wait signal.
     pub fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool {
         if ready_at > now {
             // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
             self.host_state[host as usize] = HostState::Cooling;
-            let si = self.shard_of_host[host as usize] as usize;
-            self.shards[si].cooling.push(Reverse((ready_at, host)));
+            self.cooling.push(Reverse((ready_at, host)));
             self.host_min(host).is_some()
         } else {
             self.host_state[host as usize] = HostState::Ready;
@@ -480,29 +444,25 @@ impl ShardedFrontier {
 
     /// Wake every host whose cool-down expires at or before `t`.
     pub fn advance_to(&mut self, t: u64) {
-        for si in 0..self.shards.len() {
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            while let Some(&Reverse((ready_at, host))) = self.shards[si].cooling.peek() {
-                if ready_at > t {
-                    break;
-                }
-                self.shards[si].cooling.pop();
-                self.host_state[host as usize] = HostState::Ready;
-                self.refresh(host);
+        while let Some(&Reverse((ready_at, host))) = self.cooling.peek() {
+            if ready_at > t {
+                break;
             }
+            self.cooling.pop();
+            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+            self.host_state[host as usize] = HostState::Ready;
+            self.refresh(host);
         }
     }
 
     /// Earliest tick at which a cooling host wakes, if any — the
     /// scheduler's next candidate time when slots idle.
     pub fn next_cooling(&self) -> Option<u64> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.cooling.peek().map(|&Reverse((at, _))| at))
-            .min()
+        self.cooling.peek().map(|&Reverse((at, _))| at)
     }
 
-    /// Serialize the complete frontier state into a snapshot payload.
+    /// Serialize the frontier state a loop-top capture cannot derive
+    /// into a snapshot payload.
     ///
     /// Canonical form, so encode∘decode∘encode is a fixed point:
     /// parked entries as ONE flat list in slab order. A record is
@@ -513,26 +473,22 @@ impl ShardedFrontier {
     /// record, so a resumed frontier's slab order *is* the record order
     /// and re-encoding reproduces the bytes; list links are layout,
     /// resorted from `(level, seq)` — the order the live lists held,
-    /// since seqs only grow and lists append at tail. Exposure is one
-    /// flag per host (an exposed host always exposes exactly its parked
-    /// minimum, so the token is derivable); avail heaps are not encoded
-    /// at all (stale tokens are behaviorally inert — dropping them
-    /// cannot change any observable pop); cool-downs are one globally
-    /// sorted `(ready_at, host)` list. `origin` is intentionally not
-    /// state: it is only ever `Some` *inside* a resolve, and snapshots
-    /// are taken at tick boundaries where no resolve is in flight.
+    /// since seqs only grow and lists append at tail. Cool-downs are
+    /// one sorted `(ready_at, host)` list; then the per-shard counters,
+    /// the fetched bits and the scalar counters.
     ///
-    /// Capture rides the scheduler's steady state, so the big walks
-    /// (parked nodes, per-host flags) stage fixed stack blocks and
-    /// append them whole, and the parked scan runs linearly over the
-    /// slab ([`FREE_PAGE`] marks holes) instead of chasing list links —
-    /// the ≤5% capture-overhead gate prices every cache miss and
-    /// per-element capacity check taken here.
+    /// Everything else is derived on decode (see
+    /// [`Self::decode_state`]): admission keys, host states, exposure
+    /// and the avail heap (stale tokens are behaviorally inert), and
+    /// the handoff total. `origin` is not state: it is only ever `Some`
+    /// *inside* a resolve, and no resolve is in flight at a capture.
+    ///
+    /// Capture rides the scheduler's steady state, so the parked walk
+    /// stages fixed stack blocks and appends them whole, and runs
+    /// linearly over the slab ([`FREE_PAGE`] marks holes) instead of
+    /// chasing list links — the ≤5% capture-overhead gate prices every
+    /// cache miss and per-element capacity check taken here.
     pub(crate) fn encode_state(&self, enc: &mut Enc) {
-        enc.u64(self.host_of_page.len() as u64);
-        enc.u64(self.exposed.len() as u64);
-        enc.u64(self.num_levels as u64);
-        enc.u64(self.shards.len() as u64);
         // Flat parked-node list: count patched in after one linear
         // scan. 14 bytes per record via two overlapping u64 stores
         // (the second starts at the seq offset and re-covers the first
@@ -564,78 +520,48 @@ impl ShardedFrontier {
         // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
         enc.buf.extend_from_slice(&block[..fill]);
         enc.patch_u64(count_at, n);
-        // Exposure flag + host state, two bytes per host, staged.
-        let mut fill = 0;
-        for host in 0..self.exposed.len() {
-            block[fill] = u8::from(self.exposed[host].is_some());
-            block[fill + 1] = match self.host_state[host] {
-                HostState::Ready => 0,
-                HostState::Busy => 1,
-                HostState::Cooling => 2,
-            };
-            fill += 2;
-            if fill == block.len() {
-                // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-                enc.buf.extend_from_slice(&block);
-                fill = 0;
-            }
-        }
         // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-        enc.buf.extend_from_slice(&block[..fill]);
-        let mut cooling: Vec<(u64, u32)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.cooling.iter().map(|&Reverse(x)| x))
-            // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-            .collect();
+        let mut cooling: Vec<(u64, u32)> = self.cooling.iter().map(|&Reverse(x)| x).collect();
         cooling.sort_unstable();
         enc.u64(cooling.len() as u64);
         for (at, host) in cooling {
             enc.u64(at);
             enc.u32(host);
         }
-        for s in &self.shards {
-            enc.u64(s.stats.pushes);
-            enc.u64(s.stats.pops);
-            enc.u64(s.stats.handoffs_in);
+        for s in &self.stats {
+            enc.u64(s.pushes);
+            enc.u64(s.pops);
+            enc.u64(s.handoffs_in);
         }
-        enc.u16s(&self.best);
         enc.bools(&self.done);
         enc.u64(self.pending as u64);
         enc.u64(self.max_pending as u64);
-        enc.u64(self.pushes);
         enc.u64(self.seq);
-        enc.u64(self.handoffs);
     }
 
-    /// Rebuild a frontier from a snapshot payload. The shape arguments
-    /// come from the regenerated space and the snapshot header; the
-    /// payload must agree with them. Avail heaps are rebuilt from the
-    /// exposure flags (each exposed host re-exposes its parked
-    /// minimum); structural violations surface as
+    /// Restore a snapshot payload into `self`, a fresh frontier built
+    /// for the captured space, level count and shard count: the
+    /// regenerated space and the snapshot header fix all three, so the
+    /// payload does not repeat them.
+    ///
+    /// A capture happens at a loop-top tick boundary, where no host is
+    /// busy, so the rest is derived: every page still pending takes its
+    /// admission key from its best parked entry (its winning admission
+    /// is parked until fetched, and any other entry of it carries a
+    /// worse key), fetched pages read as admitted, the hosts in the
+    /// cool-down list are cooling, and every other host is ready and
+    /// re-exposes its parked minimum. The payload's pending count must
+    /// match the pages its parked entries keep pending, and no host may
+    /// cool twice; these and other structural violations surface as
     /// [`SnapshotError::Malformed`].
-    pub(crate) fn decode_state(
-        dec: &mut Dec<'_>,
-        host_of_page: Vec<u32>,
-        num_hosts: usize,
-        levels: usize,
-        shards: usize,
-    ) -> Result<ShardedFrontier, SnapshotError> {
-        let mut f = ShardedFrontier::new(host_of_page, num_hosts, levels, shards);
-        if dec.len()? != f.host_of_page.len() {
-            return Err(SnapshotError::Malformed("frontier page count mismatch"));
-        }
-        if dec.len()? != num_hosts {
-            return Err(SnapshotError::Malformed("frontier host count mismatch"));
-        }
-        if dec.len()? != f.num_levels {
-            return Err(SnapshotError::Malformed("frontier level count mismatch"));
-        }
-        if dec.len()? != f.shards.len() {
-            return Err(SnapshotError::Malformed("frontier shard count mismatch"));
-        }
+    pub(crate) fn decode_state(mut self, dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         let n = dec.len()?;
-        f.nodes.reserve(n);
+        // Records take 14 bytes each: a count the payload cannot hold is
+        // refused before anything is allocated for it.
+        if n > dec.remaining() / 14 {
+            return Err(SnapshotError::Truncated);
+        }
+        self.nodes.reserve(n);
         // `(slot, seq, slab index)` for every record: sorting this
         // relinks each `(host, level)` FIFO list in `(level, seq)`
         // order — exactly the order the captured lists held. The slab
@@ -644,16 +570,16 @@ impl ShardedFrontier {
         let mut links: Vec<(usize, u64, u32)> = Vec::with_capacity(n);
         for i in 0..n {
             let page = dec.u32()?;
-            if page as usize >= f.host_of_page.len() {
+            if page as usize >= self.host_of_page.len() {
                 return Err(SnapshotError::Malformed("parked page out of range"));
             }
             let priority = dec.u8()?;
             let distance = dec.u8()?;
             let seq = dec.u64()?;
-            let host = f.host_of_page[page as usize];
-            let level = (priority as usize).min(f.num_levels - 1);
-            links.push((host as usize * f.num_levels + level, seq, i as u32));
-            f.nodes.push(Node {
+            let host = self.host_of_page[page as usize];
+            let level = (priority as usize).min(self.num_levels - 1);
+            links.push((host as usize * self.num_levels + level, seq, i as u32));
+            self.nodes.push(Node {
                 seq,
                 page,
                 priority,
@@ -663,67 +589,68 @@ impl ShardedFrontier {
         }
         links.sort_unstable();
         for &(slot, _, idx) in &links {
-            if f.heads[slot] == NIL {
-                f.heads[slot] = idx;
+            if self.heads[slot] == NIL {
+                self.heads[slot] = idx;
             } else {
-                f.nodes[f.tails[slot] as usize].next = idx;
+                self.nodes[self.tails[slot] as usize].next = idx;
             }
-            f.tails[slot] = idx;
-        }
-        let mut exposed_flags = vec![false; num_hosts];
-        for (host, flag) in exposed_flags.iter_mut().enumerate() {
-            *flag = dec.bool()?;
-            f.host_state[host] = match dec.u8()? {
-                0 => HostState::Ready,
-                1 => HostState::Busy,
-                2 => HostState::Cooling,
-                _ => return Err(SnapshotError::Malformed("host state out of range")),
-            };
-        }
-        for (host, &exposed) in exposed_flags.iter().enumerate() {
-            if !exposed {
-                continue;
-            }
-            let Some((level, seq, idx)) = f.host_min(host as u32) else {
-                return Err(SnapshotError::Malformed("exposed host parks nothing"));
-            };
-            f.exposed[host] = Some((level, seq));
-            let si = f.shard_of_host[host] as usize;
-            let n = f.nodes[idx as usize];
-            f.shards[si].avail.push(Reverse((
-                level,
-                seq,
-                host as u32,
-                n.page,
-                n.priority,
-                n.distance,
-            )));
+            self.tails[slot] = idx;
         }
         let ncool = dec.len()?;
         for _ in 0..ncool {
             let at = dec.u64()?;
             let host = dec.u32()?;
-            if host as usize >= num_hosts {
-                return Err(SnapshotError::Malformed("cooling host out of range"));
+            let state = self
+                .host_state
+                .get_mut(host as usize)
+                .ok_or(SnapshotError::Malformed("cooling host out of range"))?;
+            if *state == HostState::Cooling {
+                return Err(SnapshotError::Malformed("host cools twice"));
             }
-            let si = f.shard_of_host[host as usize] as usize;
-            f.shards[si].cooling.push(Reverse((at, host)));
+            *state = HostState::Cooling;
+            self.cooling.push(Reverse((at, host)));
         }
-        for s in &mut f.shards {
-            s.stats.pushes = dec.u64()?;
-            s.stats.pops = dec.u64()?;
-            s.stats.handoffs_in = dec.u64()?;
+        for s in &mut self.stats {
+            s.pushes = dec.u64()?;
+            s.pops = dec.u64()?;
+            s.handoffs_in = dec.u64()?;
+            self.handoffs += s.handoffs_in;
         }
-        for b in &mut f.best {
-            *b = dec.u16()?;
+        dec.bools(&mut self.done)?;
+        self.pending = dec.len()?;
+        self.max_pending = dec.len()?;
+        self.seq = dec.u64()?;
+        for node in &self.nodes {
+            let k = key(&Entry {
+                page: node.page,
+                priority: node.priority,
+                distance: node.distance,
+            });
+            if k == u16::MAX {
+                return Err(SnapshotError::Malformed("parked key out of range"));
+            }
+            let p = node.page as usize;
+            if !self.done[p] {
+                self.best[p] = self.best[p].min(k);
+            }
         }
-        dec.bools(&mut f.done)?;
-        f.pending = dec.len()?;
-        f.max_pending = dec.len()?;
-        f.pushes = dec.u64()?;
-        f.seq = dec.u64()?;
-        f.handoffs = dec.u64()?;
-        Ok(f)
+        let mut pending = 0;
+        for (best, &done) in self.best.iter_mut().zip(&self.done) {
+            if done {
+                *best = FETCHED_KEY;
+            } else if *best != u16::MAX {
+                pending += 1;
+            }
+        }
+        if pending != self.pending {
+            return Err(SnapshotError::Malformed(
+                "pending count disagrees with the parked entries",
+            ));
+        }
+        for host in 0..self.exposed.len() as u32 {
+            self.refresh(host);
+        }
+        Ok(self)
     }
 }
 
@@ -733,25 +660,11 @@ fn key(e: &Entry) -> u16 {
 }
 
 impl Frontier for ShardedFrontier {
+    /// A batch of one: refreshing the host of a refused entry is a
+    /// no-op, since outside a batch every ready host already exposes
+    /// its minimum.
     fn push(&mut self, e: Entry) -> bool {
-        let idx = e.page as usize;
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        if self.done[idx] {
-            return false;
-        }
-        let k = key(&e);
-        if k >= self.best[idx] {
-            return false; // duplicate or not better
-        }
-        if self.best[idx] == u16::MAX {
-            self.pending += 1;
-            self.max_pending = self.max_pending.max(self.pending);
-        }
-        self.best[idx] = k;
-        let host = self.insert(e);
-        self.refresh(host);
-        self.pushes += 1;
-        true
+        self.push_all(&[e]) == 1
     }
 
     /// Batched admission with *deferred exposure*: store every accepted
@@ -783,7 +696,6 @@ impl Frontier for ShardedFrontier {
             }
             self.best[idx] = k;
             self.insert(e);
-            self.pushes += 1;
             enqueued += 1;
         }
         // One refresh per touched host; idempotent, so refreshing a
@@ -811,7 +723,6 @@ impl Frontier for ShardedFrontier {
         self.max_pending = self.max_pending.max(self.pending);
         let host = self.insert(e);
         self.refresh(host);
-        self.pushes += 1;
         true
     }
 
@@ -824,7 +735,7 @@ impl Frontier for ShardedFrontier {
     }
 
     fn total_pushes(&self) -> u64 {
-        self.pushes
+        self.seq
     }
 
     fn is_done(&self, p: PageId) -> bool {
@@ -926,7 +837,9 @@ mod tests {
                 let probe = frontier(n);
                 (0..3u32)
                     .flat_map(|a| (0..3u32).map(move |b| (a, b)))
-                    .find(|&(a, b)| probe.shard_of(a) != probe.shard_of(b))
+                    .find(|&(a, b)| {
+                        probe.shard_of_host[a as usize] != probe.shard_of_host[b as usize]
+                    })
                     .map(|(a, b)| (n, a, b))
             })
             .expect("some shard count must separate the fixture hosts");
@@ -1083,5 +996,117 @@ mod tests {
         assert_eq!(f.pop().unwrap(), e(1, 0, 0));
         assert_eq!(f.pop().unwrap(), e(0, 3, 0));
         assert!(f.pop().is_none(), "stale duplicate skipped");
+    }
+
+    /// `f`'s snapshot state, encoded.
+    fn encoded(f: &ShardedFrontier) -> Enc {
+        let mut enc = Enc::default();
+        f.encode_state(&mut enc);
+        enc
+    }
+
+    /// Decode a payload into the two-shard fixture; a successful decode
+    /// must consume every byte.
+    fn decoded(bytes: &[u8]) -> Result<ShardedFrontier, SnapshotError> {
+        let mut dec = Dec::new(bytes);
+        let f = frontier(2).decode_state(&mut dec)?;
+        assert!(dec.is_empty(), "decode left payload bytes unread");
+        Ok(f)
+    }
+
+    /// The fixture at a loop-top boundary: host 0 cooling with work
+    /// queued, host 1 released back to ready after a fetch, host 2
+    /// ready throughout, and page 4's first entry superseded by a
+    /// better admission.
+    fn mid_crawl() -> ShardedFrontier {
+        let mut f = frontier(2);
+        for p in [
+            e(0, 0, 0),
+            e(1, 1, 0),
+            e(3, 0, 0),
+            e(4, 2, 0),
+            e(6, 1, 0),
+            e(2, 3, 1),
+        ] {
+            assert!(f.push(p));
+        }
+        assert!(f.push(e(4, 0, 1)), "supersedes page 4's first entry");
+        assert_eq!(f.pop_ready().unwrap().page, 0);
+        assert_eq!(f.pop_ready().unwrap().page, 3);
+        assert!(f.release(0, 5, 1), "host 0 cools with work queued");
+        assert!(!f.release(1, 1, 1), "host 1 is ready again at once");
+        f
+    }
+
+    #[test]
+    fn derived_decode_reencodes_and_pops_like_the_original() {
+        let mut original = mid_crawl();
+        let bytes = encoded(&original).buf;
+        let mut back = decoded(&bytes).unwrap();
+        assert_eq!(encoded(&back).buf, bytes, "re-encoding is a fixed point");
+        for p in 0..8 {
+            assert_eq!(back.was_admitted(p), original.was_admitted(p), "page {p}");
+            assert_eq!(back.is_done(p), original.is_done(p), "page {p}");
+        }
+        assert_eq!(back.next_cooling(), Some(5));
+        let drain = |f: &mut ShardedFrontier| {
+            let early: Vec<Entry> = std::iter::from_fn(|| f.pop_ready()).collect();
+            for x in &early {
+                f.release(f.host_of(x.page), 0, 5);
+            }
+            f.advance_to(5);
+            let late: Vec<Entry> = std::iter::from_fn(|| f.pop()).collect();
+            (early, late, f.pending(), f.total_pushes(), f.shard_stats())
+        };
+        let want = drain(&mut original);
+        assert_eq!(want.0, [e(4, 0, 1), e(6, 1, 0)], "host 0 cools until 5");
+        assert_eq!(
+            want.1,
+            [e(1, 1, 0), e(2, 3, 1)],
+            "the superseded entry of page 4 is skipped"
+        );
+        assert_eq!(drain(&mut back), want);
+    }
+
+    #[test]
+    fn pending_count_must_match_the_parked_entries() {
+        let f = mid_crawl();
+        let mut enc = encoded(&f);
+        // The payload ends with the pending count, max_pending and seq.
+        let at = enc.buf.len() - 24;
+        enc.patch_u64(at, f.pending() as u64 + 1);
+        assert_eq!(
+            decoded(&enc.buf).unwrap_err(),
+            SnapshotError::Malformed("pending count disagrees with the parked entries")
+        );
+    }
+
+    #[test]
+    fn a_parked_count_beyond_the_payload_is_refused_before_allocating() {
+        let mut enc = Enc::default();
+        enc.u64(1 << 56);
+        assert_eq!(decoded(&enc.buf).unwrap_err(), SnapshotError::Truncated);
+    }
+
+    #[test]
+    fn a_host_listed_twice_as_cooling_is_malformed() {
+        let mut f = frontier(2);
+        f.push(e(0, 0, 0));
+        f.push(e(3, 0, 0));
+        f.pop_ready();
+        f.pop_ready();
+        assert!(!f.release(0, 5, 1));
+        assert!(!f.release(1, 7, 1));
+        let mut enc = encoded(&f);
+        assert!(decoded(&enc.buf).is_ok());
+        // An empty parked list, the cooling count and the first 12-byte
+        // `(ready_at, host)` record precede the second record's host,
+        // which is made to repeat host 0.
+        let second_host = 8 + 8 + 12 + 8;
+        enc.buf[second_host..second_host + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            decoded(&enc.buf).unwrap_err(),
+            SnapshotError::Malformed("host cools twice")
+        );
     }
 }

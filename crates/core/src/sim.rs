@@ -55,8 +55,8 @@ pub struct SimConfig {
     pub fault_override: Option<FaultConfig>,
     /// Retry/backoff policy for transient fetch failures.
     pub retry: RetryPolicy,
-    /// Virtual-time scheduler configuration: fetch slots, frontier
-    /// shards and per-host politeness. The default — one slot, zero
+    /// Virtual-time scheduler configuration: fetch slots and per-host
+    /// politeness. The default — one slot, zero
     /// politeness — is the paper's single-slot crawl, bit-identical to
     /// the legacy loop (the conformance goldens pin this).
     pub sched: SchedConfig,
@@ -117,12 +117,6 @@ impl SimConfig {
     /// Set the deterministic per-host politeness jitter bound.
     pub fn with_politeness_spread(mut self, spread: u64) -> Self {
         self.sched.politeness_spread = spread;
-        self
-    }
-
-    /// Set the frontier shard count (`0` = one shard per slot).
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.sched.shards = shards;
         self
     }
 

@@ -1,16 +1,26 @@
 //! Crash-safe crawl checkpointing: a versioned, checksummed binary
 //! codec for mid-crawl engine state.
 //!
-//! A [`CrawlSnapshot`] captures the complete scheduler-path state of a
-//! crawl at a tick boundary: the frontier (per-host queues, exposure
-//! state, admission bars), the retry heap, per-host politeness clocks,
-//! the attempt table, and the run counters. The web space itself is
-//! *not* serialized — it is recorded as (identity fingerprint,
-//! generation seed) and regenerated by the caller, then verified on
-//! resume, because generation is a pure function of the seed. Resuming
-//! from a snapshot continues the crawl **bit-identically** to the
-//! uninterrupted run — the resume-parity suite pins this against the
-//! scheduler conformance goldens.
+//! A [`CrawlSnapshot`] captures the scheduler-path state of a crawl at a
+//! loop-top tick boundary, where no fetch is in flight, and stores only
+//! what the rest of the state does not determine:
+//!
+//! * the frontier's parked entries, its politeness cool-down list, its
+//!   per-shard load counters, which pages were fetched, and its
+//!   pending/high-water/push counters;
+//! * the retry heap, the attempt table and the run counters.
+//!
+//! Decode derives the rest. Each pending page's admission key is the key
+//! of its best parked entry, fetched pages read as admitted, the hosts
+//! in the cool-down list are cooling and every other host is ready and
+//! exposes its parked minimum (no host is busy at a loop-top boundary,
+//! and a host's politeness deadline lives in the cool-down list once its
+//! fetch completes). The web space itself is *not* serialized — it is
+//! recorded as (identity fingerprint, generation seed) and regenerated
+//! by the caller, then verified on resume, because generation is a pure
+//! function of the seed. Resuming from a snapshot continues the crawl
+//! **bit-identically** to the uninterrupted run — the resume-parity
+//! suite pins this against the scheduler conformance goldens.
 //!
 //! Captures reach observers through the event seam. A scheduled or
 //! resumed run whose [`EngineConfig::snapshot_every`] is set emits a
@@ -24,7 +34,7 @@
 //!
 //! ```text
 //! magic   "LCSNAPSH"      8 bytes
-//! version u32             currently 3
+//! version u32             currently 4
 //! payload_len u64
 //! payload                 payload_len bytes
 //! checksum u64            lane-parallel multiply-xor over payload
@@ -57,7 +67,7 @@ const MAGIC: [u8; 8] = *b"LCSNAPSH";
 /// Current snapshot format version, bumped with every payload layout
 /// change so frames of another layout fail as
 /// [`SnapshotError::UnsupportedVersion`] rather than as garbage.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Why a snapshot could not be decoded, verified, or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,13 +258,6 @@ impl Enc {
         self.buf.push(v);
     }
 
-    /// Kept for codec symmetry with [`Dec::u16`] — every current u16
-    /// field is written through the bulk [`Enc::u16s`] path.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub(crate) fn u32(&mut self, v: u32) {
         // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -269,44 +272,12 @@ impl Enc {
         self.buf.push(u8::from(v));
     }
 
-    /// Bulk little-endian `u16` append. The per-page arrays a snapshot
-    /// carries (admission bars, best-key tables) are tens of thousands
-    /// of elements; a per-element `extend_from_slice` call pays a
-    /// capacity check each — staging fixed blocks on the stack and
-    /// appending them whole keeps bulk encoding at memcpy-ish speed,
-    /// which the capture-overhead gate needs.
-    pub(crate) fn u16s(&mut self, vs: &[u16]) {
-        let mut block = [0u8; 256];
-        // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-        self.buf.reserve(vs.len() * 2);
-        for chunk in vs.chunks(128) {
-            // Pack four elements into one u64 store: a 2-byte
-            // copy_from_slice per element re-checks lengths and defeats
-            // vectorization, which at per-page array sizes is the
-            // difference between ~1.3 GB/s and memcpy-class encoding.
-            let mut quads = chunk.chunks_exact(4);
-            let mut fill = 0;
-            for q in quads.by_ref() {
-                // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-                let w = u64::from(q[0])
-                    | u64::from(q[1]) << 16
-                    | u64::from(q[2]) << 32
-                    | u64::from(q[3]) << 48;
-                // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-                block[fill..fill + 8].copy_from_slice(&w.to_le_bytes());
-                fill += 8;
-            }
-            for &v in quads.remainder() {
-                // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-                block[fill..fill + 2].copy_from_slice(&v.to_le_bytes());
-                fill += 2;
-            }
-            // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-            self.buf.extend_from_slice(&block[..fill]);
-        }
-    }
-
-    /// Bulk little-endian `u32` append (see [`Enc::u16s`]).
+    /// Bulk little-endian `u32` append. The attempt table a snapshot
+    /// carries has one element per page; a per-element
+    /// `extend_from_slice` call pays a capacity check each — staging
+    /// fixed blocks on the stack and appending them whole keeps bulk
+    /// encoding at memcpy-ish speed, which the capture-overhead gate
+    /// needs.
     pub(crate) fn u32s(&mut self, vs: &[u32]) {
         let mut block = [0u8; 256];
         // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
@@ -328,21 +299,6 @@ impl Enc {
             }
             // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
             self.buf.extend_from_slice(&block[..fill]);
-        }
-    }
-
-    /// Bulk little-endian `u64` append (see [`Enc::u16s`]).
-    pub(crate) fn u64s(&mut self, vs: &[u64]) {
-        let mut block = [0u8; 256];
-        // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-        self.buf.reserve(vs.len() * 8);
-        for chunk in vs.chunks(32) {
-            for (dst, &v) in block.chunks_exact_mut(8).zip(chunk) {
-                // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-                dst.copy_from_slice(&v.to_le_bytes());
-            }
-            // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-            self.buf.extend_from_slice(&block[..chunk.len() * 8]); // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
         }
     }
 
@@ -435,11 +391,6 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -451,14 +402,6 @@ impl<'a> Dec<'a> {
         // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
         arr.copy_from_slice(b);
         Ok(u64::from_le_bytes(arr))
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("boolean byte out of range")),
-        }
     }
 
     /// A `u64` length/count cast into `usize`, rejecting values the
@@ -488,6 +431,11 @@ impl<'a> Dec<'a> {
     /// True once every payload byte has been consumed.
     pub(crate) fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
+    }
+
+    /// Payload bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
     }
 }
 
@@ -581,7 +529,6 @@ impl SnapHead {
         enc.u64(self.run_fp);
         enc.u32(self.levels);
         enc.u32(self.sched.slots);
-        enc.u32(self.sched.shards);
         enc.u64(self.sched.politeness_gap);
         enc.u64(self.sched.politeness_spread);
         enc.u64(self.tick);
@@ -596,7 +543,6 @@ impl SnapHead {
         let levels = dec.u32()?;
         let sched = SchedConfig {
             slots: dec.u32()?,
-            shards: dec.u32()?,
             politeness_gap: dec.u64()?,
             politeness_spread: dec.u64()?,
         };
@@ -862,7 +808,6 @@ mod tests {
             levels: 2,
             sched: SchedConfig {
                 slots: 8,
-                shards: 3,
                 politeness_gap: 2,
                 politeness_spread: 1,
             },
@@ -965,43 +910,26 @@ mod tests {
     fn codec_round_trips_every_width() {
         let mut enc = Enc::default();
         enc.u8(0xab);
-        enc.u16(0xcdef);
         enc.u32(0xdead_beef);
         enc.u64(0x0123_4567_89ab_cdef);
-        enc.bool(true);
-        enc.bool(false);
         let mut dec = Dec::new(&enc.buf);
         assert_eq!(dec.u8().unwrap(), 0xab);
-        assert_eq!(dec.u16().unwrap(), 0xcdef);
         assert_eq!(dec.u32().unwrap(), 0xdead_beef);
         assert_eq!(dec.u64().unwrap(), 0x0123_4567_89ab_cdef);
-        assert!(dec.bool().unwrap());
-        assert!(!dec.bool().unwrap());
         assert!(dec.is_empty());
         assert_eq!(dec.u8(), Err(SnapshotError::Truncated));
     }
 
     #[test]
-    fn bulk_encoders_match_their_scalar_forms() {
-        // Lengths straddling the stage-block boundaries, so both the
+    fn bulk_u32s_match_their_scalar_form() {
+        // A length straddling the stage-block boundary, so both the
         // full-block and tail paths are exercised.
-        let n = 300;
+        let u32v: Vec<u32> = (0..301u32).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
         let mut bulk = Enc::default();
         let mut scalar = Enc::default();
-        let u16v: Vec<u16> = (0..n as u16).map(|i| i.wrapping_mul(257)).collect();
-        let u32v: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
-        let u64v: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x2545_f491)).collect();
-        bulk.u16s(&u16v);
         bulk.u32s(&u32v);
-        bulk.u64s(&u64v);
-        for &v in &u16v {
-            scalar.u16(v);
-        }
         for &v in &u32v {
             scalar.u32(v);
-        }
-        for &v in &u64v {
-            scalar.u64(v);
         }
         assert_eq!(bulk.buf, scalar.buf);
     }
@@ -1064,15 +992,6 @@ mod tests {
         longer.push(0);
         assert_ne!(checksum64(&longer), sum);
         assert_ne!(checksum64(&base[..76]), sum);
-    }
-
-    #[test]
-    fn non_binary_bool_byte_is_malformed() {
-        let mut dec = Dec::new(&[2]);
-        assert_eq!(
-            dec.bool(),
-            Err(SnapshotError::Malformed("boolean byte out of range"))
-        );
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   strategy's pinned-cell report, backlink counting included. The
 //!   parity checks above compare two modes of the same code; these
 //!   constants catch a change that moves both modes at once.
-//! * Everything is swept across `LANGCRAWL_THREADS` ∈ {1, 4}: link
-//!   analysis runs on the single-threaded resolve path and must not
-//!   observe thread count.
+//! * The link strategies' reports are swept across spaces generated on
+//!   1 and 4 threads: link analysis runs on the single-threaded resolve
+//!   path and must not observe thread count. (CI also runs the whole
+//!   binary under `LANGCRAWL_THREADS` ∈ {1, 4}.)
 
 use langcrawl_core::classifier::OracleClassifier;
 use langcrawl_core::metrics::CrawlReport;
@@ -24,11 +25,17 @@ use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::{
     BacklinkCount, HitsStrategy, OnlineContextGraphStrategy, OnlinePageRank, PageView, Strategy,
 };
+use langcrawl_webgraph::generate::generate_with_threads;
 use langcrawl_webgraph::{GeneratorConfig, PageId, WebSpace};
 
 /// The pinned cell: same preset/scale/seed family as `engine_parity`.
 fn space() -> WebSpace {
     GeneratorConfig::thai_like().scaled(12_000).build(41)
+}
+
+/// The pinned cell's space, generated on exactly `threads` threads.
+fn space_on(threads: usize) -> WebSpace {
+    generate_with_threads(&GeneratorConfig::thai_like().scaled(12_000), 41, threads)
 }
 
 /// FNV-1a over the little-endian bytes of `words`.
@@ -154,16 +161,15 @@ fn pagerank_ranks_within_pinned_linf_bound() {
     );
 }
 
-/// The reports of every link strategy must be invariant under
-/// `LANGCRAWL_THREADS` — the strategies run on the single-threaded
+/// The reports of every link strategy must be invariant under the
+/// generation thread count — the strategies run on the single-threaded
 /// resolve path, and the store/solvers never observe thread count —
 /// and match their pinned digests.
 #[test]
 fn link_strategy_reports_invariant_under_thread_sweep() {
     let mut baseline: Option<Vec<CrawlReport>> = None;
-    for threads in ["1", "4"] {
-        std::env::set_var("LANGCRAWL_THREADS", threads);
-        let ws = space();
+    for threads in [1, 4] {
+        let ws = space_on(threads);
         let reports = vec![
             run(&ws, &mut OnlinePageRank::new()),
             run(&ws, &mut HitsStrategy::new()),
@@ -173,15 +179,14 @@ fn link_strategy_reports_invariant_under_thread_sweep() {
         let got: Vec<u64> = reports.iter().map(report_digest).collect();
         assert_eq!(
             got, PINNED_REPORTS,
-            "link-strategy report digests moved under LANGCRAWL_THREADS={threads}: {got:#018x?}"
+            "link-strategy report digests moved on a space generated on {threads} threads: {got:#018x?}"
         );
         match &baseline {
             None => baseline = Some(reports),
             Some(b) => assert_eq!(
                 b, &reports,
-                "link-strategy reports changed under LANGCRAWL_THREADS={threads}"
+                "link-strategy reports changed on a space generated on {threads} threads"
             ),
         }
     }
-    std::env::remove_var("LANGCRAWL_THREADS");
 }

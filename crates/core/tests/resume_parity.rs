@@ -12,13 +12,11 @@
 //!    `sched_conformance` suite pins — interrupting and resuming a
 //!    crawl cannot drift the pinned schedule.
 //! 2. Early, middle and late snapshots all resume to the identical
-//!    end state, for one slot over one frontier shard (`K = 1`) and
-//!    eight slots over eight shards (`K = 8`), and with the
-//!    retry/backoff machinery live (fault rate 0.2).
-//! 3. Snapshot *bytes* are thread-invariant: regenerating the space
-//!    under different `LANGCRAWL_THREADS` settings yields identical
-//!    framed snapshots, so a checkpoint taken on one machine
-//!    configuration resumes on another.
+//!    end state, for one slot (`K = 1`) and eight (`K = 8`), and with
+//!    the retry/backoff machinery live (fault rate 0.2).
+//! 3. Snapshot *bytes* are thread-invariant: regenerating the space on
+//!    1 and 4 threads yields identical framed snapshots, so a
+//!    checkpoint taken on one machine configuration resumes on another.
 //!
 //! When `LANGCRAWL_SNAPSHOT_DIR` is set (as CI does), every snapshot
 //! picked for resumption is also written there before resuming, so a
@@ -31,11 +29,17 @@ use langcrawl_core::metrics::Sample;
 use langcrawl_core::sched::SchedConfig;
 use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy, Strategy};
 use langcrawl_core::{CrawlSnapshot, SnapshotLog};
+use langcrawl_webgraph::generate::generate_with_threads;
 use langcrawl_webgraph::{FaultConfig, GeneratorConfig, PageId, WebSpace};
 
 /// The pinned space: same preset/scale/seed as the conformance suites.
 fn space() -> WebSpace {
     GeneratorConfig::thai_like().scaled(12_000).build(41)
+}
+
+/// The pinned space, generated on exactly `threads` threads.
+fn space_on(threads: usize) -> WebSpace {
+    generate_with_threads(&GeneratorConfig::thai_like().scaled(12_000), 41, threads)
 }
 
 /// The pinned strategy/classifier cells, by short name (pairings as in
@@ -315,8 +319,9 @@ fn resumed_capture_reemits_the_input_snapshot_byte_for_byte() {
     }
 }
 
-/// Politeness state (per-host next-ready ticks) survives the
-/// round-trip: a politeness-heavy schedule resumes bit-identically too.
+/// Politeness state (the hosts cooling at the capture tick and when
+/// each wakes) survives the round-trip: a politeness-heavy schedule
+/// resumes bit-identically too.
 #[test]
 fn resume_preserves_politeness_state() {
     let ws = space();
@@ -325,7 +330,6 @@ fn resume_preserves_politeness_state() {
         slots: 4,
         politeness_gap: 2,
         politeness_spread: 3,
-        ..SchedConfig::default()
     };
     let full = run_baseline(&engine, &sched, "soft");
     let every = (full.outcome.ticks / 5).max(1);
@@ -340,16 +344,15 @@ fn resume_preserves_politeness_state() {
     }
 }
 
-/// Snapshot bytes are invariant under `LANGCRAWL_THREADS`: the space
-/// regenerates identically for any generation chunking and the
+/// Snapshot bytes are invariant under the generation thread count: the
+/// space regenerates identically for any generation chunking and the
 /// scheduler never looks at thread count, so the framed snapshot
 /// stream — tick for tick, byte for byte — stays put.
 #[test]
 fn snapshot_bytes_are_invariant_across_thread_settings() {
     let mut baseline: Option<Vec<(u64, Vec<u8>)>> = None;
-    for threads in ["1", "4"] {
-        std::env::set_var("LANGCRAWL_THREADS", threads);
-        let ws = space();
+    for threads in [1, 4] {
+        let ws = space_on(threads);
         let engine = capturing_engine(&ws, 0.2, 200);
         let sched = SchedConfig {
             slots: 8,
@@ -363,11 +366,10 @@ fn snapshot_bytes_are_invariant_across_thread_settings() {
             None => baseline = Some(snaps),
             Some(b) => assert_eq!(
                 b, &snaps,
-                "snapshot bytes changed under LANGCRAWL_THREADS={threads}"
+                "snapshot bytes changed on a space generated on {threads} threads"
             ),
         }
     }
-    std::env::remove_var("LANGCRAWL_THREADS");
 }
 
 // The golden cross-check: uninterrupted capture runs on the zero-fault

@@ -16,13 +16,14 @@
 //!    settings (which parallelize space *generation*): the constants
 //!    are absolute, so running this binary under any thread count — as
 //!    CI does — proves thread-invariance end to end, and the in-process
-//!    sweep below re-generates the space under several settings for
-//!    good measure.
+//!    sweep below re-generates the space on 1 and 4 threads for good
+//!    measure.
 
 use langcrawl_core::classifier::{MetaClassifier, OracleClassifier};
 use langcrawl_core::metrics::CrawlReport;
 use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy};
+use langcrawl_webgraph::generate::generate_with_threads;
 use langcrawl_webgraph::GeneratorConfig;
 
 /// FNV-1a over the pre-fault-model report fields — byte-for-byte the
@@ -68,23 +69,15 @@ fn space() -> langcrawl_webgraph::WebSpace {
     GeneratorConfig::thai_like().scaled(12_000).build(41)
 }
 
+/// The pinned space, generated on exactly `threads` threads.
+fn space_on(threads: usize) -> langcrawl_webgraph::WebSpace {
+    generate_with_threads(&GeneratorConfig::thai_like().scaled(12_000), 41, threads)
+}
+
 /// The three pinned strategy/classifier pairs, run under the scheduler
 /// with `k` slots and zero politeness.
 fn scheduled_runs(ws: &langcrawl_webgraph::WebSpace, k: u32) -> Vec<(&'static str, CrawlReport)> {
-    scheduled_runs_sharded(ws, k, 0)
-}
-
-/// Same, with an explicit shard count. `shards > 0` forces the sharded
-/// frontier even at `K = 1`, where the default (`0`) elides it.
-fn scheduled_runs_sharded(
-    ws: &langcrawl_webgraph::WebSpace,
-    k: u32,
-    shards: u32,
-) -> Vec<(&'static str, CrawlReport)> {
-    let mut config = SimConfig::default().with_visit_recording().with_workers(k);
-    if shards > 0 {
-        config = config.with_shards(shards);
-    }
+    let config = SimConfig::default().with_visit_recording().with_workers(k);
     let mut sim = Simulator::new(ws, config);
     vec![
         (
@@ -151,31 +144,6 @@ fn single_slot_scheduled_runs_match_legacy_goldens() {
     assert!(bad.is_empty(), "{}", bad.join("\n"));
 }
 
-/// The same pinning with the frontier elision defeated: an explicit
-/// shard count forces a `K = 1` schedule *through the sharded
-/// frontier*, at one shard and several. Any shard-count-dependent
-/// ordering, accounting, or handoff effect on the crawl shows up here.
-#[test]
-fn single_slot_sharded_schedules_match_legacy_goldens() {
-    let ws = space();
-    let mut bad = Vec::new();
-    for shards in [1u32, 4] {
-        for ((name, report), golden) in scheduled_runs_sharded(&ws, 1, shards).iter().zip([
-            GOLDEN_BF,
-            GOLDEN_SOFT,
-            GOLDEN_LIMITED,
-        ]) {
-            let got = report_hash(report);
-            if got != golden {
-                bad.push(format!(
-                    "{name}: K=1 {shards}-shard hash {got:#018x} != legacy golden {golden:#018x}"
-                ));
-            }
-        }
-    }
-    assert!(bad.is_empty(), "{}", bad.join("\n"));
-}
-
 #[test]
 fn multi_slot_schedules_match_their_goldens() {
     let ws = space();
@@ -221,17 +189,15 @@ fn multi_slot_schedules_preserve_totals_and_shrink_makespan() {
     }
 }
 
-/// Re-generate the space and re-run the schedule under several
-/// `LANGCRAWL_THREADS` settings in-process: every hash must stay put.
-/// (Generation reads the variable afresh per build; determinism of the
-/// per-host PRNG streams makes the space identical for any chunking, and
-/// the scheduler never looks at thread count at all.)
+/// Re-generate the space on 1 and 4 threads in-process and re-run the
+/// schedule: every hash must stay put. (Determinism of the per-host
+/// PRNG streams makes the space identical for any chunking, and the
+/// scheduler never looks at thread count at all.)
 #[test]
 fn schedules_are_invariant_across_thread_settings() {
     let mut baseline: Option<Vec<u64>> = None;
-    for threads in ["1", "4"] {
-        std::env::set_var("LANGCRAWL_THREADS", threads);
-        let ws = space();
+    for threads in [1, 4] {
+        let ws = space_on(threads);
         let mut hashes = Vec::new();
         for k in [1u32, 2, 8] {
             for (_, report) in scheduled_runs(&ws, k) {
@@ -242,9 +208,8 @@ fn schedules_are_invariant_across_thread_settings() {
             None => baseline = Some(hashes),
             Some(b) => assert_eq!(
                 b, &hashes,
-                "schedule hashes changed under LANGCRAWL_THREADS={threads}"
+                "schedule hashes changed on a space generated on {threads} threads"
             ),
         }
     }
-    std::env::remove_var("LANGCRAWL_THREADS");
 }

@@ -16,7 +16,6 @@ use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome, EngineScr
 use langcrawl_core::event::{EventSink, VisitRecorder};
 use langcrawl_core::retry::RetryPolicy;
 use langcrawl_core::sched::SchedConfig;
-use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::{
     BacklinkCount, BreadthFirst, ContextGraphStrategy, HitsStrategy, LimitedDistanceStrategy,
     OnlineContextGraphStrategy, OnlinePageRank, SimpleStrategy, Strategy,
@@ -34,7 +33,6 @@ fn arb_space(g: &mut Gen) -> WebSpace {
 fn arb_sched(g: &mut Gen) -> SchedConfig {
     SchedConfig {
         slots: g.u32(1..8),
-        shards: g.u32(0..4),
         politeness_gap: g.u64(0..3),
         politeness_spread: g.u64(0..3),
     }
@@ -490,127 +488,4 @@ fn snapshot_events_carry_their_own_tick_and_need_a_cadence() -> Result<(), Snaps
         "an engine without a cadence must emit no Snapshot event"
     );
     Ok(())
-}
-
-/// The config-driven wiring end to end: a `Simulator` with a capture
-/// cadence and `LANGCRAWL_SNAPSHOT_DIR` set writes framed
-/// `crawl-<space fingerprint>-<run fingerprint>-t<tick>.snap` files that
-/// parse and resume into the reported end state — under the
-/// builder-configured 4-slot scheduler, and under a field-configured
-/// default (single-slot) schedule. Two strategies crawl the same space
-/// into one directory and leave disjoint file sets: the second run
-/// replaces none of the first one's files. (The only test in this
-/// binary that touches the variable.)
-#[test]
-fn simulator_env_wiring_writes_resumable_files() {
-    let base = std::env::temp_dir().join(format!("langcrawl-snap-wiring-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let ws = GeneratorConfig::thai_like().scaled(2_000).build(7);
-    let classifier = OracleClassifier::target(ws.target_language());
-    let runs = [
-        (
-            "k4",
-            SimConfig::default()
-                .with_workers(4)
-                .with_snapshot_every(300),
-        ),
-        (
-            "k1",
-            SimConfig {
-                snapshot_every: Some(300),
-                ..SimConfig::default()
-            },
-        ),
-    ];
-    let make_strategy = |name: &str| -> Box<dyn Strategy> {
-        match name {
-            "soft" => Box::new(SimpleStrategy::soft()),
-            _ => Box::new(BreadthFirst::new()),
-        }
-    };
-    // Every file in `dir` as (name, bytes), by name.
-    let listing = |dir: &std::path::Path| {
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-            .unwrap_or_else(|e| panic!("snapshot dir {dir:?} must exist: {e}"))
-            .map(|e| {
-                let path = e.expect("dir entry").path();
-                let name = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .expect("file name");
-                let bytes = std::fs::read(&path).expect("snapshot file must read");
-                (name.to_string(), bytes)
-            })
-            .collect();
-        files.sort();
-        files
-    };
-    for (label, config) in runs {
-        let dir = base.join(label);
-        let mut earlier: Vec<(String, Vec<u8>)> = Vec::new();
-        for strat in ["soft", "bf"] {
-            let prior = std::env::var("LANGCRAWL_SNAPSHOT_DIR").ok();
-            std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", &dir);
-            let mut sim = Simulator::new(&ws, config.clone());
-            let report = sim.run(make_strategy(strat).as_mut(), &classifier);
-            match prior {
-                Some(v) => std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", v),
-                None => std::env::remove_var("LANGCRAWL_SNAPSHOT_DIR"),
-            }
-            let files = listing(&dir);
-            let (kept, written): (Vec<_>, Vec<_>) =
-                files.into_iter().partition(|f| earlier.contains(f));
-            assert_eq!(
-                kept.len(),
-                earlier.len(),
-                "{label}: the {strat} run replaced or removed a file of an earlier run"
-            );
-            assert!(
-                !written.is_empty(),
-                "{label}: {strat} wrote no snapshot file"
-            );
-            let mut run_fp = None;
-            for (name, bytes) in &written {
-                let snap = CrawlSnapshot::from_bytes(bytes).expect("written snapshot must parse");
-                let fp = *run_fp.get_or_insert(snap.run_fingerprint());
-                assert_eq!(
-                    snap.run_fingerprint(),
-                    fp,
-                    "{label}: {strat} wrote two runs"
-                );
-                let prefix = format!("crawl-{:016x}-{fp:016x}-t", ws.identity_fingerprint());
-                assert!(
-                    name.starts_with(&prefix) && name.ends_with(".snap"),
-                    "{label}: {name} does not name its run {prefix}"
-                );
-            }
-            let snap = CrawlSnapshot::from_bytes(&written[written.len() / 2].1)
-                .expect("written snapshot must parse");
-            snap.verify_space(&ws).expect("fingerprint must match");
-            let engine = CrawlEngine::new(
-                &ws,
-                EngineConfig {
-                    snapshot_every: Some(300),
-                    fault: ws.fault().clone(),
-                    ..EngineConfig::default()
-                },
-            );
-            let mut sinks: [&mut dyn EventSink; 0] = [];
-            let (outcome, _) = engine
-                .resume(
-                    &snap,
-                    make_strategy(strat).as_mut(),
-                    &classifier,
-                    &mut sinks,
-                )
-                .expect("written snapshot must resume");
-            assert_eq!(outcome.crawled, report.crawled, "{label} {strat}");
-            assert_eq!(
-                outcome.relevant_crawled, report.relevant_crawled,
-                "{label} {strat}"
-            );
-            earlier.extend(written);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&base);
 }
