@@ -83,21 +83,17 @@ cargo run -q --release --offline -p langcrawl-lint -- \
     exit 1
 }
 
-# Root marker typo guard: --roots exits nonzero if any lint:root marker
-# fails to attach to an indexed fn, and the grep cross-check catches a
-# marker the parser never even saw. The lint crate itself is excluded —
-# its unit tests embed marker text in raw strings — as are the fixture
-# trees, which exercise the lint rather than carry workspace contracts.
+# Root marker resolution: --roots prints every lint:root marker with the
+# fn it attached to (kept as an artifact) and exits nonzero if any marker
+# attaches to no indexed fn. The self-scan above already fails on such a
+# marker, and on one naming an unknown property: the index parses every
+# comment containing `lint:root(`, and a marker it cannot resolve is an
+# unsuppressible bad-root finding.
 echo "==> langcrawl-lint --roots (root marker resolution guard)"
-cargo run -q --release --offline -p langcrawl-lint -- --roots . > target/lint-roots.txt
-declared=$(grep -rE --include='*.rs' --exclude-dir=fixtures --exclude-dir=lint \
-    -h '^[[:space:]]*// lint:root\(' crates | wc -l)
-resolved=$(wc -l < target/lint-roots.txt)
-if [ "$declared" -ne "$resolved" ]; then
-    echo "    declared $declared root markers but the resolver saw $resolved:"
+cargo run -q --release --offline -p langcrawl-lint -- --roots . > target/lint-roots.txt || {
     cat target/lint-roots.txt
     exit 1
-fi
+}
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -8,6 +8,7 @@
 
 use langcrawl_core::classifier::OracleClassifier;
 use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineScratch};
+use langcrawl_core::event::{interest, CrawlEvent, EventSink};
 use langcrawl_core::sched::SchedConfig;
 use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::SimpleStrategy;
@@ -77,9 +78,19 @@ const TAIL: u64 = 1_000;
 /// last `TAIL` fetches allocated. That must be nothing. The cells cover
 /// the single-slot loop a default schedule hands off to, with and
 /// without retries, and the virtual-time event loop under politeness
-/// stalls and retries.
+/// stalls and retries, without and with snapshot capture (a capture
+/// every 50 ticks, into a sink that keeps no bytes, so pending retries
+/// and cool-downs are sorted at every capture).
 #[test]
 fn steady_state_fetches_allocate_nothing() {
+    /// Wants every capture and keeps none of it.
+    struct DropSnapshots;
+    impl EventSink for DropSnapshots {
+        fn on_event(&mut self, _: &CrawlEvent) {}
+        fn interests(&self) -> u16 {
+            interest::SNAPSHOT
+        }
+    }
     let ws = GeneratorConfig::thai_like().scaled(20_000).build(7);
     let oracle = OracleClassifier::target(ws.target_language());
     let faults = FaultConfig::with_rate(0.1);
@@ -93,32 +104,44 @@ fn steady_state_fetches_allocate_nothing() {
             "single slot",
             SchedConfig::default(),
             FaultConfig::default(),
+            None,
         ),
         (
             "single slot, 10% faults",
             SchedConfig::default(),
             faults.clone(),
+            None,
         ),
-        ("4 slots, gap 2, 10% faults", polite, faults),
+        ("4 slots, gap 2, 10% faults", polite, faults.clone(), None),
+        (
+            "4 slots, gap 2, 10% faults, capture every 50 ticks",
+            polite,
+            faults,
+            Some(50),
+        ),
     ];
-    for (cell, sched, fault) in cells {
+    for (cell, sched, fault, snapshot_every) in cells {
         let engine = |max_pages| {
             CrawlEngine::new(
                 &ws,
                 EngineConfig {
                     max_pages,
                     fault: fault.clone(),
+                    snapshot_every,
                     ..EngineConfig::default()
                 },
             )
         };
         let run = |engine: &CrawlEngine<'_>, scratch: &mut EngineScratch| {
+            let mut sink = DropSnapshots;
+            let mut sinks: [&mut dyn EventSink; 1] = [&mut sink];
+            let attached = usize::from(snapshot_every.is_some());
             engine
                 .run_scheduled(
                     &sched,
                     &mut SimpleStrategy::soft(),
                     &oracle,
-                    &mut [],
+                    &mut sinks[..attached],
                     scratch,
                 )
                 .0

@@ -39,11 +39,6 @@ impl Detection {
     pub fn language(&self) -> Option<Language> {
         self.charset.language().or(self.language_hint)
     }
-
-    /// Convenience: does the detection support the given target language?
-    pub fn is_language(&self, target: Language) -> bool {
-        self.language() == Some(target)
-    }
 }
 
 /// Tuning knobs for [`detect_with`].

@@ -196,7 +196,6 @@ static CN_ROW_WEIGHTS: [f64; 95] = cn_row_weights();
 pub struct ChineseDistribution {
     chars: u32,
     weight_sum: f64,
-    level2: u32,
 }
 
 impl ChineseDistribution {
@@ -207,27 +206,13 @@ impl ChineseDistribution {
 
     /// Record one decoded cell.
     pub fn add_cell(&mut self, k: Kuten) {
-        use crate::dbcs::rows as cn;
         self.chars += 1;
-        if (cn::HANZI_L1_LAST + 1..=cn::HANZI_L2_LAST).contains(&k.ku) {
-            self.level2 += 1;
-        }
         self.weight_sum += CN_ROW_WEIGHTS[k.ku as usize];
     }
 
     /// Characters recorded.
     pub fn chars(&self) -> u32 {
         self.chars
-    }
-
-    /// Fraction of characters in the level-2 tail — the signature that
-    /// separates Chinese running text from Korean hangul-only rows.
-    pub fn level2_ratio(&self) -> f64 {
-        if self.chars == 0 {
-            0.0
-        } else {
-            self.level2 as f64 / self.chars as f64
-        }
     }
 
     /// Mean typicality in [0, 1].

@@ -18,6 +18,14 @@
 //! are events like any other ([`CrawlEvent::Snapshot`]), emitted when
 //! [`EngineConfig::snapshot_every`] is set.
 //!
+//! Both loops take one fetch step and differ only in how they order
+//! fetches in time. `attempt` decides a fetch's attempt number and
+//! outcome when it starts; `conclude` either backs a transient failure
+//! off onto the retry heap or hands the page to `resolve`, which
+//! narrates, classifies and admits its outlinks. All three advance one
+//! `Progress`: the clock, the counters, the sample countdown and the
+//! retry heap, which is also what a snapshot carries.
+//!
 //! [`crate::sim::Simulator`] is the convenience wrapper that wires the
 //! default schedule and sinks back together and returns a
 //! [`crate::metrics::CrawlReport`].
@@ -139,9 +147,11 @@ pub struct EngineScratch {
     /// Link buffer handed to [`Classifier::visit`]; classifiers that
     /// extract links from page bytes refill it once per delivered page.
     links: Vec<PageId>,
-    /// Per-page attempt counts, materialized lazily at the first retry
-    /// of a run (emptiness doubles as the "no retry yet" flag — see the
-    /// run loop). Cleared but never shrunk between runs.
+    /// Per-page attempt counts, materialized lazily at the first
+    /// back-off of a run: while it is empty every fetch is attempt #1,
+    /// so a faulted-but-lucky run pays one emptiness check per fetch
+    /// instead of a table read-modify-write. Cleared but never shrunk
+    /// between runs.
     pub(crate) attempt_counts: Vec<u32>,
     /// Times materializing the attempt table had to grow the buffer —
     /// the regression counter for "a second run on the same space
@@ -262,194 +272,152 @@ impl<'a> CrawlEngine<'a> {
         C: Classifier + ?Sized,
     {
         scratch.begin_run();
-        let ws = self.ws;
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (ws.num_pages() as u64 / 512).max(1));
+        self.seed(&mut frontier);
         let budget = self.config.max_pages.unwrap_or(u64::MAX);
-        // Union of the sinks' interest masks: event variants nobody
-        // listens to are never constructed or dispatched.
-        let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
+        let mut st = RunState::new(sinks, self.sample_interval(), None);
+        loop {
+            // Due retries re-enter the frontier before the next pop, so
+            // its own policy orders them against fresh discoveries.
+            st.progress.requeue_due(&mut frontier);
+            let Some(entry) = frontier.pop() else {
+                // Frontier dry but retries pending: fast-forward the
+                // clock to the next ready tick and drain again.
+                match st.progress.next_retry() {
+                    Some(ready) => st.progress.now = ready,
+                    None => break,
+                }
+                continue;
+            };
+            // One tick per attempt, which completes at once.
+            st.progress.now += 1;
+            let fetch = self.attempt(entry, &mut st.progress, &scratch.attempt_counts);
+            if self.conclude(&mut st, &mut frontier, strategy, classifier, scratch, fetch)
+                && st.progress.crawled >= budget
+            {
+                break;
+            }
+        }
+        st.finish(&frontier)
+    }
 
-        // The fault/retry machinery engages only when the fault model
-        // can fire: zero-fault runs, and runs whose realized model is
-        // inert (elided in `CrawlEngine::new`), never touch the attempt
-        // table or the retry heap.
-        let retry = self.config.retry;
-        let max_attempts = retry.effective_max_attempts();
-        let fault = self.fault.as_ref();
-        // Per-page attempt counts live in the scratch and materialize
-        // lazily at the first retry: while no fetch has ever been
-        // retried, every pop is attempt #1 and the table stays empty — a
-        // faulted-but-lucky run pays one emptiness check per fetch
-        // instead of a table read-modify-write. Resolved pages never
-        // return, so their counts are only written when a retry is
-        // actually scheduled.
-        // Min-heap of (ready tick, schedule seq, entry): pops in ready
-        // order with FIFO tie-breaking, so the retry schedule is a pure
-        // function of the failure sequence.
-        let mut retry_heap: BinaryHeap<Reverse<(u64, u64, Entry)>> = BinaryHeap::new();
-        let mut retry_seq: u64 = 0;
-        let mut tick: u64 = 0;
-        let mut attempts: u64 = 0;
-        let mut retries: u64 = 0;
-
-        for &s in ws.seeds() {
+    /// Park the space's seeds in `frontier` at priority 0.
+    pub(crate) fn seed<F: Frontier + ?Sized>(&self, frontier: &mut F) {
+        for &s in self.ws.seeds() {
             frontier.push(Entry {
                 page: s,
                 priority: 0,
                 distance: 0,
             });
         }
+    }
 
-        let mut st = RunState {
-            sinks,
-            wants,
-            sample_interval,
-            until_sample: sample_interval,
-            crawled: 0,
-            relevant_crawled: 0,
-            gave_up: 0,
+    /// Resolutions between [`CrawlEvent::Sampled`] events: the
+    /// configured interval, or about 512 samples across the space.
+    pub(crate) fn sample_interval(&self) -> u64 {
+        self.config
+            .sample_interval
+            .unwrap_or_else(|| (self.ws.num_pages() as u64 / 512).max(1))
+    }
+
+    /// Start a fetch of `entry`: count the attempt and decide its
+    /// number and what the web (plus fault model) answers. Both loops
+    /// decide at fetch start; only the bookkeeping waits for
+    /// [`CrawlEngine::conclude`]. The fault machinery engages only
+    /// when the model can fire: zero-fault runs, and runs whose
+    /// realized model is inert (elided in [`CrawlEngine::new`]), never
+    /// touch the attempt table.
+    // Always inlined, whatever the inliner's budget: it runs once per
+    // fetch, and a build that called it out of line read about 7%
+    // slower on perfbench `soft`.
+    #[inline(always)]
+    pub(crate) fn attempt(&self, entry: Entry, progress: &mut Progress, counts: &[u32]) -> Fetch {
+        let p = entry.page;
+        progress.attempts += 1;
+        let meta = self.ws.meta(p);
+        let (attempt, outcome) = match &self.fault {
+            Some(model) => {
+                // An empty table means no back-off yet; a materialized
+                // one covers every page.
+                let a = counts.get(p as usize).map_or(1, |&c| c + 1);
+                if a > 1 {
+                    progress.retries += 1;
+                }
+                (a, model.outcome_at(meta.status, meta.host, p, a))
+            }
+            None => (
+                1,
+                FetchOutcome {
+                    status: meta.status,
+                    transient: false,
+                },
+            ),
         };
-
-        loop {
-            // Due retries re-enter the frontier before the next pop, so
-            // the frontier's own policy orders them against fresh
-            // discoveries. The heap can only be non-empty once a retry
-            // has been scheduled — which is also when the attempt table
-            // materializes — so a run that never fails never touches it.
-            if !scratch.attempt_counts.is_empty() {
-                while let Some(&Reverse((ready, _, _))) = retry_heap.peek() {
-                    if ready > tick {
-                        break;
-                    }
-                    if let Some(Reverse((_, _, e))) = retry_heap.pop() {
-                        frontier.requeue(e);
-                    }
-                }
-            }
-            let entry = match frontier.pop() {
-                Some(e) => e,
-                None => {
-                    // Frontier dry but retries pending: fast-forward the
-                    // clock to the next ready tick and drain again.
-                    if let Some(&Reverse((ready, _, _))) = retry_heap.peek() {
-                        tick = ready;
-                        continue;
-                    }
-                    break;
-                }
-            };
-            let p = entry.page;
-            tick += 1;
-            attempts += 1;
-
-            // "Download": the virtual web space answers with the page's
-            // properties; the fault model may overlay a transient
-            // failure on this attempt.
-            let meta = ws.meta(p);
-            let (attempt, outcome) = match &fault {
-                Some(model) => {
-                    let a = if scratch.attempt_counts.is_empty() {
-                        1
-                    } else {
-                        // lint:allow(no-panic-transitive): the attempt table is materialized at num_pages entries and every popped page id is below num_pages
-                        scratch.attempt_counts[p as usize] + 1
-                    };
-                    if a > 1 {
-                        retries += 1;
-                    }
-                    (a, model.outcome_at(meta.status, meta.host, p, a))
-                }
-                None => (
-                    1,
-                    FetchOutcome {
-                        status: meta.status,
-                        transient: false,
-                    },
-                ),
-            };
-
-            if outcome.transient && attempt < max_attempts {
-                // Transient failure with budget left: back off and
-                // re-enter the frontier later. The page is not resolved —
-                // `crawled` does not advance and nothing is classified.
-                if scratch.attempt_counts.is_empty() {
-                    scratch.materialize_attempts(ws.num_pages());
-                }
-                scratch.attempt_counts[p as usize] = attempt;
-                if wants & interest::ATTEMPT != 0 {
-                    emit(
-                        st.sinks,
-                        CrawlEvent::FetchAttempt {
-                            page: p,
-                            attempt,
-                            status: outcome.status,
-                            transient: true,
-                            retry: true,
-                            tick,
-                        },
-                    );
-                }
-                let ready = tick.saturating_add(retry.delay(attempt));
-                retry_heap.push(Reverse((ready, retry_seq, entry)));
-                retry_seq += 1;
-                continue;
-            }
-
-            // Resolution: delivered, permanently failed, or abandoned.
-            self.resolve(
-                &mut st,
-                &mut frontier,
-                strategy,
-                classifier,
-                scratch,
-                Resolution {
-                    entry,
-                    attempt,
-                    outcome,
-                    tick,
-                },
-            );
-            if st.crawled >= budget {
-                break;
-            }
-        }
-
-        if wants & interest::FINISHED != 0 {
-            emit(
-                st.sinks,
-                CrawlEvent::Finished {
-                    crawled: st.crawled,
-                    relevant: st.relevant_crawled,
-                    pending: frontier.pending(),
-                    max_pending: frontier.max_pending(),
-                    total_pushes: frontier.total_pushes(),
-                },
-            );
-        }
-
-        EngineOutcome {
-            crawled: st.crawled,
-            relevant_crawled: st.relevant_crawled,
-            max_pending: frontier.max_pending(),
-            total_pushes: frontier.total_pushes(),
-            attempts,
-            retries,
-            gave_up: st.gave_up,
-            ticks: tick,
+        Fetch {
+            entry,
+            attempt,
+            outcome,
         }
     }
 
-    /// The shared resolution step: an attempt has concluded a page's
-    /// story (delivered, permanently failed, or retries exhausted).
-    /// Emits the page's fixed event sequence, classifies, admits
-    /// outlinks through the strategy into the frontier, and samples.
-    /// Both run paths end every page here — the legacy loop above and
-    /// the virtual-time scheduler ([`crate::sched`]) — which is what
-    /// keeps a `K = 1`, politeness-0 scheduled run bit-identical to the
-    /// legacy engine (pinned by the conformance goldens).
+    /// Close a fetch at tick `st.progress.now`. A transient failure
+    /// with attempts left backs off: its attempt number is recorded
+    /// (materializing the attempt table at the first back-off), it is
+    /// narrated, and it waits on the retry heap — it is not resolved,
+    /// so `crawled` does not advance, nothing is classified and the
+    /// frontier is untouched. Anything else resolves through
+    /// [`CrawlEngine::resolve`]. Returns whether the page resolved.
+    pub(crate) fn conclude<F, S, C>(
+        &self,
+        st: &mut RunState<'_, '_>,
+        frontier: &mut F,
+        strategy: &mut S,
+        classifier: &C,
+        scratch: &mut EngineScratch,
+        fetch: Fetch,
+    ) -> bool
+    where
+        F: Frontier,
+        S: Strategy + ?Sized,
+        C: Classifier + ?Sized,
+    {
+        let retry = self.config.retry;
+        if !fetch.outcome.transient || fetch.attempt >= retry.effective_max_attempts() {
+            self.resolve(st, frontier, strategy, classifier, scratch, fetch);
+            return true;
+        }
+        let p = fetch.entry.page;
+        if scratch.attempt_counts.is_empty() {
+            scratch.materialize_attempts(self.ws.num_pages());
+        }
+        // lint:allow(no-panic-transitive): the attempt table is materialized at num_pages entries and every fetched page id is below num_pages
+        scratch.attempt_counts[p as usize] = fetch.attempt;
+        let now = st.progress.now;
+        if st.wants & interest::ATTEMPT != 0 {
+            emit(
+                st.sinks,
+                CrawlEvent::FetchAttempt {
+                    page: p,
+                    attempt: fetch.attempt,
+                    status: fetch.outcome.status,
+                    transient: true,
+                    retry: true,
+                    tick: now,
+                },
+            );
+        }
+        let ready = now.saturating_add(retry.delay(fetch.attempt));
+        let pg = &mut st.progress;
+        pg.retry_heap
+            .push(Reverse((ready, pg.retry_seq, fetch.entry)));
+        pg.retry_seq += 1;
+        false
+    }
+
+    /// The resolution step: an attempt has concluded a page's story
+    /// (delivered, permanently failed, or retries exhausted) at tick
+    /// `st.progress.now`. Emits the page's fixed event sequence,
+    /// classifies, admits outlinks through the strategy into the
+    /// frontier, and samples.
     // lint:root(alloc-free) — runs once per resolved fetch; all
     // buffers live in `scratch`, so a steady-state resolution
     // allocates nothing.
@@ -460,7 +428,7 @@ impl<'a> CrawlEngine<'a> {
         strategy: &mut S,
         classifier: &C,
         scratch: &mut EngineScratch,
-        r: Resolution,
+        r: Fetch,
     ) where
         F: Frontier,
         S: Strategy + ?Sized,
@@ -469,8 +437,9 @@ impl<'a> CrawlEngine<'a> {
         let ws = self.ws;
         let p = r.entry.page;
         let meta = ws.meta(p);
+        let pg = &mut st.progress;
         if r.outcome.transient {
-            st.gave_up += 1;
+            pg.gave_up += 1;
         }
         if st.wants & interest::ATTEMPT != 0 {
             emit(
@@ -481,17 +450,17 @@ impl<'a> CrawlEngine<'a> {
                     status: r.outcome.status,
                     transient: r.outcome.transient,
                     retry: false,
-                    tick: r.tick,
+                    tick: pg.now,
                 },
             );
         }
-        st.crawled += 1;
+        pg.crawled += 1;
         if st.wants & interest::FETCHED != 0 {
             emit(
                 st.sinks,
                 CrawlEvent::Fetched {
                     page: p,
-                    crawled: st.crawled,
+                    crawled: pg.crawled,
                 },
             );
         }
@@ -508,7 +477,7 @@ impl<'a> CrawlEngine<'a> {
         };
         let relevant = ws.is_relevant(p) && r.outcome.is_ok();
         if relevant {
-            st.relevant_crawled += 1; // metrics use ground truth
+            pg.relevant_crawled += 1; // metrics use ground truth
         }
         if st.wants & interest::CLASSIFIED != 0 {
             emit(
@@ -535,7 +504,7 @@ impl<'a> CrawlEngine<'a> {
             relevance,
             consec_irrelevant: consec,
             outlinks,
-            crawled: st.crawled,
+            crawled: pg.crawled,
         };
         // Batched admission: collect the strategy's offers, filter in
         // place, then hand the whole batch to the frontier at once so a
@@ -576,15 +545,15 @@ impl<'a> CrawlEngine<'a> {
 
         // Countdown instead of `crawled % interval` — the modulo is a
         // 64-bit division on the once-per-fetch path.
-        st.until_sample -= 1;
-        if st.until_sample == 0 {
-            st.until_sample = st.sample_interval;
+        pg.until_sample -= 1;
+        if pg.until_sample == 0 {
+            pg.until_sample = st.sample_interval;
             if st.wants & interest::SAMPLED != 0 {
                 emit(
                     st.sinks,
                     CrawlEvent::Sampled {
-                        crawled: st.crawled,
-                        relevant: st.relevant_crawled,
+                        crawled: pg.crawled,
+                        relevant: pg.relevant_crawled,
                         pending: frontier.pending(),
                     },
                 );
@@ -593,40 +562,141 @@ impl<'a> CrawlEngine<'a> {
     }
 }
 
-/// One resolved fetch attempt, handed to
-/// [`CrawlEngine::resolve`] by whichever run path concluded it.
+/// A fetch decided at its start by [`CrawlEngine::attempt`] and closed
+/// by [`CrawlEngine::conclude`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Resolution {
-    /// The frontier entry that was fetched.
+pub(crate) struct Fetch {
+    /// The frontier entry being fetched.
     pub(crate) entry: Entry,
     /// Attempt number, 1-based.
     pub(crate) attempt: u32,
     /// What the virtual web (plus fault model) answered.
     pub(crate) outcome: FetchOutcome,
-    /// Virtual tick the attempt completed at.
-    pub(crate) tick: u64,
 }
 
-/// Run-wide mutable state shared by the legacy loop and the
-/// virtual-time scheduler: the sinks with their unioned interest mask,
-/// the sampling cadence, and the resolution counters.
-pub(crate) struct RunState<'s, 'k> {
-    /// The attached observers.
-    pub(crate) sinks: &'s mut [&'k mut dyn EventSink],
-    /// Union of the sinks' interest masks.
-    pub(crate) wants: u16,
-    /// Emit [`CrawlEvent::Sampled`] every this many resolutions.
-    pub(crate) sample_interval: u64,
-    /// Resolutions left until the next sample (counts down from
-    /// `sample_interval`; equivalent to `crawled % interval == 0`
-    /// without the per-fetch division).
-    pub(crate) until_sample: u64,
-    /// Pages resolved so far.
+/// How far a crawl has got — everything that advances as it runs and
+/// that a snapshot must carry besides the frontier and the attempt
+/// table. Both loops advance one.
+#[derive(Debug, Default)]
+pub(crate) struct Progress {
+    /// Virtual tick: of the last attempt in the single-slot loop, of
+    /// the last processed event in the scheduler.
+    pub(crate) now: u64,
+    /// Fetch attempts started.
+    pub(crate) attempts: u64,
+    /// Attempts beyond a page's first.
+    pub(crate) retries: u64,
+    /// Pages resolved.
     pub(crate) crawled: u64,
-    /// Ground-truth relevant pages delivered so far.
+    /// Ground-truth relevant pages delivered.
     pub(crate) relevant_crawled: u64,
     /// Pages abandoned after exhausting their retry budget.
     pub(crate) gave_up: u64,
+    /// Resolutions left until the next sample (counts down from the
+    /// sample interval; equivalent to `crawled % interval == 0`
+    /// without the per-fetch division).
+    pub(crate) until_sample: u64,
+    /// Back-offs scheduled so far: the retry heap's tie-break.
+    pub(crate) retry_seq: u64,
+    /// Transient failures backing off, as `(ready tick, retry seq,
+    /// entry)`. A min-heap, so retries come due in ready order, first
+    /// scheduled first among ties, and the retry schedule is a pure
+    /// function of the failure sequence.
+    pub(crate) retry_heap: BinaryHeap<Reverse<(u64, u64, Entry)>>,
+}
+
+impl Progress {
+    /// A run that has not started: everything zero, a full sample
+    /// countdown.
+    pub(crate) fn new(sample_interval: u64) -> Self {
+        Progress {
+            until_sample: sample_interval,
+            ..Progress::default()
+        }
+    }
+
+    /// Re-enter every retry due by `now` into `frontier`, whose own
+    /// policy then orders them against fresh discoveries. A run that
+    /// never backs off never fills the heap, so this is one emptiness
+    /// check per step.
+    pub(crate) fn requeue_due<F: Frontier + ?Sized>(&mut self, frontier: &mut F) {
+        while let Some(&Reverse((ready, _, e))) = self.retry_heap.peek() {
+            if ready > self.now {
+                break;
+            }
+            self.retry_heap.pop();
+            frontier.requeue(e);
+        }
+    }
+
+    /// The tick the earliest pending retry comes due.
+    pub(crate) fn next_retry(&self) -> Option<u64> {
+        self.retry_heap.peek().map(|&Reverse((ready, _, _))| ready)
+    }
+}
+
+/// Run-wide mutable state shared by both loops: the sinks with their
+/// unioned interest mask, the sampling cadence, and the run's
+/// [`Progress`].
+pub(crate) struct RunState<'s, 'k> {
+    /// The attached observers.
+    pub(crate) sinks: &'s mut [&'k mut dyn EventSink],
+    /// Union of the sinks' interest masks: event variants nobody
+    /// listens to are never constructed or dispatched.
+    pub(crate) wants: u16,
+    /// Emit [`CrawlEvent::Sampled`] every this many resolutions.
+    pub(crate) sample_interval: u64,
+    /// How far the run has got.
+    pub(crate) progress: Progress,
+}
+
+impl<'s, 'k> RunState<'s, 'k> {
+    /// The state of a run that continues from `resumed`, or starts
+    /// afresh (`None`).
+    pub(crate) fn new(
+        sinks: &'s mut [&'k mut dyn EventSink],
+        sample_interval: u64,
+        resumed: Option<Progress>,
+    ) -> Self {
+        RunState {
+            wants: wants(sinks),
+            sinks,
+            sample_interval,
+            progress: resumed.unwrap_or_else(|| Progress::new(sample_interval)),
+        }
+    }
+
+    /// Close the run: one [`CrawlEvent::Finished`], then the outcome.
+    pub(crate) fn finish<F: Frontier + ?Sized>(self, frontier: &F) -> EngineOutcome {
+        let pg = self.progress;
+        if self.wants & interest::FINISHED != 0 {
+            emit(
+                self.sinks,
+                CrawlEvent::Finished {
+                    crawled: pg.crawled,
+                    relevant: pg.relevant_crawled,
+                    pending: frontier.pending(),
+                    max_pending: frontier.max_pending(),
+                    total_pushes: frontier.total_pushes(),
+                },
+            );
+        }
+        EngineOutcome {
+            crawled: pg.crawled,
+            relevant_crawled: pg.relevant_crawled,
+            max_pending: frontier.max_pending(),
+            total_pushes: frontier.total_pushes(),
+            attempts: pg.attempts,
+            retries: pg.retries,
+            gave_up: pg.gave_up,
+            ticks: pg.now,
+        }
+    }
+}
+
+/// Union of the sinks' interest masks.
+pub(crate) fn wants(sinks: &[&mut dyn EventSink]) -> u16 {
+    sinks.iter().fold(0u16, |m, s| m | s.interests())
 }
 
 #[inline]

@@ -94,15 +94,6 @@ impl LinkGraph {
         }
     }
 
-    /// Empty store with its per-page tables pre-sized for page ids
-    /// `0..pages`.
-    pub fn with_page_capacity(pages: usize) -> Self {
-        let mut g = Self::new();
-        g.spans.reserve(pages);
-        g.touched_mark.reserve(pages);
-        g
-    }
-
     /// Pages recorded via [`LinkGraph::record_page`].
     #[inline]
     pub fn num_crawled(&self) -> usize {

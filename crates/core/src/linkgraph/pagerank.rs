@@ -417,12 +417,6 @@ impl RankState {
     pub fn relaxations(&self) -> u64 {
         self.relaxations
     }
-
-    /// Crawled count at the last refresh.
-    #[inline]
-    pub fn seen_crawled(&self) -> usize {
-        self.seen_n as usize
-    }
 }
 
 #[cfg(test)]

@@ -88,11 +88,6 @@ impl UrlQueue {
         }
     }
 
-    /// Number of priority levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Try to admit an entry. Returns true if it was enqueued (first
     /// discovery, or a strictly better key than any prior admission).
     // lint:root(panic-free, alloc-free) — one call per offered

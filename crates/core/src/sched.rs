@@ -5,9 +5,10 @@
 //! into a full event-driven simulation in virtual time. The state is a
 //! set of `K` *fetch slots* draining a [`ShardedFrontier`]: a slot
 //! starts the globally best entry whose host is ready, the fetch
-//! occupies one virtual tick, and its completion resolves through the
-//! same [`CrawlEngine::resolve`](crate::engine::CrawlEngine) step as
-//! the legacy path. Between starts and completions the clock jumps
+//! occupies one virtual tick, and it takes the same fetch step as the
+//! legacy loop — its attempt decided when it starts, concluded (backed
+//! off or resolved) when it completes, over the same run progress (see
+//! [`crate::engine`]). Between starts and completions the clock jumps
 //! straight to the next event — a completion, a politeness cool-down
 //! expiring, or a retry coming due — exactly like the retry heap's
 //! dry-frontier fast-forward, now applied uniformly.
@@ -33,7 +34,8 @@
 //! drives the event loop over a [`ShardedFrontier`] whose hosts hash
 //! into `K` shards — stats labels only, so the shard count never
 //! changes a pop. A unit test pins that a default
-//! [`Simulator`](crate::sim::Simulator) run takes the hand-off.
+//! [`Simulator`](crate::sim::Simulator) run takes the hand-off, and
+//! another that both loops narrate a faulted crawl alike.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style: a host that
 //! started a fetch at `t` may not start another before `t + gap(h)`,
@@ -44,13 +46,16 @@
 //! its host's next allowed start from its start to its completion,
 //! which hands it to the frontier's cool-down heap.
 //!
-//! A snapshot holds only what a loop-top capture cannot derive: no
-//! fetch is in flight there, so no host is busy and every politeness
-//! deadline still pending sits in the frontier's cool-down heap (the
+//! A snapshot holds only what a loop-top capture cannot derive: the
+//! run's progress, the attempt table and the frontier. No fetch is in
+//! flight there, so no host is busy and every politeness deadline
+//! still pending sits in the frontier's cool-down heap (the
 //! [`shard`](crate::shard) module says what decode recomputes).
 
 use crate::classifier::Classifier;
-use crate::engine::{emit, CrawlEngine, EngineOutcome, EngineScratch, Resolution, RunState};
+use crate::engine::{
+    emit, wants, CrawlEngine, EngineOutcome, EngineScratch, Fetch, Progress, RunState,
+};
 use crate::event::{interest, CrawlEvent, EventSink};
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
@@ -60,7 +65,6 @@ use crate::snapshot::{
 };
 use crate::strategy::Strategy;
 use langcrawl_rng::Rng;
-use langcrawl_webgraph::FetchOutcome;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -110,109 +114,98 @@ impl SchedConfig {
     }
 }
 
-/// A fetch occupying a slot: started at `finish - 1`, resolves at
+/// A fetch occupying a slot: started at `finish - 1`, concluded at
 /// `finish`. Completions process in `(finish, seq)` order — completion
 /// time with start-order tie-breaking — so completion processing is a
 /// pure function of the start schedule. Starts happen at the
-/// monotonically advancing `now` with an increasing start seq, so the
+/// monotonically advancing clock with an increasing start seq, so the
 /// in-flight queue is *born sorted* in that order and a plain FIFO
-/// holds it — no heap needed. The attempt number and fetch outcome are
-/// decided at start time (the fetch "happens" during its tick); only
-/// the bookkeeping waits for the completion. So is `ready_at`, the
-/// host's next allowed start under politeness (`0` without it), which
-/// the completion hands to [`ShardedFrontier::release`].
+/// holds it — no heap needed. The fetch's attempt number and outcome
+/// are decided at start time (the fetch "happens" during its tick);
+/// only the bookkeeping waits for the completion. So is `ready_at`,
+/// the host's next allowed start under politeness (`0` without it),
+/// which the completion hands to [`ShardedFrontier::release`].
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     finish: u64,
-    entry: Entry,
-    attempt: u32,
-    outcome: FetchOutcome,
+    fetch: Fetch,
     ready_at: u64,
 }
 
 /// Live capture state inside the event loop: the cadence, the next
 /// capture tick, the identity-header template (tick/crawled are filled
-/// per capture), and one framed-bytes buffer reused across captures so
-/// steady-cadence capture settles into zero allocations per snapshot.
+/// per capture), and the buffers every capture reuses — the framed
+/// bytes, and the two that sort the retry heap and the frontier's
+/// cool-down heap into canonical order — so steady-cadence capture
+/// settles into zero allocations per snapshot.
 struct SnapCtl {
     every: u64,
     next_at: u64,
     head: SnapHead,
     buf: Enc,
+    retries: Vec<(u64, u64, Entry)>,
+    cooling: Vec<(u64, u32)>,
+}
+
+impl SnapCtl {
+    fn new(head: SnapHead, every: u64, next_at: u64) -> Self {
+        SnapCtl {
+            every,
+            next_at,
+            head,
+            buf: Enc::default(),
+            retries: Vec::new(),
+            cooling: Vec::new(),
+        }
+    }
 }
 
 /// Everything [`CrawlEngine::sched_loop`] needs beyond the run
 /// arguments: the frontier to drain (seeded for a fresh run), the
-/// decoded state to resume from (`None` = fresh run), and the capture
-/// state (`None` = no capture).
+/// progress to resume from (`None` = fresh run), and the capture state
+/// (`None` = no capture).
 struct LoopCtl {
     frontier: ShardedFrontier,
-    init: Option<ResumeState>,
+    resumed: Option<Progress>,
     snap: Option<SnapCtl>,
 }
 
-/// The scheduler-loop state a capture carries besides the frontier,
-/// the run state's resolution counters and the attempt table: the
-/// clock, the fetch counters and the retry heap. Slot occupancy is not
-/// part of it: step 4 of the loop drains every in-flight fetch before
-/// the loop re-enters (all fetches started at tick `t` finish together
-/// at `t + 1`), so no fetch is in flight at any capture point.
-#[derive(Debug, Default)]
-struct LoopState {
-    now: u64,
-    attempts: u64,
-    retries: u64,
-    retry_seq: u64,
-    /// Transient failures backing off, as `(ready tick, retry seq,
-    /// entry)`.
-    retry_heap: BinaryHeap<Reverse<(u64, u64, Entry)>>,
-}
-
-/// A decoded snapshot's run state: the loop state, the run state's
-/// resolution counters, and the attempt table — `None` when it had not
-/// materialized (emptiness doubles as the "no retry yet" flag, so the
-/// distinction is part of the state).
-struct ResumeState {
-    lp: LoopState,
-    crawled: u64,
-    relevant_crawled: u64,
-    gave_up: u64,
-    until_sample: u64,
-    attempt_counts: Option<Vec<u32>>,
-}
-
-/// Encode one snapshot payload into `enc`: header, run state, frontier
-/// state. Canonical throughout (the retry heap is emitted sorted), so
-/// encoding the state a snapshot decodes to reproduces its bytes —
-/// the fixed-point property the codec proptests pin.
-// lint:root(panic-free, alloc-free) — capture runs mid-crawl into a
-// preallocated encoder, so it must neither unwind nor allocate.
+/// Encode one snapshot payload into `c.buf`: header, progress, attempt
+/// table, frontier state. Slot occupancy is not part of it: step 4 of
+/// the loop drains every in-flight fetch before the loop re-enters (all
+/// fetches started at tick `t` finish together at `t + 1`), so no fetch
+/// is in flight at any capture point. Canonical throughout (the retry
+/// heap is emitted sorted), so encoding the state a snapshot decodes to
+/// reproduces its bytes — the fixed-point property the codec proptests
+/// pin.
+// lint:root(panic-free, alloc-free) — capture runs mid-crawl into
+// preallocated buffers, so it must neither unwind nor allocate.
 fn encode_snapshot_into(
-    head: &SnapHead,
-    lp: &LoopState,
-    st: &RunState<'_, '_>,
+    c: &mut SnapCtl,
+    pg: &Progress,
     attempt_counts: &[u32],
     frontier: &ShardedFrontier,
-    enc: &mut Enc,
 ) {
-    head.encode(enc);
-    enc.u64(lp.attempts);
-    enc.u64(lp.retries);
-    enc.u64(lp.retry_seq);
-    // lint:allow(no-alloc-transitive): canonical capture sorts the retry heap into a fresh Vec once per explicit snapshot, off the steady-state path
-    let mut pending: Vec<(u64, u64, Entry)> = lp.retry_heap.iter().map(|&Reverse(x)| x).collect();
-    pending.sort_unstable();
-    enc.u64(pending.len() as u64);
-    for (ready, seq, e) in pending {
+    let enc: &mut Enc = &mut c.buf;
+    c.head.encode(enc);
+    enc.u64(pg.attempts);
+    enc.u64(pg.retries);
+    enc.u64(pg.retry_seq);
+    c.retries.clear();
+    // lint:allow(no-alloc-transitive): the sort buffer is reused across captures and grows only to its high water
+    c.retries.extend(pg.retry_heap.iter().map(|&Reverse(x)| x));
+    c.retries.sort_unstable();
+    enc.u64(c.retries.len() as u64);
+    for &(ready, seq, e) in &c.retries {
         enc.u64(ready);
         enc.u64(seq);
         enc.u32(e.page);
         enc.u8(e.priority);
         enc.u8(e.distance);
     }
-    enc.u64(st.relevant_crawled);
-    enc.u64(st.gave_up);
-    enc.u64(st.until_sample);
+    enc.u64(pg.relevant_crawled);
+    enc.u64(pg.gave_up);
+    enc.u64(pg.until_sample);
     // A materialized attempt table has one count per page of the space.
     if attempt_counts.is_empty() {
         enc.u8(0);
@@ -220,19 +213,24 @@ fn encode_snapshot_into(
         enc.u8(1);
         enc.u32s(attempt_counts);
     }
-    frontier.encode_state(enc);
+    frontier.encode_state(enc, &mut c.cooling);
 }
 
 /// Decode the run-state section (the payload between the header and
-/// the frontier state). `now`/`crawled` live in the header; the caller
-/// copies them in afterwards.
-fn decode_run_state(dec: &mut Dec<'_>, num_pages: usize) -> Result<ResumeState, SnapshotError> {
-    let mut lp = LoopState {
-        attempts: dec.u64()?,
-        retries: dec.u64()?,
-        retry_seq: dec.u64()?,
-        ..LoopState::default()
-    };
+/// the frontier state): the progress, at the header's tick and crawled
+/// count, and the attempt table into `counts`, which stays empty when
+/// the table had not materialized (emptiness doubles as the "no
+/// back-off yet" flag, so the distinction is part of the state).
+fn decode_run_state(
+    dec: &mut Dec<'_>,
+    head: &SnapHead,
+    num_pages: usize,
+    counts: &mut Vec<u32>,
+) -> Result<Progress, SnapshotError> {
+    let attempts = dec.u64()?;
+    let retries = dec.u64()?;
+    let retry_seq = dec.u64()?;
+    let mut retry_heap = BinaryHeap::new();
     for _ in 0..dec.len()? {
         let ready = dec.u64()?;
         let seq = dec.u64()?;
@@ -242,7 +240,7 @@ fn decode_run_state(dec: &mut Dec<'_>, num_pages: usize) -> Result<ResumeState, 
         }
         let priority = dec.u8()?;
         let distance = dec.u8()?;
-        lp.retry_heap.push(Reverse((
+        retry_heap.push(Reverse((
             ready,
             seq,
             Entry {
@@ -258,29 +256,32 @@ fn decode_run_state(dec: &mut Dec<'_>, num_pages: usize) -> Result<ResumeState, 
     if until_sample == 0 {
         return Err(SnapshotError::Malformed("sample countdown out of range"));
     }
-    let attempt_counts = match dec.u8()? {
-        0 => None,
+    match dec.u8()? {
+        0 => {}
         1 => {
-            let mut counts = vec![0u32; num_pages];
-            for c in &mut counts {
+            counts.resize(num_pages, 0);
+            for c in counts.iter_mut() {
                 *c = dec.u32()?;
             }
-            Some(counts)
         }
         _ => return Err(SnapshotError::Malformed("attempt table flag out of range")),
-    };
-    if attempt_counts.is_none() && !lp.retry_heap.is_empty() {
-        // The loop gates retry draining on a materialized attempt
-        // table; a retry backlog without one could never drain.
+    }
+    if counts.is_empty() && !retry_heap.is_empty() {
+        // A back-off records its attempt number before it is scheduled,
+        // so a retry backlog without an attempt table is no state a run
+        // can reach.
         return Err(SnapshotError::Malformed("retries without attempt table"));
     }
-    Ok(ResumeState {
-        lp,
-        crawled: 0,
+    Ok(Progress {
+        now: head.tick,
+        attempts,
+        retries,
+        crawled: head.crawled,
         relevant_crawled,
         gave_up,
         until_sample,
-        attempt_counts,
+        retry_seq,
+        retry_heap,
     })
 }
 
@@ -334,7 +335,7 @@ impl CrawlEngine<'_> {
         C: Classifier + ?Sized,
     {
         let ws = self.web_space();
-        let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
+        let wants = wants(sinks);
         let every = self.capture_every(wants);
         // Degenerate-point elision, like the fault layer's inert-model
         // fast path. With one slot and zero politeness the host
@@ -357,15 +358,14 @@ impl CrawlEngine<'_> {
             return (outcome, Vec::new());
         }
         let levels = strategy.levels().max(1);
-        let snap = every.map(|every| SnapCtl {
-            every,
-            // Fresh runs capture first at `every` (tick 0 is the
-            // initial state [`CrawlEngine::snapshot`] hands out).
-            next_at: every,
-            head: self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier)),
-            buf: Enc::default(),
+        // Fresh runs capture first at `every` (tick 0 is the initial
+        // state [`CrawlEngine::snapshot`] hands out).
+        let snap = every.map(|every| {
+            let head = self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier));
+            SnapCtl::new(head, every, every)
         });
         let frontier = self.seeded_frontier(sched, levels);
+        scratch.begin_run();
         self.sched_loop(
             sched,
             strategy,
@@ -374,7 +374,7 @@ impl CrawlEngine<'_> {
             scratch,
             LoopCtl {
                 frontier,
-                init: None,
+                resumed: None,
                 snap,
             },
         )
@@ -401,13 +401,7 @@ impl CrawlEngine<'_> {
     fn seeded_frontier(&self, sched: &SchedConfig, levels: usize) -> ShardedFrontier {
         let ws = self.web_space();
         let mut frontier = ShardedFrontier::for_space(ws, levels, sched.effective_slots() as usize);
-        for &s in ws.seeds() {
-            frontier.push(Entry {
-                page: s,
-                priority: 0,
-                distance: 0,
-            });
-        }
+        self.seed(&mut frontier);
         frontier
     }
 
@@ -436,35 +430,14 @@ impl CrawlEngine<'_> {
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
-        let ws = self.web_space();
         let levels = strategy.levels().max(1);
         let head = self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier));
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (ws.num_pages() as u64 / 512).max(1));
-        let st = RunState {
-            sinks: &mut [],
-            wants: 0,
-            sample_interval,
-            until_sample: sample_interval,
-            crawled: 0,
-            relevant_crawled: 0,
-            gave_up: 0,
-        };
-        let frontier = self.seeded_frontier(sched, levels);
-        let mut payload = Enc::default();
-        encode_snapshot_into(
-            &head,
-            &LoopState::default(),
-            &st,
-            &[],
-            &frontier,
-            &mut payload,
-        );
+        let mut c = SnapCtl::new(head, 0, 0);
+        let progress = Progress::new(self.sample_interval());
+        encode_snapshot_into(&mut c, &progress, &[], &self.seeded_frontier(sched, levels));
         let mut head_enc = Enc::default();
         head.encode(&mut head_enc);
-        CrawlSnapshot::from_parts(payload.buf, head, head_enc.buf.len())
+        CrawlSnapshot::from_parts(c.buf.buf, head, head_enc.buf.len())
     }
 
     /// Resume a crawl from a snapshot and run it to completion. The
@@ -516,38 +489,45 @@ impl CrawlEngine<'_> {
         // The schedule rides in the snapshot.
         let sched = snap.head.sched;
         let mut dec = snap.state_dec();
-        let mut rs = decode_run_state(&mut dec, ws.num_pages())?;
-        rs.lp.now = snap.head.tick;
-        rs.crawled = snap.head.crawled;
-        let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
-        let snapctl = self.capture_every(wants).map(|every| SnapCtl {
-            every,
-            next_at: snap.head.tick,
-            head: snap.head,
-            buf: Enc::default(),
-        });
-        let frontier = ShardedFrontier::for_space(ws, levels, sched.effective_slots() as usize)
-            .decode_state(&mut dec)?;
+        let mut scratch = EngineScratch::new();
+        let progress = decode_run_state(
+            &mut dec,
+            &snap.head,
+            ws.num_pages(),
+            &mut scratch.attempt_counts,
+        )?;
+        // The frontier state holds one 24-byte stats triple per slot: a
+        // slot count the payload cannot hold is refused before the
+        // frontier and the in-flight queue are sized by it.
+        let slots = sched.effective_slots() as usize;
+        if slots > dec.remaining() / 24 {
+            return Err(SnapshotError::Truncated);
+        }
+        let frontier = ShardedFrontier::for_space(ws, levels, slots).decode_state(&mut dec)?;
         if !dec.is_empty() {
             return Err(SnapshotError::Malformed("trailing state bytes"));
         }
+        let snap = self
+            .capture_every(wants(sinks))
+            .map(|every| SnapCtl::new(snap.head, every, snap.head.tick));
         Ok(self.sched_loop(
             &sched,
             strategy,
             classifier,
             sinks,
-            &mut EngineScratch::new(),
+            &mut scratch,
             LoopCtl {
                 frontier,
-                init: Some(rs),
-                snap: snapctl,
+                resumed: Some(progress),
+                snap,
             },
         ))
     }
 
     /// The virtual-time event loop over a host-partitioned frontier.
-    /// `ctl` carries the frontier (seeded, or decoded with the resume
-    /// state restored alongside it) and an optional capture plan.
+    /// `ctl` carries the frontier (seeded, or decoded with the progress
+    /// restored alongside it) and an optional capture plan; `scratch`
+    /// holds the run's attempt table, if any.
     // lint:root(panic-free) — the steady-state event loop; every
     // simulated fetch passes through here.
     fn sched_loop<S, C>(
@@ -565,54 +545,17 @@ impl CrawlEngine<'_> {
     {
         let LoopCtl {
             mut frontier,
-            init,
+            resumed,
             mut snap,
         } = ctl;
-        scratch.begin_run();
-        let ws = self.web_space();
         let gaps = self.politeness_gaps(sched);
         let slots = sched.effective_slots();
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (ws.num_pages() as u64 / 512).max(1));
         let budget = self.config.max_pages.unwrap_or(u64::MAX);
-        let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
-
-        let retry = self.config.retry;
-        let max_attempts = retry.effective_max_attempts();
-        let fault = self.fault.as_ref();
-
-        // Same lazy fault bookkeeping as the legacy loop; the attempt
-        // table lives in the scratch (see `EngineScratch`).
-        let mut lp = LoopState::default();
         // Born sorted by (finish, start seq): see [`InFlight`]. Its
         // length is the number of busy slots.
         let mut in_flight: VecDeque<InFlight> = VecDeque::with_capacity(slots as usize);
-
-        let mut st = RunState {
-            sinks,
-            wants,
-            sample_interval,
-            until_sample: sample_interval,
-            crawled: 0,
-            relevant_crawled: 0,
-            gave_up: 0,
-        };
-
-        // Resume: restore the loop state verbatim. No fetch is in
-        // flight at a capture point (see [`LoopState`]), so there is
-        // nothing in flight to rebuild.
-        if let Some(r) = init {
-            lp = r.lp;
-            st.crawled = r.crawled;
-            st.relevant_crawled = r.relevant_crawled;
-            st.gave_up = r.gave_up;
-            st.until_sample = r.until_sample;
-            if let Some(counts) = r.attempt_counts {
-                scratch.attempt_counts.extend_from_slice(&counts);
-            }
-        }
+        let mut st = RunState::new(sinks, self.sample_interval(), resumed);
+        let wants = st.wants;
 
         'outer: loop {
             // 0. Capture at the loop-top tick boundary — before any
@@ -621,44 +564,28 @@ impl CrawlEngine<'_> {
             // byte-for-byte. Capture only observes; the crawl is
             // unchanged with or without it (resume-parity suite).
             if let Some(c) = snap.as_mut() {
-                if lp.now >= c.next_at {
-                    let mut head = c.head;
-                    head.tick = lp.now;
-                    head.crawled = st.crawled;
+                let pg = &st.progress;
+                if pg.now >= c.next_at {
+                    c.head.tick = pg.now;
+                    c.head.crawled = pg.crawled;
                     c.buf.buf.clear();
                     let payload_at = frame_begin(&mut c.buf);
-                    encode_snapshot_into(
-                        &head,
-                        &lp,
-                        &st,
-                        &scratch.attempt_counts,
-                        &frontier,
-                        &mut c.buf,
-                    );
+                    encode_snapshot_into(c, pg, &scratch.attempt_counts, &frontier);
                     frame_end(&mut c.buf, payload_at);
                     emit(
                         st.sinks,
                         CrawlEvent::Snapshot {
-                            tick: lp.now,
+                            tick: pg.now,
                             bytes: &c.buf.buf,
                         },
                     );
-                    c.next_at = lp.now.saturating_add(c.every);
+                    c.next_at = pg.now.saturating_add(c.every);
                 }
             }
-            // 1. Due retries re-enter the frontier before slots fill, so
-            // the frontier orders them against fresh discoveries —
-            // identical to the legacy loop's drain-before-pop.
-            if !scratch.attempt_counts.is_empty() {
-                while let Some(&Reverse((ready, _, _))) = lp.retry_heap.peek() {
-                    if ready > lp.now {
-                        break;
-                    }
-                    if let Some(Reverse((_, _, e))) = lp.retry_heap.pop() {
-                        frontier.requeue(e);
-                    }
-                }
-            }
+            // 1. Due retries re-enter the frontier before slots fill —
+            // the legacy loop's drain-before-pop.
+            st.progress.requeue_due(&mut frontier);
+            let now = st.progress.now;
 
             // 2. Fill free slots in global priority order. Popping marks
             // the host busy, so one host never occupies two slots.
@@ -666,40 +593,14 @@ impl CrawlEngine<'_> {
                 let Some(entry) = frontier.pop_ready() else {
                     break;
                 };
-                let p = entry.page;
-                lp.attempts += 1;
-                let meta = ws.meta(p);
-                let (attempt, outcome) = match &fault {
-                    Some(model) => {
-                        let a = if scratch.attempt_counts.is_empty() {
-                            1
-                        } else {
-                            // lint:allow(no-panic-transitive): slot and host tables are fixed-size from init; indices originate from those tables
-                            scratch.attempt_counts[p as usize] + 1
-                        };
-                        if a > 1 {
-                            lp.retries += 1;
-                        }
-                        (a, model.outcome_at(meta.status, meta.host, p, a))
-                    }
-                    None => (
-                        1,
-                        FetchOutcome {
-                            status: meta.status,
-                            transient: false,
-                        },
-                    ),
-                };
                 // Start-to-start politeness: the host's next start is
                 // due `gap` ticks after this one (no gaps, no wait).
                 let ready_at = gaps
-                    .get(frontier.host_of(p) as usize)
-                    .map_or(0, |&gap| lp.now.saturating_add(gap));
+                    .get(frontier.host_of(entry.page) as usize)
+                    .map_or(0, |&gap| now.saturating_add(gap));
                 in_flight.push_back(InFlight {
-                    finish: lp.now + 1,
-                    entry,
-                    attempt,
-                    outcome,
+                    finish: now + 1,
+                    fetch: self.attempt(entry, &mut st.progress, &scratch.attempt_counts),
                     ready_at,
                 });
             }
@@ -714,8 +615,7 @@ impl CrawlEngine<'_> {
             let t_next = if let Some(f) = in_flight.front() {
                 f.finish
             } else {
-                let next_retry = lp.retry_heap.peek().map(|&Reverse((ready, _, _))| ready);
-                match [frontier.next_cooling(), next_retry]
+                match [frontier.next_cooling(), st.progress.next_retry()]
                     .into_iter()
                     .flatten()
                     .min()
@@ -729,34 +629,35 @@ impl CrawlEngine<'_> {
             // politeness/parallelism stall signal the sweep measures.
             let busy = in_flight.len() as u32;
             if wants & interest::SLOT_IDLE != 0 && busy < slots {
-                let waiting = frontier.pending() > 0 || !lp.retry_heap.is_empty();
+                let waiting = frontier.pending() > 0 || st.progress.next_retry().is_some();
                 if waiting {
                     emit(
                         st.sinks,
                         CrawlEvent::SlotIdle {
-                            tick: lp.now,
+                            tick: now,
                             idle: slots - busy,
-                            span: t_next - lp.now,
+                            span: t_next - now,
                         },
                     );
                 }
             }
-            lp.now = t_next;
-            frontier.advance_to(lp.now);
+            st.progress.now = t_next;
+            frontier.advance_to(t_next);
 
             // 4. Process completions due now, in (finish, start seq)
             // order. Each releases its host first — politeness runs
             // start-to-start, so the host may cool even as its fetch
-            // resolves — then retries or resolves exactly like the
-            // legacy loop.
+            // concludes — then backs off or resolves exactly like the
+            // legacy loop. Only a resolution admits links, so only it
+            // can hand off across shards.
             while let Some(&f) = in_flight.front() {
-                if f.finish > lp.now {
+                if f.finish > t_next {
                     break;
                 }
                 in_flight.pop_front();
-                let p = f.entry.page;
+                let p = f.fetch.entry.page;
                 let host = frontier.host_of(p);
-                let parked = frontier.release(host, f.ready_at, lp.now);
+                let parked = frontier.release(host, f.ready_at, t_next);
                 if parked && wants & interest::POLITENESS != 0 {
                     emit(
                         st.sinks,
@@ -766,45 +667,15 @@ impl CrawlEngine<'_> {
                         },
                     );
                 }
-
-                if f.outcome.transient && f.attempt < max_attempts {
-                    if scratch.attempt_counts.is_empty() {
-                        scratch.materialize_attempts(ws.num_pages());
-                    }
-                    scratch.attempt_counts[p as usize] = f.attempt;
-                    if wants & interest::ATTEMPT != 0 {
-                        emit(
-                            st.sinks,
-                            CrawlEvent::FetchAttempt {
-                                page: p,
-                                attempt: f.attempt,
-                                status: f.outcome.status,
-                                transient: true,
-                                retry: true,
-                                tick: lp.now,
-                            },
-                        );
-                    }
-                    let ready = lp.now.saturating_add(retry.delay(f.attempt));
-                    lp.retry_heap.push(Reverse((ready, lp.retry_seq, f.entry)));
-                    lp.retry_seq += 1;
-                    continue;
-                }
-
                 let handoffs_before = frontier.handoffs();
                 frontier.set_origin(Some(host));
-                self.resolve(
+                let resolved = self.conclude(
                     &mut st,
                     &mut frontier,
                     strategy,
                     classifier,
                     scratch,
-                    Resolution {
-                        entry: f.entry,
-                        attempt: f.attempt,
-                        outcome: f.outcome,
-                        tick: lp.now,
-                    },
+                    f.fetch,
                 );
                 frontier.set_origin(None);
                 let crossed = frontier.handoffs() - handoffs_before;
@@ -817,35 +688,13 @@ impl CrawlEngine<'_> {
                         },
                     );
                 }
-                if st.crawled >= budget {
+                if resolved && st.progress.crawled >= budget {
                     break 'outer;
                 }
             }
         }
 
-        if wants & interest::FINISHED != 0 {
-            emit(
-                st.sinks,
-                CrawlEvent::Finished {
-                    crawled: st.crawled,
-                    relevant: st.relevant_crawled,
-                    pending: frontier.pending(),
-                    max_pending: frontier.max_pending(),
-                    total_pushes: frontier.total_pushes(),
-                },
-            );
-        }
-
-        let outcome = EngineOutcome {
-            crawled: st.crawled,
-            relevant_crawled: st.relevant_crawled,
-            max_pending: frontier.max_pending(),
-            total_pushes: frontier.total_pushes(),
-            attempts: lp.attempts,
-            retries: lp.retries,
-            gave_up: st.gave_up,
-            ticks: lp.now,
-        };
+        let outcome = st.finish(&frontier);
         (outcome, frontier.shard_stats())
     }
 }
@@ -857,8 +706,9 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::event::{MetricsSampler, SchedStatsSink, VisitRecorder};
     use crate::sim::SimConfig;
+    use crate::snapshot::frame;
     use crate::strategy::{BreadthFirst, SimpleStrategy};
-    use langcrawl_webgraph::{GeneratorConfig, WebSpace};
+    use langcrawl_webgraph::{FaultConfig, GeneratorConfig, WebSpace};
 
     fn space() -> WebSpace {
         GeneratorConfig::thai_like().scaled(4_000).build(9)
@@ -926,6 +776,86 @@ mod tests {
             "the default schedule ran the event loop over {} shards",
             shards.len()
         );
+    }
+
+    /// Both loops take one fetch step, so under faults the hand-off and
+    /// the event loop (forced by a `SlotIdle` listener) must narrate the
+    /// same crawl: every event but the scheduler's own, in one order,
+    /// with one outcome.
+    #[test]
+    fn both_loops_narrate_a_faulted_crawl_alike() {
+        /// Every event it wants, rendered in order.
+        struct Narration(Vec<String>);
+        impl EventSink for Narration {
+            fn on_event(&mut self, event: &CrawlEvent) {
+                self.0.push(format!("{event:?}"));
+            }
+            fn interests(&self) -> u16 {
+                interest::ALL
+                    & !(interest::SLOT_IDLE
+                        | interest::HANDOFF
+                        | interest::POLITENESS
+                        | interest::SNAPSHOT)
+            }
+        }
+        let ws = space();
+        let engine = CrawlEngine::new(
+            &ws,
+            EngineConfig {
+                fault: FaultConfig::with_rate(0.2),
+                ..EngineConfig::default()
+            },
+        );
+        let run = |event_loop: bool| {
+            let mut narration = Narration(Vec::new());
+            let mut stats = SchedStatsSink::new();
+            let mut sinks: Vec<&mut dyn EventSink> = vec![&mut narration];
+            if event_loop {
+                sinks.push(&mut stats);
+            }
+            let (outcome, shards) = engine.run_scheduled(
+                &SchedConfig::default(),
+                &mut SimpleStrategy::soft(),
+                &OracleClassifier::target(ws.target_language()),
+                &mut sinks,
+                &mut EngineScratch::new(),
+            );
+            assert_eq!(shards.is_empty(), !event_loop, "the other loop ran");
+            (outcome, narration.0)
+        };
+        let (single_slot, single_slot_events) = run(false);
+        let (event_loop, event_loop_events) = run(true);
+        assert!(single_slot.retries > 0, "the faults must retry");
+        assert_eq!(single_slot, event_loop);
+        assert_eq!(single_slot_events, event_loop_events);
+    }
+
+    /// A header claiming more slots than the payload holds stats for is
+    /// refused before the frontier or the in-flight queue is sized by
+    /// it (`u32::MAX` slots would ask for about 100 GB).
+    #[test]
+    fn a_slot_count_beyond_the_payload_is_refused_before_allocating() {
+        let ws = space();
+        let engine = CrawlEngine::new(&ws, EngineConfig::default());
+        let mut strategy = SimpleStrategy::soft();
+        let oracle = OracleClassifier::target(ws.target_language());
+        let snap = engine.snapshot(&SchedConfig::with_slots(4), &strategy, &oracle);
+        // The tick-0 snapshot under a header claiming `slots`, framed
+        // with a valid checksum.
+        let reframed = |slots: u32| {
+            let mut head = snap.head;
+            head.sched.slots = slots;
+            let mut payload = Enc::default();
+            head.encode(&mut payload);
+            payload
+                .buf
+                .extend_from_slice(&snap.payload[snap.state_off..]);
+            CrawlSnapshot::from_bytes(&frame(&payload.buf)).expect("a well-formed frame")
+        };
+        let mut resume =
+            |snap: &CrawlSnapshot| engine.resume(snap, &mut strategy, &oracle, &mut []).err();
+        assert_eq!(resume(&reframed(4)), None);
+        assert_eq!(resume(&reframed(u32::MAX)), Some(SnapshotError::Truncated));
     }
 
     #[test]
@@ -1049,7 +979,7 @@ mod tests {
         let engine = CrawlEngine::new(
             &ws,
             EngineConfig {
-                fault: langcrawl_webgraph::FaultConfig::with_rate(0.2),
+                fault: FaultConfig::with_rate(0.2),
                 ..EngineConfig::default()
             },
         );

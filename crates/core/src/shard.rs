@@ -487,8 +487,10 @@ impl ShardedFrontier {
     /// stages fixed stack blocks and appends them whole, and runs
     /// linearly over the slab ([`FREE_PAGE`] marks holes) instead of
     /// chasing list links — the ≤5% capture-overhead gate prices every
-    /// cache miss and per-element capacity check taken here.
-    pub(crate) fn encode_state(&self, enc: &mut Enc) {
+    /// cache miss and per-element capacity check taken here. The
+    /// cool-down list is sorted in `cooling`, a buffer the caller reuses
+    /// across captures.
+    pub(crate) fn encode_state(&self, enc: &mut Enc, cooling: &mut Vec<(u64, u32)>) {
         // Flat parked-node list: count patched in after one linear
         // scan. 14 bytes per record via two overlapping u64 stores
         // (the second starts at the seq offset and re-covers the first
@@ -520,11 +522,12 @@ impl ShardedFrontier {
         // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
         enc.buf.extend_from_slice(&block[..fill]);
         enc.patch_u64(count_at, n);
-        // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-        let mut cooling: Vec<(u64, u32)> = self.cooling.iter().map(|&Reverse(x)| x).collect();
+        cooling.clear();
+        // lint:allow(no-alloc-transitive): capture-time encode: the sort buffer is reused and reaches its high-water size once
+        cooling.extend(self.cooling.iter().map(|&Reverse(x)| x));
         cooling.sort_unstable();
         enc.u64(cooling.len() as u64);
-        for (at, host) in cooling {
+        for &(at, host) in cooling.iter() {
             enc.u64(at);
             enc.u32(host);
         }
@@ -1001,7 +1004,7 @@ mod tests {
     /// `f`'s snapshot state, encoded.
     fn encoded(f: &ShardedFrontier) -> Enc {
         let mut enc = Enc::default();
-        f.encode_state(&mut enc);
+        f.encode_state(&mut enc, &mut Vec::new());
         enc
     }
 
