@@ -71,6 +71,25 @@ for threads in 1 4; do
         --test detector_parity --test synthesis_golden
 done
 
+# The timed crawl model (SchedConfig::timing) over seeds 42 and 1-7 at
+# timing_ext's default 40k scale, about 0.3 s a seed. The step fails when
+# any of the harness's first three shape checks (politeness slows the
+# crawl; connections scale while bandwidth-bound; extra connections buy
+# nothing once politeness-bound) is missing or reads [MISMATCH] on any
+# seed. Check 4, the focused advantage under 1 s politeness, is left out:
+# it passes on 6 of these 8 seeds (it fails on seeds 4 and 6), a spread
+# that ROADMAP item 3 owns.
+echo "==> timing_ext checks 1-3 (seeds 42, 1-7)"
+for seed in 42 1 2 3 4 5 6 7; do
+    checks=$(LANGCRAWL_SEED=$seed cargo run -q --release --offline -p langcrawl-bench --bin timing_ext |
+        grep -E 'politeness slows the crawl|throughput scales with connections|extra connections buy nothing' || true)
+    if [ "$(printf '%s\n' "$checks" | grep -c '\[OK\]')" -ne 3 ]; then
+        printf '    seed %s:\n%s\n' "$seed" "$checks"
+        exit 1
+    fi
+    echo "    seed $seed: ok"
+done
+
 # Determinism & safety lint: the in-tree static analyzer must find
 # nothing unsuppressed in the workspace's own sources. The same run
 # writes the JSON report and the resolved hot-path call graph
@@ -146,7 +165,13 @@ LANGCRAWL_SCALE=20000 cargo bench -p langcrawl-bench --offline --bench capture_o
 # earlier step leaves behind can turn CI's comparison into HEAD against
 # itself. Both sides are exported and built at paths of the same length,
 # target/perf-parent and target/perf-change, because one source built at two
-# path lengths differs in code layout and in timings. The change is the
+# path lengths differs in code layout and in timings. Same-length paths do
+# not make the builds layout-neutral: two builds of one source at
+# same-length paths have read 2.5-4% apart (soft, faults, pagerank,
+# detector; 3 pairs of 10-s runs). So this step catches only a loss beyond
+# the 25% bound in every pair; a claimed or feared change of a few percent
+# needs 10-s pairs by hand plus a control against a second build of the
+# parent. The change is the
 # working tree's tracked files (`git stash create`, which touches neither the
 # tree nor the stash list), or HEAD when they are clean; `git add` a new file
 # to include it.

@@ -2,8 +2,9 @@
 //! per-server access intervals.
 //!
 //! §6 plans to "enhance our crawling simulator by incorporating transfer
-//! delays and access intervals". This harness runs the event-driven
-//! timed simulator over the Thai space and measures:
+//! delays and access intervals". This harness runs timed crawls (the
+//! K-slot scheduler with its timing model on) over the Thai space and
+//! measures:
 //!
 //! * wall-clock vs politeness-interval trade-off (per-server delay sweep),
 //! * connection-count scaling,

@@ -19,8 +19,9 @@
 //!
 //! Two CSVs land in the results dir: `parallelism_sweep.csv` holds the
 //! per-configuration summary rows; `parallelism_sweep_curves.csv` holds
-//! the sampled harvest/coverage/queue-size trajectories for plotting
-//! crawl progress against virtual time at each configuration.
+//! the sampled harvest/coverage/queue-size trajectories against pages
+//! crawled at each configuration (the makespan in virtual ticks is in
+//! the summary).
 
 use crate::figures::ok;
 use crate::runner;
@@ -79,6 +80,7 @@ pub fn run() {
             slots,
             politeness_gap: gap,
             politeness_spread: spread,
+            ..SchedConfig::default()
         };
         let mut metrics = MetricsSampler::new();
         let mut stats = SchedStatsSink::new();

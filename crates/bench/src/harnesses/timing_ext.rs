@@ -2,8 +2,11 @@
 //! per-server access intervals.
 //!
 //! §6 plans to "enhance our crawling simulator by incorporating transfer
-//! delays and access intervals". This harness runs the event-driven
-//! timed simulator over the Thai space and measures:
+//! delays and access intervals". This harness runs timed crawls — the
+//! K-slot scheduler with its timing model on ([`SchedConfig::timing`]:
+//! one tick is 1 ms, a fetch lasts its round trip plus transfer, and a
+//! server's fetches start at least the politeness delay apart) — over
+//! the Thai space and measures:
 //!
 //! * wall-clock vs politeness-interval trade-off (per-server delay sweep),
 //! * connection-count scaling,
@@ -13,9 +16,125 @@
 use crate::figures::ok;
 use crate::runner;
 use langcrawl_core::classifier::MetaClassifier;
-use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
-use langcrawl_core::timing::{run_timed, TimingConfig};
-use langcrawl_webgraph::GeneratorConfig;
+use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineScratch};
+use langcrawl_core::event::{interest, CrawlEvent, EventSink};
+use langcrawl_core::sched::{SchedConfig, Timing};
+use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy, Strategy};
+use langcrawl_webgraph::{GeneratorConfig, PageId};
+
+/// `connections` concurrent fetches, `delay_ms` between fetch starts on
+/// one server, the default timing model (80 ms round trip, 1,250
+/// bytes/ms per connection, 256 URLs of read-ahead).
+fn timed(connections: u32, delay_ms: u64) -> SchedConfig {
+    SchedConfig {
+        slots: connections,
+        politeness_gap: delay_ms,
+        timing: Some(Timing::default()),
+        ..SchedConfig::default()
+    }
+}
+
+/// What the harness reads off one timed crawl.
+struct TimedRun {
+    /// Simulated duration, ms.
+    wall_clock_ms: u64,
+    /// Pages crawled.
+    crawled: u64,
+    /// `(time ms, crawled, relevant)` at every sample, ending with the
+    /// final state.
+    series: Vec<(u64, u64, u64)>,
+    /// Mean fraction of connections busy.
+    utilization: f64,
+}
+
+impl TimedRun {
+    /// Mean fetch throughput, pages per simulated second.
+    fn pages_per_second(&self) -> f64 {
+        if self.wall_clock_ms == 0 {
+            0.0
+        } else {
+            self.crawled as f64 * 1_000.0 / self.wall_clock_ms as f64
+        }
+    }
+
+    /// Harvest rate at the last sample taken by `t` ms (0 before any).
+    fn harvest_at(&self, t: u64) -> f64 {
+        self.series
+            .iter()
+            .take_while(|&&(time, _, _)| time <= t)
+            .last()
+            .map_or(0.0, |&(_, crawled, relevant)| {
+                relevant as f64 / crawled.max(1) as f64
+            })
+    }
+}
+
+/// Records the samples against time and the visit order.
+#[derive(Default)]
+struct Recorder {
+    series: Vec<(u64, u64, u64)>,
+    visited: Vec<PageId>,
+}
+
+impl EventSink for Recorder {
+    fn on_event(&mut self, event: &CrawlEvent) {
+        match *event {
+            CrawlEvent::Sampled {
+                tick,
+                crawled,
+                relevant,
+                ..
+            } => self.series.push((tick, crawled, relevant)),
+            CrawlEvent::Fetched { page, .. } => self.visited.push(page),
+            _ => {}
+        }
+    }
+
+    fn interests(&self) -> u16 {
+        interest::SAMPLED | interest::FETCHED
+    }
+}
+
+/// One timed crawl of `sched` by `strategy`.
+fn crawl<S: Strategy>(
+    engine: &CrawlEngine,
+    sched: &SchedConfig,
+    strategy: &mut S,
+    classifier: &MetaClassifier,
+) -> TimedRun {
+    let mut rec = Recorder::default();
+    let (outcome, _) = engine.run_scheduled(
+        sched,
+        strategy,
+        classifier,
+        &mut [&mut rec],
+        &mut EngineScratch::new(),
+    );
+    if rec.series.last().map(|s| s.1) != Some(outcome.crawled) {
+        rec.series
+            .push((outcome.ticks, outcome.crawled, outcome.relevant_crawled));
+    }
+    // Every visit is one fetch here (the engine runs without faults),
+    // each busy for its transfer time.
+    let timing = sched.timing.unwrap_or_default();
+    let ws = engine.web_space();
+    let busy: u64 = rec
+        .visited
+        .iter()
+        .map(|&p| timing.fetch_ticks(ws.meta(p).size))
+        .sum();
+    let capacity = outcome.ticks as f64 * f64::from(sched.effective_slots());
+    TimedRun {
+        wall_clock_ms: outcome.ticks,
+        crawled: outcome.crawled,
+        series: rec.series,
+        utilization: if capacity == 0.0 {
+            0.0
+        } else {
+            busy as f64 / capacity
+        },
+    }
+}
 
 /// Run this harness (the body of the `timing_ext` binary).
 pub fn run() {
@@ -26,6 +145,7 @@ pub fn run() {
         .scaled(scale)
         .build_shared(seed);
     let classifier = MetaClassifier::target(ws.target_language());
+    let engine = CrawlEngine::new(&ws, EngineConfig::default());
 
     println!("Politeness sweep (32 connections, breadth-first):");
     println!(
@@ -34,11 +154,12 @@ pub fn run() {
     );
     let mut clocks = Vec::new();
     for delay in [0u64, 250, 1_000, 4_000, 15_000] {
-        let cfg = TimingConfig {
-            per_server_delay_ms: delay,
-            ..TimingConfig::default()
-        };
-        let r = run_timed(&ws, &cfg, &mut BreadthFirst::new(), &classifier);
+        let r = crawl(
+            &engine,
+            &timed(32, delay),
+            &mut BreadthFirst::new(),
+            &classifier,
+        );
         println!(
             "{:>12} {:>14.1} {:>12.1} {:>11.1}%",
             delay,
@@ -59,13 +180,13 @@ pub fn run() {
         "connections", "wall clock [s]", "pages/s"
     );
     let mut speed = Vec::new();
-    for conns in [1usize, 4, 16, 64] {
-        let cfg = TimingConfig {
-            connections: conns,
-            per_server_delay_ms: 0,
-            ..TimingConfig::default()
-        };
-        let r = run_timed(&ws, &cfg, &mut BreadthFirst::new(), &classifier);
+    for conns in [1u32, 4, 16, 64] {
+        let r = crawl(
+            &engine,
+            &timed(conns, 0),
+            &mut BreadthFirst::new(),
+            &classifier,
+        );
         println!(
             "{:>13} {:>14.1} {:>12.1}",
             conns,
@@ -90,12 +211,13 @@ pub fn run() {
         "connections", "wall clock [s]", "pages/s"
     );
     let mut polite_speed = Vec::new();
-    for conns in [1usize, 16, 256] {
-        let cfg = TimingConfig {
-            connections: conns,
-            ..TimingConfig::default()
-        };
-        let r = run_timed(&ws, &cfg, &mut BreadthFirst::new(), &classifier);
+    for conns in [1u32, 16, 256] {
+        let r = crawl(
+            &engine,
+            &timed(conns, 1_000),
+            &mut BreadthFirst::new(),
+            &classifier,
+        );
         println!(
             "{:>13} {:>14.1} {:>12.1}",
             conns,
@@ -115,15 +237,12 @@ pub fn run() {
     );
 
     println!("\nHarvest vs wall clock (32 connections, 1 s politeness):");
-    let cfg = TimingConfig::default();
-    let soft = run_timed(&ws, &cfg, &mut SimpleStrategy::soft(), &classifier);
-    let bf = run_timed(&ws, &cfg, &mut BreadthFirst::new(), &classifier);
-    let no_delay = TimingConfig {
-        per_server_delay_ms: 0,
-        ..TimingConfig::default()
-    };
-    let soft_nd = run_timed(&ws, &no_delay, &mut SimpleStrategy::soft(), &classifier);
-    let bf_nd = run_timed(&ws, &no_delay, &mut BreadthFirst::new(), &classifier);
+    let polite = timed(32, 1_000);
+    let soft = crawl(&engine, &polite, &mut SimpleStrategy::soft(), &classifier);
+    let bf = crawl(&engine, &polite, &mut BreadthFirst::new(), &classifier);
+    let no_delay = timed(32, 0);
+    let soft_nd = crawl(&engine, &no_delay, &mut SimpleStrategy::soft(), &classifier);
+    let bf_nd = crawl(&engine, &no_delay, &mut BreadthFirst::new(), &classifier);
     println!(
         "{:>14} {:>16} {:>16}",
         "time [s]", "soft harvest", "bf harvest"
@@ -131,30 +250,16 @@ pub fn run() {
     let horizon = soft.wall_clock_ms.min(bf.wall_clock_ms);
     for i in 1..=8u64 {
         let t = horizon * i / 8;
-        let h = |r: &langcrawl_core::timing::TimedReport| {
-            r.time_samples
-                .iter()
-                .take_while(|s| s.time_ms <= t)
-                .last()
-                .map_or(0.0, |s| 100.0 * s.relevant as f64 / s.crawled.max(1) as f64)
-        };
         println!(
             "{:>14.1} {:>15.1}% {:>15.1}%",
             t as f64 / 1000.0,
-            h(&soft),
-            h(&bf)
+            100.0 * soft.harvest_at(t),
+            100.0 * bf.harvest_at(t)
         );
     }
-    let early_frac = |r: &langcrawl_core::timing::TimedReport, t: u64| {
-        r.time_samples
-            .iter()
-            .take_while(|s| s.time_ms <= t)
-            .last()
-            .map_or(0.0, |s| s.relevant as f64 / s.crawled.max(1) as f64)
-    };
     let horizon_nd = soft_nd.wall_clock_ms.min(bf_nd.wall_clock_ms);
-    let adv_nd = early_frac(&soft_nd, horizon_nd / 8) - early_frac(&bf_nd, horizon_nd / 8);
-    let adv_polite = early_frac(&soft, horizon / 8) - early_frac(&bf, horizon / 8);
+    let adv_nd = soft_nd.harvest_at(horizon_nd / 8) - bf_nd.harvest_at(horizon_nd / 8);
+    let adv_polite = soft.harvest_at(horizon / 8) - bf.harvest_at(horizon / 8);
     println!("\nTiming-model findings (the effects the paper's §6 wanted to study):");
     println!(
         "  focused advantage at 1/8 of the crawl, no politeness:      {:+.1} pts",

@@ -555,6 +555,7 @@ impl<'a> CrawlEngine<'a> {
                         crawled: pg.crawled,
                         relevant: pg.relevant_crawled,
                         pending: frontier.pending(),
+                        tick: pg.now,
                     },
                 );
             }
@@ -835,6 +836,7 @@ mod tests {
             slots: 4,
             politeness_gap: 3,
             politeness_spread: 2,
+            ..SchedConfig::default()
         };
         let mut sink = Declared {
             mask: interest::SAMPLED | interest::FINISHED,

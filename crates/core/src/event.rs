@@ -96,6 +96,9 @@ pub enum CrawlEvent<'a> {
         relevant: u64,
         /// Distinct URLs pending in the frontier.
         pending: usize,
+        /// Virtual tick of the sampling resolution (milliseconds in a
+        /// timed crawl, so harvest can be plotted against time).
+        tick: u64,
     },
     /// The crawl ended (frontier dry or fetch budget reached).
     Finished {
@@ -134,7 +137,7 @@ pub enum CrawlEvent<'a> {
         crossed: u32,
     },
     /// A host finished a fetch but still owes its politeness gap, with
-    /// more of its pages queued: the shard parks it until `until`.
+    /// more of its pages queued: the frontier parks it until `until`.
     PolitenessWait {
         /// Host index in the space's host table.
         host: u32,
@@ -237,6 +240,7 @@ impl EventSink for MetricsSampler {
                 crawled,
                 relevant,
                 pending,
+                ..
             } => self.samples.push(Sample {
                 crawled,
                 relevant,
@@ -364,6 +368,7 @@ mod tests {
             crawled: 10,
             relevant: 4,
             pending: 7,
+            tick: 10,
         });
         s.on_event(&CrawlEvent::Finished {
             crawled: 13,
@@ -399,6 +404,7 @@ mod tests {
             crawled: 13,
             relevant: 5,
             pending: 0,
+            tick: 13,
         });
         s.on_event(&CrawlEvent::Finished {
             crawled: 13,

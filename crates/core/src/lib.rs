@@ -40,7 +40,10 @@
 //!   virtual-time scheduler ([`sched::SchedConfig`]: `K` fetch slots,
 //!   per-host politeness gaps, per-host concurrency 1) over that
 //!   frontier, bit-identical to the legacy loop at `K = 1`, with
-//!   crash-safe [`snapshot`]s and resume.
+//!   crash-safe [`snapshot`]s and resume. Its optional timing model
+//!   ([`sched::Timing`]) is the paper's stated future work (§6):
+//!   transfer delays and per-server access intervals in milliseconds,
+//!   served through a Mercator-style read-ahead frontier.
 //! * [`event`] — *who watches*: the engine narrates the crawl as typed
 //!   [`event::CrawlEvent`]s to any number of composable
 //!   [`event::EventSink`]s — metrics sampling, visit recording,
@@ -64,8 +67,6 @@
 //!   related-work extensions (HITS distiller, context-graph crawler).
 //! * [`metrics`] — harvest rate, coverage (explicit recall), queue-size
 //!   series (§3.4).
-//! * [`timing`] — the paper's stated future work (§6): an event-driven
-//!   model with transfer delays and per-server access intervals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,13 +79,13 @@ pub mod frontier;
 pub mod linkgraph;
 pub mod metrics;
 pub mod queue;
+mod readahead;
 pub mod retry;
 pub mod sched;
 pub mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod strategy;
-pub mod timing;
 
 pub use classifier::{Classifier, DetectorClassifier, MetaClassifier, OracleClassifier};
 pub use content::{ContentClassifier, ContentMode};
@@ -94,7 +95,7 @@ pub use frontier::Frontier;
 pub use linkgraph::LinkGraph;
 pub use metrics::CrawlReport;
 pub use retry::RetryPolicy;
-pub use sched::SchedConfig;
+pub use sched::{SchedConfig, Timing};
 pub use shard::{ShardStats, ShardedFrontier};
 pub use sim::{SimConfig, Simulator};
 pub use snapshot::{CrawlSnapshot, DirSink, SnapshotError, SnapshotLog};

@@ -15,7 +15,7 @@
 //!
 //! **Determinism is the contract.** The schedule is a pure function of
 //! (space seed, config): entries start in global `(level, seq)` order,
-//! completions process in `(finish tick, start seq)` order, cool-downs
+//! completions process in `(finish tick, start order)` order, cool-downs
 //! wake in `(ready tick, host)` order, and the politeness jitter is a
 //! per-host hash of the space's generation seed. Nothing reads the wall
 //! clock, thread ids, or map iteration order, so reports are
@@ -37,20 +37,25 @@
 //! [`Simulator`](crate::sim::Simulator) run takes the hand-off, and
 //! another that both loops narrate a faulted crawl alike.
 //!
-//! Politeness is a *start-to-start* gap, BUbiNG-style: a host that
-//! started a fetch at `t` may not start another before `t + gap(h)`,
-//! and per-host concurrency is 1 (a busy host exposes nothing). Gaps
-//! are drawn per host from the space's host table: the configured base
-//! plus a deterministic per-host jitter seeded from the space's
-//! generation seed under the `STREAM_POLITENESS` domain. A fetch carries
-//! its host's next allowed start from its start to its completion,
-//! which hands it to the frontier's cool-down heap.
+//! Politeness is a *start-to-start* gap, BUbiNG-style, with per-host
+//! concurrency 1: a host that starts a fetch at `t` may start again at
+//! `max(finish, t + gap(h))`, which the frontier learns at the start.
+//! Gaps are drawn per host from the space's host table: the configured
+//! base plus a deterministic per-host jitter seeded from the space's
+//! generation seed under the `STREAM_POLITENESS` domain.
+//!
+//! **Timed crawls** (§6: "transfer delays and access intervals") set
+//! [`SchedConfig::timing`]: a tick is 1 ms, a fetch lasts
+//! [`Timing::fetch_ticks`], and the slots drain a Mercator-style
+//! read-ahead frontier instead. Faults, retries, events and the
+//! classifier's `visit` are this same loop. Timed runs capture no
+//! snapshots: fetches of different lengths overlap every tick boundary.
 //!
 //! A snapshot holds only what a loop-top capture cannot derive: the
 //! run's progress, the attempt table and the frontier. No fetch is in
-//! flight there, so no host is busy and every politeness deadline
-//! still pending sits in the frontier's cool-down heap (the
-//! [`shard`](crate::shard) module says what decode recomputes).
+//! flight there, and every politeness deadline still pending sits in
+//! the frontier's cool-down heap (the [`shard`](crate::shard) module
+//! says what decode recomputes).
 
 use crate::classifier::Classifier;
 use crate::engine::{
@@ -59,6 +64,7 @@ use crate::engine::{
 use crate::event::{interest, CrawlEvent, EventSink};
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
+use crate::readahead::ReadAhead;
 use crate::shard::{ShardStats, ShardedFrontier};
 use crate::snapshot::{
     frame_begin, frame_end, run_fingerprint, CrawlSnapshot, Dec, Enc, SnapHead, SnapshotError,
@@ -72,8 +78,9 @@ use std::collections::{BinaryHeap, VecDeque};
 /// taken by the generator and fault layers; see the D3 lint registry).
 const STREAM_POLITENESS: u64 = 6 << 40;
 
-/// Scheduler parameters. The default (`1` slot, zero politeness) is
-/// the conformance configuration: bit-identical to the legacy engine.
+/// Scheduler parameters. The default (`1` slot, no politeness or
+/// timing) is the conformance configuration: bit-identical to the
+/// legacy engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Number of virtual fetch slots (`K`). `0` is treated as `1`. It is
@@ -87,6 +94,9 @@ pub struct SchedConfig {
     /// `politeness_gap` (uniform in `0..=spread`, hashed from the
     /// space's generation seed and the host id).
     pub politeness_spread: u64,
+    /// The §6 timing model, which makes a tick 1 ms (`None`, the
+    /// default: every fetch lasts one tick). Timed runs capture nothing.
+    pub timing: Option<Timing>,
 }
 
 impl Default for SchedConfig {
@@ -95,6 +105,7 @@ impl Default for SchedConfig {
             slots: 1,
             politeness_gap: 0,
             politeness_spread: 0,
+            timing: None,
         }
     }
 }
@@ -114,22 +125,89 @@ impl SchedConfig {
     }
 }
 
-/// A fetch occupying a slot: started at `finish - 1`, concluded at
-/// `finish`. Completions process in `(finish, seq)` order — completion
-/// time with start-order tie-breaking — so completion processing is a
-/// pure function of the start schedule. Starts happen at the
-/// monotonically advancing clock with an increasing start seq, so the
-/// in-flight queue is *born sorted* in that order and a plain FIFO
-/// holds it — no heap needed. The fetch's attempt number and outcome
-/// are decided at start time (the fetch "happens" during its tick);
-/// only the bookkeeping waits for the completion. So is `ready_at`,
-/// the host's next allowed start under politeness (`0` without it),
-/// which the completion hands to [`ShardedFrontier::release`].
+/// The timing model of a timed crawl ([`SchedConfig::timing`]; the
+/// README shows one). One tick is 1 ms; the defaults are an 80 ms round
+/// trip, about 10 Mbit/s per slot, and 256 URLs of read-ahead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Timing {
+    /// Per-request round-trip latency, ticks.
+    pub rtt: u64,
+    /// Download bandwidth of one slot, bytes per tick (`0` counts as 1).
+    pub bytes_per_tick: u64,
+    /// URLs that may wait in per-host back queues before a free slot
+    /// stops reading ahead in the strategy's queue (`0` counts as 1).
+    pub read_ahead: usize,
+}
+
+impl Default for Timing {
+    fn default() -> Self {
+        Timing {
+            rtt: 80,
+            bytes_per_tick: 1_250, // ≈10 Mbit/s per slot
+            read_ahead: 256,
+        }
+    }
+}
+
+impl Timing {
+    /// Ticks a fetch of a `size`-byte page takes: round trip + transfer.
+    pub fn fetch_ticks(&self, size: u32) -> u64 {
+        self.rtt
+            .saturating_add(u64::from(size) / self.bytes_per_tick.max(1))
+            .max(1)
+    }
+}
+
+/// What the event loop asks of a frontier beyond [`Frontier`]: hosts
+/// free or waiting in virtual time. [`ShardedFrontier`] serves untimed
+/// schedules, `ReadAhead` timed ones; the defaults stand for the shard
+/// stats, handoffs and capture that apply to the first only.
+pub(crate) trait SlotFrontier: Frontier {
+    /// The next entry to start at the clock of the last `advance_to`
+    /// (`None` while no waiting entry's host is free); `started` follows.
+    fn pop_ready(&mut self) -> Option<Entry>;
+
+    /// A fetch on `host` started; the host may start again at `free_at`.
+    fn started(&mut self, host: u32, free_at: u64);
+
+    /// Move the clock to `t`, freeing every host due by then.
+    fn advance_to(&mut self, t: u64);
+
+    /// The earliest tick a waiting host becomes free, if any.
+    fn next_cooling(&self) -> Option<u64>;
+
+    /// Does a fetch on `host` completing at `now` leave queued work
+    /// waiting for its host until `free_at` (a politeness wait)?
+    fn politeness_wait(&self, host: u32, free_at: u64, now: u64) -> bool;
+
+    /// Declare the host whose fetch is resolving, for handoffs.
+    fn set_origin(&mut self, _host: Option<u32>) {}
+
+    /// Accepted pushes that crossed shards so far.
+    fn handoffs(&self) -> u64 {
+        0
+    }
+
+    /// Per-shard load counters, in shard order.
+    fn shard_stats(&self) -> Vec<ShardStats> {
+        Vec::new()
+    }
+
+    /// Append the state a loop-top capture cannot derive to `enc`,
+    /// sorting the cool-down heap in the reused buffer `cooling`.
+    fn encode_state(&self, _enc: &mut Enc, _cooling: &mut Vec<(u64, u32)>) {}
+}
+
+/// A fetch occupying a slot until `finish`. Each start is inserted
+/// behind every fetch that finishes no later, so completions process in
+/// `(finish, start order)` from a plain deque (appending, while fetches
+/// last one tick). Attempt number and outcome are decided at the start;
+/// so is `free_at`, the host's next allowed start.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     finish: u64,
     fetch: Fetch,
-    ready_at: u64,
+    free_at: u64,
 }
 
 /// Live capture state inside the event loop: the cadence, the next
@@ -164,8 +242,8 @@ impl SnapCtl {
 /// arguments: the frontier to drain (seeded for a fresh run), the
 /// progress to resume from (`None` = fresh run), and the capture state
 /// (`None` = no capture).
-struct LoopCtl {
-    frontier: ShardedFrontier,
+struct LoopCtl<F> {
+    frontier: F,
     resumed: Option<Progress>,
     snap: Option<SnapCtl>,
 }
@@ -180,11 +258,11 @@ struct LoopCtl {
 /// pin.
 // lint:root(panic-free, alloc-free) — capture runs mid-crawl into
 // preallocated buffers, so it must neither unwind nor allocate.
-fn encode_snapshot_into(
+fn encode_snapshot_into<F: SlotFrontier>(
     c: &mut SnapCtl,
     pg: &Progress,
     attempt_counts: &[u32],
-    frontier: &ShardedFrontier,
+    frontier: &F,
 ) {
     let enc: &mut Enc = &mut c.buf;
     c.head.encode(enc);
@@ -287,8 +365,8 @@ fn decode_run_state(
 
 impl CrawlEngine<'_> {
     /// Per-host politeness gaps: base plus deterministic jitter. Empty
-    /// when politeness is disabled — every fetch then releases its host
-    /// at once.
+    /// when politeness is disabled — every host is then free again as
+    /// soon as its fetch finishes.
     fn politeness_gaps(&self, sched: &SchedConfig) -> Vec<u64> {
         let ws = self.web_space();
         if sched.politeness_gap == 0 && sched.politeness_spread == 0 {
@@ -315,13 +393,15 @@ impl CrawlEngine<'_> {
     /// same per-page event sequence, same outcome — except that up to
     /// [`SchedConfig::slots`] fetches overlap in virtual time and
     /// per-host politeness gaps stall hosts between starts. The frontier
-    /// is a [`ShardedFrontier`] built from the space's host table.
+    /// is a [`ShardedFrontier`] built from the space's host table, or a
+    /// read-ahead frontier with no shard counters for a timed schedule.
     ///
     /// With [`EngineConfig::snapshot_every`](crate::engine::EngineConfig::snapshot_every)
     /// set, sinks that want [`interest::SNAPSHOT`] receive a
     /// [`CrawlEvent::Snapshot`] every that many ticks, the first at tick
-    /// `every`. Capture never changes the crawl. Pass the same `scratch`
-    /// to back-to-back runs to reuse its buffers ([`EngineScratch`]).
+    /// `every` (timed runs capture nothing). Capture never changes the
+    /// crawl. Pass the same `scratch` to back-to-back runs to reuse its
+    /// buffers ([`EngineScratch`]).
     pub fn run_scheduled<S, C>(
         &self,
         sched: &SchedConfig,
@@ -337,47 +417,46 @@ impl CrawlEngine<'_> {
         let ws = self.web_space();
         let wants = wants(sinks);
         let every = self.capture_every(wants);
-        // Degenerate-point elision, like the fault layer's inert-model
-        // fast path. With one slot and zero politeness the host
-        // machinery cannot block, delay or reorder anything — the
-        // single slot always drains before the next pop, so no host is
-        // ever busy or cooling at pop time, and the frontier's order is
-        // [`UrlQueue`] order (the shard-parity property test pins that
-        // equivalence). Unless a sink asks for
-        // [`SlotIdle`](CrawlEvent::SlotIdle) — the only scheduler-only
-        // event that can fire here (it marks retry-backoff stalls;
-        // handoffs and politeness waits are structurally impossible) —
-        // or captures are on (they describe the event loop's state),
-        // the schedule *is* the legacy loop, outcome, ticks, events and
-        // all (pinned by `single_slot_schedule_matches_legacy_engine`),
-        // so run it verbatim. Only this path returns no shard counters,
-        // which `default_simulator_run_hands_off_to_the_legacy_loop` pins.
+        // Degenerate-point elision (see the module docs), like the fault
+        // layer's inert-model fast path: the single slot drains before
+        // every pop, so every host is free at pop time and the order is
+        // [`UrlQueue`] order (the shard-parity property test pins that).
+        // Unless a sink asks for [`SlotIdle`](CrawlEvent::SlotIdle) (it
+        // marks retry-backoff stalls; handoffs and politeness waits cannot
+        // happen here) or captures are on (they describe the event loop's
+        // state), the schedule *is* the legacy loop (pinned by
+        // `single_slot_schedule_matches_legacy_engine`), so run it
+        // verbatim. An untimed run returns no shard counters only here
+        // (`default_simulator_run_hands_off_to_the_legacy_loop`).
         if every.is_none() && Self::is_degenerate(sched) && wants & interest::SLOT_IDLE == 0 {
             let frontier = UrlQueue::new(ws.num_pages(), strategy.levels());
             let outcome = self.run_with_scratch(frontier, strategy, classifier, sinks, scratch);
             return (outcome, Vec::new());
         }
         let levels = strategy.levels().max(1);
+        scratch.begin_run();
+        if let Some(timing) = sched.timing {
+            let mut frontier = ReadAhead::for_space(ws, levels, timing.read_ahead);
+            self.seed(&mut frontier);
+            let ctl = LoopCtl {
+                frontier,
+                resumed: None,
+                snap: None,
+            };
+            return self.sched_loop(sched, strategy, classifier, sinks, scratch, ctl);
+        }
         // Fresh runs capture first at `every` (tick 0 is the initial
         // state [`CrawlEngine::snapshot`] hands out).
         let snap = every.map(|every| {
             let head = self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier));
             SnapCtl::new(head, every, every)
         });
-        let frontier = self.seeded_frontier(sched, levels);
-        scratch.begin_run();
-        self.sched_loop(
-            sched,
-            strategy,
-            classifier,
-            sinks,
-            scratch,
-            LoopCtl {
-                frontier,
-                resumed: None,
-                snap,
-            },
-        )
+        let ctl = LoopCtl {
+            frontier: self.seeded_frontier(sched, levels),
+            resumed: None,
+            snap,
+        };
+        self.sched_loop(sched, strategy, classifier, sinks, scratch, ctl)
     }
 
     /// The capture cadence for a run whose sinks want `wants`: none
@@ -393,7 +472,10 @@ impl CrawlEngine<'_> {
     /// which the host machinery cannot block, delay or reorder
     /// anything, so the legacy loop reproduces the schedule exactly?
     fn is_degenerate(sched: &SchedConfig) -> bool {
-        sched.effective_slots() == 1 && sched.politeness_gap == 0 && sched.politeness_spread == 0
+        sched.effective_slots() == 1
+            && sched.politeness_gap == 0
+            && sched.politeness_spread == 0
+            && sched.timing.is_none()
     }
 
     /// A fresh run's frontier: the space's seeds parked at priority 0,
@@ -414,7 +496,11 @@ impl CrawlEngine<'_> {
             config_fp: self.config.snapshot_fingerprint(),
             run_fp,
             levels,
-            sched: *sched,
+            // The header has no room for the timing model.
+            sched: SchedConfig {
+                timing: None,
+                ..*sched
+            },
             tick: 0,
             crawled: 0,
         }
@@ -424,7 +510,8 @@ impl CrawlEngine<'_> {
     /// seeds parked in the frontier, all counters zero. Resuming it is
     /// exactly [`CrawlEngine::run_scheduled`] (the resume-parity suite
     /// pins that), which makes it the base case for snapshot chains and
-    /// a convenient fixture for codec tests.
+    /// a convenient fixture for codec tests. The snapshot of a timed
+    /// schedule drops its [`SchedConfig::timing`] and resumes untimed.
     pub fn snapshot<S, C>(&self, sched: &SchedConfig, strategy: &S, classifier: &C) -> CrawlSnapshot
     where
         S: Strategy + ?Sized,
@@ -524,22 +611,23 @@ impl CrawlEngine<'_> {
         ))
     }
 
-    /// The virtual-time event loop over a host-partitioned frontier.
-    /// `ctl` carries the frontier (seeded, or decoded with the progress
-    /// restored alongside it) and an optional capture plan; `scratch`
-    /// holds the run's attempt table, if any.
+    /// The virtual-time event loop over a slot frontier. `ctl` carries
+    /// the frontier (seeded, or decoded with the progress restored
+    /// alongside it) and an optional capture plan; `scratch` holds the
+    /// run's attempt table, if any.
     // lint:root(panic-free) — the steady-state event loop; every
     // simulated fetch passes through here.
-    fn sched_loop<S, C>(
+    fn sched_loop<F, S, C>(
         &self,
         sched: &SchedConfig,
         strategy: &mut S,
         classifier: &C,
         sinks: &mut [&mut dyn EventSink],
         scratch: &mut EngineScratch,
-        ctl: LoopCtl,
+        ctl: LoopCtl<F>,
     ) -> (EngineOutcome, Vec<ShardStats>)
     where
+        F: SlotFrontier,
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
@@ -548,11 +636,12 @@ impl CrawlEngine<'_> {
             resumed,
             mut snap,
         } = ctl;
+        let ws = self.web_space();
         let gaps = self.politeness_gaps(sched);
         let slots = sched.effective_slots();
         let budget = self.config.max_pages.unwrap_or(u64::MAX);
-        // Born sorted by (finish, start seq): see [`InFlight`]. Its
-        // length is the number of busy slots.
+        // Sorted by (finish, start order): see [`InFlight`]. Its length
+        // is the number of busy slots.
         let mut in_flight: VecDeque<InFlight> = VecDeque::with_capacity(slots as usize);
         let mut st = RunState::new(sinks, self.sample_interval(), resumed);
         let wants = st.wants;
@@ -587,47 +676,49 @@ impl CrawlEngine<'_> {
             st.progress.requeue_due(&mut frontier);
             let now = st.progress.now;
 
-            // 2. Fill free slots in global priority order. Popping marks
-            // the host busy, so one host never occupies two slots.
+            // 2. Fill free slots in the frontier's order. A start tells
+            // the frontier when its host is free again, so one host
+            // never occupies two slots.
             while (in_flight.len() as u32) < slots {
                 let Some(entry) = frontier.pop_ready() else {
                     break;
                 };
+                let meta = ws.meta(entry.page);
+                let span = sched.timing.map_or(1, |t| t.fetch_ticks(meta.size));
+                let finish = now.saturating_add(span);
                 // Start-to-start politeness: the host's next start is
-                // due `gap` ticks after this one (no gaps, no wait).
-                let ready_at = gaps
-                    .get(frontier.host_of(entry.page) as usize)
-                    .map_or(0, |&gap| now.saturating_add(gap));
-                in_flight.push_back(InFlight {
-                    finish: now + 1,
-                    fetch: self.attempt(entry, &mut st.progress, &scratch.attempt_counts),
-                    ready_at,
-                });
+                // due `gap` ticks after this one, and not before this
+                // fetch finishes.
+                let gap = gaps.get(meta.host as usize).copied().unwrap_or(0);
+                let free_at = finish.max(now.saturating_add(gap));
+                frontier.started(meta.host, free_at);
+                let fetch = self.attempt(entry, &mut st.progress, &scratch.attempt_counts);
+                let at = in_flight.partition_point(|g| g.finish <= finish);
+                let started = InFlight {
+                    finish,
+                    fetch,
+                    free_at,
+                };
+                in_flight.insert(at, started);
             }
 
-            // 3. Advance the clock to the next event. With busy slots
-            // that is always the earliest completion: fetches take one
-            // tick, so every in-flight fetch finishes at `now + 1`, and
-            // cool-downs/retries (strictly in the future) cannot beat
-            // it. With all slots empty the next event is the earliest
-            // cool-down expiry or retry readiness; neither pending means
-            // the crawl is over.
-            let t_next = if let Some(f) = in_flight.front() {
-                f.finish
+            // 3. Advance the clock to the earliest completion or — only
+            // while a slot is free (a timed frontier keeps past-due hosts
+            // until one frees) — an earlier cool-down expiry or retry.
+            // Nothing pending at all means the crawl is over.
+            let busy = in_flight.len() as u32;
+            let (cooling, retry) = if busy < slots {
+                (frontier.next_cooling(), st.progress.next_retry())
             } else {
-                match [frontier.next_cooling(), st.progress.next_retry()]
-                    .into_iter()
-                    .flatten()
-                    .min()
-                {
-                    Some(t) => t,
-                    None => break 'outer,
-                }
+                (None, None)
+            };
+            let completion = in_flight.front().map(|f| f.finish);
+            let Some(t_next) = [completion, cooling, retry].into_iter().flatten().min() else {
+                break 'outer;
             };
             // Idle slots while work is waiting (parked behind busy or
             // cooling hosts, or backing off in the retry heap) are the
             // politeness/parallelism stall signal the sweep measures.
-            let busy = in_flight.len() as u32;
             if wants & interest::SLOT_IDLE != 0 && busy < slots {
                 let waiting = frontier.pending() > 0 || st.progress.next_retry().is_some();
                 if waiting {
@@ -644,26 +735,26 @@ impl CrawlEngine<'_> {
             st.progress.now = t_next;
             frontier.advance_to(t_next);
 
-            // 4. Process completions due now, in (finish, start seq)
-            // order. Each releases its host first — politeness runs
-            // start-to-start, so the host may cool even as its fetch
-            // concludes — then backs off or resolves exactly like the
-            // legacy loop. Only a resolution admits links, so only it
-            // can hand off across shards.
+            // 4. Process completions due now, in (finish, start order).
+            // Each reports whether its host still owes a politeness gap
+            // with work queued, then backs off or resolves exactly like
+            // the legacy loop. Only a resolution admits links, so only
+            // it can hand off across shards.
             while let Some(&f) = in_flight.front() {
                 if f.finish > t_next {
                     break;
                 }
                 in_flight.pop_front();
                 let p = f.fetch.entry.page;
-                let host = frontier.host_of(p);
-                let parked = frontier.release(host, f.ready_at, t_next);
-                if parked && wants & interest::POLITENESS != 0 {
+                let host = ws.meta(p).host;
+                if wants & interest::POLITENESS != 0
+                    && frontier.politeness_wait(host, f.free_at, t_next)
+                {
                     emit(
                         st.sinks,
                         CrawlEvent::PolitenessWait {
                             host,
-                            until: f.ready_at,
+                            until: f.free_at,
                         },
                     );
                 }
@@ -706,51 +797,70 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::event::{MetricsSampler, SchedStatsSink, VisitRecorder};
     use crate::sim::SimConfig;
-    use crate::snapshot::frame;
+    use crate::snapshot::{frame, SnapshotLog};
     use crate::strategy::{BreadthFirst, SimpleStrategy};
-    use langcrawl_webgraph::{FaultConfig, GeneratorConfig, WebSpace};
+    use langcrawl_webgraph::{FaultConfig, GeneratorConfig, PageId, WebSpace};
 
     fn space() -> WebSpace {
         GeneratorConfig::thai_like().scaled(4_000).build(9)
+    }
+
+    /// One crawl of `sched` by `strategy` under the oracle classifier,
+    /// narrated to `sinks`.
+    fn run(
+        engine: &CrawlEngine,
+        sched: &SchedConfig,
+        strategy: &mut dyn Strategy,
+        sinks: &mut [&mut dyn EventSink],
+    ) -> (EngineOutcome, Vec<ShardStats>) {
+        let oracle = OracleClassifier::target(engine.web_space().target_language());
+        engine.run_scheduled(sched, strategy, &oracle, sinks, &mut EngineScratch::new())
+    }
+
+    /// An engine under `FaultConfig::with_rate(0.2)`.
+    fn faulted(ws: &WebSpace) -> CrawlEngine<'_> {
+        let config = EngineConfig {
+            fault: FaultConfig::with_rate(0.2),
+            ..EngineConfig::default()
+        };
+        CrawlEngine::new(ws, config)
+    }
+
+    /// A timed schedule with the default timing model (1 tick = 1 ms).
+    fn timed(slots: u32, gap: u64) -> SchedConfig {
+        let mut sched = SchedConfig::with_slots(slots);
+        sched.politeness_gap = gap;
+        sched.timing = Some(Timing::default());
+        sched
     }
 
     #[test]
     fn single_slot_schedule_matches_legacy_engine() {
         let ws = space();
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
-        let legacy = {
-            let mut visits = VisitRecorder::new();
-            let o = engine.run(
-                UrlQueue::new(ws.num_pages(), 1),
-                &mut BreadthFirst::new(),
-                &OracleClassifier::target(ws.target_language()),
-                &mut [&mut visits],
-            );
-            (o, visits.into_visited())
-        };
+        let mut visits = VisitRecorder::new();
+        let legacy = engine.run(
+            UrlQueue::new(ws.num_pages(), 1),
+            &mut BreadthFirst::new(),
+            &OracleClassifier::target(ws.target_language()),
+            &mut [&mut visits],
+        );
+        let legacy_visits = visits.into_visited();
         // Default config (full legacy-loop elision) and the same with a
         // `SlotIdle`-interested sink attached (the virtual-time loop
         // over the one-shard frontier) must both reproduce the legacy
         // run exactly.
         for stats in [false, true] {
-            let scheduled = {
-                let mut visits = VisitRecorder::new();
-                let mut sched_stats = SchedStatsSink::new();
-                let mut sinks: Vec<&mut dyn EventSink> = vec![&mut visits];
-                if stats {
-                    sinks.push(&mut sched_stats);
-                }
-                let o = engine.run_scheduled(
-                    &SchedConfig::default(),
-                    &mut BreadthFirst::new(),
-                    &OracleClassifier::target(ws.target_language()),
-                    &mut sinks,
-                    &mut EngineScratch::new(),
-                );
-                (o.0, visits.into_visited())
-            };
-            assert_eq!(legacy.0, scheduled.0, "stats={stats}");
-            assert_eq!(legacy.1, scheduled.1, "stats={stats}");
+            let mut visits = VisitRecorder::new();
+            let mut sched_stats = SchedStatsSink::new();
+            let mut sinks: Vec<&mut dyn EventSink> = vec![&mut visits];
+            if stats {
+                sinks.push(&mut sched_stats);
+            }
+            let sched = SchedConfig::default();
+            let (outcome, _) = run(&engine, &sched, &mut BreadthFirst::new(), &mut sinks);
+            assert_eq!(legacy, outcome, "stats={stats}");
+            assert_eq!(legacy_visits, visits.into_visited(), "stats={stats}");
         }
     }
 
@@ -763,13 +873,9 @@ mod tests {
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
         let mut metrics = MetricsSampler::new();
         let mut visits = VisitRecorder::new();
-        let (outcome, shards) = engine.run_scheduled(
-            &SimConfig::default().sched,
-            &mut SimpleStrategy::soft(),
-            &OracleClassifier::target(ws.target_language()),
-            &mut [&mut metrics, &mut visits],
-            &mut EngineScratch::new(),
-        );
+        let sinks: &mut [&mut dyn EventSink] = &mut [&mut metrics, &mut visits];
+        let sched = SimConfig::default().sched;
+        let (outcome, shards) = run(&engine, &sched, &mut SimpleStrategy::soft(), sinks);
         assert!(outcome.crawled > 0);
         assert!(
             shards.is_empty(),
@@ -799,32 +905,22 @@ mod tests {
             }
         }
         let ws = space();
-        let engine = CrawlEngine::new(
-            &ws,
-            EngineConfig {
-                fault: FaultConfig::with_rate(0.2),
-                ..EngineConfig::default()
-            },
-        );
-        let run = |event_loop: bool| {
+        let engine = faulted(&ws);
+        let narrate = |event_loop: bool| {
             let mut narration = Narration(Vec::new());
             let mut stats = SchedStatsSink::new();
             let mut sinks: Vec<&mut dyn EventSink> = vec![&mut narration];
             if event_loop {
                 sinks.push(&mut stats);
             }
-            let (outcome, shards) = engine.run_scheduled(
-                &SchedConfig::default(),
-                &mut SimpleStrategy::soft(),
-                &OracleClassifier::target(ws.target_language()),
-                &mut sinks,
-                &mut EngineScratch::new(),
-            );
+            let sched = SchedConfig::default();
+            let soft = &mut SimpleStrategy::soft();
+            let (outcome, shards) = run(&engine, &sched, soft, &mut sinks);
             assert_eq!(shards.is_empty(), !event_loop, "the other loop ran");
             (outcome, narration.0)
         };
-        let (single_slot, single_slot_events) = run(false);
-        let (event_loop, event_loop_events) = run(true);
+        let (single_slot, single_slot_events) = narrate(false);
+        let (event_loop, event_loop_events) = narrate(true);
         assert!(single_slot.retries > 0, "the faults must retry");
         assert_eq!(single_slot, event_loop);
         assert_eq!(single_slot_events, event_loop_events);
@@ -862,19 +958,12 @@ mod tests {
     fn more_slots_shrink_the_makespan() {
         let ws = space();
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
-        let run = |k: u32| {
-            engine
-                .run_scheduled(
-                    &SchedConfig::with_slots(k),
-                    &mut SimpleStrategy::soft(),
-                    &OracleClassifier::target(ws.target_language()),
-                    &mut [],
-                    &mut EngineScratch::new(),
-                )
-                .0
+        let makespan = |k| {
+            let sched = SchedConfig::with_slots(k);
+            run(&engine, &sched, &mut SimpleStrategy::soft(), &mut []).0
         };
-        let k1 = run(1);
-        let k8 = run(8);
+        let k1 = makespan(1);
+        let k8 = makespan(8);
         // Same work either way; only the schedule differs.
         assert_eq!(k1.crawled, k8.crawled);
         assert_eq!(k1.relevant_crawled, k8.relevant_crawled);
@@ -893,23 +982,16 @@ mod tests {
     fn politeness_stretches_the_makespan() {
         let ws = space();
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
-        let run = |gap: u64| {
+        let polite = |gap| {
             let mut stats = SchedStatsSink::new();
-            let (o, _) = engine.run_scheduled(
-                &SchedConfig {
-                    slots: 4,
-                    politeness_gap: gap,
-                    ..SchedConfig::default()
-                },
-                &mut SimpleStrategy::soft(),
-                &OracleClassifier::target(ws.target_language()),
-                &mut [&mut stats],
-                &mut EngineScratch::new(),
-            );
+            let mut sched = SchedConfig::with_slots(4);
+            sched.politeness_gap = gap;
+            let soft = &mut SimpleStrategy::soft();
+            let (o, _) = run(&engine, &sched, soft, &mut [&mut stats]);
             (o, stats)
         };
-        let (free, _) = run(0);
-        let (polite, stats) = run(6);
+        let (free, _) = polite(0);
+        let (polite, stats) = polite(6);
         assert_eq!(
             free.crawled, polite.crawled,
             "politeness reorders, never loses"
@@ -931,6 +1013,7 @@ mod tests {
             slots: 4,
             politeness_gap: 2,
             politeness_spread: 3,
+            ..SchedConfig::default()
         };
         let gaps = engine.politeness_gaps(&sched);
         assert_eq!(gaps, engine.politeness_gaps(&sched));
@@ -939,64 +1022,127 @@ mod tests {
             gaps.iter().any(|&g| g != gaps[0]),
             "jitter must actually vary across hosts"
         );
-        let run = || {
+        let crawl = || {
             let mut visits = VisitRecorder::new();
-            let (o, _) = engine.run_scheduled(
-                &sched,
-                &mut SimpleStrategy::soft(),
-                &OracleClassifier::target(ws.target_language()),
-                &mut [&mut visits],
-                &mut EngineScratch::new(),
-            );
+            let soft = &mut SimpleStrategy::soft();
+            let (o, _) = run(&engine, &sched, soft, &mut [&mut visits]);
             (o, visits.into_visited())
         };
-        assert_eq!(run(), run());
+        assert_eq!(crawl(), crawl());
     }
 
     #[test]
     fn budget_stops_scheduled_runs() {
         let ws = space();
-        let engine = CrawlEngine::new(
-            &ws,
-            EngineConfig {
-                max_pages: Some(100),
-                ..EngineConfig::default()
-            },
-        );
-        let (outcome, _) = engine.run_scheduled(
-            &SchedConfig::with_slots(16),
-            &mut BreadthFirst::new(),
-            &OracleClassifier::target(ws.target_language()),
-            &mut [],
-            &mut EngineScratch::new(),
-        );
-        assert_eq!(outcome.crawled, 100);
+        let config = EngineConfig {
+            max_pages: Some(100),
+            ..EngineConfig::default()
+        };
+        let engine = CrawlEngine::new(&ws, config);
+        for sched in [SchedConfig::with_slots(16), timed(32, 1_000)] {
+            let (outcome, _) = run(&engine, &sched, &mut BreadthFirst::new(), &mut []);
+            assert_eq!(outcome.crawled, 100, "{sched:?}");
+        }
     }
 
     #[test]
     fn faulted_scheduled_runs_retry_and_terminate() {
         let ws = space();
-        let engine = CrawlEngine::new(
-            &ws,
-            EngineConfig {
-                fault: FaultConfig::with_rate(0.2),
-                ..EngineConfig::default()
-            },
-        );
-        let (outcome, _) = engine.run_scheduled(
-            &SchedConfig {
-                slots: 4,
-                politeness_gap: 1,
-                ..SchedConfig::default()
-            },
-            &mut BreadthFirst::new(),
-            &OracleClassifier::target(ws.target_language()),
-            &mut [],
-            &mut EngineScratch::new(),
-        );
-        assert!(outcome.crawled > 0);
-        assert!(outcome.retries > 0);
-        assert!(outcome.gave_up > 0);
-        assert_eq!(outcome.attempts, outcome.crawled + outcome.retries);
+        let engine = faulted(&ws);
+        let mut polite = SchedConfig::with_slots(4);
+        polite.politeness_gap = 1;
+        for sched in [polite, timed(32, 1_000)] {
+            let (outcome, _) = run(&engine, &sched, &mut BreadthFirst::new(), &mut []);
+            assert!(outcome.crawled > 0);
+            assert!(outcome.retries > 0, "{sched:?}");
+            assert!(outcome.gave_up > 0);
+            assert_eq!(outcome.attempts, outcome.crawled + outcome.retries);
+        }
+    }
+
+    #[test]
+    fn timed_breadth_first_fetches_every_page_in_time_order() {
+        /// Every `Sampled` tick and the visit order.
+        #[derive(Default)]
+        struct Timeline(Vec<u64>, Vec<PageId>);
+        impl EventSink for Timeline {
+            fn on_event(&mut self, event: &CrawlEvent) {
+                match *event {
+                    CrawlEvent::Sampled { tick, .. } => self.0.push(tick),
+                    CrawlEvent::Fetched { page, .. } => self.1.push(page),
+                    _ => {}
+                }
+            }
+        }
+        let ws = space();
+        let engine = CrawlEngine::new(&ws, EngineConfig::default());
+        let (sched, mut timeline) = (timed(32, 1_000), Timeline::default());
+        let bfs = &mut BreadthFirst::new();
+        let (outcome, shards) = run(&engine, &sched, bfs, &mut [&mut timeline]);
+        assert_eq!(outcome.crawled, ws.num_pages() as u64);
+        assert!(shards.is_empty(), "timed runs count no shards");
+        let Timeline(ticks, visited) = timeline;
+        assert!(ticks.len() > 100 && ticks.windows(2).all(|w| w[0] <= w[1]));
+        // Each visit held a slot for its whole fetch: utilization stays
+        // at most 1.
+        let fetch = |p: &PageId| Timing::default().fetch_ticks(ws.meta(*p).size);
+        let busy: u64 = visited.iter().map(fetch).sum();
+        assert!(busy > 0 && busy <= outcome.ticks * 32, "{busy} busy ticks");
+    }
+
+    #[test]
+    fn politeness_lengthens_and_slots_shorten_timed_crawls() {
+        let ws = space();
+        let engine = CrawlEngine::new(&ws, EngineConfig::default());
+        let ticks = |slots, gap| {
+            let sched = timed(slots, gap);
+            let (outcome, _) = run(&engine, &sched, &mut BreadthFirst::new(), &mut []);
+            outcome.ticks
+        };
+        assert!(ticks(32, 10_000) > ticks(32, 0), "politeness lengthens");
+        assert!(ticks(64, 0) < ticks(1, 0), "more slots shorten");
+    }
+
+    #[test]
+    fn timed_crawls_follow_the_links_the_classifier_sees() {
+        /// Judges every page irrelevant and finds no links on it.
+        struct NoLinks;
+        impl Classifier for NoLinks {
+            fn relevance(&self, _: &WebSpace, _: PageId) -> f64 {
+                0.0
+            }
+            fn visit<'a>(
+                &self,
+                _: &'a WebSpace,
+                _: PageId,
+                links: &'a mut Vec<PageId>,
+            ) -> (f64, &'a [PageId]) {
+                links.clear();
+                (0.0, links)
+            }
+            fn name(&self) -> &'static str {
+                "no-links"
+            }
+        }
+        let ws = space();
+        let engine = CrawlEngine::new(&ws, EngineConfig::default());
+        let (bfs, scratch) = (&mut BreadthFirst::new(), &mut EngineScratch::new());
+        let (outcome, _) = engine.run_scheduled(&timed(32, 1_000), bfs, &NoLinks, &mut [], scratch);
+        assert_eq!(outcome.crawled, ws.seeds().len() as u64);
+    }
+
+    #[test]
+    fn timed_runs_capture_no_snapshots() {
+        let ws = space();
+        let config = EngineConfig {
+            snapshot_every: Some(50),
+            ..EngineConfig::default()
+        };
+        let engine = CrawlEngine::new(&ws, config);
+        let (sched, mut log) = (timed(4, 1_000), SnapshotLog::new());
+        let soft = &mut SimpleStrategy::soft();
+        let (outcome, _) = run(&engine, &sched, soft, &mut [&mut log]);
+        assert!(outcome.ticks > 50, "the crawl outlasts the cadence");
+        assert!(log.is_empty(), "{} snapshots captured", log.len());
     }
 }

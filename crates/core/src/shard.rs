@@ -33,13 +33,14 @@
 //!   parallelism sweep reports. A shard holds no entries, so the shard
 //!   count never changes a pop.
 //!
-//! The scheduler-facing surface ([`ShardedFrontier::pop_ready`],
-//! [`ShardedFrontier::release`], [`ShardedFrontier::advance_to`]) adds
-//! per-host state — `Ready`/`Busy`/`Cooling` — on top: a busy or
-//! cooling host parks all its entries and exposes nothing, which is
-//! how per-host concurrency 1 and politeness gaps are enforced without
-//! any scan. With every host permanently ready (the plain [`Frontier`]
-//! path), the state machinery is inert.
+//! The scheduler-facing surface (the slot-frontier trait the event loop
+//! in [`crate::sched`] drives) adds per-host state — `Ready`/`Cooling` —
+//! on top. A fetch's start cools its host until its next allowed start,
+//! the later of the fetch's finish and its politeness gap. A cooling
+//! host parks all its entries and exposes nothing, which is how per-host
+//! concurrency 1 and politeness gaps are enforced without any scan. With
+//! every host permanently ready (the plain [`Frontier`] path), the state
+//! machinery is inert.
 //!
 //! Tie-breaks are total and deterministic everywhere: `(level, seq)`
 //! orders entries (seq is the global push ordinal, so FIFO within a
@@ -48,6 +49,7 @@
 
 use crate::frontier::Frontier;
 use crate::queue::Entry;
+use crate::sched::SlotFrontier;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_rng::mix;
 use langcrawl_webgraph::{PageId, WebSpace};
@@ -89,9 +91,9 @@ struct Node {
 enum HostState {
     /// May fetch: its minimum entry (if any) stands in the avail heap.
     Ready,
-    /// A fetch is in flight: per-host concurrency 1 parks everything.
-    Busy,
-    /// Politeness cool-down: parked until its `ready_at` tick.
+    /// A fetch started: parked until its next allowed start, the later
+    /// of the fetch's finish and its politeness gap (the cool-down
+    /// heap's `ready_at`).
     Cooling,
 }
 
@@ -142,7 +144,8 @@ pub struct ShardedFrontier {
     /// mixed; staleness is checked against the host's `exposed` marker
     /// when a token surfaces.
     avail: BinaryHeap<Reverse<AvailToken>>,
-    /// `(ready_at, host)` for hosts in politeness cool-down.
+    /// `(ready_at, host)` for cooling hosts: one pair per host, from
+    /// its fetch's start until it is free again.
     cooling: BinaryHeap<Reverse<(u64, u32)>>,
     /// Load counters per shard, indexed by `shard_of_host`.
     stats: Vec<ShardStats>,
@@ -160,8 +163,8 @@ pub struct ShardedFrontier {
     /// matching head is not [`NIL`].
     tails: Vec<u32>,
     /// `(level, seq)` of the token each host currently exposes in the
-    /// avail heap; `None` when the host exposes nothing (busy, cooling,
-    /// or empty). Always equals the host's parked minimum when set.
+    /// avail heap; `None` when the host exposes nothing (cooling or
+    /// empty). Always equals the host's parked minimum when set.
     /// Avail tokens that do not match are stale and simply discarded —
     /// the entries they carry are safe in the slab.
     exposed: Vec<Option<(u8, u64)>>,
@@ -227,32 +230,6 @@ impl ShardedFrontier {
     pub fn for_space(ws: &WebSpace, levels: usize, shards: usize) -> Self {
         let host_of_page = ws.page_ids().map(|p| ws.host_id(p)).collect();
         ShardedFrontier::new(host_of_page, ws.num_hosts(), levels, shards)
-    }
-
-    /// Host owning a page.
-    pub fn host_of(&self, p: PageId) -> u32 {
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        self.host_of_page[p as usize]
-    }
-
-    /// Per-shard load counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.stats.clone()
-    }
-
-    /// Total accepted pushes that crossed shards so far. The scheduler
-    /// reads the delta across one resolution to emit
-    /// [`crate::event::CrawlEvent::ShardHandoff`].
-    pub fn handoffs(&self) -> u64 {
-        self.handoffs
-    }
-
-    /// Declare the host whose fetch is currently being resolved:
-    /// subsequent accepted pushes landing on another shard count as
-    /// handoffs. `None` (the initial state) attributes nothing — seed
-    /// pushes are not discovery traffic.
-    pub fn set_origin(&mut self, host: Option<u32>) {
-        self.origin = host;
     }
 
     /// `UrlQueue`'s level clamp: priorities at or above the level count
@@ -345,7 +322,7 @@ impl ShardedFrontier {
     /// with entries exposes exactly its parked minimum. Pushes a fresh
     /// token when the exposed minimum changed (the previous token, if
     /// any, goes stale and is discarded when it surfaces); no-op for
-    /// busy/cooling hosts and when the minimum is already exposed —
+    /// cooling hosts and when the minimum is already exposed —
     /// which also makes it idempotent, so a batch admission may refresh
     /// each touched host once after the whole batch instead of after
     /// every entry.
@@ -369,12 +346,13 @@ impl ShardedFrontier {
         }
     }
 
-    /// Pop the global minimum over ready hosts. `mark_busy` is the
-    /// scheduler path: the popped entry's host transitions to `Busy`
-    /// (per-host concurrency 1) instead of re-exposing its next entry.
+    /// Pop the global minimum over ready hosts. `take` is the scheduler
+    /// path: the popped entry's host leaves service — it cools, and the
+    /// fetch's start schedules its wake (per-host concurrency 1) —
+    /// instead of re-exposing its next entry.
     // lint:root(panic-free, alloc-free) — one call per fetch;
     // stale-token skips recycle slab nodes, never allocate.
-    fn pop_inner(&mut self, mark_busy: bool) -> Option<Entry> {
+    fn pop_inner(&mut self, take: bool) -> Option<Entry> {
         loop {
             let Reverse((level, seq, host, page, priority, distance)) = self.avail.pop()?;
             // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
@@ -406,8 +384,8 @@ impl ShardedFrontier {
             self.done[idx] = true;
             self.pending -= 1;
             self.stats[self.shard_of_host[host as usize] as usize].pops += 1;
-            if mark_busy {
-                self.host_state[host as usize] = HostState::Busy;
+            if take {
+                self.host_state[host as usize] = HostState::Cooling;
             } else {
                 self.refresh(host);
             }
@@ -415,140 +393,13 @@ impl ShardedFrontier {
         }
     }
 
-    /// Scheduler pop: the global minimum over *ready* hosts, marking
-    /// the winning host `Busy`. Busy and cooling hosts expose nothing,
-    /// so per-host concurrency 1 and politeness gaps hold by
-    /// construction. `None` when every waiting entry belongs to a busy
-    /// or cooling host (or the frontier is dry).
-    pub fn pop_ready(&mut self) -> Option<Entry> {
-        self.pop_inner(true)
-    }
-
-    /// Finish a fetch on `host`. `ready_at` is the host's next allowed
-    /// fetch start (politeness); at or before `now` the host returns to
-    /// `Ready` immediately, otherwise it parks in the cool-down heap.
-    /// Returns `true` when the host was parked *with work still
-    /// queued* — the politeness-wait signal.
-    pub fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool {
-        if ready_at > now {
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            self.host_state[host as usize] = HostState::Cooling;
-            self.cooling.push(Reverse((ready_at, host)));
-            self.host_min(host).is_some()
-        } else {
-            self.host_state[host as usize] = HostState::Ready;
-            self.refresh(host);
-            false
-        }
-    }
-
-    /// Wake every host whose cool-down expires at or before `t`.
-    pub fn advance_to(&mut self, t: u64) {
-        while let Some(&Reverse((ready_at, host))) = self.cooling.peek() {
-            if ready_at > t {
-                break;
-            }
-            self.cooling.pop();
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            self.host_state[host as usize] = HostState::Ready;
-            self.refresh(host);
-        }
-    }
-
-    /// Earliest tick at which a cooling host wakes, if any — the
-    /// scheduler's next candidate time when slots idle.
-    pub fn next_cooling(&self) -> Option<u64> {
-        self.cooling.peek().map(|&Reverse((at, _))| at)
-    }
-
-    /// Serialize the frontier state a loop-top capture cannot derive
-    /// into a snapshot payload.
-    ///
-    /// Canonical form, so encode∘decode∘encode is a fixed point:
-    /// parked entries as ONE flat list in slab order. A record is
-    /// `(page, priority, distance, seq)` — host comes from the page and
-    /// level from the priority clamp, so neither is stored, and per-slot
-    /// count words (mostly zero, and numerous: hosts × levels of them)
-    /// never hit the payload. Decode rebuilds the slab record by
-    /// record, so a resumed frontier's slab order *is* the record order
-    /// and re-encoding reproduces the bytes; list links are layout,
-    /// resorted from `(level, seq)` — the order the live lists held,
-    /// since seqs only grow and lists append at tail. Cool-downs are
-    /// one sorted `(ready_at, host)` list; then the per-shard counters,
-    /// the fetched bits and the scalar counters.
-    ///
-    /// Everything else is derived on decode (see
-    /// [`Self::decode_state`]): admission keys, host states, exposure
-    /// and the avail heap (stale tokens are behaviorally inert), and
-    /// the handoff total. `origin` is not state: it is only ever `Some`
-    /// *inside* a resolve, and no resolve is in flight at a capture.
-    ///
-    /// Capture rides the scheduler's steady state, so the parked walk
-    /// stages fixed stack blocks and appends them whole, and runs
-    /// linearly over the slab ([`FREE_PAGE`] marks holes) instead of
-    /// chasing list links — the ≤5% capture-overhead gate prices every
-    /// cache miss and per-element capacity check taken here. The
-    /// cool-down list is sorted in `cooling`, a buffer the caller reuses
-    /// across captures.
-    pub(crate) fn encode_state(&self, enc: &mut Enc, cooling: &mut Vec<(u64, u32)>) {
-        // Flat parked-node list: count patched in after one linear
-        // scan. 14 bytes per record via two overlapping u64 stores
-        // (the second starts at the seq offset and re-covers the first
-        // word's two spare bytes), 18 records per staged block.
-        let count_at = enc.mark();
-        enc.u64(0);
-        let mut n = 0u64;
-        let mut block = [0u8; 252];
-        let mut fill = 0;
-        for node in &self.nodes {
-            if node.page == FREE_PAGE {
-                continue;
-            }
-            let w = u64::from(node.page)
-                | u64::from(node.priority) << 32
-                | u64::from(node.distance) << 40;
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            block[fill..fill + 8].copy_from_slice(&w.to_le_bytes());
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            block[fill + 6..fill + 14].copy_from_slice(&node.seq.to_le_bytes());
-            fill += 14;
-            if fill == block.len() {
-                // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-                enc.buf.extend_from_slice(&block);
-                fill = 0;
-            }
-            n += 1;
-        }
-        // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-        enc.buf.extend_from_slice(&block[..fill]);
-        enc.patch_u64(count_at, n);
-        cooling.clear();
-        // lint:allow(no-alloc-transitive): capture-time encode: the sort buffer is reused and reaches its high-water size once
-        cooling.extend(self.cooling.iter().map(|&Reverse(x)| x));
-        cooling.sort_unstable();
-        enc.u64(cooling.len() as u64);
-        for &(at, host) in cooling.iter() {
-            enc.u64(at);
-            enc.u32(host);
-        }
-        for s in &self.stats {
-            enc.u64(s.pushes);
-            enc.u64(s.pops);
-            enc.u64(s.handoffs_in);
-        }
-        enc.bools(&self.done);
-        enc.u64(self.pending as u64);
-        enc.u64(self.max_pending as u64);
-        enc.u64(self.seq);
-    }
-
     /// Restore a snapshot payload into `self`, a fresh frontier built
     /// for the captured space, level count and shard count: the
     /// regenerated space and the snapshot header fix all three, so the
     /// payload does not repeat them.
     ///
-    /// A capture happens at a loop-top tick boundary, where no host is
-    /// busy, so the rest is derived: every page still pending takes its
+    /// A capture happens at a loop-top tick boundary, where every fetch
+    /// has completed, so the rest is derived: every page still pending takes its
     /// admission key from its best parked entry (its winning admission
     /// is parked until fetched, and any other entry of it carries a
     /// worse key), fetched pages read as admitted, the hosts in the
@@ -750,6 +601,133 @@ impl Frontier for ShardedFrontier {
     }
 }
 
+impl SlotFrontier for ShardedFrontier {
+    /// The global minimum over *ready* hosts; its host cools until
+    /// `started` schedules its wake, so it exposes nothing meanwhile.
+    fn pop_ready(&mut self) -> Option<Entry> {
+        self.pop_inner(true)
+    }
+
+    fn started(&mut self, host: u32, free_at: u64) {
+        self.cooling.push(Reverse((free_at, host)));
+    }
+
+    fn advance_to(&mut self, t: u64) {
+        while let Some(&Reverse((ready_at, host))) = self.cooling.peek() {
+            if ready_at > t {
+                break;
+            }
+            self.cooling.pop();
+            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+            self.host_state[host as usize] = HostState::Ready;
+            self.refresh(host);
+        }
+    }
+
+    fn next_cooling(&self) -> Option<u64> {
+        self.cooling.peek().map(|&Reverse((at, _))| at)
+    }
+
+    fn politeness_wait(&self, host: u32, free_at: u64, now: u64) -> bool {
+        free_at > now && self.host_min(host).is_some()
+    }
+
+    /// `None` (the initial state) attributes nothing: seed pushes are
+    /// not discovery traffic.
+    fn set_origin(&mut self, host: Option<u32>) {
+        self.origin = host;
+    }
+
+    fn handoffs(&self) -> u64 {
+        self.handoffs
+    }
+
+    fn shard_stats(&self) -> Vec<ShardStats> {
+        self.stats.clone()
+    }
+
+    /// Serialize the frontier state a loop-top capture cannot derive
+    /// into a snapshot payload.
+    ///
+    /// Canonical form, so encode∘decode∘encode is a fixed point:
+    /// parked entries as ONE flat list in slab order. A record is
+    /// `(page, priority, distance, seq)` — host comes from the page and
+    /// level from the priority clamp, so neither is stored, and per-slot
+    /// count words (mostly zero, and numerous: hosts × levels of them)
+    /// never hit the payload. Decode rebuilds the slab record by
+    /// record, so a resumed frontier's slab order *is* the record order
+    /// and re-encoding reproduces the bytes; list links are layout,
+    /// resorted from `(level, seq)` — the order the live lists held,
+    /// since seqs only grow and lists append at tail. Cool-downs are
+    /// one sorted `(ready_at, host)` list; then the per-shard counters,
+    /// the fetched bits and the scalar counters.
+    ///
+    /// Everything else is derived on decode (see
+    /// [`Self::decode_state`]): admission keys, host states, exposure
+    /// and the avail heap (stale tokens are behaviorally inert), and
+    /// the handoff total. `origin` is not state: it is only ever `Some`
+    /// *inside* a resolve, and no resolve is in flight at a capture.
+    ///
+    /// Capture rides the scheduler's steady state, so the parked walk
+    /// stages fixed stack blocks and appends them whole, and runs
+    /// linearly over the slab ([`FREE_PAGE`] marks holes) instead of
+    /// chasing list links — the ≤5% capture-overhead gate prices every
+    /// cache miss and per-element capacity check taken here. The
+    /// cool-down list is sorted in `cooling`, a buffer the caller reuses
+    /// across captures.
+    fn encode_state(&self, enc: &mut Enc, cooling: &mut Vec<(u64, u32)>) {
+        // Flat parked-node list: count patched in after one linear
+        // scan. 14 bytes per record via two overlapping u64 stores
+        // (the second starts at the seq offset and re-covers the first
+        // word's two spare bytes), 18 records per staged block.
+        let count_at = enc.mark();
+        enc.u64(0);
+        let mut n = 0u64;
+        let mut block = [0u8; 252];
+        let mut fill = 0;
+        for node in &self.nodes {
+            if node.page == FREE_PAGE {
+                continue;
+            }
+            let w = u64::from(node.page)
+                | u64::from(node.priority) << 32
+                | u64::from(node.distance) << 40;
+            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+            block[fill..fill + 8].copy_from_slice(&w.to_le_bytes());
+            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+            block[fill + 6..fill + 14].copy_from_slice(&node.seq.to_le_bytes());
+            fill += 14;
+            if fill == block.len() {
+                // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
+                enc.buf.extend_from_slice(&block);
+                fill = 0;
+            }
+            n += 1;
+        }
+        // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
+        enc.buf.extend_from_slice(&block[..fill]);
+        enc.patch_u64(count_at, n);
+        cooling.clear();
+        // lint:allow(no-alloc-transitive): capture-time encode: the sort buffer is reused and reaches its high-water size once
+        cooling.extend(self.cooling.iter().map(|&Reverse(x)| x));
+        cooling.sort_unstable();
+        enc.u64(cooling.len() as u64);
+        for &(at, host) in cooling.iter() {
+            enc.u64(at);
+            enc.u32(host);
+        }
+        for s in &self.stats {
+            enc.u64(s.pushes);
+            enc.u64(s.pops);
+            enc.u64(s.handoffs_in);
+        }
+        enc.bools(&self.done);
+        enc.u64(self.pending as u64);
+        enc.u64(self.max_pending as u64);
+        enc.u64(self.seq);
+    }
+}
+
 /// The plain-`Frontier` face of [`UrlQueue`] and [`ShardedFrontier`]
 /// share semantics; re-exported tests pin it, so nothing here.
 #[cfg(test)]
@@ -769,6 +747,14 @@ mod tests {
     /// host 1, 6..8 on host 2).
     fn frontier(shards: usize) -> ShardedFrontier {
         ShardedFrontier::new(vec![0, 0, 0, 1, 1, 1, 2, 2], 3, 4, shards)
+    }
+
+    /// The event loop's slot fill: pop the best ready entry and start
+    /// it, its host free again at `free_at`.
+    fn start(f: &mut ShardedFrontier, free_at: u64) -> Option<Entry> {
+        let x = f.pop_ready()?;
+        f.started(f.host_of_page[x.page as usize], free_at);
+        Some(x)
     }
 
     #[test]
@@ -803,14 +789,17 @@ mod tests {
         f.push(e(0, 0, 0));
         f.push(e(1, 0, 0));
         f.push(e(3, 1, 0));
-        // Pop page 0 → host 0 busy; its page 1 is parked, so the next
-        // ready entry is host 1's page 3 despite its worse level.
-        let first = f.pop_ready().unwrap();
-        assert_eq!(first.page, 0);
-        assert_eq!(f.pop_ready().unwrap().page, 3);
+        // Start page 0 at tick 0, finishing at 1 → host 0 busy; its
+        // page 1 is parked, so the next ready entry is host 1's page 3
+        // despite its worse level.
+        assert_eq!(start(&mut f, 1).unwrap().page, 0);
+        assert_eq!(start(&mut f, 1).unwrap().page, 3);
         assert!(f.pop_ready().is_none(), "both hosts busy");
-        // Releasing host 0 with no politeness re-exposes page 1.
-        assert!(!f.release(0, 0, 0));
+        // With no politeness, the finish frees host 0 and re-exposes
+        // page 1; no politeness wait is reported.
+        assert!(!f.politeness_wait(0, 1, 1));
+        assert_eq!(f.next_cooling(), Some(1));
+        f.advance_to(1);
         assert_eq!(f.pop_ready().unwrap().page, 1);
     }
 
@@ -819,9 +808,11 @@ mod tests {
         let mut f = frontier(1);
         f.push(e(0, 0, 0));
         f.push(e(1, 0, 0));
-        assert_eq!(f.pop_ready().unwrap().page, 0);
-        // Host 0 owes a gap until tick 5 and still has page 1 queued.
-        assert!(f.release(0, 5, 1), "parked with work → politeness wait");
+        // Page 0 starts at tick 0 and finishes at 1, and host 0 owes a
+        // gap until tick 5 with page 1 still queued.
+        assert_eq!(start(&mut f, 5).unwrap().page, 0);
+        assert!(f.politeness_wait(0, 5, 1), "parked with work");
+        f.advance_to(1);
         assert!(f.pop_ready().is_none());
         assert_eq!(f.next_cooling(), Some(5));
         f.advance_to(4);
@@ -916,29 +907,30 @@ mod tests {
         f.push(e(0, 0, 0));
         f.push(e(1, 2, 0));
         f.push(e(3, 1, 0));
-        // Fetch page 0 → host 0 goes busy with page 1 still parked.
-        assert_eq!(f.pop_ready().unwrap().page, 0);
+        // Start page 0, finishing at tick 1 → host 0 goes busy with
+        // page 1 still parked.
+        assert_eq!(start(&mut f, 1).unwrap().page, 0);
         // While the host is busy, page 1 is re-discovered at a better
         // priority. The promotion must survive the parked state.
         assert!(f.push(e(1, 0, 0)));
         assert_eq!(f.pending(), 2, "promotion is not a new distinct URL");
-        assert_eq!(f.pop_ready().unwrap().page, 3, "busy host still skipped");
-        assert!(!f.release(0, 0, 0));
+        assert_eq!(start(&mut f, 1).unwrap().page, 3, "busy host still skipped");
+        f.advance_to(1);
         let p1 = f.pop_ready().unwrap();
         assert_eq!((p1.page, p1.priority), (1, 0), "promoted entry pops");
         assert!(f.pop_ready().is_none());
     }
 
     #[test]
-    fn releasing_an_emptied_host_drops_its_exposure() {
+    fn an_emptied_host_cools_and_exposes_nothing() {
         let mut f = frontier(1);
         f.push(e(0, 0, 0));
         f.push(e(3, 0, 0));
-        assert_eq!(f.pop_ready().unwrap().page, 0);
-        // Host 0 has nothing left: it still parks (politeness gaps are
-        // start-to-start, work or not) but release reports no parked
-        // work, and no exposure token lingers for the emptied host.
-        assert!(!f.release(0, 10, 1), "empty host is not parked-with-work");
+        assert_eq!(start(&mut f, 10).unwrap().page, 0);
+        // Host 0 has nothing left: it still cools (politeness gaps are
+        // start-to-start, work or not) but reports no politeness wait,
+        // and no exposure token lingers for the emptied host.
+        assert!(!f.politeness_wait(0, 10, 1), "no work, no wait");
         assert_eq!(f.next_cooling(), Some(10), "the gap itself still applies");
         assert_eq!(f.pop_ready().unwrap().page, 3);
         f.advance_to(10);
@@ -1017,10 +1009,10 @@ mod tests {
         Ok(f)
     }
 
-    /// The fixture at a loop-top boundary: host 0 cooling with work
-    /// queued, host 1 released back to ready after a fetch, host 2
-    /// ready throughout, and page 4's first entry superseded by a
-    /// better admission.
+    /// The fixture at the loop-top boundary of tick 1: host 0 cooling
+    /// with work queued, host 1 ready again after a fetch, host 2 ready
+    /// throughout, and page 4's first entry superseded by a better
+    /// admission.
     fn mid_crawl() -> ShardedFrontier {
         let mut f = frontier(2);
         for p in [
@@ -1034,10 +1026,11 @@ mod tests {
             assert!(f.push(p));
         }
         assert!(f.push(e(4, 0, 1)), "supersedes page 4's first entry");
-        assert_eq!(f.pop_ready().unwrap().page, 0);
-        assert_eq!(f.pop_ready().unwrap().page, 3);
-        assert!(f.release(0, 5, 1), "host 0 cools with work queued");
-        assert!(!f.release(1, 1, 1), "host 1 is ready again at once");
+        assert_eq!(start(&mut f, 5).unwrap().page, 0);
+        assert_eq!(start(&mut f, 1).unwrap().page, 3);
+        assert!(f.politeness_wait(0, 5, 1), "host 0 cools with work queued");
+        assert!(!f.politeness_wait(1, 1, 1), "host 1 is ready again at once");
+        f.advance_to(1);
         f
     }
 
@@ -1053,10 +1046,7 @@ mod tests {
         }
         assert_eq!(back.next_cooling(), Some(5));
         let drain = |f: &mut ShardedFrontier| {
-            let early: Vec<Entry> = std::iter::from_fn(|| f.pop_ready()).collect();
-            for x in &early {
-                f.release(f.host_of(x.page), 0, 5);
-            }
+            let early: Vec<Entry> = std::iter::from_fn(|| start(f, 5)).collect();
             f.advance_to(5);
             let late: Vec<Entry> = std::iter::from_fn(|| f.pop()).collect();
             (early, late, f.pending(), f.total_pushes(), f.shard_stats())
@@ -1096,10 +1086,9 @@ mod tests {
         let mut f = frontier(2);
         f.push(e(0, 0, 0));
         f.push(e(3, 0, 0));
-        f.pop_ready();
-        f.pop_ready();
-        assert!(!f.release(0, 5, 1));
-        assert!(!f.release(1, 7, 1));
+        start(&mut f, 5);
+        start(&mut f, 7);
+        f.advance_to(1);
         let mut enc = encoded(&f);
         assert!(decoded(&enc.buf).is_ok());
         // An empty parked list, the cooling count and the first 12-byte

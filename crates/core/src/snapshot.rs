@@ -13,17 +13,17 @@
 //! Decode derives the rest. Each pending page's admission key is the key
 //! of its best parked entry, fetched pages read as admitted, the hosts
 //! in the cool-down list are cooling and every other host is ready and
-//! exposes its parked minimum (no host is busy at a loop-top boundary,
-//! and a host's politeness deadline lives in the cool-down list once its
-//! fetch completes). The web space itself is *not* serialized — it is
+//! exposes its parked minimum (every fetch has completed at a loop-top
+//! boundary, and a host still owing its politeness gap waits in the
+//! cool-down list). The web space itself is *not* serialized — it is
 //! recorded as (identity fingerprint, generation seed) and regenerated
 //! by the caller, then verified on resume, because generation is a pure
 //! function of the seed. Resuming from a snapshot continues the crawl
 //! **bit-identically** to the uninterrupted run — the resume-parity
 //! suite pins this against the scheduler conformance goldens.
 //!
-//! Captures reach observers through the event seam. A scheduled or
-//! resumed run whose [`EngineConfig::snapshot_every`] is set emits a
+//! Captures reach observers through the event seam. An untimed
+//! scheduled or resumed run whose [`EngineConfig::snapshot_every`] is set emits a
 //! [`CrawlEvent::Snapshot`] every that many ticks, as long as some
 //! attached sink wants [`interest::SNAPSHOT`]. [`SnapshotLog`] keeps
 //! them in memory; [`DirSink`] writes them to files.
@@ -42,7 +42,8 @@
 //!
 //! The payload starts with an identity header (space fingerprint,
 //! generation seed, engine-config fingerprint, run fingerprint, strategy
-//! level count, scheduler config, tick, crawled count) followed by the
+//! level count, scheduler config without the timing model, tick, crawled
+//! count) followed by the
 //! run state and the sharded-frontier state, encoded canonically —
 //! heaps as sorted lists, slabs in slab order (which decoding
 //! reproduces) — so re-encoding a decoded snapshot reproduces the
@@ -545,6 +546,7 @@ impl SnapHead {
             slots: dec.u32()?,
             politeness_gap: dec.u64()?,
             politeness_spread: dec.u64()?,
+            timing: None,
         };
         let tick = dec.u64()?;
         let crawled = dec.u64()?;
@@ -810,6 +812,7 @@ mod tests {
                 slots: 8,
                 politeness_gap: 2,
                 politeness_spread: 1,
+                timing: None,
             },
             tick: 777,
             crawled: 555,

@@ -330,6 +330,7 @@ fn resume_preserves_politeness_state() {
         slots: 4,
         politeness_gap: 2,
         politeness_spread: 3,
+        ..SchedConfig::default()
     };
     let full = run_baseline(&engine, &sched, "soft");
     let every = (full.outcome.ticks / 5).max(1);

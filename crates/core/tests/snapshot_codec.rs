@@ -35,6 +35,7 @@ fn arb_sched(g: &mut Gen) -> SchedConfig {
         slots: g.u32(1..8),
         politeness_gap: g.u64(0..3),
         politeness_spread: g.u64(0..3),
+        ..SchedConfig::default()
     }
 }
 

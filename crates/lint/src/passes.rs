@@ -745,6 +745,7 @@ const P1_PATHS: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/core/src/frontier.rs",
     "crates/core/src/queue.rs",
+    "crates/core/src/readahead.rs",
     "crates/core/src/sched.rs",
     "crates/core/src/shard.rs",
     "crates/core/src/snapshot.rs",

@@ -1,15 +1,14 @@
 //! The timing extension: what politeness actually costs an archive crawl.
 //!
-//! Runs the event-driven simulator (per-server access intervals +
-//! transfer delays — the paper's §6 future work) and answers the
-//! operational question a crawl engineer asks: "how long will the crawl
-//! take, and how many connections are worth renting?"
+//! Runs timed crawls (per-server access intervals + transfer delays —
+//! the paper's §6 future work — as the scheduler's timing model) and
+//! answers the operational question a crawl engineer asks: "how long
+//! will the crawl take, and how many connections are worth renting?"
 //!
 //! ```sh
 //! cargo run --release --example politeness_timing
 //! ```
 
-use langcrawl::core::timing::{run_timed, TimingConfig};
 use langcrawl::prelude::*;
 
 fn main() {
@@ -21,26 +20,41 @@ fn main() {
         space.num_hosts()
     );
 
+    let timing = Timing::default();
     println!(
         "{:>12} {:>12} {:>14} {:>10} {:>12}",
         "connections", "delay [ms]", "wall clock", "pages/s", "utilization"
     );
-    for connections in [8usize, 32, 128] {
+    for connections in [8u32, 32, 128] {
         for delay in [500u64, 2_000] {
-            let cfg = TimingConfig {
-                connections,
-                per_server_delay_ms: delay,
-                ..TimingConfig::default()
+            // One tick is 1 ms; `delay` separates fetch starts on a host.
+            let sched = SchedConfig {
+                slots: connections,
+                politeness_gap: delay,
+                timing: Some(timing),
+                ..SchedConfig::default()
             };
-            let mut strat = LimitedDistanceStrategy::prioritized(2);
-            let r = run_timed(&space, &cfg, &mut strat, &classifier);
+            let mut sim = Simulator::new(
+                &space,
+                SimConfig {
+                    sched,
+                    ..SimConfig::default().with_visit_recording()
+                },
+            );
+            let r = sim.run(&mut LimitedDistanceStrategy::prioritized(2), &classifier);
+            // Each visit held one connection for its transfer time.
+            let busy: u64 = r
+                .visited
+                .iter()
+                .map(|&p| timing.fetch_ticks(space.meta(p).size))
+                .sum();
             println!(
                 "{:>12} {:>12} {:>13.0}s {:>10.1} {:>11.1}%",
                 connections,
                 delay,
-                r.wall_clock_ms as f64 / 1000.0,
-                r.pages_per_second(),
-                100.0 * r.utilization
+                r.ticks as f64 / 1000.0,
+                r.crawled as f64 * 1000.0 / r.ticks as f64,
+                100.0 * busy as f64 / (r.ticks as f64 * f64::from(connections))
             );
         }
     }

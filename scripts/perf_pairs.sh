@@ -18,6 +18,14 @@
 # its median is above the parent's by more than the metric's "bound" in the
 # BENCHMARK.json next to this script's directory (0.25: 25% higher).
 #
+# Build both binaries at paths of the same length: one source built at two
+# path lengths differs in code layout and in timings. Same-length paths are
+# still not layout-neutral: two builds of one source at same-length paths
+# have read 2.5-4% apart (soft, faults, pagerank, detector; 3 pairs of 10-s
+# runs). A clear loss is therefore the only verdict this script gives; a
+# claimed or feared change of a few percent needs 10-s pairs plus a control
+# run against a second build of the parent.
+#
 # Exit status: 1 when a run did not print "correct": true, "failed": 0 and
 # both metrics; otherwise 3 on a clear loss on either metric, else 0. 2 on
 # bad arguments. Needs only a POSIX sh, awk, grep and sort.

@@ -22,8 +22,8 @@
 //!   URL queue / link DB of the paper's Fig. 2), every crawling strategy the
 //!   paper evaluates (breadth-first; hard- and soft-focused; prioritized and
 //!   non-prioritized limited-distance), the extension strategies its related
-//!   -work section describes, crawl metrics, and an event-driven timing
-//!   model (the paper's stated future work).
+//!   -work section describes, crawl metrics, and a timing model for the
+//!   crawl scheduler (the paper's stated future work).
 //!
 //! ## Quickstart
 //!
@@ -58,12 +58,12 @@ pub mod prelude {
         classifier::{Classifier, DetectorClassifier, MetaClassifier, OracleClassifier},
         content::{ContentClassifier, ContentMode},
         metrics::CrawlReport,
+        sched::{SchedConfig, Timing},
         sim::{SimConfig, Simulator},
         strategy::{
             BacklinkCount, BreadthFirst, CombinedStrategy, ContextGraphStrategy, HitsStrategy,
             LimitedDistanceStrategy, OnlinePageRank, SimpleStrategy, Strategy, TldScopeStrategy,
         },
-        timing::{run_timed, TimingConfig},
     };
     pub use langcrawl_webgraph::{DatasetStats, GeneratorConfig, WebSpace};
 }
