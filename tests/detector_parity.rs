@@ -18,6 +18,13 @@
 //! second test sweeps synthetic documents whose best structured
 //! confidence crosses the ceiling in small steps while Latin-1 scores
 //! exactly the ceiling.
+//!
+//! Both sides of that comparison are built from the same probers, so a
+//! change that moved a prober's confidence would move both and still
+//! agree. A third test pins the verdicts absolutely: per space, one
+//! FNV-1a digest over every prober's charset, confidence bits and hint
+//! and over `detect_with`'s verdict, for the same pages, forms and
+//! configurations.
 
 use langcrawl_charset::prober::{
     EucJpProber, EucKrProber, Gb2312Prober, Iso2022JpProber, Latin1Prober, Prober, ShiftJisProber,
@@ -64,17 +71,9 @@ fn detect_reference(bytes: &[u8], config: &DetectorConfig) -> Verdict {
 /// whole document, in the composite detector's tie-break order: the six
 /// structured probers, then Latin-1.
 fn run_probers(slice: &[u8]) -> Vec<(f64, Charset, Option<Language>)> {
-    let probers: [Box<dyn Prober>; 7] = [
-        Box::new(Utf8Prober::new()),
-        Box::new(EucJpProber::new()),
-        Box::new(ShiftJisProber::new()),
-        Box::new(EucKrProber::new()),
-        Box::new(Gb2312Prober::new()),
-        Box::new(ThaiProber::new()),
-        Box::new(Latin1Prober::new()),
-    ];
-    probers
+    every_prober()
         .into_iter()
+        .skip(1)
         .map(|mut prober| {
             prober.feed(slice);
             (
@@ -84,6 +83,21 @@ fn run_probers(slice: &[u8]) -> Vec<(f64, Charset, Option<Language>)> {
             )
         })
         .collect()
+}
+
+/// Every prober the composite detector runs, fresh: ISO-2022-JP, then
+/// the seven of [`run_probers`] in its order.
+fn every_prober() -> [Box<dyn Prober>; 8] {
+    [
+        Box::new(Iso2022JpProber::new()),
+        Box::new(Utf8Prober::new()),
+        Box::new(EucJpProber::new()),
+        Box::new(ShiftJisProber::new()),
+        Box::new(EucKrProber::new()),
+        Box::new(Gb2312Prober::new()),
+        Box::new(ThaiProber::new()),
+        Box::new(Latin1Prober::new()),
+    ]
 }
 
 fn spaces() -> [(&'static str, WebSpace); 4] {
@@ -165,4 +179,74 @@ fn detect_matches_the_reference_across_the_ceiling() {
     // Both sides of the ceiling, with the floor winning within 0.01 of
     // it: a skip that started below the ceiling would drop those wins.
     assert!(floor_won_near > 0 && structured_won > 0);
+}
+
+/// Each pinned space's digest of [`verdict_digest`], taken before the
+/// probers' whole-character kernels and never changed since.
+const PINNED: [(&str, u64); 4] = [
+    ("japanese_like", 0xbc64_9ccc_b470_ee03),
+    ("thai_like", 0xbb16_a688_4df9_1883),
+    ("korean_like", 0x87b9_fb71_30b7_1b9c),
+    ("chinese_like", 0xfd28_ec5d_eedf_33ab),
+];
+
+/// FNV-1a over, for every OK-HTML page in page order, whole and with
+/// every 7th byte's high bit flipped, under the default configuration
+/// and with no byte cap and no confidence floor: each prober's charset
+/// label, confidence bits and hint on the configuration's slice, then
+/// `detect_with`'s charset, confidence bits and language.
+fn verdict_digest(ws: &WebSpace) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut fold_verdict = |charset: Charset, bits: u64, lang: Option<Language>| {
+        fold(charset.label().as_bytes());
+        fold(&bits.to_le_bytes());
+        fold(lang.map_or("-", Language::name).as_bytes());
+        fold(b";");
+    };
+    let uncapped = DetectorConfig {
+        max_bytes: usize::MAX,
+        min_confidence: 0.0,
+    };
+    for p in ws.page_ids().filter(|&p| ws.meta(p).is_ok_html()) {
+        let page = ws.synthesize_page(p);
+        let flipped: Vec<u8> = page
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| if i % 7 == 6 { b ^ 0x80 } else { b })
+            .collect();
+        for bytes in [&page, &flipped] {
+            for config in [&DetectorConfig::default(), &uncapped] {
+                let slice = &bytes[..bytes.len().min(config.max_bytes)];
+                for mut prober in every_prober() {
+                    prober.feed(slice);
+                    fold_verdict(
+                        prober.charset(),
+                        prober.confidence().to_bits(),
+                        prober.language_hint(),
+                    );
+                }
+                let d = detect_with(bytes, config);
+                fold_verdict(d.charset, d.confidence.to_bits(), d.language());
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn verdicts_match_pinned_digests() {
+    let got: Vec<(&str, u64)> = spaces()
+        .iter()
+        .map(|(name, ws)| (*name, verdict_digest(ws)))
+        .collect();
+    let shown: Vec<String> = got
+        .iter()
+        .map(|(name, h)| format!("{name} {h:#018x}"))
+        .collect();
+    assert_eq!(got, PINNED, "verdict digests: {}", shown.join(", "));
 }
