@@ -9,8 +9,8 @@
 //! that procedure gives it (see [`detect_with`]).
 
 use crate::prober::{
-    ascii_run_no_esc, EucCnKrScan, EucJpProber, Iso2022JpProber, Latin1Prober, Prober,
-    ShiftJisProber, ThaiProber, Utf8Prober,
+    skip_ascii, EucScan, Iso2022JpProber, Latin1Prober, Prober, ShiftJisProber, ThaiProber,
+    Utf8Prober,
 };
 use crate::types::{Charset, Language};
 
@@ -74,9 +74,9 @@ pub fn detect(bytes: &[u8]) -> Detection {
 /// 2. an alive ISO-2022-JP prober with at least one designation escape is
 ///    conclusive and short-circuits the rest (see below);
 /// 3. otherwise the six structured probers (UTF-8, EUC-JP, Shift_JIS,
-///    EUC-KR, GB2312, Thai) scan the (truncated) document; the EUC-KR
-///    and GB2312 probers share one fused scan since their validity
-///    machines are identical;
+///    EUC-KR, GB2312, Thai) scan the (truncated) document; the three EUC
+///    probers share one scan, since EUC-KR and GB2312 pack their
+///    character sets as EUC-JP packs JIS X 0208;
 /// 4. the Latin-1 floor scans the document only while the best
 ///    structured confidence is below [`Latin1Prober::CEILING`]: it never
 ///    scores above that ceiling and ranks last, so from there on it
@@ -85,10 +85,16 @@ pub fn detect(bytes: &[u8]) -> Detection {
 ///    prober (escape/multibyte before single-byte, single-byte before the
 ///    Latin-1 floor) via the registration order below; a winner below
 ///    `min_confidence` gives [`Charset::Unknown`].
+///
+/// Panic-free over any bytes and any configuration: the probers walk
+/// their input through slice patterns and checked slicing, and every
+/// table they index spans all 256 byte values.
+// lint:root(panic-free) — runs on every page a detector-judged crawl
+// fetches; a panic here would abort the whole crawl
 pub fn detect_with(bytes: &[u8], config: &DetectorConfig) -> Detection {
-    let slice = &bytes[..bytes.len().min(config.max_bytes)];
+    let slice = bytes.get(..config.max_bytes).unwrap_or(bytes);
 
-    if ascii_run_no_esc(slice, 0) == slice.len() {
+    if skip_ascii::<true>(slice).is_empty() {
         return Detection {
             charset: Charset::Ascii,
             confidence: 1.0,
@@ -115,30 +121,21 @@ pub fn detect_with(bytes: &[u8], config: &DetectorConfig) -> Detection {
 
     let mut utf8 = Utf8Prober::new();
     utf8.feed(slice);
-    let mut eucjp = EucJpProber::new();
-    eucjp.feed(slice);
+    let mut euc = EucScan::new();
+    euc.feed(slice);
     let mut sjis = ShiftJisProber::new();
     sjis.feed(slice);
-    let mut euc_cnkr = EucCnKrScan::new();
-    euc_cnkr.feed(slice);
     let mut th = ThaiProber::new();
     th.feed(slice);
 
     // Registration order encodes tie-break specificity.
+    let euc_candidate = |confidence, cs: Charset| (confidence, cs, cs.language());
     let candidates: [(f64, Charset, Option<Language>); 6] = [
         (utf8.confidence(), utf8.charset(), utf8.language_hint()),
-        (eucjp.confidence(), eucjp.charset(), eucjp.language_hint()),
+        euc_candidate(euc.ja_confidence(), Charset::EucJp),
         (sjis.confidence(), sjis.charset(), sjis.language_hint()),
-        (
-            euc_cnkr.kr_confidence(),
-            Charset::EucKr,
-            Charset::EucKr.language(),
-        ),
-        (
-            euc_cnkr.cn_confidence(),
-            Charset::Gb2312,
-            Charset::Gb2312.language(),
-        ),
+        euc_candidate(euc.kr_confidence(), Charset::EucKr),
+        euc_candidate(euc.cn_confidence(), Charset::Gb2312),
         (th.confidence(), th.charset(), th.language_hint()),
     ];
 

@@ -103,7 +103,6 @@ impl Classifier for DetectorClassifier {
     fn relevance(&self, ws: &WebSpace, page: PageId) -> f64 {
         // lint:allow(no-panic-transitive): synthesis is total over generator output; pinned by the webgraph determinism suite
         let bytes = ws.synthesize_page(page);
-        // lint:allow(no-panic-transitive): prober tables are u8-indexed (256-entry); pinned by the charset conformance suite
         let d = detect(&bytes);
         if d.language() == Some(self.target) {
             1.0

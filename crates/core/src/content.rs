@@ -76,7 +76,6 @@ impl ContentClassifier {
     fn judge(&self, bytes: &[u8]) -> f64 {
         // lint:allow(no-panic-transitive): the META scanner is exercised over arbitrary synthesized bytes in langcrawl-html tests
         let meta_lang = || extract_meta_charset(bytes).and_then(|cs| cs.language());
-        // lint:allow(no-panic-transitive): prober tables are u8-indexed (256-entry); pinned by the charset conformance suite
         let detector_lang = || detect(bytes).language();
         let judged = match self.mode {
             ContentMode::MetaOnly => meta_lang(),
