@@ -13,10 +13,12 @@
 //! * [`labels`] — IANA-style charset label parsing (`charset=EUC-JP`,
 //!   `x-sjis`, …) for the META path.
 //! * [`detect`] — a composite detector in the style of Li & Momoi: an
-//!   escape-sequence prober (ISO-2022-JP), multibyte validity state
-//!   machines plus character-distribution analysis (UTF-8, EUC-JP,
-//!   Shift_JIS), and single-byte frequency probers (Thai encodings,
-//!   Latin-1).
+//!   escape-sequence prober (ISO-2022-JP), multibyte probers that validate
+//!   and decode one whole character at a time and feed a
+//!   character-distribution analysis (UTF-8, EUC-JP, Shift_JIS, EUC-KR,
+//!   GB2312; see [`prober`]), and single-byte frequency probers (Thai
+//!   encodings, Latin-1). The validity state machines of [`sm`] are the
+//!   reference those probers are tested against.
 //! * [`encode`] / [`decode`] — algorithmic encoders/decoders used by the
 //!   web-space generator to synthesize page bytes with a known ground-truth
 //!   encoding, so the detector can be validated end-to-end. Japanese text

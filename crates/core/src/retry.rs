@@ -13,8 +13,17 @@
 //! `attempt`-th failure. Delays are monotonically non-decreasing in the
 //! attempt number and total attempts never exceed
 //! [`RetryPolicy::max_attempts`] — the retry proptests pin both.
+//!
+//! A timed crawl ([`crate::sched::SchedConfig::timing`]) makes a tick
+//! 1 ms, and the back-off does not scale with it: the default 2–64 ticks
+//! are 2–64 ms, less than one 80 ms round trip of the default
+//! [`crate::sched::Timing`] and far less than a politeness gap of a
+//! second. There the host's politeness gap, not the back-off, decides
+//! when a retry runs.
 
-/// When and how often to retry transiently failed fetches.
+/// When and how often to retry transiently failed fetches. Delays are in
+/// ticks: one per fetch attempt untimed, 1 ms in a timed crawl (see the
+/// module docs for what that does to the default back-off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total fetch attempts per page, first attempt included. `0` is

@@ -128,6 +128,12 @@ impl SchedConfig {
 /// The timing model of a timed crawl ([`SchedConfig::timing`]; the
 /// README shows one). One tick is 1 ms; the defaults are an 80 ms round
 /// trip, about 10 Mbit/s per slot, and 256 URLs of read-ahead.
+///
+/// Retry back-off ([`crate::retry::RetryPolicy`]) counts ticks too and
+/// does not scale with this model: the default 2–64-tick back-off is
+/// 2–64 ms here, shorter than one default round trip, so a failed
+/// fetch's retry waits on its host's politeness gap rather than on its
+/// back-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timing {
     /// Per-request round-trip latency, ticks.
