@@ -12,7 +12,11 @@
 //! 2. Multi-slot runs (`K ∈ {2, 8}`) get their own golden hashes: the
 //!    schedule is a pure function of (space seed, config), so these pin
 //!    the scheduler's tie-break discipline across time.
-//! 3. The same hashes are asserted under different `LANGCRAWL_THREADS`
+//! 3. Polite and timed schedules (`K = 4` with gap 2 and spread 3,
+//!    `K = 16` with gap 6 and spread 2, and a timed crawl of 32 slots
+//!    with a 1 s gap), each with and without 10% faults, get absolute
+//!    goldens that also fold the makespan and the fault counters.
+//! 4. The same hashes are asserted under different `LANGCRAWL_THREADS`
 //!    settings (which parallelize space *generation*): the constants
 //!    are absolute, so running this binary under any thread count — as
 //!    CI does — proves thread-invariance end to end, and the in-process
@@ -21,17 +25,20 @@
 
 use langcrawl_core::classifier::{MetaClassifier, OracleClassifier};
 use langcrawl_core::metrics::CrawlReport;
+use langcrawl_core::sched::{SchedConfig, Timing};
 use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy};
 use langcrawl_webgraph::generate::generate_with_threads;
-use langcrawl_webgraph::GeneratorConfig;
+use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
+
+/// The FNV-1a prime.
+const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over the pre-fault-model report fields — byte-for-byte the
 /// same folding as `fault_conformance::report_hash`, so hashes are
 /// comparable across the two suites. (`ticks` and the fault counters
 /// are deliberately excluded: the legacy goldens predate them.)
 fn report_hash(r: &CrawlReport) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut fold_bytes = |bytes: &[u8]| {
         for &b in bytes {
@@ -63,6 +70,18 @@ fn report_hash(r: &CrawlReport) -> u64 {
     h
 }
 
+/// [`report_hash`] with the makespan and the fault counters folded in
+/// after it, for the goldens that postdate them.
+fn full_hash(r: &CrawlReport) -> u64 {
+    let mut h = report_hash(r);
+    for x in [r.ticks, r.attempts, r.retries, r.gave_up] {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(PRIME);
+        }
+    }
+    h
+}
+
 /// The pinned space: same preset/scale/seed as `fault_conformance` and
 /// `engine_parity`.
 fn space() -> langcrawl_webgraph::WebSpace {
@@ -77,8 +96,16 @@ fn space_on(threads: usize) -> langcrawl_webgraph::WebSpace {
 /// The three pinned strategy/classifier pairs, run under the scheduler
 /// with `k` slots and zero politeness.
 fn scheduled_runs(ws: &langcrawl_webgraph::WebSpace, k: u32) -> Vec<(&'static str, CrawlReport)> {
-    let config = SimConfig::default().with_visit_recording().with_workers(k);
-    let mut sim = Simulator::new(ws, config);
+    pinned_runs(ws, SimConfig::default().with_workers(k))
+}
+
+/// The three pinned strategy/classifier pairs, run under `config` with
+/// visit recording on.
+fn pinned_runs(
+    ws: &langcrawl_webgraph::WebSpace,
+    config: SimConfig,
+) -> Vec<(&'static str, CrawlReport)> {
+    let mut sim = Simulator::new(ws, config.with_visit_recording());
     vec![
         (
             "breadth_first/oracle",
@@ -124,6 +151,95 @@ const GOLDEN_K8: [u64; 3] = [
     0xe3fc_e642_5692_c557, // soft_focused/meta
     0xe1c6_e933_dab2_3754, // limited_distance_3/oracle
 ];
+
+/// The polite and timed schedules pinned by [`GOLDEN_POLITE`]: `K = 4`
+/// with gap 2 and spread 3, `K = 16` with gap 6 and spread 2 (a
+/// `parallelism_sweep` row), and a timed crawl of 32 slots with a
+/// 1,000-tick (1 s) gap under the default timing model.
+fn polite_schedules() -> [(&'static str, SchedConfig); 3] {
+    let polite = |slots, politeness_gap, politeness_spread| SchedConfig {
+        slots,
+        politeness_gap,
+        politeness_spread,
+        ..SchedConfig::default()
+    };
+    let timed = SchedConfig {
+        timing: Some(Timing::default()),
+        ..polite(32, 1_000, 0)
+    };
+    [
+        ("K=4 gap 2 spread 3", polite(4, 2, 3)),
+        ("K=16 gap 6 spread 2", polite(16, 6, 2)),
+        ("timed K=32 gap 1 s", timed),
+    ]
+}
+
+// Polite and timed goldens, captured before the single-slot loop was
+// folded into the event loop: one row per schedule of
+// [`polite_schedules`], first without faults, then under
+// `FaultConfig::with_rate(0.1)`, each in `scheduled_runs` strategy
+// order. They fold `ticks`, `attempts`, `retries` and `gave_up` too
+// ([`full_hash`]).
+const GOLDEN_POLITE: [[u64; 3]; 6] = [
+    [
+        0xa201_0dbb_a53d_e704,
+        0x3bc3_191d_a9e7_42e8,
+        0xce37_68fc_4199_9f5a,
+    ], // K=4 gap 2 spread 3
+    [
+        0xa50c_0bb1_2168_aa6f,
+        0x38e7_4362_078e_3929,
+        0x4764_a580_e801_12c4,
+    ], // K=16 gap 6 spread 2
+    [
+        0x5c45_ce85_30f6_ea22,
+        0x05f6_57fe_bef0_b93e,
+        0x4753_5153_a091_d5db,
+    ], // timed K=32 gap 1 s
+    [
+        0xc0b3_fe9e_f1b5_2e47,
+        0x666c_0f9f_e06a_47eb,
+        0xec63_c104_fed1_9315,
+    ], // K=4 gap 2 spread 3, 10% faults
+    [
+        0x077d_0beb_660a_637b,
+        0x651e_5484_7f80_09f7,
+        0x0b33_7e0a_146c_0c7c,
+    ], // K=16 gap 6 spread 2, 10% faults
+    [
+        0xc7a9_2d6a_5809_a090,
+        0x60ad_5d27_2b39_dda7,
+        0x2ee4_5892_e232_8172,
+    ], // timed K=32 gap 1 s, 10% faults
+];
+
+#[test]
+fn polite_and_timed_schedules_match_their_goldens() {
+    let ws = space();
+    let cells = [FaultConfig::default(), FaultConfig::with_rate(0.1)]
+        .into_iter()
+        .flat_map(|fault| polite_schedules().map(|cell| (cell, fault.clone())));
+    let mut bad = Vec::new();
+    for (((cell, sched), fault), goldens) in cells.zip(GOLDEN_POLITE) {
+        let faults = if fault.is_zero() { "" } else { ", 10% faults" };
+        let config = SimConfig {
+            sched,
+            ..SimConfig::default()
+        };
+        for ((name, report), golden) in pinned_runs(&ws, config.with_faults(fault))
+            .iter()
+            .zip(goldens)
+        {
+            let got = full_hash(report);
+            if got != golden {
+                bad.push(format!(
+                    "{name} {cell}{faults}: hash {got:#018x} != golden {golden:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
 
 #[test]
 fn single_slot_scheduled_runs_match_legacy_goldens() {
