@@ -76,11 +76,12 @@ const TAIL: u64 = 1_000;
 /// before the tail), and the short run is a prefix of the full one, so
 /// whatever the full run allocates beyond the short one is what its
 /// last `TAIL` fetches allocated. That must be nothing. The cells cover
-/// the single-slot loop a default schedule hands off to, with and
-/// without retries, and the virtual-time event loop under politeness
-/// stalls and retries, without and with snapshot capture (a capture
-/// every 50 ticks, into a sink that keeps no bytes, so pending retries
-/// and cool-downs are sorted at every capture).
+/// the crawl loop at the default schedule, which drains a `UrlQueue`,
+/// with and without retries, and at four slots over the sharded
+/// frontier under politeness stalls and retries, without and with
+/// snapshot capture (a capture every 50 ticks, into a sink that keeps
+/// no bytes, so pending retries and cool-downs are sorted at every
+/// capture).
 #[test]
 fn steady_state_fetches_allocate_nothing() {
     /// Wants every capture and keeps none of it.

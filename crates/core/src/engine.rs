@@ -9,22 +9,22 @@
 //! * **who watches** — any number of [`EventSink`]s receiving the typed
 //!   event stream ([`CrawlEvent`]).
 //!
-//! A crawl starts or resumes through one of four calls:
-//! [`CrawlEngine::run`] drives the single-slot loop over a
-//! caller-supplied frontier; [`CrawlEngine::run_scheduled`] runs the
-//! virtual-time scheduler ([`crate::sched`]); [`CrawlEngine::snapshot`]
-//! hands out the tick-0 state of a scheduled crawl; and
-//! [`CrawlEngine::resume`] continues one from a snapshot. Checkpoints
-//! are events like any other ([`CrawlEvent::Snapshot`]), emitted when
-//! [`EngineConfig::snapshot_every`] is set.
+//! A crawl starts or resumes through one of four calls, and every one
+//! runs the one event loop of [`crate::sched`]: [`CrawlEngine::run`]
+//! drives it at one slot over a caller-supplied frontier;
+//! [`CrawlEngine::run_scheduled`] under a [`crate::sched::SchedConfig`];
+//! [`CrawlEngine::snapshot`] hands out the tick-0 state of a scheduled
+//! crawl; and [`CrawlEngine::resume`] continues one from a snapshot.
+//! Checkpoints are events like any other ([`CrawlEvent::Snapshot`]),
+//! emitted when [`EngineConfig::snapshot_every`] is set.
 //!
-//! Both loops take one fetch step and differ only in how they order
-//! fetches in time. `attempt` decides a fetch's attempt number and
-//! outcome when it starts; `conclude` either backs a transient failure
-//! off onto the retry heap or hands the page to `resolve`, which
-//! narrates, classifies and admits its outlinks. All three advance one
-//! `Progress`: the clock, the counters, the sample countdown and the
-//! retry heap, which is also what a snapshot carries.
+//! The loop orders fetches in time and takes one fetch step for each.
+//! `attempt` decides a fetch's attempt number and outcome when it
+//! starts; `conclude` either backs a transient failure off onto the
+//! retry heap or hands the page to `resolve`, which narrates, classifies
+//! and admits its outlinks. All three advance one `Progress`: the clock,
+//! the counters, the sample countdown and the retry heap, which is also
+//! what a snapshot carries.
 //!
 //! [`crate::sim::Simulator`] is the convenience wrapper that wires the
 //! default schedule and sinks back together and returns a
@@ -124,11 +124,10 @@ pub struct EngineOutcome {
     pub retries: u64,
     /// Pages abandoned after exhausting their retry budget.
     pub gave_up: u64,
-    /// Virtual ticks the crawl spanned — the makespan of the schedule.
-    /// In the legacy single-slot loop this is the tick of the last
-    /// attempt (one tick per attempt plus backoff fast-forwards); in a
-    /// scheduled run ([`crate::sched::SchedConfig`]) it is the time of
-    /// the last processed completion, so `K` slots shrink it toward
+    /// Virtual ticks the crawl spanned — the makespan of the schedule:
+    /// the time of the last processed event. At one untimed slot that
+    /// is one tick per attempt plus backoff fast-forwards;
+    /// [`crate::sched::SchedConfig::slots`] `K` shrink it toward
     /// `attempts / K` plus politeness stalls.
     pub ticks: u64,
 }
@@ -136,9 +135,10 @@ pub struct EngineOutcome {
 /// Reusable per-run scratch: every buffer the crawl loop writes per
 /// fetch, hoisted out of the loop so a steady-state fetch allocates
 /// nothing. Callers that run many crawls back-to-back (experiment
-/// sweeps, benchmarks) pass the same scratch each time; buffers are
-/// length-reset per run but keep their capacity, so repeated runs stop
-/// paying the grow-from-empty cycle entirely.
+/// sweeps, benchmarks) pass the same scratch to
+/// [`CrawlEngine::run_scheduled`] each time; buffers are length-reset
+/// per run but keep their capacity, so repeated runs stop paying the
+/// grow-from-empty cycle entirely.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     /// Admission buffer the strategy refills once per fetch; grows to
@@ -221,85 +221,6 @@ impl<'a> CrawlEngine<'a> {
         self.ws
     }
 
-    /// Run one crawl: seed the `frontier`, loop pop → download →
-    /// classify → admit, narrate every step to `sinks`, and return the
-    /// outcome. The engine is reusable — each run takes a fresh frontier.
-    ///
-    /// The per-page event order is fixed: [`CrawlEvent::FetchAttempt`]
-    /// (one per attempt; a transiently failed attempt emits only this
-    /// before the page re-enters the frontier), [`CrawlEvent::Fetched`],
-    /// [`CrawlEvent::Classified`], then [`CrawlEvent::Filtered`] (only
-    /// when the URL filter dropped links) and [`CrawlEvent::Admitted`],
-    /// then [`CrawlEvent::Sampled`] on sampling fetches. One
-    /// [`CrawlEvent::Finished`] closes the run. Variants no attached
-    /// sink declares in [`EventSink::interests`] are skipped entirely.
-    pub fn run<F, S, C>(
-        &self,
-        frontier: F,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-    ) -> EngineOutcome
-    where
-        F: Frontier,
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        let mut scratch = EngineScratch::new();
-        self.run_with_scratch(frontier, strategy, classifier, sinks, &mut scratch)
-    }
-
-    /// [`CrawlEngine::run`] with caller-provided [`EngineScratch`]: the
-    /// admission buffer the strategy refills once per fetch and the
-    /// lazily materialized attempt table. The scheduler's degenerate
-    /// point hands off here with its caller's scratch, so repeated
-    /// default runs stop reallocating once the buffers have grown to
-    /// their high-water sizes. Prior contents are ignored; only
-    /// capacity carries over.
-    // lint:root(panic-free) — the single-slot loop every default crawl
-    // runs; every simulated fetch passes through here.
-    pub(crate) fn run_with_scratch<F, S, C>(
-        &self,
-        mut frontier: F,
-        strategy: &mut S,
-        classifier: &C,
-        sinks: &mut [&mut dyn EventSink],
-        scratch: &mut EngineScratch,
-    ) -> EngineOutcome
-    where
-        F: Frontier,
-        S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
-    {
-        scratch.begin_run();
-        self.seed(&mut frontier);
-        let budget = self.config.max_pages.unwrap_or(u64::MAX);
-        let mut st = RunState::new(sinks, self.sample_interval(), None);
-        loop {
-            // Due retries re-enter the frontier before the next pop, so
-            // its own policy orders them against fresh discoveries.
-            st.progress.requeue_due(&mut frontier);
-            let Some(entry) = frontier.pop() else {
-                // Frontier dry but retries pending: fast-forward the
-                // clock to the next ready tick and drain again.
-                match st.progress.next_retry() {
-                    Some(ready) => st.progress.now = ready,
-                    None => break,
-                }
-                continue;
-            };
-            // One tick per attempt, which completes at once.
-            st.progress.now += 1;
-            let fetch = self.attempt(entry, &mut st.progress, &scratch.attempt_counts);
-            if self.conclude(&mut st, &mut frontier, strategy, classifier, scratch, fetch)
-                && st.progress.crawled >= budget
-            {
-                break;
-            }
-        }
-        st.finish(&frontier)
-    }
-
     /// Park the space's seeds in `frontier` at priority 0.
     pub(crate) fn seed<F: Frontier + ?Sized>(&self, frontier: &mut F) {
         for &s in self.ws.seeds() {
@@ -320,8 +241,8 @@ impl<'a> CrawlEngine<'a> {
     }
 
     /// Start a fetch of `entry`: count the attempt and decide its
-    /// number and what the web (plus fault model) answers. Both loops
-    /// decide at fetch start; only the bookkeeping waits for
+    /// number and what the web (plus fault model) answers. The loop
+    /// decides at fetch start; only the bookkeeping waits for
     /// [`CrawlEngine::conclude`]. The fault machinery engages only
     /// when the model can fire: zero-fault runs, and runs whose
     /// realized model is inert (elided in [`CrawlEngine::new`]), never
@@ -577,11 +498,10 @@ pub(crate) struct Fetch {
 
 /// How far a crawl has got — everything that advances as it runs and
 /// that a snapshot must carry besides the frontier and the attempt
-/// table. Both loops advance one.
+/// table.
 #[derive(Debug, Default)]
 pub(crate) struct Progress {
-    /// Virtual tick: of the last attempt in the single-slot loop, of
-    /// the last processed event in the scheduler.
+    /// Virtual tick of the last processed event.
     pub(crate) now: u64,
     /// Fetch attempts started.
     pub(crate) attempts: u64,
@@ -636,7 +556,7 @@ impl Progress {
     }
 }
 
-/// Run-wide mutable state shared by both loops: the sinks with their
+/// Run-wide mutable state of the crawl loop: the sinks with their
 /// unioned interest mask, the sampling cadence, and the run's
 /// [`Progress`].
 pub(crate) struct RunState<'s, 'k> {
@@ -804,7 +724,7 @@ mod tests {
         let ws = space();
         let oracle = OracleClassifier::target(ws.target_language());
 
-        // The single-slot loop.
+        // One slot over a caller's frontier.
         let engine = CrawlEngine::new(&ws, EngineConfig::default());
         let mut sink = Declared {
             mask: interest::FINISHED,
@@ -819,7 +739,7 @@ mod tests {
         );
         assert!(sink.finished);
 
-        // The scheduled loop, with every scheduler event able to fire:
+        // A schedule with every scheduler event able to fire:
         // slots and politeness stall and hand off, faults retry,
         // the filter drops links, and a capture cadence is set that no
         // sink wants. The sink takes what `MetricsSampler` takes.

@@ -115,9 +115,9 @@ pub enum CrawlEvent<'a> {
     },
     /// The virtual-time scheduler advanced the clock with at least one
     /// fetch slot unoccupied while work was still waiting (behind a
-    /// politeness cool-down or a retry backoff). Emitted only by
-    /// scheduled runs ([`crate::sched::SchedConfig`]); the legacy
-    /// single-slot loop never idles.
+    /// politeness cool-down or a retry backoff). A single slot without
+    /// politeness idles only while retries back off with the frontier
+    /// dry.
     SlotIdle {
         /// Virtual tick the idle span started at.
         tick: u64,

@@ -18,8 +18,15 @@
 //! re-admitted only with a *strictly better* key (re-prioritization),
 //! never re-admitted after it was popped, and `pending()` counts
 //! distinct waiting pages — the paper's "URL queue size".
+//!
+//! The crawl loop drives every frontier through the same calls: it
+//! starts entries with [`Frontier::pop_ready`], tells the frontier when
+//! each started host is free again, and moves its clock. The defaults
+//! of those calls describe a frontier whose hosts are always free, so
+//! a plain queue implements only the admission half of the trait.
 
 use crate::queue::{Entry, UrlQueue};
+use crate::shard::ShardStats;
 use langcrawl_webgraph::PageId;
 
 /// The crawl engine's view of a URL frontier.
@@ -75,6 +82,53 @@ pub trait Frontier {
 
     /// Was this page ever admitted (queued or fetched)?
     fn was_admitted(&self, p: PageId) -> bool;
+
+    /// The next entry to start at the clock of the last
+    /// [`Frontier::advance_to`], or `None` while no waiting entry's host
+    /// is free; [`Frontier::started`] follows each. By default every
+    /// host is free, so this is [`Frontier::pop`].
+    #[inline]
+    fn pop_ready(&mut self) -> Option<Entry> {
+        self.pop()
+    }
+
+    /// A fetch on `host` started; the host may start again at `free_at`.
+    #[inline]
+    fn started(&mut self, _host: u32, _free_at: u64) {}
+
+    /// Move the clock to `t`, freeing every host due by then.
+    #[inline]
+    fn advance_to(&mut self, _t: u64) {}
+
+    /// The earliest tick a waiting host becomes free, if any.
+    #[inline]
+    fn next_cooling(&self) -> Option<u64> {
+        None
+    }
+
+    /// Does a fetch on `host` completing at `now` leave queued work
+    /// waiting for its host until `free_at` (a politeness wait)?
+    #[inline]
+    fn politeness_wait(&self, _host: u32, _free_at: u64, _now: u64) -> bool {
+        false
+    }
+
+    /// Declare the host whose fetch is resolving (`None` once it has
+    /// resolved), so pushes can be attributed to it as handoffs.
+    #[inline]
+    fn set_origin(&mut self, _host: Option<u32>) {}
+
+    /// Accepted pushes that crossed shards so far.
+    #[inline]
+    fn handoffs(&self) -> u64 {
+        0
+    }
+
+    /// Per-shard load counters, in shard order; empty for an unsharded
+    /// frontier.
+    fn shard_stats(&self) -> Vec<ShardStats> {
+        Vec::new()
+    }
 }
 
 impl Frontier for UrlQueue {

@@ -39,8 +39,9 @@
 //! * [`sched`] — the scaling seam made concrete: a deterministic
 //!   virtual-time scheduler ([`sched::SchedConfig`]: `K` fetch slots,
 //!   per-host politeness gaps, per-host concurrency 1) over that
-//!   frontier, bit-identical to the legacy loop at `K = 1`, with
-//!   crash-safe [`snapshot`]s and resume. Its optional timing model
+//!   frontier — the one crawl loop every run takes, the paper's
+//!   single-slot crawl at `K = 1` — with crash-safe [`snapshot`]s and
+//!   resume. Its optional timing model
 //!   ([`sched::Timing`]) is the paper's stated future work (§6):
 //!   transfer delays and per-server access intervals in milliseconds,
 //!   served through a Mercator-style read-ahead frontier.

@@ -66,11 +66,10 @@ pub struct CrawlReport {
     pub retries: u64,
     /// Pages abandoned after exhausting their retry budget.
     pub gave_up: u64,
-    /// Virtual ticks the crawl spanned (the schedule's makespan). With
-    /// the legacy single-slot engine this tracks attempts plus backoff
-    /// fast-forwards; under the virtual-time scheduler
-    /// ([`crate::sched::SchedConfig`]) it shrinks with the slot count
-    /// and stretches with politeness stalls.
+    /// Virtual ticks the crawl spanned (the schedule's makespan). At one
+    /// untimed slot this tracks attempts plus backoff fast-forwards;
+    /// more slots ([`crate::sched::SchedConfig`]) shrink it and
+    /// politeness stalls stretch it.
     pub ticks: u64,
 }
 

@@ -11,7 +11,6 @@
 
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
-use crate::sched::SlotFrontier;
 use langcrawl_webgraph::{PageId, WebSpace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -100,9 +99,7 @@ impl Frontier for ReadAhead<'_> {
     fn was_admitted(&self, p: PageId) -> bool {
         self.front.was_admitted(p)
     }
-}
 
-impl SlotFrontier for ReadAhead<'_> {
     fn pop_ready(&mut self) -> Option<Entry> {
         let now = self.now;
         // 1. The parked host whose free time came first, once it has

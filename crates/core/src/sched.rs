@@ -1,17 +1,14 @@
-//! The virtual-time scheduler: `K` fetch slots over a host-partitioned
-//! frontier.
+//! The virtual-time scheduler: the one crawl loop, `K` fetch slots over
+//! a frontier in virtual time.
 //!
-//! This generalizes the legacy loop's `(ready_tick, seq)` retry heap
-//! into a full event-driven simulation in virtual time. The state is a
-//! set of `K` *fetch slots* draining a [`ShardedFrontier`]: a slot
-//! starts the globally best entry whose host is ready, the fetch
-//! occupies one virtual tick, and it takes the same fetch step as the
-//! legacy loop — its attempt decided when it starts, concluded (backed
-//! off or resolved) when it completes, over the same run progress (see
-//! [`crate::engine`]). Between starts and completions the clock jumps
-//! straight to the next event — a completion, a politeness cool-down
-//! expiring, or a retry coming due — exactly like the retry heap's
-//! dry-frontier fast-forward, now applied uniformly.
+//! Every crawl runs this event loop. Its state is a set of `K` *fetch
+//! slots* draining a frontier: a slot starts the globally best entry
+//! whose host is free, the fetch occupies one virtual tick (or its timed
+//! length), and it takes the engine's one fetch step — its attempt
+//! decided when it starts, concluded (backed off or resolved) when it
+//! completes, over the run's progress (see [`crate::engine`]). Between
+//! starts and completions the clock jumps straight to the next event —
+//! a completion, a politeness cool-down expiring, or a retry coming due.
 //!
 //! **Determinism is the contract.** The schedule is a pure function of
 //! (space seed, config): entries start in global `(level, seq)` order,
@@ -22,20 +19,18 @@
 //! bit-identical across machines and `LANGCRAWL_THREADS` settings
 //! (pinned by the scheduler conformance suite).
 //!
-//! **`K = 1` with zero politeness is the legacy engine.** One slot
-//! starting at tick `t` completes at `t + 1` — the same "attempt tick =
-//! pop tick + 1" accounting as the legacy loop — and a single-slot
-//! schedule never reorders anything, so the conformance goldens for the
-//! legacy engine pin this path bit-for-bit. At that degenerate point a
-//! run that captures no snapshots (no cadence, or no sink wants
-//! [`Snapshot`](CrawlEvent::Snapshot)) and has no
-//! [`SlotIdle`](CrawlEvent::SlotIdle) listener hands off to the legacy
-//! loop verbatim (see [`CrawlEngine::run_scheduled`]); every other run
-//! drives the event loop over a [`ShardedFrontier`] whose hosts hash
-//! into `K` shards — stats labels only, so the shard count never
-//! changes a pop. A unit test pins that a default
-//! [`Simulator`](crate::sim::Simulator) run takes the hand-off, and
-//! another that both loops narrate a faulted crawl alike.
+//! **The schedule picks the frontier, never the loop.**
+//! [`CrawlEngine::run_scheduled`] drains a [`UrlQueue`], whose hosts are
+//! always free, for the default schedule (one slot, no politeness, no
+//! timing) when it captures nothing; a [`ShardedFrontier`] whose hosts
+//! hash into `K` shards — stats labels only, so the shard count never
+//! changes a pop — for every other untimed schedule and every capturing
+//! or resumed run; and a read-ahead frontier for a timed schedule.
+//! [`CrawlEngine::run`] drains the caller's frontier at one slot. One
+//! slot starting at tick `t` completes at `t + 1` and frees its host by
+//! the next pop, so at one slot without politeness the `UrlQueue` and
+//! the `ShardedFrontier` start the same entries in the same order; a
+//! unit test pins that both narrate a faulted crawl alike.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style, with per-host
 //! concurrency 1: a host that starts a fetch at `t` may start again at
@@ -72,15 +67,15 @@ use crate::snapshot::{
 use crate::strategy::Strategy;
 use langcrawl_rng::Rng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// RNG stream domain for per-host politeness jitter (domains 1–5 are
 /// taken by the generator and fault layers; see the D3 lint registry).
 const STREAM_POLITENESS: u64 = 6 << 40;
 
 /// Scheduler parameters. The default (`1` slot, no politeness or
-/// timing) is the conformance configuration: bit-identical to the
-/// legacy engine.
+/// timing) is the paper's single-slot crawl, which the conformance
+/// goldens pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Number of virtual fetch slots (`K`). `0` is treated as `1`. It is
@@ -164,79 +159,55 @@ impl Timing {
     }
 }
 
-/// What the event loop asks of a frontier beyond [`Frontier`]: hosts
-/// free or waiting in virtual time. [`ShardedFrontier`] serves untimed
-/// schedules, `ReadAhead` timed ones; the defaults stand for the shard
-/// stats, handoffs and capture that apply to the first only.
-pub(crate) trait SlotFrontier: Frontier {
-    /// The next entry to start at the clock of the last `advance_to`
-    /// (`None` while no waiting entry's host is free); `started` follows.
-    fn pop_ready(&mut self) -> Option<Entry>;
-
-    /// A fetch on `host` started; the host may start again at `free_at`.
-    fn started(&mut self, host: u32, free_at: u64);
-
-    /// Move the clock to `t`, freeing every host due by then.
-    fn advance_to(&mut self, t: u64);
-
-    /// The earliest tick a waiting host becomes free, if any.
-    fn next_cooling(&self) -> Option<u64>;
-
-    /// Does a fetch on `host` completing at `now` leave queued work
-    /// waiting for its host until `free_at` (a politeness wait)?
-    fn politeness_wait(&self, host: u32, free_at: u64, now: u64) -> bool;
-
-    /// Declare the host whose fetch is resolving, for handoffs.
-    fn set_origin(&mut self, _host: Option<u32>) {}
-
-    /// Accepted pushes that crossed shards so far.
-    fn handoffs(&self) -> u64 {
-        0
-    }
-
-    /// Per-shard load counters, in shard order.
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        Vec::new()
-    }
-
-    /// Append the state a loop-top capture cannot derive to `enc`,
-    /// sorting the cool-down heap in the reused buffer `cooling`.
-    fn encode_state(&self, _enc: &mut Enc, _cooling: &mut Vec<(u64, u32)>) {}
-}
-
-/// A fetch occupying a slot until `finish`. Each start is inserted
-/// behind every fetch that finishes no later, so completions process in
-/// `(finish, start order)` from a plain deque (appending, while fetches
-/// last one tick). Attempt number and outcome are decided at the start;
-/// so is `free_at`, the host's next allowed start.
+/// A fetch occupying a slot until `finish`. The in-flight list keeps
+/// these sorted by descending `(finish, start order)`, so the next
+/// completion is the last element; a start goes in front of every fetch
+/// that finishes no later. Attempt number and outcome are decided at the
+/// start; so are `free_at`, the host's next allowed start, and the host.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     finish: u64,
-    fetch: Fetch,
     free_at: u64,
+    fetch: Fetch,
+    host: u32,
+}
+
+/// The earlier of two optional ticks.
+#[inline]
+fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
 }
 
 /// Live capture state inside the event loop: the cadence, the next
 /// capture tick, the identity-header template (tick/crawled are filled
-/// per capture), and the buffers every capture reuses — the framed
-/// bytes, and the two that sort the retry heap and the frontier's
-/// cool-down heap into canonical order — so steady-cadence capture
-/// settles into zero allocations per snapshot.
-struct SnapCtl {
+/// per capture), the encoder of the frontier's state, and the buffers
+/// every capture reuses — the framed bytes, and the two that sort the
+/// retry heap and the frontier's cool-down heap into canonical order —
+/// so steady-cadence capture settles into zero allocations per
+/// snapshot.
+struct SnapCtl<F> {
     every: u64,
     next_at: u64,
     head: SnapHead,
+    frontier_state: fn(&F, &mut Enc, &mut Vec<(u64, u32)>),
     buf: Enc,
     retries: Vec<(u64, u64, Entry)>,
     cooling: Vec<(u64, u32)>,
 }
 
-impl SnapCtl {
+impl SnapCtl<ShardedFrontier> {
+    /// Captures of a crawl over a [`ShardedFrontier`], the one frontier
+    /// a snapshot holds.
     fn new(head: SnapHead, every: u64, next_at: u64) -> Self {
         SnapCtl {
             every,
             next_at,
             head,
+            frontier_state: ShardedFrontier::encode_state,
             buf: Enc::default(),
             retries: Vec::new(),
             cooling: Vec::new(),
@@ -251,7 +222,7 @@ impl SnapCtl {
 struct LoopCtl<F> {
     frontier: F,
     resumed: Option<Progress>,
-    snap: Option<SnapCtl>,
+    snap: Option<SnapCtl<F>>,
 }
 
 /// Encode one snapshot payload into `c.buf`: header, progress, attempt
@@ -264,8 +235,8 @@ struct LoopCtl<F> {
 /// pin.
 // lint:root(panic-free, alloc-free) — capture runs mid-crawl into
 // preallocated buffers, so it must neither unwind nor allocate.
-fn encode_snapshot_into<F: SlotFrontier>(
-    c: &mut SnapCtl,
+fn encode_snapshot_into<F>(
+    c: &mut SnapCtl<F>,
     pg: &Progress,
     attempt_counts: &[u32],
     frontier: &F,
@@ -297,7 +268,7 @@ fn encode_snapshot_into<F: SlotFrontier>(
         enc.u8(1);
         enc.u32s(attempt_counts);
     }
-    frontier.encode_state(enc, &mut c.cooling);
+    (c.frontier_state)(frontier, enc, &mut c.cooling);
 }
 
 /// Decode the run-state section (the payload between the header and
@@ -392,15 +363,46 @@ impl CrawlEngine<'_> {
             .collect()
     }
 
+    /// Run one crawl: seed the `frontier`, loop pop → download →
+    /// classify → admit at one fetch slot, narrate every step to
+    /// `sinks`, and return the outcome. The engine is reusable — each
+    /// run takes a fresh frontier.
+    ///
+    /// The per-page event order is fixed: [`CrawlEvent::FetchAttempt`]
+    /// (one per attempt; a transiently failed attempt emits only this
+    /// before the page re-enters the frontier), [`CrawlEvent::Fetched`],
+    /// [`CrawlEvent::Classified`], then [`CrawlEvent::Filtered`] (only
+    /// when the URL filter dropped links) and [`CrawlEvent::Admitted`],
+    /// then [`CrawlEvent::Sampled`] on sampling fetches. One
+    /// [`CrawlEvent::Finished`] closes the run. Variants no attached
+    /// sink declares in [`EventSink::interests`] are skipped entirely.
+    pub fn run<F, S, C>(
+        &self,
+        frontier: F,
+        strategy: &mut S,
+        classifier: &C,
+        sinks: &mut [&mut dyn EventSink],
+    ) -> EngineOutcome
+    where
+        F: Frontier,
+        S: Strategy + ?Sized,
+        C: Classifier + ?Sized,
+    {
+        let (sched, scratch) = (SchedConfig::default(), &mut EngineScratch::new());
+        let ctl = self.fresh(frontier);
+        self.sched_loop(&sched, strategy, classifier, sinks, scratch, ctl)
+            .0
+    }
+
     /// Run one crawl under the virtual-time scheduler and return its
     /// outcome with the frontier's per-shard load counters (the raw
     /// material for the parallelism sweep's imbalance and handoff
     /// figures). Same contract as [`CrawlEngine::run`] — same seeding,
     /// same per-page event sequence, same outcome — except that up to
     /// [`SchedConfig::slots`] fetches overlap in virtual time and
-    /// per-host politeness gaps stall hosts between starts. The frontier
-    /// is a [`ShardedFrontier`] built from the space's host table, or a
-    /// read-ahead frontier with no shard counters for a timed schedule.
+    /// per-host politeness gaps stall hosts between starts. The schedule
+    /// picks the frontier (see the module docs); only a
+    /// [`ShardedFrontier`] returns shard counters.
     ///
     /// With [`EngineConfig::snapshot_every`](crate::engine::EngineConfig::snapshot_every)
     /// set, sinks that want [`interest::SNAPSHOT`] receive a
@@ -421,34 +423,18 @@ impl CrawlEngine<'_> {
         C: Classifier + ?Sized,
     {
         let ws = self.web_space();
-        let wants = wants(sinks);
-        let every = self.capture_every(wants);
-        // Degenerate-point elision (see the module docs), like the fault
-        // layer's inert-model fast path: the single slot drains before
-        // every pop, so every host is free at pop time and the order is
-        // [`UrlQueue`] order (the shard-parity property test pins that).
-        // Unless a sink asks for [`SlotIdle`](CrawlEvent::SlotIdle) (it
-        // marks retry-backoff stalls; handoffs and politeness waits cannot
-        // happen here) or captures are on (they describe the event loop's
-        // state), the schedule *is* the legacy loop (pinned by
-        // `single_slot_schedule_matches_legacy_engine`), so run it
-        // verbatim. An untimed run returns no shard counters only here
-        // (`default_simulator_run_hands_off_to_the_legacy_loop`).
-        if every.is_none() && Self::is_degenerate(sched) && wants & interest::SLOT_IDLE == 0 {
-            let frontier = UrlQueue::new(ws.num_pages(), strategy.levels());
-            let outcome = self.run_with_scratch(frontier, strategy, classifier, sinks, scratch);
-            return (outcome, Vec::new());
-        }
+        let every = self.capture_every(wants(sinks));
         let levels = strategy.levels().max(1);
         scratch.begin_run();
         if let Some(timing) = sched.timing {
-            let mut frontier = ReadAhead::for_space(ws, levels, timing.read_ahead);
-            self.seed(&mut frontier);
-            let ctl = LoopCtl {
-                frontier,
-                resumed: None,
-                snap: None,
-            };
+            let ctl = self.fresh(ReadAhead::for_space(ws, levels, timing.read_ahead));
+            return self.sched_loop(sched, strategy, classifier, sinks, scratch, ctl);
+        }
+        // One slot without politeness never finds a host busy, so a
+        // run that captures nothing needs no per-host state.
+        let polite = sched.politeness_gap != 0 || sched.politeness_spread != 0;
+        if every.is_none() && sched.effective_slots() == 1 && !polite {
+            let ctl = self.fresh(UrlQueue::new(ws.num_pages(), levels));
             return self.sched_loop(sched, strategy, classifier, sinks, scratch, ctl);
         }
         // Fresh runs capture first at `every` (tick 0 is the initial
@@ -474,14 +460,15 @@ impl CrawlEngine<'_> {
             .map(|every| every.max(1))
     }
 
-    /// Is this the scheduler's degenerate point — the configuration at
-    /// which the host machinery cannot block, delay or reorder
-    /// anything, so the legacy loop reproduces the schedule exactly?
-    fn is_degenerate(sched: &SchedConfig) -> bool {
-        sched.effective_slots() == 1
-            && sched.politeness_gap == 0
-            && sched.politeness_spread == 0
-            && sched.timing.is_none()
+    /// A fresh run over `frontier`: the space's seeds parked in it at
+    /// priority 0, nothing to resume, no capture.
+    fn fresh<F: Frontier>(&self, mut frontier: F) -> LoopCtl<F> {
+        self.seed(&mut frontier);
+        LoopCtl {
+            frontier,
+            resumed: None,
+            snap: None,
+        }
     }
 
     /// A fresh run's frontier: the space's seeds parked at priority 0,
@@ -617,12 +604,12 @@ impl CrawlEngine<'_> {
         ))
     }
 
-    /// The virtual-time event loop over a slot frontier. `ctl` carries
-    /// the frontier (seeded, or decoded with the progress restored
-    /// alongside it) and an optional capture plan; `scratch` holds the
-    /// run's attempt table, if any.
-    // lint:root(panic-free) — the steady-state event loop; every
-    // simulated fetch passes through here.
+    /// The virtual-time event loop over a frontier. `ctl` carries the
+    /// frontier (seeded, or decoded with the progress restored alongside
+    /// it) and an optional capture plan; `scratch` holds the run's
+    /// attempt table, if any.
+    // lint:root(panic-free) — the one crawl loop; every simulated fetch
+    // passes through here.
     fn sched_loop<F, S, C>(
         &self,
         sched: &SchedConfig,
@@ -633,7 +620,7 @@ impl CrawlEngine<'_> {
         ctl: LoopCtl<F>,
     ) -> (EngineOutcome, Vec<ShardStats>)
     where
-        F: SlotFrontier,
+        F: Frontier,
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
@@ -644,150 +631,170 @@ impl CrawlEngine<'_> {
         } = ctl;
         let ws = self.web_space();
         let gaps = self.politeness_gaps(sched);
-        let slots = sched.effective_slots();
+        let slots = sched.effective_slots() as usize;
         let budget = self.config.max_pages.unwrap_or(u64::MAX);
-        // Sorted by (finish, start order): see [`InFlight`]. Its length
-        // is the number of busy slots.
-        let mut in_flight: VecDeque<InFlight> = VecDeque::with_capacity(slots as usize);
+        // Sorted by descending (finish, start order): see [`InFlight`].
+        // Its length is the number of busy slots.
+        let mut in_flight: Vec<InFlight> = Vec::with_capacity(slots);
         let mut st = RunState::new(sinks, self.sample_interval(), resumed);
         let wants = st.wants;
 
         'outer: loop {
-            // 0. Capture at the loop-top tick boundary — before any
-            // state moves this iteration, so a resumed run's first
-            // re-capture reproduces the snapshot it resumed from
-            // byte-for-byte. Capture only observes; the crawl is
-            // unchanged with or without it (resume-parity suite).
-            if let Some(c) = snap.as_mut() {
-                let pg = &st.progress;
-                if pg.now >= c.next_at {
-                    c.head.tick = pg.now;
-                    c.head.crawled = pg.crawled;
-                    c.buf.buf.clear();
-                    let payload_at = frame_begin(&mut c.buf);
-                    encode_snapshot_into(c, pg, &scratch.attempt_counts, &frontier);
-                    frame_end(&mut c.buf, payload_at);
-                    emit(
-                        st.sinks,
-                        CrawlEvent::Snapshot {
-                            tick: pg.now,
-                            bytes: &c.buf.buf,
-                        },
-                    );
-                    c.next_at = pg.now.saturating_add(c.every);
+            // Completions due at the clock go first, in (finish, start
+            // order); only when none is left does the loop capture, start
+            // fetches and move the clock.
+            let f = match in_flight.pop_if(|f| f.finish <= st.progress.now) {
+                Some(f) => f,
+                None => 'next: {
+                    // 0. Capture at the loop-top tick boundary — before
+                    // any state moves this iteration, so a resumed run's
+                    // first re-capture reproduces the snapshot it resumed
+                    // from byte-for-byte. Capture only observes; the crawl
+                    // is unchanged with or without it (resume-parity
+                    // suite).
+                    if let Some(c) = snap.as_mut() {
+                        let pg = &st.progress;
+                        if pg.now >= c.next_at {
+                            c.head.tick = pg.now;
+                            c.head.crawled = pg.crawled;
+                            c.buf.buf.clear();
+                            let payload_at = frame_begin(&mut c.buf);
+                            encode_snapshot_into(c, pg, &scratch.attempt_counts, &frontier);
+                            frame_end(&mut c.buf, payload_at);
+                            emit(
+                                st.sinks,
+                                CrawlEvent::Snapshot {
+                                    tick: pg.now,
+                                    bytes: &c.buf.buf,
+                                },
+                            );
+                            c.next_at = pg.now.saturating_add(c.every);
+                        }
+                    }
+                    // 1. Due retries re-enter the frontier before slots
+                    // fill, so its own policy orders them against fresh
+                    // discoveries.
+                    st.progress.requeue_due(&mut frontier);
+                    let now = st.progress.now;
+
+                    // 2. Fill free slots in the frontier's order. A start
+                    // tells the frontier when its host is free again, so
+                    // one host never occupies two slots.
+                    while in_flight.len() < slots {
+                        let Some(entry) = frontier.pop_ready() else {
+                            break;
+                        };
+                        let meta = ws.meta(entry.page);
+                        let span = sched.timing.map_or(1, |t| t.fetch_ticks(meta.size));
+                        let finish = now.saturating_add(span);
+                        // Start-to-start politeness: the host's next start
+                        // is due `gap` ticks after this one, and not before
+                        // this fetch finishes.
+                        let gap = gaps.get(meta.host as usize).copied().unwrap_or(0);
+                        let free_at = finish.max(now.saturating_add(gap));
+                        frontier.started(meta.host, free_at);
+                        let started = InFlight {
+                            finish,
+                            free_at,
+                            fetch: self.attempt(entry, &mut st.progress, &scratch.attempt_counts),
+                            host: meta.host,
+                        };
+                        // A start that takes the last free slot and
+                        // finishes before every fetch in flight is the next
+                        // event, so it completes without joining the
+                        // in-flight list (at one untimed slot, every start).
+                        if in_flight.len() + 1 == slots
+                            && in_flight.last().is_none_or(|f| finish < f.finish)
+                        {
+                            st.progress.now = finish;
+                            frontier.advance_to(finish);
+                            break 'next started;
+                        }
+                        let at = in_flight.partition_point(|f| f.finish > finish);
+                        in_flight.insert(at, started);
+                    }
+
+                    // 3. Advance the clock to the earliest completion or —
+                    // only while a slot is free (a timed frontier keeps
+                    // past-due hosts until one frees) — an earlier
+                    // cool-down expiry or retry. Nothing pending at all
+                    // means the crawl is over.
+                    let busy = in_flight.len();
+                    let mut t_next = in_flight.last().map(|f| f.finish);
+                    if busy < slots {
+                        let waiting = earliest(frontier.next_cooling(), st.progress.next_retry());
+                        t_next = earliest(t_next, waiting);
+                    }
+                    let Some(t_next) = t_next else {
+                        break 'outer;
+                    };
+                    // Idle slots while work is waiting (parked behind busy
+                    // or cooling hosts, or backing off in the retry heap)
+                    // are the politeness/parallelism stall signal the
+                    // sweep measures.
+                    if wants & interest::SLOT_IDLE != 0
+                        && busy < slots
+                        && (frontier.pending() > 0 || st.progress.next_retry().is_some())
+                    {
+                        emit(
+                            st.sinks,
+                            CrawlEvent::SlotIdle {
+                                tick: now,
+                                idle: (slots - busy) as u32,
+                                span: t_next - now,
+                            },
+                        );
+                    }
+                    st.progress.now = t_next;
+                    frontier.advance_to(t_next);
+                    continue 'outer;
                 }
-            }
-            // 1. Due retries re-enter the frontier before slots fill —
-            // the legacy loop's drain-before-pop.
-            st.progress.requeue_due(&mut frontier);
-            let now = st.progress.now;
-
-            // 2. Fill free slots in the frontier's order. A start tells
-            // the frontier when its host is free again, so one host
-            // never occupies two slots.
-            while (in_flight.len() as u32) < slots {
-                let Some(entry) = frontier.pop_ready() else {
-                    break;
-                };
-                let meta = ws.meta(entry.page);
-                let span = sched.timing.map_or(1, |t| t.fetch_ticks(meta.size));
-                let finish = now.saturating_add(span);
-                // Start-to-start politeness: the host's next start is
-                // due `gap` ticks after this one, and not before this
-                // fetch finishes.
-                let gap = gaps.get(meta.host as usize).copied().unwrap_or(0);
-                let free_at = finish.max(now.saturating_add(gap));
-                frontier.started(meta.host, free_at);
-                let fetch = self.attempt(entry, &mut st.progress, &scratch.attempt_counts);
-                let at = in_flight.partition_point(|g| g.finish <= finish);
-                let started = InFlight {
-                    finish,
-                    fetch,
-                    free_at,
-                };
-                in_flight.insert(at, started);
-            }
-
-            // 3. Advance the clock to the earliest completion or — only
-            // while a slot is free (a timed frontier keeps past-due hosts
-            // until one frees) — an earlier cool-down expiry or retry.
-            // Nothing pending at all means the crawl is over.
-            let busy = in_flight.len() as u32;
-            let (cooling, retry) = if busy < slots {
-                (frontier.next_cooling(), st.progress.next_retry())
-            } else {
-                (None, None)
             };
-            let completion = in_flight.front().map(|f| f.finish);
-            let Some(t_next) = [completion, cooling, retry].into_iter().flatten().min() else {
-                break 'outer;
-            };
-            // Idle slots while work is waiting (parked behind busy or
-            // cooling hosts, or backing off in the retry heap) are the
-            // politeness/parallelism stall signal the sweep measures.
-            if wants & interest::SLOT_IDLE != 0 && busy < slots {
-                let waiting = frontier.pending() > 0 || st.progress.next_retry().is_some();
-                if waiting {
-                    emit(
-                        st.sinks,
-                        CrawlEvent::SlotIdle {
-                            tick: now,
-                            idle: slots - busy,
-                            span: t_next - now,
-                        },
-                    );
-                }
-            }
-            st.progress.now = t_next;
-            frontier.advance_to(t_next);
 
-            // 4. Process completions due now, in (finish, start order).
-            // Each reports whether its host still owes a politeness gap
-            // with work queued, then backs off or resolves exactly like
-            // the legacy loop. Only a resolution admits links, so only
-            // it can hand off across shards.
-            while let Some(&f) = in_flight.front() {
-                if f.finish > t_next {
-                    break;
-                }
-                in_flight.pop_front();
-                let p = f.fetch.entry.page;
-                let host = ws.meta(p).host;
-                if wants & interest::POLITENESS != 0
-                    && frontier.politeness_wait(host, f.free_at, t_next)
-                {
-                    emit(
-                        st.sinks,
-                        CrawlEvent::PolitenessWait {
-                            host,
-                            until: f.free_at,
-                        },
-                    );
-                }
-                let handoffs_before = frontier.handoffs();
-                frontier.set_origin(Some(host));
-                let resolved = self.conclude(
-                    &mut st,
-                    &mut frontier,
-                    strategy,
-                    classifier,
-                    scratch,
-                    f.fetch,
+            // 4. Complete the fetch: report whether its host still owes a
+            // politeness gap with work queued, then back off or resolve.
+            // Only a resolution admits links, so only it can hand off
+            // across shards.
+            if wants & interest::POLITENESS != 0
+                && frontier.politeness_wait(f.host, f.free_at, st.progress.now)
+            {
+                emit(
+                    st.sinks,
+                    CrawlEvent::PolitenessWait {
+                        host: f.host,
+                        until: f.free_at,
+                    },
                 );
-                frontier.set_origin(None);
+            }
+            let handoffs_before = if wants & interest::HANDOFF != 0 {
+                frontier.handoffs()
+            } else {
+                0
+            };
+            frontier.set_origin(Some(f.host));
+            let resolved = self.conclude(
+                &mut st,
+                &mut frontier,
+                strategy,
+                classifier,
+                scratch,
+                f.fetch,
+            );
+            frontier.set_origin(None);
+            if wants & interest::HANDOFF != 0 {
                 let crossed = frontier.handoffs() - handoffs_before;
-                if crossed > 0 && wants & interest::HANDOFF != 0 {
+                if crossed > 0 {
                     emit(
                         st.sinks,
                         CrawlEvent::ShardHandoff {
-                            page: p,
+                            page: f.fetch.entry.page,
                             crossed: crossed as u32,
                         },
                     );
                 }
-                if resolved && st.progress.crawled >= budget {
-                    break 'outer;
-                }
+            }
+            if resolved && st.progress.crawled >= budget {
+                break;
             }
         }
 
@@ -801,8 +808,7 @@ mod tests {
     use super::*;
     use crate::classifier::OracleClassifier;
     use crate::engine::EngineConfig;
-    use crate::event::{MetricsSampler, SchedStatsSink, VisitRecorder};
-    use crate::sim::SimConfig;
+    use crate::event::{SchedStatsSink, VisitRecorder};
     use crate::snapshot::{frame, SnapshotLog};
     use crate::strategy::{BreadthFirst, SimpleStrategy};
     use langcrawl_webgraph::{FaultConfig, GeneratorConfig, PageId, WebSpace};
@@ -840,96 +846,52 @@ mod tests {
         sched
     }
 
+    /// At one slot the loop over a `UrlQueue` and over a
+    /// `ShardedFrontier` — forced by a capture cadence that a sink
+    /// wants — crawl alike under faults: every event but the captures,
+    /// in one order, with one outcome. Only the second returns shard
+    /// counters.
     #[test]
-    fn single_slot_schedule_matches_legacy_engine() {
-        let ws = space();
-        let engine = CrawlEngine::new(&ws, EngineConfig::default());
-        let mut visits = VisitRecorder::new();
-        let legacy = engine.run(
-            UrlQueue::new(ws.num_pages(), 1),
-            &mut BreadthFirst::new(),
-            &OracleClassifier::target(ws.target_language()),
-            &mut [&mut visits],
-        );
-        let legacy_visits = visits.into_visited();
-        // Default config (full legacy-loop elision) and the same with a
-        // `SlotIdle`-interested sink attached (the virtual-time loop
-        // over the one-shard frontier) must both reproduce the legacy
-        // run exactly.
-        for stats in [false, true] {
-            let mut visits = VisitRecorder::new();
-            let mut sched_stats = SchedStatsSink::new();
-            let mut sinks: Vec<&mut dyn EventSink> = vec![&mut visits];
-            if stats {
-                sinks.push(&mut sched_stats);
-            }
-            let sched = SchedConfig::default();
-            let (outcome, _) = run(&engine, &sched, &mut BreadthFirst::new(), &mut sinks);
-            assert_eq!(legacy, outcome, "stats={stats}");
-            assert_eq!(legacy_visits, visits.into_visited(), "stats={stats}");
-        }
-    }
-
-    /// A default `Simulator` run takes the hand-off: the default
-    /// schedule with the sinks `Simulator::run` attaches returns no
-    /// shard counters, and the event loop returns one per shard.
-    #[test]
-    fn default_simulator_run_hands_off_to_the_legacy_loop() {
-        let ws = space();
-        let engine = CrawlEngine::new(&ws, EngineConfig::default());
-        let mut metrics = MetricsSampler::new();
-        let mut visits = VisitRecorder::new();
-        let sinks: &mut [&mut dyn EventSink] = &mut [&mut metrics, &mut visits];
-        let sched = SimConfig::default().sched;
-        let (outcome, shards) = run(&engine, &sched, &mut SimpleStrategy::soft(), sinks);
-        assert!(outcome.crawled > 0);
-        assert!(
-            shards.is_empty(),
-            "the default schedule ran the event loop over {} shards",
-            shards.len()
-        );
-    }
-
-    /// Both loops take one fetch step, so under faults the hand-off and
-    /// the event loop (forced by a `SlotIdle` listener) must narrate the
-    /// same crawl: every event but the scheduler's own, in one order,
-    /// with one outcome.
-    #[test]
-    fn both_loops_narrate_a_faulted_crawl_alike() {
-        /// Every event it wants, rendered in order.
+    fn one_slot_crawls_alike_over_either_frontier() {
+        /// Every event but a capture, rendered in order.
         struct Narration(Vec<String>);
         impl EventSink for Narration {
             fn on_event(&mut self, event: &CrawlEvent) {
-                self.0.push(format!("{event:?}"));
+                if !matches!(event, CrawlEvent::Snapshot { .. }) {
+                    self.0.push(format!("{event:?}"));
+                }
             }
             fn interests(&self) -> u16 {
-                interest::ALL
-                    & !(interest::SLOT_IDLE
-                        | interest::HANDOFF
-                        | interest::POLITENESS
-                        | interest::SNAPSHOT)
+                interest::ALL & !interest::SNAPSHOT
             }
         }
         let ws = space();
-        let engine = faulted(&ws);
-        let narrate = |event_loop: bool| {
-            let mut narration = Narration(Vec::new());
-            let mut stats = SchedStatsSink::new();
-            let mut sinks: Vec<&mut dyn EventSink> = vec![&mut narration];
-            if event_loop {
-                sinks.push(&mut stats);
-            }
-            let sched = SchedConfig::default();
-            let soft = &mut SimpleStrategy::soft();
-            let (outcome, shards) = run(&engine, &sched, soft, &mut sinks);
-            assert_eq!(shards.is_empty(), !event_loop, "the other loop ran");
-            (outcome, narration.0)
+        let config = EngineConfig {
+            fault: FaultConfig::with_rate(0.2),
+            snapshot_every: Some(500),
+            ..EngineConfig::default()
         };
-        let (single_slot, single_slot_events) = narrate(false);
-        let (event_loop, event_loop_events) = narrate(true);
-        assert!(single_slot.retries > 0, "the faults must retry");
-        assert_eq!(single_slot, event_loop);
-        assert_eq!(single_slot_events, event_loop_events);
+        let engine = CrawlEngine::new(&ws, config);
+        let narrate = |capture: bool| {
+            let mut narration = Narration(Vec::new());
+            let mut log = SnapshotLog::new();
+            let (outcome, shards) = {
+                let mut sinks: Vec<&mut dyn EventSink> = vec![&mut narration];
+                if capture {
+                    sinks.push(&mut log);
+                }
+                let soft = &mut SimpleStrategy::soft();
+                run(&engine, &SchedConfig::default(), soft, &mut sinks)
+            };
+            assert_eq!(log.is_empty(), !capture, "capture={capture}");
+            (outcome, shards.len(), narration.0)
+        };
+        let (queue, queue_shards, queue_events) = narrate(false);
+        let (sharded, sharded_shards, sharded_events) = narrate(true);
+        assert!(queue.retries > 0, "the faults must retry");
+        assert_eq!(queue, sharded);
+        assert_eq!(queue_events, sharded_events);
+        assert_eq!((queue_shards, sharded_shards), (0, 1));
     }
 
     /// A header claiming more slots than the payload holds stats for is

@@ -33,14 +33,14 @@
 //!   parallelism sweep reports. A shard holds no entries, so the shard
 //!   count never changes a pop.
 //!
-//! The scheduler-facing surface (the slot-frontier trait the event loop
-//! in [`crate::sched`] drives) adds per-host state — `Ready`/`Cooling` —
-//! on top. A fetch's start cools its host until its next allowed start,
-//! the later of the fetch's finish and its politeness gap. A cooling
-//! host parks all its entries and exposes nothing, which is how per-host
-//! concurrency 1 and politeness gaps are enforced without any scan. With
-//! every host permanently ready (the plain [`Frontier`] path), the state
-//! machinery is inert.
+//! The scheduler-facing calls ([`Frontier::pop_ready`],
+//! [`Frontier::started`], [`Frontier::advance_to`]) add per-host state
+//! — `Ready`/`Cooling` — on top. A fetch's start cools its host until
+//! its next allowed start, the later of the fetch's finish and its
+//! politeness gap. A cooling host parks all its entries and exposes
+//! nothing, which is how per-host concurrency 1 and politeness gaps are
+//! enforced without any scan. With every host permanently ready (the
+//! plain [`Frontier::pop`] path), the state machinery is inert.
 //!
 //! Tie-breaks are total and deterministic everywhere: `(level, seq)`
 //! orders entries (seq is the global push ordinal, so FIFO within a
@@ -49,7 +49,6 @@
 
 use crate::frontier::Frontier;
 use crate::queue::Entry;
-use crate::sched::SlotFrontier;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_rng::mix;
 use langcrawl_webgraph::{PageId, WebSpace};
@@ -599,9 +598,7 @@ impl Frontier for ShardedFrontier {
     fn was_admitted(&self, p: PageId) -> bool {
         self.best[p as usize] != u16::MAX
     }
-}
 
-impl SlotFrontier for ShardedFrontier {
     /// The global minimum over *ready* hosts; its host cools until
     /// `started` schedules its wake, so it exposes nothing meanwhile.
     fn pop_ready(&mut self) -> Option<Entry> {
@@ -645,7 +642,9 @@ impl SlotFrontier for ShardedFrontier {
     fn shard_stats(&self) -> Vec<ShardStats> {
         self.stats.clone()
     }
+}
 
+impl ShardedFrontier {
     /// Serialize the frontier state a loop-top capture cannot derive
     /// into a snapshot payload.
     ///
@@ -675,7 +674,9 @@ impl SlotFrontier for ShardedFrontier {
     /// cache miss and per-element capacity check taken here. The
     /// cool-down list is sorted in `cooling`, a buffer the caller reuses
     /// across captures.
-    fn encode_state(&self, enc: &mut Enc, cooling: &mut Vec<(u64, u32)>) {
+    // lint:root(panic-free, alloc-free) — capture runs mid-crawl into
+    // preallocated buffers; the capture plan hands this to the loop.
+    pub(crate) fn encode_state(&self, enc: &mut Enc, cooling: &mut Vec<(u64, u32)>) {
         // Flat parked-node list: count patched in after one linear
         // scan. 14 bytes per record via two overlapping u64 stores
         // (the second starts at the seq offset and re-covers the first

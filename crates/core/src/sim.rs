@@ -3,7 +3,7 @@
 //! [`Simulator::run`] used to *be* the crawl loop; it is now a thin
 //! wrapper that assembles the default configuration of the layered
 //! engine — the configured [`SchedConfig`] (one slot, no politeness by
-//! default, which runs the single-slot loop over a
+//! default, which the crawl loop runs over a
 //! [`crate::queue::UrlQueue`]), a [`crate::event::MetricsSampler`], and
 //! (when requested) a [`crate::event::VisitRecorder`] — hands them to
 //! [`CrawlEngine::run_scheduled`], and packages the result as a
@@ -56,9 +56,8 @@ pub struct SimConfig {
     /// Retry/backoff policy for transient fetch failures.
     pub retry: RetryPolicy,
     /// Virtual-time scheduler configuration: fetch slots and per-host
-    /// politeness. The default — one slot, zero
-    /// politeness — is the paper's single-slot crawl, bit-identical to
-    /// the legacy loop (the conformance goldens pin this).
+    /// politeness. The default — one slot, zero politeness — is the
+    /// paper's single-slot crawl (the conformance goldens pin it).
     pub sched: SchedConfig,
     /// Capture a crash-safe snapshot of the crawl every this many ticks
     /// (honored when the `LANGCRAWL_SNAPSHOT_DIR` environment variable
