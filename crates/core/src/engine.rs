@@ -326,7 +326,8 @@ impl<'a> CrawlEngine<'a> {
                 },
             );
         }
-        let ready = now.saturating_add(retry.delay(fetch.attempt));
+        let backoff = retry.delay(fetch.attempt).saturating_mul(st.backoff_unit);
+        let ready = now.saturating_add(backoff);
         let pg = &mut st.progress;
         pg.retry_heap
             .push(Reverse((ready, pg.retry_seq, fetch.entry)));
@@ -567,6 +568,9 @@ pub(crate) struct RunState<'s, 'k> {
     pub(crate) wants: u16,
     /// Emit [`CrawlEvent::Sampled`] every this many resolutions.
     pub(crate) sample_interval: u64,
+    /// Ticks in one step of the retry policy's back-off: one, or one
+    /// round trip ([`crate::sched::Timing::rtt`]) in a timed crawl.
+    pub(crate) backoff_unit: u64,
     /// How far the run has got.
     pub(crate) progress: Progress,
 }
@@ -577,12 +581,14 @@ impl<'s, 'k> RunState<'s, 'k> {
     pub(crate) fn new(
         sinks: &'s mut [&'k mut dyn EventSink],
         sample_interval: u64,
+        backoff_unit: u64,
         resumed: Option<Progress>,
     ) -> Self {
         RunState {
             wants: wants(sinks),
             sinks,
             sample_interval,
+            backoff_unit,
             progress: resumed.unwrap_or_else(|| Progress::new(sample_interval)),
         }
     }

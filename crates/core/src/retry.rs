@@ -1,42 +1,42 @@
-//! The retry policy — capped exponential backoff in simulated fetch
-//! ticks.
+//! The retry policy — capped exponential backoff in back-off steps:
+//! simulated fetch ticks, or round trips in a timed crawl.
 //!
 //! Real crawlers (BUbiNG et al.) re-schedule transiently failed fetches
 //! rather than dropping them: a timeout or 503 goes back to the frontier
 //! after a delay, a 404 or dead host does not. The simulator measures
-//! that delay in **fetch ticks** — one tick per fetch attempt the engine
-//! performs — so retry schedules are deterministic and independent of
-//! wall clock.
+//! that delay in virtual time — **fetch ticks**, one per fetch attempt
+//! at a single untimed slot — so retry schedules are deterministic and
+//! independent of wall clock.
 //!
 //! [`RetryPolicy::delay`] is the classic capped exponential:
-//! `min(backoff_base · 2^(attempt−1), backoff_cap)` ticks after the
+//! `min(backoff_base · 2^(attempt−1), backoff_cap)` steps after the
 //! `attempt`-th failure. Delays are monotonically non-decreasing in the
 //! attempt number and total attempts never exceed
 //! [`RetryPolicy::max_attempts`] — the retry proptests pin both.
 //!
 //! A timed crawl ([`crate::sched::SchedConfig::timing`]) makes a tick
-//! 1 ms, and the back-off does not scale with it: the default 2–64 ticks
-//! are 2–64 ms, less than one 80 ms round trip of the default
-//! [`crate::sched::Timing`] and far less than a politeness gap of a
-//! second. There the host's politeness gap, not the back-off, decides
-//! when a retry runs.
+//! 1 ms and counts the delay in round trips instead, each
+//! [`crate::sched::Timing::rtt`] ticks long: the default policy's 2, 4
+//! and 8 steps wait 160, 320 and 640 ms after the failed fetch finished
+//! under the default 80 ms round trip, so no retry comes due before a
+//! round trip has passed.
 
 /// When and how often to retry transiently failed fetches. Delays are in
-/// ticks: one per fetch attempt untimed, 1 ms in a timed crawl (see the
-/// module docs for what that does to the default back-off).
+/// back-off steps: ticks untimed (one per fetch attempt at one slot),
+/// round trips in a timed crawl (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total fetch attempts per page, first attempt included. `0` is
     /// treated as `1` (a page is always attempted once).
     pub max_attempts: u32,
-    /// Backoff after the first failure, in simulated fetch ticks.
+    /// Backoff after the first failure, in back-off steps.
     pub backoff_base: u64,
-    /// Ceiling on any single backoff delay, in fetch ticks.
+    /// Ceiling on any single backoff delay, in back-off steps.
     pub backoff_cap: u64,
 }
 
 impl Default for RetryPolicy {
-    /// Four attempts with 2/4/8-tick backoff — small enough that a
+    /// Four attempts with 2/4/8-step backoff — small enough that a
     /// retried page re-enters while its neighborhood is still being
     /// crawled, capped so late attempts don't stall the schedule.
     fn default() -> Self {
@@ -63,9 +63,9 @@ impl RetryPolicy {
         self.max_attempts.max(1)
     }
 
-    /// Ticks to wait after failed attempt number `attempt` (1-based):
-    /// `min(backoff_base · 2^(attempt−1), backoff_cap)`, saturating —
-    /// monotonically non-decreasing in `attempt`.
+    /// Back-off steps to wait after failed attempt number `attempt`
+    /// (1-based): `min(backoff_base · 2^(attempt−1), backoff_cap)`,
+    /// saturating — monotonically non-decreasing in `attempt`.
     pub fn delay(&self, attempt: u32) -> u64 {
         let shift = attempt.saturating_sub(1).min(63);
         // `checked_shl` only rejects shifts ≥ 64; bits shifted *out*

@@ -124,11 +124,12 @@ impl SchedConfig {
 /// README shows one). One tick is 1 ms; the defaults are an 80 ms round
 /// trip, about 10 Mbit/s per slot, and 256 URLs of read-ahead.
 ///
-/// Retry back-off ([`crate::retry::RetryPolicy`]) counts ticks too and
-/// does not scale with this model: the default 2–64-tick back-off is
-/// 2–64 ms here, shorter than one default round trip, so a failed
-/// fetch's retry waits on its host's politeness gap rather than on its
-/// back-off.
+/// Retry back-off ([`crate::retry::RetryPolicy`]) counts round trips
+/// here: a failed fetch waits [`RetryPolicy::delay`] times
+/// [`Timing::rtt`] ticks after it finished, 160, 320 and 640 ms for the
+/// default policy's three retries.
+///
+/// [`RetryPolicy::delay`]: crate::retry::RetryPolicy::delay
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timing {
     /// Per-request round-trip latency, ticks.
@@ -636,7 +637,9 @@ impl CrawlEngine<'_> {
         // Sorted by descending (finish, start order): see [`InFlight`].
         // Its length is the number of busy slots.
         let mut in_flight: Vec<InFlight> = Vec::with_capacity(slots);
-        let mut st = RunState::new(sinks, self.sample_interval(), resumed);
+        // A timed crawl backs off in round trips, an untimed one in ticks.
+        let backoff_unit = sched.timing.map_or(1, |t| t.rtt);
+        let mut st = RunState::new(sinks, self.sample_interval(), backoff_unit, resumed);
         let wants = st.wants;
 
         'outer: loop {
@@ -1026,6 +1029,54 @@ mod tests {
             assert!(outcome.gave_up > 0);
             assert_eq!(outcome.attempts, outcome.crawled + outcome.retries);
         }
+    }
+
+    /// In a timed crawl without politeness, nothing but the back-off
+    /// holds a failed page back: every retry starts no earlier than its
+    /// back-off, in round trips, after its failed attempt finished.
+    #[test]
+    fn timed_retries_back_off_in_round_trips() {
+        /// Every attempt as `(page, attempt, finish tick)`, in order.
+        struct Attempts(Vec<(PageId, u32, u64)>);
+        impl EventSink for Attempts {
+            fn on_event(&mut self, event: &CrawlEvent) {
+                if let CrawlEvent::FetchAttempt {
+                    page,
+                    attempt,
+                    tick,
+                    ..
+                } = *event
+                {
+                    self.0.push((page, attempt, tick));
+                }
+            }
+            fn interests(&self) -> u16 {
+                interest::ATTEMPT
+            }
+        }
+        let ws = space();
+        let engine = faulted(&ws);
+        let (timing, retry) = (Timing::default(), engine.config.retry);
+        let mut attempts = Attempts(Vec::new());
+        let bfs = &mut BreadthFirst::new();
+        let (outcome, _) = run(&engine, &timed(32, 0), bfs, &mut [&mut attempts]);
+        // The earliest start of each page's next attempt.
+        let mut due = vec![0u64; ws.num_pages()];
+        let mut retried = 0;
+        for (page, attempt, finish) in attempts.0 {
+            let start = finish - timing.fetch_ticks(ws.meta(page).size);
+            if attempt > 1 {
+                let p = page as usize;
+                assert!(
+                    start >= due[p],
+                    "page {page} attempt {attempt}: {start} < {}",
+                    due[p]
+                );
+                retried += 1;
+            }
+            due[page as usize] = finish + retry.delay(attempt) * timing.rtt;
+        }
+        assert!(retried > 0 && retried == outcome.retries);
     }
 
     #[test]

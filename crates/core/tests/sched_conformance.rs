@@ -175,8 +175,9 @@ fn polite_schedules() -> [(&'static str, SchedConfig); 3] {
 }
 
 // Polite and timed goldens, captured before the single-slot loop was
-// folded into the event loop: one row per schedule of
-// [`polite_schedules`], first without faults, then under
+// folded into the event loop; the timed row under faults was re-pinned
+// when timed retries began to back off in round trips. One row per
+// schedule of [`polite_schedules`], first without faults, then under
 // `FaultConfig::with_rate(0.1)`, each in `scheduled_runs` strategy
 // order. They fold `ticks`, `attempts`, `retries` and `gave_up` too
 // ([`full_hash`]).
@@ -207,9 +208,9 @@ const GOLDEN_POLITE: [[u64; 3]; 6] = [
         0x0b33_7e0a_146c_0c7c,
     ], // K=16 gap 6 spread 2, 10% faults
     [
-        0xc7a9_2d6a_5809_a090,
-        0x60ad_5d27_2b39_dda7,
-        0x2ee4_5892_e232_8172,
+        0xb7d3_20ad_0f9b_8580,
+        0x54d7_4269_613a_bcb2,
+        0x3573_8b7d_b286_9851,
     ], // timed K=32 gap 1 s, 10% faults
 ];
 
