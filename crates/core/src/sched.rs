@@ -227,8 +227,8 @@ struct LoopCtl<F> {
 }
 
 /// Encode one snapshot payload into `c.buf`: header, progress, attempt
-/// table, frontier state. Slot occupancy is not part of it: step 4 of
-/// the loop drains every in-flight fetch before the loop re-enters (all
+/// table, frontier state. Slot occupancy is not part of it: the loop
+/// completes every fetch due at the clock before it captures (all
 /// fetches started at tick `t` finish together at `t + 1`), so no fetch
 /// is in flight at any capture point. Canonical throughout (the retry
 /// heap is emitted sorted), so encoding the state a snapshot decodes to

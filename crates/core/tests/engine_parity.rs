@@ -126,7 +126,7 @@ fn reference_run(
         attempts: crawled,
         retries: 0,
         gave_up: 0,
-        // Zero-fault legacy loop: the clock advances once per attempt.
+        // Zero faults at one slot: the clock advances once per attempt.
         ticks: crawled,
     }
 }
