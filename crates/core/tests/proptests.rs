@@ -242,6 +242,188 @@ fn sharded_frontier_matches_url_queue_including_requeue() {
     });
 }
 
+/// Model of the slot-frontier contract the crawl loop drives: a plain
+/// list of waiting entries and a free time per host. A pop returns the
+/// least `(level, seq)` live entry whose host is free at the clock,
+/// dropping the stale entries of free hosts it passes over, as the
+/// rings do.
+struct SlotModel {
+    /// `(level, seq, host, entry)` of every waiting entry.
+    waiting: Vec<(u8, u64, u32, Entry)>,
+    /// Best admission key per page (`None`: never admitted).
+    best: Vec<Option<u16>>,
+    done: Vec<bool>,
+    host_of: Vec<u32>,
+    free_at: Vec<u64>,
+    now: u64,
+    levels: u8,
+    seq: u64,
+    pending: usize,
+    max_pending: usize,
+}
+
+impl SlotModel {
+    fn new(host_of: &[u32], hosts: usize, levels: u8) -> Self {
+        SlotModel {
+            waiting: Vec::new(),
+            best: vec![None; host_of.len()],
+            done: vec![false; host_of.len()],
+            host_of: host_of.to_vec(),
+            free_at: vec![0; hosts],
+            now: 0,
+            levels,
+            seq: 0,
+            pending: 0,
+            max_pending: 0,
+        }
+    }
+
+    fn key(e: &Entry) -> u16 {
+        ((e.priority as u16) << 8) | e.distance as u16
+    }
+
+    /// Enqueue `e` as a new admission of its page, newly pending or not.
+    fn enqueue(&mut self, e: Entry, newly_pending: bool) {
+        let p = e.page as usize;
+        if newly_pending {
+            self.pending += 1;
+            self.max_pending = self.max_pending.max(self.pending);
+        }
+        self.best[p] = Some(Self::key(&e));
+        let level = e.priority.min(self.levels - 1);
+        self.waiting.push((level, self.seq, self.host_of[p], e));
+        self.seq += 1;
+    }
+
+    fn push(&mut self, e: Entry) -> bool {
+        let p = e.page as usize;
+        if self.done[p] || self.best[p].is_some_and(|b| Self::key(&e) >= b) {
+            return false;
+        }
+        self.enqueue(e, self.best[p].is_none());
+        true
+    }
+
+    fn requeue(&mut self, e: Entry) -> bool {
+        let p = e.page as usize;
+        if !self.done[p] {
+            return self.push(e);
+        }
+        self.done[p] = false;
+        self.enqueue(e, true);
+        true
+    }
+
+    fn live(&self, e: &Entry) -> bool {
+        let p = e.page as usize;
+        !self.done[p] && self.best[p].is_some_and(|b| Self::key(e) <= b)
+    }
+
+    fn pop_ready(&mut self) -> Option<Entry> {
+        loop {
+            let (i, &(_, _, _, e)) = self
+                .waiting
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| self.free_at[w.2 as usize] <= self.now)
+                .min_by_key(|(_, w)| (w.0, w.1))?;
+            self.waiting.remove(i);
+            if self.live(&e) {
+                self.done[e.page as usize] = true;
+                self.pending -= 1;
+                return Some(e);
+            }
+        }
+    }
+}
+
+/// The sharded frontier against [`SlotModel`] through the crawl loop's
+/// calls: random pushes, batches, requeues, pops, each pop followed by
+/// `started` with a free time past the clock, and a clock that only
+/// moves forward. A requeue re-admits a fetched page at the key it was
+/// served with, as the engine's retry path does; a page never fetched
+/// is pushed. Every return value and counter must agree, with one shard
+/// and with several, and a final drain must serve the same tail.
+#[test]
+fn sharded_frontier_matches_the_slot_model() {
+    const PAGES: u32 = 64;
+    const HOSTS: usize = 7;
+    check_default(|g| {
+        let host_of: Vec<u32> = (0..PAGES).map(|p| p % HOSTS as u32).collect();
+        let levels = g.u8(1..=4);
+        let shards = *g.pick(&[1usize, 3]);
+        let mut real = ShardedFrontier::new(host_of.clone(), HOSTS, levels as usize, shards);
+        let mut model = SlotModel::new(&host_of, HOSTS, levels);
+        // The entry each fetched page was last served with.
+        let mut served: Vec<Option<Entry>> = vec![None; PAGES as usize];
+        let arb_entry = |g: &mut Gen| Entry {
+            page: g.u32(0..PAGES),
+            priority: g.u8(0..=4),
+            distance: g.u8(0..=2),
+        };
+        let start = |real: &mut ShardedFrontier,
+                     model: &mut SlotModel,
+                     served: &mut Vec<Option<Entry>>,
+                     g: &mut Gen| {
+            let got = real.pop_ready();
+            assert_eq!(got, model.pop_ready(), "pop_ready at {}", model.now);
+            if let Some(e) = got {
+                let host = host_of[e.page as usize];
+                let free_at = model.now + g.u64(1..5);
+                real.started(host, free_at);
+                model.free_at[host as usize] = free_at;
+                served[e.page as usize] = Some(e);
+            }
+            got
+        };
+        for _ in 0..g.usize(1..300) {
+            match g.weighted(&[4, 1, 1, 3, 2]) {
+                0 => {
+                    let e = arb_entry(g);
+                    assert_eq!(real.push(e), model.push(e), "push {e:?}");
+                }
+                1 => {
+                    let batch = g.vec(1..6, arb_entry);
+                    let want = batch.iter().filter(|&&e| model.push(e)).count() as u32;
+                    assert_eq!(real.push_all(&batch), want, "push_all {batch:?}");
+                }
+                2 => {
+                    let page = g.u32(0..PAGES);
+                    let e = match served[page as usize] {
+                        Some(e) if model.done[page as usize] => e,
+                        _ => Entry {
+                            page,
+                            ..arb_entry(g)
+                        },
+                    };
+                    assert_eq!(real.requeue(e), model.requeue(e), "requeue {e:?}");
+                }
+                3 => {
+                    start(&mut real, &mut model, &mut served, g);
+                }
+                _ => {
+                    model.now += g.u64(0..3);
+                    real.advance_to(model.now);
+                }
+            }
+            assert_eq!(real.pending(), model.pending);
+            assert_eq!(real.max_pending(), model.max_pending);
+            assert_eq!(real.total_pushes(), model.seq);
+        }
+        // Drain: serve everything, moving the clock to the next free
+        // time whenever no waiting entry's host is free.
+        while model.pending > 0 {
+            if start(&mut real, &mut model, &mut served, g).is_none() {
+                let now = model.now;
+                model.now = *model.free_at.iter().filter(|&&t| t > now).min().unwrap();
+                real.advance_to(model.now);
+            }
+        }
+        assert_eq!(real.pop_ready(), None);
+        assert_eq!(real.pending(), 0);
+    });
+}
+
 // ------------------------------------------------------------- simulator
 
 fn build_strategy(code: u8) -> Box<dyn langcrawl_core::strategy::Strategy> {
