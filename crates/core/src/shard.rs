@@ -146,6 +146,13 @@ pub struct ShardedFrontier {
     /// `(ready_at, host)` for cooling hosts: one pair per host, from
     /// its fetch's start until it is free again.
     cooling: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `(ready_at, host)` for the cooling hosts with a pending page: the
+    /// waits the clock must honour.
+    wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The tick each host may start again (meaningful while cooling).
+    free_at: Vec<u64>,
+    /// Pending pages per host.
+    host_pending: Vec<u32>,
     /// Load counters per shard, indexed by `shard_of_host`.
     stats: Vec<ShardStats>,
     /// The parked-entry slab: every waiting entry is a [`Node`] here,
@@ -203,6 +210,9 @@ impl ShardedFrontier {
         ShardedFrontier {
             avail: BinaryHeap::new(),
             cooling: BinaryHeap::new(),
+            wake: BinaryHeap::new(),
+            free_at: vec![0; num_hosts],
+            host_pending: vec![0; num_hosts],
             stats: vec![ShardStats::default(); shards],
             nodes: Vec::new(),
             free: NIL,
@@ -235,6 +245,17 @@ impl ShardedFrontier {
     /// share the last ring.
     fn level(&self, e: &Entry) -> u8 {
         (e.priority as usize).min(self.num_levels - 1) as u8
+    }
+
+    /// Count a newly pending page of `host`; a cooling host that had
+    /// nothing to fetch now holds the clock until its free time.
+    fn add_pending(&mut self, host: u32) {
+        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+        let n = &mut self.host_pending[host as usize];
+        *n += 1;
+        if *n == 1 && self.host_state[host as usize] == HostState::Cooling {
+            self.wake.push(Reverse((self.free_at[host as usize], host)));
+        }
     }
 
     /// Store an accepted entry on its host (shard stats and handoff
@@ -382,6 +403,7 @@ impl ShardedFrontier {
             }
             self.done[idx] = true;
             self.pending -= 1;
+            self.host_pending[host as usize] -= 1;
             self.stats[self.shard_of_host[host as usize] as usize].pops += 1;
             if take {
                 self.host_state[host as usize] = HostState::Cooling;
@@ -462,6 +484,7 @@ impl ShardedFrontier {
             }
             *state = HostState::Cooling;
             self.cooling.push(Reverse((at, host)));
+            self.free_at[host as usize] = at;
         }
         for s in &mut self.stats {
             s.pushes = dec.u64()?;
@@ -488,17 +511,23 @@ impl ShardedFrontier {
             }
         }
         let mut pending = 0;
-        for (best, &done) in self.best.iter_mut().zip(&self.done) {
+        for ((best, &done), &host) in self.best.iter_mut().zip(&self.done).zip(&self.host_of_page) {
             if done {
                 *best = FETCHED_KEY;
             } else if *best != u16::MAX {
                 pending += 1;
+                self.host_pending[host as usize] += 1;
             }
         }
         if pending != self.pending {
             return Err(SnapshotError::Malformed(
                 "pending count disagrees with the parked entries",
             ));
+        }
+        for &Reverse((at, host)) in self.cooling.iter() {
+            if self.host_pending[host as usize] > 0 {
+                self.wake.push(Reverse((at, host)));
+            }
         }
         for host in 0..self.exposed.len() as u32 {
             self.refresh(host);
@@ -543,12 +572,16 @@ impl Frontier for ShardedFrontier {
             if k >= self.best[idx] {
                 continue; // duplicate or not better
             }
-            if self.best[idx] == u16::MAX {
+            let fresh = self.best[idx] == u16::MAX;
+            if fresh {
                 self.pending += 1;
                 self.max_pending = self.max_pending.max(self.pending);
             }
             self.best[idx] = k;
-            self.insert(e);
+            let host = self.insert(e);
+            if fresh {
+                self.add_pending(host);
+            }
             enqueued += 1;
         }
         // One refresh per touched host; idempotent, so refreshing a
@@ -575,6 +608,7 @@ impl Frontier for ShardedFrontier {
         self.pending += 1;
         self.max_pending = self.max_pending.max(self.pending);
         let host = self.insert(e);
+        self.add_pending(host);
         self.refresh(host);
         true
     }
@@ -607,9 +641,17 @@ impl Frontier for ShardedFrontier {
 
     fn started(&mut self, host: u32, free_at: u64) {
         self.cooling.push(Reverse((free_at, host)));
+        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+        self.free_at[host as usize] = free_at;
+        if self.host_pending[host as usize] > 0 {
+            self.wake.push(Reverse((free_at, host)));
+        }
     }
 
     fn advance_to(&mut self, t: u64) {
+        while self.wake.peek().is_some_and(|&Reverse((at, _))| at <= t) {
+            self.wake.pop();
+        }
         while let Some(&Reverse((ready_at, host))) = self.cooling.peek() {
             if ready_at > t {
                 break;
@@ -621,12 +663,14 @@ impl Frontier for ShardedFrontier {
         }
     }
 
+    /// The earliest free time of a cooling host with a pending page: a
+    /// host with nothing to fetch holds no crawl up.
     fn next_cooling(&self) -> Option<u64> {
-        self.cooling.peek().map(|&Reverse((at, _))| at)
+        self.wake.peek().map(|&Reverse((at, _))| at)
     }
 
     fn politeness_wait(&self, host: u32, free_at: u64, now: u64) -> bool {
-        free_at > now && self.host_min(host).is_some()
+        free_at > now && self.host_pending.get(host as usize).is_some_and(|&n| n > 0)
     }
 
     /// `None` (the initial state) attributes nothing: seed pushes are
@@ -932,9 +976,14 @@ mod tests {
         // start-to-start, work or not) but reports no politeness wait,
         // and no exposure token lingers for the emptied host.
         assert!(!f.politeness_wait(0, 10, 1), "no work, no wait");
-        assert_eq!(f.next_cooling(), Some(10), "the gap itself still applies");
         assert_eq!(f.pop_ready().unwrap().page, 3);
+        // The gap itself still applies: a page pushed to the cooling
+        // host waits for tick 10.
+        f.advance_to(9);
+        f.push(e(1, 0, 0));
+        assert!(f.pop_ready().is_none(), "host 0 cools until tick 10");
         f.advance_to(10);
+        assert_eq!(f.pop_ready().unwrap().page, 1);
         assert!(f.pop_ready().is_none(), "woken empty host exposes nothing");
         assert_eq!(f.pending(), 0);
     }

@@ -314,6 +314,20 @@ impl SlotModel {
         true
     }
 
+    /// Does `host` hold a page admitted and not yet fetched?
+    fn has_pending(&self, host: u32) -> bool {
+        (0..self.best.len())
+            .any(|p| self.host_of[p] == host && self.best[p].is_some() && !self.done[p])
+    }
+
+    /// The earliest free time of a cooling host with a pending page.
+    fn next_cooling(&self) -> Option<u64> {
+        (0..self.free_at.len() as u32)
+            .filter(|&h| self.free_at[h as usize] > self.now && self.has_pending(h))
+            .map(|h| self.free_at[h as usize])
+            .min()
+    }
+
     fn live(&self, e: &Entry) -> bool {
         let p = e.page as usize;
         !self.done[p] && self.best[p].is_some_and(|b| Self::key(e) <= b)
@@ -343,7 +357,11 @@ impl SlotModel {
 /// moves forward. A requeue re-admits a fetched page at the key it was
 /// served with, as the engine's retry path does; a page never fetched
 /// is pushed. Every return value and counter must agree, with one shard
-/// and with several, and a final drain must serve the same tail.
+/// and with several, and so must whether a host has work to wait for:
+/// `politeness_wait` for a random host after every step, and
+/// `next_cooling` whenever no waiting entry's host is free. A final
+/// drain, moving the clock to each `next_cooling`, must serve the same
+/// tail.
 #[test]
 fn sharded_frontier_matches_the_slot_model() {
     const PAGES: u32 = 64;
@@ -367,12 +385,15 @@ fn sharded_frontier_matches_the_slot_model() {
                      g: &mut Gen| {
             let got = real.pop_ready();
             assert_eq!(got, model.pop_ready(), "pop_ready at {}", model.now);
-            if let Some(e) = got {
-                let host = host_of[e.page as usize];
-                let free_at = model.now + g.u64(1..5);
-                real.started(host, free_at);
-                model.free_at[host as usize] = free_at;
-                served[e.page as usize] = Some(e);
+            match got {
+                Some(e) => {
+                    let host = host_of[e.page as usize];
+                    let free_at = model.now + g.u64(1..5);
+                    real.started(host, free_at);
+                    model.free_at[host as usize] = free_at;
+                    served[e.page as usize] = Some(e);
+                }
+                None => assert_eq!(real.next_cooling(), model.next_cooling(), "next_cooling"),
             }
             got
         };
@@ -409,18 +430,27 @@ fn sharded_frontier_matches_the_slot_model() {
             assert_eq!(real.pending(), model.pending);
             assert_eq!(real.max_pending(), model.max_pending);
             assert_eq!(real.total_pushes(), model.seq);
+            let host = g.u32(0..HOSTS as u32);
+            let free_at = model.free_at[host as usize];
+            assert_eq!(
+                real.politeness_wait(host, free_at, model.now),
+                free_at > model.now && model.has_pending(host),
+                "politeness_wait of host {host}"
+            );
         }
         // Drain: serve everything, moving the clock to the next free
-        // time whenever no waiting entry's host is free.
-        while model.pending > 0 {
-            if start(&mut real, &mut model, &mut served, g).is_none() {
-                let now = model.now;
-                model.now = *model.free_at.iter().filter(|&&t| t > now).min().unwrap();
-                real.advance_to(model.now);
+        // time of a host with work whenever no waiting entry's host is
+        // free.
+        while start(&mut real, &mut model, &mut served, g).is_some() || model.pending > 0 {
+            if let Some(t) = real.next_cooling() {
+                if t > model.now {
+                    model.now = t;
+                    real.advance_to(t);
+                }
             }
         }
-        assert_eq!(real.pop_ready(), None);
         assert_eq!(real.pending(), 0);
+        assert_eq!(real.next_cooling(), None);
     });
 }
 

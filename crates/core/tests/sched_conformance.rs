@@ -176,21 +176,23 @@ fn polite_schedules() -> [(&'static str, SchedConfig); 3] {
 
 // Polite and timed goldens, captured before the single-slot loop was
 // folded into the event loop; the timed row under faults was re-pinned
-// when timed retries began to back off in round trips. One row per
+// when timed retries began to back off in round trips, and the untimed
+// rows when a cooling host with nothing to fetch stopped holding the
+// clock (which moved only `ticks`). One row per
 // schedule of [`polite_schedules`], first without faults, then under
 // `FaultConfig::with_rate(0.1)`, each in `scheduled_runs` strategy
 // order. They fold `ticks`, `attempts`, `retries` and `gave_up` too
 // ([`full_hash`]).
 const GOLDEN_POLITE: [[u64; 3]; 6] = [
     [
-        0xa201_0dbb_a53d_e704,
-        0x3bc3_191d_a9e7_42e8,
-        0xce37_68fc_4199_9f5a,
+        0xfb55_979e_e225_9a18,
+        0xe26e_8f3a_6cff_8fd4,
+        0x5204_779c_28db_2c26,
     ], // K=4 gap 2 spread 3
     [
-        0xa50c_0bb1_2168_aa6f,
-        0x38e7_4362_078e_3929,
-        0x4764_a580_e801_12c4,
+        0x99c7_d1bb_e774_31b4,
+        0x7c4a_db82_ff69_fa52,
+        0x7079_1c7a_6e62_b5d5,
     ], // K=16 gap 6 spread 2
     [
         0x5c45_ce85_30f6_ea22,
@@ -198,14 +200,14 @@ const GOLDEN_POLITE: [[u64; 3]; 6] = [
         0x4753_5153_a091_d5db,
     ], // timed K=32 gap 1 s
     [
-        0xc0b3_fe9e_f1b5_2e47,
-        0x666c_0f9f_e06a_47eb,
-        0xec63_c104_fed1_9315,
+        0x839d_3387_1746_831b,
+        0x3dac_8a93_b975_ef8f,
+        0x839d_851f_0a0d_fcce,
     ], // K=4 gap 2 spread 3, 10% faults
     [
-        0x077d_0beb_660a_637b,
-        0x651e_5484_7f80_09f7,
-        0x0b33_7e0a_146c_0c7c,
+        0xbadf_4b86_b69c_cd50,
+        0xc2cd_ee51_27d6_8a44,
+        0xc5d1_8b33_ba8e_425f,
     ], // K=16 gap 6 spread 2, 10% faults
     [
         0xb7d3_20ad_0f9b_8580,
