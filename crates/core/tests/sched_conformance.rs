@@ -15,7 +15,9 @@
 //! 3. Polite and timed schedules (`K = 4` with gap 2 and spread 3,
 //!    `K = 16` with gap 6 and spread 2, and a timed crawl of 32 slots
 //!    with a 1 s gap), each with and without 10% faults, get absolute
-//!    goldens that also fold the makespan and the fault counters.
+//!    goldens that also fold the makespan and the fault counters, and
+//!    absolute counts of the scheduler's own events (idle slot ticks,
+//!    politeness waits, links handed across shards).
 //! 4. The same hashes are asserted under different `LANGCRAWL_THREADS`
 //!    settings (which parallelize space *generation*): the constants
 //!    are absolute, so running this binary under any thread count — as
@@ -23,11 +25,13 @@
 //!    sweep below re-generates the space on 1 and 4 threads for good
 //!    measure.
 
-use langcrawl_core::classifier::{MetaClassifier, OracleClassifier};
+use langcrawl_core::classifier::{Classifier, MetaClassifier, OracleClassifier};
+use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineScratch};
+use langcrawl_core::event::SchedStatsSink;
 use langcrawl_core::metrics::CrawlReport;
 use langcrawl_core::sched::{SchedConfig, Timing};
 use langcrawl_core::sim::{SimConfig, Simulator};
-use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy};
+use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy, Strategy};
 use langcrawl_webgraph::generate::generate_with_threads;
 use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
 
@@ -237,6 +241,103 @@ fn polite_and_timed_schedules_match_their_goldens() {
             if got != golden {
                 bad.push(format!(
                     "{name} {cell}{faults}: hash {got:#018x} != golden {golden:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+/// The scheduler's own events on the cells of [`GOLDEN_POLITE`], as a
+/// [`SchedStatsSink`] tallies them: `(idle_slot_ticks,
+/// politeness_waits, crossed_links)`, in the same row and strategy
+/// order. The report digests fold no events, so these pin what the
+/// digests cannot see. Taken once a cooling host with nothing to fetch
+/// stopped holding the clock.
+const GOLDEN_SCHED_EVENTS: [[(u64, u64, u64); 3]; 6] = [
+    [
+        (2_736, 11_805, 552),
+        (1_716, 11_789, 606),
+        (1_731, 11_586, 568),
+    ], // K=4 gap 2 spread 3
+    [
+        (95_232, 11_741, 645),
+        (95_232, 11_738, 748),
+        (96_110, 10_859, 832),
+    ], // K=16 gap 6 spread 2
+    [
+        (45_832_765, 10_585, 0),
+        (48_424_765, 10_704, 0),
+        (48_124_726, 10_511, 0),
+    ], // timed K=32 gap 1 s
+    [
+        (2_328, 12_650, 571),
+        (1_452, 12_632, 598),
+        (1_705, 12_415, 580),
+    ], // K=4 gap 2 spread 3, 10% faults
+    [
+        (98_668, 12_575, 645),
+        (98_668, 12_574, 729),
+        (99_575, 11_602, 813),
+    ], // K=16 gap 6 spread 2, 10% faults
+    [
+        (42_847_703, 10_957, 0),
+        (46_492_884, 11_230, 0),
+        (49_460_175, 11_044, 0),
+    ], // timed K=32 gap 1 s, 10% faults
+];
+
+#[test]
+fn polite_and_timed_schedules_pin_their_event_counts() {
+    let ws = space();
+    let target = ws.target_language();
+    let cells = [FaultConfig::default(), FaultConfig::with_rate(0.1)]
+        .into_iter()
+        .flat_map(|fault| polite_schedules().map(|cell| (cell, fault.clone())));
+    let mut bad = Vec::new();
+    for (((cell, sched), fault), goldens) in cells.zip(GOLDEN_SCHED_EVENTS) {
+        let faults = if fault.is_zero() { "" } else { ", 10% faults" };
+        let engine = CrawlEngine::new(
+            &ws,
+            EngineConfig {
+                fault,
+                ..EngineConfig::default()
+            },
+        );
+        let runs: [(&str, Box<dyn Strategy>, Box<dyn Classifier>); 3] = [
+            (
+                "breadth_first/oracle",
+                Box::new(BreadthFirst::new()),
+                Box::new(OracleClassifier::target(target)),
+            ),
+            (
+                "soft_focused/meta",
+                Box::new(SimpleStrategy::soft()),
+                Box::new(MetaClassifier::target(target)),
+            ),
+            (
+                "limited_distance_3/oracle",
+                Box::new(LimitedDistanceStrategy::prioritized(3)),
+                Box::new(OracleClassifier::target(target)),
+            ),
+        ];
+        for ((name, mut strategy, classifier), golden) in runs.into_iter().zip(goldens) {
+            let mut stats = SchedStatsSink::new();
+            engine.run_scheduled(
+                &sched,
+                strategy.as_mut(),
+                classifier.as_ref(),
+                &mut [&mut stats],
+                &mut EngineScratch::new(),
+            );
+            let got = (
+                stats.idle_slot_ticks,
+                stats.politeness_waits,
+                stats.crossed_links,
+            );
+            if got != golden {
+                bad.push(format!(
+                    "{name} {cell}{faults}: events {got:?} != golden {golden:?}"
                 ));
             }
         }
