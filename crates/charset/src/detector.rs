@@ -76,7 +76,10 @@ pub fn detect(bytes: &[u8]) -> Detection {
 /// 3. otherwise the six structured probers (UTF-8, EUC-JP, Shift_JIS,
 ///    EUC-KR, GB2312, Thai) scan the (truncated) document; the three EUC
 ///    probers share one scan, since EUC-KR and GB2312 pack their
-///    character sets as EUC-JP packs JIS X 0208;
+///    character sets as EUC-JP packs JIS X 0208. A truncated scan is
+///    scored at each multibyte prober's last character boundary
+///    ([`Prober::capped_confidence`]), so only a document that really
+///    ends inside a character scores 0 for it;
 /// 4. the Latin-1 floor scans the document only while the best
 ///    structured confidence is below [`Latin1Prober::CEILING`]: it never
 ///    scores above that ceiling and ranks last, so from there on it
@@ -127,15 +130,19 @@ pub fn detect_with(bytes: &[u8], config: &DetectorConfig) -> Detection {
     sjis.feed(slice);
     let mut th = ThaiProber::new();
     th.feed(slice);
+    // When the cap, not the document, ends the scan, a character it cuts
+    // is no evidence against an encoding: each multibyte walk is scored
+    // at its last character boundary before the cap.
+    let capped = slice.len() < bytes.len();
 
     // Registration order encodes tie-break specificity.
     let euc_candidate = |confidence, cs: Charset| (confidence, cs, cs.language());
     let candidates: [(f64, Charset, Option<Language>); 6] = [
-        (utf8.confidence(), utf8.charset(), utf8.language_hint()),
-        euc_candidate(euc.ja_confidence(), Charset::EucJp),
-        (sjis.confidence(), sjis.charset(), sjis.language_hint()),
-        euc_candidate(euc.kr_confidence(), Charset::EucKr),
-        euc_candidate(euc.cn_confidence(), Charset::Gb2312),
+        (utf8.score(capped), utf8.charset(), utf8.language_hint()),
+        euc_candidate(euc.ja_confidence(capped), Charset::EucJp),
+        (sjis.score(capped), sjis.charset(), sjis.language_hint()),
+        euc_candidate(euc.kr_confidence(capped), Charset::EucKr),
+        euc_candidate(euc.cn_confidence(capped), Charset::Gb2312),
         (th.confidence(), th.charset(), th.language_hint()),
     ];
 
@@ -186,6 +193,7 @@ fn rank(
 mod tests {
     use super::*;
     use crate::encode::{encode_japanese, encode_thai, japanese_demo_tokens, thai_demo_tokens};
+    use crate::prober::{EucJpProber, EucKrProber, Gb2312Prober};
 
     #[test]
     fn ascii_detected() {
@@ -278,6 +286,84 @@ mod tests {
         };
         assert_eq!(detect_with(&page, &cfg).charset, Charset::Ascii);
         assert_eq!(detect(&page).charset, Charset::EucJp);
+    }
+
+    /// A page-sized document whose 8 KB cap falls inside a character:
+    /// ASCII markup, then `body` repeated past 12 KB, the markup padded by
+    /// up to three bytes until a fresh `prober` fed exactly the capped
+    /// bytes is left inside a character.
+    fn cut_by_the_cap(body: &[u8], prober: fn() -> Box<dyn Prober>) -> Vec<u8> {
+        let cap = DetectorConfig::default().max_bytes;
+        (0..4)
+            .map(|pad| {
+                let mut page = b"<html><body><p>".to_vec();
+                page.resize(page.len() + pad, b' ');
+                while page.len() < cap + 4_096 {
+                    page.extend_from_slice(body);
+                }
+                page.extend_from_slice(b"</p></body></html>");
+                page
+            })
+            .find(|page| {
+                let mut p = prober();
+                p.feed(&page[..cap]);
+                p.confidence() == 0.0 && p.capped_confidence() > 0.0
+            })
+            .expect("some padding puts the cap inside a character")
+    }
+
+    /// `page`, which is in `charset`, gets its uncapped verdict under the
+    /// default cap.
+    fn assert_the_cap_keeps_the_verdict(page: &[u8], charset: Charset) {
+        let uncapped = DetectorConfig {
+            max_bytes: usize::MAX,
+            ..DetectorConfig::default()
+        };
+        let whole = detect_with(page, &uncapped);
+        assert_eq!(whole.charset, charset, "{whole:?}");
+        let capped = detect(page);
+        assert_eq!(
+            (capped.charset, capped.language()),
+            (whole.charset, whole.language()),
+            "{capped:?}"
+        );
+    }
+
+    #[test]
+    fn euc_jp_page_cut_by_the_cap_keeps_its_verdict() {
+        let body = encode_japanese(&japanese_demo_tokens(), Charset::EucJp);
+        let page = cut_by_the_cap(&body, || Box::new(EucJpProber::new()));
+        assert_the_cap_keeps_the_verdict(&page, Charset::EucJp);
+    }
+
+    #[test]
+    fn shift_jis_page_cut_by_the_cap_keeps_its_verdict() {
+        let body = encode_japanese(&japanese_demo_tokens(), Charset::ShiftJis);
+        let page = cut_by_the_cap(&body, || Box::new(ShiftJisProber::new()));
+        assert_the_cap_keeps_the_verdict(&page, Charset::ShiftJis);
+    }
+
+    #[test]
+    fn utf8_page_cut_by_the_cap_keeps_its_verdict() {
+        let body = encode_japanese(&japanese_demo_tokens(), Charset::Utf8);
+        let page = cut_by_the_cap(&body, || Box::new(Utf8Prober::new()));
+        assert_the_cap_keeps_the_verdict(&page, Charset::Utf8);
+    }
+
+    #[test]
+    fn euc_kr_page_cut_by_the_cap_keeps_its_verdict() {
+        use crate::dbcs::{encode_korean, korean_demo_tokens};
+        let body = encode_korean(&korean_demo_tokens(), Charset::EucKr);
+        let page = cut_by_the_cap(&body, || Box::new(EucKrProber::new()));
+        assert_the_cap_keeps_the_verdict(&page, Charset::EucKr);
+    }
+
+    #[test]
+    fn gb2312_page_cut_by_the_cap_keeps_its_verdict() {
+        use crate::dbcs::{chinese_demo_tokens, encode_chinese};
+        let body = encode_chinese(&chinese_demo_tokens(), Charset::Gb2312);
+        let page = cut_by_the_cap(&body, || Box::new(Gb2312Prober::new()));
+        assert_the_cap_keeps_the_verdict(&page, Charset::Gb2312);
     }
 
     #[test]

@@ -92,6 +92,13 @@ pub trait Prober {
     fn charset(&self) -> Charset;
     /// Confidence in [0, 1]. Zero once an illegal sequence was seen.
     fn confidence(&self) -> f64;
+    /// [`Prober::confidence`] when a byte cap, not the document's end,
+    /// stopped the feed: a character the cap cuts is no evidence against
+    /// the encoding, so a multibyte prober scores at its last character
+    /// boundary. Probers that ignore boundaries keep the default.
+    fn capped_confidence(&self) -> f64 {
+        self.confidence()
+    }
     /// Language evidence, when the prober can supply one beyond the
     /// charset's Table 1 mapping (used by the UTF-8 prober).
     fn language_hint(&self) -> Option<Language> {
@@ -112,8 +119,15 @@ struct Walk {
 impl Walk {
     /// True if the document may legally end here: alive and not inside a
     /// character.
+    #[cfg(test)]
     fn at_boundary(&self) -> bool {
-        !self.dead && self.cut_len == 0
+        self.scores(false)
+    }
+
+    /// True if the walk's evidence counts: alive, and at a character
+    /// boundary unless a byte cap cut the last piece (`capped`).
+    fn scores(&self, capped: bool) -> bool {
+        !self.dead && (capped || self.cut_len == 0)
     }
 
     /// Run a prober's character loop `chars` over the next piece.
@@ -250,24 +264,27 @@ impl EucScan {
         self.walk.feed(bytes, |b| euc_chars(ja, kr, cn, shifted, b));
     }
 
-    pub(crate) fn ja_confidence(&self) -> f64 {
-        if self.walk.at_boundary() {
+    /// EUC-JP's confidence; `capped` as in [`Walk::scores`].
+    pub(crate) fn ja_confidence(&self, capped: bool) -> f64 {
+        if self.walk.scores(capped) {
             self.ja.score()
         } else {
             0.0
         }
     }
 
-    pub(crate) fn kr_confidence(&self) -> f64 {
-        if self.walk.at_boundary() && !self.shifted {
+    /// EUC-KR's confidence; `capped` as in [`Walk::scores`].
+    pub(crate) fn kr_confidence(&self, capped: bool) -> f64 {
+        if self.walk.scores(capped) && !self.shifted {
             self.kr.score()
         } else {
             0.0
         }
     }
 
-    pub(crate) fn cn_confidence(&self) -> f64 {
-        if self.walk.at_boundary() && !self.shifted {
+    /// GB2312's confidence; `capped` as in [`Walk::scores`].
+    pub(crate) fn cn_confidence(&self, capped: bool) -> f64 {
+        if self.walk.scores(capped) && !self.shifted {
             self.cn.score()
         } else {
             0.0
@@ -298,7 +315,11 @@ impl Prober for EucJpProber {
     }
 
     fn confidence(&self) -> f64 {
-        self.scan.ja_confidence()
+        self.scan.ja_confidence(false)
+    }
+
+    fn capped_confidence(&self) -> f64 {
+        self.scan.ja_confidence(true)
     }
 }
 
@@ -326,7 +347,11 @@ impl Prober for EucKrProber {
     }
 
     fn confidence(&self) -> f64 {
-        self.scan.kr_confidence()
+        self.scan.kr_confidence(false)
+    }
+
+    fn capped_confidence(&self) -> f64 {
+        self.scan.kr_confidence(true)
     }
 }
 
@@ -357,7 +382,11 @@ impl Prober for Gb2312Prober {
     }
 
     fn confidence(&self) -> f64 {
-        self.scan.cn_confidence()
+        self.scan.cn_confidence(false)
+    }
+
+    fn capped_confidence(&self) -> f64 {
+        self.scan.cn_confidence(true)
     }
 }
 
@@ -375,6 +404,15 @@ impl ShiftJisProber {
     /// Fresh prober.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The confidence; `capped` as in [`Walk::scores`].
+    pub(crate) fn score(&self, capped: bool) -> f64 {
+        if self.walk.scores(capped) {
+            self.dist.score()
+        } else {
+            0.0
+        }
     }
 }
 
@@ -452,11 +490,11 @@ impl Prober for ShiftJisProber {
     }
 
     fn confidence(&self) -> f64 {
-        if self.walk.at_boundary() {
-            self.dist.score()
-        } else {
-            0.0
-        }
+        self.score(false)
+    }
+
+    fn capped_confidence(&self) -> f64 {
+        self.score(true)
     }
 }
 
@@ -544,6 +582,22 @@ impl Utf8Prober {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The confidence; `capped` as in [`Walk::scores`].
+    pub(crate) fn score(&self, capped: bool) -> f64 {
+        if !self.walk.scores(capped) {
+            return 0.0;
+        }
+        // The census holds exactly the multibyte characters.
+        match self.blocks.non_ascii() {
+            // Plain ASCII: valid UTF-8 but no positive evidence.
+            0 => 0.0,
+            // Multibyte UTF-8 that never tripped the verifier is UTF-8
+            // with very high probability; random legacy bytes break the
+            // continuation pattern almost immediately.
+            multibyte => (0.85 + 0.005 * multibyte as f64).min(0.99),
+        }
+    }
 }
 
 /// UTF-8's character loop (see [`Walk::feed`]), RFC 3629: a lead byte
@@ -614,18 +668,11 @@ impl Prober for Utf8Prober {
     }
 
     fn confidence(&self) -> f64 {
-        if !self.walk.at_boundary() {
-            return 0.0;
-        }
-        // The census holds exactly the multibyte characters.
-        match self.blocks.non_ascii() {
-            // Plain ASCII: valid UTF-8 but no positive evidence.
-            0 => 0.0,
-            // Multibyte UTF-8 that never tripped the verifier is UTF-8
-            // with very high probability; random legacy bytes break the
-            // continuation pattern almost immediately.
-            multibyte => (0.85 + 0.005 * multibyte as f64).min(0.99),
-        }
+        self.score(false)
+    }
+
+    fn capped_confidence(&self) -> f64 {
+        self.score(true)
     }
 
     fn language_hint(&self) -> Option<Language> {
