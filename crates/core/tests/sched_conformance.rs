@@ -287,6 +287,9 @@ const GOLDEN_SCHED_EVENTS: [[(u64, u64, u64); 3]; 6] = [
     ], // timed K=32 gap 1 s, 10% faults
 ];
 
+/// One pinned strategy/classifier pair, by name.
+type PinnedRun = (&'static str, Box<dyn Strategy>, Box<dyn Classifier>);
+
 #[test]
 fn polite_and_timed_schedules_pin_their_event_counts() {
     let ws = space();
@@ -304,7 +307,7 @@ fn polite_and_timed_schedules_pin_their_event_counts() {
                 ..EngineConfig::default()
             },
         );
-        let runs: [(&str, Box<dyn Strategy>, Box<dyn Classifier>); 3] = [
+        let runs: [PinnedRun; 3] = [
             (
                 "breadth_first/oracle",
                 Box::new(BreadthFirst::new()),
