@@ -13,6 +13,8 @@
 //! — the quantity Fig. 5 / 6(a) / 7(a) plot — so duplicates never inflate
 //! the reported queue size.
 
+use crate::shard::ParkedAt;
+use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_webgraph::PageId;
 use std::collections::VecDeque;
 
@@ -204,17 +206,160 @@ impl UrlQueue {
 
     /// Has this page been fetched?
     pub fn is_done(&self, p: PageId) -> bool {
-        self.bar[p as usize] == BAR_DONE
+        self.bar.get(p as usize) == Some(&BAR_DONE)
     }
 
     /// Was this page ever admitted (queued or fetched)?
     pub fn was_admitted(&self, p: PageId) -> bool {
-        self.bar[p as usize] != BAR_NEVER
+        self.bar
+            .get(p as usize)
+            .is_some_and(|&bar| bar != BAR_NEVER)
     }
 
     /// Total push operations accepted (diagnostic; counts duplicates).
     pub fn total_pushes(&self) -> u64 {
         self.pushes
+    }
+
+    /// The ring an entry enters: its priority, clamped into the last
+    /// level.
+    #[inline]
+    pub(crate) fn level(&self, e: &Entry) -> usize {
+        (e.priority as usize).min(self.levels.len() - 1)
+    }
+
+    /// The level of the lowest non-empty ring.
+    #[inline]
+    pub(crate) fn head_level(&self) -> Option<usize> {
+        self.levels.iter().position(|l| !l.is_empty())
+    }
+
+    /// Take the head of ring `level`, live or stale.
+    #[inline]
+    pub(crate) fn pop_head(&mut self, level: usize) -> Option<Entry> {
+        self.levels.get_mut(level)?.pop_front()
+    }
+
+    /// Is `e` its page's best admission, not yet fetched?
+    #[inline]
+    pub(crate) fn is_live(&self, e: &Entry) -> bool {
+        self.bar
+            .get(e.page as usize)
+            .is_some_and(|&bar| (e.key() as u32) < bar)
+    }
+
+    /// Mark the page of a live entry fetched.
+    #[inline]
+    pub(crate) fn take(&mut self, e: &Entry) {
+        if let Some(bar) = self.bar.get_mut(e.page as usize) {
+            *bar = BAR_DONE;
+            self.pending -= 1;
+        }
+    }
+
+    /// Encode the queue into a snapshot payload: per level, a count and
+    /// the level's entries in pop order as `(page, priority, distance)`
+    /// — first `parked`'s entries of that level (entries taken off the
+    /// ring heads earlier, sorted by level, then the order they left),
+    /// then the ring's — then the fetched bits, and the pending,
+    /// high-water and push counters. Capture rides the crawl's steady
+    /// state, so each level's entries are copied into a region grown
+    /// once, 6 bytes apiece, stale ones included: telling them apart
+    /// would cost a random read of the admission bar per entry.
+    // Covered by the root marker on `ShardedFrontier::encode_state`.
+    pub(crate) fn encode_state(&self, enc: &mut Enc, parked: &[ParkedAt]) {
+        let mut parked = parked;
+        for (level, ring) in self.levels.iter().enumerate() {
+            let (here, rest) =
+                parked.split_at(parked.partition_point(|p| usize::from(p.0) == level));
+            parked = rest;
+            let n = here.len() + ring.len();
+            enc.u64(n as u64);
+            let start = enc.buf.len();
+            // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
+            enc.buf.resize(start + 6 * n, 0);
+            let mut slots = enc
+                .buf
+                .get_mut(start..)
+                .unwrap_or_default()
+                .chunks_exact_mut(6);
+            let entries = here.iter().map(|p| &p.2);
+            // Entries lead each zip: a zip takes from its left side first,
+            // so the parked entries running out costs no slot.
+            for (e, slot) in entries.zip(slots.by_ref()) {
+                put(slot, e);
+            }
+            for (e, slot) in ring.iter().zip(slots) {
+                put(slot, e);
+            }
+        }
+        enc.bools(&self.bar, |&bar| bar == BAR_DONE);
+        enc.u64(self.pending as u64);
+        enc.u64(self.max_pending as u64);
+        enc.u64(self.pushes);
+    }
+
+    /// Restore [`UrlQueue::encode_state`]'s payload into `self`, a fresh
+    /// queue of the captured page and level counts. Every entry returns
+    /// to its ring; each waiting page's admission key is its best
+    /// entry's (any other entry of it was superseded), and fetched
+    /// pages read as fetched. An entry filed under another level and a
+    /// pending count that disagrees with the entries are
+    /// [`SnapshotError::Malformed`].
+    pub(crate) fn decode_state(mut self, dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        let last = self.levels.len() - 1;
+        for (level, ring) in self.levels.iter_mut().enumerate() {
+            let n = dec.len()?;
+            // Entries take 6 bytes each: a count the payload cannot hold
+            // is refused before anything is allocated for it.
+            if n > dec.remaining() / 6 {
+                return Err(SnapshotError::Truncated);
+            }
+            ring.reserve(n);
+            for _ in 0..n {
+                let e = Entry {
+                    page: dec.u32()?,
+                    priority: dec.u8()?,
+                    distance: dec.u8()?,
+                };
+                let bar = self
+                    .bar
+                    .get_mut(e.page as usize)
+                    .ok_or(SnapshotError::Malformed("waiting page out of range"))?;
+                if (e.priority as usize).min(last) != level {
+                    return Err(SnapshotError::Malformed("entry filed under another level"));
+                }
+                *bar = (*bar).min(e.key() as u32 + 1);
+                ring.push_back(e);
+            }
+        }
+        let mut fetched = vec![false; self.bar.len()];
+        dec.bools(&mut fetched)?;
+        let mut waiting = 0;
+        for (bar, fetched) in self.bar.iter_mut().zip(fetched) {
+            if fetched {
+                *bar = BAR_DONE;
+            } else if *bar != BAR_NEVER {
+                waiting += 1;
+            }
+        }
+        self.pending = dec.len()?;
+        self.max_pending = dec.len()?;
+        self.pushes = dec.u64()?;
+        if self.pending != waiting {
+            return Err(SnapshotError::Malformed(
+                "pending count disagrees with the waiting entries",
+            ));
+        }
+        Ok(self)
+    }
+}
+
+/// Write `e` into a 6-byte snapshot slot.
+fn put(slot: &mut [u8], e: &Entry) {
+    let [a, b, c, d] = e.page.to_le_bytes();
+    for (byte, v) in slot.iter_mut().zip([a, b, c, d, e.priority, e.distance]) {
+        *byte = v;
     }
 }
 

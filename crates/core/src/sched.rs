@@ -60,7 +60,7 @@ use crate::event::{interest, CrawlEvent, EventSink};
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
 use crate::readahead::ReadAhead;
-use crate::shard::{ShardStats, ShardedFrontier};
+use crate::shard::{ParkedAt, ShardStats, ShardedFrontier};
 use crate::snapshot::{
     frame_begin, frame_end, run_fingerprint, CrawlSnapshot, Dec, Enc, SnapHead, SnapshotError,
 };
@@ -187,17 +187,17 @@ fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 /// capture tick, the identity-header template (tick/crawled are filled
 /// per capture), the encoder of the frontier's state, and the buffers
 /// every capture reuses — the framed bytes, and the two that sort the
-/// retry heap and the frontier's cool-down heap into canonical order —
+/// retry heap and the frontier's parked entries into canonical order —
 /// so steady-cadence capture settles into zero allocations per
 /// snapshot.
 struct SnapCtl<F> {
     every: u64,
     next_at: u64,
     head: SnapHead,
-    frontier_state: fn(&F, &mut Enc, &mut Vec<(u64, u32)>),
+    frontier_state: fn(&F, &mut Enc, &mut Vec<ParkedAt>),
     buf: Enc,
     retries: Vec<(u64, u64, Entry)>,
-    cooling: Vec<(u64, u32)>,
+    parked: Vec<ParkedAt>,
 }
 
 impl SnapCtl<ShardedFrontier> {
@@ -211,7 +211,7 @@ impl SnapCtl<ShardedFrontier> {
             frontier_state: ShardedFrontier::encode_state,
             buf: Enc::default(),
             retries: Vec::new(),
-            cooling: Vec::new(),
+            parked: Vec::new(),
         }
     }
 }
@@ -269,7 +269,7 @@ fn encode_snapshot_into<F>(
         enc.u8(1);
         enc.u32s(attempt_counts);
     }
-    (c.frontier_state)(frontier, enc, &mut c.cooling);
+    (c.frontier_state)(frontier, enc, &mut c.parked);
 }
 
 /// Decode the run-state section (the payload between the header and
@@ -584,7 +584,8 @@ impl CrawlEngine<'_> {
         if slots > dec.remaining() / 24 {
             return Err(SnapshotError::Truncated);
         }
-        let frontier = ShardedFrontier::for_space(ws, levels, slots).decode_state(&mut dec)?;
+        let frontier =
+            ShardedFrontier::for_space(ws, levels, slots).decode_state(&mut dec, snap.head.tick)?;
         if !dec.is_empty() {
             return Err(SnapshotError::Malformed("trailing state bytes"));
         }

@@ -1,100 +1,54 @@
-//! The host-partitioned frontier — BUbiNG's frontier layout in miniature.
+//! The host-partitioned frontier: per-host parking over [`UrlQueue`]'s
+//! rings — BUbiNG's workbench of hosts in miniature.
 //!
-//! Production crawlers partition the frontier by host: politeness is a
-//! per-host constraint, so the unit of scheduling is the host queue.
-//! [`ShardedFrontier`] reproduces that layout over the virtual web space
-//! while implementing the existing [`Frontier`] trait, so strategies and
-//! the admission contract are untouched:
+//! Politeness is a per-host constraint, so production crawlers schedule
+//! hosts, not URLs. [`ShardedFrontier`] adds exactly that to the one
+//! URL queue, and implements the existing [`Frontier`] trait, so
+//! strategies and the admission contract are untouched:
 //!
-//! * **admission** is global and identical to [`UrlQueue`]: one `best`
-//!   key table, one `done` table, `pending()` counts distinct waiting
-//!   pages;
-//! * **storage** is per-host: every entry lives in its host's parked
-//!   queue, always — one index-linked FIFO list per `(host, level)`
-//!   slot, with nodes drawn from a single slab ([`Node`]) and recycled
-//!   through a free list, so steady-state storage churn allocates
-//!   nothing. A host's minimum entry is the head of its lowest
-//!   non-empty level list (heads are seq-sorted by construction, since
-//!   entries append with a globally increasing seq). A ready host
-//!   additionally *exposes* a copy of its minimum entry as a token in
-//!   the one avail heap; tokens are disposable — when a host's minimum
-//!   changes (better discovery, state transition), a fresh token is
-//!   pushed and the old one goes stale, to be discarded when it
-//!   surfaces;
-//! * **pop order** is the exact global `(priority level, FIFO seq)`
-//!   discipline of [`UrlQueue`]: each ready host exposes exactly its
-//!   minimum entry, so the avail heap's top is the global minimum, and
-//!   stale entries are skipped destructively at pop time just as the
-//!   FIFO rings skip them. The shard-parity property test drives this
-//!   equivalence through random push/pop/requeue interleavings;
+//! * **admission and storage** are [`UrlQueue`]'s: one admission bar,
+//!   one FIFO ring per priority level, `pending()` counts distinct
+//!   waiting pages;
+//! * **parking is lazy**: an entry leaves its ring for its host's
+//!   parked list only when it reaches a ring head while its host is
+//!   cooling (a fetch started and the host's next allowed start is
+//!   still ahead). A host's parked list is ordered by `(level, park
+//!   order)`; within one level the park order is the rings' FIFO order,
+//!   and every parked entry left its ring before anything still in it;
+//! * **hosts, not URLs, wait**: a free host that holds parked work sits
+//!   in one `(level, park order)` ready heap, keyed by its first parked
+//!   entry, and a cooling host with a pending page sits in one `(free
+//!   time, host)` wake heap. A pop takes the ready heap's top when its
+//!   level is at most the lowest non-empty ring's, else the ring head;
+//!   either way it is the least `(level, seq)` live entry whose host is
+//!   free, so the pop order is [`UrlQueue`]'s wherever every host is
+//!   free. Stale entries — superseded by a better admission, or of a
+//!   fetched page — are skipped at pop time as the rings skip them;
 //! * **shards are labels**: each host hashes to one of `shards`
 //!   [`ShardStats`] slots (agents, in BUbiNG's vocabulary), which count
 //!   the pushes, pops and cross-shard discovery handoffs the
 //!   parallelism sweep reports. A shard holds no entries, so the shard
 //!   count never changes a pop.
 //!
-//! The scheduler-facing calls ([`Frontier::pop_ready`],
-//! [`Frontier::started`], [`Frontier::advance_to`]) add per-host state
-//! — `Ready`/`Cooling` — on top. A fetch's start cools its host until
-//! its next allowed start, the later of the fetch's finish and its
-//! politeness gap. A cooling host parks all its entries and exposes
-//! nothing, which is how per-host concurrency 1 and politeness gaps are
-//! enforced without any scan. With every host permanently ready (the
-//! plain [`Frontier::pop`] path), the state machinery is inert.
-//!
-//! Tie-breaks are total and deterministic everywhere: `(level, seq)`
-//! orders entries (seq is the global push ordinal, so FIFO within a
-//! level), `(ready_at, host)` orders cool-downs, and shard assignment
-//! is a pure hash of the host id.
+//! With one slot and no politeness a host is free again by the next
+//! pop, so nothing ever parks and a pop is a ring pop. Tie-breaks are
+//! total and deterministic: `(level, seq)` orders entries, `(free time,
+//! host)` orders wakes, and shard assignment is a pure hash of the host
+//! id.
 
 use crate::frontier::Frontier;
-use crate::queue::Entry;
+use crate::queue::{Entry, UrlQueue};
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_rng::mix;
 use langcrawl_webgraph::{PageId, WebSpace};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Salt for the host → shard hash. Any fixed constant works; hashing
 /// (rather than `host % shards`) decorrelates shard load from the
 /// generator's host-id layout, which allocates contiguous id ranges to
 /// similar hosts.
 const SHARD_SALT: u64 = 0x5ca1_ab1e_0000_0001;
-
-/// Slab sentinel: "no node" for list links and the free-list head.
-const NIL: u32 = u32::MAX;
-
-/// Sentinel page marking a detached (free-list) node, so a linear slab
-/// scan can tell live parked entries from recycled ones without chasing
-/// list links. No real page reaches this id — admission bounds pages by
-/// the space size, far below `u32::MAX`.
-const FREE_PAGE: PageId = PageId::MAX;
-
-/// One parked entry in the slab: the payload plus the `next` link of
-/// its `(host, level)` FIFO list. `seq` is the global push ordinal —
-/// unique, so `(level, seq)` totally orders a host's entries and the
-/// list head at the lowest non-empty level is the host's minimum.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    seq: u64,
-    page: PageId,
-    priority: u8,
-    distance: u8,
-    /// Next node in this `(host, level)` list, or [`NIL`]. Doubles as
-    /// the free-list link when the node is recycled.
-    next: u32,
-}
-
-/// Per-host scheduling state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HostState {
-    /// May fetch: its minimum entry (if any) stands in the avail heap.
-    Ready,
-    /// A fetch started: parked until its next allowed start, the later
-    /// of the fetch's finish and its politeness gap (the cool-down
-    /// heap's `ready_at`).
-    Cooling,
-}
 
 /// Per-shard load counters, for the imbalance stats the parallelism
 /// sweep reports.
@@ -109,17 +63,24 @@ pub struct ShardStats {
     pub handoffs_in: u64,
 }
 
-/// `(level, seq, host, page, priority, distance)` — an exposure token:
-/// a disposable copy of one host's parked minimum, ordered by the
-/// entries' `(level, seq)` key.
-type AvailToken = (u8, u64, u32, PageId, u8, u8);
+/// A parked entry's sort key within its level, then the entry. Park
+/// orders are unique, so `(level, order)` totally orders parked work.
+type Parked = (u64, Entry);
 
-/// The admission key a fetched page keeps once decoded: any value
-/// other than `u16::MAX` reads as admitted, and no other read of a
-/// fetched page's key exists ([`Frontier::push`] and the pop-time
-/// staleness check test `done` first; [`Frontier::requeue`] overwrites
-/// the key).
-const FETCHED_KEY: u16 = 0;
+/// A parked entry as a capture sorts it: `(level, park order, entry)`.
+pub(crate) type ParkedAt = (u8, u64, Entry);
+
+/// What the frontier keeps per host, in one cache line's worth.
+#[derive(Debug, Clone, Copy, Default)]
+struct Host {
+    /// The tick the host may start again; it cools while this is ahead
+    /// of the clock.
+    free_at: u64,
+    /// Pages of the host admitted and not yet fetched.
+    pending: u32,
+    /// Stats slot (a pure hash of the host id).
+    shard: u32,
+}
 
 /// The host-partitioned, politeness-aware frontier. See the module docs
 /// for the layout; see [`Frontier`] for the admission contract it
@@ -139,59 +100,28 @@ const FETCHED_KEY: u16 = 0;
 /// ```
 #[derive(Debug)]
 pub struct ShardedFrontier {
-    /// Exposure tokens (copies of ready hosts' minima), live and stale
-    /// mixed; staleness is checked against the host's `exposed` marker
-    /// when a token surfaces.
-    avail: BinaryHeap<Reverse<AvailToken>>,
-    /// `(ready_at, host)` for cooling hosts: one pair per host, from
-    /// its fetch's start until it is free again.
-    cooling: BinaryHeap<Reverse<(u64, u32)>>,
-    /// `(ready_at, host)` for the cooling hosts with a pending page: the
-    /// waits the clock must honour.
+    /// The rings and the one admission bar.
+    queue: UrlQueue,
+    /// Per host, the entries that reached a ring head while it cooled,
+    /// in `(level, park order)`.
+    parked: Vec<VecDeque<Parked>>,
+    /// `(level, park order, host)` of free hosts with parked work, keyed
+    /// by their first parked entry. A copy whose host cools again, or
+    /// whose key no longer heads its host's list, is stale and dropped
+    /// when it surfaces.
+    ready: BinaryHeap<Reverse<(u8, u64, u32)>>,
+    /// `(free time, host)` of the cooling hosts with a pending page: the
+    /// waits the clock must honour, one per such host.
     wake: BinaryHeap<Reverse<(u64, u32)>>,
-    /// The tick each host may start again (meaningful while cooling).
-    free_at: Vec<u64>,
-    /// Pending pages per host.
-    host_pending: Vec<u32>,
-    /// Load counters per shard, indexed by `shard_of_host`.
-    stats: Vec<ShardStats>,
-    /// The parked-entry slab: every waiting entry is a [`Node`] here,
-    /// linked into its `(host, level)` FIFO list. Detached nodes move
-    /// to the free list and are reused before the slab grows, so
-    /// steady-state traffic recycles indices instead of allocating.
-    nodes: Vec<Node>,
-    /// Head of the free list ([`NIL`] when empty).
-    free: u32,
-    /// FIFO list heads, indexed `host * num_levels + level`; [`NIL`]
-    /// marks an empty list.
-    heads: Vec<u32>,
-    /// FIFO list tails, same indexing; meaningful only when the
-    /// matching head is not [`NIL`].
-    tails: Vec<u32>,
-    /// `(level, seq)` of the token each host currently exposes in the
-    /// avail heap; `None` when the host exposes nothing (cooling or
-    /// empty). Always equals the host's parked minimum when set.
-    /// Avail tokens that do not match are stale and simply discarded —
-    /// the entries they carry are safe in the slab.
-    exposed: Vec<Option<(u8, u64)>>,
-    host_state: Vec<HostState>,
+    hosts: Vec<Host>,
     /// Host owning each page.
     host_of_page: Vec<u32>,
-    /// Owning shard of each host (pure hash of the host id).
-    shard_of_host: Vec<u32>,
-    /// Priority levels; priorities at or above clamp into the last
-    /// level, exactly like [`UrlQueue`].
-    num_levels: usize,
-    /// Best admission key per page; `u16::MAX` = never admitted.
-    best: Vec<u16>,
-    /// Pages fetched already (their stored entries are stale).
-    done: Vec<bool>,
-    pending: usize,
-    max_pending: usize,
-    /// Global push ordinal: FIFO tie-break within a level. Every
-    /// accepted push and requeue takes one, so it is also the total
-    /// push count.
-    seq: u64,
+    /// The clock of the last [`Frontier::advance_to`].
+    now: u64,
+    /// Entries parked so far: the next park order.
+    parks: u64,
+    /// Load counters per shard.
+    stats: Vec<ShardStats>,
     /// Host currently resolving a fetch, for handoff attribution.
     origin: Option<u32>,
     /// Total accepted pushes that crossed shards (sum of
@@ -205,31 +135,21 @@ impl ShardedFrontier {
     /// hashed into `shards` stats slots.
     pub fn new(host_of_page: Vec<u32>, num_hosts: usize, levels: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let num_pages = host_of_page.len();
-        let levels = levels.max(1);
         ShardedFrontier {
-            avail: BinaryHeap::new(),
-            cooling: BinaryHeap::new(),
+            queue: UrlQueue::new(host_of_page.len(), levels),
+            parked: vec![VecDeque::new(); num_hosts],
+            ready: BinaryHeap::new(),
             wake: BinaryHeap::new(),
-            free_at: vec![0; num_hosts],
-            host_pending: vec![0; num_hosts],
-            stats: vec![ShardStats::default(); shards],
-            nodes: Vec::new(),
-            free: NIL,
-            heads: vec![NIL; num_hosts * levels],
-            tails: vec![NIL; num_hosts * levels],
-            exposed: vec![None; num_hosts],
-            host_state: vec![HostState::Ready; num_hosts],
-            host_of_page,
-            shard_of_host: (0..num_hosts)
-                .map(|h| (mix(SHARD_SALT, h as u64) % shards as u64) as u32)
+            hosts: (0..num_hosts)
+                .map(|h| Host {
+                    shard: (mix(SHARD_SALT, h as u64) % shards as u64) as u32,
+                    ..Host::default()
+                })
                 .collect(),
-            num_levels: levels,
-            best: vec![u16::MAX; num_pages],
-            done: vec![false; num_pages],
-            pending: 0,
-            max_pending: 0,
-            seq: 0,
+            host_of_page,
+            now: 0,
+            parks: 0,
+            stats: vec![ShardStats::default(); shards],
             origin: None,
             handoffs: 0,
         }
@@ -241,250 +161,87 @@ impl ShardedFrontier {
         ShardedFrontier::new(host_of_page, ws.num_hosts(), levels, shards)
     }
 
-    /// `UrlQueue`'s level clamp: priorities at or above the level count
-    /// share the last ring.
-    fn level(&self, e: &Entry) -> u8 {
-        (e.priority as usize).min(self.num_levels - 1) as u8
-    }
-
-    /// Count a newly pending page of `host`; a cooling host that had
-    /// nothing to fetch now holds the clock until its free time.
-    fn add_pending(&mut self, host: u32) {
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        let n = &mut self.host_pending[host as usize];
-        *n += 1;
-        if *n == 1 && self.host_state[host as usize] == HostState::Cooling {
-            self.wake.push(Reverse((self.free_at[host as usize], host)));
+    /// Count an accepted admission of `page` (shard stats and handoff
+    /// attribution), and a `fresh` one as a newly pending page of its
+    /// host: a cooling host that had nothing to fetch now holds the
+    /// clock until its free time.
+    // Covered by the root marker on [`Frontier::push_all`].
+    fn admitted(&mut self, page: PageId, fresh: bool) {
+        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        let host = self.host_of_page[page as usize];
+        let h = &mut self.hosts[host as usize];
+        let shard = h.shard;
+        if fresh {
+            h.pending += 1;
+            if h.pending == 1 && h.free_at > self.now {
+                self.wake.push(Reverse((h.free_at, host)));
+            }
         }
-    }
-
-    /// Store an accepted entry on its host (shard stats and handoff
-    /// attribution included) and return the host. Does *not* re-expose
-    /// the host's minimum — callers follow up with [`Self::refresh`],
-    /// either immediately ([`Frontier::push`]) or once per host after a
-    /// whole batch landed ([`Frontier::push_all`]).
-    // Covered transitively by the root marker on [`Self::push_all`]:
-    // nodes come from the free list, so steady-state inserts allocate
-    // nothing.
-    fn insert(&mut self, e: Entry) -> u32 {
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        let host = self.host_of_page[e.page as usize];
-        let level = self.level(&e);
-        let seq = self.seq;
-        self.seq += 1;
-        let si = self.shard_of_host[host as usize] as usize;
-        self.stats[si].pushes += 1;
+        self.stats[shard as usize].pushes += 1;
         if let Some(from) = self.origin {
-            if self.shard_of_host[from as usize] as usize != si {
-                self.stats[si].handoffs_in += 1;
+            if self.hosts[from as usize].shard != shard {
+                self.stats[shard as usize].handoffs_in += 1;
                 self.handoffs += 1;
             }
         }
-        let node = Node {
-            seq,
-            page: e.page,
-            priority: e.priority,
-            distance: e.distance,
-            next: NIL,
-        };
-        // Recycle a detached node before growing the slab.
-        let idx = if self.free != NIL {
-            let idx = self.free;
-            self.free = self.nodes[idx as usize].next;
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        };
-        // Append to the `(host, level)` FIFO list: seqs only grow, so
-        // the list stays seq-sorted and its head is the level minimum.
-        let slot = host as usize * self.num_levels + level as usize;
-        if self.heads[slot] == NIL {
-            self.heads[slot] = idx;
-        } else {
-            self.nodes[self.tails[slot] as usize].next = idx;
-        }
-        self.tails[slot] = idx;
-        host
     }
 
-    /// The host's parked minimum: `(level, seq, node index)` of the
-    /// head of its lowest non-empty level list, or `None` when the host
-    /// parks nothing. Each list head is its level's minimum seq, and
-    /// level dominates seq in the `(level, seq)` order.
-    fn host_min(&self, host: u32) -> Option<(u8, u64, u32)> {
-        let base = host as usize * self.num_levels;
-        for level in 0..self.num_levels {
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            let head = self.heads[base + level];
-            if head != NIL {
-                return Some((level as u8, self.nodes[head as usize].seq, head));
-            }
-        }
-        None
-    }
-
-    /// Detach the head of the host's `level` list and recycle its node.
-    /// Callers pass the level of a minimum they just consumed.
-    fn detach_min(&mut self, host: u32, level: u8) {
-        let slot = host as usize * self.num_levels + level as usize;
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        let idx = self.heads[slot];
-        debug_assert_ne!(idx, NIL, "detach_min on an empty list");
-        self.heads[slot] = self.nodes[idx as usize].next;
-        self.nodes[idx as usize].page = FREE_PAGE;
-        self.nodes[idx as usize].next = self.free;
-        self.free = idx;
-    }
-
-    /// Re-establish the exposure invariant for one host: a `Ready` host
-    /// with entries exposes exactly its parked minimum. Pushes a fresh
-    /// token when the exposed minimum changed (the previous token, if
-    /// any, goes stale and is discarded when it surfaces); no-op for
-    /// cooling hosts and when the minimum is already exposed —
-    /// which also makes it idempotent, so a batch admission may refresh
-    /// each touched host once after the whole batch instead of after
-    /// every entry.
-    // Covered transitively by the root markers on [`Self::push_all`]
-    // and [`Self::pop_inner`], which both land here.
-    fn refresh(&mut self, host: u32) {
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        if self.host_state[host as usize] != HostState::Ready {
-            return;
-        }
-        match self.host_min(host) {
-            Some((level, seq, idx)) => {
-                if self.exposed[host as usize] != Some((level, seq)) {
-                    self.exposed[host as usize] = Some((level, seq));
-                    let n = self.nodes[idx as usize];
-                    self.avail
-                        .push(Reverse((level, seq, host, n.page, n.priority, n.distance)));
-                }
-            }
-            None => self.exposed[host as usize] = None,
+    /// Put `host`'s first parked entry on the ready heap, if it has one.
+    fn expose(&mut self, host: u32) {
+        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        if let Some(&(order, e)) = self.parked[host as usize].front() {
+            let level = self.queue.level(&e) as u8;
+            self.ready.push(Reverse((level, order, host)));
         }
     }
 
-    /// Pop the global minimum over ready hosts. `take` is the scheduler
-    /// path: the popped entry's host leaves service — it cools, and the
-    /// fetch's start schedules its wake (per-host concurrency 1) —
-    /// instead of re-exposing its next entry.
-    // lint:root(panic-free, alloc-free) — one call per fetch;
-    // stale-token skips recycle slab nodes, never allocate.
-    fn pop_inner(&mut self, take: bool) -> Option<Entry> {
-        loop {
-            let Reverse((level, seq, host, page, priority, distance)) = self.avail.pop()?;
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            if self.exposed[host as usize] != Some((level, seq)) {
-                // Stale token: the host's minimum moved on, or the host
-                // left Ready (only `refresh` sets `exposed`, and every
-                // transition away from Ready clears it). The entry it
-                // carries still lives in the slab, so the copy is just
-                // dropped.
-                continue;
-            }
-            // The live token is a copy of the host's parked minimum;
-            // consume the original too.
-            self.exposed[host as usize] = None;
-            self.detach_min(host, level);
-            let e = Entry {
-                page,
-                priority,
-                distance,
-            };
-            let idx = page as usize;
-            if self.done[idx] || key(&e) > self.best[idx] {
-                // Stale: fetched already, or superseded by a better
-                // admission. Discarded destructively at pop time —
-                // exactly when the FIFO rings would have skipped it.
-                self.refresh(host);
-                continue;
-            }
-            self.done[idx] = true;
-            self.pending -= 1;
-            self.host_pending[host as usize] -= 1;
-            self.stats[self.shard_of_host[host as usize] as usize].pops += 1;
-            if take {
-                self.host_state[host as usize] = HostState::Cooling;
-            } else {
-                self.refresh(host);
-            }
-            return Some(e);
-        }
+    /// Serve a live entry of `host`: its page is fetched from now on.
+    fn serve(&mut self, host: u32, e: Entry) -> Entry {
+        self.queue.take(&e);
+        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        let h = &mut self.hosts[host as usize];
+        h.pending -= 1;
+        self.stats[h.shard as usize].pops += 1;
+        e
     }
 
     /// Restore a snapshot payload into `self`, a fresh frontier built
-    /// for the captured space, level count and shard count: the
-    /// regenerated space and the snapshot header fix all three, so the
-    /// payload does not repeat them.
+    /// for the captured space, level count and shard count, at the
+    /// captured tick `now`: the regenerated space and the snapshot
+    /// header fix all four, so the payload does not repeat them.
     ///
-    /// A capture happens at a loop-top tick boundary, where every fetch
-    /// has completed, so the rest is derived: every page still pending takes its
-    /// admission key from its best parked entry (its winning admission
-    /// is parked until fetched, and any other entry of it carries a
-    /// worse key), fetched pages read as admitted, the hosts in the
-    /// cool-down list are cooling, and every other host is ready and
-    /// re-exposes its parked minimum. The payload's pending count must
-    /// match the pages its parked entries keep pending, and no host may
-    /// cool twice; these and other structural violations surface as
-    /// [`SnapshotError::Malformed`].
-    pub(crate) fn decode_state(mut self, dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let n = dec.len()?;
-        // Records take 14 bytes each: a count the payload cannot hold is
-        // refused before anything is allocated for it.
-        if n > dec.remaining() / 14 {
-            return Err(SnapshotError::Truncated);
-        }
-        self.nodes.reserve(n);
-        // `(slot, seq, slab index)` for every record: sorting this
-        // relinks each `(host, level)` FIFO list in `(level, seq)`
-        // order — exactly the order the captured lists held. The slab
-        // itself fills in record order, which is what makes re-encoding
-        // a fixed point.
-        let mut links: Vec<(usize, u64, u32)> = Vec::with_capacity(n);
-        for i in 0..n {
-            let page = dec.u32()?;
-            if page as usize >= self.host_of_page.len() {
-                return Err(SnapshotError::Malformed("parked page out of range"));
-            }
-            let priority = dec.u8()?;
-            let distance = dec.u8()?;
-            let seq = dec.u64()?;
-            let host = self.host_of_page[page as usize];
-            let level = (priority as usize).min(self.num_levels - 1);
-            links.push((host as usize * self.num_levels + level, seq, i as u32));
-            self.nodes.push(Node {
-                seq,
-                page,
-                priority,
-                distance,
-                next: NIL,
-            });
-        }
-        links.sort_unstable();
-        for &(slot, _, idx) in &links {
-            if self.heads[slot] == NIL {
-                self.heads[slot] = idx;
-            } else {
-                self.nodes[self.tails[slot] as usize].next = idx;
-            }
-            self.tails[slot] = idx;
-        }
-        let ncool = dec.len()?;
-        for _ in 0..ncool {
-            let at = dec.u64()?;
+    /// Every waiting entry returns to its ring, parked ones at the head
+    /// of their level in the order they left it, so decode parks
+    /// nothing: an entry whose host still cools parks again at its
+    /// first pop. A capture happens at a loop-top tick boundary, where
+    /// every fetch has completed, so the rest is derived: the pending
+    /// pages per host from the admission bar, and the wake heap from
+    /// the cooling hosts that have one. Cooling hosts must come in
+    /// ascending order, each still cooling at `now`; these and the
+    /// queue's checks surface as [`SnapshotError::Malformed`].
+    pub(crate) fn decode_state(
+        mut self,
+        dec: &mut Dec<'_>,
+        now: u64,
+    ) -> Result<Self, SnapshotError> {
+        self.queue = self.queue.decode_state(dec)?;
+        self.now = now;
+        let mut last = None;
+        for _ in 0..dec.len()? {
+            let free_at = dec.u64()?;
             let host = dec.u32()?;
-            let state = self
-                .host_state
+            if last >= Some(host) {
+                return Err(SnapshotError::Malformed("cooling hosts out of order"));
+            }
+            last = Some(host);
+            let h = self
+                .hosts
                 .get_mut(host as usize)
                 .ok_or(SnapshotError::Malformed("cooling host out of range"))?;
-            if *state == HostState::Cooling {
-                return Err(SnapshotError::Malformed("host cools twice"));
+            if free_at <= now {
+                return Err(SnapshotError::Malformed("cooling host already free"));
             }
-            *state = HostState::Cooling;
-            self.cooling.push(Reverse((at, host)));
-            self.free_at[host as usize] = at;
+            h.free_at = free_at;
         }
         for s in &mut self.stats {
             s.pushes = dec.u64()?;
@@ -492,174 +249,190 @@ impl ShardedFrontier {
             s.handoffs_in = dec.u64()?;
             self.handoffs += s.handoffs_in;
         }
-        dec.bools(&mut self.done)?;
-        self.pending = dec.len()?;
-        self.max_pending = dec.len()?;
-        self.seq = dec.u64()?;
-        for node in &self.nodes {
-            let k = key(&Entry {
-                page: node.page,
-                priority: node.priority,
-                distance: node.distance,
-            });
-            if k == u16::MAX {
-                return Err(SnapshotError::Malformed("parked key out of range"));
-            }
-            let p = node.page as usize;
-            if !self.done[p] {
-                self.best[p] = self.best[p].min(k);
+        for (p, &host) in self.host_of_page.iter().enumerate() {
+            let p = p as PageId;
+            if self.queue.was_admitted(p) && !self.queue.is_done(p) {
+                self.hosts[host as usize].pending += 1;
             }
         }
-        let mut pending = 0;
-        for ((best, &done), &host) in self.best.iter_mut().zip(&self.done).zip(&self.host_of_page) {
-            if done {
-                *best = FETCHED_KEY;
-            } else if *best != u16::MAX {
-                pending += 1;
-                self.host_pending[host as usize] += 1;
+        for (host, h) in self.hosts.iter().enumerate() {
+            if h.free_at > now && h.pending > 0 {
+                self.wake.push(Reverse((h.free_at, host as u32)));
             }
-        }
-        if pending != self.pending {
-            return Err(SnapshotError::Malformed(
-                "pending count disagrees with the parked entries",
-            ));
-        }
-        for &Reverse((at, host)) in self.cooling.iter() {
-            if self.host_pending[host as usize] > 0 {
-                self.wake.push(Reverse((at, host)));
-            }
-        }
-        for host in 0..self.exposed.len() as u32 {
-            self.refresh(host);
         }
         Ok(self)
     }
-}
 
-/// The shared admission key (identical to `UrlQueue`'s).
-fn key(e: &Entry) -> u16 {
-    ((e.priority as u16) << 8) | e.distance as u16
+    /// Serialize the frontier state a loop-top capture cannot derive
+    /// into a snapshot payload: the queue's rings with the parked
+    /// entries at the head of their levels ([`UrlQueue`] writes them,
+    /// with the fetched bits and the counters), then the cooling hosts'
+    /// `(free time, host)` in host order and the per-shard counters.
+    /// `parked` is a buffer the caller reuses across captures, to sort
+    /// the parked entries back into `(level, park order)`.
+    ///
+    /// Everything else is derived on decode (see
+    /// [`Self::decode_state`]). `origin` is not state: it is only ever
+    /// `Some` *inside* a resolve, and no resolve is in flight at a
+    /// capture.
+    // lint:root(panic-free, alloc-free) — capture runs mid-crawl into
+    // preallocated buffers; the capture plan hands this to the loop.
+    pub(crate) fn encode_state(&self, enc: &mut Enc, parked: &mut Vec<ParkedAt>) {
+        parked.clear();
+        for list in self.parked.iter().filter(|list| !list.is_empty()) {
+            for &(order, e) in list {
+                // lint:allow(no-alloc-transitive): capture-time encode: the sort buffer is reused and reaches its high-water size once
+                parked.push((self.queue.level(&e) as u8, order, e));
+            }
+        }
+        parked.sort_unstable();
+        self.queue.encode_state(enc, parked);
+        let count_at = enc.mark();
+        enc.u64(0);
+        let mut n = 0;
+        for (host, h) in self.hosts.iter().enumerate() {
+            if h.free_at > self.now {
+                enc.u64(h.free_at);
+                enc.u32(host as u32);
+                n += 1;
+            }
+        }
+        enc.patch_u64(count_at, n);
+        for s in &self.stats {
+            enc.u64(s.pushes);
+            enc.u64(s.pops);
+            enc.u64(s.handoffs_in);
+        }
+    }
 }
 
 impl Frontier for ShardedFrontier {
-    /// A batch of one: refreshing the host of a refused entry is a
-    /// no-op, since outside a batch every ready host already exposes
-    /// its minimum.
     fn push(&mut self, e: Entry) -> bool {
         self.push_all(&[e]) == 1
     }
 
-    /// Batched admission with *deferred exposure*: store every accepted
-    /// entry first, then refresh each entry's host once. Bit-identical
-    /// to per-entry pushes: admission checks, seq assignment, and shard
-    /// stats run per entry in order, and the avail heap's `(level, seq,
-    /// …)` order is total — the skipped intermediate tokens are exactly
-    /// the ones a per-entry push sequence would have staled and
-    /// discarded unseen, so the set of *live* tokens after the batch is
-    /// the same either way. What the batch saves is one heap push (and
-    /// later one stale-skip) per superseded intermediate minimum.
-    // lint:root(panic-free, alloc-free) — one call per resolved
-    // fetch with outlinks.
+    /// [`UrlQueue::push`] per entry, counting each accepted one.
+    // lint:root(panic-free, alloc-free) — one call per resolved fetch
+    // with outlinks; rings and heaps only grow to their high water.
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
-        let mut enqueued = 0u32;
+        let mut enqueued = 0;
         for &e in entries {
-            let idx = e.page as usize;
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            if self.done[idx] {
-                continue;
+            let fresh = !self.queue.was_admitted(e.page);
+            if self.queue.push(e) {
+                self.admitted(e.page, fresh);
+                enqueued += 1;
             }
-            let k = key(&e);
-            if k >= self.best[idx] {
-                continue; // duplicate or not better
-            }
-            let fresh = self.best[idx] == u16::MAX;
-            if fresh {
-                self.pending += 1;
-                self.max_pending = self.max_pending.max(self.pending);
-            }
-            self.best[idx] = k;
-            let host = self.insert(e);
-            if fresh {
-                self.add_pending(host);
-            }
-            enqueued += 1;
-        }
-        // One refresh per touched host; idempotent, so refreshing a
-        // host once per accepted entry (rather than deduplicating the
-        // host list) costs only the repeated no-op check.
-        for &e in entries {
-            self.refresh(self.host_of_page[e.page as usize]);
         }
         enqueued
     }
 
+    /// [`Frontier::pop_ready`], its host free again at once.
     fn pop(&mut self) -> Option<Entry> {
-        self.pop_inner(false)
+        let e = self.pop_ready()?;
+        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        self.started(self.host_of_page[e.page as usize], self.now);
+        Some(e)
     }
 
     fn requeue(&mut self, e: Entry) -> bool {
-        let idx = e.page as usize;
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        if !self.done[idx] {
-            return self.push(e);
+        let fresh = self.queue.is_done(e.page) || !self.queue.was_admitted(e.page);
+        let accepted = self.queue.requeue(e);
+        if accepted {
+            self.admitted(e.page, fresh);
         }
-        self.done[idx] = false;
-        self.best[idx] = key(&e);
-        self.pending += 1;
-        self.max_pending = self.max_pending.max(self.pending);
-        let host = self.insert(e);
-        self.add_pending(host);
-        self.refresh(host);
-        true
+        accepted
     }
 
     fn pending(&self) -> usize {
-        self.pending
+        self.queue.pending()
     }
 
     fn max_pending(&self) -> usize {
-        self.max_pending
+        self.queue.max_pending()
     }
 
     fn total_pushes(&self) -> u64 {
-        self.seq
+        self.queue.total_pushes()
     }
 
     fn is_done(&self, p: PageId) -> bool {
-        self.done[p as usize]
+        self.queue.is_done(p)
     }
 
     fn was_admitted(&self, p: PageId) -> bool {
-        self.best[p as usize] != u16::MAX
+        self.queue.was_admitted(p)
     }
 
-    /// The global minimum over *ready* hosts; its host cools until
-    /// `started` schedules its wake, so it exposes nothing meanwhile.
+    /// The least `(level, seq)` live entry whose host is free: a free
+    /// host's parked work, which left its ring before anything still in
+    /// it, or the lowest ring head. A ring head parks when its host
+    /// cools, and stale entries are dropped, until a live entry of a
+    /// free host comes up.
+    // lint:root(panic-free, alloc-free) — one call per fetch; parking
+    // moves entries into lists that only grow to their high water.
     fn pop_ready(&mut self) -> Option<Entry> {
-        self.pop_inner(true)
+        loop {
+            let ring = self.queue.head_level();
+            if let Some(&Reverse((level, order, host))) = self.ready.peek() {
+                if ring.is_none_or(|r| usize::from(level) <= r) {
+                    self.ready.pop();
+                    // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+                    let list = &mut self.parked[host as usize];
+                    if self.hosts[host as usize].free_at > self.now
+                        || list.front().is_none_or(|&(o, _)| o != order)
+                    {
+                        continue; // a stale copy
+                    }
+                    let Some((_, e)) = list.pop_front() else {
+                        continue;
+                    };
+                    if self.queue.is_live(&e) {
+                        return Some(self.serve(host, e));
+                    }
+                    self.expose(host);
+                    continue;
+                }
+            }
+            let e = self.queue.pop_head(ring?)?;
+            if !self.queue.is_live(&e) {
+                continue;
+            }
+            // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+            let host = self.host_of_page[e.page as usize];
+            if self.hosts[host as usize].free_at <= self.now {
+                return Some(self.serve(host, e));
+            }
+            // The host cools: park the entry behind its host's parked
+            // entries of its level and better, ahead of worse ones.
+            let level = self.queue.level(&e);
+            let list = &mut self.parked[host as usize];
+            let at = list.partition_point(|(_, x)| self.queue.level(x) <= level);
+            list.insert(at, (self.parks, e));
+            self.parks += 1;
+        }
     }
 
     fn started(&mut self, host: u32, free_at: u64) {
-        self.cooling.push(Reverse((free_at, host)));
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        self.free_at[host as usize] = free_at;
-        if self.host_pending[host as usize] > 0 {
+        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        let h = &mut self.hosts[host as usize];
+        h.free_at = free_at;
+        if free_at <= self.now {
+            self.expose(host);
+        } else if h.pending > 0 {
             self.wake.push(Reverse((free_at, host)));
         }
     }
 
+    /// Move the clock to `t`; each host due by then with parked work
+    /// joins the ready heap.
     fn advance_to(&mut self, t: u64) {
-        while self.wake.peek().is_some_and(|&Reverse((at, _))| at <= t) {
-            self.wake.pop();
-        }
-        while let Some(&Reverse((ready_at, host))) = self.cooling.peek() {
-            if ready_at > t {
+        self.now = t;
+        while let Some(&Reverse((at, host))) = self.wake.peek() {
+            if at > t {
                 break;
             }
-            self.cooling.pop();
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            self.host_state[host as usize] = HostState::Ready;
-            self.refresh(host);
+            self.wake.pop();
+            self.expose(host);
         }
     }
 
@@ -670,7 +443,7 @@ impl Frontier for ShardedFrontier {
     }
 
     fn politeness_wait(&self, host: u32, free_at: u64, now: u64) -> bool {
-        free_at > now && self.host_pending.get(host as usize).is_some_and(|&n| n > 0)
+        free_at > now && self.hosts.get(host as usize).is_some_and(|h| h.pending > 0)
     }
 
     /// `None` (the initial state) attributes nothing: seed pushes are
@@ -688,97 +461,9 @@ impl Frontier for ShardedFrontier {
     }
 }
 
-impl ShardedFrontier {
-    /// Serialize the frontier state a loop-top capture cannot derive
-    /// into a snapshot payload.
-    ///
-    /// Canonical form, so encode∘decode∘encode is a fixed point:
-    /// parked entries as ONE flat list in slab order. A record is
-    /// `(page, priority, distance, seq)` — host comes from the page and
-    /// level from the priority clamp, so neither is stored, and per-slot
-    /// count words (mostly zero, and numerous: hosts × levels of them)
-    /// never hit the payload. Decode rebuilds the slab record by
-    /// record, so a resumed frontier's slab order *is* the record order
-    /// and re-encoding reproduces the bytes; list links are layout,
-    /// resorted from `(level, seq)` — the order the live lists held,
-    /// since seqs only grow and lists append at tail. Cool-downs are
-    /// one sorted `(ready_at, host)` list; then the per-shard counters,
-    /// the fetched bits and the scalar counters.
-    ///
-    /// Everything else is derived on decode (see
-    /// [`Self::decode_state`]): admission keys, host states, exposure
-    /// and the avail heap (stale tokens are behaviorally inert), and
-    /// the handoff total. `origin` is not state: it is only ever `Some`
-    /// *inside* a resolve, and no resolve is in flight at a capture.
-    ///
-    /// Capture rides the scheduler's steady state, so the parked walk
-    /// stages fixed stack blocks and appends them whole, and runs
-    /// linearly over the slab ([`FREE_PAGE`] marks holes) instead of
-    /// chasing list links — the ≤5% capture-overhead gate prices every
-    /// cache miss and per-element capacity check taken here. The
-    /// cool-down list is sorted in `cooling`, a buffer the caller reuses
-    /// across captures.
-    // lint:root(panic-free, alloc-free) — capture runs mid-crawl into
-    // preallocated buffers; the capture plan hands this to the loop.
-    pub(crate) fn encode_state(&self, enc: &mut Enc, cooling: &mut Vec<(u64, u32)>) {
-        // Flat parked-node list: count patched in after one linear
-        // scan. 14 bytes per record via two overlapping u64 stores
-        // (the second starts at the seq offset and re-covers the first
-        // word's two spare bytes), 18 records per staged block.
-        let count_at = enc.mark();
-        enc.u64(0);
-        let mut n = 0u64;
-        let mut block = [0u8; 252];
-        let mut fill = 0;
-        for node in &self.nodes {
-            if node.page == FREE_PAGE {
-                continue;
-            }
-            let w = u64::from(node.page)
-                | u64::from(node.priority) << 32
-                | u64::from(node.distance) << 40;
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            block[fill..fill + 8].copy_from_slice(&w.to_le_bytes());
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            block[fill + 6..fill + 14].copy_from_slice(&node.seq.to_le_bytes());
-            fill += 14;
-            if fill == block.len() {
-                // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-                enc.buf.extend_from_slice(&block);
-                fill = 0;
-            }
-            n += 1;
-        }
-        // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-        enc.buf.extend_from_slice(&block[..fill]);
-        enc.patch_u64(count_at, n);
-        cooling.clear();
-        // lint:allow(no-alloc-transitive): capture-time encode: the sort buffer is reused and reaches its high-water size once
-        cooling.extend(self.cooling.iter().map(|&Reverse(x)| x));
-        cooling.sort_unstable();
-        enc.u64(cooling.len() as u64);
-        for &(at, host) in cooling.iter() {
-            enc.u64(at);
-            enc.u32(host);
-        }
-        for s in &self.stats {
-            enc.u64(s.pushes);
-            enc.u64(s.pops);
-            enc.u64(s.handoffs_in);
-        }
-        enc.bools(&self.done);
-        enc.u64(self.pending as u64);
-        enc.u64(self.max_pending as u64);
-        enc.u64(self.seq);
-    }
-}
-
-/// The plain-`Frontier` face of [`UrlQueue`] and [`ShardedFrontier`]
-/// share semantics; re-exported tests pin it, so nothing here.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::UrlQueue;
 
     fn e(page: PageId, priority: u8, distance: u8) -> Entry {
         Entry {
@@ -876,9 +561,7 @@ mod tests {
                 let probe = frontier(n);
                 (0..3u32)
                     .flat_map(|a| (0..3u32).map(move |b| (a, b)))
-                    .find(|&(a, b)| {
-                        probe.shard_of_host[a as usize] != probe.shard_of_host[b as usize]
-                    })
+                    .find(|&(a, b)| probe.hosts[a as usize].shard != probe.hosts[b as usize].shard)
                     .map(|(a, b)| (n, a, b))
             })
             .expect("some shard count must separate the fixture hosts");
@@ -1050,11 +733,11 @@ mod tests {
         enc
     }
 
-    /// Decode a payload into the two-shard fixture; a successful decode
-    /// must consume every byte.
+    /// Decode a payload captured at tick 1 into the two-shard fixture;
+    /// a successful decode must consume every byte.
     fn decoded(bytes: &[u8]) -> Result<ShardedFrontier, SnapshotError> {
         let mut dec = Dec::new(bytes);
-        let f = frontier(2).decode_state(&mut dec)?;
+        let f = frontier(2).decode_state(&mut dec, 1)?;
         assert!(dec.is_empty(), "decode left payload bytes unread");
         Ok(f)
     }
@@ -1115,12 +798,14 @@ mod tests {
     fn pending_count_must_match_the_parked_entries() {
         let f = mid_crawl();
         let mut enc = encoded(&f);
-        // The payload ends with the pending count, max_pending and seq.
-        let at = enc.buf.len() - 24;
+        // The queue's part ends with the pending count, max_pending and
+        // the push count; host 0's cool-down and two shards' counters
+        // follow.
+        let at = enc.buf.len() - 2 * 24 - (8 + 12) - 24;
         enc.patch_u64(at, f.pending() as u64 + 1);
         assert_eq!(
             decoded(&enc.buf).unwrap_err(),
-            SnapshotError::Malformed("pending count disagrees with the parked entries")
+            SnapshotError::Malformed("pending count disagrees with the waiting entries")
         );
     }
 
@@ -1141,14 +826,65 @@ mod tests {
         f.advance_to(1);
         let mut enc = encoded(&f);
         assert!(decoded(&enc.buf).is_ok());
-        // An empty parked list, the cooling count and the first 12-byte
-        // `(ready_at, host)` record precede the second record's host,
-        // which is made to repeat host 0.
-        let second_host = 8 + 8 + 12 + 8;
+        // The second `(free time, host)` record ends the cooling list,
+        // which two shards' counters follow; its host is made to repeat
+        // host 0.
+        let second_host = enc.buf.len() - 2 * 24 - 4;
         enc.buf[second_host..second_host + 4].copy_from_slice(&0u32.to_le_bytes());
         assert_eq!(
             decoded(&enc.buf).unwrap_err(),
-            SnapshotError::Malformed("host cools twice")
+            SnapshotError::Malformed("cooling hosts out of order")
         );
+    }
+
+    #[test]
+    fn one_slot_without_politeness_never_parks() {
+        let mut f = frontier(1);
+        for p in [e(0, 0, 0), e(1, 0, 0), e(3, 1, 0), e(2, 0, 0)] {
+            f.push(p);
+        }
+        // Each start frees its host by the next pop, as one slot without
+        // politeness does: every pop is a ring pop.
+        let mut now = 0;
+        let mut order = Vec::new();
+        while let Some(x) = start(&mut f, now + 1) {
+            order.push(x.page);
+            now += 1;
+            f.advance_to(now);
+            assert!(f.parked.iter().all(VecDeque::is_empty), "nothing parks");
+        }
+        assert_eq!(order, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn parked_entries_head_their_rings_after_decode() {
+        let mut f = frontier(2);
+        for p in [e(0, 0, 0), e(1, 0, 0), e(3, 0, 0), e(2, 1, 0), e(6, 1, 0)] {
+            f.push(p);
+        }
+        // Host 0 cools until 5: page 1 parks on the way to page 3, and
+        // page 2 on the way to page 6.
+        assert_eq!(start(&mut f, 5).unwrap().page, 0);
+        assert_eq!(start(&mut f, 5).unwrap().page, 3);
+        assert_eq!(start(&mut f, 5).unwrap().page, 6);
+        assert!(f.pop_ready().is_none());
+        assert_eq!(f.parked[0].len(), 2, "pages 1 and 2 parked on host 0");
+        f.advance_to(1);
+        let bytes = encoded(&f).buf;
+        let mut back = decoded(&bytes).unwrap();
+        assert!(
+            back.parked.iter().all(VecDeque::is_empty),
+            "decode parks nothing"
+        );
+        assert_eq!(encoded(&back).buf, bytes, "re-encoding is a fixed point");
+        for g in [&mut f, &mut back] {
+            assert!(g.pop_ready().is_none(), "host 0 still cools");
+            assert_eq!(g.next_cooling(), Some(5));
+            g.advance_to(5);
+            assert_eq!(start(g, 6).unwrap(), e(1, 0, 0));
+            g.advance_to(6);
+            assert_eq!(start(g, 7).unwrap(), e(2, 1, 0));
+            assert_eq!(g.pending(), 0);
+        }
     }
 }

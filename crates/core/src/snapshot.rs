@@ -68,7 +68,7 @@ const MAGIC: [u8; 8] = *b"LCSNAPSH";
 /// Current snapshot format version, bumped with every payload layout
 /// change so frames of another layout fail as
 /// [`SnapshotError::UnsupportedVersion`] rather than as garbage.
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// Why a snapshot could not be decoded, verified, or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,47 +303,32 @@ impl Enc {
         }
     }
 
-    /// Bulk boolean append, bit-packed little-endian (bit `i % 8` of
-    /// byte `i / 8`), 8 flags per byte — per-page flag arrays dominate
-    /// snapshot payloads otherwise.
-    pub(crate) fn bools(&mut self, vs: &[bool]) {
+    /// Bulk boolean append of `bit` over `vs`, bit-packed little-endian
+    /// (bit `i % 8` of byte `i / 8`), 8 flags per byte — per-page flag
+    /// arrays dominate snapshot payloads otherwise.
+    ///
+    /// Two passes over blocks of 256: the flags first, as 0/1 bytes
+    /// computed side by side, then eight of them at a time into a byte
+    /// by one multiply, which gathers byte i's low bit into bit i of
+    /// the top byte (no two partial products overlap, so nothing
+    /// carries).
+    pub(crate) fn bools<T>(&mut self, vs: &[T], bit: impl Fn(&T) -> bool) {
         // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
         self.buf.reserve(vs.len().div_ceil(8));
-        // Staged like the other bulk encoders: a push per packed byte
-        // pays a capacity check each, which per-page flag arrays turn
-        // into thousands.
-        let mut block = [0u8; 256];
-        let mut fill = 0;
-        let mut full = vs.chunks_exact(8);
-        for c in full.by_ref() {
-            // Straight-line pack: no loop-carried dependency per flag.
-            // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-            block[fill] = u8::from(c[0])
-                | u8::from(c[1]) << 1
-                | u8::from(c[2]) << 2
-                | u8::from(c[3]) << 3
-                | u8::from(c[4]) << 4
-                | u8::from(c[5]) << 5
-                | u8::from(c[6]) << 6
-                | u8::from(c[7]) << 7;
-            fill += 1;
-            if fill == block.len() {
-                // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-                self.buf.extend_from_slice(&block);
-                fill = 0;
+        for block in vs.chunks(256) {
+            let mut flags = [0u8; 256];
+            for (flag, v) in flags.iter_mut().zip(block) {
+                *flag = u8::from(bit(v));
             }
-        }
-        let rest = full.remainder();
-        if !rest.is_empty() {
-            let mut b = 0u8;
-            for (i, &v) in rest.iter().enumerate() {
-                b |= u8::from(v) << i;
+            let mut packed = [0u8; 32];
+            for (byte, eight) in packed.iter_mut().zip(flags.chunks_exact(8)) {
+                let eight = u64::from_le_bytes(eight.try_into().unwrap_or_default());
+                *byte = (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8;
             }
-            block[fill] = b;
-            fill += 1;
+            let used = packed.get(..block.len().div_ceil(8)).unwrap_or_default();
+            // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
+            self.buf.extend_from_slice(used);
         }
-        // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-        self.buf.extend_from_slice(&block[..fill]);
     }
 
     /// Current write position — pair with [`Enc::patch_u64`] to emit a
@@ -942,7 +927,7 @@ mod tests {
         for n in [0usize, 1, 7, 8, 9, 255, 300] {
             let v: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             let mut enc = Enc::default();
-            enc.bools(&v);
+            enc.bools(&v, |&b| b);
             assert_eq!(enc.buf.len(), n.div_ceil(8));
             let mut back = vec![false; n];
             let mut dec = Dec::new(&enc.buf);
@@ -952,7 +937,7 @@ mod tests {
         }
         // A set bit past the flag count is non-canonical.
         let mut enc = Enc::default();
-        enc.bools(&[true, false, true]);
+        enc.bools(&[true, false, true], |&b| b);
         enc.buf[0] |= 1 << 5;
         let mut back = [false; 3];
         assert_eq!(

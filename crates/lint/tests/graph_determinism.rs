@@ -50,8 +50,9 @@ fn graph_output_is_byte_identical_across_runs_and_thread_counts() {
         "CrawlEngine::resolve",
         "UrlQueue::push_all",
         "UrlQueue::pop",
-        "ShardedFrontier::pop_inner",
+        "ShardedFrontier::pop_ready",
         "ShardedFrontier::push_all",
+        "ShardedFrontier::encode_state",
         "encode_snapshot_into",
         "LinkGraph::record_page",
         "RankState::refresh",
