@@ -166,6 +166,7 @@ impl ShardedFrontier {
     /// host: a cooling host that had nothing to fetch now holds the
     /// clock until its free time.
     // Covered by the root marker on [`Frontier::push_all`].
+    #[inline]
     fn admitted(&mut self, page: PageId, fresh: bool) {
         // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
         let host = self.host_of_page[page as usize];
@@ -192,6 +193,52 @@ impl ShardedFrontier {
         if let Some(&(order, e)) = self.parked[host as usize].front() {
             let level = self.queue.level(&e) as u8;
             self.ready.push(Reverse((level, order, host)));
+        }
+    }
+
+    /// Take the ready heap's top: the first parked entry of a free host,
+    /// if it is live; `None` when the copy or the entry was stale.
+    #[cold]
+    #[inline(never)]
+    fn pop_parked(&mut self) -> Option<Entry> {
+        let Reverse((_, order, host)) = self.ready.pop()?;
+        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        let list = &mut self.parked[host as usize];
+        if self.hosts[host as usize].free_at > self.now || list.front()?.0 != order {
+            return None; // a stale copy
+        }
+        let (_, e) = list.pop_front()?;
+        if self.queue.is_live(&e) {
+            return Some(self.serve(host, e));
+        }
+        self.expose(host);
+        None
+    }
+
+    /// Park `e`, whose host cools, behind its host's parked entries of
+    /// its level and better, ahead of worse ones.
+    #[cold]
+    #[inline(never)]
+    fn park(&mut self, host: u32, e: Entry) {
+        let level = self.queue.level(&e);
+        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        let list = &mut self.parked[host as usize];
+        let at = list.partition_point(|(_, x)| self.queue.level(x) <= level);
+        list.insert(at, (self.parks, e));
+        self.parks += 1;
+    }
+
+    /// Wake the hosts due by the clock: each with parked work joins the
+    /// ready heap.
+    #[cold]
+    #[inline(never)]
+    fn wake_due(&mut self) {
+        while let Some(&Reverse((at, host))) = self.wake.peek() {
+            if at > self.now {
+                break;
+            }
+            self.wake.pop();
+            self.expose(host);
         }
     }
 
@@ -314,6 +361,7 @@ impl Frontier for ShardedFrontier {
     /// [`UrlQueue::push`] per entry, counting each accepted one.
     // lint:root(panic-free, alloc-free) — one call per resolved fetch
     // with outlinks; rings and heaps only grow to their high water.
+    #[inline]
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
         let mut enqueued = 0;
         for &e in entries {
@@ -370,27 +418,16 @@ impl Frontier for ShardedFrontier {
     /// free host comes up.
     // lint:root(panic-free, alloc-free) — one call per fetch; parking
     // moves entries into lists that only grow to their high water.
+    #[inline]
     fn pop_ready(&mut self) -> Option<Entry> {
         loop {
             let ring = self.queue.head_level();
-            if let Some(&Reverse((level, order, host))) = self.ready.peek() {
+            if let Some(&Reverse((level, _, _))) = self.ready.peek() {
                 if ring.is_none_or(|r| usize::from(level) <= r) {
-                    self.ready.pop();
-                    // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
-                    let list = &mut self.parked[host as usize];
-                    if self.hosts[host as usize].free_at > self.now
-                        || list.front().is_none_or(|&(o, _)| o != order)
-                    {
-                        continue; // a stale copy
+                    match self.pop_parked() {
+                        Some(e) => return Some(e),
+                        None => continue,
                     }
-                    let Some((_, e)) = list.pop_front() else {
-                        continue;
-                    };
-                    if self.queue.is_live(&e) {
-                        return Some(self.serve(host, e));
-                    }
-                    self.expose(host);
-                    continue;
                 }
             }
             let e = self.queue.pop_head(ring?)?;
@@ -402,16 +439,11 @@ impl Frontier for ShardedFrontier {
             if self.hosts[host as usize].free_at <= self.now {
                 return Some(self.serve(host, e));
             }
-            // The host cools: park the entry behind its host's parked
-            // entries of its level and better, ahead of worse ones.
-            let level = self.queue.level(&e);
-            let list = &mut self.parked[host as usize];
-            let at = list.partition_point(|(_, x)| self.queue.level(x) <= level);
-            list.insert(at, (self.parks, e));
-            self.parks += 1;
+            self.park(host, e);
         }
     }
 
+    #[inline]
     fn started(&mut self, host: u32, free_at: u64) {
         // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
         let h = &mut self.hosts[host as usize];
@@ -425,14 +457,11 @@ impl Frontier for ShardedFrontier {
 
     /// Move the clock to `t`; each host due by then with parked work
     /// joins the ready heap.
+    #[inline]
     fn advance_to(&mut self, t: u64) {
         self.now = t;
-        while let Some(&Reverse((at, host))) = self.wake.peek() {
-            if at > t {
-                break;
-            }
-            self.wake.pop();
-            self.expose(host);
+        if self.wake.peek().is_some_and(|&Reverse((at, _))| at <= t) {
+            self.wake_due();
         }
     }
 
