@@ -9,12 +9,14 @@
 //!
 //! * [`crate::queue::UrlQueue`] — the default: priority-bucketed FIFO
 //!   rings, the discipline every figure of the paper assumes;
-//! * [`crate::shard::ShardedFrontier`] — the scaling step: host-sharded
-//!   storage with per-host politeness state for the virtual-time
-//!   scheduler ([`crate::sched`]), reproducing [`UrlQueue`]'s exact pop
-//!   order when every host is ready.
+//! * [`crate::shard::ShardedFrontier`] — the scaling step: the same
+//!   rings with lazy per-host parking for the virtual-time scheduler
+//!   ([`crate::sched`]): an entry leaves its ring only when it comes up
+//!   while its host cools, so the pop order is [`UrlQueue`]'s wherever
+//!   every host is free.
 //!
-//! Both share the same admission semantics: a page is admitted once,
+//! Both share one admission table (the sharded frontier admits through
+//! its [`UrlQueue`]), so the same semantics: a page is admitted once,
 //! re-admitted only with a *strictly better* key (re-prioritization),
 //! never re-admitted after it was popped, and `pending()` counts
 //! distinct waiting pages — the paper's "URL queue size".
@@ -42,9 +44,9 @@ pub trait Frontier {
     /// Admit a batch of entries in order, returning how many were
     /// enqueued. Semantically identical to calling [`Frontier::push`]
     /// once per entry; implementations may override it to amortize
-    /// per-push bookkeeping across the batch (the sharded frontier
-    /// defers its per-host heap refresh to one pass at the end), but
-    /// must accept exactly the same entries in exactly the same order.
+    /// per-push bookkeeping across the batch (the queue hoists its
+    /// level clamp and counters), but must accept exactly the same
+    /// entries in exactly the same order.
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
         let mut enqueued = 0u32;
         for &e in entries {
@@ -100,14 +102,15 @@ pub trait Frontier {
     #[inline]
     fn advance_to(&mut self, _t: u64) {}
 
-    /// The earliest tick a waiting host becomes free, if any.
+    /// The earliest tick a waiting host — a cooling host with a page
+    /// pending — becomes free, if any.
     #[inline]
     fn next_cooling(&self) -> Option<u64> {
         None
     }
 
-    /// Does a fetch on `host` completing at `now` leave queued work
-    /// waiting for its host until `free_at` (a politeness wait)?
+    /// Does a fetch on `host` completing at `now` leave a pending page
+    /// of its host waiting until `free_at` (a politeness wait)?
     #[inline]
     fn politeness_wait(&self, _host: u32, _free_at: u64, _now: u64) -> bool {
         false

@@ -28,9 +28,13 @@
 //! or resumed run; and a read-ahead frontier for a timed schedule.
 //! [`CrawlEngine::run`] drains the caller's frontier at one slot. One
 //! slot starting at tick `t` completes at `t + 1` and frees its host by
-//! the next pop, so at one slot without politeness the `UrlQueue` and
-//! the `ShardedFrontier` start the same entries in the same order; a
-//! unit test pins that both narrate a faulted crawl alike.
+//! the next pop, so at one slot without politeness the
+//! `ShardedFrontier` parks nothing and starts the same entries in the
+//! same order as the `UrlQueue` it wraps; a unit test pins that both
+//! narrate a faulted crawl alike. The `UrlQueue` branch stays because
+//! the wrapper's per-host bookkeeping (a host lookup per admission and
+//! per pop, pending counts, a wake per start) still costs a one-slot
+//! crawl about 15%.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style, with per-host
 //! concurrency 1: a host that starts a fetch at `t` may start again at
@@ -48,9 +52,9 @@
 //!
 //! A snapshot holds only what a loop-top capture cannot derive: the
 //! run's progress, the attempt table and the frontier. No fetch is in
-//! flight there, and every politeness deadline still pending sits in
-//! the frontier's cool-down heap (the [`shard`](crate::shard) module
-//! says what decode recomputes).
+//! flight there, and every politeness deadline still pending is a
+//! cooling host's free time in the frontier (the [`shard`](crate::shard)
+//! module says what decode recomputes).
 
 use crate::classifier::Classifier;
 use crate::engine::{

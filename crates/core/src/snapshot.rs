@@ -5,17 +5,18 @@
 //! loop-top tick boundary, where no fetch is in flight, and stores only
 //! what the rest of the state does not determine:
 //!
-//! * the frontier's parked entries, its politeness cool-down list, its
-//!   per-shard load counters, which pages were fetched, and its
-//!   pending/high-water/push counters;
+//! * the frontier's priority rings (each level's waiting entries in pop
+//!   order, parked ones first), which pages were fetched, its
+//!   pending/high-water/push counters, its cooling hosts' free times
+//!   and its per-shard load counters;
 //! * the retry heap, the attempt table and the run counters.
 //!
-//! Decode derives the rest. Each pending page's admission key is the key
-//! of its best parked entry, fetched pages read as admitted, the hosts
-//! in the cool-down list are cooling and every other host is ready and
-//! exposes its parked minimum (every fetch has completed at a loop-top
-//! boundary, and a host still owing its politeness gap waits in the
-//! cool-down list). The web space itself is *not* serialized — it is
+//! Decode derives the rest. Each waiting page's admission key is its
+//! best entry's, fetched pages read as fetched, nothing is parked (an
+//! entry whose host still cools parks again at its first pop), and the
+//! cooling hosts with a pending page wait on the clock (every fetch has
+//! completed at a loop-top boundary, and a host still owing its
+//! politeness gap is in the cooling list). The web space itself is *not* serialized — it is
 //! recorded as (identity fingerprint, generation seed) and regenerated
 //! by the caller, then verified on resume, because generation is a pure
 //! function of the seed. Resuming from a snapshot continues the crawl
@@ -34,7 +35,7 @@
 //!
 //! ```text
 //! magic   "LCSNAPSH"      8 bytes
-//! version u32             currently 4
+//! version u32             currently 5
 //! payload_len u64
 //! payload                 payload_len bytes
 //! checksum u64            lane-parallel multiply-xor over payload
@@ -45,9 +46,9 @@
 //! level count, scheduler config without the timing model, tick, crawled
 //! count) followed by the
 //! run state and the sharded-frontier state, encoded canonically —
-//! heaps as sorted lists, slabs in slab order (which decoding
-//! reproduces) — so re-encoding a decoded snapshot reproduces the
-//! original bytes.
+//! heaps as sorted lists, parked entries merged back into their rings'
+//! order, cooling hosts in host order — so re-encoding a decoded
+//! snapshot reproduces the original bytes.
 //!
 //! Decoding is total: truncation, corruption, and version or space
 //! mismatches surface as [`SnapshotError`] values, never panics (the
