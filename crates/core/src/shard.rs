@@ -166,7 +166,6 @@ impl ShardedFrontier {
     /// host: a cooling host that had nothing to fetch now holds the
     /// clock until its free time.
     // Covered by the root marker on [`Frontier::push_all`].
-    #[inline]
     fn admitted(&mut self, page: PageId, fresh: bool) {
         // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
         let host = self.host_of_page[page as usize];
@@ -361,7 +360,6 @@ impl Frontier for ShardedFrontier {
     /// [`UrlQueue::push`] per entry, counting each accepted one.
     // lint:root(panic-free, alloc-free) — one call per resolved fetch
     // with outlinks; rings and heaps only grow to their high water.
-    #[inline]
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
         let mut enqueued = 0;
         for &e in entries {
@@ -418,7 +416,6 @@ impl Frontier for ShardedFrontier {
     /// free host comes up.
     // lint:root(panic-free, alloc-free) — one call per fetch; parking
     // moves entries into lists that only grow to their high water.
-    #[inline]
     fn pop_ready(&mut self) -> Option<Entry> {
         loop {
             let ring = self.queue.head_level();
@@ -443,7 +440,6 @@ impl Frontier for ShardedFrontier {
         }
     }
 
-    #[inline]
     fn started(&mut self, host: u32, free_at: u64) {
         // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
         let h = &mut self.hosts[host as usize];
@@ -457,7 +453,6 @@ impl Frontier for ShardedFrontier {
 
     /// Move the clock to `t`; each host due by then with parked work
     /// joins the ready heap.
-    #[inline]
     fn advance_to(&mut self, t: u64) {
         self.now = t;
         if self.wake.peek().is_some_and(|&Reverse((at, _))| at <= t) {
