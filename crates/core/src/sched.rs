@@ -34,7 +34,7 @@
 //! narrate a faulted crawl alike. The `UrlQueue` branch stays because
 //! the wrapper's per-host bookkeeping (a host lookup per admission and
 //! per pop, pending counts, a wake per start) still costs a one-slot
-//! crawl about 40%.
+//! crawl about a third.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style, with per-host
 //! concurrency 1: a host that starts a fetch at `t` may start again at
