@@ -103,7 +103,10 @@ pub trait Frontier {
     fn advance_to(&mut self, _t: u64) {}
 
     /// The earliest tick a waiting host — a cooling host with a page
-    /// pending — becomes free, if any.
+    /// pending — becomes free, if any. The loop asks only once
+    /// [`Frontier::pop_ready`] has returned `None`, and a frontier may
+    /// rely on that: before it, a waiting entry may not have met its
+    /// cooling host yet.
     #[inline]
     fn next_cooling(&self) -> Option<u64> {
         None

@@ -13,8 +13,6 @@
 //! — the quantity Fig. 5 / 6(a) / 7(a) plot — so duplicates never inflate
 //! the reported queue size.
 
-use crate::shard::ParkedAt;
-use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_webgraph::PageId;
 use std::collections::VecDeque;
 
@@ -33,7 +31,7 @@ pub struct Entry {
 impl Entry {
     /// Lexicographic admission key: lower is better.
     #[inline]
-    fn key(&self) -> u16 {
+    pub(crate) fn key(&self) -> u16 {
         ((self.priority as u16) << 8) | self.distance as u16
     }
 }
@@ -54,7 +52,10 @@ impl Entry {
 /// ```
 #[derive(Debug)]
 pub struct UrlQueue {
-    levels: Vec<VecDeque<Entry>>,
+    // The fields are crate-visible for one reader: the sharded
+    // frontier's snapshot codec, which writes and restores the rings,
+    // the admission bar and the counters of the queue it drains.
+    pub(crate) levels: Vec<VecDeque<Entry>>,
     /// Per-page admission bar, one word instead of separate `done` /
     /// `best` tables so the duplicate check in [`UrlQueue::push`] and
     /// the stale check in [`UrlQueue::pop`] each touch a single cache
@@ -64,19 +65,19 @@ pub struct UrlQueue {
     ///   - `k + 1`        — best admission key so far is `k`
     ///     (only strictly better keys pass),
     ///   - [`BAR_DONE`]   — fetched (nothing passes).
-    bar: Vec<u32>,
+    pub(crate) bar: Vec<u32>,
     /// Distinct pages admitted but not yet fetched.
-    pending: usize,
+    pub(crate) pending: usize,
     /// High-water mark of `pending`.
-    max_pending: usize,
+    pub(crate) max_pending: usize,
     /// Total entries ever pushed (diagnostic).
-    pushes: u64,
+    pub(crate) pushes: u64,
 }
 
 /// Admission bar for a page never admitted: above any `key + 1`.
-const BAR_NEVER: u32 = u16::MAX as u32 + 2;
+pub(crate) const BAR_NEVER: u32 = u16::MAX as u32 + 2;
 /// Admission bar for a fetched page: below any `key + 1`.
-const BAR_DONE: u32 = 0;
+pub(crate) const BAR_DONE: u32 = 0;
 
 impl UrlQueue {
     /// Queue over a space of `num_pages` URLs with priorities `0..levels`.
@@ -124,6 +125,18 @@ impl UrlQueue {
     // fetch's outlinks here.
     #[inline]
     pub fn push_all(&mut self, entries: &[Entry]) -> u32 {
+        self.push_all_with(entries, |_, _| {})
+    }
+
+    /// [`UrlQueue::push_all`], calling `accepted(e, fresh)` for each
+    /// enqueued entry, `fresh` when its page was never admitted before.
+    // Covered by the root markers on the `push_all`s that call it.
+    #[inline]
+    pub(crate) fn push_all_with(
+        &mut self,
+        entries: &[Entry],
+        mut accepted: impl FnMut(&Entry, bool),
+    ) -> u32 {
         let last_level = self.levels.len() - 1;
         let mut pending = self.pending;
         let mut enqueued = 0u32;
@@ -135,13 +148,15 @@ impl UrlQueue {
             if raised >= bar {
                 continue; // fetched, duplicate, or not strictly better
             }
-            if bar == BAR_NEVER {
+            let fresh = bar == BAR_NEVER;
+            if fresh {
                 pending += 1;
             }
             self.bar[idx] = raised;
             let level = (e.priority as usize).min(last_level);
             self.levels[level].push_back(e);
             enqueued += 1;
+            accepted(&e, fresh);
         }
         self.pending = pending;
         // `pending` only grows during a batch (pops happen elsewhere),
@@ -179,18 +194,19 @@ impl UrlQueue {
     /// Falls back to [`UrlQueue::push`] for pages that were never
     /// popped. Returns whether the entry was enqueued.
     pub fn requeue(&mut self, e: Entry) -> bool {
-        let idx = e.page as usize;
-        // lint:allow(no-panic-transitive): bar is page_count-sized and Entry.page < page_count by construction of the web space
-        if self.bar[idx] != BAR_DONE {
-            return self.push(e);
+        self.unfetch(e.page);
+        self.push(e)
+    }
+
+    /// Clear the fetched mark of `p`, if it has one: the page reads as
+    /// never admitted.
+    #[inline]
+    pub(crate) fn unfetch(&mut self, p: PageId) {
+        if let Some(bar) = self.bar.get_mut(p as usize) {
+            if *bar == BAR_DONE {
+                *bar = BAR_NEVER;
+            }
         }
-        self.bar[idx] = e.key() as u32 + 1;
-        self.pending += 1;
-        self.max_pending = self.max_pending.max(self.pending);
-        let level = (e.priority as usize).min(self.levels.len() - 1);
-        self.levels[level].push_back(e);
-        self.pushes += 1;
-        true
     }
 
     /// Distinct URLs admitted and not yet fetched — the paper's "URL
@@ -255,111 +271,6 @@ impl UrlQueue {
             *bar = BAR_DONE;
             self.pending -= 1;
         }
-    }
-
-    /// Encode the queue into a snapshot payload: per level, a count and
-    /// the level's entries in pop order as `(page, priority, distance)`
-    /// — first `parked`'s entries of that level (entries taken off the
-    /// ring heads earlier, sorted by level, then the order they left),
-    /// then the ring's — then the fetched bits, and the pending,
-    /// high-water and push counters. Capture rides the crawl's steady
-    /// state, so each level's entries are copied into a region grown
-    /// once, 6 bytes apiece, stale ones included: telling them apart
-    /// would cost a random read of the admission bar per entry.
-    // Covered by the root marker on `ShardedFrontier::encode_state`.
-    pub(crate) fn encode_state(&self, enc: &mut Enc, parked: &[ParkedAt]) {
-        let mut parked = parked;
-        for (level, ring) in self.levels.iter().enumerate() {
-            let (here, rest) =
-                parked.split_at(parked.partition_point(|p| usize::from(p.0) == level));
-            parked = rest;
-            let n = here.len() + ring.len();
-            enc.u64(n as u64);
-            let start = enc.buf.len();
-            // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-            enc.buf.resize(start + 6 * n, 0);
-            let mut slots = enc
-                .buf
-                .get_mut(start..)
-                .unwrap_or_default()
-                .chunks_exact_mut(6);
-            let entries = here.iter().map(|p| &p.2);
-            // Entries lead each zip: a zip takes from its left side first,
-            // so the parked entries running out costs no slot.
-            for (e, slot) in entries.zip(slots.by_ref()) {
-                put(slot, e);
-            }
-            for (e, slot) in ring.iter().zip(slots) {
-                put(slot, e);
-            }
-        }
-        enc.bools(&self.bar, |&bar| bar == BAR_DONE);
-        enc.u64(self.pending as u64);
-        enc.u64(self.max_pending as u64);
-        enc.u64(self.pushes);
-    }
-
-    /// Restore [`UrlQueue::encode_state`]'s payload into `self`, a fresh
-    /// queue of the captured page and level counts. Every entry returns
-    /// to its ring; each waiting page's admission key is its best
-    /// entry's (any other entry of it was superseded), and fetched
-    /// pages read as fetched. An entry filed under another level and a
-    /// pending count that disagrees with the entries are
-    /// [`SnapshotError::Malformed`].
-    pub(crate) fn decode_state(mut self, dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let last = self.levels.len() - 1;
-        for (level, ring) in self.levels.iter_mut().enumerate() {
-            let n = dec.len()?;
-            // Entries take 6 bytes each: a count the payload cannot hold
-            // is refused before anything is allocated for it.
-            if n > dec.remaining() / 6 {
-                return Err(SnapshotError::Truncated);
-            }
-            ring.reserve(n);
-            for _ in 0..n {
-                let e = Entry {
-                    page: dec.u32()?,
-                    priority: dec.u8()?,
-                    distance: dec.u8()?,
-                };
-                let bar = self
-                    .bar
-                    .get_mut(e.page as usize)
-                    .ok_or(SnapshotError::Malformed("waiting page out of range"))?;
-                if (e.priority as usize).min(last) != level {
-                    return Err(SnapshotError::Malformed("entry filed under another level"));
-                }
-                *bar = (*bar).min(e.key() as u32 + 1);
-                ring.push_back(e);
-            }
-        }
-        let mut fetched = vec![false; self.bar.len()];
-        dec.bools(&mut fetched)?;
-        let mut waiting = 0;
-        for (bar, fetched) in self.bar.iter_mut().zip(fetched) {
-            if fetched {
-                *bar = BAR_DONE;
-            } else if *bar != BAR_NEVER {
-                waiting += 1;
-            }
-        }
-        self.pending = dec.len()?;
-        self.max_pending = dec.len()?;
-        self.pushes = dec.u64()?;
-        if self.pending != waiting {
-            return Err(SnapshotError::Malformed(
-                "pending count disagrees with the waiting entries",
-            ));
-        }
-        Ok(self)
-    }
-}
-
-/// Write `e` into a 6-byte snapshot slot.
-fn put(slot: &mut [u8], e: &Entry) {
-    let [a, b, c, d] = e.page.to_le_bytes();
-    for (byte, v) in slot.iter_mut().zip([a, b, c, d, e.priority, e.distance]) {
-        *byte = v;
     }
 }
 

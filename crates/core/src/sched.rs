@@ -32,9 +32,11 @@
 //! `ShardedFrontier` parks nothing and starts the same entries in the
 //! same order as the `UrlQueue` it wraps; a unit test pins that both
 //! narrate a faulted crawl alike. The `UrlQueue` branch stays because
-//! the wrapper's per-host bookkeeping (a host lookup per admission and
-//! per pop, pending counts, a wake per start) still costs a one-slot
-//! crawl about a third.
+//! the wrapper still costs a one-slot crawl a sixth to a fifth: its
+//! per-host bookkeeping (a host lookup per admission, for the host's
+//! pending count and shard counters) and the loop's instance for it,
+//! which costs about a twentieth even over a wrapper that only
+//! delegates.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style, with per-host
 //! concurrency 1: a host that starts a fetch at `t` may start again at
@@ -64,7 +66,7 @@ use crate::event::{interest, CrawlEvent, EventSink};
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
 use crate::readahead::ReadAhead;
-use crate::shard::{ParkedAt, ShardStats, ShardedFrontier};
+use crate::shard::{ShardStats, ShardedFrontier};
 use crate::snapshot::{
     frame_begin, frame_end, run_fingerprint, CrawlSnapshot, Dec, Enc, SnapHead, SnapshotError,
 };
@@ -190,18 +192,16 @@ fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 /// Live capture state inside the event loop: the cadence, the next
 /// capture tick, the identity-header template (tick/crawled are filled
 /// per capture), the encoder of the frontier's state, and the buffers
-/// every capture reuses — the framed bytes, and the two that sort the
-/// retry heap and the frontier's parked entries into canonical order —
-/// so steady-cadence capture settles into zero allocations per
-/// snapshot.
+/// every capture reuses — the framed bytes, and the one that sorts the
+/// retry heap into canonical order — so steady-cadence capture settles
+/// into zero allocations per snapshot.
 struct SnapCtl<F> {
     every: u64,
     next_at: u64,
     head: SnapHead,
-    frontier_state: fn(&F, &mut Enc, &mut Vec<ParkedAt>),
+    frontier_state: fn(&mut F, &mut Enc),
     buf: Enc,
     retries: Vec<(u64, u64, Entry)>,
-    parked: Vec<ParkedAt>,
 }
 
 impl SnapCtl<ShardedFrontier> {
@@ -215,7 +215,6 @@ impl SnapCtl<ShardedFrontier> {
             frontier_state: ShardedFrontier::encode_state,
             buf: Enc::default(),
             retries: Vec::new(),
-            parked: Vec::new(),
         }
     }
 }
@@ -244,7 +243,7 @@ fn encode_snapshot_into<F>(
     c: &mut SnapCtl<F>,
     pg: &Progress,
     attempt_counts: &[u32],
-    frontier: &F,
+    frontier: &mut F,
 ) {
     let enc: &mut Enc = &mut c.buf;
     c.head.encode(enc);
@@ -273,7 +272,7 @@ fn encode_snapshot_into<F>(
         enc.u8(1);
         enc.u32s(attempt_counts);
     }
-    (c.frontier_state)(frontier, enc, &mut c.parked);
+    (c.frontier_state)(frontier, enc);
 }
 
 /// Decode the run-state section (the payload between the header and
@@ -519,7 +518,12 @@ impl CrawlEngine<'_> {
         let head = self.snap_head(sched, levels as u32, run_fingerprint(strategy, classifier));
         let mut c = SnapCtl::new(head, 0, 0);
         let progress = Progress::new(self.sample_interval());
-        encode_snapshot_into(&mut c, &progress, &[], &self.seeded_frontier(sched, levels));
+        encode_snapshot_into(
+            &mut c,
+            &progress,
+            &[],
+            &mut self.seeded_frontier(sched, levels),
+        );
         let mut head_enc = Enc::default();
         head.encode(&mut head_enc);
         CrawlSnapshot::from_parts(c.buf.buf, head, head_enc.buf.len())
@@ -667,7 +671,7 @@ impl CrawlEngine<'_> {
                             c.head.crawled = pg.crawled;
                             c.buf.buf.clear();
                             let payload_at = frame_begin(&mut c.buf);
-                            encode_snapshot_into(c, pg, &scratch.attempt_counts, &frontier);
+                            encode_snapshot_into(c, pg, &scratch.attempt_counts, &mut frontier);
                             frame_end(&mut c.buf, payload_at);
                             emit(
                                 st.sinks,

@@ -17,13 +17,15 @@
 //!   and every parked entry left its ring before anything still in it;
 //! * **hosts, not URLs, wait**: a free host that holds parked work sits
 //!   in one `(level, park order)` ready heap, keyed by its first parked
-//!   entry, and a cooling host with a pending page sits in one `(free
-//!   time, host)` wake heap. A pop takes the ready heap's top when its
-//!   level is at most the lowest non-empty ring's, else the ring head;
-//!   either way it is the least `(level, seq)` live entry whose host is
-//!   free, so the pop order is [`UrlQueue`]'s wherever every host is
-//!   free. Stale entries — superseded by a better admission, or of a
-//!   fetched page — are skipped at pop time as the rings skip them;
+//!   entry and listed once, and a cooling host with parked work and a
+//!   pending page sits in one `(free time, host)` wake heap, listed
+//!   when it parks or starts with work parked. A pop takes the ready
+//!   heap's top when its level is at most the lowest non-empty ring's,
+//!   else the ring head; either way it is the least `(level, seq)` live
+//!   entry whose host is free, so the pop order is [`UrlQueue`]'s
+//!   wherever every host is free. Stale entries — superseded by a
+//!   better admission, or of a fetched page — are skipped at pop time
+//!   as the rings skip them;
 //! * **shards are labels**: each host hashes to one of `shards`
 //!   [`ShardStats`] slots (agents, in BUbiNG's vocabulary), which count
 //!   the pushes, pops and cross-shard discovery handoffs the
@@ -31,13 +33,13 @@
 //!   count never changes a pop.
 //!
 //! With one slot and no politeness a host is free again by the next
-//! pop, so nothing ever parks and a pop is a ring pop. Tie-breaks are
-//! total and deterministic: `(level, seq)` orders entries, `(free time,
-//! host)` orders wakes, and shard assignment is a pure hash of the host
-//! id.
+//! pop, so nothing ever parks, no host is woken, and a pop is a ring
+//! pop that never looks up its host. Tie-breaks are total and
+//! deterministic: `(level, seq)` orders entries, `(free time, host)`
+//! orders wakes, and shard assignment is a pure hash of the host id.
 
 use crate::frontier::Frontier;
-use crate::queue::{Entry, UrlQueue};
+use crate::queue::{Entry, UrlQueue, BAR_DONE, BAR_NEVER};
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_rng::mix;
 use langcrawl_webgraph::{PageId, WebSpace};
@@ -68,18 +70,28 @@ pub struct ShardStats {
 type Parked = (u64, Entry);
 
 /// A parked entry as a capture sorts it: `(level, park order, entry)`.
-pub(crate) type ParkedAt = (u8, u64, Entry);
+type ParkedAt = (u8, u64, Entry);
+
+/// `Host::listed` of a host with no copy on the ready heap.
+const UNLISTED: u64 = u64::MAX;
 
 /// What the frontier keeps per host, in one cache line's worth.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Host {
     /// The tick the host may start again; it cools while this is ahead
     /// of the clock.
     free_at: u64,
+    /// The park order of the host's copy on the ready heap, or
+    /// [`UNLISTED`]: a host served through its ring while its first
+    /// parked entry waits behind a better ring is woken again and again,
+    /// and lists that entry once.
+    listed: u64,
     /// Pages of the host admitted and not yet fetched.
     pending: u32,
     /// Stats slot (a pure hash of the host id).
     shard: u32,
+    /// Whether the host's free time is on the wake heap.
+    waking: bool,
 }
 
 /// The host-partitioned, politeness-aware frontier. See the module docs
@@ -110,8 +122,12 @@ pub struct ShardedFrontier {
     /// whose key no longer heads its host's list, is stale and dropped
     /// when it surfaces.
     ready: BinaryHeap<Reverse<(u8, u64, u32)>>,
-    /// `(free time, host)` of the cooling hosts with a pending page: the
-    /// waits the clock must honour, one per such host.
+    /// `(free time, host)` of the cooling hosts with parked work and a
+    /// pending page, one per such host (`Host::waking`): a host listed
+    /// when it parks, or when it starts with work already parked. Once
+    /// a pop finds nothing ready, every waiting entry is parked, so
+    /// these are exactly the cooling hosts with a pending page: the
+    /// waits the clock must honour.
     wake: BinaryHeap<Reverse<(u64, u32)>>,
     hosts: Vec<Host>,
     /// Host owning each page.
@@ -122,11 +138,17 @@ pub struct ShardedFrontier {
     parks: u64,
     /// Load counters per shard.
     stats: Vec<ShardStats>,
-    /// Host currently resolving a fetch, for handoff attribution.
+    /// Shard of the host resolving a fetch, for handoff attribution.
     origin: Option<u32>,
     /// Total accepted pushes that crossed shards (sum of
     /// [`ShardStats::handoffs_in`]).
     handoffs: u64,
+    /// The latest free time of any start: no host cools from then on,
+    /// so a ring head is served without a look at its host (one slot
+    /// without politeness frees each host by the next pop).
+    cooling_until: u64,
+    /// The buffer a capture sorts the parked entries in, reused.
+    capture: Vec<ParkedAt>,
 }
 
 impl ShardedFrontier {
@@ -142,8 +164,11 @@ impl ShardedFrontier {
             wake: BinaryHeap::new(),
             hosts: (0..num_hosts)
                 .map(|h| Host {
+                    free_at: 0,
+                    listed: UNLISTED,
+                    pending: 0,
                     shard: (mix(SHARD_SALT, h as u64) % shards as u64) as u32,
-                    ..Host::default()
+                    waking: false,
                 })
                 .collect(),
             host_of_page,
@@ -152,6 +177,8 @@ impl ShardedFrontier {
             stats: vec![ShardStats::default(); shards],
             origin: None,
             handoffs: 0,
+            cooling_until: 0,
+            capture: Vec::new(),
         }
     }
 
@@ -161,63 +188,45 @@ impl ShardedFrontier {
         ShardedFrontier::new(host_of_page, ws.num_hosts(), levels, shards)
     }
 
-    /// Count an accepted admission of `page` (shard stats and handoff
-    /// attribution), and a `fresh` one as a newly pending page of its
-    /// host: a cooling host that had nothing to fetch now holds the
-    /// clock until its free time.
-    // Covered by the root marker on [`Frontier::push_all`].
-    fn admitted(&mut self, page: PageId, fresh: bool) {
-        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
-        let host = self.host_of_page[page as usize];
-        let h = &mut self.hosts[host as usize];
-        let shard = h.shard;
-        if fresh {
-            h.pending += 1;
-            if h.pending == 1 && h.free_at > self.now {
-                self.wake.push(Reverse((h.free_at, host)));
-            }
-        }
-        self.stats[shard as usize].pushes += 1;
-        if let Some(from) = self.origin {
-            if self.hosts[from as usize].shard != shard {
-                self.stats[shard as usize].handoffs_in += 1;
-                self.handoffs += 1;
-            }
-        }
-    }
-
-    /// Put `host`'s first parked entry on the ready heap, if it has one.
+    /// Put `host`'s first parked entry on the ready heap, if it has one
+    /// that is not listed there yet.
     fn expose(&mut self, host: u32) {
         // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
         if let Some(&(order, e)) = self.parked[host as usize].front() {
-            let level = self.queue.level(&e) as u8;
-            self.ready.push(Reverse((level, order, host)));
+            let h = &mut self.hosts[host as usize];
+            if h.listed != order {
+                h.listed = order;
+                let level = self.queue.level(&e) as u8;
+                self.ready.push(Reverse((level, order, host)));
+            }
         }
     }
 
     /// Take the ready heap's top: the first parked entry of a free host,
     /// if it is live; `None` when the copy or the entry was stale.
-    #[cold]
-    #[inline(never)]
     fn pop_parked(&mut self) -> Option<Entry> {
         let Reverse((_, order, host)) = self.ready.pop()?;
         // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        let h = &mut self.hosts[host as usize];
+        if h.listed == order {
+            h.listed = UNLISTED;
+        }
         let list = &mut self.parked[host as usize];
-        if self.hosts[host as usize].free_at > self.now || list.front()?.0 != order {
+        if h.free_at > self.now || list.front()?.0 != order {
             return None; // a stale copy
         }
         let (_, e) = list.pop_front()?;
         if self.queue.is_live(&e) {
-            return Some(self.serve(host, e));
+            self.queue.take(&e);
+            return Some(e);
         }
         self.expose(host);
         None
     }
 
     /// Park `e`, whose host cools, behind its host's parked entries of
-    /// its level and better, ahead of worse ones.
-    #[cold]
-    #[inline(never)]
+    /// its level and better, ahead of worse ones; the host's free time
+    /// goes on the wake heap, once per cool-down.
     fn park(&mut self, host: u32, e: Entry) {
         let level = self.queue.level(&e);
         // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
@@ -225,30 +234,25 @@ impl ShardedFrontier {
         let at = list.partition_point(|(_, x)| self.queue.level(x) <= level);
         list.insert(at, (self.parks, e));
         self.parks += 1;
+        let h = &mut self.hosts[host as usize];
+        if !h.waking {
+            h.waking = true;
+            self.wake.push(Reverse((h.free_at, host)));
+        }
     }
 
     /// Wake the hosts due by the clock: each with parked work joins the
     /// ready heap.
-    #[cold]
-    #[inline(never)]
     fn wake_due(&mut self) {
         while let Some(&Reverse((at, host))) = self.wake.peek() {
             if at > self.now {
                 break;
             }
             self.wake.pop();
+            // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+            self.hosts[host as usize].waking = false;
             self.expose(host);
         }
-    }
-
-    /// Serve a live entry of `host`: its page is fetched from now on.
-    fn serve(&mut self, host: u32, e: Entry) -> Entry {
-        self.queue.take(&e);
-        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
-        let h = &mut self.hosts[host as usize];
-        h.pending -= 1;
-        self.stats[h.shard as usize].pops += 1;
-        e
     }
 
     /// Restore a snapshot payload into `self`, a fresh frontier built
@@ -259,18 +263,66 @@ impl ShardedFrontier {
     /// Every waiting entry returns to its ring, parked ones at the head
     /// of their level in the order they left it, so decode parks
     /// nothing: an entry whose host still cools parks again at its
-    /// first pop. A capture happens at a loop-top tick boundary, where
+    /// first pop. Each waiting page's admission key is its best entry's
+    /// (any other entry of it was superseded), and fetched pages read
+    /// as fetched. A capture happens at a loop-top tick boundary, where
     /// every fetch has completed, so the rest is derived: the pending
     /// pages per host from the admission bar, and the wake heap from
-    /// the cooling hosts that have one. Cooling hosts must come in
-    /// ascending order, each still cooling at `now`; these and the
-    /// queue's checks surface as [`SnapshotError::Malformed`].
+    /// the cooling hosts that have one. An entry filed under another
+    /// level, a pending count that disagrees with the entries, and
+    /// cooling hosts out of ascending order or already free at `now`
+    /// are [`SnapshotError::Malformed`].
     pub(crate) fn decode_state(
         mut self,
         dec: &mut Dec<'_>,
         now: u64,
     ) -> Result<Self, SnapshotError> {
-        self.queue = self.queue.decode_state(dec)?;
+        let q = &mut self.queue;
+        let last = q.levels.len() - 1;
+        for (level, ring) in q.levels.iter_mut().enumerate() {
+            let n = dec.len()?;
+            // Entries take 6 bytes each: a count the payload cannot hold
+            // is refused before anything is allocated for it.
+            if n > dec.remaining() / 6 {
+                return Err(SnapshotError::Truncated);
+            }
+            ring.reserve(n);
+            for _ in 0..n {
+                let e = Entry {
+                    page: dec.u32()?,
+                    priority: dec.u8()?,
+                    distance: dec.u8()?,
+                };
+                let bar = q
+                    .bar
+                    .get_mut(e.page as usize)
+                    .ok_or(SnapshotError::Malformed("waiting page out of range"))?;
+                if (e.priority as usize).min(last) != level {
+                    return Err(SnapshotError::Malformed("entry filed under another level"));
+                }
+                *bar = (*bar).min(e.key() as u32 + 1);
+                ring.push_back(e);
+            }
+        }
+        let mut fetched = vec![false; q.bar.len()];
+        dec.bools(&mut fetched)?;
+        let mut waiting = 0;
+        for ((bar, fetched), &host) in q.bar.iter_mut().zip(fetched).zip(&self.host_of_page) {
+            if fetched {
+                *bar = BAR_DONE;
+            } else if *bar != BAR_NEVER {
+                waiting += 1;
+                self.hosts[host as usize].pending += 1;
+            }
+        }
+        q.pending = dec.len()?;
+        q.max_pending = dec.len()?;
+        q.pushes = dec.u64()?;
+        if q.pending != waiting {
+            return Err(SnapshotError::Malformed(
+                "pending count disagrees with the waiting entries",
+            ));
+        }
         self.now = now;
         let mut last = None;
         for _ in 0..dec.len()? {
@@ -288,6 +340,11 @@ impl ShardedFrontier {
                 return Err(SnapshotError::Malformed("cooling host already free"));
             }
             h.free_at = free_at;
+            self.cooling_until = self.cooling_until.max(free_at);
+            if h.pending > 0 {
+                h.waking = true;
+                self.wake.push(Reverse((free_at, host)));
+            }
         }
         for s in &mut self.stats {
             s.pushes = dec.u64()?;
@@ -295,44 +352,67 @@ impl ShardedFrontier {
             s.handoffs_in = dec.u64()?;
             self.handoffs += s.handoffs_in;
         }
-        for (p, &host) in self.host_of_page.iter().enumerate() {
-            let p = p as PageId;
-            if self.queue.was_admitted(p) && !self.queue.is_done(p) {
-                self.hosts[host as usize].pending += 1;
-            }
-        }
-        for (host, h) in self.hosts.iter().enumerate() {
-            if h.free_at > now && h.pending > 0 {
-                self.wake.push(Reverse((h.free_at, host as u32)));
-            }
-        }
         Ok(self)
     }
 
     /// Serialize the frontier state a loop-top capture cannot derive
-    /// into a snapshot payload: the queue's rings with the parked
-    /// entries at the head of their levels ([`UrlQueue`] writes them,
-    /// with the fetched bits and the counters), then the cooling hosts'
-    /// `(free time, host)` in host order and the per-shard counters.
-    /// `parked` is a buffer the caller reuses across captures, to sort
-    /// the parked entries back into `(level, park order)`.
+    /// into a snapshot payload: per level, a count and the level's
+    /// waiting entries in pop order as `(page, priority, distance)` —
+    /// the parked entries of that level first, in the order they left
+    /// the ring, then the ring's — then the fetched bits, the pending,
+    /// high-water and push counters, the cooling hosts' `(free time,
+    /// host)` in host order and the per-shard counters. Stale entries
+    /// travel too: telling them apart would cost a random read of the
+    /// admission bar per entry, and decode skips them as pops do.
     ///
     /// Everything else is derived on decode (see
     /// [`Self::decode_state`]). `origin` is not state: it is only ever
     /// `Some` *inside* a resolve, and no resolve is in flight at a
-    /// capture.
+    /// capture. Encoding borrows `self` mutably only for the buffer
+    /// that sorts the parked entries back into `(level, park order)`.
     // lint:root(panic-free, alloc-free) — capture runs mid-crawl into
     // preallocated buffers; the capture plan hands this to the loop.
-    pub(crate) fn encode_state(&self, enc: &mut Enc, parked: &mut Vec<ParkedAt>) {
-        parked.clear();
+    pub(crate) fn encode_state(&mut self, enc: &mut Enc) {
+        let q = &self.queue;
+        let sorted = &mut self.capture;
+        sorted.clear();
         for list in self.parked.iter().filter(|list| !list.is_empty()) {
             for &(order, e) in list {
                 // lint:allow(no-alloc-transitive): capture-time encode: the sort buffer is reused and reaches its high-water size once
-                parked.push((self.queue.level(&e) as u8, order, e));
+                sorted.push((q.level(&e) as u8, order, e));
             }
         }
-        parked.sort_unstable();
-        self.queue.encode_state(enc, parked);
+        sorted.sort_unstable();
+        let mut parked = sorted.as_slice();
+        for (level, ring) in q.levels.iter().enumerate() {
+            let (here, rest) =
+                parked.split_at(parked.partition_point(|p| usize::from(p.0) == level));
+            parked = rest;
+            let n = here.len() + ring.len();
+            enc.u64(n as u64);
+            let start = enc.buf.len();
+            // Capture rides the crawl's steady state, so each level's
+            // entries are copied into a region grown once, 6 bytes apiece.
+            // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
+            enc.buf.resize(start + 6 * n, 0);
+            let mut slots = enc
+                .buf
+                .get_mut(start..)
+                .unwrap_or_default()
+                .chunks_exact_mut(6);
+            // Entries lead each zip: a zip takes from its left side first,
+            // so the parked entries running out costs no slot.
+            for (e, slot) in here.iter().map(|p| &p.2).zip(slots.by_ref()) {
+                put(slot, e);
+            }
+            for (e, slot) in ring.iter().zip(slots) {
+                put(slot, e);
+            }
+        }
+        enc.bools(&q.bar, |&bar| bar == BAR_DONE);
+        enc.u64(q.pending as u64);
+        enc.u64(q.max_pending as u64);
+        enc.u64(q.pushes);
         let count_at = enc.mark();
         enc.u64(0);
         let mut n = 0;
@@ -352,24 +432,44 @@ impl ShardedFrontier {
     }
 }
 
+/// Write `e` into a 6-byte snapshot slot.
+fn put(slot: &mut [u8], e: &Entry) {
+    let [a, b, c, d] = e.page.to_le_bytes();
+    for (byte, v) in slot.iter_mut().zip([a, b, c, d, e.priority, e.distance]) {
+        *byte = v;
+    }
+}
+
 impl Frontier for ShardedFrontier {
     fn push(&mut self, e: Entry) -> bool {
         self.push_all(&[e]) == 1
     }
 
-    /// [`UrlQueue::push`] per entry, counting each accepted one.
+    /// [`UrlQueue::push_all`], counting each accepted entry as a push of
+    /// its host's shard and a fresh one as a pending page of its host.
     // lint:root(panic-free, alloc-free) — one call per resolved fetch
-    // with outlinks; rings and heaps only grow to their high water.
+    // with outlinks; rings only grow to their high water.
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
-        let mut enqueued = 0;
-        for &e in entries {
-            let fresh = !self.queue.was_admitted(e.page);
-            if self.queue.push(e) {
-                self.admitted(e.page, fresh);
-                enqueued += 1;
+        let ShardedFrontier {
+            queue,
+            hosts,
+            host_of_page,
+            stats,
+            origin,
+            handoffs,
+            ..
+        } = self;
+        queue.push_all_with(entries, |e, fresh| {
+            // lint:allow(no-panic-transitive): pages index the page table, hosts the host table and shards the stats, all sized at construction
+            let h = &mut hosts[host_of_page[e.page as usize] as usize];
+            h.pending += u32::from(fresh);
+            let s = &mut stats[h.shard as usize];
+            s.pushes += 1;
+            if origin.is_some_and(|from| from != h.shard) {
+                s.handoffs_in += 1;
+                *handoffs += 1;
             }
-        }
-        enqueued
+        })
     }
 
     /// [`Frontier::pop_ready`], its host free again at once.
@@ -380,13 +480,10 @@ impl Frontier for ShardedFrontier {
         Some(e)
     }
 
+    /// [`UrlQueue::requeue`]: a fetched page is admitted afresh.
     fn requeue(&mut self, e: Entry) -> bool {
-        let fresh = self.queue.is_done(e.page) || !self.queue.was_admitted(e.page);
-        let accepted = self.queue.requeue(e);
-        if accepted {
-            self.admitted(e.page, fresh);
-        }
-        accepted
+        self.queue.unfetch(e.page);
+        self.push(e)
     }
 
     fn pending(&self) -> usize {
@@ -431,22 +528,36 @@ impl Frontier for ShardedFrontier {
             if !self.queue.is_live(&e) {
                 continue;
             }
-            // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
-            let host = self.host_of_page[e.page as usize];
-            if self.hosts[host as usize].free_at <= self.now {
-                return Some(self.serve(host, e));
+            // With no host cooling, the ring head is served unlooked-at.
+            if self.cooling_until > self.now {
+                // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+                let host = self.host_of_page[e.page as usize];
+                if self.hosts[host as usize].free_at > self.now {
+                    self.park(host, e);
+                    continue;
+                }
             }
-            self.park(host, e);
+            self.queue.take(&e);
+            return Some(e);
         }
     }
 
+    /// Count the popped page as fetched by `host`, which cools until
+    /// `free_at`; a host that cools with parked work and a pending page
+    /// is woken then.
     fn started(&mut self, host: u32, free_at: u64) {
-        // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+        // lint:allow(no-panic-transitive): hosts index the host table and parked lists, shards the stats, all sized at construction
         let h = &mut self.hosts[host as usize];
         h.free_at = free_at;
+        h.pending -= 1;
+        self.stats[h.shard as usize].pops += 1;
         if free_at <= self.now {
             self.expose(host);
-        } else if h.pending > 0 {
+            return;
+        }
+        self.cooling_until = self.cooling_until.max(free_at);
+        if h.pending > 0 && !self.parked[host as usize].is_empty() {
+            h.waking = true;
             self.wake.push(Reverse((free_at, host)));
         }
     }
@@ -460,8 +571,10 @@ impl Frontier for ShardedFrontier {
         }
     }
 
-    /// The earliest free time of a cooling host with a pending page: a
-    /// host with nothing to fetch holds no crawl up.
+    /// The earliest free time of a cooling host with a pending page,
+    /// once [`Frontier::pop_ready`] has found nothing ready (before that,
+    /// a waiting entry may not have met its cooling host yet): a host
+    /// with nothing to fetch holds no crawl up.
     fn next_cooling(&self) -> Option<u64> {
         self.wake.peek().map(|&Reverse((at, _))| at)
     }
@@ -473,7 +586,9 @@ impl Frontier for ShardedFrontier {
     /// `None` (the initial state) attributes nothing: seed pushes are
     /// not discovery traffic.
     fn set_origin(&mut self, host: Option<u32>) {
-        self.origin = host;
+        self.origin = host
+            .and_then(|h| self.hosts.get(h as usize))
+            .map(|h| h.shard);
     }
 
     fn handoffs(&self) -> u64 {
@@ -751,9 +866,9 @@ mod tests {
     }
 
     /// `f`'s snapshot state, encoded.
-    fn encoded(f: &ShardedFrontier) -> Enc {
+    fn encoded(f: &mut ShardedFrontier) -> Enc {
         let mut enc = Enc::default();
-        f.encode_state(&mut enc, &mut Vec::new());
+        f.encode_state(&mut enc);
         enc
     }
 
@@ -794,9 +909,13 @@ mod tests {
     #[test]
     fn derived_decode_reencodes_and_pops_like_the_original() {
         let mut original = mid_crawl();
-        let bytes = encoded(&original).buf;
+        let bytes = encoded(&mut original).buf;
         let mut back = decoded(&bytes).unwrap();
-        assert_eq!(encoded(&back).buf, bytes, "re-encoding is a fixed point");
+        assert_eq!(
+            encoded(&mut back).buf,
+            bytes,
+            "re-encoding is a fixed point"
+        );
         for p in 0..8 {
             assert_eq!(back.was_admitted(p), original.was_admitted(p), "page {p}");
             assert_eq!(back.is_done(p), original.is_done(p), "page {p}");
@@ -820,9 +939,9 @@ mod tests {
 
     #[test]
     fn pending_count_must_match_the_parked_entries() {
-        let f = mid_crawl();
-        let mut enc = encoded(&f);
-        // The queue's part ends with the pending count, max_pending and
+        let mut f = mid_crawl();
+        let mut enc = encoded(&mut f);
+        // The rings' part ends with the pending count, max_pending and
         // the push count; host 0's cool-down and two shards' counters
         // follow.
         let at = enc.buf.len() - 2 * 24 - (8 + 12) - 24;
@@ -848,7 +967,7 @@ mod tests {
         start(&mut f, 5);
         start(&mut f, 7);
         f.advance_to(1);
-        let mut enc = encoded(&f);
+        let mut enc = encoded(&mut f);
         assert!(decoded(&enc.buf).is_ok());
         // The second `(free time, host)` record ends the cooling list,
         // which two shards' counters follow; its host is made to repeat
@@ -881,6 +1000,31 @@ mod tests {
     }
 
     #[test]
+    fn a_host_served_through_its_ring_lists_its_parked_work_once() {
+        // Pages 0..40 on host 0, page 40 on host 1.
+        let mut hosts = vec![0; 40];
+        hosts.push(1);
+        let mut f = ShardedFrontier::new(hosts, 2, 2, 1);
+        f.push(e(0, 0, 0));
+        f.push(e(1, 1, 0));
+        // Host 0 cools until 2 and page 1 parks; the wake lists it.
+        assert_eq!(start(&mut f, 2).unwrap().page, 0);
+        assert!(f.pop_ready().is_none());
+        f.advance_to(2);
+        assert_eq!(f.ready.len(), 1);
+        // Each level-0 page of host 0 beats the parked level-1 entry, so
+        // the host is served through its ring, cools and wakes again.
+        for now in 2..40 {
+            f.push(e(now as PageId, 0, 0));
+            assert_eq!(start(&mut f, now + 1).unwrap().page, now as PageId);
+            f.advance_to(now + 1);
+            assert_eq!(f.ready.len(), 1, "one copy of page 1 at tick {now}");
+        }
+        assert_eq!(f.pop_ready().unwrap(), e(1, 1, 0));
+        assert!(f.ready.is_empty());
+    }
+
+    #[test]
     fn parked_entries_head_their_rings_after_decode() {
         let mut f = frontier(2);
         for p in [e(0, 0, 0), e(1, 0, 0), e(3, 0, 0), e(2, 1, 0), e(6, 1, 0)] {
@@ -894,13 +1038,17 @@ mod tests {
         assert!(f.pop_ready().is_none());
         assert_eq!(f.parked[0].len(), 2, "pages 1 and 2 parked on host 0");
         f.advance_to(1);
-        let bytes = encoded(&f).buf;
+        let bytes = encoded(&mut f).buf;
         let mut back = decoded(&bytes).unwrap();
         assert!(
             back.parked.iter().all(VecDeque::is_empty),
             "decode parks nothing"
         );
-        assert_eq!(encoded(&back).buf, bytes, "re-encoding is a fixed point");
+        assert_eq!(
+            encoded(&mut back).buf,
+            bytes,
+            "re-encoding is a fixed point"
+        );
         for g in [&mut f, &mut back] {
             assert!(g.pop_ready().is_none(), "host 0 still cools");
             assert_eq!(g.next_cooling(), Some(5));

@@ -182,12 +182,13 @@ fn frontier_pop_order_is_monotone_in_key() {
     });
 }
 
-/// The sharded frontier is [`UrlQueue`] with different storage: under
-/// random push/pop/**requeue** interleavings (requeue is the engine's
-/// retry re-admission path, with its own semantics on done pages) the
-/// two agree on every verdict, every popped entry, and all accounting —
-/// with one shard and with several, since each ready host exposes
-/// exactly its minimum entry and the global minimum is shard-invariant.
+/// The sharded frontier pops as [`UrlQueue`] does while no host cools:
+/// under random push/pop/**requeue** interleavings (requeue is the
+/// engine's retry re-admission path, with its own semantics on done
+/// pages) the two agree on every verdict, every popped entry, and all
+/// accounting — with one shard and with several. A plain `pop` frees its
+/// host at once, so nothing parks and every pop is a ring pop, and
+/// shards only label hosts for the stats.
 #[test]
 fn sharded_frontier_matches_url_queue_including_requeue() {
     /// (op, page, priority, distance): op 0..3 = push, 3 = pop,
