@@ -22,13 +22,18 @@ cargo test -q --offline -p langcrawl-webgraph --test proptests
 # generation thread counts: the golden hashes in these suites are
 # absolute constants, so a pass under every setting proves the K-slot
 # schedule (and the sharded frontier behind it) is thread-invariant
-# end to end, not merely self-consistent.
-echo "==> scheduler conformance + shard parity (LANGCRAWL_THREADS=1,4)"
+# end to end, not merely self-consistent. The frontier models run
+# alongside: the sharded frontier's slot model, and the timed
+# read-ahead frontier's Mercator model (a unit test, since the type is
+# crate-private), over a space generated under each setting.
+echo "==> scheduler conformance + shard parity + frontier models (LANGCRAWL_THREADS=1,4)"
 for threads in 1 4; do
     LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl-core \
         --test sched_conformance --test frontier_accounting
     LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl-core \
         --test proptests sharded_frontier
+    LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl-core \
+        --lib read_ahead_matches_the_mercator_model
 done
 
 # Checkpoint/resume parity, re-run under both generation thread counts

@@ -77,11 +77,12 @@ const TAIL: u64 = 1_000;
 /// whatever the full run allocates beyond the short one is what its
 /// last `TAIL` fetches allocated. That must be nothing. The cells cover
 /// the crawl loop at the default schedule, which drains a `UrlQueue`,
-/// with and without retries, and at four slots over the sharded
-/// frontier under politeness stalls and retries, without and with
-/// snapshot capture (a capture every 50 ticks, into a sink that keeps
-/// no bytes, so pending retries and cool-downs are sorted at every
-/// capture).
+/// without and with retries and with retries and snapshot capture, and
+/// at four slots over the sharded frontier under politeness stalls and
+/// retries, without and with capture. A capturing cell captures every
+/// 50 ticks into a sink that wants only snapshots and keeps no bytes, so
+/// pending retries (and, at four slots, cool-downs) are sorted at every
+/// capture.
 #[test]
 fn steady_state_fetches_allocate_nothing() {
     /// Wants every capture and keeps none of it.
@@ -112,6 +113,12 @@ fn steady_state_fetches_allocate_nothing() {
             SchedConfig::default(),
             faults.clone(),
             None,
+        ),
+        (
+            "single slot, 10% faults, capture every 50 ticks",
+            SchedConfig::default(),
+            faults.clone(),
+            Some(50),
         ),
         ("4 slots, gap 2, 10% faults", polite, faults.clone(), None),
         (

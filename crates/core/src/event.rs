@@ -316,11 +316,6 @@ pub struct SchedStatsSink {
     /// Sum over idle spans of `idle slots × span ticks` — capacity the
     /// schedule could not use because work was cooling or backing off.
     pub idle_slot_ticks: u64,
-    /// Idle spans observed.
-    pub idle_events: u64,
-    /// Fetches whose discoveries crossed to a foreign shard at least
-    /// once.
-    pub handoff_events: u64,
     /// Total accepted pushes that landed on a foreign shard.
     pub crossed_links: u64,
     /// Times a host was parked for its politeness gap with work queued.
@@ -339,10 +334,8 @@ impl EventSink for SchedStatsSink {
         match *event {
             CrawlEvent::SlotIdle { idle, span, .. } => {
                 self.idle_slot_ticks += u64::from(idle).saturating_mul(span);
-                self.idle_events += 1;
             }
             CrawlEvent::ShardHandoff { crossed, .. } => {
-                self.handoff_events += 1;
                 self.crossed_links += u64::from(crossed);
             }
             CrawlEvent::PolitenessWait { .. } => {
@@ -477,8 +470,6 @@ mod tests {
             crawled: 1,
         });
         assert_eq!(s.idle_slot_ticks, 14);
-        assert_eq!(s.idle_events, 2);
-        assert_eq!(s.handoff_events, 1);
         assert_eq!(s.crossed_links, 5);
         assert_eq!(s.politeness_waits, 1);
     }

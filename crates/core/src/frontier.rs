@@ -124,7 +124,8 @@ pub trait Frontier {
     #[inline]
     fn set_origin(&mut self, _host: Option<u32>) {}
 
-    /// Accepted pushes that crossed shards so far.
+    /// Accepted pushes that crossed shards since the frontier was built
+    /// or restored from a snapshot (which keeps no handoff total).
     #[inline]
     fn handoffs(&self) -> u64 {
         0

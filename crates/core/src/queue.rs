@@ -52,9 +52,9 @@ impl Entry {
 /// ```
 #[derive(Debug)]
 pub struct UrlQueue {
-    // The fields are crate-visible for one reader: the sharded
-    // frontier's snapshot codec, which writes and restores the rings,
-    // the admission bar and the counters of the queue it drains.
+    // The fields are crate-visible for one reader: the snapshot codec
+    // in `shard.rs`, which writes and restores the rings, the admission
+    // bar and the counters of a bare queue or of a sharded frontier's.
     pub(crate) levels: Vec<VecDeque<Entry>>,
     /// Per-page admission bar, one word instead of separate `done` /
     /// `best` tables so the duplicate check in [`UrlQueue::push`] and

@@ -28,15 +28,23 @@
 //!   as the rings skip them;
 //! * **shards are labels**: each host hashes to one of `shards`
 //!   [`ShardStats`] slots (agents, in BUbiNG's vocabulary), which count
-//!   the pushes, pops and cross-shard discovery handoffs the
-//!   parallelism sweep reports. A shard holds no entries, so the shard
-//!   count never changes a pop.
+//!   the pushes the parallelism sweep reports; a push that crosses
+//!   shards counts as a discovery handoff ([`Frontier::handoffs`]). A
+//!   shard holds no entries, so the shard count never changes a pop.
 //!
 //! With one slot and no politeness a host is free again by the next
-//! pop, so nothing ever parks, no host is woken, and a pop is a ring
-//! pop that never looks up its host. Tie-breaks are total and
-//! deterministic: `(level, seq)` orders entries, `(free time, host)`
-//! orders wakes, and shard assignment is a pure hash of the host id.
+//! pop, so nothing would ever park: the scheduler drains a bare
+//! [`UrlQueue`] then. Tie-breaks are total and deterministic:
+//! `(level, seq)` orders entries, `(free time, host)` orders wakes, and
+//! shard assignment is a pure hash of the host id.
+//!
+//! This module alone knows the snapshot's frontier section, and writes
+//! it in one shape for both frontiers: per level, the waiting entries in
+//! pop order, parked ones first; the fetched bits and the pending,
+//! high-water and push counters; the cooling hosts; one push count per
+//! shard. A [`UrlQueue`] writes what a one-shard [`ShardedFrontier`]
+//! with nothing parked or cooling writes: an empty cooling list and its
+//! own push count.
 
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue, BAR_DONE, BAR_NEVER};
@@ -58,11 +66,6 @@ const SHARD_SALT: u64 = 0x5ca1_ab1e_0000_0001;
 pub struct ShardStats {
     /// Accepted pushes routed to this shard.
     pub pushes: u64,
-    /// Entries popped from this shard.
-    pub pops: u64,
-    /// Accepted pushes that arrived from a fetch resolving on another
-    /// shard — the cross-shard discovery handoff traffic.
-    pub handoffs_in: u64,
 }
 
 /// A parked entry's sort key within its level, then the entry. Park
@@ -140,12 +143,14 @@ pub struct ShardedFrontier {
     stats: Vec<ShardStats>,
     /// Shard of the host resolving a fetch, for handoff attribution.
     origin: Option<u32>,
-    /// Total accepted pushes that crossed shards (sum of
-    /// [`ShardStats::handoffs_in`]).
+    /// Accepted pushes that crossed shards since the frontier was built
+    /// or restored.
     handoffs: u64,
     /// The latest free time of any start: no host cools from then on,
-    /// so a ring head is served without a look at its host (one slot
-    /// without politeness frees each host by the next pop).
+    /// so a ring head is served without a look at its host. Without
+    /// politeness every start of a tick frees its host by the next, so
+    /// at `K > 1` this spares the host lookup on the first pop of each
+    /// tick.
     cooling_until: u64,
     /// The buffer a capture sorts the parked entries in, reused.
     capture: Vec<ParkedAt>,
@@ -255,10 +260,10 @@ impl ShardedFrontier {
         }
     }
 
-    /// Restore a snapshot payload into `self`, a fresh frontier built
+    /// Restore a frontier section into `self`, a fresh frontier built
     /// for the captured space, level count and shard count, at the
     /// captured tick `now`: the regenerated space and the snapshot
-    /// header fix all four, so the payload does not repeat them.
+    /// header fix all four, so the section does not repeat them.
     ///
     /// Every waiting entry returns to its ring, parked ones at the head
     /// of their level in the order they left it, so decode parks
@@ -348,28 +353,31 @@ impl ShardedFrontier {
         }
         for s in &mut self.stats {
             s.pushes = dec.u64()?;
-            s.pops = dec.u64()?;
-            s.handoffs_in = dec.u64()?;
-            self.handoffs += s.handoffs_in;
         }
         Ok(self)
     }
 
-    /// Serialize the frontier state a loop-top capture cannot derive
-    /// into a snapshot payload: per level, a count and the level's
-    /// waiting entries in pop order as `(page, priority, distance)` —
-    /// the parked entries of that level first, in the order they left
-    /// the ring, then the ring's — then the fetched bits, the pending,
-    /// high-water and push counters, the cooling hosts' `(free time,
-    /// host)` in host order and the per-shard counters. Stale entries
-    /// travel too: telling them apart would cost a random read of the
-    /// admission bar per entry, and decode skips them as pops do.
-    ///
-    /// Everything else is derived on decode (see
-    /// [`Self::decode_state`]). `origin` is not state: it is only ever
-    /// `Some` *inside* a resolve, and no resolve is in flight at a
-    /// capture. Encoding borrows `self` mutably only for the buffer
-    /// that sorts the parked entries back into `(level, park order)`.
+    /// The queue of a one-slot section, which one slot without
+    /// politeness drains: a cooling host, or a shard push count other
+    /// than the queue's, is [`SnapshotError::Malformed`].
+    pub(crate) fn into_queue(self) -> Result<UrlQueue, SnapshotError> {
+        if self.cooling_until > self.now {
+            return Err(SnapshotError::Malformed("cooling host at one slot"));
+        }
+        if self.stats.iter().map(|s| s.pushes).ne([self.queue.pushes]) {
+            return Err(SnapshotError::Malformed("one-slot shard pushes disagree"));
+        }
+        Ok(self.queue)
+    }
+
+    /// Write the frontier section (see the module docs), the cooling
+    /// hosts as `(free time, host)` in host order. Parked entries are
+    /// sorted back into the order they left their rings, in a buffer
+    /// `self` keeps. Stale entries travel too: telling them apart would
+    /// cost a random read of the admission bar per entry, and decode
+    /// skips them as pops do. Everything else is derived on decode;
+    /// `origin` is only ever `Some` inside a resolve, and none is in
+    /// flight at a capture.
     // lint:root(panic-free, alloc-free) — capture runs mid-crawl into
     // preallocated buffers; the capture plan hands this to the loop.
     pub(crate) fn encode_state(&mut self, enc: &mut Enc) {
@@ -383,36 +391,7 @@ impl ShardedFrontier {
             }
         }
         sorted.sort_unstable();
-        let mut parked = sorted.as_slice();
-        for (level, ring) in q.levels.iter().enumerate() {
-            let (here, rest) =
-                parked.split_at(parked.partition_point(|p| usize::from(p.0) == level));
-            parked = rest;
-            let n = here.len() + ring.len();
-            enc.u64(n as u64);
-            let start = enc.buf.len();
-            // Capture rides the crawl's steady state, so each level's
-            // entries are copied into a region grown once, 6 bytes apiece.
-            // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-            enc.buf.resize(start + 6 * n, 0);
-            let mut slots = enc
-                .buf
-                .get_mut(start..)
-                .unwrap_or_default()
-                .chunks_exact_mut(6);
-            // Entries lead each zip: a zip takes from its left side first,
-            // so the parked entries running out costs no slot.
-            for (e, slot) in here.iter().map(|p| &p.2).zip(slots.by_ref()) {
-                put(slot, e);
-            }
-            for (e, slot) in ring.iter().zip(slots) {
-                put(slot, e);
-            }
-        }
-        enc.bools(&q.bar, |&bar| bar == BAR_DONE);
-        enc.u64(q.pending as u64);
-        enc.u64(q.max_pending as u64);
-        enc.u64(q.pushes);
+        encode_rings(q, sorted, enc);
         let count_at = enc.mark();
         enc.u64(0);
         let mut n = 0;
@@ -426,10 +405,56 @@ impl ShardedFrontier {
         enc.patch_u64(count_at, n);
         for s in &self.stats {
             enc.u64(s.pushes);
-            enc.u64(s.pops);
-            enc.u64(s.handoffs_in);
         }
     }
+}
+
+impl UrlQueue {
+    /// Write the frontier section of a one-slot crawl over the queue:
+    /// what a one-shard [`ShardedFrontier`] with nothing parked or
+    /// cooling writes. `&mut self` matches that frontier's encoder.
+    // lint:root(panic-free, alloc-free) — capture runs mid-crawl; the
+    // capture plan calls this through a function pointer.
+    pub(crate) fn encode_state(&mut self, enc: &mut Enc) {
+        encode_rings(self, &[], enc);
+        enc.u64(0);
+        enc.u64(self.pushes);
+    }
+}
+
+/// Write `q`'s rings — per level a count, then each of the level's
+/// `parked` entries (sorted by `(level, park order)`) and the ring's,
+/// as `(page, priority, distance)` — then the fetched bits and the
+/// pending, high-water and push counters.
+fn encode_rings(q: &UrlQueue, mut parked: &[ParkedAt], enc: &mut Enc) {
+    for (level, ring) in q.levels.iter().enumerate() {
+        let (here, rest) = parked.split_at(parked.partition_point(|p| usize::from(p.0) == level));
+        parked = rest;
+        let n = here.len() + ring.len();
+        enc.u64(n as u64);
+        let start = enc.buf.len();
+        // Capture rides the crawl's steady state, so each level's
+        // entries are copied into a region grown once, 6 bytes apiece.
+        // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
+        enc.buf.resize(start + 6 * n, 0);
+        let mut slots = enc
+            .buf
+            .get_mut(start..)
+            .unwrap_or_default()
+            .chunks_exact_mut(6);
+        // Entries lead each zip: a zip takes from its left side first,
+        // so the parked entries running out costs no slot.
+        for (e, slot) in here.iter().map(|p| &p.2).zip(slots.by_ref()) {
+            put(slot, e);
+        }
+        for (e, slot) in ring.iter().zip(slots) {
+            put(slot, e);
+        }
+    }
+    enc.bools(&q.bar, |&bar| bar == BAR_DONE);
+    enc.u64(q.pending as u64);
+    enc.u64(q.max_pending as u64);
+    enc.u64(q.pushes);
 }
 
 /// Write `e` into a 6-byte snapshot slot.
@@ -463,12 +488,8 @@ impl Frontier for ShardedFrontier {
             // lint:allow(no-panic-transitive): pages index the page table, hosts the host table and shards the stats, all sized at construction
             let h = &mut hosts[host_of_page[e.page as usize] as usize];
             h.pending += u32::from(fresh);
-            let s = &mut stats[h.shard as usize];
-            s.pushes += 1;
-            if origin.is_some_and(|from| from != h.shard) {
-                s.handoffs_in += 1;
-                *handoffs += 1;
-            }
+            stats[h.shard as usize].pushes += 1;
+            *handoffs += u64::from(origin.is_some_and(|from| from != h.shard));
         })
     }
 
@@ -546,11 +567,10 @@ impl Frontier for ShardedFrontier {
     /// `free_at`; a host that cools with parked work and a pending page
     /// is woken then.
     fn started(&mut self, host: u32, free_at: u64) {
-        // lint:allow(no-panic-transitive): hosts index the host table and parked lists, shards the stats, all sized at construction
+        // lint:allow(no-panic-transitive): hosts index the host table and parked lists, both sized at construction
         let h = &mut self.hosts[host as usize];
         h.free_at = free_at;
         h.pending -= 1;
-        self.stats[h.shard as usize].pops += 1;
         if free_at <= self.now {
             self.expose(host);
             return;
@@ -710,9 +730,7 @@ mod tests {
         f.push(e(page_on(away), 0, 0)); // crosses shards
         f.push(e(page_on(home), 1, 0)); // stays home
         assert_eq!(f.handoffs(), 1);
-        let stats = f.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.handoffs_in).sum::<u64>(), 1);
-        assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 2);
+        assert_eq!(f.shard_stats().iter().map(|s| s.pushes).sum::<u64>(), 2);
         f.set_origin(None);
         f.push(e(7, 0, 0)); // no origin: seeds never count
         assert_eq!(f.handoffs(), 1);
@@ -745,9 +763,7 @@ mod tests {
         assert_eq!(f.pending(), 3);
         assert_eq!(f.max_pending(), 5);
         assert_eq!(f.total_pushes(), 5);
-        let stats = f.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 5);
-        assert_eq!(stats.iter().map(|s| s.pops).sum::<u64>(), 2);
+        assert_eq!(f.shard_stats().iter().map(|s| s.pushes).sum::<u64>(), 5);
     }
 
     #[test]
@@ -817,9 +833,7 @@ mod tests {
         f.push(e(0, 0, 0)); // host 0, same shard as origin host 1
         f.push(e(4, 0, 0)); // origin's own host
         assert_eq!(f.handoffs(), 0, "intra-shard discovery is not a handoff");
-        let stats = f.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.handoffs_in).sum::<u64>(), 0);
-        assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 2);
+        assert_eq!(f.shard_stats().iter().map(|s| s.pushes).sum::<u64>(), 2);
     }
 
     #[test]
@@ -942,9 +956,9 @@ mod tests {
         let mut f = mid_crawl();
         let mut enc = encoded(&mut f);
         // The rings' part ends with the pending count, max_pending and
-        // the push count; host 0's cool-down and two shards' counters
+        // the push count; host 0's cool-down and two shards' push counts
         // follow.
-        let at = enc.buf.len() - 2 * 24 - (8 + 12) - 24;
+        let at = enc.buf.len() - 2 * 8 - (8 + 12) - 24;
         enc.patch_u64(at, f.pending() as u64 + 1);
         assert_eq!(
             decoded(&enc.buf).unwrap_err(),
@@ -970,9 +984,9 @@ mod tests {
         let mut enc = encoded(&mut f);
         assert!(decoded(&enc.buf).is_ok());
         // The second `(free time, host)` record ends the cooling list,
-        // which two shards' counters follow; its host is made to repeat
-        // host 0.
-        let second_host = enc.buf.len() - 2 * 24 - 4;
+        // which two shards' push counts follow; its host is made to
+        // repeat host 0.
+        let second_host = enc.buf.len() - 2 * 8 - 4;
         enc.buf[second_host..second_host + 4].copy_from_slice(&0u32.to_le_bytes());
         assert_eq!(
             decoded(&enc.buf).unwrap_err(),
@@ -1058,5 +1072,71 @@ mod tests {
             assert_eq!(start(g, 7).unwrap(), e(2, 1, 0));
             assert_eq!(g.pending(), 0);
         }
+    }
+
+    /// A one-slot crawl without politeness, on both frontiers: the same
+    /// pushes, pops each followed by a start that frees its host by the
+    /// next tick, a retry and a better re-admission.
+    fn one_slot_crawl(f: &mut dyn Frontier) {
+        for p in [e(0, 0, 0), e(3, 1, 0), e(6, 2, 1), e(1, 3, 0)] {
+            f.push(p);
+        }
+        for now in 0..2 {
+            let x = f.pop_ready().unwrap();
+            f.started([0, 0, 0, 1, 1, 1, 2, 2][x.page as usize], now + 1);
+            f.advance_to(now + 1);
+        }
+        assert!(f.requeue(e(0, 2, 0)), "a retry re-admits its page");
+        assert!(f.push(e(1, 0, 0)), "a better key re-admits a waiting page");
+        f.push_all(&[e(7, 1, 0), e(2, 3, 0), e(7, 0, 0)]);
+    }
+
+    #[test]
+    fn a_queue_writes_what_a_one_shard_frontier_writes() {
+        let mut queue = UrlQueue::new(8, 4);
+        let mut sharded = frontier(1);
+        one_slot_crawl(&mut queue);
+        one_slot_crawl(&mut sharded);
+        let mut bytes = Enc::default();
+        queue.encode_state(&mut bytes);
+        assert_eq!(bytes.buf, encoded(&mut sharded).buf);
+        let mut dec = Dec::new(&bytes.buf);
+        let back = frontier(1).decode_state(&mut dec, 2).unwrap();
+        assert!(dec.is_empty(), "decode left payload bytes unread");
+        let mut back = back.into_queue().unwrap();
+        let mut again = Enc::default();
+        back.encode_state(&mut again);
+        assert_eq!(again.buf, bytes.buf, "re-encoding is a fixed point");
+        let want: Vec<Entry> = std::iter::from_fn(|| queue.pop()).collect();
+        assert_eq!(std::iter::from_fn(|| back.pop()).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn a_one_slot_section_lists_no_cooling_host_and_the_queue_pushes() {
+        let decode = |bytes: &[u8], now| {
+            let f = frontier(1).decode_state(&mut Dec::new(bytes), now);
+            f.and_then(ShardedFrontier::into_queue)
+        };
+        // One shard, its host 0 cooling until tick 5 at tick 1.
+        let mut f = frontier(1);
+        f.push(e(0, 0, 0));
+        f.push(e(1, 0, 0));
+        start(&mut f, 5);
+        f.advance_to(1);
+        assert_eq!(
+            decode(&encoded(&mut f).buf, 1).unwrap_err(),
+            SnapshotError::Malformed("cooling host at one slot")
+        );
+        // The same frontier once its host is free again, with its one
+        // shard push count, the section's last word, off by one.
+        f.advance_to(5);
+        let mut enc = encoded(&mut f);
+        assert!(decode(&enc.buf, 5).is_ok());
+        let at = enc.buf.len() - 8;
+        enc.patch_u64(at, f.total_pushes() + 1);
+        assert_eq!(
+            decode(&enc.buf, 5).unwrap_err(),
+            SnapshotError::Malformed("one-slot shard pushes disagree")
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! [`Simulator::run`] used to *be* the crawl loop; it is now a thin
 //! wrapper that assembles the default configuration of the layered
 //! engine — the configured [`SchedConfig`] (one slot, no politeness by
-//! default, which the crawl loop runs over a
-//! [`crate::queue::UrlQueue`]), a [`crate::event::MetricsSampler`], and
+//! default, which the crawl loop runs over a [`crate::queue::UrlQueue`],
+//! capturing or not), a [`crate::event::MetricsSampler`], and
 //! (when requested) a [`crate::event::VisitRecorder`] — hands them to
 //! [`CrawlEngine::run_scheduled`], and packages the result as a
 //! [`CrawlReport`]. Its observable behavior is bit-identical to the old

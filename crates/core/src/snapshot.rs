@@ -5,10 +5,10 @@
 //! loop-top tick boundary, where no fetch is in flight, and stores only
 //! what the rest of the state does not determine:
 //!
-//! * the frontier's priority rings (each level's waiting entries in pop
-//!   order, parked ones first), which pages were fetched, its
-//!   pending/high-water/push counters, its cooling hosts' free times
-//!   and its per-shard load counters;
+//! * the frontier section, one shape for both untimed frontiers (see
+//!   [`shard`](crate::shard)): the priority rings, parked entries first,
+//!   which pages were fetched, the pending/high-water/push counters, the
+//!   cooling hosts' free times and one push count per shard;
 //! * the retry heap, the attempt table and the run counters.
 //!
 //! Decode derives the rest. Each waiting page's admission key is its
@@ -16,7 +16,8 @@
 //! entry whose host still cools parks again at its first pop), and the
 //! cooling hosts with a pending page wait on the clock (every fetch has
 //! completed at a loop-top boundary, and a host still owing its
-//! politeness gap is in the cooling list). The web space itself is *not* serialized — it is
+//! politeness gap is in the cooling list), and the header's schedule
+//! picks the frontier. The web space itself is *not* serialized — it is
 //! recorded as (identity fingerprint, generation seed) and regenerated
 //! by the caller, then verified on resume, because generation is a pure
 //! function of the seed. Resuming from a snapshot continues the crawl
@@ -35,7 +36,7 @@
 //!
 //! ```text
 //! magic   "LCSNAPSH"      8 bytes
-//! version u32             currently 5
+//! version u32             currently 6
 //! payload_len u64
 //! payload                 payload_len bytes
 //! checksum u64            lane-parallel multiply-xor over payload
@@ -45,10 +46,10 @@
 //! generation seed, engine-config fingerprint, run fingerprint, strategy
 //! level count, scheduler config without the timing model, tick, crawled
 //! count) followed by the
-//! run state and the sharded-frontier state, encoded canonically —
-//! heaps as sorted lists, parked entries merged back into their rings'
-//! order, cooling hosts in host order — so re-encoding a decoded
-//! snapshot reproduces the original bytes.
+//! run state and the frontier section, encoded canonically — heaps as
+//! sorted lists, parked entries merged back into their rings' order,
+//! cooling hosts in host order — so re-encoding a decoded snapshot
+//! reproduces the original bytes.
 //!
 //! Decoding is total: truncation, corruption, and version or space
 //! mismatches surface as [`SnapshotError`] values, never panics (the
@@ -69,7 +70,7 @@ const MAGIC: [u8; 8] = *b"LCSNAPSH";
 /// Current snapshot format version, bumped with every payload layout
 /// change so frames of another layout fail as
 /// [`SnapshotError::UnsupportedVersion`] rather than as garbage.
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
 
 /// Why a snapshot could not be decoded, verified, or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -287,61 +287,68 @@ fn tick_zero_snapshot_resumes_into_the_whole_run() {
 
 /// A resumed run that captures again reproduces, as its very first
 /// emission, the exact bytes it was resumed from — the codec's
-/// round-trip fixed point, checked through the public API.
+/// round-trip fixed point, checked through the public API over both
+/// untimed frontiers: the bare queue at `K = 1` and the sharded
+/// frontier at `K = 8`.
 #[test]
 fn resumed_capture_reemits_the_input_snapshot_byte_for_byte() {
     let ws = space();
     let engine = CrawlEngine::new(&ws, engine_config(&ws, 0.2));
-    let sched = SchedConfig {
-        slots: 8,
-        ..SchedConfig::default()
-    };
-    let full = run_baseline(&engine, &sched, "soft");
-    let every = (full.outcome.ticks / 4).max(1);
-    let mut log = SnapshotLog::new();
-    let capturing = capturing_engine(&ws, 0.2, every);
-    run_capturing(&capturing, &sched, "soft", &mut log);
-    for (tick, bytes) in log.snapshots() {
-        let snap = CrawlSnapshot::from_bytes(bytes).expect("captured snapshot must parse");
-        let mut strategy = make_strategy("soft");
-        let classifier = make_classifier("soft", &ws);
-        let mut relog = SnapshotLog::new();
-        let mut sinks: [&mut dyn EventSink; 1] = [&mut relog];
-        capturing
-            .resume(&snap, strategy.as_mut(), classifier.as_ref(), &mut sinks)
-            .expect("capture-run snapshot must resume");
-        let (first_tick, first_bytes) = &relog.snapshots()[0];
-        assert_eq!(first_tick, tick);
-        assert_eq!(
-            first_bytes, bytes,
-            "re-capture at t{tick} is not byte-identical to the input snapshot"
-        );
+    for k in [1u32, 8] {
+        let sched = SchedConfig {
+            slots: k,
+            ..SchedConfig::default()
+        };
+        let full = run_baseline(&engine, &sched, "soft");
+        let every = (full.outcome.ticks / 4).max(1);
+        let mut log = SnapshotLog::new();
+        let capturing = capturing_engine(&ws, 0.2, every);
+        run_capturing(&capturing, &sched, "soft", &mut log);
+        for (tick, bytes) in log.snapshots() {
+            let snap = CrawlSnapshot::from_bytes(bytes).expect("captured snapshot must parse");
+            let mut strategy = make_strategy("soft");
+            let classifier = make_classifier("soft", &ws);
+            let mut relog = SnapshotLog::new();
+            let mut sinks: [&mut dyn EventSink; 1] = [&mut relog];
+            capturing
+                .resume(&snap, strategy.as_mut(), classifier.as_ref(), &mut sinks)
+                .expect("capture-run snapshot must resume");
+            let (first_tick, first_bytes) = &relog.snapshots()[0];
+            assert_eq!(first_tick, tick, "K={k}");
+            assert_eq!(
+                first_bytes, bytes,
+                "K={k}: re-capture at t{tick} is not byte-identical to the input snapshot"
+            );
+        }
     }
 }
 
 /// Politeness state (the hosts cooling at the capture tick and when
 /// each wakes) survives the round-trip: a politeness-heavy schedule
-/// resumes bit-identically too.
+/// resumes bit-identically too, at four slots and at one — the one
+/// one-slot crawl that captures over the sharded frontier.
 #[test]
 fn resume_preserves_politeness_state() {
     let ws = space();
     let engine = CrawlEngine::new(&ws, engine_config(&ws, 0.2));
-    let sched = SchedConfig {
-        slots: 4,
-        politeness_gap: 2,
-        politeness_spread: 3,
-        ..SchedConfig::default()
-    };
-    let full = run_baseline(&engine, &sched, "soft");
-    let every = (full.outcome.ticks / 5).max(1);
-    let mut log = SnapshotLog::new();
-    let cap = run_capturing(&capturing_engine(&ws, 0.2, every), &sched, "soft", &mut log);
-    assert_eq!(cap, full, "capture perturbed the polite crawl");
-    for i in pick_indices(&log, full.outcome.crawled) {
-        let (tick, bytes) = &log.snapshots()[i];
-        let snap = CrawlSnapshot::from_bytes(bytes).expect("captured snapshot must parse");
-        let resumed = run_resumed(&engine, &snap, "soft");
-        assert_continues(&format!("polite @t{tick}"), &full, &snap, &resumed);
+    for k in [4u32, 1] {
+        let sched = SchedConfig {
+            slots: k,
+            politeness_gap: 2,
+            politeness_spread: 3,
+            ..SchedConfig::default()
+        };
+        let full = run_baseline(&engine, &sched, "soft");
+        let every = (full.outcome.ticks / 5).max(1);
+        let mut log = SnapshotLog::new();
+        let cap = run_capturing(&capturing_engine(&ws, 0.2, every), &sched, "soft", &mut log);
+        assert_eq!(cap, full, "K={k}: capture perturbed the polite crawl");
+        for i in pick_indices(&log, full.outcome.crawled) {
+            let (tick, bytes) = &log.snapshots()[i];
+            let snap = CrawlSnapshot::from_bytes(bytes).expect("captured snapshot must parse");
+            let resumed = run_resumed(&engine, &snap, "soft");
+            assert_continues(&format!("polite K={k} @t{tick}"), &full, &snap, &resumed);
+        }
     }
 }
 

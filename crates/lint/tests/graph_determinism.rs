@@ -53,6 +53,7 @@ fn graph_output_is_byte_identical_across_runs_and_thread_counts() {
         "ShardedFrontier::pop_ready",
         "ShardedFrontier::push_all",
         "ShardedFrontier::encode_state",
+        "UrlQueue::encode_state",
         "encode_snapshot_into",
         "LinkGraph::record_page",
         "RankState::refresh",
