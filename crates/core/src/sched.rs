@@ -216,9 +216,7 @@ impl<F> SnapCtl<F> {
     }
 
     /// Capture at the clock into the reused buffer, hand the frame to
-    /// `sinks` and set the next capture; out of line, off the loop.
-    #[cold]
-    #[inline(never)]
+    /// `sinks` and set the next capture.
     fn capture(
         &mut self,
         pg: &Progress,
@@ -244,10 +242,14 @@ impl<F> SnapCtl<F> {
 }
 
 /// Everything [`CrawlEngine::sched_loop`] needs beyond the run
-/// arguments, in order: the frontier to drain (seeded for a fresh run),
-/// the progress to resume from (`None` = fresh run), and the capture
-/// state (`None` = no capture).
-struct LoopCtl<F>(F, Option<Progress>, Option<SnapCtl<F>>);
+/// arguments: the frontier to drain (seeded for a fresh run), the
+/// progress to resume from (`None` = fresh run), and the capture state
+/// (`None` = no capture).
+struct LoopCtl<F> {
+    frontier: F,
+    resumed: Option<Progress>,
+    snap: Option<SnapCtl<F>>,
+}
 
 /// Encode one snapshot payload into `c.buf`: header, progress, attempt
 /// table, frontier state. Slot occupancy is not part of it: the loop
@@ -481,7 +483,11 @@ impl CrawlEngine<'_> {
     /// priority 0, nothing to resume, captured by `snap`.
     fn fresh<F: Frontier>(&self, mut frontier: F, snap: Option<SnapCtl<F>>) -> LoopCtl<F> {
         self.seed(&mut frontier);
-        LoopCtl(frontier, None, snap)
+        LoopCtl {
+            frontier,
+            resumed: None,
+            snap,
+        }
     }
 
     /// The identity header for snapshots of this engine's runs.
@@ -597,11 +603,19 @@ impl CrawlEngine<'_> {
         let every = self.capture_every(wants(sinks));
         if sched.drains_a_queue() {
             let snap = every.map(|t| SnapCtl::new(head, t, head.tick, UrlQueue::encode_state));
-            let ctl = LoopCtl(frontier.into_queue()?, resumed, snap);
+            let ctl = LoopCtl {
+                frontier: frontier.into_queue()?,
+                resumed,
+                snap,
+            };
             return Ok(self.sched_loop(&sched, strategy, classifier, sinks, &mut scratch, ctl));
         }
         let snap = every.map(|t| SnapCtl::new(head, t, head.tick, ShardedFrontier::encode_state));
-        let ctl = LoopCtl(frontier, resumed, snap);
+        let ctl = LoopCtl {
+            frontier,
+            resumed,
+            snap,
+        };
         Ok(self.sched_loop(&sched, strategy, classifier, sinks, &mut scratch, ctl))
     }
 
@@ -625,7 +639,11 @@ impl CrawlEngine<'_> {
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
-        let LoopCtl(mut frontier, resumed, mut snap) = ctl;
+        let LoopCtl {
+            mut frontier,
+            resumed,
+            mut snap,
+        } = ctl;
         let ws = self.web_space();
         let gaps = self.politeness_gaps(sched);
         let slots = sched.effective_slots() as usize;

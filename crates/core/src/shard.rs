@@ -146,12 +146,6 @@ pub struct ShardedFrontier {
     /// Accepted pushes that crossed shards since the frontier was built
     /// or restored.
     handoffs: u64,
-    /// The latest free time of any start: no host cools from then on,
-    /// so a ring head is served without a look at its host. Without
-    /// politeness every start of a tick frees its host by the next, so
-    /// at `K > 1` this spares the host lookup on the first pop of each
-    /// tick.
-    cooling_until: u64,
     /// The buffer a capture sorts the parked entries in, reused.
     capture: Vec<ParkedAt>,
 }
@@ -182,7 +176,6 @@ impl ShardedFrontier {
             stats: vec![ShardStats::default(); shards],
             origin: None,
             handoffs: 0,
-            cooling_until: 0,
             capture: Vec::new(),
         }
     }
@@ -345,7 +338,6 @@ impl ShardedFrontier {
                 return Err(SnapshotError::Malformed("cooling host already free"));
             }
             h.free_at = free_at;
-            self.cooling_until = self.cooling_until.max(free_at);
             if h.pending > 0 {
                 h.waking = true;
                 self.wake.push(Reverse((free_at, host)));
@@ -361,7 +353,7 @@ impl ShardedFrontier {
     /// politeness drains: a cooling host, or a shard push count other
     /// than the queue's, is [`SnapshotError::Malformed`].
     pub(crate) fn into_queue(self) -> Result<UrlQueue, SnapshotError> {
-        if self.cooling_until > self.now {
+        if self.hosts.iter().any(|h| h.free_at > self.now) {
             return Err(SnapshotError::Malformed("cooling host at one slot"));
         }
         if self.stats.iter().map(|s| s.pushes).ne([self.queue.pushes]) {
@@ -549,14 +541,11 @@ impl Frontier for ShardedFrontier {
             if !self.queue.is_live(&e) {
                 continue;
             }
-            // With no host cooling, the ring head is served unlooked-at.
-            if self.cooling_until > self.now {
-                // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
-                let host = self.host_of_page[e.page as usize];
-                if self.hosts[host as usize].free_at > self.now {
-                    self.park(host, e);
-                    continue;
-                }
+            // lint:allow(no-panic-transitive): pages index the page table and hosts the host table, both sized by the space
+            let host = self.host_of_page[e.page as usize];
+            if self.hosts[host as usize].free_at > self.now {
+                self.park(host, e);
+                continue;
             }
             self.queue.take(&e);
             return Some(e);
@@ -575,7 +564,6 @@ impl Frontier for ShardedFrontier {
             self.expose(host);
             return;
         }
-        self.cooling_until = self.cooling_until.max(free_at);
         if h.pending > 0 && !self.parked[host as usize].is_empty() {
             h.waking = true;
             self.wake.push(Reverse((free_at, host)));
