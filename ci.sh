@@ -125,6 +125,11 @@ cargo fmt --all --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc with warnings denied: a broken intra-doc link, or a public doc
+# linking a private item, fails here rather than in a published doc.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Benchmark smoke: perfbench builds against the library's crawl surface
 # (Classifier, Frontier, CrawlEngine::run, Simulator::run) from outside
 # the workspace, so a change that breaks it must fail here rather than

@@ -82,14 +82,6 @@ impl Experiment {
         self
     }
 
-    /// Layer a fault model over every strategy run (see
-    /// [`SimConfig::fault_override`]) — for sensitivity sweeps reusing
-    /// one generated space across fault rates.
-    pub fn faults(mut self, fault: langcrawl_webgraph::FaultConfig) -> Self {
-        self.config.fault_override = Some(fault);
-        self
-    }
-
     /// Replace the classifier (default: META charset label).
     pub fn classifier_with(
         mut self,
@@ -111,15 +103,6 @@ impl Experiment {
         f: impl Fn(&WebSpace) -> Box<dyn langcrawl_core::strategy::Strategy> + Sync + 'static,
     ) -> Self {
         self.strategies.push((name, Box::new(f)));
-        self
-    }
-
-    /// Capture a crash-safe crawl snapshot every `every` ticks on each
-    /// strategy run (see [`SimConfig::snapshot_every`]). Files land in
-    /// `LANGCRAWL_SNAPSHOT_DIR` when that variable is set; capture never
-    /// alters the crawl.
-    pub fn snapshot_every(mut self, every: u64) -> Self {
-        self.config = self.config.clone().with_snapshot_every(every);
         self
     }
 

@@ -28,6 +28,5 @@ pub mod runner;
 pub use chart::AsciiChart;
 pub use experiment::{Experiment, ExperimentRun};
 pub use runner::{
-    default_scale, env_scale, env_seed, run_parallel, write_csv, write_csv_reporting,
-    StrategyFactory,
+    env_scale, env_seed, run_parallel, write_csv, write_csv_reporting, StrategyFactory,
 };

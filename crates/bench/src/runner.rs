@@ -30,11 +30,6 @@ pub fn env_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// The default figure-run scale (URLs) when the preset doesn't override.
-pub fn default_scale() -> u32 {
-    env_scale(200_000)
-}
-
 /// Run several strategies over one web space concurrently (scoped
 /// threads; the space is shared immutably) and return the reports in
 /// input order.

@@ -56,12 +56,6 @@ pub fn to_euc(k: Kuten) -> [u8; 2] {
     k.to_eucjp()
 }
 
-/// Decode an EUC byte pair back to a grid cell.
-#[inline]
-pub fn from_euc(lead: u8, trail: u8) -> Option<Kuten> {
-    Kuten::from_eucjp(lead, trail)
-}
-
 /// Model Unicode mapping for a KS X 1001 cell.
 pub fn korean_to_unicode(k: Kuten) -> char {
     let cp: u32 = match k.ku {
@@ -77,6 +71,7 @@ pub fn korean_to_unicode(k: Kuten) -> char {
 }
 
 /// Inverse of [`korean_to_unicode`] on the hangul block.
+// lint:allow(test-only-pub): crates/charset/tests/proptests.rs round-trips the model mapping
 pub fn korean_from_unicode(c: char) -> Option<Kuten> {
     let cp = c as u32;
     if (0xAC00..0xAC00 + 25 * 94).contains(&cp) {
@@ -100,6 +95,7 @@ pub fn chinese_to_unicode(k: Kuten) -> char {
 }
 
 /// Inverse of [`chinese_to_unicode`] on the hanzi block.
+// lint:allow(test-only-pub): crates/charset/tests/proptests.rs round-trips the model mapping
 pub fn chinese_from_unicode(c: char) -> Option<Kuten> {
     let cp = c as u32;
     if (0x7000..0x7000 + 72 * 94).contains(&cp) {
@@ -117,6 +113,7 @@ pub fn chinese_from_unicode(c: char) -> Option<Kuten> {
 ///
 /// # Panics
 /// Panics on a charset that cannot carry Korean text.
+// lint:allow(test-only-pub): crates/charset/tests/proptests.rs encodes and detects with it
 pub fn encode_korean(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
     let mut out = Vec::with_capacity(tokens.len() * 2);
     encode_korean_into(tokens, charset, &mut out);
@@ -135,6 +132,7 @@ pub fn encode_korean_into(tokens: &[DbToken], charset: Charset, out: &mut Vec<u8
 ///
 /// # Panics
 /// Panics on a charset that cannot carry Chinese text.
+// lint:allow(test-only-pub): crates/charset/tests/proptests.rs encodes and detects with it
 pub fn encode_chinese(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
     let mut out = Vec::with_capacity(tokens.len() * 2);
     encode_chinese_into(tokens, charset, &mut out);
@@ -175,45 +173,10 @@ fn encode_dbcs_into(
     }
 }
 
-/// Fixed Korean demo phrase tokens (hangul rows, a few ASCII).
-pub fn korean_demo_tokens() -> Vec<DbToken> {
-    let c = |ku, ten| DbToken::Cell(Kuten::new(ku, ten).unwrap());
-    vec![
-        c(16, 1),
-        c(22, 47),
-        c(30, 12),
-        c(18, 80),
-        DbToken::Ascii(b' '),
-        c(35, 5),
-        c(40, 94),
-        c(17, 33),
-        DbToken::Ascii(b' '),
-        c(25, 60),
-        c(28, 9),
-    ]
-}
-
-/// Fixed Chinese demo phrase tokens (level-1 and level-2 hanzi rows).
-pub fn chinese_demo_tokens() -> Vec<DbToken> {
-    let c = |ku, ten| DbToken::Cell(Kuten::new(ku, ten).unwrap());
-    vec![
-        c(16, 1),
-        c(45, 30),
-        c(53, 88),
-        c(20, 15),
-        c(60, 4), // level-2 tail — the Chinese signature
-        c(33, 71),
-        DbToken::Ascii(b' '),
-        c(70, 22),
-        c(48, 48),
-        c(19, 3),
-        c(81, 90),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{chinese_demo_tokens, korean_demo_tokens};
 
     #[test]
     fn euc_round_trip_is_kuten_round_trip() {
@@ -221,7 +184,7 @@ mod tests {
             for ten in [1u8, 47, 94] {
                 let k = Kuten::new(ku, ten).unwrap();
                 let [l, t] = to_euc(k);
-                assert_eq!(from_euc(l, t), Some(k));
+                assert_eq!(Kuten::from_eucjp(l, t), Some(k));
             }
         }
     }

@@ -352,7 +352,8 @@ mod tests {
 
     #[test]
     fn euc_kr_page_cut_by_the_cap_keeps_its_verdict() {
-        use crate::dbcs::{encode_korean, korean_demo_tokens};
+        use crate::dbcs::encode_korean;
+        use crate::tests::korean_demo_tokens;
         let body = encode_korean(&korean_demo_tokens(), Charset::EucKr);
         let page = cut_by_the_cap(&body, || Box::new(EucKrProber::new()));
         assert_the_cap_keeps_the_verdict(&page, Charset::EucKr);
@@ -360,7 +361,8 @@ mod tests {
 
     #[test]
     fn gb2312_page_cut_by_the_cap_keeps_its_verdict() {
-        use crate::dbcs::{chinese_demo_tokens, encode_chinese};
+        use crate::dbcs::encode_chinese;
+        use crate::tests::chinese_demo_tokens;
         let body = encode_chinese(&chinese_demo_tokens(), Charset::Gb2312);
         let page = cut_by_the_cap(&body, || Box::new(Gb2312Prober::new()));
         assert_the_cap_keeps_the_verdict(&page, Charset::Gb2312);
@@ -378,7 +380,8 @@ mod tests {
 
     #[test]
     fn korean_and_chinese_detected() {
-        use crate::dbcs::{chinese_demo_tokens, encode_chinese, encode_korean, korean_demo_tokens};
+        use crate::dbcs::{encode_chinese, encode_korean};
+        use crate::tests::{chinese_demo_tokens, korean_demo_tokens};
         let kr = korean_demo_tokens();
         let kr: Vec<_> = kr.iter().cycle().take(kr.len() * 8).copied().collect();
         let d = detect(&encode_korean(&kr, Charset::EucKr));
@@ -403,7 +406,8 @@ mod tests {
     /// its own prober.
     #[test]
     fn euc_family_cross_discrimination() {
-        use crate::dbcs::{chinese_demo_tokens, encode_chinese, encode_korean, korean_demo_tokens};
+        use crate::dbcs::{encode_chinese, encode_korean};
+        use crate::tests::{chinese_demo_tokens, korean_demo_tokens};
         let ja = japanese_demo_tokens();
         let ja: Vec<_> = ja.iter().cycle().take(ja.len() * 8).copied().collect();
         let d = detect(&encode_japanese(&ja, Charset::EucJp));

@@ -61,11 +61,6 @@ pub struct JapaneseDistribution {
 }
 
 impl JapaneseDistribution {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one decoded JIS X 0208 character.
     #[inline]
     pub fn add_kuten(&mut self, k: Kuten) {
@@ -85,8 +80,8 @@ impl JapaneseDistribution {
     }
 
     /// Typicality of one JIS X 0208 cell in running Japanese text, in
-    /// [0, 1]. The shape mirrors [`crate::kuten::row_weight`] but is
-    /// normalised per character instead of per row. Two table loads: the
+    /// [0, 1], normalised per character instead of per row. Two table
+    /// loads: the
     /// row's weight, and its last assigned cell, past which (the
     /// unassigned tails of the kana rows) a cell weighs 0.05. Running
     /// text never reaches those tails, so the one branch predicts well
@@ -163,11 +158,6 @@ pub struct KoreanDistribution {
 }
 
 impl KoreanDistribution {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one decoded cell.
     #[inline]
     pub fn add_cell(&mut self, k: Kuten) {
@@ -217,11 +207,6 @@ pub struct ChineseDistribution {
 }
 
 impl ChineseDistribution {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one decoded cell.
     #[inline]
     pub fn add_cell(&mut self, k: Kuten) {
@@ -264,11 +249,6 @@ pub struct UnicodeBlocks {
 }
 
 impl UnicodeBlocks {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one decoded scalar value.
     #[inline]
     pub fn add(&mut self, cp: u32) {
@@ -324,7 +304,7 @@ mod tests {
 
     #[test]
     fn hiragana_scores_high() {
-        let mut d = JapaneseDistribution::new();
+        let mut d = JapaneseDistribution::default();
         for ten in 1..=40 {
             d.add_kuten(Kuten::new(rows::HIRAGANA, ten).unwrap());
         }
@@ -334,7 +314,7 @@ mod tests {
 
     #[test]
     fn rare_rows_score_low() {
-        let mut d = JapaneseDistribution::new();
+        let mut d = JapaneseDistribution::default();
         for ten in 1..=40 {
             d.add_kuten(Kuten::new(7, ten).unwrap()); // Cyrillic row
         }
@@ -343,7 +323,7 @@ mod tests {
 
     #[test]
     fn mixed_realistic_text_scores_high() {
-        let mut d = JapaneseDistribution::new();
+        let mut d = JapaneseDistribution::default();
         // ~50% hiragana, 30% level-1 kanji, 10% katakana, 10% punct.
         for i in 0..50u8 {
             d.add_kuten(Kuten::new(rows::HIRAGANA, i % 80 + 1).unwrap());
@@ -362,13 +342,13 @@ mod tests {
 
     #[test]
     fn all_halfwidth_is_penalized() {
-        let mut d = JapaneseDistribution::new();
+        let mut d = JapaneseDistribution::default();
         for _ in 0..30 {
             d.add_halfwidth_kana();
         }
         assert!(d.score() < 0.3);
         // But a minority of half-width among real text is fine.
-        let mut d2 = JapaneseDistribution::new();
+        let mut d2 = JapaneseDistribution::default();
         for ten in 1..=30 {
             d2.add_kuten(Kuten::new(rows::HIRAGANA, ten).unwrap());
         }
@@ -380,30 +360,30 @@ mod tests {
 
     #[test]
     fn empty_scores_zero() {
-        assert_eq!(JapaneseDistribution::new().score(), 0.0);
+        assert_eq!(JapaneseDistribution::default().score(), 0.0);
     }
 
     #[test]
     fn unicode_block_classification() {
-        let mut u = UnicodeBlocks::new();
+        let mut u = UnicodeBlocks::default();
         for c in "こんにちは世界".chars() {
             u.add(c as u32);
         }
         assert_eq!(u.dominant(), Some(crate::Language::Japanese));
 
-        let mut t = UnicodeBlocks::new();
+        let mut t = UnicodeBlocks::default();
         for c in "สวัสดีครับ".chars() {
             t.add(c as u32);
         }
         assert_eq!(t.dominant(), Some(crate::Language::Thai));
 
-        let mut a = UnicodeBlocks::new();
+        let mut a = UnicodeBlocks::default();
         for c in "hello".chars() {
             a.add(c as u32);
         }
         assert_eq!(a.dominant(), None);
 
-        let mut o = UnicodeBlocks::new();
+        let mut o = UnicodeBlocks::default();
         for c in "привет мир".chars() {
             o.add(c as u32);
         }

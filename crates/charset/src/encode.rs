@@ -215,15 +215,10 @@ pub fn thai_demo_tokens() -> Vec<ThToken> {
     ]
 }
 
-/// The Thai demo phrase encoded as TIS-620 bytes (test helper).
-pub fn encode_thai_demo() -> Vec<u8> {
-    encode_thai(&thai_demo_tokens(), Charset::Tis620)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sm::{
+    use crate::tests::sm::{
         EucJpVerifier, Iso2022JpVerifier, ShiftJisVerifier, SmState, Utf8Verifier, Verifier,
     };
 

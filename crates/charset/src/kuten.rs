@@ -164,6 +164,7 @@ impl Kuten {
     /// Inverse of [`Kuten::to_unicode`] for the exactly-mapped rows
     /// (punctuation, full-width Latin, kana, kanji model block). Returns
     /// `None` for code points outside the model image.
+    // lint:allow(test-only-pub): crates/charset/tests/proptests.rs checks the kuten bijection with it
     pub fn from_unicode(c: char) -> Option<Kuten> {
         let cp = c as u32;
         match cp {
@@ -185,39 +186,23 @@ impl Kuten {
     pub fn is_hiragana(self) -> bool {
         self.ku == rows::HIRAGANA && self.ten <= 83
     }
-
-    /// Is this a katakana cell?
-    pub fn is_katakana(self) -> bool {
-        self.ku == rows::KATAKANA && self.ten <= 86
-    }
-
-    /// Is this a kanji cell (level 1 or 2)?
-    pub fn is_kanji(self) -> bool {
-        (rows::KANJI_FIRST..=rows::KANJI_LAST).contains(&self.ku)
-    }
-}
-
-/// Relative frequency weight of each JIS row in running Japanese text.
-///
-/// The shape follows published corpus statistics (hiragana dominates
-/// running text at roughly half of all characters; the most common kanji
-/// concentrate in the level-1 rows; katakana and punctuation trail).
-/// The distribution prober scores candidate decodings against this.
-pub fn row_weight(ku: u8) -> f64 {
-    match ku {
-        rows::HIRAGANA => 0.46,
-        rows::KATAKANA => 0.10,
-        rows::PUNCT => 0.09,
-        rows::FULLWIDTH_LATIN => 0.03,
-        k if (rows::KANJI_FIRST..=rows::KANJI_LEVEL1_LAST).contains(&k) => 0.30 / 32.0,
-        k if (48..=rows::KANJI_LAST).contains(&k) => 0.01 / 37.0,
-        _ => 0.01 / 9.0,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Kuten {
+        /// Is this a katakana cell?
+        fn is_katakana(self) -> bool {
+            self.ku == rows::KATAKANA && self.ten <= 86
+        }
+
+        /// Is this a kanji cell (level 1 or 2)?
+        fn is_kanji(self) -> bool {
+            (rows::KANJI_FIRST..=rows::KANJI_LAST).contains(&self.ku)
+        }
+    }
 
     fn all_kuten() -> impl Iterator<Item = Kuten> {
         (1..=94u8).flat_map(|ku| (1..=94u8).map(move |ten| Kuten { ku, ten }))
@@ -340,14 +325,5 @@ mod tests {
         assert!(Kuten::new(5, 10).unwrap().is_katakana());
         assert!(Kuten::new(20, 50).unwrap().is_kanji());
         assert!(!Kuten::new(4, 10).unwrap().is_kanji());
-    }
-
-    #[test]
-    fn row_weights_form_rough_distribution() {
-        let total: f64 = (1..=94u8).map(row_weight).sum();
-        assert!((0.9..=1.1).contains(&total), "total weight {total}");
-        // Hiragana must dominate.
-        assert!(row_weight(4) > row_weight(5));
-        assert!(row_weight(4) > row_weight(20) * 10.0);
     }
 }

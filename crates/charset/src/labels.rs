@@ -24,18 +24,20 @@ use crate::types::Charset;
 /// assert_eq!(charset_from_label("\"TIS-620\""), Charset::Tis620);
 /// assert_eq!(charset_from_label("klingon-8"), Charset::Unknown);
 /// ```
+// lint:root(panic-free) — content mode parses the META label of every
+// page it fetches, and a crawl log one per logged page, whatever they hold
 pub fn charset_from_label(label: &str) -> Charset {
     let trimmed = label.trim_matches(|c: char| c.is_ascii_whitespace() || c == '"' || c == '\'');
     // Labels are short; a stack buffer lowercase avoids allocation on the
     // hot path (every crawled page consults this).
     let mut buf = [0u8; 32];
-    if trimmed.len() > buf.len() {
+    for (slot, b) in buf.iter_mut().zip(trimmed.bytes()) {
+        *slot = b.to_ascii_lowercase();
+    }
+    // A label longer than the buffer names no charset.
+    let Some(lower) = buf.get(..trimmed.len()) else {
         return Charset::Unknown;
-    }
-    for (i, b) in trimmed.bytes().enumerate() {
-        buf[i] = b.to_ascii_lowercase();
-    }
-    let lower = &buf[..trimmed.len()];
+    };
     match lower {
         b"us-ascii" | b"ascii" | b"ansi_x3.4-1968" | b"iso-ir-6" | b"csascii" => Charset::Ascii,
         b"utf-8" | b"utf8" | b"unicode-1-1-utf-8" => Charset::Utf8,
@@ -75,15 +77,17 @@ pub fn charset_from_label(label: &str) -> Charset {
 /// );
 /// assert_eq!(charset_from_content_type("text/html"), None);
 /// ```
+// lint:root(panic-free) — content mode parses the `http-equiv`
+// Content-Type of every page it fetches, whatever it holds
 pub fn charset_from_content_type(value: &str) -> Option<Charset> {
     // Parameters are ';'-separated; charset may appear anywhere after the
     // media type and in any case.
     for param in value.split(';').skip(1) {
-        let param = param.trim();
-        let Some(eq) = param.find('=') else { continue };
-        let (name, val) = param.split_at(eq);
+        let Some((name, val)) = param.trim().split_once('=') else {
+            continue;
+        };
         if name.trim().eq_ignore_ascii_case("charset") {
-            return Some(charset_from_label(&val[1..]));
+            return Some(charset_from_label(val));
         }
     }
     None

@@ -17,8 +17,8 @@
 //!   and decode one whole character at a time and feed a
 //!   character-distribution analysis (UTF-8, EUC-JP, Shift_JIS, EUC-KR,
 //!   GB2312; see [`prober`]), and single-byte frequency probers (Thai
-//!   encodings, Latin-1). The validity state machines of [`sm`] are the
-//!   reference those probers are tested against.
+//!   encodings, Latin-1). The tests hold those probers to byte-at-a-time
+//!   validity state machines that live in the crate's test code.
 //! * [`encode`] / [`decode`] — algorithmic encoders/decoders used by the
 //!   web-space generator to synthesize page bytes with a known ground-truth
 //!   encoding, so the detector can be validated end-to-end. Japanese text
@@ -48,7 +48,6 @@ pub mod encode;
 pub mod kuten;
 pub mod labels;
 pub mod prober;
-pub mod sm;
 pub mod thai;
 
 mod types;
@@ -56,3 +55,6 @@ mod types;
 pub use detector::{detect, detect_with, Detection, DetectorConfig};
 pub use labels::charset_from_label;
 pub use types::{Charset, Language};
+
+#[cfg(test)]
+mod tests;

@@ -12,20 +12,21 @@
 //! matches the lead byte and its trail bytes against the encoding's
 //! ranges, decodes the cell straight from those bytes and adds it to the
 //! distribution ([`crate::dist`]), in document order. The loops accept
-//! exactly the byte language of the matching verifier in [`crate::sm`],
-//! which stays the reference the tests hold them to: a prober dies at the
-//! first character holding a byte its verifier rejects, and it sits at a
+//! exactly the byte language of the matching coding-scheme verifier, a
+//! byte-at-a-time state machine that lives in the crate's test code as
+//! the reference the tests hold them to: a prober dies at the first
+//! character holding a byte its verifier rejects, and it sits at a
 //! character boundary exactly where the verifier does.
 //!
 //! A character cut by the end of a `feed` piece is carried (at most three
 //! bytes) and completed from the head of the next piece through the same
-//! loop ([`Walk::feed`]), so feeding a document whole or in pieces gives
-//! the same verdict. A document that ends inside a character scores 0.
+//! loop, so feeding a document whole or in pieces gives the same verdict.
+//! A document that ends inside a character scores 0.
 //!
 //! Real pages are mostly ASCII markup around the encoded text, which makes
 //! 7-bit runs the dominant byte class even on non-English documents; a
-//! run carries no distribution signal, so [`skip_ascii`] passes it eight
-//! bytes at a time.
+//! run carries no distribution signal, so the probers pass it eight bytes
+//! at a time.
 
 use crate::dist::{ChineseDistribution, JapaneseDistribution, KoreanDistribution, UnicodeBlocks};
 use crate::kuten::Kuten;
@@ -300,6 +301,7 @@ pub struct EucJpProber {
 
 impl EucJpProber {
     /// Fresh prober.
+    // lint:allow(test-only-pub): tests/detector_parity.rs runs every prober alone
     pub fn new() -> Self {
         Self::default()
     }
@@ -332,6 +334,7 @@ pub struct EucKrProber {
 
 impl EucKrProber {
     /// Fresh prober.
+    // lint:allow(test-only-pub): tests/detector_parity.rs runs every prober alone
     pub fn new() -> Self {
         Self::default()
     }
@@ -367,6 +370,7 @@ pub struct Gb2312Prober {
 
 impl Gb2312Prober {
     /// Fresh prober.
+    // lint:allow(test-only-pub): tests/detector_parity.rs runs every prober alone
     pub fn new() -> Self {
         Self::default()
     }
@@ -880,10 +884,11 @@ impl Prober for Latin1Prober {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sm::{
+    use crate::tests::sm::{
         Euc94Verifier, EucJpVerifier, Iso2022JpVerifier, ShiftJisVerifier, SmState, Utf8Verifier,
         Verifier,
     };
+    use crate::tests::{chinese_demo_tokens, encode_thai_demo, korean_demo_tokens};
     use crate::{dbcs, encode};
 
     fn probe<P: Prober>(mut p: P, bytes: &[u8]) -> f64 {
@@ -996,7 +1001,7 @@ mod tests {
             }
             page
         };
-        let mut windows_874 = encode::encode_thai_demo();
+        let mut windows_874 = encode_thai_demo();
         windows_874.push(0x91);
         let utf8 = |text: &str, lang| (text.as_bytes().to_vec(), Some(lang));
         let with = |mut text: Vec<u8>, extra: &[u8]| {
@@ -1051,10 +1056,7 @@ mod tests {
             (
                 || Box::new(EucKrProber::new()),
                 vec![(
-                    in_markup(dbcs::encode_korean(
-                        &dbcs::korean_demo_tokens(),
-                        Charset::EucKr,
-                    )),
+                    in_markup(dbcs::encode_korean(&korean_demo_tokens(), Charset::EucKr)),
                     Some(Language::Korean),
                 )],
             ),
@@ -1062,7 +1064,7 @@ mod tests {
                 || Box::new(Gb2312Prober::new()),
                 vec![(
                     in_markup(dbcs::encode_chinese(
-                        &dbcs::chinese_demo_tokens(),
+                        &chinese_demo_tokens(),
                         Charset::Gb2312,
                     )),
                     Some(Language::Chinese),
@@ -1274,7 +1276,7 @@ mod tests {
     #[test]
     fn thai_prober_on_thai_text() {
         // สวัสดี in TIS-620: consonant/vowel/tone patterns.
-        let text = encode::encode_thai_demo();
+        let text = encode_thai_demo();
         let mut p = ThaiProber::new();
         p.feed(&text);
         assert!(p.confidence() > 0.5, "confidence {}", p.confidence());
@@ -1283,13 +1285,13 @@ mod tests {
 
     #[test]
     fn thai_prober_family_discrimination() {
-        let mut text = encode::encode_thai_demo();
+        let mut text = encode_thai_demo();
         text.push(0x91); // smart quote → Windows-874 marker
         let mut p = ThaiProber::new();
         p.feed(&text);
         assert_eq!(p.charset(), Charset::Windows874);
 
-        let mut text2 = encode::encode_thai_demo();
+        let mut text2 = encode_thai_demo();
         text2.push(0xA0); // NBSP → ISO-8859-11 marker
         let mut p2 = ThaiProber::new();
         p2.feed(&text2);

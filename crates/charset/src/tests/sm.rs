@@ -6,13 +6,14 @@
 //! transition. Each verifier here is a table-driven DFA exposing the same
 //! tiny interface ([`Verifier`]), fed byte-at-a-time.
 //!
-//! These automata are the crate's validity reference. The probers
-//! ([`crate::prober`]) do not step them: each walks its document one whole
-//! character at a time, validating and decoding together. The prober tests
-//! hold every prober to its verifier here (dead exactly when the verifier
-//! has rejected a byte, at a character boundary exactly when the verifier
-//! is) over documents cut and corrupted at every position, fed in pieces
-//! of many sizes; the encoder tests check their output against them.
+//! These automata are test code, the crate's validity reference. The
+//! probers ([`crate::prober`]) do not step them: each walks its document
+//! one whole character at a time, validating and decoding together. The
+//! prober tests hold every prober to its verifier here (dead exactly when
+//! the verifier has rejected a byte, at a character boundary exactly when
+//! the verifier is) over documents cut and corrupted at every position,
+//! fed in pieces of many sizes; the encoder tests check their output
+//! against them.
 //!
 //! ## Fused transition tables
 //!
@@ -25,7 +26,7 @@
 
 /// Outcome of feeding one byte into a verifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmState {
+pub(crate) enum SmState {
     /// Prefix is valid so far; mid-character.
     Continue,
     /// Prefix is valid and a character boundary was just completed.
@@ -35,7 +36,7 @@ pub enum SmState {
 }
 
 /// A resettable byte-sequence validity automaton for one encoding.
-pub trait Verifier {
+pub(crate) trait Verifier {
     /// Feed the next byte; returns the resulting state. After an `Error`
     /// the verifier stays in error until [`Verifier::reset`].
     fn feed(&mut self, b: u8) -> SmState;
@@ -59,7 +60,6 @@ fn step(table: &[u8], state: &mut u8, dead: &mut bool, b: u8) -> SmState {
     if *dead {
         return SmState::Error;
     }
-    // lint:allow(no-panic-transitive): `state` starts at 0 and only ever takes next-state bits read from `table`'s own cells, all of which name one of its states, so the index stays below the table's length
     let cell = table[(*state as usize) * 256 + b as usize];
     match cell >> OUT_SHIFT {
         0 => {
@@ -133,7 +133,7 @@ static UTF8_DFA: [u8; 8 * 256] = utf8_table();
 
 /// UTF-8 validity DFA (RFC 3629, rejecting overlongs and surrogates).
 #[derive(Debug, Clone)]
-pub struct Utf8Verifier {
+pub(crate) struct Utf8Verifier {
     state: u8,
     dead: bool,
 }
@@ -146,7 +146,7 @@ impl Default for Utf8Verifier {
 
 impl Utf8Verifier {
     /// New verifier in the initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: UTF8_ACCEPT,
             dead: false,
@@ -202,14 +202,14 @@ static EUCJP_DFA: [u8; 5 * 256] = eucjp_table();
 /// (0xA1..=0xFE twice), half-width kana via SS2 (0x8E + 0xA1..=0xDF), and
 /// JIS X 0212 via SS3 (0x8F + two 0xA1..=0xFE bytes).
 #[derive(Debug, Default, Clone)]
-pub struct EucJpVerifier {
+pub(crate) struct EucJpVerifier {
     state: u8,
     dead: bool,
 }
 
 impl EucJpVerifier {
     /// New verifier in the initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -254,14 +254,14 @@ static EUC94_DFA: [u8; 2 * 256] = euc94_table();
 /// 0xA1..=0xFE. (EUC-JP differs only by its SS2/SS3 planes, which these
 /// encodings do not have.)
 #[derive(Debug, Default, Clone)]
-pub struct Euc94Verifier {
+pub(crate) struct Euc94Verifier {
     state: u8,
     dead: bool,
 }
 
 impl Euc94Verifier {
     /// New verifier in the initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -306,14 +306,14 @@ static SJIS_DFA: [u8; 2 * 256] = sjis_table();
 /// (0xA1..=0xDF single bytes), and double-byte characters with lead
 /// 0x81..=0x9F / 0xE0..=0xEF and trail 0x40..=0x7E / 0x80..=0xFC.
 #[derive(Debug, Default, Clone)]
-pub struct ShiftJisVerifier {
+pub(crate) struct ShiftJisVerifier {
     state: u8,
     dead: bool,
 }
 
 impl ShiftJisVerifier {
     /// New verifier in the initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -383,7 +383,7 @@ static ISO2022_DFA: [u8; 6 * 256] = iso2022_table();
 /// Any 8-bit byte is an immediate error — the encoding is 7-bit by
 /// construction, which is what makes it detectable by escape scan alone.
 #[derive(Debug, Default, Clone)]
-pub struct Iso2022JpVerifier {
+pub(crate) struct Iso2022JpVerifier {
     state: u8,
     /// Number of complete, recognised escape sequences seen.
     escapes_seen: u32,
@@ -392,13 +392,13 @@ pub struct Iso2022JpVerifier {
 
 impl Iso2022JpVerifier {
     /// New verifier in the initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// How many complete designation escape sequences have been accepted.
     /// Detection requires at least one: plain ASCII never switches sets.
-    pub fn escapes_seen(&self) -> u32 {
+    pub(crate) fn escapes_seen(&self) -> u32 {
         self.escapes_seen
     }
 }

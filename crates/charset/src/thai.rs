@@ -64,15 +64,6 @@ pub fn is_thai_byte(b: u8) -> bool {
     !matches!(classify(b), ThaiClass::NotThai) && !matches!(b, 0xDB..=0xDE)
 }
 
-/// Is this byte a *combining* mark (must follow a consonant)?
-#[inline]
-pub fn is_combining(b: u8) -> bool {
-    matches!(
-        classify(b),
-        ThaiClass::AboveBelowVowel | ThaiClass::ToneMark
-    )
-}
-
 /// TIS-620 byte → Unicode scalar (identity layout with the Thai block).
 /// Returns `None` for bytes outside the assigned Thai range.
 ///
@@ -89,6 +80,7 @@ pub fn to_unicode(b: u8) -> Option<char> {
 }
 
 /// Unicode scalar → TIS-620 byte, for Thai-block characters.
+// lint:allow(test-only-pub): crates/charset/tests/proptests.rs round-trips the Thai block with it
 pub fn from_unicode(c: char) -> Option<u8> {
     let cp = c as u32;
     if (0x0E01..=0x0E5B).contains(&cp) {
@@ -202,14 +194,6 @@ mod tests {
         assert!(valid_in_family(b'a', Charset::Tis620));
         // Unassigned hole is invalid everywhere.
         assert!(!valid_in_family(0xDB, Charset::Windows874));
-    }
-
-    #[test]
-    fn combining_detection() {
-        assert!(is_combining(0xD4)); // sara i (above)
-        assert!(is_combining(0xE8)); // mai ek (tone)
-        assert!(!is_combining(0xA1)); // ko kai consonant
-        assert!(!is_combining(0xE0)); // sara e (leading, spacing)
     }
 
     #[test]

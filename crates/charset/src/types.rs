@@ -97,6 +97,7 @@ impl Charset {
     /// Whether this is one of the single-byte Thai family members, which
     /// differ only in a handful of code points and are interchangeable for
     /// language identification.
+    // lint:allow(test-only-pub): crates/charset/tests/proptests.rs and the webgraph generator's tests
     pub fn is_thai_family(self) -> bool {
         matches!(
             self,
@@ -105,6 +106,7 @@ impl Charset {
     }
 
     /// Whether this is one of the Japanese family encodings.
+    // lint:allow(test-only-pub): the webgraph generator's tests check sampled charsets with it
     pub fn is_japanese_family(self) -> bool {
         matches!(
             self,

@@ -10,7 +10,8 @@ use langcrawl_charset::encode::{
     encode_japanese, encode_japanese_into, encode_thai, encode_thai_into, JaToken, ThToken,
 };
 use langcrawl_charset::kuten::Kuten;
-use langcrawl_charset::{detect, thai, Charset, Language};
+use langcrawl_charset::labels::charset_from_content_type;
+use langcrawl_charset::{charset_from_label, detect, thai, Charset, Language};
 use langcrawl_minicheck::{check_default, Gen};
 
 /// Random Japanese token streams with a realistic composition: mostly
@@ -157,6 +158,64 @@ fn detect_total_on_garbage() {
         assert!((0.0..=1.0).contains(&d.confidence));
         for &cs in Charset::all() {
             let _ = decode(&bytes, cs);
+        }
+    });
+}
+
+/// Label parsing returns on any string, multi-byte characters included,
+/// and is ASCII case-insensitive. Half the cases run 30 to 34 bytes long
+/// (a multi-byte character can overshoot by up to three), around the
+/// 32-byte buffer `charset_from_label` lowercases into.
+#[test]
+fn label_parsing_is_total_and_case_insensitive() {
+    const PIECES: &[&str] = &[
+        "a",
+        "Z",
+        "e",
+        "J",
+        "-",
+        "_",
+        "0",
+        "9",
+        ".",
+        " ",
+        "\"",
+        "'",
+        ";",
+        "=",
+        "euc-jp",
+        "SJIS",
+        "tis-620",
+        "charset=",
+        "é",
+        "ß",
+        "ก",
+        "日",
+        "\u{10348}",
+    ];
+    check_default(|g| {
+        let target = if g.bool(0.5) {
+            g.usize(30..35)
+        } else {
+            g.usize(0..48)
+        };
+        let mut label = String::new();
+        while label.len() < target {
+            label.push_str(g.pick::<&str>(PIECES));
+        }
+        let content_type = format!("text/html; charset={label}");
+        for text in [&label, &content_type] {
+            let upper = text.to_ascii_uppercase();
+            assert_eq!(
+                charset_from_label(text),
+                charset_from_label(&upper),
+                "{text:?}"
+            );
+            assert_eq!(
+                charset_from_content_type(text),
+                charset_from_content_type(&upper),
+                "{text:?}"
+            );
         }
     });
 }

@@ -676,7 +676,7 @@ mod tests {
             &classifier,
             &mut [&mut metrics, &mut visits],
         );
-        assert_eq!(visits.visited().len() as u64, outcome.crawled);
+        assert_eq!(visits.into_visited().len() as u64, outcome.crawled);
         let samples = metrics.into_samples();
         assert_eq!(samples.last().unwrap().crawled, outcome.crawled);
         assert_eq!(samples.last().unwrap().relevant, outcome.relevant_crawled);

@@ -282,11 +282,6 @@ impl VisitRecorder {
         VisitRecorder::default()
     }
 
-    /// The visit sequence so far.
-    pub fn visited(&self) -> &[PageId] {
-        &self.visited
-    }
-
     /// Consume the recorder, yielding the visit sequence.
     pub fn into_visited(self) -> Vec<PageId> {
         self.visited

@@ -294,14 +294,6 @@ impl HitsState {
         out_hubs.clear();
         out_hubs.extend(self.board.iter().take(top_k).map(|b| b.1));
     }
-
-    /// Hub score of `page` after the last firing's last round: the
-    /// unnormalized score, exact up to the firing's power-of-two scale
-    /// (see the module docs); 0 for pages crawled since.
-    #[inline]
-    pub fn hub_score(&self, page: PageId) -> f64 {
-        self.hub.get(page as usize).copied().unwrap_or(0.0)
-    }
 }
 
 /// Empty `v` with room for `n` items. A short buffer is replaced rather
@@ -324,6 +316,15 @@ fn by_rank(a: &(f64, PageId), b: &(f64, PageId)) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HitsState {
+        /// Hub score of `page` after the last firing's last round: the
+        /// unnormalized score, exact up to the firing's power-of-two scale
+        /// (see the module docs); 0 for pages crawled since.
+        fn hub_score(&self, page: PageId) -> f64 {
+            self.hub.get(page as usize).copied().unwrap_or(0.0)
+        }
+    }
 
     /// Drive the fast path and the textbook reference over the same
     /// crawl sequence, firing at the same points, and demand

@@ -194,13 +194,6 @@ impl LinkGraph {
         }
     }
 
-    /// Current epoch number (starts at 1, bumped by
-    /// [`LinkGraph::advance_epoch`]).
-    #[inline]
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
     /// Pages structurally touched since the last epoch advance, in
     /// first-touch order, each at most once.
     #[inline]
@@ -210,6 +203,7 @@ impl LinkGraph {
 
     /// Edges inserted during the current epoch.
     #[inline]
+    // lint:allow(test-only-pub): tests/linkgraph_props.rs checks that epochs partition the edges
     pub fn edges_in_epoch(&self) -> u64 {
         self.epoch_edges
     }
@@ -228,6 +222,14 @@ impl LinkGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LinkGraph {
+        /// Current epoch number (starts at 1, bumped by
+        /// [`LinkGraph::advance_epoch`]).
+        fn epoch(&self) -> u32 {
+            self.epoch
+        }
+    }
 
     #[test]
     fn record_page_builds_forward_adjacency() {

@@ -53,10 +53,10 @@
 //! valve trips, the still-pending pages carry into the next refresh —
 //! truncation defers work, it never loses it. Every `resync_every`-th
 //! refresh seeds the *entire* crawled set instead, bounding
-//! floating-point drift. The reference mode
-//! ([`RankState::full_reference`]) seeds everything at every refresh —
-//! the parity suite pins that both modes produce identical crawl
-//! reports on pinned cells.
+//! floating-point drift. The reference mode (`full` in
+//! [`RankState::with_params`]) seeds everything at every refresh — the
+//! parity suite pins that both modes produce identical crawl reports on
+//! pinned cells.
 //!
 //! # Layout of a refresh
 //!
@@ -143,25 +143,9 @@ pub struct RankState {
     cur: Vec<u64>,
     /// Dense bitset of the pages the next sweep relaxes.
     nxt: Vec<u64>,
-    /// Worklist entries processed over the state's lifetime (the
-    /// `link_analysis` bench reports this as rank updates/s).
-    relaxations: u64,
 }
 
 impl RankState {
-    /// Incremental solver with the crawler's default parameters:
-    /// damping 0.85, residual threshold `1e-9/N`, at most 256 sweeps
-    /// per refresh, full reseed every 16th refresh.
-    pub fn new(damping: f64) -> Self {
-        Self::with_params(damping, 1e-9, 256, 16, false)
-    }
-
-    /// Full-recompute reference: identical solver, but every refresh
-    /// seeds the entire crawled set (no delta shortcut, no drift).
-    pub fn full_reference(damping: f64) -> Self {
-        Self::with_params(damping, 1e-9, 256, 1, true)
-    }
-
     /// Fully parameterized constructor (see field docs).
     pub fn with_params(
         damping: f64,
@@ -195,14 +179,13 @@ impl RankState {
             in_src: Vec::new(),
             cur: Vec::new(),
             nxt: Vec::new(),
-            relaxations: 0,
         }
     }
 
     /// Refresh the ranks against the graph's current epoch, then close
     /// the epoch. A state follows one store: every update must get the
     /// same, grown graph. All growth happens here; the solve itself
-    /// ([`RankState::refresh`]) is transitively panic- and alloc-free.
+    /// (the private `refresh`) is transitively panic- and alloc-free.
     pub fn update(&mut self, g: &mut LinkGraph) {
         self.ensure_capacity(g);
         self.refresh(g);
@@ -337,7 +320,6 @@ impl RankState {
         // the point the drain stops.
         let theta = self.tol_rel * uniform;
         let mut sweeps = 0;
-        let mut relaxed = 0u64;
         while pending && sweeps < self.max_sweeps {
             sweeps += 1;
             pending = false;
@@ -354,7 +336,6 @@ impl RankState {
                     }
                     let v = uniform + self.damping * acc;
                     let d = v - self.zd[q];
-                    relaxed += 1;
                     if d.abs() > theta {
                         self.zd[q] = v;
                         self.share[q] = v * self.inv[q];
@@ -374,7 +355,6 @@ impl RankState {
             }
             core::mem::swap(&mut self.cur, &mut self.nxt);
         }
-        self.relaxations += relaxed;
         // A tripped valve leaves the next sweep's bitset non-empty:
         // carry those pages into the next refresh.
         if pending {
@@ -411,17 +391,26 @@ impl RankState {
     pub fn rank_sum(&self) -> f64 {
         self.lambda * self.zsum
     }
-
-    /// Worklist entries processed over the state's lifetime.
-    #[inline]
-    pub fn relaxations(&self) -> u64 {
-        self.relaxations
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RankState {
+        /// Incremental solver with the crawler's default parameters:
+        /// damping 0.85, residual threshold `1e-9/N`, at most 256 sweeps
+        /// per refresh, full reseed every 16th refresh.
+        fn new(damping: f64) -> Self {
+            Self::with_params(damping, 1e-9, 256, 16, false)
+        }
+
+        /// Full-recompute reference: identical solver, but every refresh
+        /// seeds the entire crawled set (no delta shortcut, no drift).
+        fn full_reference(damping: f64) -> Self {
+            Self::with_params(damping, 1e-9, 256, 1, true)
+        }
+    }
 
     /// Dense power-iteration oracle with uniform redistribution of
     /// lost/dangling mass — the textbook formulation the z-vector

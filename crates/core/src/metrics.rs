@@ -123,15 +123,6 @@ impl CrawlReport {
             .map_or(0.0, |s| s.harvest_rate())
     }
 
-    /// The x-position (pages crawled) at which coverage first reaches
-    /// `fraction`, if it ever does.
-    pub fn crawled_to_reach_coverage(&self, fraction: f64) -> Option<u64> {
-        self.samples
-            .iter()
-            .find(|s| self.coverage_at(s) >= fraction)
-            .map(|s| s.crawled)
-    }
-
     /// Write the series as CSV (`crawled,relevant,harvest,coverage,queue`).
     pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "crawled,relevant,harvest,coverage,queue")?;
@@ -193,11 +184,6 @@ impl CrawlReport {
         out
     }
 
-    /// Write the JSON form of the report.
-    pub fn write_json<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(self.to_json().as_bytes())
-    }
-
     /// Render a compact fixed-width summary row for bench tables.
     pub fn summary_row(&self) -> String {
         format!(
@@ -232,6 +218,17 @@ fn json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CrawlReport {
+        /// The x-position (pages crawled) at which coverage first reaches
+        /// `fraction`, if it ever does.
+        fn crawled_to_reach_coverage(&self, fraction: f64) -> Option<u64> {
+            self.samples
+                .iter()
+                .find(|s| self.coverage_at(s) >= fraction)
+                .map(|s| s.crawled)
+        }
+    }
 
     fn report() -> CrawlReport {
         CrawlReport {
@@ -341,9 +338,6 @@ mod tests {
         assert!(json.contains(r#""samples":[{"crawled":10,"relevant":6,"queue_size":50}"#));
         assert!(json.contains(r#""attempts":1000,"retries":0,"gave_up":0"#));
         assert!(json.contains(r#""visited":[3,1,4]"#));
-        let mut buf = Vec::new();
-        r.write_json(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), json);
     }
 
     #[test]

@@ -49,15 +49,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: every page gets exactly one attempt.
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_base: 0,
-            backoff_cap: 0,
-        }
-    }
-
     /// `max_attempts` with the zero case collapsed to one attempt.
     pub fn effective_max_attempts(&self) -> u32 {
         self.max_attempts.max(1)
@@ -115,12 +106,5 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert_eq!(p.effective_max_attempts(), 1);
-    }
-
-    #[test]
-    fn no_retries_policy() {
-        let p = RetryPolicy::no_retries();
-        assert_eq!(p.effective_max_attempts(), 1);
-        assert_eq!(p.delay(1), 0);
     }
 }

@@ -107,6 +107,7 @@ impl Default for SchedConfig {
 
 impl SchedConfig {
     /// `K` slots, everything else default.
+    // lint:allow(test-only-pub): README's checkpoint example builds its schedule with it
     pub fn with_slots(slots: u32) -> Self {
         SchedConfig {
             slots,
@@ -517,6 +518,7 @@ impl CrawlEngine<'_> {
     /// schedule drops its [`SchedConfig::timing`] and resumes untimed.
     /// Nothing is parked or cooling yet, so a [`ShardedFrontier`] writes
     /// it for every schedule: at one slot, what a [`UrlQueue`] writes.
+    // lint:allow(test-only-pub): tests/resume_parity.rs captures mid-run state with it
     pub fn snapshot<S, C>(&self, sched: &SchedConfig, strategy: &S, classifier: &C) -> CrawlSnapshot
     where
         S: Strategy + ?Sized,
@@ -551,6 +553,7 @@ impl CrawlEngine<'_> {
     /// the first [`CrawlEvent::Snapshot`] fires *at* the resume tick —
     /// reproducing the input snapshot byte-for-byte, the codec's
     /// round-trip fixed point — and the cadence counts from there.
+    // lint:allow(test-only-pub): README's checkpoint examples and tests/resume_parity.rs resume with it
     pub fn resume<S, C>(
         &self,
         snap: &CrawlSnapshot,
@@ -587,13 +590,10 @@ impl CrawlEngine<'_> {
         let mut scratch = EngineScratch::new();
         let counts = &mut scratch.attempt_counts;
         let resumed = Some(decode_run_state(&mut dec, &head, ws.num_pages(), counts)?);
-        // The section ends with one 8-byte push count per slot: a slot
-        // count the payload cannot hold is refused before the frontier
-        // and the in-flight list are sized by it.
+        // Refused before the frontier and the in-flight list are sized by
+        // the slot count.
         let slots = sched.effective_slots() as usize;
-        if slots > dec.remaining() / 8 {
-            return Err(SnapshotError::Truncated);
-        }
+        ShardedFrontier::check_slots(&dec, slots)?;
         let frontier =
             ShardedFrontier::for_space(ws, levels, slots).decode_state(&mut dec, head.tick)?;
         if !dec.is_empty() {

@@ -253,6 +253,16 @@ impl ShardedFrontier {
         }
     }
 
+    /// Refuse a slot count that the frontier section in `dec` cannot
+    /// hold, before anything is sized by it: the section ends with one
+    /// 8-byte push count per slot.
+    pub(crate) fn check_slots(dec: &Dec<'_>, slots: usize) -> Result<(), SnapshotError> {
+        if slots > dec.remaining() / 8 {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(())
+    }
+
     /// Restore a frontier section into `self`, a fresh frontier built
     /// for the captured space, level count and shard count, at the
     /// captured tick `now`: the regenerated space and the snapshot

@@ -53,8 +53,6 @@ pub struct SimConfig {
     /// to the pre-fault simulator. Sensitivity sweeps set this to reuse
     /// one generated space across fault rates.
     pub fault_override: Option<FaultConfig>,
-    /// Retry/backoff policy for transient fetch failures.
-    pub retry: RetryPolicy,
     /// Virtual-time scheduler configuration: fetch slots and per-host
     /// politeness. The default — one slot, zero politeness — is the
     /// paper's single-slot crawl (the conformance goldens pin it).
@@ -69,6 +67,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Cap the crawl at `n` fetches.
+    // lint:allow(test-only-pub): tests/engine_parity.rs and the root integration tests cap crawls with it
     pub fn with_max_pages(mut self, n: u64) -> Self {
         self.max_pages = Some(n);
         self
@@ -93,29 +92,11 @@ impl SimConfig {
         self
     }
 
-    /// Use `retry` as the transient-failure retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Run under the virtual-time scheduler with `k` fetch slots (see
     /// [`SimConfig::sched`]).
+    // lint:allow(test-only-pub): README's checkpoint example and tests/sched_conformance.rs set slots with it
     pub fn with_workers(mut self, k: u32) -> Self {
         self.sched.slots = k;
-        self
-    }
-
-    /// Set the per-host politeness gap in ticks (minimum interval
-    /// between fetch starts on one host).
-    pub fn with_politeness(mut self, gap: u64) -> Self {
-        self.sched.politeness_gap = gap;
-        self
-    }
-
-    /// Set the deterministic per-host politeness jitter bound.
-    pub fn with_politeness_spread(mut self, spread: u64) -> Self {
-        self.sched.politeness_spread = spread;
         self
     }
 
@@ -169,6 +150,7 @@ impl<'a> Simulator<'a> {
     /// allocate (see [`EngineScratch::attempt_table_allocs`]). At most
     /// one across any number of runs over the same space — the
     /// steady-state regression tests pin this.
+    // lint:allow(test-only-pub): crates/bench/tests/steady_state.rs names the attempt table in a regression
     pub fn attempt_table_allocs(&self) -> u64 {
         self.scratch.attempt_table_allocs()
     }
@@ -193,7 +175,7 @@ impl<'a> Simulator<'a> {
                     .fault_override
                     .clone()
                     .unwrap_or_else(|| ws.fault().clone()),
-                retry: self.config.retry,
+                retry: RetryPolicy::default(),
                 snapshot_every: self.config.snapshot_every,
             },
         );

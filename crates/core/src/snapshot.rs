@@ -580,6 +580,7 @@ impl CrawlSnapshot {
     /// payload, checksum) — the exact bytes a
     /// [`CrawlEvent::Snapshot`] carries during a run.
     #[must_use]
+    // lint:allow(test-only-pub): tests/snapshot_codec.rs re-frames decoded snapshots with it
     pub fn to_bytes(&self) -> Vec<u8> {
         frame(&self.payload)
     }
@@ -589,6 +590,7 @@ impl CrawlSnapshot {
     /// state beyond the header is validated by
     /// [`CrawlEngine::resume`](crate::CrawlEngine::resume), which has
     /// the web space to check it against.
+    // lint:allow(test-only-pub): README's checkpoint examples and the snapshot suites decode with it
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let payload = unframe(bytes)?;
         let mut dec = Dec::new(payload);
@@ -602,27 +604,23 @@ impl CrawlSnapshot {
 
     /// Virtual tick the snapshot was taken at.
     #[must_use]
+    // lint:allow(test-only-pub): tests/resume_parity.rs and tests/snapshot_codec.rs read capture points
     pub fn tick(&self) -> u64 {
         self.head.tick
     }
 
     /// Pages resolved when the snapshot was taken.
     #[must_use]
+    // lint:allow(test-only-pub): tests/resume_parity.rs and tests/snapshot_codec.rs read capture points
     pub fn crawled(&self) -> u64 {
         self.head.crawled
-    }
-
-    /// Identity fingerprint of the web space the snapshot belongs to
-    /// (see [`WebSpace::identity_fingerprint`]).
-    #[must_use]
-    pub fn space_fingerprint(&self) -> u64 {
-        self.head.space_fp
     }
 
     /// Fingerprint of the strategy and classifier the crawl ran under.
     /// [`CrawlEngine::resume`](crate::CrawlEngine::resume) refuses any
     /// other pair with [`SnapshotError::RunMismatch`].
     #[must_use]
+    // lint:allow(test-only-pub): README's checkpoint section and tests/snapshot_codec.rs check run identity
     pub fn run_fingerprint(&self) -> u64 {
         self.head.run_fp
     }
@@ -665,12 +663,14 @@ pub struct SnapshotLog {
 impl SnapshotLog {
     /// An empty log.
     #[must_use]
+    // lint:allow(test-only-pub): README's checkpoint example and the snapshot suites collect captures
     pub fn new() -> Self {
         SnapshotLog::default()
     }
 
     /// The captured `(tick, framed bytes)` pairs, in capture order.
     #[must_use]
+    // lint:allow(test-only-pub): README's checkpoint example and the snapshot suites read captures
     pub fn snapshots(&self) -> &[(u64, Vec<u8>)] {
         &self.snaps
     }
@@ -731,11 +731,13 @@ impl DirSink {
 
     /// Snapshots successfully written so far.
     #[must_use]
+    // lint:allow(test-only-pub): a caller that attaches its own DirSink counts its writes
     pub fn written(&self) -> u64 {
         self.written
     }
 
     /// The first write error, if any, leaving `None` behind.
+    // lint:allow(test-only-pub): a caller that attaches its own DirSink collects its write error
     pub fn take_error(&mut self) -> Option<std::io::Error> {
         self.error.take()
     }
@@ -787,6 +789,13 @@ impl EventSink for DirSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CrawlSnapshot {
+        /// Identity fingerprint of the web space the snapshot belongs to.
+        fn space_fingerprint(&self) -> u64 {
+            self.head.space_fp
+        }
+    }
 
     fn head() -> SnapHead {
         SnapHead {

@@ -57,16 +57,6 @@ impl CombinedStrategy {
             n,
         }
     }
-
-    /// The tunnel budget.
-    pub fn n(&self) -> u8 {
-        self.n
-    }
-
-    /// The base flavour.
-    pub fn base(&self) -> CombinedBase {
-        self.base
-    }
 }
 
 impl Strategy for CombinedStrategy {

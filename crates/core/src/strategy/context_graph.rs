@@ -56,11 +56,6 @@ impl ContextGraphStrategy {
         self.noise_pm = per_mille.min(1000);
         self
     }
-
-    /// The layer table (for tests and analysis).
-    pub fn layers(&self) -> &[u8] {
-        &self.layer
-    }
 }
 
 /// Multi-source reverse BFS from every relevant page: layer = forward
@@ -240,6 +235,13 @@ impl Strategy for ContextGraphStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ContextGraphStrategy {
+        /// The layer table.
+        fn layers(&self) -> &[u8] {
+            &self.layer
+        }
+    }
     use langcrawl_webgraph::GeneratorConfig;
 
     fn space() -> WebSpace {

@@ -17,7 +17,7 @@ use crate::queue::Entry;
 
 /// Priority assignment mode for the limited-distance strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LimitedMode {
+enum LimitedMode {
     /// All admitted URLs get equal priority.
     NonPrioritized,
     /// Priority = distance from the latest relevant referrer.
@@ -46,16 +46,6 @@ impl LimitedDistanceStrategy {
             n,
             mode: LimitedMode::Prioritized,
         }
-    }
-
-    /// The tunnel budget N.
-    pub fn n(&self) -> u8 {
-        self.n
-    }
-
-    /// The priority mode.
-    pub fn mode(&self) -> LimitedMode {
-        self.mode
     }
 }
 

@@ -55,11 +55,6 @@ impl TldScope {
     pub fn host_in_scope(&self, host: u32) -> bool {
         self.in_scope[host as usize]
     }
-
-    /// Number of in-scope hosts.
-    pub fn hosts_in_scope(&self) -> usize {
-        self.in_scope.iter().filter(|&&b| b).count()
-    }
 }
 
 /// The strategy needs per-target host lookup, so it carries a clone of
@@ -78,11 +73,6 @@ impl TldScopeStrategy {
             scope: TldScope::new(ws, suffixes),
             page_host: ws.page_ids().map(|p| ws.meta(p).host).collect(),
         }
-    }
-
-    /// Scope statistics (for harness reporting).
-    pub fn scope(&self) -> &TldScope {
-        &self.scope
     }
 }
 
@@ -113,6 +103,20 @@ impl Strategy for TldScopeStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TldScope {
+        /// Number of in-scope hosts.
+        fn hosts_in_scope(&self) -> usize {
+            self.in_scope.iter().filter(|&&b| b).count()
+        }
+    }
+
+    impl TldScopeStrategy {
+        /// The strategy's scope.
+        fn scope(&self) -> &TldScope {
+            &self.scope
+        }
+    }
     use langcrawl_charset::Language;
     use langcrawl_webgraph::GeneratorConfig;
 

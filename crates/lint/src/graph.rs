@@ -1,5 +1,6 @@
 //! Call resolution, reachability, and the transitive passes P1T
-//! (`no-panic-transitive`) / P2T (`no-alloc-transitive`), plus the
+//! (`no-panic-transitive`) / P2T (`no-alloc-transitive`), the
+//! `test-only-pub` pass over the same resolved calls, plus the
 //! deterministic DOT/JSON call-graph emitters CI archives per commit.
 //!
 //! ## Resolution tiers (best hit wins)
@@ -32,7 +33,7 @@
 
 use crate::findings::Finding;
 use crate::index::{Call, FnDef, Index, Recv, Site, ROOT_ALLOC_FREE, ROOT_PANIC_FREE};
-use crate::passes::{allow_covers, NO_ALLOC_TRANSITIVE, NO_PANIC_TRANSITIVE};
+use crate::passes::{allow_covers, NO_ALLOC_TRANSITIVE, NO_PANIC_TRANSITIVE, TEST_ONLY_PUB};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -339,6 +340,8 @@ pub struct Graph<'a> {
     std_allocs: Vec<Vec<Site>>,
     /// Unresolved external names per fn, sorted + deduped.
     unresolved: Vec<Vec<String>>,
+    /// Per fn: some other indexed fn calls or names it.
+    has_user: Vec<bool>,
     /// BFS parent per fn for the panic-free closure (`usize::MAX` =
     /// unreachable; a root is its own parent).
     panic_parent: Vec<usize>,
@@ -381,9 +384,10 @@ impl<'a> Graph<'a> {
         let mut std_panics = vec![Vec::new(); n];
         let mut std_allocs = vec![Vec::new(); n];
         let mut unresolved = vec![Vec::new(); n];
+        let mut has_user = vec![false; n];
         for (k, f) in idx.fns.iter().enumerate() {
-            for call in &f.calls {
-                let r = resolve(
+            let resolve = |call| {
+                resolve(
                     call,
                     f,
                     &idx.fns,
@@ -391,8 +395,17 @@ impl<'a> Graph<'a> {
                     &methods_by_name,
                     &free_by_name,
                     &fields,
-                );
-                match r {
+                )
+            };
+            for call in &f.refs {
+                if let Resolved::Edges(v) = resolve(call) {
+                    for to in v {
+                        has_user[to] |= to != k;
+                    }
+                }
+            }
+            for call in &f.calls {
+                match resolve(call) {
                     Resolved::Edges(v) => edges[k].extend(v.into_iter().map(|to| (to, call.line))),
                     Resolved::StdPanic => std_panics[k].push(Site {
                         what: format!("`{}` (panics on contract violation)", call.name),
@@ -412,6 +425,9 @@ impl<'a> Graph<'a> {
             edges[k].dedup();
             unresolved[k].sort();
             unresolved[k].dedup();
+            for &(to, _) in &edges[k] {
+                has_user[to] |= to != k;
+            }
         }
 
         let mut used = BTreeSet::new();
@@ -437,6 +453,7 @@ impl<'a> Graph<'a> {
             std_panics,
             std_allocs,
             unresolved,
+            has_user,
             panic_parent,
             alloc_parent,
             used_allows: used.into_iter().collect(),
@@ -522,6 +539,30 @@ impl<'a> Graph<'a> {
                         ),
                     ));
                 }
+            }
+        }
+    }
+
+    /// Emit a `test-only-pub` finding for every `pub` fn of a library
+    /// crate that no other indexed fn calls or names. Test code is never
+    /// indexed, so a fn that only tests reach has no user here. Trait
+    /// items carry no visibility, so only free fns and inherent methods
+    /// can be flagged.
+    pub fn test_only_pub_findings(&self, out: &mut Vec<Finding>) {
+        for (f, &has_user) in self.idx.fns.iter().zip(&self.has_user) {
+            if f.public && !has_user && in_library(&f.path) {
+                out.push(Finding {
+                    lint: TEST_ONLY_PUB,
+                    path: f.path.clone(),
+                    line: f.line,
+                    col: f.col,
+                    message: format!(
+                        "`pub fn {}` has no caller outside test code — delete it, make \
+                         it #[cfg(test)], or name who needs it with \
+                         lint:allow(test-only-pub)",
+                        f.display()
+                    ),
+                });
             }
         }
     }
@@ -741,6 +782,23 @@ fn fold_fields<'m>(
         ty = fields.get(&(ty, f.as_str())).copied()?;
     }
     Some(ty)
+}
+
+/// Library code: `src/` and `crates/<name>/src/` outside a crate's
+/// bins (`main.rs`, `bin/`), except the test crate `minicheck`. Bins,
+/// examples and `perfbench/` are callers only.
+fn in_library(path: &str) -> bool {
+    let src = match path.strip_prefix("crates/") {
+        Some(rest) => match rest.split_once("/src/") {
+            Some((krate, src)) if krate != "minicheck" && !krate.contains('/') => src,
+            _ => return false,
+        },
+        None => match path.strip_prefix("src/") {
+            Some(src) => src,
+            None => return false,
+        },
+    };
+    src != "main.rs" && !src.starts_with("bin/")
 }
 
 /// `crates/core/src/sched.rs` → `sched`.

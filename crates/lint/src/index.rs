@@ -13,6 +13,9 @@
 //! * calls are recorded with a best-effort receiver classification
 //!   (`self.x`, `self.field.x`, typed local, qualified path, free, or
 //!   unknown) — resolution happens later, against the whole index;
+//! * fns named without a call (`.map(Charset::label)`) are recorded as
+//!   references, which count as uses for `test-only-pub` but are not
+//!   call edges;
 //! * test code (`tests/`/`benches/` files, `#[cfg(test)]` regions) is
 //!   never indexed, so test-only panics cannot poison the closure.
 
@@ -81,6 +84,9 @@ pub struct FnDef {
     pub line: u32,
     /// Column of the name token.
     pub col: u32,
+    /// Declared plain `pub` (`pub(crate)` and the other restricted
+    /// forms are not).
+    pub public: bool,
     /// Declared root properties ([`ROOT_PANIC_FREE`] | [`ROOT_ALLOC_FREE`]).
     pub roots: u8,
     /// Hard panic sites (`unwrap`/`expect`/panicking macros).
@@ -91,6 +97,8 @@ pub struct FnDef {
     pub allocs: Vec<Site>,
     /// Outgoing calls, in source order.
     pub calls: Vec<Call>,
+    /// Fns named without being called (fn pointers), in source order.
+    pub refs: Vec<Call>,
 }
 
 impl FnDef {
@@ -659,17 +667,35 @@ fn enter_fn(
             path: file.rel.clone(),
             line: name_tok.line,
             col: name_tok.col,
+            public: is_public(toks, kw),
             roots: 0,
             panics: Vec::new(),
             indexing: Vec::new(),
             allocs: Vec::new(),
             calls: Vec::new(),
+            refs: Vec::new(),
         },
         body_depth: *depth,
         dead,
         hints,
     });
     j + 1
+}
+
+/// Is the fn whose `fn` keyword is `toks[kw]` declared plain `pub`?
+/// Qualifiers (`const`, `unsafe`, `async`, `extern "C"`) may stand
+/// between; `pub(crate)` ends in `)` and is not public.
+fn is_public(toks: &[Tok], kw: usize) -> bool {
+    toks[..kw]
+        .iter()
+        .rev()
+        .find(|t| {
+            !(t.kind == TokKind::Str
+                || ["const", "unsafe", "async", "extern"]
+                    .iter()
+                    .any(|q| t.is_ident(q)))
+        })
+        .is_some_and(|t| t.is_ident("pub"))
 }
 
 /// `let [mut] name : Type = …` — record a local type hint in the
@@ -731,21 +757,38 @@ fn record_fact_or_call(toks: &[Tok], i: usize, frame: Option<&mut Frame>, ctxs: 
         }
         return;
     }
-    // Callee shape: `name(` or `name::<…>(`.
-    let after = match toks.get(i + 1) {
-        Some(p) if p.is_punct("(") => i + 1,
-        Some(p) if p.is_punct("::") && toks.get(i + 2).is_some_and(|a| a.is_punct("<")) => {
-            let past = skip_angles(toks, i + 2);
-            if toks.get(past).is_some_and(|p| p.is_punct("(")) {
-                past
-            } else {
-                return;
-            }
-        }
-        _ => return,
-    };
-    let _ = after;
     let prev = i.checked_sub(1).map(|p| &toks[p]);
+    // Callee shape: `name(` or `name::<…>(`.
+    let is_call = match toks.get(i + 1) {
+        Some(p) if p.is_punct("(") => true,
+        Some(p) if p.is_punct("::") && toks.get(i + 2).is_some_and(|a| a.is_punct("<")) => toks
+            .get(skip_angles(toks, i + 2))
+            .is_some_and(|p| p.is_punct("(")),
+        _ => false,
+    };
+    if !is_call {
+        // A name that is not called may still name a fn (`.map(f)`,
+        // `Self::key` passed by value). Not a field (`.name`), a path
+        // prefix (`name::`) or a binding or field (`name:`).
+        let named = !prev.is_some_and(|p| p.is_punct("."))
+            && !toks
+                .get(i + 1)
+                .is_some_and(|n| n.is_punct("::") || n.is_punct(":"));
+        let recv = if prev.is_some_and(|p| p.is_punct("::")) {
+            path_qualifier(toks, i).map(|q| Recv::Path(self_to_owner(q, ctxs)))
+        } else {
+            Some(Recv::Free)
+        };
+        if let Some(recv) = recv.filter(|_| named) {
+            frame.def.refs.push(Call {
+                name: t.text.clone(),
+                recv,
+                line: t.line,
+                col: t.col,
+            });
+        }
+        return;
+    }
     // Method call: `recv.name(…)`.
     if prev.is_some_and(|p| p.is_punct(".")) {
         if let Some((_, what)) = PANIC_METHODS.iter().find(|(n, _)| *n == t.text) {
@@ -779,17 +822,9 @@ fn record_fact_or_call(toks: &[Tok], i: usize, frame: Option<&mut Frame>, ctxs: 
                 .push(site(&format!("{qual}::{}()", t.text)));
             return;
         }
-        let qual = if qual == "Self" {
-            match ctxs.last() {
-                Some(c) => c.owner.clone(),
-                None => qual,
-            }
-        } else {
-            qual
-        };
         frame.def.calls.push(Call {
             name: t.text.clone(),
-            recv: Recv::Path(qual),
+            recv: Recv::Path(self_to_owner(qual, ctxs)),
             line: t.line,
             col: t.col,
         });
@@ -802,6 +837,14 @@ fn record_fact_or_call(toks: &[Tok], i: usize, frame: Option<&mut Frame>, ctxs: 
         line: t.line,
         col: t.col,
     });
+}
+
+/// `Self` in a path means the enclosing impl type.
+fn self_to_owner(qual: String, ctxs: &[Ctx]) -> String {
+    match ctxs.last() {
+        Some(c) if qual == "Self" => c.owner.clone(),
+        _ => qual,
+    }
 }
 
 /// Walk back from the method name at `i` (`toks[i-1]` is `.`) and
@@ -1036,6 +1079,30 @@ mod tests {
             .calls
             .iter()
             .any(|c| c.name == "pop" && matches!(&c.recv, Recv::Local(t, _) if t == "Q")));
+    }
+
+    #[test]
+    fn visibility_and_uncalled_names_are_recorded() {
+        let idx = index_of(
+            "pub fn open() -> u32 { helper() }\n\
+             pub(crate) fn inner() {}\n\
+             pub const unsafe fn qualified() {}\n\
+             fn helper() -> u32 { 0 }\n\
+             pub struct Q;\n\
+             impl Q {\n  pub fn keys(xs: &[u32]) -> u32 { xs.iter().map(Self::key).sum() }\n  \
+             fn key(x: &u32) -> u32 { *x }\n}\n",
+        );
+        assert!(fn_named(&idx, "open").public);
+        assert!(!fn_named(&idx, "inner").public);
+        assert!(fn_named(&idx, "qualified").public);
+        assert!(!fn_named(&idx, "helper").public);
+        // `Self::key` passed by value is a reference, not a call edge.
+        let keys = fn_named(&idx, "keys");
+        assert!(keys
+            .refs
+            .iter()
+            .any(|r| r.name == "key" && matches!(&r.recv, Recv::Path(q) if q == "Q")));
+        assert!(!keys.calls.iter().any(|c| c.name == "key"));
     }
 
     #[test]

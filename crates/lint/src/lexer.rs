@@ -94,15 +94,6 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
 }
 
-impl Lexed {
-    /// Comments that cover source line `line`.
-    pub fn comments_covering(&self, line: u32) -> impl Iterator<Item = &Comment> {
-        self.comments
-            .iter()
-            .filter(move |c| c.start_line <= line && line <= c.end_line)
-    }
-}
-
 /// Lex `src` into tokens and comments. The lexer is total: any input
 /// produces *some* tokenization (unterminated literals run to EOF), so
 /// scanning never aborts on a syntactically broken fixture.
@@ -502,6 +493,15 @@ pub fn parse_int(tok: &Tok) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Lexed {
+        /// Comments that cover source line `line`.
+        fn comments_covering(&self, line: u32) -> impl Iterator<Item = &Comment> {
+            self.comments
+                .iter()
+                .filter(move |c| c.start_line <= line && line <= c.end_line)
+        }
+    }
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)

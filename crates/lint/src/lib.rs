@@ -18,6 +18,7 @@
 //! | `no-panic`            | P1   | `unwrap`/`expect`/panicking macros in hot paths     |
 //! | `no-panic-transitive` | P1T  | panic sites reachable from a `lint:root(panic-free)`|
 //! | `no-alloc-transitive` | P2T  | alloc sites reachable from a `lint:root(alloc-free)`|
+//! | `test-only-pub`       | T1   | a library `pub fn` no non-test code calls or names  |
 //! | `bad-root`            | —    | a `lint:root` marker that resolves to no fn         |
 //!
 //! P1T/P2T are *call-graph-aware*: [`index`] records every fn with its
@@ -57,7 +58,11 @@
 //!   read the wall clock (D1) — benchmarks time real crawls by design;
 //! * P1 applies to the crawl/generation hot paths listed in
 //!   [`passes::p1_applies`];
-//! * P1T/P2T apply to whatever the `lint:root` closures reach.
+//! * P1T/P2T apply to whatever the `lint:root` closures reach;
+//! * `test-only-pub` applies to the `pub` fns of library crates
+//!   (`crates/*/src`, `src/`; not bins, not `minicheck`), with every
+//!   indexed fn, bins, examples and `perfbench` included, as a caller
+//!   (see [`graph::Graph::test_only_pub_findings`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,16 +91,9 @@ struct Allow {
     used: bool,
 }
 
-/// Scan every `.rs` file under `root` and report all unsuppressed
-/// findings. The walk order (and therefore the report) is fully
-/// deterministic.
-pub fn scan_path(root: &Path) -> io::Result<Report> {
-    Ok(scan_sources(&load_sources(root)?))
-}
-
-/// Read and lex every `.rs` file under `root`, in sorted path order.
-/// Exposed so the CLI can reuse one load for the report *and* the
-/// `--graph` / `--roots` outputs.
+/// Read and lex every `.rs` file under `root`, in sorted path order, so
+/// the report built from them is fully deterministic. The CLI reuses one
+/// load for the report *and* the `--graph` / `--roots` outputs.
 pub fn load_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
@@ -158,6 +156,7 @@ pub fn scan_sources(sources: &[SourceFile]) -> Report {
         .collect();
     let g = graph::Graph::build(&idx, &edge_allows);
     g.transitive_findings(&mut raw);
+    g.test_only_pub_findings(&mut raw);
     for &i in g.used_allow_indices() {
         allows[i].used = true;
     }

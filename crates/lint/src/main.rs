@@ -60,6 +60,7 @@ fn main() -> ExitCode {
         println!("  P1  no-panic             unwrap/expect/panic!/todo! in hot paths");
         println!("  P1T no-panic-transitive  panic sites reachable from a lint:root(panic-free)");
         println!("  P2T no-alloc-transitive  alloc sites reachable from a lint:root(alloc-free)");
+        println!("  T1  test-only-pub        library pub fn that no non-test code calls or names");
         println!("  --  bad-root             lint:root marker that resolves to no indexed fn");
         println!("suppression: // lint:allow(<id>): <reason>   (bad-root is not suppressible)");
         println!("roots:       // lint:root(panic-free[, alloc-free]) above a fn");

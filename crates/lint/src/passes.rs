@@ -10,7 +10,7 @@
 //! `// lint:allow(<id>): <reason>` suppressions (see [`crate`] docs).
 
 use crate::findings::Finding;
-use crate::lexer::{eval_const_expr, parse_int, Lexed, Tok, TokKind};
+use crate::lexer::{eval_const_expr, Lexed, Tok, TokKind};
 
 /// D1 — wall-clock reads outside the benchmark code.
 pub const WALL_CLOCK: &str = "wall-clock";
@@ -30,6 +30,8 @@ pub const NO_PANIC_TRANSITIVE: &str = "no-panic-transitive";
 /// P2T — an allocation site transitively reachable from a
 /// `lint:root(alloc-free)` function.
 pub const NO_ALLOC_TRANSITIVE: &str = "no-alloc-transitive";
+/// A `pub` fn of a library crate that no non-test code calls or names.
+pub const TEST_ONLY_PUB: &str = "test-only-pub";
 /// Meta-lint: a malformed or unknown `lint:allow` suppression.
 pub const BAD_ALLOW: &str = "bad-allow";
 /// Meta-lint: a `lint:root(...)` marker that does not resolve to
@@ -47,6 +49,7 @@ pub const SUPPRESSIBLE: &[&str] = &[
     NO_PANIC,
     NO_PANIC_TRANSITIVE,
     NO_ALLOC_TRANSITIVE,
+    TEST_ONLY_PUB,
 ];
 
 /// Does a `lint:allow(<allow_id>)` suppress a finding of `lint`? The
@@ -806,10 +809,4 @@ pub fn no_panic(file: &SourceFile, out: &mut Vec<Finding>) {
             ));
         }
     }
-}
-
-/// Sanity helper for tests: evaluate an interest-bit style expression.
-pub fn eval_bits(src: &str) -> Option<u64> {
-    let lexed = crate::lexer::lex(src);
-    eval_const_expr(&lexed.tokens).or_else(|| lexed.tokens.first().and_then(parse_int))
 }

@@ -1,4 +1,4 @@
 // Clean fixture: a P1 path with nothing to report.
-pub fn step(x: u32) -> u32 {
+fn step(x: u32) -> u32 {
     x.saturating_add(1)
 }

@@ -1,21 +1,21 @@
 // P1 fixture: panicking calls in a no-panic path.
-pub fn pick(v: &[u32]) -> u32 {
+fn pick(v: &[u32]) -> u32 {
     *v.first().unwrap() // line 3: finding
 }
 
-pub fn must(x: Option<u32>) -> u32 {
+fn must(x: Option<u32>) -> u32 {
     x.expect("present") // line 7: finding
 }
 
-pub fn boom() -> u32 {
+fn boom() -> u32 {
     panic!("never") // line 11: finding
 }
 
-pub fn cannot_happen() -> u32 {
+fn cannot_happen() -> u32 {
     unreachable!("proof lives far away") // line 15: finding
 }
 
-pub fn pick_checked(v: &[u32]) -> u32 {
+fn pick_checked(v: &[u32]) -> u32 {
     v.first().copied().unwrap_or(0) // unwrap_or is fine
 }
 

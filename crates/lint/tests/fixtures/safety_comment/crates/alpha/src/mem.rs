@@ -1,9 +1,9 @@
 // S1 fixture: unsafe blocks with and without justification.
-pub fn read(p: *const u8) -> u8 {
+fn read(p: *const u8) -> u8 {
     unsafe { *p } // line 3: finding — unjustified
 }
 
-pub fn read_ok(p: *const u8) -> u8 {
+fn read_ok(p: *const u8) -> u8 {
     // SAFETY: caller guarantees p is valid for reads (fixture)
     unsafe { *p }
 }

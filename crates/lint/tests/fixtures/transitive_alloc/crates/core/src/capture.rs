@@ -2,7 +2,7 @@
 // edge-severing suppression on the cold branch.
 
 // lint:root(alloc-free)
-pub fn capture(out: &mut Vec<u8>) {
+fn capture(out: &mut Vec<u8>) {
     let _ = refill();
     stamp(out);
     // lint:allow(no-alloc-transitive): diagnostics branch, cold by construction

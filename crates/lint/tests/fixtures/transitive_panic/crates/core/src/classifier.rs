@@ -1,7 +1,7 @@
 // P1T fixture: a panic one hop from the root.
 
 // lint:root(panic-free)
-pub fn classify(x: Option<u64>) -> u64 {
+fn classify(x: Option<u64>) -> u64 {
     one_hop(x)
 }
 

@@ -1,7 +1,7 @@
 // P1T fixture: a leaf suppression keeps the whole chain quiet.
 
 // lint:root(panic-free)
-pub fn deliver(x: Option<u64>) -> u64 {
+fn deliver(x: Option<u64>) -> u64 {
     fetch(x)
 }
 

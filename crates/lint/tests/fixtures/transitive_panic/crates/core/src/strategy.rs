@@ -20,6 +20,6 @@ impl Strategy for Edgy {
 }
 
 // lint:root(panic-free)
-pub fn drive<S: Strategy>(s: &mut S) -> u64 {
+fn drive<S: Strategy>(s: &mut S) -> u64 {
     s.next_page()
 }

@@ -1,7 +1,7 @@
 // D2 fixture: HashMap iteration whose order can leak into outputs.
 use std::collections::HashMap;
 
-pub fn dump(m: &HashMap<u32, u32>) -> Vec<u32> {
+fn dump(m: &HashMap<u32, u32>) -> Vec<u32> {
     let mut out = Vec::new();
     for (k, _) in m {
         // line 6: finding — iteration order reaches the output Vec
@@ -10,17 +10,17 @@ pub fn dump(m: &HashMap<u32, u32>) -> Vec<u32> {
     out
 }
 
-pub fn sorted_keys(m: &HashMap<u32, u32>) -> Vec<u32> {
+fn sorted_keys(m: &HashMap<u32, u32>) -> Vec<u32> {
     let mut ks: Vec<u32> = m.keys().copied().collect();
     ks.sort_unstable(); // next-statement sort: site above is safe
     ks
 }
 
-pub fn size(m: &HashMap<u32, u32>) -> usize {
+fn size(m: &HashMap<u32, u32>) -> usize {
     m.iter().count() // order-insensitive reduction: safe
 }
 
-pub fn total(m: &HashMap<u32, u32>) -> u32 {
+fn total(m: &HashMap<u32, u32>) -> u32 {
     // lint:allow(unordered-iter): fixture — summation is order-insensitive for u32
     m.values().sum()
 }

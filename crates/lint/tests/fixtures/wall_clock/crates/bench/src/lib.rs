@@ -1,6 +1,6 @@
 // Bench crate: wall-clock reads are its whole purpose — exempt.
 use std::time::Instant;
 
-pub fn measure() -> Instant {
+fn measure() -> Instant {
     Instant::now()
 }

@@ -1,15 +1,15 @@
 // D1 fixture: wall-clock reads in simulation code.
 use std::time::Instant;
 
-pub fn tick() -> Instant {
+fn tick() -> Instant {
     Instant::now() // line 5: finding
 }
 
-pub fn stamp() -> std::time::SystemTime {
+fn stamp() -> std::time::SystemTime {
     std::time::SystemTime::now() // line 9: finding
 }
 
-pub fn profiled() -> Instant {
+fn profiled() -> Instant {
     // lint:allow(wall-clock): fixture demonstrating a justified suppression
     Instant::now()
 }

@@ -3,16 +3,22 @@
 //! they do on the real repo) and must produce exactly the findings
 //! pinned here — no more, no less.
 
+use langcrawl_lint::findings::Report;
 use std::path::PathBuf;
+
+/// Scan one fixture case.
+fn report(case: &str) -> Report {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(case);
+    let sources = langcrawl_lint::load_sources(&root).expect("fixture tree must be readable");
+    langcrawl_lint::scan_sources(&sources)
+}
 
 /// Scan one fixture case and return `(lint, path, line)` triples in
 /// report order.
 fn scan(case: &str) -> Vec<(String, String, u32)> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(case);
-    let report = langcrawl_lint::scan_path(&root).expect("fixture tree must be readable");
-    report
+    report(case)
         .findings
         .iter()
         .map(|f| (f.lint.to_string(), f.path.clone(), f.line))
@@ -118,8 +124,7 @@ fn p1t_transitive_panics_fire_with_ambiguity_and_respect_leaf_allows() {
         ]
     );
     // The finding carries the full call chain, root first.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/transitive_panic");
-    let report = langcrawl_lint::scan_path(&root).expect("fixture tree must be readable");
+    let report = report("transitive_panic");
     let unwrap_finding = report
         .findings
         .iter()
@@ -147,11 +152,23 @@ fn p2t_transitive_allocs_fire_and_call_site_allows_sever() {
 }
 
 #[test]
+fn test_only_pub_flags_a_fn_only_tests_call() {
+    // Flagged: a fn only a #[cfg(test)] test calls. Clean: a fn a bin
+    // calls, a fn named only as a fn pointer, a trait-impl method that
+    // nothing calls, and a fn whose allow names its user.
+    assert_eq!(
+        scan("test_only_pub"),
+        vec![(
+            "test-only-pub".to_string(),
+            "crates/core/src/lib.rs".to_string(),
+            4,
+        )]
+    );
+}
+
+#[test]
 fn clean_tree_reports_nothing() {
-    let report = langcrawl_lint::scan_path(
-        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/clean"),
-    )
-    .expect("fixture tree must be readable");
+    let report = report("clean");
     assert!(report.is_clean(), "{}", report.to_text());
     assert_eq!(report.files_scanned, 1);
 }

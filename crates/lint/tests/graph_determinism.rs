@@ -59,6 +59,8 @@ fn graph_output_is_byte_identical_across_runs_and_thread_counts() {
         "RankState::refresh",
         "HitsState::fire",
         "LayerIndex::absorb",
+        "charset_from_label",
+        "charset_from_content_type",
     ] {
         assert!(dot.contains(root_fn), "graph must cover `{root_fn}`");
     }

@@ -6,7 +6,8 @@ use std::path::PathBuf;
 #[test]
 fn self_scan_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = langcrawl_lint::scan_path(&root).expect("workspace must be readable");
+    let sources = langcrawl_lint::load_sources(&root).expect("workspace must be readable");
+    let report = langcrawl_lint::scan_sources(&sources);
     assert!(
         report.is_clean(),
         "the workspace must lint clean:\n{}",

@@ -85,33 +85,6 @@ pub fn host_suffix(host: &str) -> Option<&str> {
         .filter(|s| !s.is_empty())
 }
 
-/// Return the registrable domain: the public suffix plus one label.
-/// `www.lib.chula.ac.th` → `chula.ac.th`; `news.example.com` →
-/// `example.com`. Returns `None` when the host *is* a suffix, an IP
-/// literal, or a bare label.
-///
-/// ```
-/// use langcrawl_url::registrable_domain;
-/// assert_eq!(registrable_domain("www.lib.chula.ac.th"), Some("chula.ac.th"));
-/// assert_eq!(registrable_domain("ac.th"), None);
-/// ```
-pub fn registrable_domain(host: &str) -> Option<&str> {
-    if TWO_LEVEL_SUFFIXES.contains(&host) {
-        return None; // the host is itself a registry suffix
-    }
-    let suffix = host_suffix(host)?;
-    if suffix.len() == host.len() {
-        return None; // host *is* the suffix
-    }
-    let before = &host[..host.len() - suffix.len() - 1]; // strip ".suffix"
-    let label_start = before.rfind('.').map_or(0, |i| i + 1);
-    let label = &before[label_start..];
-    if label.is_empty() {
-        return None;
-    }
-    Some(&host[label_start..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,25 +117,6 @@ mod tests {
     fn suffix_none_for_non_dns() {
         assert_eq!(host_suffix("192.168.1.1"), None);
         assert_eq!(host_suffix("intranet"), None);
-    }
-
-    #[test]
-    fn registrable_basic() {
-        assert_eq!(registrable_domain("www.chula.ac.th"), Some("chula.ac.th"));
-        assert_eq!(
-            registrable_domain("a.b.c.example.co.jp"),
-            Some("example.co.jp")
-        );
-        assert_eq!(registrable_domain("news.yahoo.com"), Some("yahoo.com"));
-        assert_eq!(registrable_domain("yahoo.com"), Some("yahoo.com"));
-    }
-
-    #[test]
-    fn registrable_none_for_suffix_itself() {
-        assert_eq!(registrable_domain("ac.th"), None);
-        assert_eq!(registrable_domain("co.jp"), None);
-        // A bare TLD is not registrable either.
-        assert_eq!(registrable_domain("localhost"), None);
     }
 
     #[test]

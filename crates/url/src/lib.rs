@@ -36,7 +36,7 @@ mod parse;
 mod resolve;
 
 pub use error::ParseError;
-pub use host::{host_kind, host_suffix, registrable_domain, HostKind};
-pub use normalize::{normalize, normalize_str};
+pub use host::{host_kind, host_suffix, HostKind};
+pub use normalize::normalize;
 pub use parse::{Scheme, Url};
-pub use resolve::{remove_dot_segments, resolve, resolve_str};
+pub use resolve::{remove_dot_segments, resolve};

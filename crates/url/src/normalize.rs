@@ -58,11 +58,6 @@ pub fn normalize(url: &Url) -> String {
     out
 }
 
-/// Parse then normalize in one step. Returns `None` on parse failure.
-pub fn normalize_str(input: &str) -> Option<String> {
-    Url::parse(input).ok().map(|u| normalize(&u))
-}
-
 fn itoa(n: u16) -> String {
     n.to_string()
 }
@@ -203,11 +198,5 @@ mod tests {
             let once = norm(s);
             assert_eq!(normalize(&Url::parse(&once).unwrap()), once, "{s}");
         }
-    }
-
-    #[test]
-    fn normalize_str_wrapper() {
-        assert_eq!(normalize_str("http://H/p").as_deref(), Some("http://h/p"));
-        assert_eq!(normalize_str("bogus"), None);
     }
 }

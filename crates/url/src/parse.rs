@@ -123,6 +123,7 @@ impl Url {
 
     /// Host and effective port as a `host:port` pair — the unit of
     /// politeness in a real crawler (one connection queue per server).
+    // lint:allow(test-only-pub): crates/url/tests/proptests.rs checks normalisation keeps the server
     pub fn server_key(&self) -> (String, u16) {
         (self.host.clone(), self.effective_port())
     }

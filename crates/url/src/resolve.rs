@@ -75,11 +75,6 @@ pub fn resolve(base: &Url, reference: &str) -> Result<Url, ParseError> {
     })
 }
 
-/// Convenience wrapper: parse the base then [`resolve`].
-pub fn resolve_str(base: &str, reference: &str) -> Result<Url, ParseError> {
-    resolve(&Url::parse(base)?, reference)
-}
-
 fn split_ref(r: &str) -> (&str, Option<String>) {
     let r = match r.find('#') {
         Some(i) => &r[..i],
@@ -240,14 +235,5 @@ mod tests {
     fn resolving_absolute_against_base_is_identity() {
         let abs = "http://z.example.th/p/q?x=1";
         assert_eq!(resolve(&base(), abs).unwrap(), Url::parse(abs).unwrap());
-    }
-
-    #[test]
-    fn resolve_str_wrapper() {
-        assert_eq!(
-            resolve_str("http://h/a/", "b").unwrap().to_string(),
-            "http://h/a/b"
-        );
-        assert!(resolve_str("not a url", "b").is_err());
     }
 }

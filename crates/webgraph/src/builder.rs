@@ -24,6 +24,7 @@ pub struct WebSpaceBuilder {
 
 impl WebSpaceBuilder {
     /// Start building a space for the given target language.
+    // lint:allow(test-only-pub): the root and core integration tests hand-build spaces with it
     pub fn new(target: Language) -> Self {
         WebSpaceBuilder {
             target,
@@ -37,6 +38,7 @@ impl WebSpaceBuilder {
 
     /// Open a new host; subsequent pages are placed on it. Returns the
     /// host id.
+    // lint:allow(test-only-pub): the root and core integration tests hand-build spaces with it
     pub fn host(&mut self, name: &str, language: Language) -> u32 {
         let id = self.hosts.len() as u32;
         self.hosts.push(HostMeta {
@@ -55,6 +57,7 @@ impl WebSpaceBuilder {
     ///
     /// # Panics
     /// Panics if no host is open.
+    // lint:allow(test-only-pub): the root and core integration tests hand-build spaces with it
     pub fn page(&mut self, lang: Language) -> PageId {
         let host = self.current_host.expect("open a host before adding pages");
         let charset = match lang {
@@ -81,6 +84,7 @@ impl WebSpaceBuilder {
     }
 
     /// Override a page's META label (mislabeling fixtures).
+    // lint:allow(test-only-pub): tests/integration_edge_cases.rs mislabels a page with it
     pub fn relabel(&mut self, page: PageId, label: Option<Charset>) -> &mut Self {
         self.pages[page as usize].labeled_charset = label;
         self
@@ -93,6 +97,7 @@ impl WebSpaceBuilder {
     }
 
     /// Add a chain of links `a → b → c → …`.
+    // lint:allow(test-only-pub): the root and core integration tests hand-build spaces with it
     pub fn chain(&mut self, pages: &[PageId]) -> &mut Self {
         for w in pages.windows(2) {
             self.link(w[0], w[1]);
@@ -101,6 +106,7 @@ impl WebSpaceBuilder {
     }
 
     /// Mark a page as a crawl seed.
+    // lint:allow(test-only-pub): the root and core integration tests hand-build spaces with it
     pub fn seed(&mut self, page: PageId) -> &mut Self {
         self.seeds.push(page);
         self

@@ -172,12 +172,6 @@ impl GeneratorConfig {
         self
     }
 
-    /// Override the island mass (coverage-ceiling ablations).
-    pub fn with_island_mass(mut self, mass: f64) -> Self {
-        self.island_mass = mass;
-        self
-    }
-
     /// Attach a fault model (see [`FaultConfig`]). The generated
     /// structure is unchanged — fault draws use their own RNG streams —
     /// but crawls over the space answer transient and dead-host

@@ -202,6 +202,7 @@ const CLASS_DEAD: u64 = 3;
 impl FaultModel {
     /// The fault model the space was generated with
     /// ([`WebSpace::fault`]).
+    // lint:allow(test-only-pub): crates/webgraph/tests/proptests.rs checks fault draws with it
     pub fn new(ws: &WebSpace) -> Self {
         Self::with_config(ws, ws.fault().clone())
     }
@@ -258,11 +259,6 @@ impl FaultModel {
         }
     }
 
-    /// The config this model realizes.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// True when the model can never fire (all rates zero).
     pub fn is_zero(&self) -> bool {
         self.config.is_zero()
@@ -280,6 +276,7 @@ impl FaultModel {
     }
 
     /// The class assigned to a host.
+    // lint:allow(test-only-pub): crates/webgraph/tests/proptests.rs checks fault draws with it
     pub fn host_class(&self, host: u32) -> HostClass {
         self.classes[host as usize]
     }
@@ -292,6 +289,7 @@ impl FaultModel {
     /// fault may fire at the host class's rate: slow hosts time out
     /// ([`HttpStatus::Unreachable`]), others split between 503
     /// ([`HttpStatus::ServerError`]) and timeout/reset.
+    // lint:allow(test-only-pub): crates/webgraph/tests/proptests.rs checks fault draws with it
     pub fn outcome(&self, ws: &WebSpace, page: PageId, attempt: u32) -> FetchOutcome {
         let meta = ws.meta(page);
         self.outcome_at(meta.status, meta.host, page, attempt)
@@ -370,7 +368,7 @@ mod tests {
         for p in ws.page_ids().take(500) {
             for attempt in 1..=3 {
                 let o = model.outcome(&ws, p, attempt);
-                assert_eq!(o.status, ws.status(p), "page {p} attempt {attempt}");
+                assert_eq!(o.status, ws.meta(p).status, "page {p} attempt {attempt}");
                 assert!(!o.transient);
             }
         }
@@ -433,11 +431,11 @@ mod tests {
         let model = FaultModel::with_config(&ws, FaultConfig::with_rate(0.5));
         let failed = ws
             .page_ids()
-            .find(|&p| ws.status(p) != HttpStatus::Ok)
+            .find(|&p| ws.meta(p).status != HttpStatus::Ok)
             .expect("some failed page");
         for attempt in 1..=5 {
             let o = model.outcome(&ws, failed, attempt);
-            assert_eq!(o.status, ws.status(failed));
+            assert_eq!(o.status, ws.meta(failed).status);
             assert!(!o.transient);
         }
     }
@@ -454,7 +452,7 @@ mod tests {
             .find(|&h| model.host_class(h) == HostClass::Dead)
             .expect("some dead host at 50%");
         let first = ws.hosts()[dead_host as usize].first_page;
-        if ws.status(first) == HttpStatus::Ok {
+        if ws.meta(first).status == HttpStatus::Ok {
             let o = model.outcome(&ws, first, 1);
             assert_eq!(o.status, HttpStatus::Unreachable);
             assert!(!o.transient);
@@ -487,7 +485,7 @@ mod tests {
         let mut flaky_failures = 0u32;
         let mut healthy_failures = 0u32;
         for p in ws.page_ids() {
-            if ws.status(p) != HttpStatus::Ok {
+            if ws.meta(p).status != HttpStatus::Ok {
                 continue;
             }
             let o = model.outcome(&ws, p, 1);

@@ -163,13 +163,6 @@ impl WebSpace {
         0..self.pages.len() as PageId
     }
 
-    /// Fetch the page's HTTP status (what the virtual web space answers
-    /// to the simulator's visitor).
-    #[inline]
-    pub fn status(&self, p: PageId) -> HttpStatus {
-        self.pages[p as usize].status
-    }
-
     /// FNV-1a digest of the complete space — every page field, host,
     /// edge, offset and seed folds in, so two spaces hash equal iff they
     /// are bit-identical (up to hash collision). The parity tests use it

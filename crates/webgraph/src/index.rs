@@ -37,12 +37,6 @@ impl UrlIndex {
         self.map.get(canonical_url).copied()
     }
 
-    /// Resolve a raw URL string, canonicalizing first.
-    pub fn resolve_raw(&self, url: &str) -> Option<PageId> {
-        let canon = langcrawl_url::normalize_str(url)?;
-        self.resolve(&canon)
-    }
-
     /// Number of indexed URLs.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -57,6 +51,14 @@ impl UrlIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UrlIndex {
+        /// Resolve a raw URL string, canonicalizing first.
+        fn resolve_raw(&self, url: &str) -> Option<PageId> {
+            let canon = normalize(&Url::parse(url).ok()?);
+            self.resolve(&canon)
+        }
+    }
     use crate::config::GeneratorConfig;
 
     #[test]

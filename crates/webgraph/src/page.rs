@@ -92,14 +92,6 @@ pub struct PageMeta {
 }
 
 impl PageMeta {
-    /// Ground-truth language of the page body (`None` for non-HTML).
-    pub fn true_language(&self) -> Option<Language> {
-        if self.kind != PageKind::Html {
-            return None;
-        }
-        self.lang
-    }
-
     /// Is this an OK HTML page (the denominator of Table 3)?
     pub fn is_ok_html(&self) -> bool {
         self.kind == PageKind::Html && self.status == HttpStatus::Ok
@@ -125,6 +117,16 @@ pub struct HostMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PageMeta {
+        /// Ground-truth language of the page body (`None` for non-HTML).
+        fn true_language(&self) -> Option<Language> {
+            if self.kind != PageKind::Html {
+                return None;
+            }
+            self.lang
+        }
+    }
 
     #[test]
     fn status_codes_round_trip() {

@@ -6,8 +6,7 @@
 //! the coarse statistics detection actually keys on:
 //!
 //! * Japanese running text: ~46% hiragana, ~10% katakana, ~30% kanji
-//!   concentrated in the JIS level-1 rows, punctuation, occasional ASCII
-//!   (matches [`langcrawl_charset::kuten::row_weight`]);
+//!   concentrated in the JIS level-1 rows, punctuation, occasional ASCII;
 //! * Thai: syllables of consonant (+above/below vowel) (+tone mark) with
 //!   leading-vowel syllables mixed in — the transition structure the
 //!   Thai prober scores;
@@ -23,14 +22,8 @@ use langcrawl_charset::kuten::{rows, Kuten};
 
 use langcrawl_rng::Rng;
 
-/// Generate `n` tokens of model Japanese text.
-pub fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
-    let mut out = Vec::with_capacity(n);
-    japanese_tokens_into(n, rng, &mut out);
-    out
-}
-
-/// [`japanese_tokens`] into `out`, which is cleared first.
+/// Generate `n` tokens of model Japanese text into `out`, which is
+/// cleared first.
 pub(crate) fn japanese_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<JaToken>) {
     out.clear();
     while out.len() < n {
@@ -93,14 +86,8 @@ const THAI_LEAD_VOWELS: &[u8] = &[0xE0, 0xE1, 0xE2, 0xE3, 0xE4];
 /// Tone marks (combining).
 const THAI_TONES: &[u8] = &[0xE8, 0xE9, 0xEA, 0xEB];
 
-/// Generate `n` tokens of model Thai text (canonical syllable structure).
-pub fn thai_tokens(n: usize, rng: &mut Rng) -> Vec<ThToken> {
-    let mut out = Vec::with_capacity(n);
-    thai_tokens_into(n, rng, &mut out);
-    out
-}
-
-/// [`thai_tokens`] into `out`, which is cleared first.
+/// Generate `n` tokens of model Thai text (canonical syllable structure)
+/// into `out`, which is cleared first.
 pub(crate) fn thai_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<ThToken>) {
     out.clear();
     let pick = |set: &[u8], rng: &mut Rng| set[rng.random_range(0..set.len())];
@@ -137,15 +124,9 @@ pub(crate) fn thai_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<ThToken>) 
     out.truncate(n);
 }
 
-/// Generate `n` tokens of model Korean text: precomposed hangul (KS X
-/// 1001 rows 16..=40), spaces between words, rare ASCII digits.
-pub fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
-    let mut out = Vec::with_capacity(n);
-    korean_tokens_into(n, rng, &mut out);
-    out
-}
-
-/// [`korean_tokens`] into `out`, which is cleared first.
+/// Generate `n` tokens of model Korean text into `out`, which is cleared
+/// first: precomposed hangul (KS X 1001 rows 16..=40), spaces between
+/// words, rare ASCII digits.
 pub(crate) fn korean_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<DbToken>) {
     out.clear();
     while out.len() < n {
@@ -165,16 +146,9 @@ pub(crate) fn korean_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<DbToken>
     out.truncate(n);
 }
 
-/// Generate `n` tokens of model Simplified-Chinese text: level-1 hanzi
-/// core, a steady level-2 tail, GB symbol punctuation, no inter-word
-/// spaces.
-pub fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
-    let mut out = Vec::with_capacity(n);
-    chinese_tokens_into(n, rng, &mut out);
-    out
-}
-
-/// [`chinese_tokens`] into `out`, which is cleared first.
+/// Generate `n` tokens of model Simplified-Chinese text into `out`, which
+/// is cleared first: level-1 hanzi core, a steady level-2 tail, GB symbol
+/// punctuation, no inter-word spaces.
 pub(crate) fn chinese_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<DbToken>) {
     out.clear();
     while out.len() < n {
@@ -197,15 +171,9 @@ pub(crate) fn chinese_tokens_into(n: usize, rng: &mut Rng, out: &mut Vec<DbToken
     out.truncate(n);
 }
 
-/// English-like filler words for irrelevant pages.
-pub fn english_words(n_words: usize, rng: &mut Rng) -> String {
-    let mut s = Vec::with_capacity(n_words * 6);
-    write_english_words(n_words, rng, &mut s);
-    String::from_utf8(s).expect("the filler words are ASCII")
-}
-
-/// [`english_words`], appended to `out`. The words are ASCII, so these are
-/// their bytes in every charset the filler is served in.
+/// Append English-like filler words for irrelevant pages to `out`. The
+/// words are ASCII, so these are their bytes in every charset the filler
+/// is served in.
 pub(crate) fn write_english_words(n_words: usize, rng: &mut Rng, out: &mut Vec<u8>) {
     const WORDS: &[&str] = &[
         "the", "of", "and", "to", "in", "for", "is", "on", "that", "by", "this", "with", "you",
@@ -226,6 +194,44 @@ mod tests {
     use super::*;
     use langcrawl_charset::thai;
     use langcrawl_rng::Rng;
+
+    /// Generate `n` tokens of model Japanese text.
+    fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
+        let mut out = Vec::with_capacity(n);
+        japanese_tokens_into(n, rng, &mut out);
+        out
+    }
+
+    /// Generate `n` tokens of model Thai text (canonical syllable structure).
+    fn thai_tokens(n: usize, rng: &mut Rng) -> Vec<ThToken> {
+        let mut out = Vec::with_capacity(n);
+        thai_tokens_into(n, rng, &mut out);
+        out
+    }
+
+    /// Generate `n` tokens of model Korean text: precomposed hangul (KS X
+    /// 1001 rows 16..=40), spaces between words, rare ASCII digits.
+    fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
+        let mut out = Vec::with_capacity(n);
+        korean_tokens_into(n, rng, &mut out);
+        out
+    }
+
+    /// English-like filler words for irrelevant pages.
+    fn english_words(n_words: usize, rng: &mut Rng) -> String {
+        let mut s = Vec::with_capacity(n_words * 6);
+        write_english_words(n_words, rng, &mut s);
+        String::from_utf8(s).expect("the filler words are ASCII")
+    }
+
+    /// Generate `n` tokens of model Simplified-Chinese text: level-1 hanzi
+    /// core, a steady level-2 tail, GB symbol punctuation, no inter-word
+    /// spaces.
+    fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
+        let mut out = Vec::with_capacity(n);
+        chinese_tokens_into(n, rng, &mut out);
+        out
+    }
 
     #[test]
     fn japanese_token_mix_is_realistic() {
