@@ -52,8 +52,30 @@ for threads in 1 4; do
         --test resume_parity --test snapshot_codec --test snapshot_dir_wiring
 done
 
+# A harness whose captures cannot be written fails: fig3 at smoke scale,
+# capturing every 1000 ticks into a directory under a regular file, must
+# exit non-zero and name that directory in the error on stderr. Its
+# results directory is under target/ too, so the step writes nothing
+# into the checkout.
+echo "==> unwritable snapshot directory fails the harness (fig3)"
+unwritable="$PWD/target/snapshot-unwritable"
+rm -rf "$unwritable"
+mkdir -p "$unwritable"
+: > "$unwritable/file"
+if LANGCRAWL_RESULTS_DIR="$unwritable/results" LANGCRAWL_SCALE=8000 LANGCRAWL_SNAPSHOT_EVERY=1000 \
+    LANGCRAWL_SNAPSHOT_DIR="$unwritable/file/snaps" \
+    cargo run -q --release --offline -p langcrawl-bench --bin fig3 > /dev/null 2> "$unwritable/stderr"; then
+    echo "    fig3 exited 0 although its snapshots could not be written"
+    exit 1
+fi
+grep -q "snapshot capture failed: cannot write $unwritable/file/snaps/" "$unwritable/stderr" || {
+    cat "$unwritable/stderr"
+    exit 1
+}
+echo "    fig3 failed, naming $unwritable/file/snaps"
+
 # Link-analysis parity, re-run under both generation thread counts: the
-# delta-seeded PageRank refresh and the flat HITS firing must produce
+# incremental PageRank refresh and the flat HITS firing must produce
 # CrawlReports identical to their full-recompute references on the
 # pinned cells, the ranks and the three link strategies' reports must
 # match their pinned digests, and the forward-only crawl-graph store

@@ -41,7 +41,9 @@ pub fn env_seed() -> u64 {
 /// cursor, so a long-running strategy doesn't idle the rest of the pool.
 ///
 /// Panics if any strategy run panics, naming the strategy (its label
-/// from `factories`) and forwarding the panic message.
+/// from `factories`) and forwarding the panic message, and likewise if
+/// a run's snapshot captures could not be written, forwarding the
+/// write error, which names the file.
 pub fn run_parallel(
     ws: &WebSpace,
     factories: &[(&str, StrategyFactory<'_>)],
@@ -67,18 +69,25 @@ pub fn run_parallel(
                         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             let mut strategy = factory(ws);
                             let mut sim = Simulator::new(ws, config.clone());
-                            sim.run(strategy.as_mut(), classifier)
+                            let report = sim.run(strategy.as_mut(), classifier);
+                            (report, sim.take_snapshot_error())
                         }));
                         done.push((
                             i,
-                            run.map_err(|payload| {
-                                let msg = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| s.to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "non-string panic payload".into());
-                                format!("strategy `{name}` panicked: {msg}")
-                            }),
+                            match run {
+                                Ok((report, None)) => Ok(report),
+                                Ok((_, Some(e))) => {
+                                    Err(format!("strategy `{name}`: snapshot capture failed: {e}"))
+                                }
+                                Err(payload) => {
+                                    let msg = payload
+                                        .downcast_ref::<&str>()
+                                        .map(|s| s.to_string())
+                                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                                        .unwrap_or_else(|| "non-string panic payload".into());
+                                    Err(format!("strategy `{name}` panicked: {msg}"))
+                                }
+                            },
                         ));
                     }
                 })

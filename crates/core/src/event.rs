@@ -46,9 +46,11 @@ pub enum CrawlEvent<'a> {
         /// `transient && !retry` means retries were exhausted (the page
         /// was given up).
         retry: bool,
-        /// Simulated fetch tick at which the attempt ran (one tick per
-        /// attempt the engine performs; backoff delays are measured in
-        /// these ticks).
+        /// Simulated tick at which the attempt completed: the crawl
+        /// loop emits the event once its clock has moved to the
+        /// fetch's finish. That is one tick per attempt only at one
+        /// untimed slot. A retry's back-off counts from this tick, in
+        /// ticks, or in round trips in a timed crawl.
         tick: u64,
     },
     /// A page was popped from the frontier and "downloaded".

@@ -47,11 +47,11 @@
 //! the same order, whichever pages below the K-th it leaves out. The parity suite therefore pins reports, not
 //! tolerance bands.
 //!
-//! The firing does not restrict itself to the store's epoch delta: with
-//! unnormalized scores, the frontier a score change reaches covers
-//! nearly the whole crawled graph within 5 rounds, so a delta-restricted
-//! firing costs about as much as a full one and adds the bookkeeping
-//! (DESIGN §5 has the measurements).
+//! A firing recomputes everything rather than only what changed since
+//! the last one: with unnormalized scores, the frontier a score change
+//! reaches covers nearly the whole crawled graph within 5 rounds, so a
+//! firing restricted to the changed region costs about as much as a
+//! full one and adds the bookkeeping (DESIGN §5 has the measurements).
 
 use super::LinkGraph;
 use core::cmp::Ordering;
@@ -142,10 +142,10 @@ impl HitsState {
         }
     }
 
-    /// One distiller firing: recompute the truncated HITS iterates,
-    /// close the store's epoch, and return the top `top_k` hubs
-    /// (score desc, page id asc) in `out_hubs`.
-    pub fn distill(&mut self, g: &mut LinkGraph, top_k: usize, out_hubs: &mut Vec<PageId>) {
+    /// One distiller firing: recompute the truncated HITS iterates and
+    /// return the top `top_k` hubs (score desc, page id asc) in
+    /// `out_hubs`.
+    pub fn distill(&mut self, g: &LinkGraph, top_k: usize, out_hubs: &mut Vec<PageId>) {
         let (pages, crawled, edges) = (g.page_bound(), g.num_crawled(), g.num_edges());
         self.ensure_pages(pages);
         if self.full {
@@ -159,7 +159,6 @@ impl HitsState {
             }
             self.fire(g, top_k, out_hubs);
         }
-        g.advance_epoch();
     }
 
     /// The steady-state firing: build the hub rows, run the rounds
@@ -378,8 +377,8 @@ mod tests {
                         gf.record_page(p, &outs);
                         full.note_page(&gf, p, rel);
                     }
-                    fast.distill(&mut gi, top_k, &mut hi);
-                    full.distill(&mut gf, top_k, &mut hf);
+                    fast.distill(&gi, top_k, &mut hi);
+                    full.distill(&gf, top_k, &mut hf);
                     let at = format!("rounds {rounds}, top_k {top_k}, batch {batch}");
                     assert_eq!(hi, hf, "top hubs diverge at {at}");
                     assert_eq!(hi.len(), top_k.min(gi.num_crawled()), "{at}");
@@ -407,7 +406,7 @@ mod tests {
             st.note_page(&g, p, true);
         }
         let mut hubs = Vec::new();
-        st.distill(&mut g, 3, &mut hubs);
+        st.distill(&g, 3, &mut hubs);
         assert_eq!(hubs, [3, 2, 1]);
         for &p in &hubs {
             assert!(st.hub_score(p).is_finite(), "hub {p} overflowed");
@@ -428,7 +427,7 @@ mod tests {
         g.record_page(5, &[]);
         st.note_page(&g, 5, true);
         let mut hubs = Vec::new();
-        st.distill(&mut g, 1, &mut hubs);
+        st.distill(&g, 1, &mut hubs);
         assert_eq!(hubs[0], 0, "page 0 must be the strongest hub");
     }
 
@@ -446,7 +445,7 @@ mod tests {
                 st.note_page(&g, *p, p % 2 == 1);
             }
             let mut hubs = Vec::new();
-            st.distill(&mut g, 10, &mut hubs);
+            st.distill(&g, 10, &mut hubs);
             let scores: Vec<u64> = (0..n).map(|p| st.hub_score(p).to_bits()).collect();
             (hubs, scores)
         };
@@ -461,10 +460,10 @@ mod tests {
 
     #[test]
     fn empty_graph_distills_to_nothing() {
-        let mut g = LinkGraph::new();
+        let g = LinkGraph::new();
         let mut st = HitsState::new(5);
         let mut hubs = vec![99];
-        st.distill(&mut g, 10, &mut hubs);
+        st.distill(&g, 10, &mut hubs);
         assert!(hubs.is_empty());
     }
 }

@@ -19,10 +19,6 @@
 //!   once (when the page is fetched), so the forward view is a plain
 //!   append-only CSR: one contiguous span of the edge array per crawled
 //!   page, in crawl order.
-//! * **Epoch/delta log** — every page structurally touched since the
-//!   last [`LinkGraph::advance_epoch`] is recorded once, so an
-//!   incremental algorithm (the PageRank refresh) can seed its worklist
-//!   with exactly the perturbed region instead of rescanning the graph.
 //!
 //! The store keeps no reverse adjacency. Every f64 sum runs in page id
 //! order, so results do not depend on crawl interleaving; the two
@@ -34,12 +30,14 @@
 //! their order, so it keeps its own append-only reverse lists.
 //!
 //! The store itself never iterates a hash container and allocates only
-//! when an array grows past its high-water mark. The algorithms layered
-//! on top — [`pagerank`]'s delta-seeded refresh, [`hits`]'s flat
+//! when an array grows past its high-water mark. Only
+//! [`LinkGraph::record_page`] writes it. The algorithms layered on top
+//! — [`pagerank`]'s incremental refresh, [`hits`]'s flat
 //! relevance-filtered recompute and [`layers`]' decrease-only
-//! relaxation — keep their scratch buffers across refreshes, so the
-//! steady-state update path performs zero heap allocations (proven
-//! transitively by the `lint:root` markers they carry).
+//! relaxation — only read it, and keep their scratch buffers across
+//! refreshes, so the steady-state update path performs zero heap
+//! allocations (proven transitively by the `lint:root` markers they
+//! carry).
 
 pub mod hits;
 pub mod layers;
@@ -50,8 +48,7 @@ use langcrawl_webgraph::PageId;
 /// Shared sentinel: page not crawled / no dense index / no chunk.
 const NONE: u32 = u32::MAX;
 
-/// Append-only crawl-graph store keyed by page id, with a forward flat
-/// CSR and an epoch/delta log.
+/// Append-only crawl-graph store keyed by page id: a forward flat CSR.
 ///
 /// ```
 /// use langcrawl_core::linkgraph::LinkGraph;
@@ -75,23 +72,12 @@ pub struct LinkGraph {
     fwd_edges: Vec<PageId>,
     /// Pages with a forward span.
     crawled: u32,
-    /// Current epoch (starts at 1 so `touched_mark == 0` means never).
-    epoch: u32,
-    /// Per page: last epoch in which the page entered `delta`.
-    touched_mark: Vec<u32>,
-    /// Pages structurally touched this epoch, in touch order, deduped.
-    delta: Vec<PageId>,
-    /// Edges inserted during the current epoch.
-    epoch_edges: u64,
 }
 
 impl LinkGraph {
     /// Empty store.
     pub fn new() -> Self {
-        Self {
-            epoch: 1,
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Pages recorded via [`LinkGraph::record_page`].
@@ -155,12 +141,10 @@ impl LinkGraph {
         &self.fwd_edges
     }
 
-    /// Record a fetched page and its outlinks: grows the per-page
-    /// tables to cover them, appends the forward span, and logs the
-    /// page and every link target into the current epoch's delta.
-    /// Idempotent: a page already recorded is left unchanged (the
-    /// engine resolves each page exactly once, so this only guards
-    /// against misuse).
+    /// Record a fetched page and its outlinks: grows the page table to
+    /// cover them and appends the forward span. Idempotent: a page
+    /// already recorded is left unchanged (the engine resolves each page
+    /// exactly once, so this only guards against misuse).
     // lint:root(panic-free) — the once-per-fetch ingest path of every
     // link strategy; arrays only grow to their high-water sizes.
     pub fn record_page(&mut self, page: PageId, outlinks: &[PageId]) {
@@ -170,66 +154,17 @@ impl LinkGraph {
         let bound = outlinks.iter().fold(page, |a, &b| a.max(b)) as usize + 1;
         if self.spans.len() < bound {
             self.spans.resize(bound, (NONE, 0));
-            self.touched_mark.resize(bound, 0);
         }
-        // lint:allow(no-panic-transitive): the resize above grows both per-page tables past the page and each of its outlinks
+        // lint:allow(no-panic-transitive): the resize above grows the page table past the page and each of its outlinks
         self.spans[page as usize] = (self.fwd_edges.len() as u32, outlinks.len() as u32);
         self.fwd_edges.extend_from_slice(outlinks);
         self.crawled += 1;
-        self.touch(page);
-        for &t in outlinks {
-            self.touch(t);
-        }
-        self.epoch_edges += outlinks.len() as u64;
-    }
-
-    /// Log `page` into the current epoch's delta (once per epoch).
-    #[inline]
-    fn touch(&mut self, page: PageId) {
-        // lint:allow(no-panic-transitive): record_page grows touched_mark past every page it touches
-        let mark = &mut self.touched_mark[page as usize];
-        if *mark != self.epoch {
-            *mark = self.epoch;
-            self.delta.push(page);
-        }
-    }
-
-    /// Pages structurally touched since the last epoch advance, in
-    /// first-touch order, each at most once.
-    #[inline]
-    pub fn delta(&self) -> &[PageId] {
-        &self.delta
-    }
-
-    /// Edges inserted during the current epoch.
-    #[inline]
-    // lint:allow(test-only-pub): tests/linkgraph_props.rs checks that epochs partition the edges
-    pub fn edges_in_epoch(&self) -> u64 {
-        self.epoch_edges
-    }
-
-    /// Close the current epoch: clears the delta log and the per-epoch
-    /// edge counter. Incremental consumers call this after draining
-    /// [`LinkGraph::delta`], so consecutive epochs partition the edge
-    /// set (a property pinned by the `linkgraph_props` suite).
-    pub fn advance_epoch(&mut self) {
-        self.delta.clear();
-        self.epoch_edges = 0;
-        self.epoch += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl LinkGraph {
-        /// Current epoch number (starts at 1, bumped by
-        /// [`LinkGraph::advance_epoch`]).
-        fn epoch(&self) -> u32 {
-            self.epoch
-        }
-    }
 
     #[test]
     fn record_page_builds_forward_adjacency() {
@@ -277,24 +212,6 @@ mod tests {
             rows,
             vec![(3, vec![9_000, 40]), (40, vec![]), (9_000, vec![3])]
         );
-    }
-
-    #[test]
-    fn delta_log_dedupes_and_epochs_partition_edges() {
-        let mut g = LinkGraph::new();
-        g.record_page(1, &[2, 3]);
-        g.record_page(2, &[3, 3]);
-        // Pages touched: 1, 2, 3 — each exactly once despite repeats.
-        assert_eq!(g.delta(), &[1, 2, 3]);
-        assert_eq!(g.edges_in_epoch(), 4);
-        let e1 = g.epoch();
-        g.advance_epoch();
-        assert!(g.delta().is_empty());
-        assert_eq!(g.edges_in_epoch(), 0);
-        assert_eq!(g.epoch(), e1 + 1);
-        g.record_page(3, &[1]);
-        assert_eq!(g.delta(), &[3, 1]);
-        assert_eq!(g.edges_in_epoch(), 1);
     }
 
     #[test]

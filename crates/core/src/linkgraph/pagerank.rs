@@ -40,23 +40,26 @@
 //!
 //! # Incrementality
 //!
-//! Between refreshes the [`LinkGraph`] epoch log records every page
-//! whose equation changed (new page, new in-edge). A refresh seeds the
-//! worklist with exactly that delta, preconditions existing entries by
-//! `α = N_old/N_new` (after which the old fixpoint satisfies the new
-//! equations everywhere the structure did not change), and drains the
-//! worklist Gauss–Seidel style in ascending page-id order, sweep by
-//! sweep, until every residual is below `tol_rel / N`. A node is
-//! re-queued only when its pulled value moved by more than the
-//! threshold, so convergent regions quiesce and the relaxations per
-//! interval track the delta, not the graph. If the per-refresh sweep
-//! valve trips, the still-pending pages carry into the next refresh —
-//! truncation defers work, it never loses it. Every `resync_every`-th
-//! refresh seeds the *entire* crawled set instead, bounding
-//! floating-point drift. The reference mode (`full` in
-//! [`RankState::with_params`]) seeds everything at every refresh — the
-//! parity suite pins that both modes produce identical crawl reports on
-//! pinned cells.
+//! Between refreshes a page's equation changes only if the page is new
+//! or gained an in-edge. A refresh finds both from state it already
+//! keeps: a new page is one whose `z` is still `0.0`, and the new
+//! in-edges are the store's edges past `counted_edges`, the watermark
+//! up to which the in-degrees are counted. It seeds the worklist with
+//! the new pages and the crawled targets of the new edges,
+//! preconditions existing entries by `α = N_old/N_new` (after which the
+//! old fixpoint satisfies the new equations everywhere the structure
+//! did not change), and drains the worklist Gauss–Seidel style in
+//! ascending page-id order, sweep by sweep, until every residual is
+//! below `tol_rel / N`. A node is re-queued only when its pulled value
+//! moved by more than the threshold, so convergent regions quiesce and
+//! the relaxations per interval track the perturbed region, not the
+//! graph. If the per-refresh sweep valve trips, the still-pending pages
+//! carry into the next refresh — truncation defers work, it never loses
+//! it. Every `resync_every`-th refresh seeds the *entire* crawled set
+//! instead, bounding floating-point drift. The reference mode (`full`
+//! in [`RankState::with_params`]) seeds everything at every refresh —
+//! the parity suite pins that both modes produce identical crawl
+//! reports on pinned cells.
 //!
 //! # Layout of a refresh
 //!
@@ -182,14 +185,13 @@ impl RankState {
         }
     }
 
-    /// Refresh the ranks against the graph's current epoch, then close
-    /// the epoch. A state follows one store: every update must get the
-    /// same, grown graph. All growth happens here; the solve itself
-    /// (the private `refresh`) is transitively panic- and alloc-free.
-    pub fn update(&mut self, g: &mut LinkGraph) {
+    /// Refresh the ranks against the graph as it stands. A state
+    /// follows one store: every update must get the same, grown graph.
+    /// All growth happens here; the solve itself (the private
+    /// `refresh`) is transitively panic- and alloc-free.
+    pub fn update(&mut self, g: &LinkGraph) {
         self.ensure_capacity(g);
         self.refresh(g);
-        g.advance_epoch();
     }
 
     /// Grow the per-page tables to the store's page bound, and empty
@@ -220,11 +222,12 @@ impl RankState {
         self.nxt.resize(n.div_ceil(64), 0);
     }
 
-    /// One refresh: lay out the dense view, precondition, seed (delta,
-    /// carry or full), drain. The steady-state link-analysis update
-    /// path — scratch is pre-grown by [`RankState::ensure_capacity`]:
-    /// the dense tables take one entry per crawled page, `out_dst` and
-    /// `in_src` one per edge, and `carry` one per crawled page.
+    /// One refresh: lay out the dense view, precondition, seed (new
+    /// pages and in-edges plus carry, or full), drain. The steady-state
+    /// link-analysis update path — scratch is pre-grown by
+    /// [`RankState::ensure_capacity`]: the dense tables take one entry
+    /// per crawled page, `out_dst` and `in_src` one per edge, and
+    /// `carry` one per crawled page.
     // lint:root(panic-free, alloc-free) — the per-interval rank update
     // the PageRank-ordered crawl runs on.
     fn refresh(&mut self, g: &LinkGraph) {
@@ -242,16 +245,20 @@ impl RankState {
         };
         // Pass 1: count the edges recorded since the last refresh into
         // the in-degrees. Then, in ascending page id, number the crawled
-        // pages densely, precondition survivors by α, seed new pages at
-        // 1/N, rebuild Σz from scratch so it carries no drift across
-        // refreshes, and lay out the in-lists: dense page `i`'s starts
-        // at `in_off[i + 1]`, which serves as its fill cursor below.
+        // pages densely, precondition survivors by α, start new pages at
+        // 1/N and seed them, rebuild Σz from scratch so it carries no
+        // drift across refreshes, and lay out the in-lists: dense page
+        // `i`'s starts at `in_off[i + 1]`, which serves as its fill
+        // cursor below.
+        let fresh = self.counted_edges;
         // lint:allow(no-panic-transitive): ensure_capacity grows z, dense_of and in_deg to page_bound, in_src to num_edges and both bitsets to num_crawled bits; counted_edges never exceeds num_edges, dense indices are < num_crawled and pages from the store are < page_bound
-        for &t in &g.edge_targets()[self.counted_edges..] {
+        for &t in &g.edge_targets()[fresh..] {
             self.in_deg[t as usize] += 1;
         }
         self.counted_edges = g.num_edges();
-        let (mut zsum, mut start) = (0.0, 0);
+        let words = n_new.div_ceil(64);
+        self.cur[..words].fill(0);
+        let (mut zsum, mut start, mut pending) = (0.0, 0, false);
         self.in_off.push(0);
         for (page, outs) in g.crawled_pages() {
             let p = page as usize;
@@ -261,8 +268,15 @@ impl RankState {
                 1.0 / outs.len() as f64
             };
             let zi = self.z[p];
-            let v = if zi == 0.0 { uniform } else { zi * alpha };
-            self.dense_of[p] = self.order.len() as u32;
+            let i = self.order.len();
+            let v = if zi == 0.0 {
+                self.cur[i / 64] |= 1u64 << (i % 64);
+                pending = true;
+                uniform
+            } else {
+                zi * alpha
+            };
+            self.dense_of[p] = i as u32;
             self.order.push(page);
             self.zd.push(v);
             self.inv.push(inv);
@@ -289,10 +303,9 @@ impl RankState {
             self.out_off.push(self.out_dst.len() as u32);
         }
         // Pass 3: seed the first sweep — everything on a full reseed,
-        // else the pages the last refresh carried plus the epoch delta
-        // (every page whose equation changed).
-        let words = n.div_ceil(64);
-        let mut pending = false;
+        // else, on top of pass 1's new pages, the crawled targets of the
+        // edges recorded since the last refresh (each gained an
+        // in-edge) and the pages the last refresh carried.
         if full_seed {
             self.cur[..words].fill(u64::MAX);
             if !n.is_multiple_of(64) {
@@ -300,8 +313,7 @@ impl RankState {
             }
             pending = true;
         } else {
-            self.cur[..words].fill(0);
-            for list in [&self.carry[..], g.delta()] {
+            for list in [&self.carry[..], &g.edge_targets()[fresh..]] {
                 for &p in list {
                     let d = self.dense_of[p as usize];
                     if d != NONE {
@@ -406,7 +418,7 @@ mod tests {
         }
 
         /// Full-recompute reference: identical solver, but every refresh
-        /// seeds the entire crawled set (no delta shortcut, no drift).
+        /// seeds the entire crawled set (no incremental seeding, no drift).
         fn full_reference(damping: f64) -> Self {
             Self::with_params(damping, 1e-9, 256, 1, true)
         }
@@ -470,9 +482,9 @@ mod tests {
 
     #[test]
     fn matches_dense_oracle_with_redistribution() {
-        let mut g = ring_with_hub();
+        let g = ring_with_hub();
         let mut state = RankState::new(0.85);
-        state.update(&mut g);
+        state.update(&g);
         let want = oracle(&g, 0.85, 200);
         assert!(
             max_err(&state, &g, &want) < 1e-9,
@@ -483,9 +495,9 @@ mod tests {
 
     #[test]
     fn rank_sum_is_one_with_lost_and_dangling_mass() {
-        let mut g = ring_with_hub();
+        let g = ring_with_hub();
         let mut state = RankState::new(0.85);
-        state.update(&mut g);
+        state.update(&g);
         assert!(
             (state.rank_sum() - 1.0).abs() < 1e-12,
             "Σrank = {} ≠ 1",
@@ -516,8 +528,8 @@ mod tests {
                 gi.record_page(p, &outs);
                 gf.record_page(p, &outs);
             }
-            inc.update(&mut gi);
-            full.update(&mut gf);
+            inc.update(&gi);
+            full.update(&gf);
         }
         let worst = (0..gi.page_bound() as u32)
             .filter(|&p| gi.is_crawled(p))
@@ -549,10 +561,10 @@ mod tests {
             for (i, (p, outs)) in edges.iter().enumerate() {
                 g.record_page(*p, outs);
                 if updates_at.contains(&i) {
-                    st.update(&mut g);
+                    st.update(&g);
                 }
             }
-            st.update(&mut g); // resync_every=1 ⇒ this is a full reseed
+            st.update(&g); // resync_every=1 ⇒ this is a full reseed
             (0..g.page_bound() as u32)
                 .map(|p| st.rank_of(p))
                 .collect::<Vec<f64>>()
@@ -598,9 +610,9 @@ mod tests {
             }
             g
         };
-        let (mut g, mut gf) = (grow(), grow());
+        let (g, gf) = (grow(), grow());
         let mut full = RankState::full_reference(0.85);
-        full.update(&mut gf);
+        full.update(&gf);
         let mut st = RankState::with_params(0.85, 1e-9, 1, 1_000, false);
         let gap = |st: &RankState, g: &LinkGraph| {
             (0..g.page_bound() as u32)
@@ -608,10 +620,10 @@ mod tests {
                 .map(|p| (st.rank_of(p) - full.rank_of(p)).abs())
                 .fold(0.0, f64::max)
         };
-        st.update(&mut g);
+        st.update(&g);
         let one_sweep = gap(&st, &g);
         for _ in 0..400 {
-            st.update(&mut g);
+            st.update(&g);
         }
         // Both solvers stop once every residual is below θ = 1e-9/N, so
         // each sits within about θ/(1 − d) of the exact ranks: the bound
@@ -627,11 +639,37 @@ mod tests {
         );
     }
 
+    /// An incremental refresh seeds the pages whose equations changed:
+    /// the pages no refresh has seen crawled, and the crawled targets of
+    /// the edges recorded since the last refresh. One sweep relaxes the
+    /// seeds alone, so a page that is neither keeps its preconditioned
+    /// `α·z`, bit for bit.
+    #[test]
+    fn refresh_seeds_new_pages_and_targets_of_new_edges() {
+        let mut g = LinkGraph::new();
+        g.record_page(0, &[1, 5]);
+        g.record_page(1, &[0]);
+        let mut st = RankState::with_params(0.85, 1e-12, 256, 1_000, false);
+        st.update(&g);
+        assert!(st.carry.is_empty(), "the first refresh converges");
+        let (z0, z1) = (st.z[0], st.z[1]);
+        // Page 5 is new and was linked before the last refresh; page 6
+        // is new and gives old page 1 a new in-edge.
+        g.record_page(5, &[]);
+        g.record_page(6, &[1]);
+        st.max_sweeps = 1;
+        st.update(&g);
+        let alpha = 2.0 / 4.0;
+        assert_eq!(st.z[0].to_bits(), (alpha * z0).to_bits(), "page 0 moved");
+        assert_ne!(st.z[1].to_bits(), (alpha * z1).to_bits(), "page 1 kept α·z");
+        assert_ne!(st.z[5].to_bits(), 0.25f64.to_bits(), "page 5 kept 1/N");
+    }
+
     #[test]
     fn empty_graph_is_inert() {
-        let mut g = LinkGraph::new();
+        let g = LinkGraph::new();
         let mut st = RankState::new(0.85);
-        st.update(&mut g);
+        st.update(&g);
         assert_eq!(st.rank_sum(), 0.0);
         assert_eq!(st.rank_of(0), 0.0);
     }

@@ -13,9 +13,10 @@
 //! `LANGCRAWL_SNAPSHOT_DIR` naming a directory, it also attaches a
 //! [`DirSink`] that writes `crawl-<space fingerprint>-<run
 //! fingerprint>-t<tick>.snap` files, so crawls of one space by
-//! different strategies or classifiers keep apart. Experiments that
-//! want a different frontier or extra observers use the engine
-//! directly.
+//! different strategies or classifiers keep apart; a capture it cannot
+//! write leaves its error for [`Simulator::take_snapshot_error`].
+//! Experiments that want a different frontier or extra observers use
+//! the engine directly.
 
 use crate::classifier::Classifier;
 use crate::engine::{CrawlEngine, EngineConfig, EngineScratch};
@@ -134,6 +135,9 @@ pub struct Simulator<'a> {
     /// — the shape of every experiment sweep — stop paying a per-run
     /// grow-from-empty cycle in the hot loop entirely.
     scratch: EngineScratch,
+    /// The last run's first snapshot write error, until
+    /// [`Simulator::take_snapshot_error`] hands it out.
+    snapshot_error: Option<std::io::Error>,
 }
 
 impl<'a> Simulator<'a> {
@@ -143,6 +147,7 @@ impl<'a> Simulator<'a> {
             ws,
             config,
             scratch: EngineScratch::new(),
+            snapshot_error: None,
         }
     }
 
@@ -157,7 +162,9 @@ impl<'a> Simulator<'a> {
 
     /// Run one crawl to completion (or to the fetch budget) and return
     /// its report. The simulator is reusable: each `run` starts fresh
-    /// from the seeds.
+    /// from the seeds. A capturing run whose snapshots cannot be
+    /// written still crawls to the end; check
+    /// [`Simulator::take_snapshot_error`] after it.
     pub fn run<S, C>(&mut self, strategy: &mut S, classifier: &C) -> CrawlReport
     where
         S: Strategy + ?Sized,
@@ -200,6 +207,7 @@ impl<'a> Simulator<'a> {
             &mut sinks,
             &mut self.scratch,
         );
+        self.snapshot_error = dir.as_mut().and_then(DirSink::take_error);
 
         CrawlReport {
             strategy: strategy.name(),
@@ -216,6 +224,14 @@ impl<'a> Simulator<'a> {
             gave_up: outcome.gave_up,
             ticks: outcome.ticks,
         }
+    }
+
+    /// The last run's first snapshot write error, leaving `None` behind.
+    /// `Some` means the run could not write a capture into
+    /// `LANGCRAWL_SNAPSHOT_DIR`; the error names the file. The run
+    /// skipped its later captures and crawled on.
+    pub fn take_snapshot_error(&mut self) -> Option<std::io::Error> {
+        self.snapshot_error.take()
     }
 
     /// The sink a capturing run writes its snapshots through: a

@@ -706,9 +706,9 @@ impl EventSink for SnapshotLog {
 /// `<name>.tmp`, synced, and renamed into place, so a run killed
 /// mid-write never leaves a torn file under a final name. I/O failures
 /// never panic and never abort the crawl: the first error is recorded
-/// (and noted once on stderr, best-effort), subsequent writes are
-/// skipped, and the caller collects the error through
-/// [`DirSink::take_error`] after the run.
+/// with the path it failed on (and noted once on stderr, best-effort),
+/// subsequent writes are skipped, and the caller collects the error
+/// through [`DirSink::take_error`] after the run.
 #[derive(Debug)]
 pub struct DirSink {
     dir: PathBuf,
@@ -736,8 +736,8 @@ impl DirSink {
         self.written
     }
 
-    /// The first write error, if any, leaving `None` behind.
-    // lint:allow(test-only-pub): a caller that attaches its own DirSink collects its write error
+    /// The first write error, if any, leaving `None` behind. Its
+    /// message names the file that could not be written.
     pub fn take_error(&mut self) -> Option<std::io::Error> {
         self.error.take()
     }
@@ -762,10 +762,11 @@ impl DirSink {
                 // Best-effort cleanup and note; a dead stderr must not
                 // panic the run.
                 let _ = std::fs::remove_file(&tmp);
+                let e =
+                    std::io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()));
                 let _ = writeln!(
                     std::io::stderr(),
-                    "snapshot: cannot write {}: {e} (further snapshots skipped)",
-                    path.display()
+                    "snapshot: {e} (further snapshots skipped)"
                 );
                 self.error = Some(e);
             }
@@ -1042,7 +1043,12 @@ mod tests {
         bad.on_event(&snapshot_event(1, &bytes));
         bad.on_event(&snapshot_event(2, &bytes));
         assert_eq!(bad.written(), 0);
-        assert!(bad.take_error().is_some());
+        let err = bad.take_error().expect("the failed write is kept");
+        let first = clash.join(format!("t-t{:020}.snap", 1));
+        assert!(
+            err.to_string().contains(&first.display().to_string()),
+            "error names the file: {err}"
+        );
         assert!(bad.take_error().is_none(), "error is taken once");
         let _ = std::fs::remove_file(&clash);
     }

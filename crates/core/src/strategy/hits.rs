@@ -73,7 +73,7 @@ impl HitsStrategy {
     #[cfg(test)]
     fn run_hits(&mut self) -> Vec<PageId> {
         self.state
-            .distill(&mut self.graph, self.top_hubs, &mut self.hubs);
+            .distill(&self.graph, self.top_hubs, &mut self.hubs);
         self.hubs.clone()
     }
 }
@@ -113,7 +113,7 @@ impl Strategy for HitsStrategy {
         // hubs to the front of the queue.
         if view.crawled.is_multiple_of(self.interval) {
             self.state
-                .distill(&mut self.graph, self.top_hubs, &mut self.hubs);
+                .distill(&self.graph, self.top_hubs, &mut self.hubs);
             for &hub in &self.hubs {
                 for &page in self.graph.out_pages(hub) {
                     out.push(Entry {

@@ -98,11 +98,11 @@ impl Strategy for BacklinkCount {
 /// it has one outlink and in bucket 7 otherwise. This is a known defect
 /// of the ordering; fixing it changes the `ablation_ordering` figures.
 ///
-/// The refresh is incremental ([`crate::linkgraph`]): between firings
-/// the shared [`LinkGraph`] logs which pages' rank equations changed,
-/// and the [`RankState`] relaxes only that delta — O(perturbed region)
-/// instead of the historical O(crawled · iterations) full power
-/// iteration. Ranks conserve total mass (`Σrank = 1`): the lost and
+/// The refresh is incremental ([`crate::linkgraph`]): the
+/// [`RankState`] relaxes only the pages whose rank equations changed
+/// since its last refresh, the new pages of the shared [`LinkGraph`]
+/// and the targets of its new edges — O(perturbed region) instead of
+/// the historical O(crawled · iterations) full power iteration. Ranks conserve total mass (`Σrank = 1`): the lost and
 /// dangling rank shares the historical recompute silently dropped are
 /// redistributed uniformly (see the [`crate::linkgraph::pagerank`]
 /// module docs).
@@ -147,7 +147,7 @@ impl OnlinePageRank {
     }
 
     fn recompute(&mut self) {
-        self.ranks.update(&mut self.graph);
+        self.ranks.update(&self.graph);
     }
 
     /// Current rank of `page`, or 0 if no refresh has seen it crawled.

@@ -11,10 +11,7 @@
 //! * the page bound is one past the largest id recorded or linked to;
 //! * forward adjacency matches the model element for element (record
 //!   order and multiplicity), and crawled flags, the page-order walk of
-//!   crawled pages and the record-order edge list with it;
-//! * epoch deltas list exactly the pages touched in the epoch, once
-//!   each, in first-touch order, and per-epoch edge counts sum to the
-//!   store total.
+//!   crawled pages and the record-order edge list with it.
 //!
 //! The store keeps no reverse adjacency; the layer index's own in-lists
 //! are checked against a model in `linkgraph::layers`' unit tests.
@@ -29,8 +26,6 @@ struct Model {
     fwd: Vec<Option<Vec<u32>>>,
     /// Every edge's target, in record order.
     edges: Vec<u32>,
-    /// Pages touched this epoch, in first-touch order.
-    touched: Vec<u32>,
 }
 
 impl Model {
@@ -45,11 +40,6 @@ impl Model {
         }
         self.fwd[page as usize] = Some(outlinks.to_vec());
         self.edges.extend_from_slice(outlinks);
-        for &p in [&page].into_iter().chain(outlinks) {
-            if !self.touched.contains(&p) {
-                self.touched.push(p);
-            }
-        }
     }
 }
 
@@ -122,39 +112,5 @@ fn store_matches_naive_model_under_random_growth() {
             model.record_page(page, &outs);
         }
         assert_equiv(&store, &model);
-    });
-}
-
-#[test]
-fn epoch_deltas_partition_the_edge_set() {
-    check(64, |g| {
-        let pool = sparse_pool(g);
-        let mut store = LinkGraph::new();
-        let mut model = Model::default();
-        let mut outs = Vec::new();
-        let mut per_epoch_edges = Vec::new();
-        for _ in 0..g.usize(1..100) {
-            if g.bool(0.2) {
-                // Close the epoch: its delta is exactly the pages its
-                // records touched, each once, in first-touch order.
-                assert_eq!(store.delta(), &model.touched[..], "delta");
-                per_epoch_edges.push(store.edges_in_epoch());
-                store.advance_epoch();
-                model.touched.clear();
-                assert!(store.delta().is_empty(), "delta survives the epoch");
-                assert_eq!(store.edges_in_epoch(), 0);
-            }
-            let page = draw(g, &pool, 8, &mut outs);
-            store.record_page(page, &outs);
-            model.record_page(page, &outs);
-        }
-        assert_eq!(store.delta(), &model.touched[..], "delta");
-        per_epoch_edges.push(store.edges_in_epoch());
-        let partitioned: u64 = per_epoch_edges.iter().sum();
-        assert_eq!(
-            partitioned,
-            store.num_edges() as u64,
-            "per-epoch edge counts must sum to the arena total"
-        );
     });
 }

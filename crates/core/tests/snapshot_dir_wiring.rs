@@ -19,7 +19,8 @@ use langcrawl_webgraph::GeneratorConfig;
 /// builder-configured 4-slot scheduler, and under a field-configured
 /// default (single-slot) schedule. Two strategies crawl the same space
 /// into one directory and leave disjoint file sets: the second run
-/// replaces none of the first one's files.
+/// replaces none of the first one's files. A directory that cannot be
+/// created leaves its error with the simulator.
 #[test]
 fn simulator_env_wiring_writes_resumable_files() {
     let base = std::env::temp_dir().join(format!("langcrawl-snap-wiring-{}", std::process::id()));
@@ -64,17 +65,26 @@ fn simulator_env_wiring_writes_resumable_files() {
         files.sort();
         files
     };
-    for (label, config) in runs {
+    // One run of `strat` with `LANGCRAWL_SNAPSHOT_DIR` set to `dir`,
+    // restoring the variable after.
+    let run_into = |dir: &std::path::Path, config: &SimConfig, strat: &str| {
+        let prior = std::env::var("LANGCRAWL_SNAPSHOT_DIR").ok();
+        std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", dir);
+        let mut sim = Simulator::new(&ws, config.clone());
+        let report = sim.run(make_strategy(strat).as_mut(), &classifier);
+        match prior {
+            Some(v) => std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", v),
+            None => std::env::remove_var("LANGCRAWL_SNAPSHOT_DIR"),
+        }
+        (sim, report)
+    };
+    for (label, config) in &runs {
         let dir = base.join(label);
         let mut earlier: Vec<(String, Vec<u8>)> = Vec::new();
         for strat in ["soft", "bf"] {
-            let prior = std::env::var("LANGCRAWL_SNAPSHOT_DIR").ok();
-            std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", &dir);
-            let mut sim = Simulator::new(&ws, config.clone());
-            let report = sim.run(make_strategy(strat).as_mut(), &classifier);
-            match prior {
-                Some(v) => std::env::set_var("LANGCRAWL_SNAPSHOT_DIR", v),
-                None => std::env::remove_var("LANGCRAWL_SNAPSHOT_DIR"),
+            let (mut sim, report) = run_into(&dir, config, strat);
+            if let Some(e) = sim.take_snapshot_error() {
+                panic!("{label}: {strat} could not write its snapshots: {e}");
             }
             let files = listing(&dir);
             let (kept, written): (Vec<_>, Vec<_>) =
@@ -131,5 +141,30 @@ fn simulator_env_wiring_writes_resumable_files() {
             earlier.extend(written);
         }
     }
+
+    // A directory path under a regular file cannot be created. The run
+    // still crawls to the end, and the simulator hands out the write
+    // error, which names the file it failed on, once.
+    let file = base.join("file");
+    std::fs::write(&file, b"x").expect("a regular file must write");
+    let dir = file.join("snaps");
+    let (mut sim, report) = run_into(&dir, &runs[1].1, "soft");
+    let plain =
+        Simulator::new(&ws, SimConfig::default()).run(&mut SimpleStrategy::soft(), &classifier);
+    assert_eq!(
+        report.crawled, plain.crawled,
+        "the failed captures cut the crawl short"
+    );
+    let err = sim
+        .take_snapshot_error()
+        .expect("an uncreatable directory must yield its error");
+    assert!(
+        err.to_string().contains(&dir.display().to_string()),
+        "the error must name the file: {err}"
+    );
+    assert!(
+        sim.take_snapshot_error().is_none(),
+        "the error is handed out once"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
