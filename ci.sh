@@ -98,6 +98,14 @@ for threads in 1 4; do
         --test detector_parity --test synthesis_golden
 done
 
+# Harness goldens, re-run under both generation thread counts: a bare
+# repro_all at smoke scale must print every harness's section and write
+# every result file exactly as the pinned per-harness digests say.
+echo "==> harness goldens (LANGCRAWL_THREADS=1,4)"
+for threads in 1 4; do
+    LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl-bench --test harness_goldens
+done
+
 # The timed crawl model (SchedConfig::timing) over seeds 42 and 1-7 at
 # timing_ext's default 40k scale, about 0.3 s a seed. The step fails when
 # any of the harness's first three shape checks (politeness slows the
