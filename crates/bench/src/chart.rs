@@ -1,4 +1,4 @@
-//! Terminal ASCII charts — so the figure binaries actually show figures.
+//! Terminal ASCII charts — so the figure harnesses actually show figures.
 //!
 //! Renders multiple series into a fixed character grid with axis labels,
 //! one glyph per curve, mirroring the gnuplot figures of the paper close

@@ -1,4 +1,4 @@
-//! The shared experiment descriptor every figure binary shrinks onto.
+//! The shared experiment descriptor every figure harness shrinks onto.
 //!
 //! Each harness used to hand-roll the same sequence: read
 //! `LANGCRAWL_SCALE`/`LANGCRAWL_SEED`, print a banner, build the preset
@@ -6,14 +6,14 @@
 //! classifier, draw chart+table panels, and write CSVs + gnuplot
 //! scripts under `results/`. [`Experiment`] is that sequence as data: a
 //! preset, a default scale, a [`SimConfig`], a classifier factory and a
-//! named strategy set. Binaries declare the descriptor, call
+//! named strategy set. Harnesses declare the descriptor, call
 //! [`Experiment::run`], and keep only their figure-specific panels and
 //! shape checks.
 
 use crate::chart::AsciiChart;
 use crate::gnuplot::{sanitize, write_script, PlotKind};
 use crate::runner::{
-    env_scale, env_seed, print_table, run_parallel, write_csv_reporting, StrategyFactory,
+    env_parse, env_scale, env_seed, print_table, run_parallel, write_csv, StrategyFactory,
 };
 use langcrawl_core::classifier::{Classifier, MetaClassifier, OracleClassifier};
 use langcrawl_core::metrics::CrawlReport;
@@ -35,7 +35,6 @@ pub struct Experiment {
     config: SimConfig,
     classifier: ClassifierFactory,
     strategies: Vec<(&'static str, StrategyFactory<'static>)>,
-    banner: bool,
 }
 
 impl std::fmt::Debug for Experiment {
@@ -66,7 +65,6 @@ impl Experiment {
             config: SimConfig::default(),
             classifier: Box::new(|ws| Box::new(MetaClassifier::target(ws.target_language()))),
             strategies: Vec::new(),
-            banner: true,
         }
     }
 
@@ -106,13 +104,6 @@ impl Experiment {
         self
     }
 
-    /// Suppress the banner line — for sweep loops that run many
-    /// experiment instances and print their own table.
-    pub fn quiet(mut self) -> Self {
-        self.banner = false;
-        self
-    }
-
     /// Build the space (honoring `LANGCRAWL_SCALE`/`LANGCRAWL_SEED`)
     /// through the process-wide [`langcrawl_webgraph::SpaceCache`], run
     /// every strategy in parallel, and return space + reports. Repeat
@@ -121,9 +112,7 @@ impl Experiment {
     pub fn run(&self) -> ExperimentRun {
         let scale = env_scale(self.default_scale);
         let seed = env_seed();
-        if self.banner {
-            println!("== {} (n={scale}, seed={seed}) ==", self.title);
-        }
+        println!("== {} (n={scale}, seed={seed}) ==", self.title);
         let ws = self.preset.clone().scaled(scale).build_shared(seed);
         let reports = self.run_on(&ws);
         ExperimentRun {
@@ -136,17 +125,14 @@ impl Experiment {
     /// Run the strategy set on an already-built space (for harnesses
     /// that sweep generator knobs and build their spaces themselves).
     /// `LANGCRAWL_SNAPSHOT_EVERY` supplies a snapshot cadence for
-    /// experiments that didn't set one — any figure binary becomes
+    /// experiments that didn't set one — any figure harness becomes
     /// checkpointable from the environment alone (paired with
     /// `LANGCRAWL_SNAPSHOT_DIR` for the output directory).
     pub fn run_on(&self, ws: &WebSpace) -> Vec<CrawlReport> {
         let classifier = (self.classifier)(ws);
         let mut config = self.config.clone();
         if config.snapshot_every.is_none() {
-            if let Some(every) = std::env::var("LANGCRAWL_SNAPSHOT_EVERY")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-            {
+            if let Some(every) = env_parse("LANGCRAWL_SNAPSHOT_EVERY") {
                 config = config.with_snapshot_every(every);
             }
         }
@@ -155,7 +141,7 @@ impl Experiment {
 }
 
 /// A completed experiment: the space it ran on and one report per
-/// strategy, plus the panel/output helpers the figure binaries share.
+/// strategy, plus the panel/output helpers the figure harnesses share.
 #[derive(Debug)]
 pub struct ExperimentRun {
     /// The web space all strategies crawled (shared via the space
@@ -220,13 +206,13 @@ impl ExperimentRun {
     }
 
     /// Print every report's summary row, write per-strategy CSVs under
-    /// `results/<prefix>_<strategy>.csv` (failures are reported, not
-    /// swallowed), and emit one gnuplot script per requested plot.
+    /// `results/<prefix>_<strategy>.csv`, and emit one gnuplot script per
+    /// requested plot, all through [`crate::runner::write_result`].
     pub fn emit(&self, plots: &[(PlotKind, &str)]) {
         println!();
         for r in &self.reports {
             println!("{}", r.summary_row());
-            write_csv_reporting(
+            write_csv(
                 r,
                 &format!("{}_{}", self.file_prefix, sanitize(&r.strategy)),
             );
@@ -265,7 +251,6 @@ mod tests {
             GeneratorConfig::thai_like(),
         )
         .scale(2_000)
-        .quiet()
         .strategy("bf", |_| Box::new(BreadthFirst::new()))
         .strategy("soft", |_| Box::new(SimpleStrategy::soft()))
     }

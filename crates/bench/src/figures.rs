@@ -1,41 +1,23 @@
 //! Shared figure-check helpers. The panel layouts themselves live on
 //! [`crate::experiment::ExperimentRun`].
-//!
-//! Every shape check routed through [`ok`] is tallied in thread-local
-//! counters so an in-process driver (the `repro_all` dashboard) can run
-//! a harness, then read back how many checks ran and how many failed
-//! without scraping stdout.
 
-use std::cell::Cell;
+/// The verdicts of a harness's shape checks, in the order it ran them:
+/// check `n` is `self.0[n - 1]`. A harness returns them, so a driver
+/// (the `repro_all` dashboard) reads them without scraping stdout.
+#[derive(Debug, Default)]
+pub struct Checks(pub Vec<bool>);
 
-thread_local! {
-    static CHECKS: Cell<usize> = const { Cell::new(0) };
-    static MISMATCHES: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Tick-mark for shape checks. Also bumps the thread-local tallies read
-/// by [`take_counts`].
-pub fn ok(b: bool) -> &'static str {
-    CHECKS.with(|c| c.set(c.get() + 1));
-    if b {
-        "OK"
-    } else {
-        MISMATCHES.with(|c| c.set(c.get() + 1));
-        "MISMATCH"
+impl Checks {
+    /// Record one check's verdict and return the tick mark printed
+    /// beside it.
+    pub fn ok(&mut self, pass: bool) -> &'static str {
+        self.0.push(pass);
+        if pass {
+            "OK"
+        } else {
+            "MISMATCH"
+        }
     }
-}
-
-/// Reset the thread-local check tallies to zero. Call before running a
-/// harness whose checks you want to count in isolation.
-pub fn reset_counts() {
-    CHECKS.with(|c| c.set(0));
-    MISMATCHES.with(|c| c.set(0));
-}
-
-/// Read `(checks, mismatches)` accumulated on this thread since the
-/// last [`reset_counts`].
-pub fn take_counts() -> (usize, usize) {
-    (CHECKS.with(Cell::get), MISMATCHES.with(Cell::get))
 }
 
 #[cfg(test)]
@@ -43,13 +25,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ok_tallies_checks_and_mismatches() {
-        reset_counts();
-        assert_eq!(ok(true), "OK");
-        assert_eq!(ok(false), "MISMATCH");
-        assert_eq!(ok(true), "OK");
-        assert_eq!(take_counts(), (3, 1));
-        reset_counts();
-        assert_eq!(take_counts(), (0, 0));
+    fn ok_records_verdicts_in_order() {
+        let mut checks = Checks::default();
+        assert_eq!(checks.ok(true), "OK");
+        assert_eq!(checks.ok(false), "MISMATCH");
+        assert_eq!(checks.ok(true), "OK");
+        assert_eq!(checks.0, [true, false, true]);
     }
 }

@@ -1,10 +1,9 @@
 //! Gnuplot script emission — the paper's figures were gnuplot plots;
-//! every figure binary leaves a ready-to-run `.gp` script next to its
+//! every figure harness leaves a ready-to-run `.gp` script next to its
 //! CSVs so `gnuplot results/fig3_harvest.gp` regenerates the figure as
 //! the paper drew it.
 
 use langcrawl_core::metrics::CrawlReport;
-use std::io::Write;
 
 /// Which column of the report CSVs a plot draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,25 +79,16 @@ pub fn sanitize(strategy: &str) -> String {
     strategy.replace([' ', '=', '.'], "_")
 }
 
-/// Write the script under [`crate::runner::results_dir`] (no-op if the
-/// directory cannot be created, matching `write_csv`).
+/// Write the script as `<file_prefix>_<plot>.gp` through
+/// [`crate::runner::write_result`].
 pub fn write_script(title: &str, kind: PlotKind, reports: &[CrawlReport], file_prefix: &str) {
-    let dir = crate::runner::results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let name = match kind {
+    let plot = match kind {
         PlotKind::Harvest => "harvest",
         PlotKind::Coverage => "coverage",
         PlotKind::QueueSize => "queue",
     };
-    let path = dir.join(format!("{file_prefix}_{name}.gp"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let body = script(title, kind, reports, file_prefix);
-        if f.write_all(body.as_bytes()).is_ok() {
-            println!("  [gnuplot] {}", path.display());
-        }
-    }
+    let body = script(title, kind, reports, file_prefix);
+    crate::runner::write_result(&format!("{file_prefix}_{plot}.gp"), body.as_bytes());
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! false negatives by cutting off expansion), with META's deficit
 //! tracking the mislabel + missing-META + UTF-8 rates.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::{runner, Experiment};
 use langcrawl_core::classifier::{
     Classifier, DetectorClassifier, MetaClassifier, OracleClassifier,
@@ -26,13 +26,13 @@ fn hard_crawl() -> Experiment {
         "Ablation B: classifier comparison, Thai dataset",
         GeneratorConfig::thai_like(),
     )
-    .quiet()
     .sim_config(SimConfig::default().with_url_filter())
     .strategy("hard", |_| Box::new(SimpleStrategy::hard()))
 }
 
-/// Run this harness (the body of the `ablation_classifier` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let scale = runner::env_scale(25_000); // detector path scans real bytes
     let seed = runner::env_seed();
     println!("== Ablation B: classifier comparison, Thai dataset (n={scale}, seed={seed}) ==");
@@ -71,13 +71,13 @@ pub fn run() {
         "  oracle >= detector:  {:.3} vs {:.3}  [{}]",
         coverages[0],
         coverages[1],
-        ok(coverages[0] >= coverages[1] - 0.01)
+        checks.ok(coverages[0] >= coverages[1] - 0.01)
     );
     println!(
         "  detector >= META:    {:.3} vs {:.3}  [{}]",
         coverages[1],
         coverages[2],
-        ok(coverages[1] >= coverages[2] - 0.01)
+        checks.ok(coverages[1] >= coverages[2] - 0.01)
     );
     println!(
         "  META pays for mislabels (deficit vs oracle): {:.1} pts",
@@ -118,4 +118,5 @@ pub fn run() {
             rec
         );
     }
+    checks
 }

@@ -8,14 +8,15 @@
 //! early-harvest advantage over breadth-first. Expectation: the advantage
 //! shrinks toward zero as locality decays toward the unbiased level.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::{runner, Experiment};
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `ablation_locality` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let scale = runner::env_scale(80_000);
     let seed = runner::env_seed();
     println!("== Ablation A: locality sweep, Thai dataset (n={scale}, seed={seed}) ==\n");
@@ -61,7 +62,7 @@ pub fn run() {
     let rising = advantages.first().unwrap() < advantages.last().unwrap();
     println!(
         "\nfocused advantage grows with language locality  [{}]",
-        ok(rising)
+        checks.ok(rising)
     );
     println!(
         "(the paper's premise: no locality, no point focusing — observed \
@@ -69,4 +70,5 @@ pub fn run() {
         100.0 * advantages.first().unwrap(),
         100.0 * advantages.last().unwrap()
     );
+    checks
 }

@@ -9,14 +9,15 @@
 //! disproportionately on large (often relevant) hosts, but nothing stops
 //! the crawl from pouring effort into popular *foreign* hubs.
 
-use crate::figures::ok;
-use crate::{write_csv_reporting, Experiment};
+use crate::figures::Checks;
+use crate::{write_csv, Experiment};
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BacklinkCount, BreadthFirst, OnlinePageRank, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `ablation_ordering` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let run = Experiment::new(
         "ordering",
         "Ablation E: URL-ordering baselines vs focused crawling, Thai",
@@ -44,7 +45,7 @@ pub fn run() {
             100.0 * r.final_coverage(),
             r.max_queue
         );
-        write_csv_reporting(
+        write_csv(
             r,
             &format!("ordering_{}", r.strategy.replace([' ', '(', ')'], "_")),
         );
@@ -60,7 +61,7 @@ pub fn run() {
         "  language focus beats importance ordering: soft {:.1}% vs best-ordered {:.1}%  [{}]",
         100.0 * soft,
         100.0 * best_ordered,
-        ok(soft > best_ordered)
+        checks.ok(soft > best_ordered)
     );
     println!(
         "  importance ordering is not *worse* than blind BFS for archiving: \
@@ -74,6 +75,7 @@ pub fn run() {
             .iter()
             .map(|r| format!("{:.2}", r.final_coverage()))
             .collect::<Vec<_>>(),
-        ok(run.reports[..3].iter().all(|r| r.final_coverage() > 0.99))
+        checks.ok(run.reports[..3].iter().all(|r| r.final_coverage() > 0.99))
     );
+    checks
 }

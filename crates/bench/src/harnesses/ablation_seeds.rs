@@ -11,14 +11,15 @@
 //! with more seeds (more entry points into the relevant mainland), then
 //! saturate.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::{runner, Experiment};
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::SimpleStrategy;
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `ablation_seeds` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let scale = runner::env_scale(80_000);
     let seed = runner::env_seed();
     println!("== Ablation C: seed-count sweep, Thai dataset (n={scale}, seed={seed}) ==\n");
@@ -57,6 +58,7 @@ pub fn run() {
     println!(
         "\nsoft-focused coverage is seed-insensitive (min {:.1}%)  [{}]",
         100.0 * soft_covs.iter().copied().fold(f64::MAX, f64::min),
-        ok(soft_covs.iter().all(|&c| c > 0.99))
+        checks.ok(soft_covs.iter().all(|&c| c > 0.99))
     );
+    checks
 }

@@ -14,14 +14,15 @@
 //! * language-focused crawling with tunneling (the paper's conclusion)
 //!   beats that ceiling at a modest harvest cost.
 
-use crate::figures::ok;
-use crate::{write_csv_reporting, Experiment};
+use crate::figures::Checks;
+use crate::{write_csv, Experiment};
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{LimitedDistanceStrategy, SimpleStrategy, TldScopeStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `ablation_tld` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let run = Experiment::new(
         "tld",
         "Ablation F: ccTLD scoping vs language focus, Thai dataset",
@@ -52,7 +53,7 @@ pub fn run() {
             100.0 * r.final_coverage(),
             r.max_queue
         );
-        write_csv_reporting(
+        write_csv(
             r,
             &format!("tld_{}", r.strategy.replace([' ', '=', '.'], "_")),
         );
@@ -67,7 +68,7 @@ pub fn run() {
          {:.1}% vs hard {:.1}%  [{}]",
         100.0 * tld.final_harvest(),
         100.0 * hard.final_harvest(),
-        ok(tld.final_harvest() >= hard.final_harvest())
+        checks.ok(tld.final_harvest() >= hard.final_harvest())
     );
     println!(
         "  …but its coverage ceiling is structural: {:.1}% (misses expatriate \
@@ -78,11 +79,12 @@ pub fn run() {
         "  language focus with tunneling beats the TLD ceiling: {:.1}% vs {:.1}%  [{}]",
         100.0 * limited.final_coverage(),
         100.0 * tld.final_coverage(),
-        ok(limited.final_coverage() > tld.final_coverage())
+        checks.ok(limited.final_coverage() > tld.final_coverage())
     );
     println!(
         "\n=> the paper's premise quantified: a national *language* archive \
          cannot be built by domain scoping alone — the borderless part of the \
          national web is exactly what it misses."
     );
+    checks
 }

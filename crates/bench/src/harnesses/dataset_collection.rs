@@ -16,15 +16,16 @@
 //! than the world (the Japanese situation); the soft+limited snapshot
 //! stays close to the world's ratio (the Thai situation).
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::Experiment;
 use langcrawl_core::metrics::CrawlReport;
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, CombinedStrategy};
 use langcrawl_webgraph::{GeneratorConfig, WebSpace};
 
-/// Run this harness (the body of the `dataset_collection` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     // The "real web" around the target language: low specificity. Visit
     // recording is on so each snapshot can be re-judged page by page.
     let run = Experiment::new(
@@ -106,7 +107,7 @@ pub fn run() {
         "  breadth-first snapshot mirrors the world: {:.1}% vs {:.1}%  [{}]",
         100.0 * bf_ratio,
         100.0 * world_ratio,
-        ok((bf_ratio - world_ratio).abs() < 0.03)
+        checks.ok((bf_ratio - world_ratio).abs() < 0.03)
     );
     println!(
         "  the tighter the collection crawl, the more specific the dataset: \
@@ -114,24 +115,25 @@ pub fn run() {
         100.0 * hard0_ratio,
         100.0 * hard_ratio,
         100.0 * hard2_ratio,
-        ok(hard0_ratio > hard_ratio && hard_ratio > hard2_ratio)
+        checks.ok(hard0_ratio > hard_ratio && hard_ratio > hard2_ratio)
     );
     println!(
         "  a strict collection crawl manufactures the 'Japanese dataset' situation: \
          {:.1}% snapshot relevance from a {:.1}% world (paper: 71%)  [{}]",
         100.0 * hard0_ratio,
         100.0 * world_ratio,
-        ok(hard0_ratio > 0.60)
+        checks.ok(hard0_ratio > 0.60)
     );
     println!(
         "  a tunneling collection crawl keeps the 'Thai dataset' situation: \
          {:.1}% ≈ world  [{}]",
         100.0 * soft_ratio,
-        ok((soft_ratio - world_ratio).abs() < 0.06)
+        checks.ok((soft_ratio - world_ratio).abs() < 0.06)
     );
     println!(
         "\n=> 'datasets with high degree of language specificity are not suitable for \
          evaluating language specific web crawling strategies' (§5.1) — and the \
          collection crawl is what sets that specificity."
     );
+    checks
 }

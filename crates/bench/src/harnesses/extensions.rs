@@ -9,16 +9,17 @@
 //! no reverse-link requirement — is the paper's §2.2 argument made
 //! quantitative.
 
-use crate::figures::ok;
-use crate::{write_csv_reporting, Experiment};
+use crate::figures::Checks;
+use crate::{write_csv, Experiment};
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{
     ContextGraphStrategy, HitsStrategy, LimitedDistanceStrategy, SimpleStrategy,
 };
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `extensions` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let run = Experiment::new(
         "ext",
         "Extensions: HITS distiller & context-graph vs paper strategies, Thai",
@@ -56,7 +57,7 @@ pub fn run() {
             100.0 * r.final_coverage(),
             r.max_queue
         );
-        write_csv_reporting(
+        write_csv(
             r,
             &format!("ext_{}", r.strategy.replace([' ', '=', '.'], "_")),
         );
@@ -73,7 +74,7 @@ pub fn run() {
         100.0 * cg.final_coverage(),
         100.0 * limited.harvest_at(early),
         100.0 * cg.harvest_at(early),
-        ok(limited.final_coverage() + 0.15 > cg.final_coverage())
+        checks.ok(limited.final_coverage() + 0.15 > cg.final_coverage())
     );
     println!(
         "  limited-distance needs {:.0}% of soft's queue memory ({} vs {})",
@@ -81,4 +82,5 @@ pub fn run() {
         limited.max_queue,
         soft.max_queue
     );
+    checks
 }

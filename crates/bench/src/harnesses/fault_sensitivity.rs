@@ -15,13 +15,12 @@
 //! level), and net harvest decays monotonically-ish as bandwidth is
 //! diverted to retries.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::{runner, Experiment};
 use langcrawl_core::metrics::CrawlReport;
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
-use std::io::Write;
 
 /// Swept base transient-failure rates. `0.0` uses the all-zero config
 /// (not `FaultConfig::with_rate(0.0)`, which still marks 1% of hosts
@@ -34,7 +33,6 @@ fn experiment(fault: FaultConfig) -> Experiment {
         "fault sensitivity",
         GeneratorConfig::thai_like(),
     )
-    .quiet()
     .oracle_classifier()
     .sim_config(SimConfig::default().with_faults(fault))
     .strategy("bf", |_| Box::new(BreadthFirst::new()))
@@ -42,8 +40,9 @@ fn experiment(fault: FaultConfig) -> Experiment {
     .strategy("hard", |_| Box::new(SimpleStrategy::hard()))
 }
 
-/// Run this harness (the body of the `fault_sensitivity` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let scale = runner::env_scale(40_000);
     let seed = runner::env_seed();
     println!(
@@ -101,14 +100,8 @@ pub fn run() {
         by_rate.push(reports);
     }
 
-    let dir = runner::results_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join("fault_sensitivity.csv");
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes())) {
-            Ok(()) => println!("\n  [csv] {}", path.display()),
-            Err(e) => eprintln!("\n  [csv] cannot write fault_sensitivity.csv: {e}"),
-        }
-    }
+    println!();
+    runner::write_result("fault_sensitivity.csv", csv.as_bytes());
 
     // Shape checks.
     let zero = &by_rate[0];
@@ -117,7 +110,7 @@ pub fn run() {
         .all(|r| r.attempts == r.crawled && r.retries == 0 && r.gave_up == 0);
     println!(
         "\nzero-rate rows report no retry traffic                 [{}]",
-        ok(clean)
+        checks.ok(clean)
     );
     let strategies = zero.len();
     let retries_grow = (0..strategies).all(|s| {
@@ -128,18 +121,19 @@ pub fn run() {
     });
     println!(
         "retry traffic grows with the failure rate              [{}]",
-        ok(retries_grow)
+        checks.ok(retries_grow)
     );
     let net_decays =
         (0..strategies).all(|s| by_rate.last().unwrap()[s].harvest_net() < zero[s].harvest_net());
     println!(
         "net harvest at 40% faults is below the fault-free net  [{}]",
-        ok(net_decays)
+        checks.ok(net_decays)
     );
     let coverage_suffers = (0..strategies)
         .all(|s| by_rate.last().unwrap()[s].relevant_crawled < zero[s].relevant_crawled);
     println!(
         "faults cost delivered relevant pages                   [{}]",
-        ok(coverage_suffers)
+        checks.ok(coverage_suffers)
     );
+    checks
 }

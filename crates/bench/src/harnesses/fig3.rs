@@ -10,15 +10,16 @@
 //! the dataset mean; soft-focused reaches 100% coverage by the end of
 //! the crawl; hard-focused stops early at ~70% coverage.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::gnuplot::PlotKind;
 use crate::Experiment;
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig3` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let run = Experiment::new(
         "fig3",
         "Figure 3: Simple Strategy, Thai dataset",
@@ -48,17 +49,18 @@ pub fn run() {
         100.0 * hard.harvest_at(early),
         100.0 * soft.harvest_at(early),
         100.0 * bf.harvest_at(early),
-        ok(hard.harvest_at(early) > bf.harvest_at(early)
+        checks.ok(hard.harvest_at(early) > bf.harvest_at(early)
             && soft.harvest_at(early) > bf.harvest_at(early))
     );
     println!(
         "  soft reaches ~100% coverage:        {:.1}%  [{}]",
         100.0 * soft.final_coverage(),
-        ok(soft.final_coverage() > 0.99)
+        checks.ok(soft.final_coverage() > 0.99)
     );
     println!(
         "  hard truncates at the ceiling:      {:.1}%  [{}]",
         100.0 * hard.final_coverage(),
-        ok(hard.final_coverage() < 0.9 && hard.final_coverage() > 0.4)
+        checks.ok(hard.final_coverage() < 0.9 && hard.final_coverage() > 0.4)
     );
+    checks
 }

@@ -13,15 +13,16 @@
 //! that focusing buys little, which is why the paper moves to Thai-only
 //! experiments afterwards.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::gnuplot::PlotKind;
 use crate::Experiment;
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig4` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let run = Experiment::new(
         "fig4",
         "Figure 4: Simple Strategy, Japanese dataset",
@@ -51,7 +52,7 @@ pub fn run() {
         "  even breadth-first harvests >70% early: {:.1}% (dataset base rate {:.1}%)  [{}]",
         100.0 * bf.harvest_at(early),
         100.0 * base_rate,
-        ok(bf.harvest_at(early) > 0.55)
+        checks.ok(bf.harvest_at(early) > 0.55)
     );
     println!(
         "  focusing buys little headroom: spread between best and worst early harvest = {:.1} pts \
@@ -72,6 +73,7 @@ pub fn run() {
         "  consistency with Thai results: soft covers {:.1}%, hard {:.1}%  [{}]",
         100.0 * soft.final_coverage(),
         100.0 * hard.final_coverage(),
-        ok(soft.final_coverage() > 0.99 && hard.final_coverage() < soft.final_coverage())
+        checks.ok(soft.final_coverage() > 0.99 && hard.final_coverage() < soft.final_coverage())
     );
+    checks
 }

@@ -7,14 +7,15 @@
 //! web scale. Expected shape here: soft's pending-URL curve several-fold
 //! above hard's, with hard's crawl ending early.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::gnuplot::PlotKind;
 use crate::Experiment;
 use langcrawl_core::strategy::SimpleStrategy;
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig5` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let run = Experiment::new(
         "fig5",
         "Figure 5: URL queue size, Simple Strategy, Thai dataset",
@@ -45,7 +46,7 @@ pub fn run() {
     println!(
         "  soft dwarfs hard by {:.1}x (paper: ~8x)  [{}]",
         soft.max_queue as f64 / hard.max_queue as f64,
-        ok(soft.max_queue > 3 * hard.max_queue)
+        checks.ok(soft.max_queue > 3 * hard.max_queue)
     );
 
     // The paper's §5.2.1 warning, quantified: "Scaling up this to the
@@ -70,4 +71,5 @@ pub fn run() {
         "  (2004-era crawl machines had 2–8 GB of RAM: the soft-focused queue \
          does not fit, the hard/limited queues do — the paper's motivation for §3.3.2)"
     );
+    checks
 }

@@ -5,13 +5,14 @@
 //! grows with N toward soft-focused's 100%; harvest rate *falls* as N
 //! grows — the flaw the prioritized mode (Fig. 7) fixes.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::Experiment;
 use langcrawl_core::strategy::LimitedDistanceStrategy;
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig6` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let mut e = Experiment::new(
         "fig6",
         "Figure 6: Non-Prioritized Limited Distance, Thai dataset",
@@ -33,12 +34,12 @@ pub fn run() {
     let harvests: Vec<f64> = run.reports.iter().map(|r| r.harvest_at(early)).collect();
     println!(
         "  queue size grows with N:    {queues:?}  [{}]",
-        ok(queues.windows(2).all(|w| w[0] < w[1]))
+        checks.ok(queues.windows(2).all(|w| w[0] < w[1]))
     );
     println!(
         "  coverage grows with N:      {:?}  [{}]",
         covers.iter().map(|c| format!("{c:.3}")).collect::<Vec<_>>(),
-        ok(covers.windows(2).all(|w| w[0] <= w[1] + 1e-9))
+        checks.ok(covers.windows(2).all(|w| w[0] <= w[1] + 1e-9))
     );
     println!(
         "  early harvest FALLS with N: {:?}  [{}]",
@@ -46,6 +47,7 @@ pub fn run() {
             .iter()
             .map(|h| format!("{h:.3}"))
             .collect::<Vec<_>>(),
-        ok(harvests.first() > harvests.last())
+        checks.ok(harvests.first() > harvests.last())
     );
+    checks
 }

@@ -7,13 +7,14 @@
 //! first means the tunnel budget no longer costs precision. This is the
 //! configuration the paper's conclusion recommends.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::Experiment;
 use langcrawl_core::strategy::LimitedDistanceStrategy;
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig7` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let mut e = Experiment::new(
         "fig7",
         "Figure 7: Prioritized Limited Distance, Thai dataset",
@@ -35,7 +36,7 @@ pub fn run() {
     let harvests: Vec<f64> = run.reports.iter().map(|r| r.harvest_at(early)).collect();
     println!(
         "  queue size still bounded by N: {queues:?}  [{}]",
-        ok(queues.windows(2).all(|w| w[0] <= w[1]))
+        checks.ok(queues.windows(2).all(|w| w[0] <= w[1]))
     );
     let hspread = harvests.iter().fold(f64::MIN, |a, &b| a.max(b))
         - harvests.iter().fold(f64::MAX, |a, &b| a.min(b));
@@ -46,7 +47,7 @@ pub fn run() {
             .iter()
             .map(|h| format!("{h:.3}"))
             .collect::<Vec<_>>(),
-        ok(hspread < 0.08)
+        checks.ok(hspread < 0.08)
     );
     let cspread = covers.iter().fold(f64::MIN, |a, &b| a.max(b))
         - covers.iter().fold(f64::MAX, |a, &b| a.min(b));
@@ -55,4 +56,5 @@ pub fn run() {
         100.0 * cspread,
         covers.iter().map(|c| format!("{c:.3}")).collect::<Vec<_>>()
     );
+    checks
 }

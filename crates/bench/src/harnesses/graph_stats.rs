@@ -2,13 +2,14 @@
 //! measured counterpart of every generator knob, printed the way a crawl
 //! study would characterise a real dataset.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::runner;
 use langcrawl_webgraph::analysis::{host_size_histogram, link_stats, out_degree_histogram};
 use langcrawl_webgraph::{DatasetStats, GeneratorConfig};
 
-/// Run this harness (the body of the `graph_stats` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let seed = runner::env_seed();
     for (name, cfg) in [
         (
@@ -50,7 +51,7 @@ pub fn run() {
             links.locality,
             links.target_locality,
             cfg.locality,
-            ok((links.target_locality - cfg.locality).abs() < 0.10)
+            checks.ok((links.target_locality - cfg.locality).abs() < 0.10)
         );
         println!(
             "\n{}",
@@ -61,4 +62,5 @@ pub fn run() {
             out_degree_histogram(&ws).render("out-degree per HTML page (log2 bins)")
         );
     }
+    checks
 }

@@ -1,8 +1,8 @@
-//! Reproduction harnesses — the bodies of every `src/bin` entry point
-//! except `repro_all`, exposed as library functions so the full
-//! reproduction can run in-process (one `SpaceCache`, one process,
-//! no per-figure subprocess spawn). Each module has a `run()` that is
-//! exactly what its thin binary stub calls.
+//! Reproduction harnesses, one module per table, figure, ablation and
+//! extension. Each module's `run()` prints its tables and shape checks,
+//! writes its result files, and returns its checks' verdicts; the
+//! `repro_all` binary runs the ones named on its command line, or all
+//! of them, in one process that shares one `SpaceCache`.
 
 pub mod ablation_classifier;
 pub mod ablation_locality;
@@ -24,9 +24,15 @@ pub mod table3;
 pub mod timing_ext;
 pub mod wider_languages;
 
+use crate::figures::Checks;
+
+/// A harness's entry point: it runs the harness at its default scale
+/// (or `LANGCRAWL_SCALE`) and returns the verdicts of its checks.
+pub type Harness = fn() -> Checks;
+
 /// All harnesses in dashboard order: `(name, entry point)` — tables
 /// first, then figures, then ablations and extensions.
-pub const ALL: &[(&str, fn())] = &[
+pub const ALL: &[(&str, Harness)] = &[
     ("table1", table1::run),
     ("table3", table3::run),
     ("fig3", fig3::run),

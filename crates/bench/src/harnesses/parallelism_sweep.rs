@@ -23,7 +23,7 @@
 //! crawled at each configuration (the makespan in virtual ticks is in
 //! the summary).
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::runner;
 use langcrawl_core::classifier::OracleClassifier;
 use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome};
@@ -32,7 +32,6 @@ use langcrawl_core::sched::SchedConfig;
 use langcrawl_core::shard::ShardStats;
 use langcrawl_core::strategy::SimpleStrategy;
 use langcrawl_webgraph::GeneratorConfig;
-use std::io::Write;
 
 /// Swept configurations: `(slots, politeness gap, jitter spread)`.
 const CONFIGS: &[(u32, u64, u64)] = &[(1, 0, 0), (4, 0, 0), (16, 0, 0), (16, 2, 0), (16, 6, 2)];
@@ -59,8 +58,9 @@ fn imbalance(shards: &[ShardStats]) -> f64 {
     max / mean
 }
 
-/// Run this harness (the body of the `parallelism_sweep` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let scale = runner::env_scale(40_000);
     let seed = runner::env_seed();
     println!(
@@ -166,25 +166,19 @@ pub fn run() {
         }
     }
 
-    let dir = runner::results_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        for (name, body) in [
-            ("parallelism_sweep.csv", &summary),
-            ("parallelism_sweep_curves.csv", &curves),
-        ] {
-            let path = dir.join(name);
-            match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
-                Ok(()) => println!("\n  [csv] {}", path.display()),
-                Err(e) => eprintln!("\n  [csv] cannot write {name}: {e}"),
-            }
-        }
+    for (name, body) in [
+        ("parallelism_sweep.csv", &summary),
+        ("parallelism_sweep_curves.csv", &curves),
+    ] {
+        println!();
+        runner::write_result(name, body.as_bytes());
     }
 
     // Shape checks.
     let serial = &rows[0];
     println!(
         "\nK=1 makespan is one tick per attempt (legacy clock)     [{}]",
-        ok(serial.outcome.ticks == serial.outcome.attempts)
+        checks.ok(serial.outcome.ticks == serial.outcome.attempts)
     );
     let same_work = rows.iter().all(|r| {
         r.outcome.crawled == serial.outcome.crawled
@@ -192,7 +186,7 @@ pub fn run() {
     });
     println!(
         "every schedule crawls the same pages and harvest        [{}]",
-        ok(same_work)
+        checks.ok(same_work)
     );
     let shrink = rows
         .windows(2)
@@ -200,7 +194,7 @@ pub fn run() {
         .all(|w| w[1].outcome.ticks < w[0].outcome.ticks);
     println!(
         "makespan shrinks with K at zero politeness              [{}]",
-        ok(shrink)
+        checks.ok(shrink)
     );
     let k16 = rows.iter().find(|r| r.slots == 16 && r.gap == 0);
     let polite = rows.iter().find(|r| r.slots == 16 && r.gap > 0);
@@ -212,7 +206,7 @@ pub fn run() {
     };
     println!(
         "politeness gaps stretch the schedule and park hosts     [{}]",
-        ok(stretched)
+        checks.ok(stretched)
     );
     let handoffs_flow = rows
         .iter()
@@ -220,6 +214,7 @@ pub fn run() {
         .all(|r| r.stats.crossed_links > 0);
     println!(
         "cross-shard discovery handoffs flow whenever shards > 1 [{}]",
-        ok(handoffs_flow)
+        checks.ok(handoffs_flow)
     );
+    checks
 }

@@ -2,14 +2,15 @@
 //! schemes, plus the alias table the META classifier accepts and a live
 //! round-trip of the detector on each encoding.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use langcrawl_charset::encode::{
     encode_japanese, encode_thai, japanese_demo_tokens, thai_demo_tokens,
 };
 use langcrawl_charset::{charset_from_label, detect, Charset, Language};
 
-/// Run this harness (the body of the `table1` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     println!("== Table 1: Languages and their corresponding character encoding schemes ==\n");
     println!(
         "{:<12} {:<40}",
@@ -40,7 +41,7 @@ pub fn run() {
             alias,
             got.label(),
             got.language().map_or("-", |l| l.name()),
-            ok(got == expect)
+            checks.ok(got == expect)
         );
     }
 
@@ -59,7 +60,7 @@ pub fn run() {
             cs.label(),
             d.charset.label(),
             d.language().map_or("-", |l| l.name()),
-            ok(d.language() == Some(Language::Japanese))
+            checks.ok(d.language() == Some(Language::Japanese))
         );
     }
     let th = thai_demo_tokens();
@@ -71,7 +72,8 @@ pub fn run() {
             cs.label(),
             d.charset.label(),
             d.language().map_or("-", |l| l.name()),
-            ok(d.language() == Some(Language::Thai))
+            checks.ok(d.language() == Some(Language::Thai))
         );
     }
+    checks
 }

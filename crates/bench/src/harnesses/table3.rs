@@ -2,15 +2,16 @@
 //! for the synthetic Thai-like and Japanese-like web spaces, plus the
 //! structural reachability analysis behind the coverage curves.
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::runner;
 use langcrawl_webgraph::stats::{
     reachable_all, reachable_limited, reachable_relevant_only, relevant_coverage,
 };
 use langcrawl_webgraph::{DatasetStats, GeneratorConfig};
 
-/// Run this harness (the body of the `table3` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let seed = runner::env_seed();
     let thai = GeneratorConfig::thai_like().scaled(runner::env_scale(200_000));
     let japanese = GeneratorConfig::japanese_like().scaled(runner::env_scale(300_000));
@@ -89,17 +90,18 @@ pub fn run() {
     println!(
         "  Thai relevance ratio ≈ 35%:      {:.1}%  [{}]",
         100.0 * s_th.relevance_ratio,
-        ok((s_th.relevance_ratio - 0.35).abs() < 0.05)
+        checks.ok((s_th.relevance_ratio - 0.35).abs() < 0.05)
     );
     println!(
         "  Japanese relevance ratio ≈ 71%:  {:.1}%  [{}]",
         100.0 * s_jp.relevance_ratio,
-        ok((s_jp.relevance_ratio - 0.71).abs() < 0.06)
+        checks.ok((s_jp.relevance_ratio - 0.71).abs() < 0.06)
     );
     println!(
         "  Japanese more language-specific: [{}]",
-        ok(s_jp.relevance_ratio > s_th.relevance_ratio)
+        checks.ok(s_jp.relevance_ratio > s_th.relevance_ratio)
     );
+    checks
 }
 
 fn group(n: usize) -> String {

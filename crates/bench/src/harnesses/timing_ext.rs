@@ -13,7 +13,7 @@
 //! * harvest-vs-wall-clock for the paper's strategies (the focused
 //!   advantage survives the timing model).
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::runner;
 use langcrawl_core::classifier::MetaClassifier;
 use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineScratch};
@@ -136,8 +136,9 @@ fn crawl<S: Strategy>(
     }
 }
 
-/// Run this harness (the body of the `timing_ext` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let scale = runner::env_scale(40_000);
     let seed = runner::env_seed();
     println!("== Extension: timing model (politeness + transfer delays), Thai (n={scale}, seed={seed}) ==\n");
@@ -171,7 +172,7 @@ pub fn run() {
     }
     println!(
         "  politeness slows the crawl monotonically  [{}]",
-        ok(clocks.windows(2).all(|w| w[0] <= w[1]))
+        checks.ok(clocks.windows(2).all(|w| w[0] <= w[1]))
     );
 
     println!("\nConnection scaling, bandwidth-bound regime (no politeness):");
@@ -202,7 +203,7 @@ pub fn run() {
     println!(
         "  throughput scales with connections when bandwidth-bound ({:.1}x from 1 to 64)  [{}]",
         speed.last().unwrap() / speed.first().unwrap(),
-        ok(*speed.last().unwrap() > 1.3 * speed.first().unwrap())
+        checks.ok(*speed.last().unwrap() > 1.3 * speed.first().unwrap())
     );
 
     println!("\nConnection scaling, politeness-bound regime (1 s/host):");
@@ -232,7 +233,7 @@ pub fn run() {
             * (polite_speed.iter().copied().fold(f64::MIN, f64::max)
                 / polite_speed.iter().copied().fold(f64::MAX, f64::min)
                 - 1.0),
-        ok(polite_speed.iter().copied().fold(f64::MIN, f64::max)
+        checks.ok(polite_speed.iter().copied().fold(f64::MIN, f64::max)
             < polite_speed.iter().copied().fold(f64::MAX, f64::min) * 1.25)
     );
 
@@ -268,7 +269,7 @@ pub fn run() {
     println!(
         "  focused advantage at 1/8 of the crawl, 1 s/host politeness: {:+.1} pts  [{}]",
         100.0 * adv_polite,
-        ok(adv_polite > 0.0)
+        checks.ok(adv_polite > 0.0)
     );
     println!(
         "  the focused advantage survives per-server politeness because the back \
@@ -282,4 +283,5 @@ pub fn run() {
         bf.wall_clock_ms as f64 / 1000.0,
         100.0 * bf.utilization
     );
+    checks
 }

@@ -5,15 +5,16 @@
 //! through its own charset family (Table 1 rows plus the EUC-KR/GB2312
 //! rows this reproduction adds).
 
-use crate::figures::ok;
+use crate::figures::Checks;
 use crate::{runner, Experiment};
 use langcrawl_core::classifier::DetectorClassifier;
 use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `wider_languages` binary).
-pub fn run() {
+/// Run this harness and return its checks' verdicts.
+pub fn run() -> Checks {
+    let mut checks = Checks::default();
     let scale = runner::env_scale(60_000);
     let seed = runner::env_seed();
     println!(
@@ -25,7 +26,6 @@ pub fn run() {
     );
 
     let e = Experiment::new("wider", "wider languages", GeneratorConfig::thai_like())
-        .quiet()
         .sim_config(SimConfig::default().with_url_filter())
         .strategy("bf", |_| Box::new(BreadthFirst::new()))
         .strategy("soft", |_| Box::new(SimpleStrategy::soft()))
@@ -56,7 +56,7 @@ pub fn run() {
     }
     println!(
         "\nfocused > breadth-first early and soft coverage = 100% for every target  [{}]",
-        ok(all_ok)
+        checks.ok(all_ok)
     );
 
     // Detector-path spot check per language (content mode, small slice).
@@ -92,27 +92,24 @@ pub fn run() {
             "  {:<10} {:>5.1}%  [{}]",
             ws.target_language().name(),
             100.0 * rate,
-            ok(rate > 0.9)
+            checks.ok(rate > 0.9)
         );
     }
 
     // A hard run with the byte detector end-to-end on the Korean space.
-    let run = Experiment::new(
-        "wider_ko",
-        "Korean detector crawl",
-        GeneratorConfig::korean_like(),
-    )
-    .quiet()
-    .scale(8_000)
-    .sim_config(SimConfig::default().with_url_filter())
-    .classifier_with(|ws| Box::new(DetectorClassifier::target(ws.target_language())))
-    .strategy("hard", |_| Box::new(SimpleStrategy::hard()))
-    .run();
-    let r = &run.reports[0];
+    let ko = GeneratorConfig::korean_like()
+        .scaled(runner::env_scale(8_000))
+        .build_shared(seed);
+    let r = &Experiment::new("wider_ko", "Korean crawl", GeneratorConfig::korean_like())
+        .sim_config(SimConfig::default().with_url_filter())
+        .classifier_with(|ws| Box::new(DetectorClassifier::target(ws.target_language())))
+        .strategy("hard", |_| Box::new(SimpleStrategy::hard()))
+        .run_on(&ko)[0];
     println!(
         "\nhard-focused Korean crawl with the byte detector: harvest {:.1}%, coverage {:.1}%  [{}]",
         100.0 * r.final_harvest(),
         100.0 * r.final_coverage(),
-        ok(r.final_coverage() > 0.5)
+        checks.ok(r.final_coverage() > 0.5)
     );
+    checks
 }

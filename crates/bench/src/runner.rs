@@ -6,28 +6,33 @@ use langcrawl_core::sim::{SimConfig, Simulator};
 use langcrawl_core::strategy::Strategy;
 use langcrawl_webgraph::parallel::effective_threads;
 use langcrawl_webgraph::WebSpace;
-use std::io::{self, Write};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// A named constructor for a strategy (strategies are stateful, so each
 /// run builds a fresh one).
 pub type StrategyFactory<'a> = Box<dyn Fn(&WebSpace) -> Box<dyn Strategy> + Sync + 'a>;
 
+/// The value of the environment variable `var`, parsed; `None` when it
+/// is unset. Panics, naming the variable and the value, when it is set
+/// but does not parse, so a typo fails the run instead of falling back.
+pub fn env_parse<T: FromStr>(var: &str) -> Option<T> {
+    let value = std::env::var(var).ok()?;
+    match value.parse() {
+        Ok(parsed) => Some(parsed),
+        Err(_) => panic!("{var} must be an unsigned integer, got {value:?}"),
+    }
+}
+
 /// Read the experiment scale from `LANGCRAWL_SCALE`, defaulting to the
-/// preset's own size when unset or unparsable.
+/// preset's own size when unset.
 pub fn env_scale(default: u32) -> u32 {
-    std::env::var("LANGCRAWL_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_parse("LANGCRAWL_SCALE").unwrap_or(default)
 }
 
 /// Read the generator seed from `LANGCRAWL_SEED` (default 42).
 pub fn env_seed() -> u64 {
-    std::env::var("LANGCRAWL_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
+    env_parse("LANGCRAWL_SEED").unwrap_or(42)
 }
 
 /// Run several strategies over one web space concurrently (scoped
@@ -112,33 +117,39 @@ pub fn run_parallel(
 
 /// The directory experiment artifacts (CSVs, gnuplot scripts) go to:
 /// `LANGCRAWL_RESULTS_DIR` when set, else `results/` relative to the
-/// cwd. The override is what lets figure binaries run from any working
+/// cwd. The override is what lets the harnesses run from any working
 /// directory (e.g. invoked by CI or an editor task from the repo root).
 pub fn results_dir() -> PathBuf {
     std::env::var_os("LANGCRAWL_RESULTS_DIR")
         .map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
-/// Write a report's series CSV under [`results_dir`] (created on
-/// demand) and return the path written.
-pub fn write_csv(report: &CrawlReport, name: &str) -> io::Result<PathBuf> {
+/// Write `body` to the file `name` under [`results_dir`] (created on
+/// demand) and print `  [csv] <path>` or, for a `.gp` script,
+/// `  [gnuplot] <path>`. Writing is best-effort, so a read-only checkout
+/// still prints its tables, but a file that cannot be written is named
+/// on stderr with its full path. Every result file goes through here.
+pub fn write_result(name: &str, body: &[u8]) {
     let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = std::fs::File::create(&path)?;
-    report.write_csv(&mut f)?;
-    f.flush()?;
-    Ok(path)
+    let path = dir.join(name);
+    let kind = if name.ends_with(".gp") {
+        "gnuplot"
+    } else {
+        "csv"
+    };
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body)) {
+        Ok(()) => println!("  [{kind}] {}", path.display()),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+    }
 }
 
-/// Write a report's CSV and print where it went — or why it didn't.
-/// Figure binaries treat output as best-effort (a read-only checkout
-/// still prints its tables) but the failure is always reported.
-pub fn write_csv_reporting(report: &CrawlReport, name: &str) {
-    match write_csv(report, name) {
-        Ok(path) => println!("  [csv] {}", path.display()),
-        Err(e) => eprintln!("  [csv] cannot write {name}.csv: {e}"),
-    }
+/// Write a report's series CSV as `<name>.csv` through [`write_result`].
+pub fn write_csv(report: &CrawlReport, name: &str) {
+    let mut body = Vec::new();
+    report
+        .write_csv(&mut body)
+        .expect("writing into a Vec cannot fail");
+    write_result(&format!("{name}.csv"), &body);
 }
 
 /// Print an aligned multi-curve table: one row per x step, one column
