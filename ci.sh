@@ -52,27 +52,27 @@ for threads in 1 4; do
         --test resume_parity --test snapshot_codec --test snapshot_dir_wiring
 done
 
-# A harness whose captures cannot be written fails: fig3 at smoke scale,
-# capturing every 1000 ticks into a directory under a regular file, must
-# exit non-zero and name that directory in the error on stderr. Its
-# results directory is under target/ too, so the step writes nothing
-# into the checkout.
-echo "==> unwritable snapshot directory fails the harness (fig3)"
+# A harness whose captures cannot be written fails: repro_all running
+# fig3 at smoke scale, capturing every 1000 ticks into a directory under
+# a regular file, must exit non-zero and name that directory in the
+# error on stderr. Its results directory is under target/ too, so the
+# step writes nothing into the checkout.
+echo "==> unwritable snapshot directory fails the harness (repro_all fig3)"
 unwritable="$PWD/target/snapshot-unwritable"
 rm -rf "$unwritable"
 mkdir -p "$unwritable"
 : > "$unwritable/file"
 if LANGCRAWL_RESULTS_DIR="$unwritable/results" LANGCRAWL_SCALE=8000 LANGCRAWL_SNAPSHOT_EVERY=1000 \
     LANGCRAWL_SNAPSHOT_DIR="$unwritable/file/snaps" \
-    cargo run -q --release --offline -p langcrawl-bench --bin fig3 > /dev/null 2> "$unwritable/stderr"; then
-    echo "    fig3 exited 0 although its snapshots could not be written"
+    cargo run -q --release --offline -p langcrawl-bench --bin repro_all -- fig3 > /dev/null 2> "$unwritable/stderr"; then
+    echo "    repro_all fig3 exited 0 although its snapshots could not be written"
     exit 1
 fi
 grep -q "snapshot capture failed: cannot write $unwritable/file/snaps/" "$unwritable/stderr" || {
     cat "$unwritable/stderr"
     exit 1
 }
-echo "    fig3 failed, naming $unwritable/file/snaps"
+echo "    repro_all fig3 failed, naming $unwritable/file/snaps"
 
 # Link-analysis parity, re-run under both generation thread counts: the
 # incremental PageRank refresh and the flat HITS firing must produce
@@ -107,19 +107,26 @@ for threads in 1 4; do
 done
 
 # The timed crawl model (SchedConfig::timing) over seeds 42 and 1-7 at
-# timing_ext's default 40k scale, about 0.3 s a seed. The step fails when
-# any of the harness's first three shape checks (politeness slows the
-# crawl; connections scale while bandwidth-bound; extra connections buy
-# nothing once politeness-bound) is missing or reads [MISMATCH] on any
-# seed. Check 4, the focused advantage under 1 s politeness, is left out:
-# it passes on 6 of these 8 seeds (it fails on seeds 4 and 6), a spread
-# that ROADMAP item 3 owns.
+# timing_ext's default 40k scale, about 0.3 s a seed. The step reads
+# timing_ext's row of the repro_all dashboard, which names a failing
+# harness's mismatched checks by number, and fails when the row is
+# missing or reads CRASH, or when it names any of checks 1-3
+# (politeness slows the crawl; connections scale while bandwidth-bound;
+# extra connections buy nothing once politeness-bound). Check 4, the
+# focused advantage under 1 s politeness, is left out: it passes on 6
+# of these 8 seeds (it fails on seeds 4 and 6), a spread that ROADMAP
+# item 3 owns.
 echo "==> timing_ext checks 1-3 (seeds 42, 1-7)"
 for seed in 42 1 2 3 4 5 6 7; do
-    checks=$(LANGCRAWL_SEED=$seed cargo run -q --release --offline -p langcrawl-bench --bin timing_ext |
-        grep -E 'politeness slows the crawl|throughput scales with connections|extra connections buy nothing' || true)
-    if [ "$(printf '%s\n' "$checks" | grep -c '\[OK\]')" -ne 3 ]; then
-        printf '    seed %s:\n%s\n' "$seed" "$checks"
+    row=$(LANGCRAWL_SEED=$seed cargo run -q --release --offline -p langcrawl-bench --bin repro_all -- timing_ext |
+        grep '^  timing_ext ' || true)
+    case "$row" in
+    *' pass '*) bad='' ;;
+    *' FAIL '*) bad=$(printf '%s\n' "${row##*  checks }" | tr ',' '\n' | tr -d ' ' | grep -E '^[123]$' || true) ;;
+    *) bad='no verdicts' ;;
+    esac
+    if [ -n "$bad" ]; then
+        printf '    seed %s: %s\n' "$seed" "${row:-no timing_ext row}"
         exit 1
     fi
     echo "    seed $seed: ok"

@@ -1,6 +1,7 @@
 //! The paper's experimental claims, asserted end-to-end at test scale.
 //! Each test is a miniature of one figure/table of §5 (the full-scale
-//! regeneration lives in `crates/bench/src/bin`).
+//! regeneration lives in `crates/bench/src/harnesses`, run by the
+//! `repro_all` binary).
 
 use langcrawl::prelude::*;
 use langcrawl::webgraph::DatasetStats;
