@@ -51,7 +51,6 @@ fn main() {
 
     println!("== langcrawl reproduction check (LANGCRAWL_SCALE={scale}) ==\n");
     let mut rows = Vec::new();
-    let mut failures = 0usize;
     let started = Instant::now();
     for (name, run) in selected {
         println!("--- {name} ---");
@@ -62,12 +61,10 @@ fn main() {
             Err(_) => ("CRASH", Vec::new()),
         };
         let secs = t0.elapsed().as_secs_f64();
-        if status != "pass" {
-            failures += 1;
-        }
         println!();
         rows.push((name, status, verdicts, secs));
     }
+    let failures = rows.iter().filter(|row| row.1 != "pass").count();
     println!("== dashboard ==");
     for (name, status, verdicts, secs) in &rows {
         let mismatched: Vec<String> = (1..)
