@@ -80,11 +80,16 @@ echo "    repro_all fig3 failed, naming $unwritable/file/snaps"
 # pinned cells, the ranks and the three link strategies' reports must
 # match their pinned digests, and the forward-only crawl-graph store
 # must match its naive model, regardless of how many threads generated
-# the web space.
-echo "==> link-analysis parity + crawl-graph store properties (LANGCRAWL_THREADS=1,4)"
+# the web space. The PageRank unit tests run with them: the refresh
+# merges each refresh's new edges into in-lists kept by page id, and
+# their model property checks every list against the ascending sources
+# of its recorded in-edges after every update.
+echo "==> link-analysis parity + crawl-graph store properties + PageRank unit tests (LANGCRAWL_THREADS=1,4)"
 for threads in 1 4; do
     LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl-core \
         --test link_analysis_parity --test linkgraph_props
+    LANGCRAWL_THREADS=$threads cargo test -q --offline -p langcrawl-core \
+        --lib linkgraph::pagerank
 done
 
 # Content-byte parity, re-run under both generation thread counts: the

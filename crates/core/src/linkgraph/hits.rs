@@ -44,8 +44,8 @@
 //! irrelevant targets), and adding +0.0 to a non-negative accumulator
 //! leaves its bits unchanged. And (score desc, page asc) is a total
 //! order over distinct pages, so selection returns the same K hubs in
-//! the same order, whichever pages below the K-th it leaves out. The parity suite therefore pins reports, not
-//! tolerance bands.
+//! the same order, whichever pages below the K-th it leaves out. The
+//! parity suite therefore pins reports, not tolerance bands.
 //!
 //! A firing recomputes everything rather than only what changed since
 //! the last one: with unnormalized scores, the frontier a score change

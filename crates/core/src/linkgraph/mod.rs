@@ -22,12 +22,12 @@
 //!
 //! The store keeps no reverse adjacency. Every f64 sum runs in page id
 //! order, so results do not depend on crawl interleaving; the two
-//! solvers that sum floats get that order at gather time by visiting
-//! sources in ascending page id ([`LinkGraph::crawled_pages`]).
-//! [`pagerank`] fills page-sorted in-lists from the forward spans once
-//! per refresh, and [`hits`] pushes hub scores along the forward spans.
-//! [`layers`] reads in-edges on every fetch but does not care about
-//! their order, so it keeps its own append-only reverse lists.
+//! solvers that sum floats get that order by visiting sources in
+//! ascending page id ([`LinkGraph::crawled_pages`]). [`pagerank`] keeps
+//! page-sorted in-lists across refreshes and merges each refresh's new
+//! edges into them, and [`hits`] pushes hub scores along the forward
+//! spans. [`layers`] reads in-edges on every fetch but does not care
+//! about their order, so it keeps its own append-only reverse lists.
 //!
 //! The store itself never iterates a hash container and allocates only
 //! when an array grows past its high-water mark. Only
@@ -45,7 +45,7 @@ pub mod pagerank;
 
 use langcrawl_webgraph::PageId;
 
-/// Shared sentinel: page not crawled / no dense index / no chunk.
+/// Shared sentinel: page not crawled / no chunk.
 const NONE: u32 = u32::MAX;
 
 /// Append-only crawl-graph store keyed by page id: a forward flat CSR.

@@ -44,7 +44,7 @@
 //! or gained an in-edge. A refresh finds both from state it already
 //! keeps: a new page is one whose `z` is still `0.0`, and the new
 //! in-edges are the store's edges past `counted_edges`, the watermark
-//! up to which the in-degrees are counted. It seeds the worklist with
+//! up to which the in-lists hold them. It seeds the worklist with
 //! the new pages and the crawled targets of the new edges,
 //! preconditions existing entries by `α = N_old/N_new` (after which the
 //! old fixpoint satisfies the new equations everywhere the structure
@@ -63,21 +63,31 @@
 //!
 //! # Layout of a refresh
 //!
-//! The store keeps only forward lists, so a refresh builds its own
-//! view of the crawled subgraph, linear in its size:
+//! Every table is indexed by page id, so nothing is renumbered between
+//! refreshes. The store keeps only forward lists; the state keeps its
+//! own in-lists, one flat array over every recorded edge with each
+//! page's list ascending by source page id. A page that is not crawled
+//! yet has its list too, complete by the time a refresh sees the page
+//! crawled. A refresh:
 //!
-//! 1. One scan in ascending page id numbers the crawled pages densely,
-//!    so dense order *is* page order, lays out the dense `z` and
-//!    `z·inv_out` arrays, and places each page's in-list by its
-//!    in-degree, which is counted incrementally from the edges
-//!    recorded since the last refresh.
-//! 2. One pass over the forward spans in page order fills every
-//!    in-list, so each comes out sorted by source page id, and builds
-//!    dense out-lists of crawled targets.
-//! 3. Each sweep visits the set bits of a dense bitset in ascending
-//!    order; a write bigger than the threshold sets its out-neighbours'
-//!    bits in the next sweep's bitset, except for those whose turn in
-//!    this sweep is still to come.
+//! 1. counts each page's in-edges among the edges past `counted_edges`,
+//!    which gives each target a slot range in a scratch array;
+//! 2. in one scan in ascending page id, preconditions the crawled
+//!    pages, starts and seeds the new ones, and files each new page's
+//!    outlinks into their targets' ranges. The new edges' sources are
+//!    exactly the new pages, so each target's new sources arrive in
+//!    ascending order;
+//! 3. merges them into the in-lists in place, walking down from the top
+//!    page: each page that gains moves the lists above it in one block,
+//!    then merges its new sources into its own list from the back. A
+//!    new edge is placed once; after that it only moves, in blocks, by
+//!    the number of edges that later refreshes place below it;
+//! 4. drains in sweeps. Each sweep visits the set bits of a
+//!    page-indexed bitset in ascending order. A write bigger than the
+//!    threshold sets, in the next sweep's bitset, the bits of the
+//!    page's crawled out-neighbours (its forward span in the store,
+//!    kept to the pages a bitset marks crawled), except for those whose
+//!    turn in this sweep is still to come.
 //!
 //! Determinism: sweeps run in ascending page id and every in-link sum
 //! adds its terms in ascending source page id, so every f64
@@ -86,7 +96,7 @@
 //! (page resolution, where strategies run, is single-threaded by
 //! design; nothing here observes thread count).
 
-use super::{LinkGraph, NONE};
+use super::LinkGraph;
 use langcrawl_webgraph::PageId;
 
 /// Incremental PageRank state (see the module docs for the algorithm).
@@ -104,6 +114,11 @@ pub struct RankState {
     /// Per page: unnormalized solution of the local system; `0.0` marks
     /// a page no refresh has seen crawled (real entries are ≥ `1/N` > 0).
     z: Vec<f64>,
+    /// Per page: `z·inv`, what the page passes to each of its targets.
+    share: Vec<f64>,
+    /// Per page: `1/out_degree` (0 for dangling pages), set when a
+    /// refresh first sees the page crawled.
+    inv: Vec<f64>,
     /// `Σz` over crawled pages as of the last refresh.
     zsum: f64,
     /// Rescale factor `λ = (1−d)/(1−σ)` as of the last refresh.
@@ -115,36 +130,26 @@ pub struct RankState {
     /// Pages the last refresh left pending when its sweep valve
     /// tripped; the next refresh seeds them.
     carry: Vec<PageId>,
-    /// Per page: dense index as of the current refresh, [`NONE`] for
-    /// pages never crawled.
-    dense_of: Vec<u32>,
-    /// Dense index → page.
-    order: Vec<PageId>,
-    /// Dense `z`.
-    zd: Vec<f64>,
-    /// Dense `1/out_degree` (0 for dangling pages).
-    inv: Vec<f64>,
-    /// Dense `z·inv_out`: what a page passes to each of its targets.
-    share: Vec<f64>,
-    /// Out-list offsets: dense page `q` links to
-    /// `out_dst[out_off[q]..out_off[q + 1]]`.
-    out_off: Vec<u32>,
-    /// Out-list targets (dense), crawled targets only, each list in
-    /// recorded outlink order.
-    out_dst: Vec<u32>,
-    /// Per page: in-degree over the store's first `counted_edges`
-    /// edges (every edge comes from a crawled page).
-    in_deg: Vec<u32>,
-    /// Edges already counted into `in_deg`.
+    /// Edges merged into the in-lists: the store's first
+    /// `counted_edges`.
     counted_edges: usize,
-    /// In-list offsets: dense page `q` pulls from
-    /// `in_src[in_off[q]..in_off[q + 1]]`.
+    /// In-list offsets: page `t` pulls from
+    /// `in_src[in_off[t]..in_off[t + 1]]`.
     in_off: Vec<u32>,
-    /// In-list sources (dense), each list in ascending page id.
-    in_src: Vec<u32>,
-    /// Dense bitset of the pages the current sweep relaxes.
+    /// In-list sources: the source of every merged edge, grouped by
+    /// target page, each list in ascending source page id.
+    in_src: Vec<PageId>,
+    /// Per page, zero between refreshes: within one, the page's cursor
+    /// into `fresh`, where its new sources start and, once they are
+    /// filed, where they end.
+    gain: Vec<u32>,
+    /// The sources of the edges being merged, grouped by target page.
+    fresh: Vec<PageId>,
+    /// Bitset of the pages a refresh has seen crawled.
+    crawled: Vec<u64>,
+    /// Bitset of the pages the current sweep relaxes.
     cur: Vec<u64>,
-    /// Dense bitset of the pages the next sweep relaxes.
+    /// Bitset of the pages the next sweep relaxes.
     nxt: Vec<u64>,
 }
 
@@ -164,22 +169,19 @@ impl RankState {
             resync_every: resync_every.max(1),
             full,
             z: Vec::new(),
+            share: Vec::new(),
+            inv: Vec::new(),
             zsum: 0.0,
             lambda: 1.0,
             seen_n: 0,
             since_resync: 0,
             carry: Vec::new(),
-            dense_of: Vec::new(),
-            order: Vec::new(),
-            zd: Vec::new(),
-            inv: Vec::new(),
-            share: Vec::new(),
-            out_off: Vec::new(),
-            out_dst: Vec::new(),
-            in_deg: Vec::new(),
             counted_edges: 0,
             in_off: Vec::new(),
             in_src: Vec::new(),
+            gain: Vec::new(),
+            fresh: Vec::new(),
+            crawled: Vec::new(),
             cur: Vec::new(),
             nxt: Vec::new(),
         }
@@ -194,140 +196,112 @@ impl RankState {
         self.refresh(g);
     }
 
-    /// Grow the per-page tables to the store's page bound, and empty
-    /// the dense scratch with room for its crawled pages and edges.
+    /// Grow the per-page tables and bitsets to the store's page bound,
+    /// and the edge tables to its edges.
     fn ensure_capacity(&mut self, g: &LinkGraph) {
         let (pages, n, edges) = (g.page_bound(), g.num_crawled(), g.num_edges());
         if self.z.len() < pages {
-            self.z.resize(pages, 0.0);
-            self.dense_of.resize(pages, NONE);
-            self.in_deg.resize(pages, 0);
-        }
-        for v in [&mut self.zd, &mut self.inv, &mut self.share] {
-            v.clear();
-            v.reserve(n);
-        }
-        for (v, len) in [
-            (&mut self.order, n),
-            (&mut self.out_off, n + 1),
-            (&mut self.in_off, n + 1),
-            (&mut self.out_dst, edges),
-        ] {
-            v.clear();
-            v.reserve(len);
+            for v in [&mut self.z, &mut self.share, &mut self.inv] {
+                v.resize(pages, 0.0);
+            }
+            self.gain.resize(pages, 0);
+            // A page new to the table has an empty list at the end.
+            self.in_off.resize(pages + 1, self.counted_edges as u32);
+            for v in [&mut self.crawled, &mut self.cur, &mut self.nxt] {
+                v.resize(pages.div_ceil(64), 0);
+            }
         }
         self.carry.reserve(n.saturating_sub(self.carry.len()));
         self.in_src.resize(edges, 0);
-        self.cur.resize(n.div_ceil(64), 0);
-        self.nxt.resize(n.div_ceil(64), 0);
+        self.fresh.resize(edges - self.counted_edges, 0);
     }
 
-    /// One refresh: lay out the dense view, precondition, seed (new
-    /// pages and in-edges plus carry, or full), drain. The steady-state
-    /// link-analysis update path — scratch is pre-grown by
-    /// [`RankState::ensure_capacity`]: the dense tables take one entry
-    /// per crawled page, `out_dst` and `in_src` one per edge, and
-    /// `carry` one per crawled page.
+    /// One refresh: precondition, merge the new edges into the
+    /// in-lists, seed (new pages and in-edges plus carry, or full),
+    /// drain. The steady-state link-analysis update path — every table
+    /// is pre-grown by [`RankState::ensure_capacity`].
     // lint:root(panic-free, alloc-free) — the per-interval rank update
     // the PageRank-ordered crawl runs on.
     fn refresh(&mut self, g: &LinkGraph) {
-        let n_new = g.num_crawled();
-        if n_new == 0 {
+        let n = g.num_crawled();
+        if n == 0 {
             return;
         }
         let full_seed = self.full || self.seen_n == 0 || self.since_resync + 1 >= self.resync_every;
-        let nf = n_new as f64;
+        let nf = n as f64;
         let uniform = 1.0 / nf;
         let alpha = if self.seen_n > 0 {
             f64::from(self.seen_n) / nf
         } else {
             0.0
         };
-        // Pass 1: count the edges recorded since the last refresh into
-        // the in-degrees. Then, in ascending page id, number the crawled
-        // pages densely, precondition survivors by α, start new pages at
-        // 1/N and seed them, rebuild Σz from scratch so it carries no
-        // drift across refreshes, and lay out the in-lists: dense page
-        // `i`'s starts at `in_off[i + 1]`, which serves as its fill
-        // cursor below.
-        let fresh = self.counted_edges;
-        // lint:allow(no-panic-transitive): ensure_capacity grows z, dense_of and in_deg to page_bound, in_src to num_edges and both bitsets to num_crawled bits; counted_edges never exceeds num_edges, dense indices are < num_crawled and pages from the store are < page_bound
-        for &t in &g.edge_targets()[fresh..] {
-            self.in_deg[t as usize] += 1;
+        let words = g.page_bound().div_ceil(64);
+        // Pass 1: count each page's in-edges among the edges recorded
+        // since the last refresh, then turn the counts into where each
+        // target's new sources start in `fresh`.
+        // lint:allow(no-panic-transitive): ensure_capacity grows the per-page tables to page_bound, in_off to page_bound + 1, the bitsets to page_bound bits, in_src to num_edges and fresh to the edges past counted_edges; pages from the store are < page_bound, gain stays ≤ the new edges and in_off ≤ num_edges
+        for &t in &g.edge_targets()[self.counted_edges..] {
+            self.gain[t as usize] += 1;
         }
-        self.counted_edges = g.num_edges();
-        let words = n_new.div_ceil(64);
+        let mut at = 0;
+        for c in &mut self.gain {
+            (*c, at) = (at, at + *c);
+        }
+        // Pass 2, in ascending page id: precondition survivors by α,
+        // start new pages at 1/N and seed them, and rebuild Σz from
+        // scratch so it carries no drift across refreshes. The new
+        // edges are exactly the new pages' outlinks, so filing them by
+        // target here leaves each target's new sources ascending.
         self.cur[..words].fill(0);
-        let (mut zsum, mut start, mut pending) = (0.0, 0, false);
-        self.in_off.push(0);
+        let (mut zsum, mut pending) = (0.0, false);
         for (page, outs) in g.crawled_pages() {
             let p = page as usize;
-            let inv = if outs.is_empty() {
-                0.0
-            } else {
-                1.0 / outs.len() as f64
-            };
-            let zi = self.z[p];
-            let i = self.order.len();
-            let v = if zi == 0.0 {
-                self.cur[i / 64] |= 1u64 << (i % 64);
+            let v = if self.z[p] == 0.0 {
+                for &t in outs {
+                    let at = &mut self.gain[t as usize];
+                    self.fresh[*at as usize] = page;
+                    *at += 1;
+                }
+                self.inv[p] = if outs.is_empty() {
+                    0.0
+                } else {
+                    1.0 / outs.len() as f64
+                };
+                self.crawled[p / 64] |= 1u64 << (p % 64);
+                self.cur[p / 64] |= 1u64 << (p % 64);
                 pending = true;
                 uniform
             } else {
-                zi * alpha
+                self.z[p] * alpha
             };
-            self.dense_of[p] = i as u32;
-            self.order.push(page);
-            self.zd.push(v);
-            self.inv.push(inv);
-            self.share.push(v * inv);
-            self.in_off.push(start);
-            start += self.in_deg[p];
+            self.z[p] = v;
+            self.share[p] = v * self.inv[p];
             zsum += v;
         }
-        let n = self.order.len();
-        // Pass 2: dense out-lists of crawled targets, and the in-lists
-        // filled from them. Sources arrive in dense order, so each
-        // in-list comes out sorted by source page id.
-        self.out_off.push(0);
-        for (i, (_, outs)) in g.crawled_pages().enumerate() {
-            for &t in outs {
-                let d = self.dense_of[t as usize];
-                if d != NONE {
-                    self.out_dst.push(d);
-                    let at = &mut self.in_off[d as usize + 1];
-                    self.in_src[*at as usize] = i as u32;
-                    *at += 1;
-                }
-            }
-            self.out_off.push(self.out_dst.len() as u32);
-        }
-        // Pass 3: seed the first sweep — everything on a full reseed,
-        // else, on top of pass 1's new pages, the crawled targets of the
-        // edges recorded since the last refresh (each gained an
-        // in-edge) and the pages the last refresh carried.
+        // Pass 3: merge those sources into the in-lists, seeding the
+        // crawled pages that gain one.
+        pending |= self.merge_fresh();
+        self.counted_edges = g.num_edges();
+        // Pass 4: seed the first sweep — everything on a full reseed,
+        // else, on top of the new pages and the targets of the new
+        // edges, the pages the last refresh carried.
         if full_seed {
-            self.cur[..words].fill(u64::MAX);
-            if !n.is_multiple_of(64) {
-                self.cur[words - 1] = (1u64 << (n % 64)) - 1;
+            for (c, &k) in self.cur.iter_mut().zip(&self.crawled) {
+                *c = k;
             }
             pending = true;
         } else {
-            for list in [&self.carry[..], &g.edge_targets()[fresh..]] {
-                for &p in list {
-                    let d = self.dense_of[p as usize];
-                    if d != NONE {
-                        self.cur[d as usize / 64] |= 1u64 << (d % 64);
-                        pending = true;
-                    }
-                }
+            for &p in &self.carry {
+                let p = p as usize;
+                self.cur[p / 64] |= 1u64 << (p % 64);
+                pending = true;
             }
         }
         self.carry.clear();
-        // Pass 4: Gauss–Seidel sweeps in dense (= page) order. A write
-        // bigger than θ schedules each out-neighbour for the next
-        // sweep, unless it is already scheduled there, or its turn in
-        // this sweep is still to come and will see the new value. Σz
+        // Pass 5: Gauss–Seidel sweeps in ascending page id. A write
+        // bigger than θ schedules each crawled out-neighbour for the
+        // next sweep, unless it is already scheduled there, or its turn
+        // in this sweep is still to come and will see the new value. Σz
         // absorbs each accepted delta so the final rescale is exact at
         // the point the drain stops.
         let theta = self.tol_rel * uniform;
@@ -347,20 +321,17 @@ impl RankState {
                         acc += self.share[p as usize];
                     }
                     let v = uniform + self.damping * acc;
-                    let d = v - self.zd[q];
+                    let d = v - self.z[q];
                     if d.abs() > theta {
-                        self.zd[q] = v;
+                        self.z[q] = v;
                         self.share[q] = v * self.inv[q];
                         zsum += d;
-                        let (lo, hi) = (self.out_off[q] as usize, self.out_off[q + 1] as usize);
-                        for &dt in &self.out_dst[lo..hi] {
-                            let dt = dt as usize;
-                            let (tw, bit) = (dt / 64, 1u64 << (dt % 64));
-                            let later = dt > q && self.cur[tw] & bit != 0;
-                            if !later && self.nxt[tw] & bit == 0 {
-                                self.nxt[tw] |= bit;
-                                pending = true;
-                            }
+                        for &t in g.out_pages(q as PageId) {
+                            let t = t as usize;
+                            let later = if t > q { self.cur[t / 64] } else { 0 };
+                            let bit = 1u64 << (t % 64) & self.crawled[t / 64] & !later;
+                            self.nxt[t / 64] |= bit;
+                            pending |= bit != 0;
                         }
                     }
                 }
@@ -374,18 +345,62 @@ impl RankState {
                 let mut bits = self.cur[w];
                 while bits != 0 {
                     self.carry
-                        .push(self.order[w * 64 + bits.trailing_zeros() as usize]);
+                        .push((w * 64 + bits.trailing_zeros() as usize) as PageId);
                     bits &= bits - 1;
                 }
             }
         }
-        for (i, &p) in self.order.iter().enumerate() {
-            self.z[p as usize] = self.zd[i];
-        }
         self.zsum = zsum;
         self.lambda = if zsum > 0.0 { 1.0 / zsum } else { 1.0 };
-        self.seen_n = n_new as u32;
+        self.seen_n = n as u32;
         self.since_resync = if full_seed { 0 } else { self.since_resync + 1 };
+    }
+
+    /// Merge the sources filed in `fresh` into the in-lists, in place,
+    /// and seed each crawled page that gains an in-edge; returns whether
+    /// it seeded one. `gain[t]` holds where page `t`'s new sources end
+    /// in `fresh`, which is also how far page `t + 1`'s list moves.
+    /// Walking down from the top page, each page that gains moves the
+    /// lists above it in one block, then merges its new sources into
+    /// its own list from the back; the part of its list below its
+    /// smallest new source moves with the next block.
+    fn merge_fresh(&mut self) -> bool {
+        let mut seeded = false;
+        // Old position one past the lists still to move.
+        let mut top = self.counted_edges;
+        for t in (0..self.gain.len()).rev() {
+            // lint:allow(no-panic-transitive): t < page_bound, to which ensure_capacity grew gain and the bitsets, and in_off one further; positions in in_src stay below num_edges and in fresh below its length, as the gains sum to the new edges
+            let hi = self.gain[t] as usize;
+            if hi == 0 {
+                break; // nothing below t gains either
+            }
+            let lo = if t > 0 { self.gain[t - 1] as usize } else { 0 };
+            self.gain[t] = 0;
+            let end = self.in_off[t + 1] as usize;
+            self.in_off[t + 1] = (end + hi) as u32;
+            if hi == lo {
+                continue;
+            }
+            self.in_src.copy_within(end..top, end + hi);
+            let start = self.in_off[t] as usize;
+            let (mut i, mut j) = (end, hi);
+            while j > lo {
+                let s = self.fresh[j - 1];
+                if i > start && self.in_src[i - 1] > s {
+                    self.in_src[i + j - 1] = self.in_src[i - 1];
+                    i -= 1;
+                } else {
+                    self.in_src[i + j - 1] = s;
+                    j -= 1;
+                }
+            }
+            top = i;
+            if self.crawled[t / 64] & 1u64 << (t % 64) != 0 {
+                self.cur[t / 64] |= 1u64 << (t % 64);
+                seeded = true;
+            }
+        }
+        seeded
     }
 
     /// Mass-corrected rank of `page`: `λ·z`. Returns 0 for pages no
@@ -408,6 +423,7 @@ impl RankState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use langcrawl_minicheck::check;
 
     impl RankState {
         /// Incremental solver with the crawler's default parameters:
@@ -663,6 +679,68 @@ mod tests {
         assert_eq!(st.z[0].to_bits(), (alpha * z0).to_bits(), "page 0 moved");
         assert_ne!(st.z[1].to_bits(), (alpha * z1).to_bits(), "page 1 kept α·z");
         assert_ne!(st.z[5].to_bits(), 0.25f64.to_bits(), "page 5 kept 1/N");
+    }
+
+    /// The in-lists against a naive model: after every update, each
+    /// page's in-list holds the source of each of its recorded
+    /// in-edges, in ascending page id. Page ids are sparse and recorded
+    /// out of order, outlinks repeat and loop back, pages are linked
+    /// before they are crawled, and updates fall at random points, so
+    /// the merges meet lists of every shape.
+    #[test]
+    fn in_lists_match_a_naive_model_after_every_update() {
+        check(64, |gen| {
+            let mut pool = vec![gen.u32(0..200)];
+            for _ in 0..gen.usize(1..50) {
+                let gap = match gen.weighted(&[3, 2, 1]) {
+                    0 => 1,
+                    1 => gen.u32(2..20),
+                    _ => gen.u32(100..2_000),
+                };
+                pool.push(pool[pool.len() - 1] + gap);
+            }
+            let (mut g, mut st) = (LinkGraph::new(), RankState::new(0.85));
+            let mut model: Vec<Vec<PageId>> = Vec::new();
+            let mut outs = Vec::new();
+            for _ in 0..gen.usize(1..150) {
+                let page = *gen.pick(&pool);
+                outs.clear();
+                for _ in 0..gen.usize(0..8) {
+                    outs.push(*gen.pick(&pool));
+                }
+                if gen.bool(0.2) {
+                    outs.push(page);
+                }
+                if !outs.is_empty() && gen.bool(0.3) {
+                    outs.push(outs[0]);
+                }
+                if !g.is_crawled(page) {
+                    for &t in &outs {
+                        model.resize(model.len().max(t as usize + 1), Vec::new());
+                        model[t as usize].push(page);
+                    }
+                }
+                g.record_page(page, &outs);
+                if gen.bool(0.1) {
+                    st.update(&g);
+                    assert_in_lists(&st, &g, &mut model);
+                }
+            }
+            st.update(&g);
+            assert_in_lists(&st, &g, &mut model);
+        });
+    }
+
+    fn assert_in_lists(st: &RankState, g: &LinkGraph, model: &mut Vec<Vec<PageId>>) {
+        model.resize(g.page_bound(), Vec::new());
+        assert_eq!(st.in_off.len(), g.page_bound() + 1, "offset table");
+        assert_eq!(st.counted_edges, g.num_edges(), "merged edges");
+        for (t, want) in model.iter_mut().enumerate() {
+            want.sort_unstable();
+            let (lo, hi) = (st.in_off[t] as usize, st.in_off[t + 1] as usize);
+            assert_eq!(&st.in_src[lo..hi], &want[..], "in-list of page {t}");
+        }
+        assert_eq!(st.in_off[g.page_bound()] as usize, g.num_edges());
     }
 
     #[test]

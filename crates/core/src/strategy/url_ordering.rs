@@ -102,10 +102,10 @@ impl Strategy for BacklinkCount {
 /// [`RankState`] relaxes only the pages whose rank equations changed
 /// since its last refresh, the new pages of the shared [`LinkGraph`]
 /// and the targets of its new edges — O(perturbed region) instead of
-/// the historical O(crawled · iterations) full power iteration. Ranks conserve total mass (`Σrank = 1`): the lost and
-/// dangling rank shares the historical recompute silently dropped are
-/// redistributed uniformly (see the [`crate::linkgraph::pagerank`]
-/// module docs).
+/// the historical O(crawled · iterations) full power iteration. Ranks
+/// conserve total mass (`Σrank = 1`): the lost and dangling rank shares
+/// the historical recompute silently dropped are redistributed
+/// uniformly (see the [`crate::linkgraph::pagerank`] module docs).
 #[derive(Debug)]
 pub struct OnlinePageRank {
     interval: u64,
