@@ -23,6 +23,7 @@
 
 use langcrawl_bench::harnesses::{self, Harness};
 use langcrawl_bench::runner::env_parse;
+use langcrawl_webgraph::parallel::effective_threads;
 use std::panic::catch_unwind;
 use std::time::Instant;
 
@@ -38,6 +39,7 @@ fn main() {
     let scale: Option<u32> = env_parse("LANGCRAWL_SCALE");
     env_parse::<u64>("LANGCRAWL_SEED");
     env_parse::<u64>("LANGCRAWL_SNAPSHOT_EVERY");
+    effective_threads();
     let scale = match scale {
         Some(scale) => scale.to_string(),
         // Harnesses read LANGCRAWL_SCALE themselves; pin the default so a

@@ -15,6 +15,7 @@ fn repro_all(args: &[&str], env: &[(&str, &str)], results: &Path) -> Output {
         "LANGCRAWL_SEED",
         "LANGCRAWL_SNAPSHOT_EVERY",
         "LANGCRAWL_SNAPSHOT_DIR",
+        "LANGCRAWL_THREADS",
     ] {
         cmd.env_remove(var);
     }
@@ -63,10 +64,12 @@ fn unwritable_result_files_are_named_and_the_run_still_passes() {
 #[test]
 fn a_malformed_setting_fails_before_any_harness_runs() {
     let results = scratch("repro_all_malformed");
-    for (var, value) in [
-        ("LANGCRAWL_SEED", "4x"),
-        ("LANGCRAWL_SCALE", "8k"),
-        ("LANGCRAWL_SNAPSHOT_EVERY", "1k"),
+    for (var, value, must) in [
+        ("LANGCRAWL_SEED", "4x", "an unsigned"),
+        ("LANGCRAWL_SCALE", "8k", "an unsigned"),
+        ("LANGCRAWL_SNAPSHOT_EVERY", "1k", "an unsigned"),
+        ("LANGCRAWL_THREADS", "4x", "a positive"),
+        ("LANGCRAWL_THREADS", "0", "a positive"),
     ] {
         let mut env = vec![(var, value)];
         if var != "LANGCRAWL_SCALE" {
@@ -75,7 +78,7 @@ fn a_malformed_setting_fails_before_any_harness_runs() {
         let out = repro_all(&["fig3"], &env, &results);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{var}={value} ran:\n{stderr}");
-        let named = format!("{var} must be an unsigned integer, got \"{value}\"");
+        let named = format!("{var} must be {must} integer, got \"{value}\"");
         assert!(stderr.contains(&named), "no `{named}` on stderr:\n{stderr}");
         assert!(
             out.stdout.is_empty(),

@@ -12,15 +12,19 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 
 /// Worker-thread count for parallel sections: `LANGCRAWL_THREADS` when
-/// set to a positive integer, else [`std::thread::available_parallelism`]
-/// (1 when even that is unavailable). Read afresh on each call so tests
-/// and harnesses can vary it per run.
+/// set, else [`std::thread::available_parallelism`] (1 when even that
+/// is unavailable). Read afresh on each call so tests and harnesses can
+/// vary it per run. Panics, naming the variable and the value, when it
+/// is set but is not a positive integer, so a typo fails the run
+/// instead of falling back to every core.
 pub fn effective_threads() -> usize {
-    std::env::var("LANGCRAWL_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    match std::env::var("LANGCRAWL_THREADS") {
+        Ok(value) => match value.parse::<NonZeroUsize>() {
+            Ok(threads) => threads.get(),
+            Err(_) => panic!("LANGCRAWL_THREADS must be a positive integer, got {value:?}"),
+        },
+        Err(_) => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+    }
 }
 
 /// Partition items `0..weights.len()` into at most `parts` contiguous,
