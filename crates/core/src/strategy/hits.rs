@@ -203,9 +203,15 @@ mod tests {
         // were crawled in: sums run in page id order and ties break by
         // page id, so scores and tie-breaks are reproducible.
         let n = 30u32;
-        let pages: Vec<(u32, Vec<u32>)> = (0..n)
-            .map(|p| (p, vec![(p * 11 + 3) % n, (p * 17 + 7) % n, (p + 1) % n]))
-            .collect();
+        let links = |p: u32| {
+            vec![
+                (p * 11 + 3) % n,
+                (p * 17 + 7) % n,
+                (p + 1) % n,
+                p % 10 * 3 + 1,
+            ]
+        };
+        let pages: Vec<(u32, Vec<u32>)> = (0..n).map(|p| (p, links(p))).collect();
         let mut fwd = HitsStrategy::with_params(1_000_000, 10, 5);
         let mut rev = HitsStrategy::with_params(1_000_000, 10, 5);
         let mut out = Vec::new();
@@ -218,10 +224,13 @@ mod tests {
         assert_eq!(fwd.run_hits(), rev.run_hits());
         assert_eq!(fwd.run_hits(), fwd.run_hits(), "distiller must be pure");
         // Pin the exact hub ranking so a regression shows up as a golden
-        // diff, not just as an occasional cross-instance mismatch. Every
-        // even page links to three relevant (odd) pages and every odd
-        // page is linked from three even ones, so the 15 hubs tie and
-        // the ranking is the tie-break: ascending page id.
-        assert_eq!(fwd.run_hits(), [0, 2, 4, 6, 8, 10, 12, 14, 16, 18]);
+        // diff, not just as an occasional cross-instance mismatch. The
+        // hubs are the even pages, which link only to relevant (odd)
+        // ones. The first three links alone would give every odd page
+        // three even in-links and tie all 15 hubs; the fourth,
+        // `p mod 10 · 3 + 1`, splits them into three tiers of five equal
+        // scores, so the ranking pins both the order of the scores and
+        // the page-id tie-break within a tier.
+        assert_eq!(fwd.run_hits(), [0, 6, 12, 18, 24, 2, 8, 14, 20, 26]);
     }
 }
